@@ -101,14 +101,6 @@ def _fastpath_throughput(payload: dict[str, Any]) -> dict[str, float]:
     }
 
 
-def _parallel_balance(payload: dict[str, Any]) -> dict[str, float]:
-    skew = payload.get("skew") or {}
-    if "balance_ratio" not in skew:
-        return {}
-    label = f"balance_ratio[skewed@{skew.get('workers', '?')}w]"
-    return {label: float(skew["balance_ratio"])}
-
-
 def _service_qps(payload: dict[str, Any]) -> dict[str, float]:
     if "service_qps" not in payload:
         return {}
@@ -132,13 +124,6 @@ GATES: dict[str, tuple[GateSpec, ...]] = {
             select=_fastpath_throughput,
             threshold=0.60,
         ),
-    ),
-    # Legacy-planner record imbalance over two-layer record imbalance
-    # on the fixed skewed workload.  Both sides are pure functions of
-    # the shard plan — no wall-clock — so the ratio is deterministic
-    # across hosts; any drop means the two-layer planner lost balance.
-    "parallel_scaling": (
-        GateSpec(metric="balance_ratio", select=_parallel_balance),
     ),
     # Service throughput over real TCP is host-dependent, so like the
     # fast-path pairs/s gate it only fires on a collapse, not on a

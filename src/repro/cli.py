@@ -57,7 +57,6 @@ from repro.experiments.table4 import format_table4, table4_rows
 from repro.experiments.workloads import WORKLOADS, workload_by_name
 from repro.join.api import available_algorithms
 from repro.obs import Observability
-from repro.parallel.planner import PLANNERS
 
 
 def _positive_int(text: str) -> int:
@@ -151,13 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_shard_level,
         default=None,
         help="Filter-Tree level k of the 4^k shard grid (default: from --workers)",
-    )
-    join.add_argument(
-        "--planner",
-        choices=PLANNERS,
-        default=None,
-        help="shard planner of a sharded run: two-layer class-based "
-        "mini-joins (default) or the legacy cells + residual decomposition",
     )
     join.add_argument(
         "--retry-attempts",
@@ -486,15 +478,6 @@ def cmd_join(args: argparse.Namespace) -> int:
             )
             return 2
         params["partial_results"] = True
-    if args.planner is not None:
-        if args.workers == 1 and args.shard_level is None:
-            print(
-                "--planner selects the shard decomposition; it needs a "
-                "sharded run (--workers > 1 or --shard-level)",
-                file=sys.stderr,
-            )
-            return 2
-        params["planner"] = args.planner
     retry = None
     if args.retry_attempts is not None or args.retry_backoff is not None:
         from repro.faults import RetryPolicy
@@ -572,19 +555,10 @@ def cmd_join(args: argparse.Namespace) -> int:
             print(f"backend   : {args.backend}")
         if metrics.details.get("parallel"):
             plan = metrics.details["plan"]
-            if plan.get("planner") == "two-layer":
-                decomposition = (
-                    f"{plan['cells']} tiles, {plan['mini_joins']} mini-joins"
-                )
-            else:
-                decomposition = (
-                    f"{plan['cells']} cells + residual, "
-                    f"{plan['tasks']} sub-joins"
-                )
             print(
                 f"sharding  : {args.workers} workers, level "
-                f"{plan['shard_level']} [{plan.get('planner', 'residual')}] "
-                f"({decomposition})"
+                f"{plan['shard_level']} ({plan['tasks']} tiles, "
+                f"{plan['mini_joins']} mini-joins)"
             )
         print(f"pairs     : {len(run.result.pairs):,}")
         print(f"page I/Os : {metrics.total_ios:,}")

@@ -101,7 +101,6 @@ def run_algorithm(
     obs: Observability | None = None,
     workers: int = 1,
     shard_level: int | None = None,
-    planner: str | None = None,
     mode: str = "ledger",
     backend: str = "memory",
     data_dir: str | None = None,
@@ -114,8 +113,7 @@ def run_algorithm(
     With an enabled ``obs`` the returned :class:`ExperimentResult` also
     carries a machine-readable :class:`~repro.obs.report.RunReport`.
     ``workers``/``shard_level`` select the sharded parallel executor
-    (:mod:`repro.parallel`) and ``planner`` its shard decomposition
-    (two-layer by default); the per-shard storage managers all use
+    (:mod:`repro.parallel`); the per-shard storage managers all use
     this experiment's paper-faithful configuration.
 
     ``mode="memory"`` runs the in-memory fast path instead of the
@@ -177,7 +175,6 @@ def run_algorithm(
         obs=obs,
         workers=workers,
         shard_level=shard_level,
-        planner=planner,
         mode=mode,
         **params,
     )

@@ -68,7 +68,7 @@ class ShardFailure:
     form — what partial-results mode reports instead of raising."""
 
     shard_id: str
-    kind: str  # "cell" | "residual-A" | "residual-B"
+    kind: str  # the planner's task kind: "tile"
     error_type: str
     message: str
     attempts: int

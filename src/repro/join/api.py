@@ -99,7 +99,6 @@ def spatial_join(
     obs: Observability | None = None,
     workers: int = 1,
     shard_level: int | None = None,
-    planner: str | None = None,
     mode: str = "ledger",
     **params: Any,
 ) -> JoinResult:
@@ -122,9 +121,6 @@ def spatial_join(
     :mod:`repro.parallel`); results and merged metrics are identical
     for every worker count.  Sharded runs build per-shard storage, so
     ``storage`` must then be a :class:`StorageConfig` or ``None``.
-    ``planner`` selects the shard decomposition (``"two-layer"``, the
-    default, or the legacy ``"residual"``) and is only meaningful on a
-    sharded run.
 
     ``obs`` attaches an :class:`~repro.obs.Observability` (tracer +
     metrics registry) to the run; it is observation only and never
@@ -155,11 +151,6 @@ def spatial_join(
             f"shard_level must be a non-negative int or None, got {shard_level!r}"
         )
     sharded = workers != 1 or shard_level is not None
-    if planner is not None and not sharded:
-        raise ValueError(
-            "planner selects the shard decomposition; it needs a sharded "
-            "run (workers > 1 or an explicit shard_level)"
-        )
     if mode == "memory":
         if algorithm.lower() != "s3j":
             raise ValueError(
@@ -183,7 +174,6 @@ def spatial_join(
 
     if sharded:
         from repro.parallel.executor import parallel_spatial_join
-        from repro.parallel.planner import DEFAULT_PLANNER
 
         if isinstance(storage, StorageManager):
             raise ValueError(
@@ -200,7 +190,6 @@ def spatial_join(
             obs=obs,
             workers=workers,
             shard_level=shard_level,
-            planner=planner or DEFAULT_PLANNER,
             mode=mode,
             **params,
         )

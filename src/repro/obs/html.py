@@ -7,10 +7,9 @@ inline CSS, no JavaScript, no external assets — that renders:
 - the **span flame view**: the tracer's nested span tree as stacked
   bars positioned on the run's wall-clock timeline;
 - the **shard Gantt lanes**: one bar per shard from the straggler
-  analytics, colored by kind (cell vs residual) with the critical-path
-  shard highlighted;
-- the straggler metrics table (imbalance factor, residual share,
-  duration percentiles, parallel efficiency, fault counts).
+  analytics, with the critical-path shard highlighted;
+- the straggler metrics table (imbalance factor, duration
+  percentiles, parallel efficiency, fault counts).
 
 Everything is rendered server-side from the serialized report, so the
 artifact is safe to archive in CI and opens anywhere.
@@ -49,7 +48,7 @@ th { background: #f4f4f8; }
               border: 1px solid #e8e8f0; vertical-align: top; }
 .lane-note { display: inline-block; width: 130px; font-family: monospace;
              font-size: 11px; padding-left: 6px; }
-.cell { background: #4a7ebb; } .residual { background: #c0504d; }
+.cell { background: #4a7ebb; }
 .failed { background: repeating-linear-gradient(45deg, #999, #999 4px,
           #ccc 4px, #ccc 8px); }
 .critical { outline: 2px solid #e8a33d; }
@@ -137,8 +136,7 @@ def _gantt_section(analytics: StragglerAnalytics) -> str:
         else:
             left, width = 0.0, 100.0
         width = min(width, 100 - left)
-        classes = ["bar", "failed" if lane.failed else
-                   ("residual" if "residual" in lane.kind else "cell")]
+        classes = ["bar", "failed" if lane.failed else "cell"]
         if lane.shard_id == critical:
             classes.append("critical")
         note = "failed" if lane.failed else _fmt_seconds(lane.wall_s)
@@ -161,9 +159,7 @@ def _gantt_section(analytics: StragglerAnalytics) -> str:
         )
     legend = (
         '<p><span class="bar cell" style="position:static;display:inline-block;'
-        'width:2.2em">&nbsp;</span> cell shard &nbsp; '
-        '<span class="bar residual" style="position:static;display:inline-block;'
-        'width:2.2em">&nbsp;</span> residual shard &nbsp; '
+        'width:2.2em">&nbsp;</span> tile shard &nbsp; '
         "orange outline = critical path</p>"
     )
     return (
@@ -185,11 +181,6 @@ def _straggler_table(analytics: StragglerAnalytics) -> str:
             "imbalance factor (max/mean)",
             "-" if analytics.imbalance_factor is None
             else f"{analytics.imbalance_factor:.2f}",
-        ),
-        (
-            "residual share",
-            "-" if analytics.residual_share is None
-            else f"{analytics.residual_share * 100:.1f}%",
         ),
         (
             "parallel efficiency",

@@ -105,8 +105,6 @@ def render_straggler_summary(analytics: StragglerAnalytics) -> list[str]:
     lines = ["", "straggler analytics:"]
     if analytics.workers is not None:
         lines.append(f"  workers             : {analytics.workers}")
-    if analytics.planner is not None:
-        lines.append(f"  planner             : {analytics.planner}")
     lines.append(f"  total shard work    : {_fmt_seconds(analytics.total_shard_s)}")
     lines.append(
         f"  imbalance factor    : {_fmt_ratio(analytics.imbalance_factor)}"
@@ -117,11 +115,6 @@ def render_straggler_summary(analytics: StragglerAnalytics) -> list[str]:
             f"  record imbalance    : "
             f"{_fmt_ratio(analytics.record_imbalance_factor)}"
             "  (max shard records / mean; plan-deterministic)"
-        )
-    if analytics.residual_share is not None:
-        lines.append(
-            f"  residual share      : {analytics.residual_share * 100:.1f}% "
-            "of shard work in residual shards"
         )
     if analytics.parallel_efficiency is not None:
         lines.append(
@@ -205,11 +198,9 @@ def summary_dict(report: RunReport) -> dict[str, Any]:
         summary["analytics"] = {
             "shards": analytics.shard_count,
             "workers": analytics.workers,
-            "planner": analytics.planner,
             "makespan_s": analytics.makespan_s,
             "imbalance_factor": analytics.imbalance_factor,
             "record_imbalance_factor": analytics.record_imbalance_factor,
-            "residual_share": analytics.residual_share,
             "parallel_efficiency": analytics.parallel_efficiency,
             "duration_percentiles": analytics.duration_percentiles,
         }

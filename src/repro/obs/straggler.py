@@ -1,11 +1,9 @@
 """Straggler analytics: load balance computed from the event stream.
 
 Tsitsigkos & Mamoulis (PAPERS.md, 1908.11740) show parallel in-memory
-spatial joins live or die by per-partition load balance, and this
-repository's planner has a known straggler by construction: the
-residual shard of large entities.  This module turns the execution
-event stream (:mod:`repro.obs.events`) into the numbers that make that
-visible per run:
+spatial joins live or die by per-partition load balance.  This module
+turns the execution event stream (:mod:`repro.obs.events`) into the
+numbers that make a straggler shard visible per run:
 
 - the **per-shard duration distribution** (count / mean / exact
   p50 / p95 / p99 / max, via :class:`~repro.obs.metrics.Histogram`);
@@ -17,10 +15,6 @@ visible per run:
   per-shard *input records*, a wall-clock-free balance measure that is
   deterministic across hosts and worker counts (durations wobble with
   scheduling; record counts are a pure function of the plan);
-- the **residual share** — the residual shards' fraction of total
-  shard work, the specific straggler the two-layer shard planner
-  (:mod:`repro.parallel.planner`) kills by construction: a two-layer
-  run reports 0.0 because no residual shard exists in its plan;
 - the **critical path** — the longest shard and its per-phase wall
   breakdown, i.e. where the makespan actually went;
 - **Gantt lanes** — per-shard ``(start, duration)`` on the run's
@@ -95,8 +89,6 @@ class StragglerAnalytics:
     total_shard_s: float = 0.0
     imbalance_factor: float | None = None
     record_imbalance_factor: float | None = None
-    residual_share: float | None = None
-    planner: str | None = None
     critical_path: dict[str, Any] | None = None
     duration_percentiles: dict[str, float | None] = field(default_factory=dict)
     workers: int | None = None
@@ -118,8 +110,6 @@ class StragglerAnalytics:
             "total_shard_s": self.total_shard_s,
             "imbalance_factor": self.imbalance_factor,
             "record_imbalance_factor": self.record_imbalance_factor,
-            "residual_share": self.residual_share,
-            "planner": self.planner,
             "critical_path": self.critical_path,
             "duration_percentiles": dict(self.duration_percentiles),
             "workers": self.workers,
@@ -139,8 +129,6 @@ class StragglerAnalytics:
             total_shard_s=float(data.get("total_shard_s", 0.0)),
             imbalance_factor=data.get("imbalance_factor"),
             record_imbalance_factor=data.get("record_imbalance_factor"),
-            residual_share=data.get("residual_share"),
-            planner=data.get("planner"),
             critical_path=data.get("critical_path"),
             duration_percentiles=dict(data.get("duration_percentiles", {})),
             workers=data.get("workers"),
@@ -178,7 +166,6 @@ def analyze_events(events: list[dict[str, Any]]) -> StragglerAnalytics:
         shard_id = event.get("shard_id")
         if kind == "run_started":
             analytics.workers = event.get("workers", analytics.workers)
-            analytics.planner = event.get("planner", analytics.planner)
         elif kind == "shard_dispatched":
             dispatched.setdefault(shard_id, event)
             attempts[shard_id] = max(
@@ -250,11 +237,6 @@ def analyze_events(events: list[dict[str, Any]]) -> StragglerAnalytics:
                 analytics.record_imbalance_factor = (
                     max(record_counts) / mean_records
                 )
-        residual_s = sum(
-            lane.wall_s for lane in analytics.lanes if "residual" in lane.kind
-        )
-        if durations.total > 0:
-            analytics.residual_share = residual_s / durations.total
         analytics.duration_percentiles = {
             "p50": durations.quantile(0.50),
             "p95": durations.quantile(0.95),

@@ -1,26 +1,18 @@
 """repro.parallel — Hilbert-range sharded parallel join execution.
 
-Two selectable planners decompose a join into independent sub-joins
-over the level-``k`` Filter-Tree grid (``4^k`` Hilbert-contiguous
-tiles):
-
-- ``two-layer`` (default) — the class-based partitioning of
-  Tsitsigkos et al. (arXiv 2307.09256): every entity is present in
-  each tile its expanded MBR overlaps, classed A/B/C/D by where the
-  MBR starts, and each tile runs a fixed set of disjoint class-pair
-  mini-joins — every result pair is found exactly once in its
-  reference tile and no shard ever joins "everything" (DESIGN.md
-  section 14).
-- ``residual`` (legacy) — single-assignment routing: a level-``l >= k``
-  entity goes to its level-``k`` ancestor cell, larger entities to one
-  residual shard whose cross joins complete the disjoint union
-  (DESIGN.md section 9).  Kept selectable so planner-to-planner parity
-  is itself a verification gate.
+A join is decomposed into independent tile shards over the level-``k``
+Filter-Tree grid (``4^k`` Hilbert-contiguous tiles) by the two-layer
+class-based partitioning of Tsitsigkos et al. (arXiv 2307.09256):
+every entity is present in each tile its expanded MBR overlaps, classed
+A/B/C/D by where the MBR starts, and each tile runs a fixed set of
+disjoint class-pair mini-joins — every result pair is found exactly
+once in its reference tile and no shard ever joins "everything"
+(DESIGN.md section 14).
 
 - :mod:`repro.parallel.planner` — routes entities and plans the
-  sub-joins (:class:`ShardPlan` / :class:`ShardTask` /
+  mini-joins (:class:`ShardPlan` / :class:`ShardTask` /
   :class:`MiniJoin`).
-- :mod:`repro.parallel.executor` — runs the sub-joins in worker
+- :mod:`repro.parallel.executor` — runs the shards in worker
   processes (or serially in-process) and deterministically merges pair
   sets, ledgers, and observability output.
 """
@@ -28,27 +20,19 @@ tiles):
 from __future__ import annotations
 
 from repro.parallel.planner import (
-    DEFAULT_PLANNER,
-    PLANNERS,
     MiniJoin,
     ShardPlan,
     ShardTask,
     default_shard_level,
     plan_join,
-    plan_shards,
-    plan_two_layer,
 )
 from repro.parallel.executor import parallel_spatial_join
 
 __all__ = [
-    "DEFAULT_PLANNER",
     "MiniJoin",
-    "PLANNERS",
     "ShardPlan",
     "ShardTask",
     "default_shard_level",
     "parallel_spatial_join",
     "plan_join",
-    "plan_shards",
-    "plan_two_layer",
 ]

@@ -1,11 +1,13 @@
 """The sharded join executor: run a :class:`ShardPlan` and merge.
 
-Each :class:`~repro.parallel.planner.ShardTask` is one complete,
-independent spatial join — the worker runs the *unmodified* algorithm
-(:func:`repro.join.api.spatial_join`) over the shard's datasets with
-its own :class:`~repro.storage.manager.StorageManager`, ledger, and
-observability, and ships back a picklable summary (sorted pairs, the
-metrics dict, metric series, span trees).
+Each :class:`~repro.parallel.planner.ShardTask` is one tile's
+independent set of class-pair mini-joins — the worker runs the
+*unmodified* algorithm (:func:`repro.join.api.spatial_join`) over each
+mini-join's datasets with its own
+:class:`~repro.storage.manager.StorageManager`, ledger, and
+observability, folds them into one shard ledger, and ships back a
+picklable summary (sorted pairs, the metrics dict, metric series, span
+trees).
 
 Determinism: the plan is a pure function of the inputs and the shard
 level (never of the worker count), tasks are submitted and merged in
@@ -15,12 +17,13 @@ per-shard summaries alone — so a run with ``workers=4`` returns metrics
 byte-identical to ``workers=1``, which executes the very same worker
 function in-process.
 
-Merging rules (DESIGN.md section 9):
+Merging rules (DESIGN.md section 9), applied by the same fold first
+over a tile's mini-joins and then over the shards:
 
 - **pairs** — union over shards, then
-  :func:`~repro.join.result.canonical_pairs` (a self join's residual
-  cross join reintroduces mirrored pairs; cell shards of a non-self
-  join are disjoint by construction).
+  :func:`~repro.join.result.canonical_pairs` (a self join's
+  cross-class mini-joins reintroduce mirrored pairs; the tiles of a
+  non-self join emit disjoint pair sets by construction).
 - **ledger** — per-phase :class:`~repro.storage.iostats.PhaseStats`
   add up (``merged_into``), so the merged totals are exactly the sum
   of the per-shard ledgers.
@@ -77,7 +80,6 @@ from repro.obs import (
     phase_wall_times,
 )
 from repro.parallel.planner import (
-    DEFAULT_PLANNER,
     MiniJoin,
     ShardPlan,
     ShardTask,
@@ -103,22 +105,11 @@ def _shard_payload(
     mode: str = "ledger",
     events: bool = False,
 ) -> dict[str, Any]:
-    """Everything one worker needs, as a picklable dict.
-
-    A two-layer tile task ships its ``mini_joins`` instead of the
-    union datasets (the class subsets partition the tile, so shipping
-    both would pickle every entity twice); the worker reconstructs the
-    per-side input counts from the subsets.
-    """
+    """Everything one worker needs, as a picklable dict."""
     return {
         "shard_id": task.shard_id,
         "kind": task.kind,
-        "dataset_a": None if task.mini_joins else task.dataset_a,
-        "dataset_b": (
-            None if task.mini_joins or task.self_join else task.dataset_b
-        ),
-        "self_join": task.self_join,
-        "mini_joins": task.mini_joins or None,
+        "mini_joins": task.mini_joins,
         "input_records": task.input_records,
         "algorithm": algorithm,
         "predicate": predicate,
@@ -131,18 +122,19 @@ def _shard_payload(
     }
 
 
-def _fold_mini_metrics(
+def _fold_metrics(
     metrics_list: list[JoinMetrics],
     weights: list[int],
     algorithm: str,
     config: StorageConfig | None,
+    details: dict[str, Any],
 ) -> JoinMetrics:
-    """Fold one tile's per-mini-join ledgers into one shard ledger.
+    """Fold sub-join ledgers into one: per-phase :class:`PhaseStats`
+    sums and input-weighted replication factors.
 
-    The same rules the cross-shard merge uses (per-phase
-    :class:`PhaseStats` sums, input-weighted replication factors), so
-    the final merged metrics are independent of where the fold happens
-    — and therefore of the worker count.
+    Called once per tile over its mini-joins and once over the shards,
+    so the merged metrics are independent of where the fold happens —
+    and therefore of the worker count.
     """
     phases: dict[str, PhaseStats] = {}
     for metrics in metrics_list:
@@ -151,7 +143,7 @@ def _fold_mini_metrics(
     if metrics_list:
         phase_names = metrics_list[0].phase_names
         cost_model = metrics_list[0].cost_model
-    else:  # degenerate tile: planner never schedules one, but be safe
+    else:  # degenerate plan (an empty input side): nothing ran
         phase_names = TABLE2_PHASES.get(algorithm.lower(), ())
         cost_model = (config or StorageConfig()).cost_model
     total_weight = sum(weights)
@@ -173,12 +165,12 @@ def _fold_mini_metrics(
         cost_model=cost_model,
         replication_a=replication_a,
         replication_b=replication_b,
-        details={},
+        details=details,
     )
 
 
 def _run_shard(payload: dict[str, Any]) -> dict[str, Any]:
-    """Execute one shard's sub-join (module-level so it pickles).
+    """Execute one shard's mini-joins (module-level so it pickles).
 
     Runs in a worker process for ``workers > 1`` and in-process for
     ``workers = 1`` — the same code path either way, so worker count
@@ -201,9 +193,14 @@ def _run_shard(payload: dict[str, Any]) -> dict[str, Any]:
             raise WorkerCrashError(
                 f"injected crash of shard {shard_id} (attempt {attempt})"
             )
-    if config is not None and config.backend == "disk" and config.directory is not None:
-        # A shared on-disk directory would collide across shards (every
-        # sub-join names its files input-A-<n>...): give each worker a
+    if (
+        config is not None
+        and config.backend != "memory"
+        and config.directory is not None
+    ):
+        # A shared on-disk directory would collide across sub-joins
+        # (each names its files input-A-<n>..., and a durable store
+        # admits one opener): every sub-join's storage manager gets a
         # private temporary directory instead.
         config = dataclasses.replace(config, directory=None)
     sink = (
@@ -222,88 +219,59 @@ def _run_shard(payload: dict[str, Any]) -> dict[str, Any]:
         # queueing delay shows up as the gap after shard_dispatched).
         sink.emit("shard_heartbeat", phase="start")
 
-    minis: tuple[MiniJoin, ...] | None = payload.get("mini_joins")
+    minis: tuple[MiniJoin, ...] = payload["mini_joins"]
     wall_t0 = time.perf_counter()
     # File-name counters are scoped per storage manager, and every
-    # sub-join here builds a fresh manager from ``config`` — so file
+    # mini-join here builds a fresh manager from ``config`` — so file
     # labels are a pure function of the shard's (deterministic)
     # composition, regardless of worker count or which pool process the
     # shard landed on.
-    if minis:
-        # A two-layer tile shard: run the class-pair mini-joins in
-        # plan order.
-        pair_set: set[tuple[int, int]] = set()
-        refined_set: set[tuple[int, int]] = set()
-        mini_metrics: list[JoinMetrics] = []
-        breakdown: list[dict[str, Any]] = []
-        for mini in minis:
-            sub_b = mini.dataset_a if mini.self_join else mini.dataset_b
-            result = spatial_join(
-                mini.dataset_a,
-                sub_b,
-                algorithm=payload["algorithm"],
-                predicate=payload["predicate"],
-                storage=config,
-                refine=payload["refine"],
-                obs=obs,
-                mode=payload.get("mode", "ledger"),
-                **payload["params"],
-            )
-            pair_set.update(result.pairs)
-            if result.refined is not None:
-                refined_set.update(result.refined)
-            mini_metrics.append(result.metrics)
-            breakdown.append(
-                {
-                    "label": mini.label,
-                    "input_records": mini.input_records,
-                    "pairs": len(result.pairs),
-                }
-            )
-        pairs = sorted(pair_set)
-        refined = sorted(refined_set) if payload["refine"] else None
-        metrics = _fold_mini_metrics(
-            mini_metrics,
-            [mini.input_records for mini in minis],
-            payload["algorithm"],
-            config,
-        )
-        metrics.details["mini_joins"] = breakdown
-        metrics_dict = metrics.to_dict()
-    else:
-        dataset_a: SpatialDataset = payload["dataset_a"]
-        dataset_b: SpatialDataset = (
-            dataset_a if payload["self_join"] else payload["dataset_b"]
-        )
+    pair_set: set[tuple[int, int]] = set()
+    refined_set: set[tuple[int, int]] = set()
+    mini_metrics: list[JoinMetrics] = []
+    breakdown: list[dict[str, Any]] = []
+    for mini in minis:  # plan order
         result = spatial_join(
-            dataset_a,
-            dataset_b,
+            mini.dataset_a,
+            mini.dataset_a if mini.self_join else mini.dataset_b,
             algorithm=payload["algorithm"],
             predicate=payload["predicate"],
             storage=config,
             refine=payload["refine"],
             obs=obs,
-            mode=payload.get("mode", "ledger"),
+            mode=payload["mode"],
             **payload["params"],
         )
-        pairs = sorted(result.pairs)
-        refined = (
-            None if result.refined is None else sorted(result.refined)
+        pair_set.update(result.pairs)
+        if result.refined is not None:
+            refined_set.update(result.refined)
+        mini_metrics.append(result.metrics)
+        breakdown.append(
+            {
+                "label": mini.label,
+                "input_records": mini.input_records,
+                "pairs": len(result.pairs),
+            }
         )
-        metrics_dict = result.metrics.to_dict()
+    metrics = _fold_metrics(
+        mini_metrics,
+        [mini.input_records for mini in minis],
+        payload["algorithm"],
+        config,
+        {"mini_joins": breakdown},
+    )
     shard_wall_s = time.perf_counter() - wall_t0
 
     out: dict[str, Any] = {
         "shard_id": payload["shard_id"],
         "kind": payload["kind"],
         "input_records": payload["input_records"],
-        "pairs": pairs,
-        "refined": refined,
-        "metrics": metrics_dict,
+        "pairs": sorted(pair_set),
+        "refined": sorted(refined_set) if payload["refine"] else None,
+        "metrics": metrics.to_dict(),
         "shard_wall_s": shard_wall_s,
+        "mini_joins": len(minis),
     }
-    if minis:
-        out["mini_joins"] = len(minis)
     if payload["instrument"] and obs is not None:
         out["metric_series"] = obs.metrics.as_dict()
         out["spans"] = obs.tracer.to_dicts()
@@ -577,32 +545,6 @@ def _merge_metrics(
     """Fold per-shard :class:`JoinMetrics` dumps into one ledger."""
     shard_metrics = [JoinMetrics.from_dict(r["metrics"]) for r in shard_results]
 
-    phases: dict[str, PhaseStats] = {}
-    for metrics in shard_metrics:
-        for name, stats in metrics.phases.items():
-            stats.merged_into(phases.setdefault(name, PhaseStats()))
-
-    if shard_metrics:
-        phase_names = shard_metrics[0].phase_names
-        cost_model = shard_metrics[0].cost_model
-    else:  # degenerate plan (an empty input side): nothing ran
-        phase_names = TABLE2_PHASES.get(algorithm.lower(), ())
-        cost_model = (config or StorageConfig()).cost_model
-
-    weights = [r["input_records"] for r in shard_results]
-    total_weight = sum(weights)
-    if total_weight:
-        replication_a = (
-            sum(m.replication_a * w for m, w in zip(shard_metrics, weights))
-            / total_weight
-        )
-        replication_b = (
-            sum(m.replication_b * w for m, w in zip(shard_metrics, weights))
-            / total_weight
-        )
-    else:
-        replication_a = replication_b = 1.0
-
     # Deliberately excludes the worker count: it is an execution knob
     # that may only change wall-clock, so the merged metrics must be
     # byte-identical for every value of it (it lives on the
@@ -615,34 +557,24 @@ def _merge_metrics(
         # Only non-default modes are recorded, so ledger-mode reports
         # stay byte-identical to the pre-fastpath ones.
         details["mode"] = mode
-    details |= {
-        "shards": [
-            {
-                "shard_id": r["shard_id"],
-                "kind": r["kind"],
-                "input_records": r["input_records"],
-                "pairs": len(r["pairs"]),
-                "total_ios": m.total_ios,
-                "response_time": m.response_time,
-                # Only two-layer tile shards carry the key, so legacy
-                # reports keep their pre-two-layer shape.
-                **(
-                    {"mini_joins": r["mini_joins"]}
-                    if "mini_joins" in r
-                    else {}
-                ),
-            }
-            for r, m in zip(shard_results, shard_metrics)
-        ],
-    }
-    return JoinMetrics(
-        algorithm=algorithm,
-        phase_names=phase_names,
-        phases=phases,
-        cost_model=cost_model,
-        replication_a=replication_a,
-        replication_b=replication_b,
-        details=details,
+    details["shards"] = [
+        {
+            "shard_id": r["shard_id"],
+            "kind": r["kind"],
+            "input_records": r["input_records"],
+            "pairs": len(r["pairs"]),
+            "total_ios": m.total_ios,
+            "response_time": m.response_time,
+            "mini_joins": r["mini_joins"],
+        }
+        for r, m in zip(shard_results, shard_metrics)
+    ]
+    return _fold_metrics(
+        shard_metrics,
+        [r["input_records"] for r in shard_results],
+        algorithm,
+        config,
+        details,
     )
 
 
@@ -703,7 +635,6 @@ def parallel_spatial_join(
     obs: Observability | None = None,
     workers: int = 1,
     shard_level: int | None = None,
-    planner: str = DEFAULT_PLANNER,
     mode: str = "ledger",
     shard_timeout_s: float | None = None,
     shard_retries: int = 1,
@@ -712,15 +643,12 @@ def parallel_spatial_join(
 ) -> JoinResult:
     """Run a spatial join sharded by Hilbert key range.
 
-    ``planner`` selects the decomposition (see
-    :mod:`repro.parallel.planner`): ``"two-layer"`` (default) routes
-    every entity to per-tile A/B/C/D classes and runs class-pair
-    mini-joins per tile — no residual straggler shard; ``"residual"``
-    is the legacy ``4^shard_level`` cells + residual decomposition.
-    Either way the independent sub-joins run on ``workers`` processes
-    (in-process when ``workers=1``), and pair sets, ledgers, and
-    observability output merge deterministically — the result is
-    identical for every worker count.
+    The planner (:mod:`repro.parallel.planner`) routes every entity to
+    per-tile A/B/C/D classes over the ``4^shard_level`` grid and each
+    tile shard runs its class-pair mini-joins.  The independent shards
+    run on ``workers`` processes (in-process when ``workers=1``), and
+    pair sets, ledgers, and observability output merge
+    deterministically — the result is identical for every worker count.
 
     ``storage`` must be a :class:`StorageConfig` (or ``None`` for the
     per-shard paper default): a live :class:`StorageManager` cannot be
@@ -768,7 +696,6 @@ def parallel_spatial_join(
         shard_level,
         curve=params.get("curve"),
         margin=predicate.mbr_margin,
-        planner=planner,
     )
     instrument = obs is not None and (
         obs.tracer.enabled or obs.metrics.enabled
@@ -788,7 +715,6 @@ def parallel_spatial_join(
         algorithm=algorithm,
         workers=workers,
         shard_level=shard_level,
-        planner=planner,
         tasks=len(plan.tasks),
         self_join=self_join,
     ) as root:
@@ -800,7 +726,6 @@ def parallel_spatial_join(
                 mode=mode,
                 workers=workers,
                 shard_level=shard_level,
-                planner=planner,
                 tasks=len(plan.tasks),
                 self_join=self_join,
             )

@@ -1,13 +1,11 @@
-"""The shard planners: decompose one join into independent sub-joins.
+"""The shard planner: decompose one join into independent sub-joins.
 
-Two planners produce a :class:`ShardPlan`:
-
-**``two-layer``** (the default) is the two-layer space-oriented
-partitioning of Tsitsigkos et al. (PAPERS.md, arXiv 2307.09256).  The
-space is the ``4^k`` tiles of the level-``k`` Filter-Tree grid; every
-entity is *present* in each tile its (margin-expanded) MBR overlaps,
-and within a tile it belongs to exactly one class by where its MBR
-*starts* relative to the tile:
+:func:`plan_join` produces a :class:`ShardPlan` by the two-layer
+space-oriented partitioning of Tsitsigkos et al. (PAPERS.md, arXiv
+2307.09256).  The space is the ``4^k`` tiles of the level-``k``
+Filter-Tree grid; every entity is *present* in each tile its
+(margin-expanded) MBR overlaps, and within a tile it belongs to exactly
+one class by where its MBR *starts* relative to the tile:
 
 - **A** — both the low-x and low-y corner start in this tile;
 - **B** — the MBR spills in from the west (starts in a tile with a
@@ -29,56 +27,25 @@ where both MBRs are present and the class combo avoids both-spill-x
 DESIGN.md section 14 for the proof.  A self join collapses the ordered
 combos to ``{AA(self), AB, AC, AD, BC}`` and the executor
 canonicalizes mirrored pairs at merge time.  No tile ever joins
-"everything", so the residual straggler shard does not exist; the
-price is replicated *references* (an entity is shipped to every tile
-it overlaps), which the plan accounts for explicitly.
+"everything", so no shard is a straggler by construction; the price is
+replicated *references* (an entity is shipped to every tile it
+overlaps), which the plan accounts for explicitly.
 
-**``residual``** is the legacy single-assignment planner: an entity
-whose expanded MBR has Filter-Tree level ``l >= k`` fits wholly inside
-one level-``k`` cell and is routed to exactly that cell's shard; an
-entity with ``l < k`` is cut by a level-``k`` grid line and goes to
-the *residual* shard of large entities.  No entity is ever replicated,
-and the full join is the disjoint union
-
-    sum over cells c:  A_c  join  B_c
-    +  residual(A)     join  B            (all of B)
-    +  (A - residual)  join  residual(B)
-
-where the third term excludes ``residual(A)`` so residual-residual
-pairs are found exactly once.  For a self join the plan collapses to
-the per-cell self joins plus ``residual(A) join A``; the executor
-canonicalizes the mirrored pairs the residual cross join reintroduces.
-The residual terms join against whole datasets, so a skewed MBR-size
-distribution turns the residual shard into the straggler the
-``two-layer`` planner exists to kill; ``residual`` stays selectable so
-planner-to-planner parity is itself a verification gate.
-
-Both planners route on the *margin-expanded* MBR — the same box the
+The planner routes on the *margin-expanded* MBR — the same box the
 join algorithms partition on — so a distance predicate's expansion can
-never move an entity across a shard boundary unseen.  Both produce
-plans that are pure functions of the inputs and ``shard_level``
-(never of the worker count), so results are reproducible across
-worker counts.
+never move an entity across a shard boundary unseen.  The plan is a
+pure function of the inputs and ``shard_level`` (never of the worker
+count), so results are reproducible across worker counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
-from repro.filtertree.levels import LevelAssigner
 from repro.geometry.entity import Entity
 from repro.join.dataset import SpatialDataset
-
-RESIDUAL_A = "residual-A"
-RESIDUAL_B = "residual-B"
-
-PLANNERS = ("residual", "two-layer")
-"""Selectable shard planners (``plan_join``'s ``planner`` argument)."""
-
-DEFAULT_PLANNER = "two-layer"
 
 TWO_LAYER_COMBOS = (
     ("A", "A"),
@@ -146,100 +113,61 @@ class MiniJoin:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One independent sub-join of the sharded plan.
+    """One tile shard: the tile's class-pair mini-joins, in plan order.
 
-    A legacy task (``mini_joins == ()``) is a single monolithic join of
-    ``dataset_a`` with ``dataset_b``.  A two-layer tile task carries
-    the tile's class-pair decomposition in ``mini_joins``; its
-    ``dataset_a``/``dataset_b`` are then the tile's full per-side
-    presence sets (each entity once), which is what the executor ships
-    and what ``input_records`` weighs.
-
-    ``self_join`` marks tasks whose two sides are the *same* dataset
-    object, where the sub-join must canonicalize its pairs; a self
-    join's residual cross join (legacy) and cross-class mini-joins
-    (two-layer) are not marked — their sides differ and the executor
-    canonicalizes at merge time.
+    ``dataset_a``/``dataset_b`` are the tile's full per-side presence
+    sets (each entity once; the same object for a self join) — what
+    ``input_records`` weighs and the plan accounting counts.  The
+    executor ships only ``mini_joins``: the class subsets partition the
+    presence sets, so shipping both would pickle every entity twice.
     """
 
     shard_id: str
-    kind: str  # "cell" | "tile" | "residual-A" | "residual-B"
+    kind: str  # "tile"
     dataset_a: SpatialDataset
     dataset_b: SpatialDataset
-    self_join: bool = False
-    mini_joins: tuple[MiniJoin, ...] = ()
+    mini_joins: tuple[MiniJoin, ...]
 
     @property
     def input_records(self) -> int:
         return len(self.dataset_a) + len(self.dataset_b)
-
-    def sub_joins(self) -> Iterator[MiniJoin]:
-        """The task's sub-joins, uniformly: the mini-joins of a tile
-        task, or the task itself as a single :class:`MiniJoin`."""
-        if self.mini_joins:
-            yield from self.mini_joins
-        else:
-            yield MiniJoin(
-                label=self.kind,
-                dataset_a=self.dataset_a,
-                dataset_b=self.dataset_b,
-                self_join=self.self_join,
-            )
 
 
 @dataclass
 class ShardPlan:
     """The deterministic decomposition of one join into sub-joins.
 
-    Accounting separates three ideas (they coincided in the legacy
-    planner's happy path, which hid a reporting bug):
+    Accounting separates three ideas:
 
-    - ``routed_*`` — entities the router assigned somewhere (legacy:
-      to a cell bucket; two-layer: to at least one tile);
+    - ``routed_*`` — entities the router assigned to at least one tile;
     - ``scheduled_*`` — distinct entities that appear in at least one
-      planned task (an entity routed to a cell whose prefix exists in
-      only one dataset is routed but *not* scheduled — it provably
-      joins nothing);
+      planned task (an entity whose tiles host only one dataset is
+      routed but *not* scheduled — it provably joins nothing);
     - ``replicated_*`` — extra per-task references beyond the distinct
-      scheduled entities (two-layer presence replication; the legacy
-      residual cross joins re-shipping whole sides).
+      scheduled entities (presence replication).
     """
 
     shard_level: int
     tasks: list[ShardTask]
-    planner: str = "residual"
     routed_a: int = 0
     routed_b: int = 0
-    residual_a: int = 0  # entities of A in the residual shard (legacy)
-    residual_b: int = 0
     scheduled_a: int = 0  # distinct entities appearing in >= 1 task
     scheduled_b: int = 0
     replicated_a: int = 0  # task references beyond the distinct entities
     replicated_b: int = 0
 
-    @property
-    def num_cells(self) -> int:
-        return sum(1 for task in self.tasks if task.kind in ("cell", "tile"))
-
-    @property
-    def num_mini_joins(self) -> int:
-        return sum(len(task.mini_joins) for task in self.tasks)
-
-    def describe(self) -> dict[str, int | str]:
+    def describe(self) -> dict[str, int]:
         return {
-            "planner": self.planner,
             "shard_level": self.shard_level,
             "tasks": len(self.tasks),
-            "cells": self.num_cells,
-            "mini_joins": self.num_mini_joins,
+            "cells": len(self.tasks),
+            "mini_joins": sum(len(task.mini_joins) for task in self.tasks),
             "routed_a": self.routed_a,
             "routed_b": self.routed_b,
             "scheduled_a": self.scheduled_a,
             "scheduled_b": self.scheduled_b,
             "replicated_a": self.replicated_a,
             "replicated_b": self.replicated_b,
-            "residual_a": self.residual_a,
-            "residual_b": self.residual_b,
         }
 
     def account_tasks(self) -> None:
@@ -264,116 +192,6 @@ def _expanded(entity: Entity, margin: float):
     if margin == 0.0:
         return entity.mbr
     return entity.mbr.expanded(margin).clamped()
-
-
-def _route(
-    dataset: SpatialDataset,
-    shard_level: int,
-    assigner: LevelAssigner,
-    curve: SpaceFillingCurve,
-    margin: float,
-) -> tuple[dict[int, list[Entity]], list[Entity]]:
-    """Legacy single-assignment routing: split one dataset into cell
-    buckets (keyed by the top ``2k`` Hilbert key bits) and the residual
-    list of large entities."""
-    shift = 2 * (curve.order - shard_level)
-    cells: dict[int, list[Entity]] = {}
-    residual: list[Entity] = []
-    for entity in dataset:
-        box = _expanded(entity, margin)
-        if assigner.level(box) >= shard_level:
-            prefix = curve.key_of_normalized(*box.center) >> shift
-            cells.setdefault(prefix, []).append(entity)
-        else:
-            residual.append(entity)
-    return cells, residual
-
-
-def plan_shards(
-    dataset_a: SpatialDataset,
-    dataset_b: SpatialDataset,
-    shard_level: int,
-    curve: SpaceFillingCurve | None = None,
-    margin: float = 0.0,
-) -> ShardPlan:
-    """Plan with the legacy ``residual`` planner (see module docstring).
-
-    The plan is a pure function of the inputs and ``shard_level`` —
-    independent of how many workers later execute it — so results are
-    reproducible across worker counts.  Passing the same object for
-    both datasets plans a self join.
-    """
-    curve = curve or HilbertCurve()
-    _check_level(shard_level, curve)
-    assigner = LevelAssigner(order=curve.order, max_level=curve.order)
-    self_join = dataset_a is dataset_b
-
-    cells_a, residual_a = _route(dataset_a, shard_level, assigner, curve, margin)
-    if self_join:
-        cells_b, residual_b = cells_a, residual_a
-    else:
-        cells_b, residual_b = _route(dataset_b, shard_level, assigner, curve, margin)
-
-    width = _prefix_width(shard_level)
-    tasks: list[ShardTask] = []
-    for prefix in sorted(set(cells_a) & set(cells_b)):
-        sub_a = SpatialDataset(f"{dataset_a.name}/cell-{prefix:0{width}x}", cells_a[prefix])
-        if self_join:
-            sub_b = sub_a
-        else:
-            sub_b = SpatialDataset(
-                f"{dataset_b.name}/cell-{prefix:0{width}x}", cells_b[prefix]
-            )
-        tasks.append(
-            ShardTask(
-                shard_id=f"cell-{prefix:0{width}x}",
-                kind="cell",
-                dataset_a=sub_a,
-                dataset_b=sub_b,
-                self_join=self_join,
-            )
-        )
-
-    # Residual(A) joins *all* of B (a large A entity may meet any B
-    # entity); for a self join this is also where residual-residual
-    # and residual-small pairs are found, mirrored pairs included.
-    if residual_a and len(dataset_b):
-        tasks.append(
-            ShardTask(
-                shard_id=RESIDUAL_A,
-                kind=RESIDUAL_A,
-                dataset_a=SpatialDataset(f"{dataset_a.name}/residual", residual_a),
-                dataset_b=dataset_b,
-            )
-        )
-    # Small(A) joins residual(B): excluding residual(A) on the left
-    # keeps residual-residual pairs from being counted twice.  A self
-    # join skips this task — residual(A) join A already covered it.
-    if not self_join and residual_b:
-        small_a = [
-            entity for bucket in (cells_a[p] for p in sorted(cells_a)) for entity in bucket
-        ]
-        if small_a:
-            tasks.append(
-                ShardTask(
-                    shard_id=RESIDUAL_B,
-                    kind=RESIDUAL_B,
-                    dataset_a=SpatialDataset(f"{dataset_a.name}/small", small_a),
-                    dataset_b=SpatialDataset(f"{dataset_b.name}/residual", residual_b),
-                )
-            )
-
-    plan = ShardPlan(
-        shard_level=shard_level,
-        tasks=tasks,
-        planner="residual",
-        routed_a=sum(len(bucket) for bucket in cells_a.values()),
-        routed_b=sum(len(bucket) for bucket in cells_b.values()),
-        residual_a=len(residual_a),
-        residual_b=len(residual_b),
-    )
-    plan.account_tasks()
-    return plan
 
 
 def _two_layer_classes(
@@ -412,21 +230,21 @@ def _two_layer_classes(
     return tiles
 
 
-def plan_two_layer(
+def plan_join(
     dataset_a: SpatialDataset,
     dataset_b: SpatialDataset,
     shard_level: int,
     curve: SpaceFillingCurve | None = None,
     margin: float = 0.0,
 ) -> ShardPlan:
-    """Plan with the ``two-layer`` class-based planner (module docstring).
+    """Plan a sharded join (see the module docstring).
 
     One :class:`ShardTask` per occupied tile, carrying that tile's
     class-pair mini-joins; tiles are emitted in Hilbert-prefix order
-    and named ``cell-<prefix>`` exactly like the legacy planner's cell
-    shards, so fault-injection directives address shards identically
-    under either planner.  Tiles whose mini-joins would all be empty
-    (e.g. only one side present) are not scheduled.
+    and named ``cell-<prefix>``, which is how fault-injection
+    directives address shards.  Tiles whose mini-joins would all be
+    empty (e.g. only one side present) are not scheduled.  Passing the
+    same object for both datasets plans a self join.
     """
     curve = curve or HilbertCurve()
     _check_level(shard_level, curve)
@@ -500,7 +318,6 @@ def plan_two_layer(
                 kind="tile",
                 dataset_a=union_a,
                 dataset_b=union_b,
-                self_join=self_join,
                 mini_joins=tuple(minis),
             )
         )
@@ -508,29 +325,11 @@ def plan_two_layer(
     plan = ShardPlan(
         shard_level=shard_level,
         tasks=tasks,
-        planner="two-layer",
         routed_a=len(dataset_a),
         routed_b=len(dataset_b),
     )
     plan.account_tasks()
     return plan
-
-
-def plan_join(
-    dataset_a: SpatialDataset,
-    dataset_b: SpatialDataset,
-    shard_level: int,
-    curve: SpaceFillingCurve | None = None,
-    margin: float = 0.0,
-    planner: str = DEFAULT_PLANNER,
-) -> ShardPlan:
-    """Plan a sharded join with the selected planner."""
-    if planner not in PLANNERS:
-        raise ValueError(
-            f"unknown planner {planner!r}; choose from {PLANNERS}"
-        )
-    plan_fn = plan_shards if planner == "residual" else plan_two_layer
-    return plan_fn(dataset_a, dataset_b, shard_level, curve=curve, margin=margin)
 
 
 def _check_level(shard_level: int, curve: SpaceFillingCurve) -> None:

@@ -36,7 +36,7 @@ from repro.faults import FaultError, FaultPlan, RetryPolicy
 from repro.join.api import spatial_join
 from repro.join.result import Pair, canonical_pairs
 from repro.obs import Observability
-from repro.parallel.planner import DEFAULT_PLANNER, PLANNERS, plan_join
+from repro.parallel.planner import plan_join
 from repro.storage.iostats import PhaseStats
 from repro.storage.manager import StorageConfig
 from repro.verify.cases import VerifyCase
@@ -66,10 +66,9 @@ class ChaosScenario:
     sharded: bool
     partial_results: bool
     buffer_pages: int
-    planner: str = DEFAULT_PLANNER  # sharded scenarios only
 
     def describe(self) -> str:
-        mode = f"sharded[{self.planner}]" if self.sharded else "serial"
+        mode = "sharded" if self.sharded else "serial"
         if self.sharded and self.partial_results:
             mode += "+partial"
         retry = (
@@ -178,9 +177,6 @@ def sample_scenario(
     case = roster[index % len(roster)]
     algorithm = algorithms[index % len(algorithms)]
     sharded = index % 4 == 3  # every 4th case goes through the executor
-    # Sharded scenarios alternate planners so the chaos surface covers
-    # both decompositions (sharded indices are 3, 7, 11, ...).
-    planner = PLANNERS[(index // 4) % len(PLANNERS)]
     partial_results = sharded and rng.random() < 0.5
 
     profile = rng.choice(("transient", "permanent", "torn", "mixed", "quiet"))
@@ -221,7 +217,6 @@ def sample_scenario(
         sharded=sharded,
         partial_results=partial_results,
         buffer_pages=rng.choice((8, 16, 32)),
-        planner=planner,
     )
 
 
@@ -230,12 +225,11 @@ def _excused_pairs(
 ) -> frozenset[Pair]:
     """Oracle pairs attributable to declared-failed shards.
 
-    Planning is deterministic, so re-planning with the scenario's
-    planner reconstructs exactly the sub-joins the dead shards would
-    have run.  A two-layer tile shard is excused per *mini-join* (the
-    union over its class-pair sub-joins), not as a cross product of
-    the tile's sides — the tile never joins everything-with-everything,
-    so neither may its excuse.
+    Planning is deterministic, so re-planning reconstructs exactly the
+    mini-joins the dead shards would have run.  A tile shard is excused
+    per *mini-join* (the union over its class-pair sub-joins), not as a
+    cross product of the tile's sides — the tile never joins
+    everything-with-everything, so neither may its excuse.
     """
     case = scenario.case
     shard_plan = plan_join(
@@ -243,13 +237,12 @@ def _excused_pairs(
         case.dataset_b,
         1,  # chaos sharded runs always use shard_level=1
         margin=case.margin,
-        planner=scenario.planner,
     )
     excused: set[Pair] = set()
     for task in shard_plan.tasks:
         if task.shard_id not in failed_shard_ids:
             continue
-        for mini in task.sub_joins():
+        for mini in task.mini_joins:
             dataset_b = mini.dataset_a if mini.self_join else mini.dataset_b
             excused.update(
                 oracle_pairs(mini.dataset_a, dataset_b, margin=case.margin)
@@ -292,7 +285,6 @@ def run_chaos_case(scenario: ChaosScenario) -> ChaosOutcome:
         execution = {
             "workers": 1,
             "shard_level": 1,
-            "planner": scenario.planner,
             "partial_results": scenario.partial_results,
         }
     label = scenario.describe()

@@ -7,9 +7,7 @@ evidence.  :func:`run_cross_mode` sweeps the verification workload
 catalog and requires, per case:
 
 - ledger-mode and memory-mode candidate pair sets identical, at every
-  requested worker count (serial and Hilbert-sharded execution) and —
-  on sharded runs — under *both* shard planners (the two-layer
-  class-based decomposition and the legacy cells + residual one);
+  requested worker count (serial and Hilbert-sharded execution);
 - both equal to the brute-force oracle on the case's expanded boxes;
 - refined pair sets (the exact-predicate step) identical across modes.
 
@@ -24,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.join.api import spatial_join
-from repro.parallel.planner import PLANNERS
 from repro.verify.cases import VerifyCase
 from repro.verify.oracle import oracle_for_case
 from repro.verify.workloads import default_cases
@@ -72,7 +69,7 @@ class CrossModeReport:
     def summary(self) -> str:
         lines = [
             f"cross-mode: {len(self.cases)} workloads x "
-            f"workers {self.worker_counts} x 2 modes x planners = "
+            f"workers {self.worker_counts} x 2 modes = "
             f"{self.runs} runs in {self.elapsed_s:.1f}s",
             f"  workloads : {', '.join(self.cases)}",
             f"  pair sets : {self.pairs_checked} pairs compared",
@@ -150,28 +147,21 @@ def run_cross_mode(
         report.pairs_checked += len(expected)
         refined_sets: dict[str, frozenset] = {}
         for workers in worker_counts:
-            # Serial runs have no shard plan; sharded runs must agree
-            # under every selectable planner.
-            planners = (None,) if workers == 1 else PLANNERS
             for mode in ("ledger", "memory"):
-                for planner in planners:
-                    run = f"{mode}@{workers}w"
-                    if planner is not None:
-                        run = f"{run}:{planner}"
-                    result = spatial_join(
-                        case.dataset_a,
-                        case.dataset_b,
-                        algorithm="s3j",
-                        predicate=case.predicate,
-                        workers=workers,
-                        planner=planner,
-                        mode=mode,
-                        refine=refine,
-                    )
-                    report.runs += 1
-                    _compare(report, case, run, "pairs", expected, result.pairs)
-                    if refine and result.refined is not None:
-                        refined_sets[run] = result.refined
+                run = f"{mode}@{workers}w"
+                result = spatial_join(
+                    case.dataset_a,
+                    case.dataset_b,
+                    algorithm="s3j",
+                    predicate=case.predicate,
+                    workers=workers,
+                    mode=mode,
+                    refine=refine,
+                )
+                report.runs += 1
+                _compare(report, case, run, "pairs", expected, result.pairs)
+                if refine and result.refined is not None:
+                    refined_sets[run] = result.refined
         if refine and refined_sets:
             runs = sorted(refined_sets)
             reference_run = runs[0]

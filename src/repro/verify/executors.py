@@ -38,7 +38,6 @@ class ExecutorSpec:
     algorithm: str
     workers: int = 1
     shard_level: int | None = None
-    planner: str | None = None  # sharded runs only; None = default
     params: tuple[tuple[str, Any], ...] = ()
     label: str | None = None
     mode: str = "ledger"
@@ -52,8 +51,6 @@ class ExecutorSpec:
             name = f"{name}:{self.mode}"
         if self.workers != 1 or self.shard_level is not None:
             name = f"{name}@{self.workers}w"
-        if self.planner is not None:
-            name = f"{name}:{self.planner}"
         return name
 
     @property
@@ -86,9 +83,7 @@ def default_executors(
     memory_mode: bool = True,
 ) -> list[ExecutorSpec]:
     """The default roster: every registered algorithm serially, plus
-    sharded runs of ``sharded_algorithms`` at each worker count (under
-    the default two-layer planner *and* the legacy residual planner, so
-    the planners must agree with each other and everything else), plus
+    sharded runs of ``sharded_algorithms`` at each worker count, plus
     (when ``memory_mode`` and s3j is in the roster) the in-memory fast
     path serially and at each worker count."""
     names = algorithms or available_algorithms()
@@ -106,11 +101,6 @@ def default_executors(
             if workers == 1:
                 continue
             specs.append(ExecutorSpec(algorithm=name, workers=workers))
-            # The legacy planner stays on the roster so planner-to-
-            # planner parity is itself a differential gate.
-            specs.append(
-                ExecutorSpec(algorithm=name, workers=workers, planner="residual")
-            )
     if memory_mode and "s3j" in names:
         specs.append(ExecutorSpec(algorithm="s3j", mode="memory"))
         for workers in worker_counts:
@@ -149,7 +139,6 @@ def run_executor(
             obs=obs,
             workers=spec.workers,
             shard_level=spec.shard_level,
-            planner=spec.planner,
             mode=spec.mode,
             **params,
         )

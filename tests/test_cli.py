@@ -47,6 +47,14 @@ class TestParser:
         assert args.workers == 4
         assert args.shard_level == 2
 
+    def test_removed_planner_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["join", "--workers", "2", "--planner", "residual"]
+            )
+        assert exit_info.value.code == 2
+        assert "--planner" in capsys.readouterr().err
+
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "--quick"])
         assert args.quick
@@ -284,8 +292,8 @@ class TestCrossModeCommand:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        # 1 workload x 2 modes x (serial + 2-worker under each planner)
-        assert report["runs"] == 6
+        # 1 workload x 2 modes x (serial + 2-worker)
+        assert report["runs"] == 4
 
     def test_cross_mode_unknown_workload_exits_2(self, capsys):
         assert main(

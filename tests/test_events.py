@@ -43,10 +43,10 @@ class TestSchema:
         assert len(log) == len(EVENT_TYPES)
 
     def test_default_fields_ride_every_event(self):
-        sink = BufferedEventSink(shard_id="residual-A")
+        sink = BufferedEventSink(shard_id="cell-3")
         sink.emit("shard_progress", phase="join", done=1, total=2)
         (event,) = sink.to_dicts()
-        assert event["shard_id"] == "residual-A"
+        assert event["shard_id"] == "cell-3"
 
     def test_explicit_field_beats_default(self):
         sink = BufferedEventSink(shard_id="cell-1")

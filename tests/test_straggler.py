@@ -24,8 +24,8 @@ def small_inputs():
 
 
 def synthetic_events() -> list[dict]:
-    """A hand-built stream: 3 shards on 2 workers; one residual
-    straggler, one retried shard."""
+    """A hand-built stream: 3 shards on 2 workers; one straggler, one
+    retried shard."""
     t0 = 1000.0
     return [
         {"type": "run_started", "ts": t0, "workers": 2, "algorithm": "s3j"},
@@ -33,8 +33,8 @@ def synthetic_events() -> list[dict]:
          "kind": "cell", "attempt": 1, "records": 40},
         {"type": "shard_dispatched", "ts": t0 + 0.01, "shard_id": "cell-1",
          "kind": "cell", "attempt": 1, "records": 50},
-        {"type": "shard_dispatched", "ts": t0 + 0.02, "shard_id": "residual-A",
-         "kind": "residual-A", "attempt": 1, "records": 30},
+        {"type": "shard_dispatched", "ts": t0 + 0.02, "shard_id": "cell-2",
+         "kind": "cell", "attempt": 1, "records": 30},
         {"type": "shard_heartbeat", "ts": t0 + 0.05, "shard_id": "cell-0",
          "phase": "start"},
         {"type": "shard_completed", "ts": t0 + 1.05, "shard_id": "cell-0",
@@ -46,8 +46,8 @@ def synthetic_events() -> list[dict]:
          "kind": "cell", "attempt": 2, "records": 50},
         {"type": "shard_completed", "ts": t0 + 2.2, "shard_id": "cell-1",
          "kind": "cell", "wall_s": 1.0, "pairs": 12, "phase_wall": {}},
-        {"type": "shard_completed", "ts": t0 + 4.02, "shard_id": "residual-A",
-         "kind": "residual-A", "wall_s": 4.0, "pairs": 3,
+        {"type": "shard_completed", "ts": t0 + 4.02, "shard_id": "cell-2",
+         "kind": "cell", "wall_s": 4.0, "pairs": 3,
          "phase_wall": {"join": 3.0, "sort": 1.0}},
         {"type": "run_completed", "ts": t0 + 4.1, "pairs": 25},
     ]
@@ -63,7 +63,7 @@ class TestAnalyzeEvents:
     def test_lane_per_shard(self):
         analytics = analyze_events(synthetic_events())
         assert [lane.shard_id for lane in analytics.lanes] == [
-            "cell-0", "cell-1", "residual-A",
+            "cell-0", "cell-1", "cell-2",
         ]
         assert analytics.workers == 2
 
@@ -72,14 +72,11 @@ class TestAnalyzeEvents:
         # durations 1.0, 1.0, 4.0 -> mean 2.0, max 4.0
         assert analytics.imbalance_factor == pytest.approx(2.0)
 
-    def test_residual_share(self):
-        analytics = analyze_events(synthetic_events())
-        assert analytics.residual_share == pytest.approx(4.0 / 6.0)
-
     def test_critical_path_is_slowest_shard(self):
         analytics = analyze_events(synthetic_events())
         cp = analytics.critical_path
-        assert cp["shard_id"] == "residual-A"
+        assert cp["shard_id"] == "cell-2"
+        assert cp["share_of_total"] == pytest.approx(4.0 / 6.0)
         assert cp["wall_s"] == pytest.approx(4.0)
         assert cp["phase_wall"]["join"] == pytest.approx(3.0)
 
@@ -95,8 +92,8 @@ class TestAnalyzeEvents:
         by_id = {lane.shard_id: lane for lane in analytics.lanes}
         # cell-0's heartbeat at t0+0.05 beats its dispatch at t0+0.01.
         assert by_id["cell-0"].start_s == pytest.approx(0.05)
-        # residual-A never heartbeat: dispatch time is used.
-        assert by_id["residual-A"].start_s == pytest.approx(0.02)
+        # cell-2 never heartbeat: dispatch time is used.
+        assert by_id["cell-2"].start_s == pytest.approx(0.02)
 
     def test_duration_percentiles_are_exact(self):
         analytics = analyze_events(synthetic_events())
@@ -126,13 +123,9 @@ class TestAnalyzeEvents:
 
 class TestIntegration:
     def test_sharded_run_populates_report_analytics(self):
-        # Pinned to the legacy planner: this checks that a plan *with*
-        # a residual shard reports a strictly-interior residual share.
         dataset_a, dataset_b = small_inputs()
         obs = Observability(events=EventLog())
-        result = parallel_spatial_join(
-            dataset_a, dataset_b, workers=2, planner="residual", obs=obs
-        )
+        result = parallel_spatial_join(dataset_a, dataset_b, workers=2, obs=obs)
         report = build_run_report(result, obs)
         assert report.events
         types = {event["type"] for event in report.events}
@@ -144,19 +137,8 @@ class TestIntegration:
         assert analytics["imbalance_factor"] >= 1.0
         assert analytics["record_imbalance_factor"] >= 1.0
         assert analytics["workers"] == 2
-        assert analytics["planner"] == "residual"
-        assert 0.0 < analytics["residual_share"] < 1.0
-        assert analytics["critical_path"] is not None
-
-    def test_two_layer_run_reports_zero_residual_share(self):
-        # The default planner has no residual shard by construction.
-        dataset_a, dataset_b = small_inputs()
-        obs = Observability(events=EventLog())
-        parallel_spatial_join(dataset_a, dataset_b, workers=2, obs=obs)
-        analytics = analyze_events(obs.events.to_dicts())
-        assert analytics.planner == "two-layer"
-        assert analytics.residual_share == 0.0
-        assert all("residual" not in lane.kind for lane in analytics.lanes)
+        assert all(lane["kind"] == "tile" for lane in analytics["shards"])
+        assert 0.0 < analytics["critical_path"]["share_of_total"] < 1.0
 
     def test_worker_events_ship_through_result_payload(self):
         dataset_a, dataset_b = small_inputs()

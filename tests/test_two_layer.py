@@ -3,8 +3,8 @@
 Covers the class algebra (every intersecting pair found in exactly one
 mini-join), the routed/scheduled/replicated plan accounting, the
 largest-first dispatch order with plan-order merge determinism, and
-full-run pair-set parity against both the brute-force oracle and the
-legacy residual planner across worker counts and execution modes.
+full-run pair-set parity against the brute-force oracle across worker
+counts and execution modes.
 """
 
 from __future__ import annotations
@@ -18,20 +18,14 @@ from hypothesis import strategies as st
 
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
-from repro.join.api import spatial_join
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import WithinDistance
 from repro.obs import Observability
 from repro.obs.events import EventLog
 from repro.obs.straggler import analyze_events
-from repro.parallel import (
-    default_shard_level,
-    parallel_spatial_join,
-    plan_join,
-    plan_shards,
-    plan_two_layer,
-)
+from repro.parallel import default_shard_level, parallel_spatial_join, plan_join
 
+from benchmarks.bench_parallel_scaling import RECORD_IMBALANCE_BOUND
 from tests.conftest import brute_force_pairs, brute_force_self_pairs, make_squares
 
 GRID = 16
@@ -65,8 +59,8 @@ def expanded_mbr(entity, margin):
 
 def skewed_dataset(name, seed, count=160, large_every=7):
     """~15% large rectangles (which cross level-1 tile lines) among
-    small squares — the workload where the legacy residual shard
-    becomes the straggler."""
+    small squares — the workload where a shard that joins every large
+    entity against everything would become the straggler."""
     rng = random.Random(seed)
     entities = []
     for eid in range(count):
@@ -120,12 +114,10 @@ class TestClassAlgebra:
     ):
         dataset_a = to_dataset("A", boxes_a)
         dataset_b = to_dataset("B", boxes_b, start_eid=1000)
-        plan = plan_two_layer(dataset_a, dataset_b, shard_level, margin=margin)
-        assert all(task.kind == "tile" for task in plan.tasks)
-        assert plan.residual_a == plan.residual_b == 0
+        plan = plan_join(dataset_a, dataset_b, shard_level, margin=margin)
         counts: dict[tuple[int, int], int] = {}
         for task in plan.tasks:
-            for mini in task.sub_joins():
+            for mini in task.mini_joins:
                 for ea in mini.dataset_a:
                     box_a = expanded_mbr(ea, margin)
                     for eb in mini.dataset_b:
@@ -140,10 +132,10 @@ class TestClassAlgebra:
     @settings(max_examples=20, deadline=None)
     def test_self_join_collapse_covers_unordered_pairs_once(self, boxes, margin):
         dataset = to_dataset("S", boxes)
-        plan = plan_two_layer(dataset, dataset, shard_level=2, margin=margin)
+        plan = plan_join(dataset, dataset, shard_level=2, margin=margin)
         counts: dict[tuple[int, int], int] = {}
         for task in plan.tasks:
-            for mini in task.sub_joins():
+            for mini in task.mini_joins:
                 if mini.self_join:
                     entities = list(mini.dataset_a)
                     candidates = [
@@ -167,22 +159,12 @@ class TestClassAlgebra:
         assert set(counts) == set(oracle)
         assert all(count == 1 for count in counts.values())
 
-    def test_unknown_planner_rejected(self):
-        dataset = make_squares(10, side=0.01, seed=1)
-        with pytest.raises(ValueError, match="unknown planner"):
-            plan_join(dataset, dataset, 1, planner="grid")
-
-    def test_planner_flag_requires_sharded_run(self):
-        dataset = make_squares(10, side=0.01, seed=1)
-        with pytest.raises(ValueError, match="sharded"):
-            spatial_join(dataset, dataset, planner="two-layer")
-
 
 class TestPlanAccounting:
     def test_disjoint_prefix_workload_routes_but_schedules_nothing(self):
         # A lives in the lower-left level-1 tile, B in the upper-right:
-        # every entity routes to a cell, but no tile hosts both sides,
-        # so nothing is scheduled.  The old accounting conflated these.
+        # every entity routes to a tile, but no tile hosts both sides,
+        # so nothing is scheduled.
         boxes_a = [
             Rect(x / GRID, y / GRID, (x + 1) / GRID, (y + 1) / GRID)
             for x in range(0, 7)
@@ -195,38 +177,31 @@ class TestPlanAccounting:
         ]
         dataset_a = to_dataset("A", boxes_a)
         dataset_b = to_dataset("B", boxes_b, start_eid=1000)
-        for plan in (
-            plan_shards(dataset_a, dataset_b, 1),
-            plan_two_layer(dataset_a, dataset_b, 1),
-        ):
-            assert not plan.tasks
-            assert plan.routed_a == len(dataset_a)
-            assert plan.routed_b == len(dataset_b)
-            assert plan.scheduled_a == plan.scheduled_b == 0
-            assert plan.replicated_a == plan.replicated_b == 0
+        plan = plan_join(dataset_a, dataset_b, 1)
+        assert not plan.tasks
+        assert plan.routed_a == len(dataset_a)
+        assert plan.routed_b == len(dataset_b)
+        assert plan.scheduled_a == plan.scheduled_b == 0
+        assert plan.replicated_a == plan.replicated_b == 0
 
     @given(boxes_a=box_lists, boxes_b=box_lists)
     @settings(max_examples=15, deadline=None)
-    def test_accounting_invariants_hold_for_both_planners(
-        self, boxes_a, boxes_b
-    ):
+    def test_accounting_invariants_hold(self, boxes_a, boxes_b):
         dataset_a = to_dataset("A", boxes_a)
         dataset_b = to_dataset("B", boxes_b, start_eid=1000)
-        for planner in ("residual", "two-layer"):
-            plan = plan_join(dataset_a, dataset_b, 2, planner=planner)
-            scheduled = set()
-            references = 0
-            for task in plan.tasks:
-                eids = {entity.eid for entity in task.dataset_a}
-                scheduled |= eids
-                references += sum(1 for _ in task.dataset_a)
-            assert plan.scheduled_a == len(scheduled)
-            assert plan.replicated_a == references - len(scheduled)
-            assert plan.scheduled_a <= len(dataset_a)
-            described = plan.describe()
-            for key in ("routed_a", "scheduled_a", "replicated_a", "residual_a"):
-                assert key in described
-            assert described["planner"] == planner
+        plan = plan_join(dataset_a, dataset_b, 2)
+        scheduled = set()
+        references = 0
+        for task in plan.tasks:
+            eids = {entity.eid for entity in task.dataset_a}
+            scheduled |= eids
+            references += sum(1 for _ in task.dataset_a)
+        assert plan.scheduled_a == len(scheduled)
+        assert plan.replicated_a == references - len(scheduled)
+        assert plan.scheduled_a <= len(dataset_a)
+        described = plan.describe()
+        for key in ("routed_a", "scheduled_a", "replicated_a"):
+            assert key in described
 
 
 class TestDispatchDeterminism:
@@ -247,8 +222,7 @@ class TestDispatchDeterminism:
         # first-attempt record sequence is non-increasing.
         assert records == sorted(records, reverse=True)
 
-    @pytest.mark.parametrize("planner", ("residual", "two-layer"))
-    def test_merged_metrics_byte_identical_across_worker_counts(self, planner):
+    def test_merged_metrics_byte_identical_across_worker_counts(self):
         dataset_a = skewed_dataset("A", seed=21, count=90)
         dataset_b = skewed_dataset("B", seed=22, count=90)
         oracle = brute_force_pairs(dataset_a, dataset_b)
@@ -259,7 +233,6 @@ class TestDispatchDeterminism:
                 dataset_b,
                 workers=workers,
                 shard_level=2,
-                planner=planner,
             )
             assert result.pairs == oracle
             dumps.add(json.dumps(result.metrics.to_dict(), sort_keys=True))
@@ -269,25 +242,22 @@ class TestDispatchDeterminism:
 class TestTwoLayerOracle:
     @given(boxes_a=box_lists, boxes_b=box_lists, margin=margins)
     @settings(max_examples=10, deadline=None)
-    def test_both_planners_match_oracle_in_both_modes(
-        self, boxes_a, boxes_b, margin
-    ):
+    def test_matches_oracle_in_both_modes(self, boxes_a, boxes_b, margin):
         dataset_a = to_dataset("A", boxes_a)
         dataset_b = to_dataset("B", boxes_b, start_eid=1000)
         predicate = WithinDistance(2 * margin) if margin else None
         oracle = brute_force_pairs(dataset_a, dataset_b, margin=margin)
-        for planner in ("two-layer", "residual"):
-            for mode in ("ledger", "memory"):
+        for mode in ("ledger", "memory"):
+            for workers in (1, 2, 4):
                 result = parallel_spatial_join(
                     dataset_a,
                     dataset_b,
                     predicate=predicate,
-                    workers=1,
+                    workers=workers,
                     shard_level=2,
-                    planner=planner,
                     mode=mode,
                 )
-                assert result.pairs == oracle, (planner, mode, margin)
+                assert result.pairs == oracle, (mode, workers, margin)
 
     @pytest.mark.parametrize("workers", (2, 4))
     @pytest.mark.parametrize("mode", ("ledger", "memory"))
@@ -297,16 +267,10 @@ class TestTwoLayerOracle:
         dataset_a = to_dataset("A", boxes_a)
         dataset_b = to_dataset("B", boxes_b, start_eid=1000)
         oracle = brute_force_pairs(dataset_a, dataset_b)
-        for planner in ("two-layer", "residual"):
-            result = parallel_spatial_join(
-                dataset_a,
-                dataset_b,
-                workers=workers,
-                shard_level=2,
-                planner=planner,
-                mode=mode,
-            )
-            assert result.pairs == oracle, planner
+        result = parallel_spatial_join(
+            dataset_a, dataset_b, workers=workers, shard_level=2, mode=mode
+        )
+        assert result.pairs == oracle
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_self_join_matches_oracle(self, workers):
@@ -314,12 +278,11 @@ class TestTwoLayerOracle:
             "S", tricky_boxes() + [e.mbr for e in make_squares(50, 0.04, seed=7)]
         )
         oracle = brute_force_self_pairs(dataset)
-        for planner in ("two-layer", "residual"):
-            result = parallel_spatial_join(
-                dataset, dataset, workers=workers, shard_level=2, planner=planner
-            )
-            assert result.self_join
-            assert result.pairs == oracle, planner
+        result = parallel_spatial_join(
+            dataset, dataset, workers=workers, shard_level=2
+        )
+        assert result.self_join
+        assert result.pairs == oracle
 
     def test_within_distance_multiprocess(self):
         dataset_a = make_squares(80, side=0.01, seed=8, name="A")
@@ -333,47 +296,33 @@ class TestTwoLayerOracle:
                 predicate=WithinDistance(eps),
                 workers=2,
                 shard_level=2,
-                planner="two-layer",
                 mode=mode,
             )
             assert result.pairs == oracle, mode
 
 
 class TestSkewBalance:
-    def test_two_layer_kills_the_residual_straggler(self):
-        dataset_a = skewed_dataset("A", seed=31)
-        dataset_b = skewed_dataset("B", seed=32)
-
-        def record_imbalance(plan):
-            counts = [task.input_records for task in plan.tasks]
-            return max(counts) / (sum(counts) / len(counts))
-
-        legacy = plan_shards(dataset_a, dataset_b, 2)
-        two_layer = plan_two_layer(dataset_a, dataset_b, 2)
-        assert any("residual" in task.kind for task in legacy.tasks)
-        assert not any("residual" in task.kind for task in two_layer.tasks)
-        assert record_imbalance(two_layer) < record_imbalance(legacy)
+    def test_record_imbalance_within_bound(self):
+        # The bound the benchmark gates on; a plan that sent every large
+        # entity to one join-against-everything shard sits near 1.8.
+        dataset_a = skewed_dataset("A", seed=31, count=400)
+        dataset_b = skewed_dataset("B", seed=32, count=400)
+        plan = plan_join(dataset_a, dataset_b, 1)
+        counts = [task.input_records for task in plan.tasks]
+        assert max(counts) / (sum(counts) / len(counts)) <= RECORD_IMBALANCE_BOUND
 
     def test_live_run_analytics_at_four_workers(self):
         dataset_a = skewed_dataset("A", seed=31)
         dataset_b = skewed_dataset("B", seed=32)
-        oracle = brute_force_pairs(dataset_a, dataset_b)
-        analytics = {}
-        for planner in ("residual", "two-layer"):
-            obs = Observability(events=EventLog())
-            result = parallel_spatial_join(
-                dataset_a,
-                dataset_b,
-                workers=4,
-                shard_level=2,
-                planner=planner,
-                obs=obs,
-            )
-            assert result.pairs == oracle
-            analytics[planner] = analyze_events(obs.events.to_dicts())
-        assert analytics["residual"].residual_share > 0.0
-        assert analytics["two-layer"].residual_share == 0.0
-        assert (
-            analytics["two-layer"].record_imbalance_factor
-            < analytics["residual"].record_imbalance_factor
+        obs = Observability(events=EventLog())
+        result = parallel_spatial_join(
+            dataset_a, dataset_b, workers=4, shard_level=2, obs=obs
+        )
+        assert result.pairs == brute_force_pairs(dataset_a, dataset_b)
+        analytics = analyze_events(obs.events.to_dicts())
+        assert analytics.shard_count == result.metrics.details["plan"]["tasks"]
+        # Plan-deterministic: the live run reports the plan's own number.
+        counts = [s["input_records"] for s in result.metrics.details["shards"]]
+        assert analytics.record_imbalance_factor == pytest.approx(
+            max(counts) / (sum(counts) / len(counts))
         )

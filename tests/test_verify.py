@@ -190,7 +190,7 @@ class TestExecutors:
         names = [spec.name for spec in default_executors()]
         assert names == [
             "pbsm", "rtree", "s3j", "shj", "sweep",
-            "s3j@2w", "s3j@2w:residual", "s3j:memory", "s3j:memory@2w",
+            "s3j@2w", "s3j:memory", "s3j:memory@2w",
         ]
 
     def test_unknown_algorithm_rejected(self):
