@@ -17,19 +17,17 @@ many times.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-
 from repro.core.sync_scan import synchronized_scan
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
-from repro.filtertree.grid import cells_overlapping
 from repro.filtertree.levels import LevelAssigner
+from repro.filtertree.ranges import matching, range_records, window_key_ranges
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.sorting.external_sort import ExternalSorter
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import HKEY, XHI, XLO, YHI, YLO
+from repro.storage.records import HKEY
 
 
 class FilterTreeIndex:
@@ -56,10 +54,9 @@ class FilterTreeIndex:
         self.level_files: dict[int, PagedFile] = {}
         # level -> first Hilbert key of each page (the page directory).
         self._directories: dict[int, list[int]] = {}
-        self._size = 0
 
     def __len__(self) -> int:
-        return self._size
+        return sum(handle.num_records for handle in self.level_files.values())
 
     # -- construction ------------------------------------------------------
 
@@ -87,15 +84,10 @@ class FilterTreeIndex:
             )
             self.storage.drop_file(handle.name)
             self.level_files[level] = outcome.output
-            self._directories[level] = self._page_directory(outcome.output)
-            self._size += outcome.output.num_records
+            self._directories[level] = [  # read once at build time
+                page[0][HKEY] for page in outcome.output.scan_pages()
+            ]
         return self
-
-    def _page_directory(self, handle: PagedFile) -> list[int]:
-        """First Hilbert key of every page (read once at build time)."""
-        return [
-            page[0][HKEY] if page else 0 for page in handle.scan_pages()
-        ]
 
     # -- window queries ------------------------------------------------------
 
@@ -105,56 +97,17 @@ class FilterTreeIndex:
         Per level, only the pages whose Hilbert range can contain
         entities of cells overlapping the window are read — large
         entities are caught at the few high levels, small ones inside
-        the window's own key ranges.
+        the window's own key ranges (:mod:`repro.filtertree.ranges`).
         """
-        results = []
-        for level, handle in self.level_files.items():
-            ranges = self._window_key_ranges(window, level)
-            for page_no in self._pages_for_ranges(level, handle, ranges):
-                for record in handle.read_page(page_no):
-                    self.storage.stats.charge_cpu("mbr_test")
-                    if (
-                        record[XLO] <= window.xhi
-                        and window.xlo <= record[XHI]
-                        and record[YLO] <= window.yhi
-                        and window.ylo <= record[YHI]
-                    ):
-                        results.append(record[0])
+        results: list[int] = []
+        ranges = window_key_ranges(self.curve, window, self.level_files)
+        for level, key_ranges in ranges.items():
+            for records in range_records(
+                self.level_files[level], self._directories[level], key_ranges
+            ):
+                self.storage.stats.charge_cpu("mbr_test", len(records))
+                results += matching(records, window)
         return results
-
-    def _window_key_ranges(
-        self, window: Rect, level: int
-    ) -> list[tuple[int, int]]:
-        """Merged, sorted Hilbert key ranges of the level-``level``
-        cells the window overlaps."""
-        shift = 2 * (self.curve.order - level)
-        side_shift = self.curve.order - level
-        raw = []
-        for cx, cy in cells_overlapping(window, level):
-            prefix = self.curve.key(cx << side_shift, cy << side_shift) >> shift
-            raw.append((prefix << shift, (prefix + 1) << shift))
-        raw.sort()
-        merged: list[tuple[int, int]] = []
-        for lo, hi in raw:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return merged
-
-    def _pages_for_ranges(
-        self, level: int, handle: PagedFile, ranges: list[tuple[int, int]]
-    ) -> list[int]:
-        """Page numbers whose key span intersects any query range."""
-        directory = self._directories[level]
-        pages: set[int] = set()
-        for lo, hi in ranges:
-            # Pages are sorted by first key; a page may also *start*
-            # before lo but spill into the range, so step one page back.
-            first = max(0, bisect_right(directory, lo) - 1)
-            last = bisect_left(directory, hi, lo=first)
-            pages.update(range(first, min(last + 1, handle.num_pages)))
-        return sorted(pages)
 
     # -- joins ----------------------------------------------------------------
 
@@ -183,4 +136,3 @@ class FilterTreeIndex:
             self.storage.drop_file(handle.name)
         self.level_files.clear()
         self._directories.clear()
-        self._size = 0

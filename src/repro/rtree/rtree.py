@@ -112,11 +112,6 @@ class RTree:
 
     def search(self, window: Rect) -> Iterator[Any]:
         """Yield payloads whose MBR intersects the query window."""
-        for _, payload in self.search_entries(window):
-            yield payload
-
-    def search_entries(self, window: Rect) -> Iterator[tuple[Rect, Any]]:
-        """Yield (MBR, payload) entries intersecting the query window."""
         stack = [self._root]
         while stack:
             node = stack.pop()
@@ -124,20 +119,9 @@ class RTree:
             for rect, child in node.entries:
                 if rect.intersects(window):
                     if node.leaf:
-                        yield rect, child
+                        yield child
                     else:
                         stack.append(child)
-
-    def all_entries(self) -> Iterator[tuple[Rect, Any]]:
-        """Yield every stored (MBR, payload) pair."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for rect, child in node.entries:
-                if node.leaf:
-                    yield rect, child
-                else:
-                    stack.append(child)
 
     # -- invariant checks (used by the test suite) --------------------------
 

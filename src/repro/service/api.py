@@ -32,8 +32,9 @@ from __future__ import annotations
 
 import asyncio
 import enum
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.faults.errors import FaultError, ShardFailure
@@ -256,6 +257,14 @@ class QueryOutcome:
         }
 
 
+def _require_finite(**coordinates: float) -> None:
+    """NaN compares false with everything, so a non-finite query would
+    pass ``Rect``'s ordering check and silently match nothing."""
+    for field, value in coordinates.items():
+        if not math.isfinite(value):
+            raise ValueError(f"query coordinate {field} must be finite, got {value!r}")
+
+
 class JoinService:
     """The long-lived query front-end over one :class:`PersistentIndex`."""
 
@@ -389,11 +398,15 @@ class JoinService:
     # -- queries ---------------------------------------------------------
 
     async def point(self, x: float, y: float) -> QueryOutcome:
+        _require_finite(x=x, y=y)
         return await self._query("point", ("point", x, y))
 
     async def window(
         self, xlo: float, ylo: float, xhi: float, yhi: float
     ) -> QueryOutcome:
+        """A window may reach outside the unit square (only the part
+        inside can hit anything) but every corner must be a number."""
+        _require_finite(xlo=xlo, ylo=ylo, xhi=xhi, yhi=yhi)
         return await self._query("window", ("window", xlo, ylo, xhi, yhi))
 
     async def join(self) -> QueryOutcome:
@@ -442,15 +455,7 @@ class JoinService:
         epoch = self.index.epoch
         cached = self.cache.get((key, epoch))
         if cached is not None:
-            return QueryOutcome(
-                op=op,
-                status=cached.status,
-                epoch=epoch,
-                eids=cached.eids,
-                pairs=cached.pairs,
-                failures=cached.failures,
-                cached=True,
-            )
+            return replace(cached, cached=True)
         if not self.breaker.allow():
             self.partial += 1
             return QueryOutcome(
@@ -474,28 +479,14 @@ class JoinService:
             )
         try:
             if op == "point":
-                outcome = QueryOutcome(
-                    op=op,
-                    status="ok",
-                    epoch=epoch,
-                    eids=self.index.point_query(key[1], key[2]),
-                )
+                answer = {"eids": self.index.point_query(key[1], key[2])}
             elif op == "window":
-                outcome = QueryOutcome(
-                    op=op,
-                    status="ok",
-                    epoch=epoch,
-                    eids=self.index.window_query(Rect(*key[1:])),
-                )
+                answer = {"eids": self.index.window_query(Rect(*key[1:]))}
             elif op == "join":
-                outcome = QueryOutcome(
-                    op=op,
-                    status="ok",
-                    epoch=epoch,
-                    pairs=self.index.self_join(),
-                )
+                answer = {"pairs": self.index.self_join()}
             else:
                 raise ValueError(f"unknown query op {op!r}")
+            outcome = QueryOutcome(op=op, status="ok", epoch=epoch, **answer)
         except FaultError as error:
             self.failed += 1
             opened = self.breaker.record_failure()
@@ -524,8 +515,16 @@ class JoinService:
     # -- introspection ---------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """A JSON-ready service snapshot (the ``stats`` server op)."""
+        """A JSON-ready service snapshot (the ``stats`` server op);
+        ``pool_hit_ratio`` is the ledger's ``query`` phase, self-joins
+        included."""
+        index = self.index
+        ledger = index.storage.stats.phases.get("query")
+        fetches = ledger.buffer_hits + ledger.page_reads if ledger else 0
         return {
+            "index_queries": index.queries,
+            "pages_read_per_query": index.query_page_reads / max(index.queries, 1),
+            "pool_hit_ratio": ledger.buffer_hits / fetches if fetches else 0.0,
             "entities": len(self.index),
             "epoch": self.index.epoch,
             "delta_records": self.index.delta_records,

@@ -23,23 +23,30 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
-from bisect import insort
+from bisect import bisect_left, insort
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import DEFAULT_MAX_LEVEL, LevelAssigner
+from repro.filtertree.ranges import (
+    matching,
+    range_records,
+    record_key,
+    window_key_ranges,
+)
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.join.result import Pair, canonical_pairs
 from repro.obs import Observability
-from repro.service.scan import DEFAULT_CHUNK_RECORDS, live_self_scan
-from repro.storage.backend import Record
+from repro.service.scan import live_self_scan
+from repro.storage.backend import Record, StorageBackend
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import EID, HKEY, XHI, XLO, YHI, YLO
+from repro.storage.records import EID, HKEY, XLO, YHI
 
 DEFAULT_COMPACTION_THRESHOLD = 256
 """Delta records (inserts + tombstones) that trigger compaction."""
@@ -52,9 +59,8 @@ mutation is acknowledged."""
 SNAPSHOT_SCHEMA = 1
 
 
-def _sort_key(record: Record) -> tuple[int, int]:
-    """Level files are Hilbert-sorted; eid breaks ties deterministically."""
-    return (record[HKEY], record[EID])
+_sort_key = itemgetter(HKEY, EID)
+"""Level files are Hilbert-sorted; eid breaks ties deterministically."""
 
 
 class PersistentIndex:
@@ -76,7 +82,6 @@ class PersistentIndex:
         curve: SpaceFillingCurve | None = None,
         max_level: int = DEFAULT_MAX_LEVEL,
         compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD,
-        chunk_records: int = DEFAULT_CHUNK_RECORDS,
         name: str = "idx",
         data_dir: str | None = None,
     ) -> None:
@@ -99,11 +104,13 @@ class PersistentIndex:
         self.obs = self.storage.obs
         self.name = name
         self.compaction_threshold = compaction_threshold
-        self.chunk_records = chunk_records
         self.epoch = 0
         self.compactions = 0
+        self.queries = 0  # point/window queries answered
+        self.query_page_reads = 0  # base pages those fetched on pool misses
         self.recovered = False
         self._base: dict[int, PagedFile] = {}
+        self._directory: dict[int, list[int]] = {}  # level -> page first keys
         self._delta: dict[int, list[Record]] = {}
         self._tombstones: dict[int, set[int]] = {}  # level -> base eids
         self._live: dict[int, tuple[int, Entity]] = {}  # eid -> (level, entity)
@@ -144,10 +151,19 @@ class PersistentIndex:
                 handle = self.storage.create_file(self._level_name(level))
                 handle.append_many(records)
                 handle.flush()
-                self._base[level] = handle
+                self._set_base(level, handle, records)
 
     def _level_name(self, level: int) -> str:
         return f"{self.name}-L{level}"
+
+    def _set_base(self, level: int, handle: PagedFile, records: list[Record]) -> None:
+        """Install a level file and its page directory (first key of every
+        page) from the sorted records just written or read: level files
+        are bulk-written, so every page but the last is full."""
+        self._base[level] = handle
+        self._directory[level] = [
+            record[HKEY] for record in records[:: handle.records_per_page]
+        ]
 
     # -- durability ------------------------------------------------------
 
@@ -189,12 +205,9 @@ class PersistentIndex:
             else:
                 self._backend().rename_file(name, base)
 
-    def _backend(self):
-        """The innermost (catalog-bearing) backend of the manager."""
-        backend = self.storage.backend
-        while not hasattr(backend, "stored_files"):
-            backend = backend.inner
-        return backend
+    def _backend(self) -> StorageBackend:
+        """The physical backend (the benchmark reads its recovery report)."""
+        return self.storage.physical_backend()
 
     def _persist(self) -> None:
         """Write the delta snapshot atomically (fsync + rename).
@@ -216,7 +229,6 @@ class PersistentIndex:
             "name": self.name,
             "epoch": self.epoch,
             "compactions": self.compactions,
-            "levels": sorted(self._base),
             "delta": {
                 str(level): [list(record) for record in records]
                 for level, records in sorted(self._delta.items())
@@ -258,18 +270,11 @@ class PersistentIndex:
         self.recovered = True
 
         def typed(row: list) -> Record:
-            return (
-                int(row[0]),
-                float(row[1]),
-                float(row[2]),
-                float(row[3]),
-                float(row[4]),
-                int(row[5]),
-            )
+            return (int(row[0]), *map(float, row[1:5]), int(row[5]))
 
-        # Base levels: every surviving level file in the catalog (the
-        # snapshot's level list can trail a committed compaction that
-        # emptied or created a level, so the catalog is authoritative).
+        # Base levels: every surviving level file in the catalog (a
+        # committed compaction can empty or create a level after the
+        # last snapshot, so the catalog is authoritative).
         prefix = f"{self.name}-L"
         base_records: dict[int, list[Record]] = {}
         for stored in self.storage.stored_files():
@@ -277,8 +282,8 @@ class PersistentIndex:
                 continue
             level = int(stored[len(prefix) :])
             handle = self.storage.attach_file(stored)
-            self._base[level] = handle
             base_records[level] = list(self._raw_scan(handle))
+            self._set_base(level, handle, base_records[level])
         snapshot_delta = {
             int(key): [typed(row) for row in rows]
             for key, rows in data["delta"].items()
@@ -329,9 +334,7 @@ class PersistentIndex:
 
     @staticmethod
     def _entity_of(record: Record) -> Entity:
-        return Entity(
-            record[EID], Rect(record[XLO], record[YLO], record[XHI], record[YHI])
-        )
+        return Entity(record[EID], Rect(*record[XLO : YHI + 1]))
 
     # -- the live view ---------------------------------------------------
 
@@ -405,16 +408,13 @@ class PersistentIndex:
             level, _ = self._live.pop(eid)
         except KeyError:
             raise KeyError(f"no live entity with id {eid}") from None
-        buffer = self._delta.get(level)
-        if buffer is not None:
-            for position, record in enumerate(buffer):
-                if record[EID] == eid:
-                    del buffer[position]
-                    if not buffer:
-                        del self._delta[level]
-                    break
-            else:
-                self._tombstones.setdefault(level, set()).add(eid)
+        buffer = self._delta.get(level, [])
+        for position, record in enumerate(buffer):
+            if record[EID] == eid:
+                del buffer[position]
+                if not buffer:
+                    del self._delta[level]
+                break
         else:
             self._tombstones.setdefault(level, set()).add(eid)
         self.epoch += 1
@@ -449,12 +449,12 @@ class PersistentIndex:
                         self.storage.rename_file(
                             temp_name, self._level_name(level), replace=True
                         )
-                        self._base[level] = temp
+                        self._set_base(level, temp, records)
                     else:
                         self.storage.drop_file(temp_name)
                         if level in self._base:
                             self.storage.drop_file(self._level_name(level))
-                            del self._base[level]
+                            del self._base[level], self._directory[level]
                 except BaseException:
                     if temp_name in self.storage.list_files():
                         self.storage.drop_file(temp_name)
@@ -473,24 +473,43 @@ class PersistentIndex:
         return self.window_query(Rect.point(x, y))
 
     def window_query(self, window: Rect) -> tuple[int, ...]:
-        """Ids of live entities whose MBR intersects the window, sorted.
+        """Ids of live entities whose MBR intersects the window, sorted
+        (closed-interval semantics, same as the sweep).
 
-        A linear merge-scan of every level's live stream (closed-
-        interval semantics, same as the sweep) — correctness-first; the
-        base pages it touches are priced by the ledger like any scan.
+        Per level the window maps to a few key ranges; only the base
+        pages the directory places in one are read — through the pool,
+        which stays warm across queries, so the ledger prices exactly
+        the pages fetched — and the sorted delta is bisected on the
+        same ranges.  Tombstones name base records only.
         """
         hits: list[int] = []
+        reads = self.storage.stats.total.page_reads
+        examined = 0
         with self.storage.stats.phase("query"):
-            self.storage.phase_boundary()
-            for level in self.levels():
-                for record in self.level_records(level):
-                    if (
-                        record[XLO] <= window.xhi
-                        and window.xlo <= record[XHI]
-                        and record[YLO] <= window.yhi
-                        and window.ylo <= record[YHI]
+            ranges = window_key_ranges(self.curve, window, self.levels())
+            for level, key_ranges in ranges.items():
+                handle = self._base.get(level)
+                if handle is not None:
+                    dead = self._tombstones.get(level, ())
+                    for records in range_records(
+                        handle, self._directory[level], key_ranges
                     ):
-                        hits.append(record[EID])
+                        examined += len(records)
+                        hits += matching(records, window, dead)
+                delta = self._delta.get(level, ())
+                for lo, hi in key_ranges if delta else ():
+                    start = bisect_left(delta, lo, key=record_key)
+                    stop = bisect_left(delta, hi, start, key=record_key)
+                    examined += stop - start
+                    hits += matching(delta[start:stop], window)
+        fetched = self.storage.stats.total.page_reads - reads
+        self.queries += 1
+        self.query_page_reads += fetched
+        metrics = self.obs.active_metrics
+        if metrics is not None:
+            metrics.count("index.query_pages_read", fetched)
+            metrics.count("index.query_records_examined", examined)
+            metrics.count("index.query_hits", len(hits))
         return tuple(sorted(hits))
 
     def self_join(self) -> frozenset[Pair]:
@@ -504,7 +523,6 @@ class PersistentIndex:
                 {level: self.level_records(level) for level in self.levels()},
                 self.curve.order,
                 lambda a, b: raw.add((a[EID], b[EID])),
-                chunk_records=self.chunk_records,
                 stats=self.storage.stats,
                 metrics=self.obs.active_metrics,
             )

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 PairSink = Callable[[Record, Record], None]
 
-DEFAULT_CHUNK_RECORDS = 85
+CHUNK_RECORDS = 85
 """Records per scan chunk — the descriptor capacity ``E`` of a default
 4 KB page, so a chunk models one page of the batch scan."""
 
@@ -50,7 +50,6 @@ def live_self_scan(
     streams: dict[int, Iterable[Record]],
     order: int,
     on_pair: PairSink,
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
     stats: IOStats | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> int:
@@ -62,10 +61,8 @@ def live_self_scan(
     ``order`` is the curve order of the stored Hilbert keys.  Returns
     the number of chunks processed.
     """
-    if chunk_records < 1:
-        raise ValueError("chunk_records must be positive")
     chunked = [
-        _chunk_stream(stream, level, order, chunk_records, stats)
+        _chunk_stream(stream, level, order, stats)
         for level, stream in streams.items()
     ]
     # Open chunks: (max interval end, x-sorted records, level).
@@ -100,7 +97,6 @@ def _chunk_stream(
     stream: Iterable[Record],
     level: int,
     order: int,
-    chunk_records: int,
     stats: IOStats | None,
 ) -> Iterator[tuple[int, tuple[int, int], int, list[Record]]]:
     """Yield ``(start, tiebreak, max_end, x-sorted records)`` per chunk.
@@ -116,7 +112,7 @@ def _chunk_stream(
     chunk_no = 0
     for record in stream:
         chunk.append(record)
-        if len(chunk) >= chunk_records:
+        if len(chunk) >= CHUNK_RECORDS:
             yield _finish_chunk(chunk, level, chunk_no, shift, size, stats)
             chunk = []
             chunk_no += 1

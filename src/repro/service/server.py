@@ -28,6 +28,12 @@ from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.service.api import JoinService
 
+_CORNERS = ("xlo", "ylo", "xhi", "yhi")
+
+
+def _floats(request: dict[str, Any], *fields: str) -> list[float]:
+    return [float(request[field]) for field in fields]
+
 
 class ServiceServer:
     """An asyncio TCP server speaking the JSON-lines protocol."""
@@ -96,30 +102,16 @@ class ServiceServer:
             request = json.loads(line)
             op = request.get("op")
             if op == "point":
-                outcome = await self.service.point(
-                    float(request["x"]), float(request["y"])
-                )
+                outcome = await self.service.point(*_floats(request, "x", "y"))
                 return outcome.to_dict()
             if op == "window":
-                outcome = await self.service.window(
-                    float(request["xlo"]),
-                    float(request["ylo"]),
-                    float(request["xhi"]),
-                    float(request["yhi"]),
-                )
+                outcome = await self.service.window(*_floats(request, *_CORNERS))
                 return outcome.to_dict()
             if op == "join":
-                outcome = await self.service.join()
-                return outcome.to_dict()
+                return (await self.service.join()).to_dict()
             if op == "insert":
                 entity = Entity(
-                    int(request["eid"]),
-                    Rect(
-                        float(request["xlo"]),
-                        float(request["ylo"]),
-                        float(request["xhi"]),
-                        float(request["yhi"]),
-                    ),
+                    int(request["eid"]), Rect(*_floats(request, *_CORNERS))
                 )
                 epoch = await self.service.insert(entity)
                 return {"ok": True, "epoch": epoch}

@@ -163,15 +163,12 @@ class StorageManager:
         if name in self._files:
             raise FileExistsError(f"storage file {name!r} already open")
         codec = codec or EntityDescriptorCodec()
-        backend = self.backend
-        while not hasattr(backend, "attach_file"):
-            inner = getattr(backend, "inner", None)
-            if inner is None:
-                raise ValueError(
-                    f"backend {self.config.backend!r} has no persistent "
-                    "catalog to attach files from"
-                )
-            backend = inner
+        backend = self.physical_backend()
+        if not hasattr(backend, "attach_file"):
+            raise ValueError(
+                f"backend {self.config.backend!r} has no persistent "
+                "catalog to attach files from"
+            )
         backend.attach_file(name, codec, self.config.page_size)
         counts = backend.file_record_counts(name)
         handle = PagedFile(name, codec, self.config.page_size, self.pool)
@@ -181,15 +178,17 @@ class StorageManager:
         self._files[name] = handle
         return handle
 
+    def physical_backend(self) -> StorageBackend:
+        """The innermost backend, under any fault/retry wrappers."""
+        backend = self.backend
+        while hasattr(backend, "inner"):
+            backend = backend.inner
+        return backend
+
     def stored_files(self) -> list[str]:
         """Names in the backend's persistent catalog (durable only)."""
-        backend = self.backend
-        while not hasattr(backend, "stored_files"):
-            inner = getattr(backend, "inner", None)
-            if inner is None:
-                return []
-            backend = inner
-        return backend.stored_files()
+        backend = self.physical_backend()
+        return backend.stored_files() if hasattr(backend, "stored_files") else []
 
     def drop_file(self, name: str) -> None:
         """Delete a file: its buffered pages are discarded, not flushed."""

@@ -154,22 +154,3 @@ class PagedFile:
         """
         self.name = new_name
         self._metric_label = file_label(new_name)
-
-    def clone_metadata_from(self, other: PagedFile) -> None:
-        """Adopt another file's page/record bookkeeping.
-
-        The public way to make this handle describe pages copied from
-        ``other`` (page count, record count, tail fill) without going
-        through the append path — e.g. after a raw backend-level page
-        copy.  Codecs must match or the adopted counts would be
-        meaningless.
-        """
-        if other.codec.record_size != self.codec.record_size:
-            raise ValueError(
-                "cannot adopt metadata across codecs with different "
-                f"record sizes ({other.codec.record_size} != "
-                f"{self.codec.record_size})"
-            )
-        self.num_pages = other.num_pages
-        self.num_records = other.num_records
-        self._tail_count = other._tail_count

@@ -38,7 +38,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 WAL_MAGIC = 0x57414C31
 WAL_HEADER = struct.Struct("<IQBII")  # magic, lsn, op, crc, body length
@@ -60,10 +60,6 @@ the next record starts ``wal-<seq+1>.log``."""
 MAX_BODY_BYTES = 64 * 1024 * 1024
 """Sanity bound on a declared body length; a corrupt length field must
 not make the scanner allocate gigabytes before the checksum rejects it."""
-
-
-class WalError(RuntimeError):
-    """A structural WAL problem recovery cannot talk itself past."""
 
 
 @dataclass(frozen=True)
@@ -219,20 +215,15 @@ class WalScan:
 
     records: int = 0
     truncated_bytes: int = 0
-    truncated_segment: str | None = None
     dropped_segments: int = 0
 
 
-def scan_segments(
-    directory: Path,
-    apply: Callable[[WalRecord], None],
-    truncate: bool = True,
-) -> WalScan:
+def scan_segments(directory: Path, apply: Callable[[WalRecord], None]) -> WalScan:
     """Read every committed record in LSN order and feed it to ``apply``.
 
     The first structurally invalid record — bad magic, non-successor
     LSN, short body, checksum mismatch — is the torn tail: scanning
-    stops, the segment is truncated at that offset (when ``truncate``),
+    stops, the segment is truncated at that offset,
     and any *later* segment is deleted outright (it can only exist if
     the tail segment tore mid-rotation; its records were never
     acknowledged).
@@ -252,12 +243,10 @@ def scan_segments(
             if not good:
                 torn = True
                 scan.truncated_bytes = len(data) - offset
-                scan.truncated_segment = path.name
-                if truncate:
-                    with open(path, "r+b") as handle:
-                        handle.truncate(offset)
-                        handle.flush()
-                        os.fsync(handle.fileno())
+                with open(path, "r+b") as handle:
+                    handle.truncate(offset)
+                    handle.flush()
+                    os.fsync(handle.fileno())
                 break
             assert record is not None
             apply(record)
@@ -284,10 +273,3 @@ def _decode_at(
     if record_crc(lsn, op, body) != crc:
         return False, None
     return True, WalRecord(lsn, op, body)
-
-
-def iter_records(directory: Path) -> Iterator[WalRecord]:
-    """Committed records in LSN order (no truncation side effects)."""
-    records: list[WalRecord] = []
-    scan_segments(directory, records.append, truncate=False)
-    return iter(records)

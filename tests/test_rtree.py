@@ -68,14 +68,6 @@ class TestSearch:
             expected = {i for i, r in enumerate(rects) if r.intersects(window)}
             assert set(tree.search(window)) == expected
 
-    def test_all_entries(self):
-        rng = random.Random(3)
-        rects = random_rects(rng, 120)
-        tree = RTree(max_entries=6)
-        for i, rect in enumerate(rects):
-            tree.insert(rect, i)
-        assert {payload for _, payload in tree.all_entries()} == set(range(120))
-
     def test_charges_rtree_cpu(self):
         stats = IOStats()
         tree = RTree(max_entries=4, stats=stats)

@@ -322,30 +322,6 @@ class TestStorageManager:
         with pytest.raises(FileNotFoundError):
             storage.rename_file("ghost", "anything")
 
-    def test_clone_metadata_from(self, storage):
-        source = storage.create_file("src")
-        source.append_many((i, 0.1, 0.1, 0.2, 0.2, i) for i in range(100))
-        source.flush()
-        target = storage.create_file("dst")
-        for page_no in range(source.num_pages):
-            storage.backend.write_page(
-                "dst", page_no, storage.backend.read_page("src", page_no)
-            )
-        target.clone_metadata_from(source)
-        assert target.num_pages == source.num_pages
-        assert target.num_records == source.num_records
-        assert [r[0] for r in target.scan()] == list(range(100))
-        # Appends continue on the adopted partial tail page.
-        target.append((100, 0.1, 0.1, 0.2, 0.2, 100))
-        assert target.num_records == 101
-
-    def test_clone_metadata_codec_mismatch_raises(self, storage):
-        from repro.storage.records import CandidatePairCodec
-
-        source = storage.create_file("src")
-        target = storage.create_file("dst", CandidatePairCodec())
-        with pytest.raises(ValueError):
-            target.clone_metadata_from(source)
 
 
 class TestIOStats:
