@@ -40,7 +40,9 @@ The long-lived service (DESIGN.md section 15): `serve` starts the
 JSON-lines TCP front-end over a resident :class:`PersistentIndex`
 (incremental inserts/deletes, background compaction, admission control,
 circuit breaker), and ``verify --service`` replays interleaved
-queries/mutations against the cold-batch oracle at every index epoch.
+queries/mutations against an independent model of the live set at every
+index epoch.  The ``verify`` mode flags (``--chaos``, ``--cross-mode``,
+``--service``, ``--crash``) are mutually exclusive.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from repro.curves.base import DEFAULT_ORDER
 from repro.datagen.paper import default_scale, table3_rows
@@ -57,6 +60,9 @@ from repro.experiments.table4 import format_table4, table4_rows
 from repro.experiments.workloads import WORKLOADS, workload_by_name
 from repro.join.api import available_algorithms
 from repro.obs import Observability
+
+if TYPE_CHECKING:
+    from repro.verify import Report
 
 
 def _positive_int(text: str) -> int:
@@ -235,27 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="CI smoke configuration: 3 workloads, 4 transforms",
     )
-    verify.add_argument(
+    # The gates are alternatives: naming two of them is an error (exit
+    # 2), not a silent pick of whichever comes first.
+    mode = verify.add_mutually_exclusive_group()
+    mode.add_argument(
         "--chaos",
         action="store_true",
         help="chaos mode: rerun the harness under sampled fault plans "
         "and assert the correct/typed-failure/partial trichotomy",
     )
-    verify.add_argument(
+    mode.add_argument(
         "--cross-mode",
         action="store_true",
         help="cross-mode parity: run every workload through ledger mode "
         "and memory mode (serial and sharded) and require identical "
         "pair sets, all equal to the brute-force oracle",
     )
-    verify.add_argument(
+    mode.add_argument(
         "--service",
         action="store_true",
         help="service mode: replay interleaved queries/inserts/deletes "
         "through the long-lived join service and require oracle-equal "
         "answers at every index epoch (with injected read faults)",
     )
-    verify.add_argument(
+    mode.add_argument(
         "--crash",
         action="store_true",
         help="crash mode: SIGKILL a real child process at sampled WAL "
@@ -633,105 +642,60 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """Run the differential correctness harness; non-zero on failure."""
-    from repro.verify import (
-        cases_by_name,
-        default_executors,
-        run_chaos,
-        run_cross_mode,
-        run_service_verify,
-        run_verify,
-        transforms_by_name,
-    )
+    """Run one correctness gate; exit 1 on any violation, 2 on a bad
+    argument."""
+    from functools import partial
 
-    if args.cross_mode:
-        try:
-            cases = (
-                cases_by_name(tuple(args.workloads.split(",")), seed=args.seed)
-                if args.workloads
-                else None
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        report = run_cross_mode(
-            cases=cases,
-            worker_counts=tuple(dict.fromkeys((1, args.workers))),
-            seed=args.seed,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-        return 0 if report.ok else 1
+    from repro import verify
 
-    if args.crash:
-        from repro.verify.crash import run_crash_verify
+    def progress(message: str) -> None:
+        print(message, file=sys.stderr)
 
-        report = run_crash_verify(
-            cases=args.cases,
-            seed=args.seed,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-        return 0 if report.ok else 1
-
-    if args.service:
-        report = run_service_verify(
-            seed=args.seed,
-            ops=args.ops,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-        return 0 if report.ok else 1
-
-    if args.chaos:
-        report = run_chaos(
-            cases=args.cases,
-            seed=args.seed,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-        return 0 if report.ok else 1
-
-    algorithms = tuple(args.algorithms.split(",")) if args.algorithms else None
     try:
         cases = (
-            cases_by_name(tuple(args.workloads.split(",")), seed=args.seed)
+            verify.cases_by_name(tuple(args.workloads.split(",")), seed=args.seed)
             if args.workloads
             else None
         )
-        transforms = (
-            transforms_by_name(tuple(args.transforms.split(",")))
-            if args.transforms
-            else None
-        )
-        executors = default_executors(
-            algorithms=algorithms, worker_counts=(args.workers,)
-        )
+        if args.cross_mode:
+            gate = partial(
+                verify.run_cross_mode,
+                cases=cases,
+                worker_counts=tuple(dict.fromkeys((1, args.workers))),
+            )
+        elif args.crash:
+            gate = partial(verify.run_crash_verify, cases=args.cases)
+        elif args.service:
+            gate = partial(verify.run_service_verify, ops=args.ops)
+        elif args.chaos:
+            gate = partial(verify.run_chaos, cases=args.cases)
+        else:
+            gate = partial(
+                verify.run_verify,
+                quick=args.quick,
+                cases=cases,
+                transforms=(
+                    verify.transforms_by_name(tuple(args.transforms.split(",")))
+                    if args.transforms
+                    else None
+                ),
+                executors=verify.default_executors(
+                    algorithms=(
+                        tuple(args.algorithms.split(",")) if args.algorithms else None
+                    ),
+                    worker_counts=(args.workers,),
+                ),
+                minimize=not args.no_minimize,
+            )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    report = run_verify(
-        quick=args.quick,
-        cases=cases,
-        transforms=transforms,
-        executors=executors,
-        minimize=not args.no_minimize,
-        seed=args.seed,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
-    if args.json:
+    return _emit(gate(seed=args.seed, progress=progress), args.json)
+
+
+def _emit(report: Report, as_json: bool) -> int:
+    """Print a verify report; its exit code is its verdict."""
+    if as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.summary())

@@ -10,7 +10,7 @@ PagedFile/BufferPool simulation.
 
 Selected with ``spatial_join(..., mode="memory")`` or
 ``repro join --mode memory``; differentially verified against the
-ledger mode by :mod:`repro.verify.crossmode`.
+ledger mode by :func:`repro.verify.run_cross_mode`.
 """
 
 from repro.fastpath.columnar import ColumnarDataset

@@ -161,7 +161,7 @@ def memory_spatial_join(
     """Run S3J entirely in memory and return a standard ``JoinResult``.
 
     Produces the exact candidate pair set of the ledger mode (the
-    cross-mode parity gate in :mod:`repro.verify.crossmode` holds this
+    cross-mode parity gate :func:`repro.verify.run_cross_mode` holds this
     to the oracle suite): both modes expand MBRs by the predicate's
     margin with the same expressions before filtering.
 

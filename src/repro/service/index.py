@@ -380,8 +380,8 @@ class PersistentIndex:
         return [entity for _, (_, entity) in sorted(self._live.items())]
 
     def snapshot_dataset(self, name: str = "live") -> SpatialDataset:
-        """The live set as a :class:`SpatialDataset` — the input the
-        cold-batch oracle joins (verify/service.py)."""
+        """The live set as a :class:`SpatialDataset` — what a cold batch
+        join of the index's current contents takes as input."""
         return SpatialDataset(name, self.live_entities())
 
     # -- mutations -------------------------------------------------------

@@ -13,9 +13,11 @@ Requests::
 
 Responses mirror :meth:`QueryOutcome.to_dict` for queries, or
 ``{"ok": true, "epoch": N}`` for mutations; a malformed or unknown
-request gets ``{"error": ...}`` and the connection stays up.  One
-connection may pipeline any number of requests; requests on a single
-connection are answered in order.
+request gets ``{"error": ...}`` and the connection stays up — as does a
+request line longer than :data:`MAX_LINE_BYTES`, which is discarded
+through its newline and answered ``{"error": "RequestTooLarge: ..."}``.
+One connection may pipeline any number of requests; requests on a
+single connection are answered in order.
 """
 
 from __future__ import annotations
@@ -30,9 +32,36 @@ from repro.service.api import JoinService
 
 _CORNERS = ("xlo", "ylo", "xhi", "yhi")
 
+MAX_LINE_BYTES = 64 * 1024
+"""The longest request line the server buffers (every request of the
+protocol fits in a few hundred bytes)."""
+
 
 def _floats(request: dict[str, Any], *fields: str) -> list[float]:
     return [float(request[field]) for field in fields]
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line; ``b""`` at end of stream; ``None`` for a
+    line over :data:`MAX_LINE_BYTES`, which is dropped through its
+    newline so the next read starts at the next request.  (On overrun
+    ``readuntil`` leaves the buffer untouched and says how much of it
+    is newline-free.)"""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial  # the stream ended, maybe mid-line
+    except asyncio.LimitOverrunError as overrun:
+        droppable = overrun.consumed
+    while True:
+        try:
+            await reader.readexactly(droppable)
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as overrun:
+            droppable = overrun.consumed
+        except asyncio.IncompleteReadError:
+            return None  # ended inside the oversized line
 
 
 class ServiceServer:
@@ -59,7 +88,7 @@ class ServiceServer:
         """Start the service (compactor included) and bind the socket."""
         await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=MAX_LINE_BYTES
         )
         return self.address
 
@@ -82,10 +111,16 @@ class ServiceServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line is None:
+                    response = {
+                        "error": "RequestTooLarge: request line exceeds "
+                        f"{MAX_LINE_BYTES} bytes"
+                    }
+                elif line:
+                    response = await self._dispatch(line)
+                else:
                     break
-                response = await self._dispatch(line)
                 writer.write(json.dumps(response, sort_keys=True).encode() + b"\n")
                 await writer.drain()
         except (ConnectionResetError, asyncio.IncompleteReadError):

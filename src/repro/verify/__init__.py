@@ -1,23 +1,27 @@
-"""repro.verify — the differential correctness harness.
+"""repro.verify — what holds the engines, the service and the durable
+store to "every intersecting pair exactly once".
 
-Three layers (see DESIGN.md section 10):
+One oracle, one report, and two harnesses (DESIGN.md section 10):
 
-- **oracle + differential** — a brute-force all-pairs oracle and a
-  runner that executes every registered algorithm (serial and sharded)
-  against it, shrinking any divergence to a minimized counterexample;
-- **metamorphic** — result-preserving input transforms (axis swap,
-  reflection, A/B swap, Hilbert→Z-order, grid snapping) that multiply
-  each workload into a family of cross-checks;
-- **invariants** — pluggable ledger checkers (phase buckets sum to
-  totals, S3J's join phase reads each sorted page once, replication
-  factors match the paper's claims, obs-on/off ledger parity).
+- **oracle** (:mod:`~repro.verify.oracle`) — brute-force all-pairs and
+  window scans that share no code with any engine; every expected
+  answer in the package comes from here.
+- **batch harness** (:func:`run_verify`) — workloads × metamorphic
+  variants × executors against the oracle, with pluggable ledger
+  invariants, partition conformance, obs-on/off parity, and ddmin
+  counterexamples.  :func:`run_cross_mode` is the same sweep with the
+  ledger/memory × worker-count roster plus refined-set parity;
+  :func:`run_chaos` reruns it under sampled fault plans and asserts the
+  correct / typed-failure / declared-partial trichotomy.
+- **scenario harness** (:mod:`~repro.verify.scenario`) — one seeded op
+  generator, one :class:`LiveModel` advanced by the acknowledged ops
+  alone, one :func:`check_index` verdict.  :func:`run_service_verify`
+  and :func:`run_service_chaos` replay it through a live
+  :class:`~repro.service.api.JoinService` under fault profiles;
+  :func:`run_crash_verify` runs the same ops in a child process that is
+  ``SIGKILL``ed mid-write, and checks the reopened store.
 
-Plus **chaos** (:mod:`repro.verify.chaos`): the harness rerun under
-sampled fault plans, asserting every run ends as a correct result, a
-clean typed failure, or a declared partial result — never a silent
-wrong answer (DESIGN.md section 11).
-
-Typical use::
+Every gate returns the same :class:`Report`::
 
     from repro.verify import run_verify
     report = run_verify(quick=True)
@@ -26,120 +30,43 @@ Typical use::
 """
 
 from repro.verify.cases import VerifyCase
-from repro.verify.chaos import (
-    CHAOS_ALGORITHMS,
-    ChaosOutcome,
-    ChaosReport,
-    ChaosScenario,
-    run_chaos,
-    run_chaos_case,
-    sample_scenario,
-)
-from repro.verify.crash import (
-    CrashCaseResult,
-    CrashVerifyReport,
-    run_crash_case,
-    run_crash_verify,
-    run_serve_roundtrip,
-)
-from repro.verify.crossmode import (
-    CrossModeMismatch,
-    CrossModeReport,
-    run_cross_mode,
-)
-from repro.verify.differential import (
-    Counterexample,
-    Divergence,
-    PairDiff,
-    diff_pairs,
-    minimize_counterexample,
-)
-from repro.verify.executors import (
-    ExecutorSpec,
-    RunRecord,
-    default_executors,
-    run_executor,
-)
-from repro.verify.harness import (
-    VerifyReport,
-    check_partition_conformance,
-    run_verify,
-)
-from repro.verify.invariants import (
-    DEFAULT_INVARIANTS,
-    Invariant,
-    InvariantViolation,
-    JoinReadsOnceInvariant,
-    PhaseBucketsSumInvariant,
-    ReplicationInvariant,
-    check_obs_parity,
-)
-from repro.verify.metamorphic import (
-    FULL_TRANSFORMS,
-    QUICK_TRANSFORMS,
-    TRANSFORMS,
-    Transform,
-    transforms_by_name,
-)
-from repro.verify.oracle import descriptor_boxes, oracle_for_case, oracle_pairs
-from repro.verify.service import (
-    ServiceVerifyReport,
-    ServiceViolation,
-    run_service_verify,
-)
-from repro.verify.service_chaos import (
-    ServiceChaosOutcome,
-    ServiceChaosReport,
-    ServiceChaosScenario,
+from repro.verify.chaos import run_chaos
+from repro.verify.crash import run_crash_verify, run_serve_roundtrip
+from repro.verify.differential import Counterexample, Divergence, diff_pairs
+from repro.verify.executors import ExecutorSpec, default_executors, run_executor
+from repro.verify.harness import run_cross_mode, run_verify
+from repro.verify.invariants import DEFAULT_INVARIANTS, Invariant
+from repro.verify.metamorphic import TRANSFORMS, Transform, transforms_by_name
+from repro.verify.oracle import oracle_pairs, oracle_window
+from repro.verify.report import Report, Violation
+from repro.verify.scenario import (
+    LiveModel,
+    check_index,
     run_service_chaos,
-    sample_service_scenario,
+    run_service_verify,
 )
 from repro.verify.workloads import cases_by_name, default_cases
 
 __all__ = [
-    "CHAOS_ALGORITHMS",
-    "ChaosOutcome",
-    "ChaosReport",
-    "ChaosScenario",
-    "Counterexample",
-    "CrashCaseResult",
-    "CrashVerifyReport",
-    "CrossModeMismatch",
-    "CrossModeReport",
     "DEFAULT_INVARIANTS",
+    "Counterexample",
     "Divergence",
     "ExecutorSpec",
-    "FULL_TRANSFORMS",
     "Invariant",
-    "InvariantViolation",
-    "JoinReadsOnceInvariant",
-    "PairDiff",
-    "PhaseBucketsSumInvariant",
-    "QUICK_TRANSFORMS",
-    "ReplicationInvariant",
-    "RunRecord",
-    "ServiceChaosOutcome",
-    "ServiceChaosReport",
-    "ServiceChaosScenario",
-    "ServiceVerifyReport",
-    "ServiceViolation",
+    "LiveModel",
+    "Report",
     "TRANSFORMS",
     "Transform",
     "VerifyCase",
-    "VerifyReport",
+    "Violation",
     "cases_by_name",
-    "check_obs_parity",
-    "check_partition_conformance",
+    "check_index",
     "default_cases",
     "default_executors",
-    "descriptor_boxes",
     "diff_pairs",
-    "minimize_counterexample",
-    "oracle_for_case",
     "oracle_pairs",
+    "oracle_window",
     "run_chaos",
-    "run_chaos_case",
-    "run_crash_case",
     "run_crash_verify",
     "run_cross_mode",
     "run_executor",
@@ -147,7 +74,5 @@ __all__ = [
     "run_service_chaos",
     "run_service_verify",
     "run_verify",
-    "sample_scenario",
-    "sample_service_scenario",
     "transforms_by_name",
 ]

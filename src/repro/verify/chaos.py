@@ -29,7 +29,7 @@ the totals after recovery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.faults import FaultError, FaultPlan, RetryPolicy
@@ -41,6 +41,7 @@ from repro.storage.iostats import PhaseStats
 from repro.storage.manager import StorageConfig
 from repro.verify.cases import VerifyCase
 from repro.verify.oracle import oracle_for_case, oracle_pairs
+from repro.verify.report import Report
 from repro.verify.workloads import generated_cases
 
 CHAOS_ALGORITHMS = ("s3j", "pbsm", "shj")
@@ -92,60 +93,6 @@ class ChaosOutcome:
     @property
     def ok(self) -> bool:
         return self.outcome in GOOD_OUTCOMES and not self.violations
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-
-@dataclass
-class ChaosReport:
-    """The outcome tally of one chaos sweep."""
-
-    seed: int
-    outcomes: list[ChaosOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    def tally(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for outcome in self.outcomes:
-            counts[outcome.outcome] = counts.get(outcome.outcome, 0) + 1
-        return counts
-
-    def failures(self) -> list[ChaosOutcome]:
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-    def summary(self) -> str:
-        lines = [
-            f"chaos: {len(self.outcomes)} case(s), seed {self.seed} — "
-            + ", ".join(f"{k}={v}" for k, v in sorted(self.tally().items()))
-        ]
-        for outcome in self.failures():
-            lines.append(f"  FAIL {outcome.scenario}: {outcome.outcome}")
-            if outcome.detail:
-                lines.append(f"       {outcome.detail}")
-            for violation in outcome.violations:
-                lines.append(f"       violated: {violation}")
-        if self.ok:
-            lines.append("  no silent wrong answers")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "cases": len(self.outcomes),
-            "tally": self.tally(),
-            "ok": self.ok,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes],
-        }
 
 
 def _shrunk_cases(seed: int, limit: int = CHAOS_ENTITY_LIMIT) -> list[VerifyCase]:
@@ -374,16 +321,29 @@ def run_chaos(
     seed: int = 0,
     algorithms: tuple[str, ...] = CHAOS_ALGORITHMS,
     progress: Callable[[str], None] | None = None,
-) -> ChaosReport:
-    """Run ``cases`` sampled fault scenarios and report the trichotomy."""
+) -> Report:
+    """Run ``cases`` sampled fault scenarios and report the trichotomy:
+    ``counts["tally"]`` says how many ended each way, and every ending
+    outside it — or bookkeeping breach on a good ending — is a
+    violation."""
     if cases < 1:
         raise ValueError("cases must be positive")
     roster = _shrunk_cases(seed)
-    report = ChaosReport(seed=seed)
+    tally: dict[str, int] = {}
+    outcomes: list[dict[str, Any]] = []
+    report = Report(
+        gate="chaos",
+        counts={"seed": seed, "cases": cases, "tally": tally, "outcomes": outcomes},
+    )
     for index in range(cases):
         scenario = sample_scenario(index, seed, cases=roster, algorithms=algorithms)
         outcome = run_chaos_case(scenario)
-        report.outcomes.append(outcome)
+        tally[outcome.outcome] = tally.get(outcome.outcome, 0) + 1
+        outcomes.append(asdict(outcome))
+        if outcome.outcome not in GOOD_OUTCOMES:
+            report.fail("trichotomy", outcome.scenario, f"{outcome.outcome}: {outcome.detail}")
+        for violation in outcome.violations:
+            report.fail("bookkeeping", outcome.scenario, violation)
         if progress is not None:
             progress(f"chaos {outcome.outcome:>13}  {scenario.describe()}")
     return report

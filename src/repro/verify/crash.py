@@ -1,22 +1,22 @@
 """The kill-and-reopen crash gate for the durable storage stack.
 
-The scenario class the chaos harness could not model in-process: a real
-child process runs a deterministic schedule of inserts, deletes, and
-compactions against a durable :class:`~repro.service.index.
-PersistentIndex`, with a sampled :class:`~repro.storage.durable.
-CrashPoint` planted in its environment — the durable backend ``SIGKILL``s
-its own process mid-WAL-append, between the WAL fsync and the data
-write, mid-data-page write, around a compaction rename, or mid-
-checkpoint.  The parent counts the operations the child *acknowledged*
-(one ``ack`` line per completed operation), reopens the store in its
-own process, and asserts exact agreement with a cold in-memory oracle:
+The scenario class the in-process replay cannot model: a real child
+process (:mod:`repro.verify.crash_worker`) runs the ops of
+:func:`repro.verify.scenario.op_schedule` against a durable
+:class:`~repro.service.index.PersistentIndex`, with a sampled
+:class:`~repro.storage.durable.CrashPoint` planted in its environment —
+the durable backend ``SIGKILL``s its own process mid-WAL-append,
+between the WAL fsync and the data write, mid-data-page write, around a
+compaction rename, or mid-checkpoint.  The parent counts the operations
+the child *acknowledged* (one ``ack`` line per completed operation),
+reopens the store in its own process, and holds it to the model:
 
-- the recovered live-entity set equals the set after ``k`` or ``k + 1``
+- the recovered live-entity set equals the
+  :class:`~repro.verify.scenario.LiveModel` after ``k`` or ``k + 1``
   acknowledged operations (the op in flight at the kill either fully
   survived or never happened — nothing in between);
-- the recovered index's ``self_join`` answers are byte-identical to the
-  brute-force oracle over that live set, and window queries agree with
-  a direct scan;
+- :func:`~repro.verify.scenario.check_index` against that model passes:
+  self-join and window answers are exact;
 - reopening a second time changes nothing (recovery is idempotent).
 
 A fault-free ledger-parity check rides along: the same batch join run
@@ -41,24 +41,20 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.datagen.uniform import uniform_squares
-from repro.geometry.entity import Entity
-from repro.geometry.rect import Rect
 from repro.service.index import PersistentIndex
 from repro.storage.durable import CRASH_ENV, CRASH_POINTS, CrashPoint
-from repro.verify.oracle import oracle_pairs
-
-Progress = Callable[[str], None]
+from repro.verify.report import Report
+from repro.verify.scenario import LiveModel, Op, Progress, check_index, op_schedule
 
 WORKER_COMPACTION_THRESHOLD = 12
 """Small on purpose: the schedule must cross several compactions so
 rename/checkpoint crash points have occurrences to land on."""
 
-DEFAULT_OPS = 48
+DEFAULT_OPS = 72
 
 # How many occurrences of each point one schedule plausibly produces;
 # sampling indexes beyond the high end yields "ran to completion"
@@ -72,63 +68,6 @@ _INDEX_RANGES = {
 }
 
 
-def op_schedule(seed: int, ops: int = DEFAULT_OPS) -> list[tuple[str, Any]]:
-    """The deterministic operation sequence a worker replays.
-
-    Shared by the child (which executes it against the durable index)
-    and the parent (which replays prefixes of it in memory as the
-    oracle).  Mix: mostly inserts, some deletes of still-live entities
-    (including re-inserts of previously deleted ids), an explicit
-    compaction every so often.
-    """
-    rng = random.Random(seed)
-    schedule: list[tuple[str, Any]] = []
-    live: dict[int, Entity] = {}
-    deleted: list[Entity] = []
-    next_eid = 1
-    for position in range(ops):
-        roll = rng.random()
-        if position and roll < 0.12:
-            schedule.append(("compact", None))
-        elif live and roll < 0.32:
-            eid = rng.choice(sorted(live))
-            deleted.append(live.pop(eid))
-            schedule.append(("delete", eid))
-        elif deleted and roll < 0.40:
-            entity = deleted.pop(rng.randrange(len(deleted)))
-            live[entity.eid] = entity
-            schedule.append(("insert", entity))
-        else:
-            cx, cy = rng.random(), rng.random()
-            side = rng.uniform(0.01, 0.15)
-            entity = Entity(
-                next_eid,
-                Rect(
-                    max(0.0, cx - side / 2),
-                    max(0.0, cy - side / 2),
-                    min(1.0, cx + side / 2),
-                    min(1.0, cy + side / 2),
-                ),
-            )
-            next_eid += 1
-            live[entity.eid] = entity
-            schedule.append(("insert", entity))
-    return schedule
-
-
-def apply_prefix(
-    schedule: list[tuple[str, Any]], count: int
-) -> dict[int, Entity]:
-    """The live entity set after the first ``count`` operations."""
-    live: dict[int, Entity] = {}
-    for op, payload in schedule[:count]:
-        if op == "insert":
-            live[payload.eid] = payload
-        elif op == "delete":
-            live.pop(payload, None)
-    return live
-
-
 def sample_crash_point(rng: random.Random) -> CrashPoint:
     """One deterministic crash-point sample."""
     point = rng.choice(CRASH_POINTS)
@@ -138,88 +77,6 @@ def sample_crash_point(rng: random.Random) -> CrashPoint:
         fraction=rng.uniform(0.05, 0.95),
         action="kill",
     )
-
-
-@dataclass
-class CrashCaseResult:
-    """One kill-and-reopen case."""
-
-    case: int
-    point: str
-    index: int
-    fraction: float
-    killed: bool
-    acked: int
-    recovered: int
-    ok: bool
-    detail: str = ""
-    recovery: dict[str, Any] | None = None
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        death = "killed" if self.killed else "completed"
-        return (
-            f"case {self.case}: {self.point}[{self.index}] "
-            f"f={self.fraction:.2f} {death} acked={self.acked} "
-            f"recovered={self.recovered} {status}"
-            + (f" — {self.detail}" if self.detail else "")
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "case": self.case,
-            "point": self.point,
-            "index": self.index,
-            "fraction": self.fraction,
-            "killed": self.killed,
-            "acked": self.acked,
-            "recovered": self.recovered,
-            "ok": self.ok,
-            "detail": self.detail,
-            "recovery": self.recovery,
-        }
-
-
-@dataclass
-class CrashVerifyReport:
-    """The gate's verdict over all sampled cases."""
-
-    cases: list[CrashCaseResult] = field(default_factory=list)
-    ledger_parity_ok: bool = True
-    ledger_parity_detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.ledger_parity_ok and all(case.ok for case in self.cases)
-
-    @property
-    def kills(self) -> int:
-        return sum(1 for case in self.cases if case.killed)
-
-    def summary(self) -> str:
-        lines = [
-            f"crash verify: {len(self.cases)} cases, {self.kills} real kills, "
-            f"{sum(1 for c in self.cases if not c.ok)} failures"
-        ]
-        lines.append(
-            "ledger parity (memory/disk/durable): "
-            + ("byte-identical" if self.ledger_parity_ok else "DIVERGED")
-            + (f" — {self.ledger_parity_detail}" if self.ledger_parity_detail else "")
-        )
-        for case in self.cases:
-            if not case.ok:
-                lines.append("  " + case.describe())
-        lines.append("crash verify: OK" if self.ok else "crash verify: FAILED")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "kills": self.kills,
-            "ledger_parity_ok": self.ledger_parity_ok,
-            "ledger_parity_detail": self.ledger_parity_detail,
-            "cases": [case.to_dict() for case in self.cases],
-        }
 
 
 def _worker_env(crash: CrashPoint | None) -> dict[str, str]:
@@ -263,105 +120,75 @@ def _run_worker(
     return acked, process.returncode
 
 
-def run_crash_case(
-    case_no: int, seed: int, ops: int = DEFAULT_OPS
-) -> CrashCaseResult:
-    """One sampled SIGKILL point: run, kill, reopen, compare."""
+def run_crash_case(case_no: int, seed: int, ops: int = DEFAULT_OPS) -> Report:
+    """One sampled SIGKILL point: run, kill, reopen twice, check."""
     crash = sample_crash_point(random.Random((seed << 16) ^ case_no))
-    schedule = op_schedule(seed, ops)
+    _, schedule = op_schedule(seed, ops)
+    where = f"case {case_no}: {crash.point}[{crash.index}] f={crash.fraction:.2f}"
     with tempfile.TemporaryDirectory(prefix="repro-crash-") as data_dir:
         acked, returncode = _run_worker(data_dir, seed, ops, crash)
         killed = returncode == -signal.SIGKILL
-        result = CrashCaseResult(
-            case=case_no,
-            point=crash.point,
-            index=crash.index,
-            fraction=crash.fraction,
-            killed=killed,
-            acked=acked,
-            recovered=0,
-            ok=False,
+        report = Report(
+            gate=where,
+            counts={
+                "case": case_no,
+                "point": crash.point,
+                "index": crash.index,
+                "fraction": crash.fraction,
+                "killed": killed,
+                "acked": acked,
+                "recovered": 0,
+                "recovery": None,
+            },
         )
         if not killed and returncode != 0:
-            result.detail = f"worker exited {returncode} without being killed"
-            return result
-        if not killed and acked != ops:
-            result.detail = f"worker completed but acked {acked}/{ops}"
-            return result
+            report.fail("worker", where, f"exited {returncode} without being killed")
+        elif not killed and acked != ops:
+            report.fail("worker", where, f"completed but acked {acked}/{ops}")
+        if not report.ok:
+            return report
         for reopen in range(2):  # the second pass proves idempotence
             try:
                 index = PersistentIndex.open(
                     data_dir, compaction_threshold=WORKER_COMPACTION_THRESHOLD
                 )
             except Exception as error:  # noqa: BLE001 - verdict, not control flow
-                result.detail = f"reopen {reopen} raised {type(error).__name__}: {error}"
-                return result
-            try:
-                ok, detail, matched = _check_recovered(index, schedule, acked)
-                if reopen == 0:
-                    backend = index._backend()
-                    if backend.last_recovery is not None:
-                        result.recovery = backend.last_recovery.to_dict()
-                result.recovered = matched
-                if not ok:
-                    result.detail = f"reopen {reopen}: {detail}"
-                    return result
-            finally:
-                index.close()
-        result.ok = True
-        return result
+                report.fail(
+                    "reopen", where, f"reopen {reopen} raised {type(error).__name__}: {error}"
+                )
+                break
+            with index:
+                recovery = index._backend().last_recovery
+                if reopen == 0 and recovery is not None:
+                    report.counts["recovery"] = recovery.to_dict()
+                model, report.counts["recovered"] = _acked_model(index, schedule, acked)
+                for problem in check_index(index, model):
+                    report.fail("model", where, f"reopen {reopen}: {problem}")
+    return report
 
 
-def _check_recovered(
-    index: PersistentIndex, schedule: list[tuple[str, Any]], acked: int
-) -> tuple[bool, str, int]:
-    """Exact-match the recovered index against the k / k+1 oracles."""
+def _acked_model(
+    index: PersistentIndex, schedule: list[Op], acked: int
+) -> tuple[LiveModel, int]:
+    """The model the recovered index must equal: the one after ``acked``
+    ops, or after ``acked + 1`` if the op in flight at the kill landed.
+    When the live set matches neither, the acknowledged prefix is the
+    contract (and ``check_index`` will say how it differs)."""
     recovered = {entity.eid: entity for entity in index.live_entities()}
-    matched = -1
+    candidates = []
     for count in (acked, acked + 1):
-        if count <= len(schedule) and apply_prefix(schedule, count) == recovered:
-            matched = count
-            break
-    if matched < 0:
-        expected = sorted(apply_prefix(schedule, acked))
-        return (
-            False,
-            f"live set matches neither {acked} nor {acked + 1} ops "
-            f"(got {len(recovered)} entities, expected ~{len(expected)})",
-            0,
-        )
-    live_dataset = index.snapshot_dataset()
-    oracle = oracle_pairs(live_dataset, live_dataset)
-    answered = index.self_join()
-    if answered != oracle:
-        return (
-            False,
-            f"self_join diverged: {len(answered)} pairs vs oracle "
-            f"{len(oracle)} after {matched} ops",
-            matched,
-        )
-    for window in (
-        Rect(0.0, 0.0, 0.5, 0.5),
-        Rect(0.25, 0.25, 0.75, 0.75),
-        Rect(0.9, 0.9, 1.0, 1.0),
-    ):
-        expected_hits = tuple(
-            sorted(
-                entity.eid
-                for entity in recovered.values()
-                if entity.mbr.xlo <= window.xhi
-                and window.xlo <= entity.mbr.xhi
-                and entity.mbr.ylo <= window.yhi
-                and window.ylo <= entity.mbr.yhi
-            )
-        )
-        if index.window_query(window) != expected_hits:
-            return False, f"window query diverged on {window}", matched
-    return True, "", matched
+        model = LiveModel()
+        for op, payload in schedule[:count]:
+            model.apply(op, payload)
+        if model.live == recovered:
+            return model, count
+        candidates.append(model)
+    return candidates[0], 0
 
 
-def check_ledger_parity(seed: int = 0) -> tuple[bool, str]:
-    """Fault-free runs must price identically on every backend."""
+def check_ledger_parity(seed: int = 0) -> str:
+    """Fault-free runs must price identically on every backend; returns
+    what differs (empty = byte-identical)."""
     from repro.experiments.runner import run_algorithm
 
     a = uniform_squares(300, 0.01, seed=seed + 1, name="CRA")
@@ -373,8 +200,8 @@ def check_ledger_parity(seed: int = 0) -> tuple[bool, str]:
         if baseline is None:
             baseline = probe
         elif probe != baseline:
-            return False, f"{backend} differs from memory baseline"
-    return True, ""
+            return f"{backend} differs from memory baseline"
+    return ""
 
 
 def run_crash_verify(
@@ -382,22 +209,25 @@ def run_crash_verify(
     seed: int = 0,
     ops: int = DEFAULT_OPS,
     progress: Progress | None = None,
-) -> CrashVerifyReport:
+) -> Report:
     """The full gate: ledger parity plus ``cases`` sampled kills."""
-    report = CrashVerifyReport()
-    report.ledger_parity_ok, report.ledger_parity_detail = check_ledger_parity(
-        seed
-    )
-    if progress:
-        progress(
-            "ledger parity: "
-            + ("ok" if report.ledger_parity_ok else "DIVERGED")
-        )
+    say = progress or (lambda message: None)
+    report = Report(gate="crash verify", counts={"kills": 0, "ledger_parity_ok": True})
+    differs = check_ledger_parity(seed)
+    if differs:
+        report.counts["ledger_parity_ok"] = False
+        report.fail("ledger-parity", "memory/disk/durable", differs)
+    say("ledger parity: " + ("DIVERGED" if differs else "ok"))
     for case_no in range(cases):
         result = run_crash_case(case_no, seed=seed + case_no, ops=ops)
-        report.cases.append(result)
-        if progress:
-            progress(result.describe())
+        report.absorb("cases", result)
+        report.counts["kills"] += result.counts["killed"]
+        say(
+            f"{result.gate} "
+            + ("killed" if result.counts["killed"] else "completed")
+            + f" acked={result.counts['acked']} recovered={result.counts['recovered']} "
+            + ("ok" if result.ok else "FAIL")
+        )
     return report
 
 

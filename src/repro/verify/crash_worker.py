@@ -1,14 +1,15 @@
 """The child process the crash gate kills.
 
 Opens a durable :class:`~repro.service.index.PersistentIndex` at the
-given data directory and replays the deterministic schedule from
-:func:`repro.verify.crash.op_schedule`, printing ``ack <i> <epoch>``
-after each operation returns (i.e. after its state is on the medium).
-The parent plants a :class:`~repro.storage.durable.CrashPoint` in
-``REPRO_DURABLE_CRASH``, so somewhere mid-schedule the durable backend
-``SIGKILL``s this process — no cleanup, no atexit, exactly like a power
-cut.  If the sampled point is never reached, the schedule completes and
-``done`` is printed; both outcomes are valid cases for the parent.
+given data directory and runs the ops of
+:func:`repro.verify.scenario.op_schedule` against it, printing
+``ack <i> <epoch>`` after each operation returns (i.e. after its state
+is on the medium).  The parent plants a
+:class:`~repro.storage.durable.CrashPoint` in ``REPRO_DURABLE_CRASH``,
+so somewhere mid-schedule the durable backend ``SIGKILL``s this process
+— no cleanup, no atexit, exactly like a power cut.  If the sampled
+point is never reached, the schedule completes and ``done`` is printed;
+both outcomes are valid cases for the parent.
 
 Run with ``python -u`` so acks are not lost in a stdio buffer when the
 kill lands.
@@ -20,7 +21,8 @@ import argparse
 import sys
 
 from repro.service.index import PersistentIndex
-from repro.verify.crash import WORKER_COMPACTION_THRESHOLD, op_schedule
+from repro.verify.crash import WORKER_COMPACTION_THRESHOLD
+from repro.verify.scenario import apply_op, op_schedule
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,18 +35,10 @@ def main(argv: list[str] | None = None) -> int:
     index = PersistentIndex.open(
         args.data_dir, compaction_threshold=WORKER_COMPACTION_THRESHOLD
     )
-    for position, (op, payload) in enumerate(op_schedule(args.seed, args.ops)):
-        if op == "insert":
-            epoch = index.insert(payload)
-        elif op == "delete":
-            if payload in index:
-                epoch = index.delete(payload)
-            else:
-                epoch = index.epoch
-        else:
-            index.compact()
-            epoch = index.epoch
-        print(f"ack {position} {epoch}", flush=True)
+    _, schedule = op_schedule(args.seed, args.ops)
+    for position, (op, payload) in enumerate(schedule):
+        apply_op(index, op, payload)
+        print(f"ack {position} {index.epoch}", flush=True)
         if index.needs_compaction:
             index.compact()
             print(f"ack {position} {index.epoch}", flush=True)

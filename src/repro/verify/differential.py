@@ -94,11 +94,7 @@ class Divergence:
     counterexample: Counterexample | None = field(default=None)
 
     def describe(self) -> str:
-        text = (
-            f"{self.executor} on {self.case} ({self.transform}): "
-            f"expected {self.expected} pairs, got {self.got} — "
-            f"{self.diff.describe()}"
-        )
+        text = f"expected {self.expected} pairs, got {self.got} — {self.diff.describe()}"
         if self.counterexample is not None:
             text += "\n" + self.counterexample.describe()
         return text

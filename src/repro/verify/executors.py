@@ -64,9 +64,9 @@ class RunRecord:
 
     spec: ExecutorSpec
     case: VerifyCase
-    transform_name: str
     pairs: frozenset[Pair]
     metrics: JoinMetrics
+    refined: frozenset[Pair] | None = None  # when the spec asked to refine
     ledger_total: PhaseStats | None = None  # serial runs only
     registry: Any | None = None  # MetricsRegistry of instrumented runs
     level_file_pages: dict[str, int] = field(default_factory=dict)
@@ -112,6 +112,22 @@ def default_executors(
     return specs
 
 
+def cross_mode_executors(
+    worker_counts: tuple[int, ...] = (1, 2), refine: bool = True
+) -> list[ExecutorSpec]:
+    """The cross-mode roster: S3J through both engines — the ledger
+    mode scans simulated pages, the memory mode sweeps columnar arrays,
+    and they share nothing below ``spatial_join`` — serial and
+    Hilbert-sharded, each also running the exact-predicate refinement
+    step so the harness can hold the refined sets to each other."""
+    params = (("refine", True),) if refine else ()
+    return [
+        ExecutorSpec("s3j", workers=workers, mode=mode, params=params)
+        for workers in worker_counts
+        for mode in ("ledger", "memory")
+    ]
+
+
 def run_executor(
     case: VerifyCase,
     spec: ExecutorSpec,
@@ -120,87 +136,51 @@ def run_executor(
 ) -> RunRecord:
     """Run one executor on one case and capture its evidence.
 
-    Serial runs build their own :class:`StorageManager` so the live
-    ledger totals and the sorted level files can be inspected before
-    the storage is torn down; sharded runs go through the parallel
-    executor (per-shard storage) and capture metrics only.
+    Serial ledger runs build their own :class:`StorageManager` so the
+    live ledger totals and the sorted level files can be inspected
+    before the storage is torn down; sharded runs (per-shard storage)
+    and memory-mode runs (no storage at all) capture the pair sets and
+    metrics only, and the storage invariants skip them.
     """
     params = dict(spec.params)
     if overrides:
         params.update(overrides)
-
-    if spec.sharded:
-        obs = Observability() if instrument else None
-        result = spatial_join(
-            case.dataset_a,
-            case.dataset_b,
-            algorithm=spec.algorithm,
-            predicate=case.predicate,
-            obs=obs,
-            workers=spec.workers,
-            shard_level=spec.shard_level,
-            mode=spec.mode,
-            **params,
-        )
-        return RunRecord(
-            spec=spec,
-            case=case,
-            transform_name="",
-            pairs=result.pairs,
-            metrics=result.metrics,
-            registry=obs.metrics if obs is not None else None,
-        )
-
-    if spec.mode == "memory":
-        # No storage exists in memory mode: there is no live ledger to
-        # snapshot and no level files to page-count, so the record
-        # carries pair set + metrics only (the storage invariants skip).
-        obs = Observability() if instrument else None
-        result = spatial_join(
-            case.dataset_a,
-            case.dataset_b,
-            algorithm=spec.algorithm,
-            predicate=case.predicate,
-            obs=obs,
-            mode=spec.mode,
-            **params,
-        )
-        return RunRecord(
-            spec=spec,
-            case=case,
-            transform_name="",
-            pairs=result.pairs,
-            metrics=result.metrics,
-            registry=obs.metrics if obs is not None else None,
-        )
-
     obs = Observability() if instrument else None
-    manager = StorageManager(
-        default_storage_config(case.dataset_a, case.dataset_b), obs=obs
-    )
+    manager = None
+    if spec.sharded or spec.mode == "memory":
+        params.update(
+            obs=obs, workers=spec.workers, shard_level=spec.shard_level, mode=spec.mode
+        )
+    else:
+        manager = StorageManager(
+            default_storage_config(case.dataset_a, case.dataset_b), obs=obs
+        )
+        params.update(storage=manager)
+    total, level_file_pages = None, {}
     try:
         result = spatial_join(
             case.dataset_a,
             case.dataset_b,
             algorithm=spec.algorithm,
             predicate=case.predicate,
-            storage=manager,
             **params,
         )
-        total = manager.stats.snapshot()
-        level_file_pages = {
-            name: manager.open_file(name).num_pages
-            for name in manager.list_files()
-            if name.endswith(SORTED_FILE_SUFFIX)
-        }
+        if manager is not None:
+            total = manager.stats.snapshot()
+            level_file_pages = {
+                name: manager.open_file(name).num_pages
+                for name in manager.list_files()
+                if name.endswith(SORTED_FILE_SUFFIX)
+            }
     finally:
-        manager.close()
+        if manager is not None:
+            manager.close()
     return RunRecord(
         spec=spec,
         case=case,
-        transform_name="",
         pairs=result.pairs,
         metrics=result.metrics,
+        refined=result.refined,
         ledger_total=total,
         registry=obs.metrics if obs is not None else None,
         level_file_pages=level_file_pages,

@@ -10,13 +10,18 @@ invariants, and — once per workload — partition-semantics conformance
 (``Level()``/``cell_of`` closed-interval behavior over the workload's
 own boxes) and obs-on/obs-off ledger parity.  Any pair-set divergence
 is shrunk to a minimized counterexample before it is reported.
+
+Cross-mode parity (``repro verify --cross-mode``) is this same sweep
+with the roster of :func:`~repro.verify.executors.cross_mode_executors`
+and the identity transform: every engine and worker count against the
+oracle, plus — for executors that refine — refined sets equal to each
+other (the oracle covers the filter step only).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.filtertree.levels import LevelAssigner
 from repro.verify.cases import VerifyCase
@@ -27,13 +32,13 @@ from repro.verify.differential import (
 )
 from repro.verify.executors import (
     ExecutorSpec,
+    cross_mode_executors,
     default_executors,
     run_executor,
 )
 from repro.verify.invariants import (
     DEFAULT_INVARIANTS,
     Invariant,
-    InvariantViolation,
     check_obs_parity,
 )
 from repro.verify.metamorphic import (
@@ -43,6 +48,7 @@ from repro.verify.metamorphic import (
     transforms_by_name,
 )
 from repro.verify.oracle import descriptor_boxes, oracle_for_case
+from repro.verify.report import Report, Violation
 from repro.verify.workloads import default_cases
 
 Progress = Callable[[str], None]
@@ -53,76 +59,11 @@ CONFORMANCE_DEPTH = 6
 check probes."""
 
 
-@dataclass
-class VerifyReport:
-    """Outcome of one harness sweep."""
-
-    quick: bool
-    cases: list[str] = field(default_factory=list)
-    transforms: list[str] = field(default_factory=list)
-    executors: list[str] = field(default_factory=list)
-    runs: int = 0
-    pairs_checked: int = 0
-    conformance_boxes: int = 0
-    divergences: list[Divergence] = field(default_factory=list)
-    violations: list[InvariantViolation] = field(default_factory=list)
-    oracle_failures: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not (self.divergences or self.violations or self.oracle_failures)
-
-    def summary(self) -> str:
-        mode = "quick" if self.quick else "full"
-        lines = [
-            f"verify ({mode}): {len(self.cases)} workloads x "
-            f"{len(self.transforms)} variants x {len(self.executors)} "
-            f"executors = {self.runs} runs in {self.elapsed_s:.1f}s",
-            f"  workloads : {', '.join(self.cases)}",
-            f"  executors : {', '.join(self.executors)}",
-            f"  variants  : {', '.join(self.transforms)}",
-            f"  pair sets : {self.pairs_checked} compared against the oracle",
-            f"  conformance: {self.conformance_boxes} boxes level-checked",
-        ]
-        if self.ok:
-            lines.append("  PASS: zero pair-set diffs, zero invariant violations")
-            return "\n".join(lines)
-        lines.append(
-            f"  FAIL: {len(self.divergences)} pair-set divergence(s), "
-            f"{len(self.violations)} invariant violation(s), "
-            f"{len(self.oracle_failures)} metamorphic oracle failure(s)"
-        )
-        for divergence in self.divergences:
-            lines.append("  - " + divergence.describe().replace("\n", "\n    "))
-        for violation in self.violations:
-            lines.append("  - " + violation.describe())
-        for failure in self.oracle_failures:
-            lines.append("  - [metamorphic-oracle] " + failure)
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "quick": self.quick,
-            "ok": self.ok,
-            "cases": self.cases,
-            "transforms": self.transforms,
-            "executors": self.executors,
-            "runs": self.runs,
-            "pairs_checked": self.pairs_checked,
-            "conformance_boxes": self.conformance_boxes,
-            "divergences": [d.describe() for d in self.divergences],
-            "violations": [v.describe() for v in self.violations],
-            "oracle_failures": list(self.oracle_failures),
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
-
-
 def check_partition_conformance(
     case: VerifyCase,
     order: int = CONFORMANCE_ORDER,
     depth: int = CONFORMANCE_DEPTH,
-) -> tuple[int, list[InvariantViolation]]:
+) -> tuple[int, list[Violation]]:
     """Closed-interval conformance of ``Level()`` and ``cell_of``.
 
     For every filter-step box of the workload: the vectorized level
@@ -202,16 +143,10 @@ def check_partition_conformance(
                 f"vectorized levels() disagrees with scalar level() on "
                 f"{mismatches} of {len(boxes)} boxes in {dataset.name}"
             )
-    violations = [
-        InvariantViolation(
-            invariant="partition-conformance",
-            executor="LevelAssigner",
-            case=case.name,
-            message=message,
-        )
-        for message in problems[:10]
+    where = f"LevelAssigner on {case.name}"
+    return checked, [
+        Violation("partition-conformance", where, message) for message in problems[:10]
     ]
-    return checked, violations
 
 
 def run_verify(
@@ -225,7 +160,7 @@ def run_verify(
     obs_parity: bool = True,
     seed: int = 0,
     progress: Progress | None = None,
-) -> VerifyReport:
+) -> Report:
     """Run the differential correctness harness.
 
     Quick mode (the CI smoke configuration) covers three generated
@@ -246,17 +181,24 @@ def run_verify(
     if executors is None:
         executors = default_executors()
 
-    report = VerifyReport(
-        quick=quick,
-        cases=[case.name for case in cases],
-        transforms=[transform.name for transform in transforms],
-        executors=[spec.name for spec in executors],
+    report = Report(
+        gate=f"verify ({'quick' if quick else 'full'})",
+        counts={
+            "quick": quick,
+            "cases": [case.name for case in cases],
+            "executors": [spec.name for spec in executors],
+            "transforms": [transform.name for transform in transforms],
+            "runs": 0,
+            "pairs_checked": 0,
+            "conformance_boxes": 0,
+        },
     )
+    counts = report.counts
 
     for case in cases:
         say(f"case {case.describe()}")
         checked, conformance = check_partition_conformance(case)
-        report.conformance_boxes += checked
+        counts["conformance_boxes"] += checked
         report.violations.extend(conformance)
 
         base_oracle = oracle_for_case(case)
@@ -266,24 +208,26 @@ def run_verify(
             if transform.preserves_pairs and transform.name != "identity":
                 mapped = transform.map_pairs(base_oracle, case.self_join)
                 if mapped != expected:
-                    report.oracle_failures.append(
-                        f"{transform.name} on {case.name}: transform claims "
-                        f"{len(mapped)} pairs, oracle finds {len(expected)}"
+                    report.fail(
+                        "metamorphic-oracle",
+                        f"{transform.name} on {case.name}",
+                        f"transform claims {len(mapped)} pairs, "
+                        f"oracle finds {len(expected)}",
                     )
 
+            # The oracle covers the filter step only, so refined sets are
+            # held to the first executor that refined: (its name, its set).
+            reference = None
             for spec in executors:
                 overrides = transform.param_overrides(spec.algorithm)
                 record = run_executor(variant, spec, overrides=overrides)
-                record.transform_name = transform.name
-                report.runs += 1
-                report.pairs_checked += len(expected)
+                counts["runs"] += 1
+                counts["pairs_checked"] += len(expected)
+                where = f"{spec.name} on {case.name} ({transform.name})"
 
                 if record.pairs != expected:
                     diff = diff_pairs(expected, record.pairs)
-                    say(
-                        f"  DIVERGE {spec.name} x {transform.name}: "
-                        + diff.describe()
-                    )
+                    say(f"  DIVERGE {spec.name} x {transform.name}: " + diff.describe())
                     counterexample = None
                     if minimize:
                         counterexample = minimize_counterexample(
@@ -293,19 +237,30 @@ def run_verify(
                             ).pairs,
                             max_runs=minimize_budget,
                         )
-                    report.divergences.append(
-                        Divergence(
-                            case=case.name,
-                            transform=transform.name,
-                            executor=spec.name,
-                            expected=len(expected),
-                            got=len(record.pairs),
-                            diff=diff,
-                            counterexample=counterexample,
-                        )
+                    divergence = Divergence(
+                        case=case.name,
+                        transform=transform.name,
+                        executor=spec.name,
+                        expected=len(expected),
+                        got=len(record.pairs),
+                        diff=diff,
+                        counterexample=counterexample,
                     )
-                for invariant in invariants:
-                    report.violations.extend(invariant.violations(record))
+                    report.fail("pair-set", where, divergence.describe(), divergence)
+                report.violations.extend(
+                    violation
+                    for invariant in invariants
+                    for violation in invariant.violations(record)
+                )
+                if record.refined is not None and reference is None:
+                    reference = (spec.name, record.refined)
+                elif record.refined is not None and record.refined != reference[1]:
+                    report.fail(
+                        "refined-parity",
+                        where,
+                        f"refined set differs from {reference[0]}'s: "
+                        + diff_pairs(reference[1], record.refined).describe(),
+                    )
 
         if obs_parity:
             parity_specs = [
@@ -315,7 +270,30 @@ def run_verify(
             ]
             for spec in parity_specs:
                 report.violations.extend(check_obs_parity(case, spec))
-                report.runs += 2
+                counts["runs"] += 2
 
-    report.elapsed_s = time.monotonic() - started
+    counts["elapsed_s"] = round(time.monotonic() - started, 3)
+    return report
+
+
+def run_cross_mode(
+    cases: list[VerifyCase] | None = None,
+    worker_counts: tuple[int, ...] = (1, 2),
+    refine: bool = True,
+    seed: int = 0,
+    progress: Progress | None = None,
+) -> Report:
+    """Cross-mode parity: every workload through ledger mode and memory
+    mode at each worker count — all pair sets equal to the brute-force
+    oracle, refined sets equal across modes."""
+    report = run_verify(
+        quick=False,
+        cases=cases,
+        transforms=transforms_by_name(()),
+        executors=cross_mode_executors(worker_counts, refine),
+        obs_parity=False,
+        seed=seed,
+        progress=progress,
+    )
+    report.gate = "cross-mode"
     return report

@@ -1,4 +1,4 @@
-"""The brute-force oracle: the pair set every algorithm must produce.
+"""The brute-force oracle: the answers every engine must produce.
 
 All-pairs MBR intersection over margin-expanded, unit-square-clamped
 boxes — exactly the boxes :meth:`SpatialDataset.write_descriptors`
@@ -7,12 +7,15 @@ closed-interval semantics (boundary contact counts).  Quadratic, but
 vectorized with NumPy so verification workloads of a few thousand
 entities stay fast; the oracle shares no code with any of the join
 algorithms beyond :class:`~repro.geometry.rect.Rect`.
+:func:`oracle_window` is the same test against one query window — the
+only brute-force window/point scan in the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.join.result import Pair, canonical_pairs
 from repro.verify.cases import VerifyCase
@@ -68,6 +71,20 @@ def oracle_pairs(
         (int(eids_a[i]), int(eids_b[j])) for i, j in zip(rows, cols)
     }
     return canonical_pairs(raw, self_join)
+
+
+def oracle_window(dataset: SpatialDataset, window: Rect) -> tuple[int, ...]:
+    """Sorted ids of the entities whose MBR intersects ``window``
+    (closed intervals; a point query is the degenerate window
+    ``Rect.point(x, y)``)."""
+    eids, boxes = descriptor_boxes(dataset)
+    mask = (
+        (boxes[:, 0] <= window.xhi)
+        & (window.xlo <= boxes[:, 2])
+        & (boxes[:, 1] <= window.yhi)
+        & (window.ylo <= boxes[:, 3])
+    )
+    return tuple(sorted(eids[mask].tolist()))
 
 
 def oracle_for_case(case: VerifyCase) -> frozenset[Pair]:

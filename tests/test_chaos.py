@@ -82,18 +82,12 @@ class TestTrichotomy:
         answers, and all three trichotomy arms actually visited."""
         report = run_chaos(cases=200, seed=0)
         assert report.ok, report.summary()
-        tally = report.tally()
+        tally = report.counts["tally"]
         assert tally.get("wrong", 0) == 0
         assert tally.get("untyped-error", 0) == 0
         assert tally.get("correct", 0) > 0
         assert tally.get("typed-failure", 0) > 0
         assert tally.get("partial", 0) > 0
-
-    def test_report_serializes(self):
-        report = run_chaos(cases=3, seed=1)
-        data = json.loads(json.dumps(report.to_dict()))
-        assert data["cases"] == 3
-        assert "no silent wrong answers" in report.summary() or not report.ok
 
 
 TIMING_KEYS = {

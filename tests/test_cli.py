@@ -61,6 +61,22 @@ class TestParser:
         assert args.workers == 2
         assert not args.no_minimize
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--chaos", "--crash"],
+            ["--service", "--cross-mode"],
+            ["--crash", "--service", "--chaos"],
+        ],
+    )
+    def test_verify_mode_flags_are_mutually_exclusive(self, flags, capsys):
+        """Two gates on one command line used to run whichever came
+        first in an if-chain; now it is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["verify", *flags])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_verify_rejects_bad_workers(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "--workers", "0"])

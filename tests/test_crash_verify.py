@@ -2,37 +2,43 @@
 
 These tests keep the subprocess count small — CI's crash-smoke job
 runs the full 25-case sweep; here we check the harness machinery
-(deterministic schedules, oracle prefixes, sampled crash points) and a
-couple of real SIGKILL round-trips.
+(deterministic schedules, the model's acked prefixes, sampled crash
+points) and a couple of real SIGKILL round-trips.
 """
 
 import random
 
+from repro.service.index import PersistentIndex
 from repro.verify.crash import (
     DEFAULT_OPS,
-    apply_prefix,
-    op_schedule,
+    _acked_model,
     run_crash_case,
-    run_crash_verify,
     sample_crash_point,
 )
+from repro.verify.scenario import LiveModel, apply_op, op_schedule
 
 
 class TestSchedule:
     def test_deterministic(self):
-        assert op_schedule(7) == op_schedule(7)
-        assert op_schedule(7) != op_schedule(8)
+        assert op_schedule(7, 48) == op_schedule(7, 48)
+        assert op_schedule(7, 48) != op_schedule(8, 48)
+        loaded, schedule = op_schedule(7, 48, bootstrap=20)
+        assert len(loaded) == 20 and len(schedule) == 48
 
     def test_mix_and_validity(self):
-        schedule = op_schedule(3, ops=200)
-        assert len(schedule) == 200
+        loaded, schedule = op_schedule(3, ops=300, bootstrap=5)
+        assert len(schedule) == 300
         ops = {op for op, _ in schedule}
-        assert ops == {"insert", "delete", "compact"}
-        live = {}
+        assert ops == {"insert", "delete", "compact", "point", "window", "join"}
+        live = {entity.eid: entity for entity in loaded}
+        seen = set(live)
+        reinserts = 0
         for op, payload in schedule:
             if op == "insert":
                 # Re-inserts reuse an eid, but never one still live.
                 assert payload.eid not in live
+                reinserts += payload.eid in seen
+                seen.add(payload.eid)
                 live[payload.eid] = payload
                 rect = payload.mbr
                 assert 0.0 <= rect.xlo <= rect.xhi <= 1.0
@@ -41,17 +47,19 @@ class TestSchedule:
                 # Deletes only name still-live entities.
                 assert payload in live
                 del live[payload]
+        assert reinserts > 0
+        assert schedule[0][0] != "compact"
 
     def test_apply_prefix_matches_replay(self):
-        schedule = op_schedule(11, ops=60)
-        live = {}
-        for count, (op, payload) in enumerate(schedule, start=1):
-            if op == "insert":
-                live[payload.eid] = payload
-            elif op == "delete":
-                live.pop(payload, None)
-            assert apply_prefix(schedule, count) == live
-        assert apply_prefix(schedule, 0) == {}
+        """The model after k ops is exactly the live set an index holds
+        after executing the same k ops."""
+        _, schedule = op_schedule(11, ops=60)
+        model = LiveModel()
+        with PersistentIndex(compaction_threshold=8) as index:
+            for op, payload in schedule:
+                apply_op(index, op, payload)
+                model.apply(op, payload)
+                assert {e.eid: e for e in index.live_entities()} == model.live
 
     def test_sampled_crash_points_cover_every_point(self):
         points = {
@@ -70,17 +78,32 @@ class TestCrashCases:
     def test_two_sampled_kill_cases_recover_exactly(self):
         for case_no in (0, 1):
             result = run_crash_case(case_no, seed=0)
-            assert result.ok, result.describe()
-            if result.killed:
-                assert result.acked < DEFAULT_OPS
+            assert result.ok, result.summary()
+            if result.counts["killed"]:
+                assert result.counts["acked"] < DEFAULT_OPS
+                assert result.counts["recovery"] is not None
             else:
-                assert result.acked == DEFAULT_OPS
+                assert result.counts["acked"] == DEFAULT_OPS
+            # The op in flight at the kill landed, or it did not.
+            assert result.counts["recovered"] - result.counts["acked"] in (0, 1)
 
-    def test_report_aggregates_and_serializes(self):
-        report = run_crash_verify(cases=2, seed=1, ops=32)
-        assert report.ok, report.summary()
-        payload = report.to_dict()
-        assert payload["ok"] is True
-        assert payload["ledger_parity_ok"] is True
-        assert len(payload["cases"]) == 2
-        assert report.summary()
+    def test_acked_prefix_is_k_or_k_plus_one(self, tmp_path):
+        """The recovered live set must be the model after the acked ops
+        or one more; anything else is held to the acked prefix."""
+        _, schedule = op_schedule(5, ops=30)
+        mutation = next(
+            position
+            for position, (op, _) in enumerate(schedule)
+            if position > 10 and op in ("insert", "delete")
+        )
+        with PersistentIndex.open(str(tmp_path)) as index:
+            for op, payload in schedule[: mutation + 1]:
+                apply_op(index, op, payload)
+            done = mutation + 1
+            assert _acked_model(index, schedule, done)[1] == done
+            # The last mutation ran but was never acknowledged.
+            assert _acked_model(index, schedule, done - 1)[1] == done
+            # Two unacknowledged ops deep is not a legal recovery.
+            model, matched = _acked_model(index, schedule, done - 5)
+            assert matched == 0
+            assert model.live != {e.eid: e for e in index.live_entities()}

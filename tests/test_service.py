@@ -26,7 +26,7 @@ from repro.service import (
     ServiceServer,
     TokenBucket,
 )
-from repro.verify.service import run_service_verify
+from repro.verify import run_service_verify
 
 from tests.conftest import brute_force_self_pairs, make_squares
 
@@ -411,16 +411,76 @@ class TestServiceServer:
         asyncio.run(scenario())
 
 
+    def test_oversized_request_line_gets_an_error_and_the_connection_lives(self):
+        """A line over the cap used to raise out of the handler (no
+        reply, connection reset); it must be answered with a typed
+        error, dropped through its newline, and the next request on the
+        same connection served."""
+        from repro.service.server import MAX_LINE_BYTES
+
+        dataset = make_squares(30, side=0.04, seed=29)
+
+        async def scenario():
+            with PersistentIndex(dataset.entities) as index:
+                server = ServiceServer(JoinService(index))
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+                huge = b'{"op": "point", "x": "' + b"9" * 200_000 + b'"}\n'
+                assert len(huge) > MAX_LINE_BYTES
+                # One burst (the newline may already be buffered when
+                # the cap trips) ...
+                writer.write(huge + b'{"op": "stats"}\n')
+                await writer.drain()
+                too_large = json.loads(await reader.readline())
+                assert too_large["error"].startswith("RequestTooLarge")
+                assert json.loads(await reader.readline())["entities"] == 30
+                # ... and in pieces (the cap trips before the newline
+                # has arrived).
+                writer.write(huge[:150_000])
+                await writer.drain()
+                await asyncio.sleep(0)
+                writer.write(huge[150_000:] + b'{"op": "stats"}\n')
+                await writer.drain()
+                too_large = json.loads(await reader.readline())
+                assert too_large["error"].startswith("RequestTooLarge")
+                assert json.loads(await reader.readline())["entities"] == 30
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+
 class TestServiceVerifyGate:
     def test_clean_replay_passes(self):
         report = run_service_verify(seed=2, ops=20, entities=60, faults=False)
         assert report.ok, report.summary()
-        assert report.epochs_checked == 21
-        assert report.failed_queries == 0
-        assert report.partial_queries == 0
+        assert report.counts["epochs_checked"] == 21
+        assert report.counts["ok_queries"] > 0
+        assert report.counts["failed_queries"] == 0
+        assert report.counts["partial_queries"] == 0
 
     def test_fault_replay_passes_and_exercises_breaker(self):
         report = run_service_verify(seed=0, ops=60, entities=100, faults=True)
         assert report.ok, report.summary()
-        assert report.failed_queries > 0
-        assert report.breaker_opened > 0
+        assert report.counts["failed_queries"] > 0
+        assert report.counts["partial_queries"] > 0
+        assert report.counts["breaker_opened"] > 0
+        # 61 replay epochs plus the exact check after recovery.
+        assert report.counts["epochs_checked"] == 62
+
+    def test_verdict_is_a_pure_function_of_the_seed(self):
+        """No wall clock anywhere: breaker counts included, two runs of
+        one seed serialize identically."""
+        first = run_service_verify(seed=3, ops=40, entities=80)
+        second = run_service_verify(seed=3, ops=40, entities=80)
+        assert first.to_dict() == second.to_dict()
+        assert first.to_dict() != run_service_verify(seed=4, ops=40, entities=80).to_dict()
+
+    def test_burst_that_never_lands_fails_the_recovery_assertions(self):
+        """With too few ops the scheduled burst is never reached — the
+        gate must say it proved nothing rather than pass."""
+        report = run_service_verify(seed=0, ops=3, entities=20, faults=True)
+        messages = [v.message for v in report.violations if v.check == "recovery"]
+        assert "the burst injected no loud failure" in messages
+        assert "the breaker never opened" in messages

@@ -1,6 +1,6 @@
 """Chaos tests for the long-lived join service.
 
-The sampled-scenario sweep (repro.verify.service_chaos) plus targeted
+The sampled-scenario sweep (repro.verify.scenario) plus targeted
 cases: the breaker trichotomy under a mid-stream fault burst, loud
 compaction failures leaving the base files intact, and cache
 invalidation across a compaction epoch (the stale-cache bug class the
@@ -18,10 +18,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.storage.manager import StorageConfig
-from repro.verify.service_chaos import (
-    run_service_chaos,
-    sample_service_scenario,
-)
+from repro.verify.scenario import run_service_chaos, sample_service_scenario
 
 from tests.conftest import make_squares
 
@@ -50,16 +47,16 @@ class TestServiceChaosSweep:
     def test_sweep_passes(self):
         report = run_service_chaos(cases=4, seed=1, ops=25, entities=60)
         assert report.ok, report.summary()
-        assert len(report.outcomes) == 4
-
-    def test_report_shape(self):
-        report = run_service_chaos(cases=2, seed=5, ops=15, entities=40)
-        payload = report.to_dict()
-        assert payload["scenarios"] == 2
-        assert all(
-            set(o) >= {"scenario", "violations", "ok_queries"}
-            for o in payload["outcomes"]
+        outcomes = report.counts["outcomes"]
+        assert len(outcomes) == 4
+        # Three fault profiles, then the quiet control: all-ok, no noise.
+        assert [o["faults"] for o in outcomes] == [True, True, True, False]
+        quiet = outcomes[3]
+        assert quiet["ok_queries"] > 0 and quiet["epochs_checked"] == 26
+        assert not (
+            quiet["failed_queries"] or quiet["partial_queries"] or quiet["loud_errors"]
         )
+        assert any(o["failed_queries"] or o["loud_errors"] for o in outcomes[:3])
 
 
 class TestFaultBurstTrichotomy:

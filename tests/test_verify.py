@@ -13,21 +13,25 @@ from repro.join.predicates import WithinDistance
 from repro.storage.records import XHI, XLO, YHI, YLO
 from repro.verify import (
     DEFAULT_INVARIANTS,
+    Divergence,
     ExecutorSpec,
-    JoinReadsOnceInvariant,
-    PhaseBucketsSumInvariant,
-    ReplicationInvariant,
     VerifyCase,
     cases_by_name,
-    check_obs_parity,
-    check_partition_conformance,
     default_executors,
     diff_pairs,
-    minimize_counterexample,
     oracle_pairs,
+    run_cross_mode,
     run_executor,
     run_verify,
     transforms_by_name,
+)
+from repro.verify.differential import minimize_counterexample
+from repro.verify.harness import check_partition_conformance
+from repro.verify.invariants import (
+    JoinReadsOnceInvariant,
+    PhaseBucketsSumInvariant,
+    ReplicationInvariant,
+    check_obs_parity,
 )
 from repro.verify.metamorphic import TRANSFORMS, CurveSwapTransform
 from repro.verify.workloads import degenerate_dataset, grid_aligned_dataset
@@ -205,6 +209,18 @@ class TestExecutors:
         assert record.registry is not None
         assert record.level_file_pages  # S3J leaves sorted level files
 
+    def test_sharded_and_memory_runs_capture_pairs_only(self):
+        case = small_case()
+        expected = oracle_pairs(case.dataset_a, case.dataset_b)
+        for spec in (
+            ExecutorSpec("s3j", workers=2),
+            ExecutorSpec("s3j", mode="memory", params=(("refine", True),)),
+        ):
+            record = run_executor(case, spec)
+            assert record.pairs == expected
+            assert record.ledger_total is None and not record.level_file_pages
+            assert (record.refined is not None) == bool(spec.params)
+
     def test_uninstrumented_run_has_no_registry(self):
         record = run_executor(small_case(), ExecutorSpec("sweep"), instrument=False)
         assert record.registry is None
@@ -285,7 +301,7 @@ class TestConformance:
         case = cases_by_name(("grid-aligned",))[0]
         _, violations = check_partition_conformance(case)
         assert violations
-        assert all(v.invariant == "partition-conformance" for v in violations)
+        assert all(v.check == "partition-conformance" for v in violations)
         assert any("raised at level" in v.message for v in violations)
 
 
@@ -299,11 +315,10 @@ class TestHarness:
         )
         assert report.ok
         # 3 variants x 2 executors + 1 obs-parity pair (s3j only in quick).
-        assert report.runs == 3 * 2 + 2
-        assert report.pairs_checked > 0
-        assert report.conformance_boxes == 60
+        assert report.counts["runs"] == 3 * 2 + 2
+        assert report.counts["pairs_checked"] > 0
+        assert report.counts["conformance_boxes"] == 60
         assert "PASS" in report.summary()
-        assert report.to_dict()["ok"] is True
 
     def test_catches_boundary_dropping_join(self, monkeypatch):
         """A join kernel that drops boundary-contact pairs (the classic
@@ -333,8 +348,10 @@ class TestHarness:
             obs_parity=False,
         )
         assert not report.ok
-        assert report.divergences
-        divergence = report.divergences[0]
+        (violation,) = report.violations
+        assert violation.check == "pair-set"
+        divergence = violation.payload
+        assert isinstance(divergence, Divergence)
         assert divergence.executor == "sweep"
         assert divergence.diff.missing and not divergence.diff.extra
         counterexample = divergence.counterexample
@@ -342,6 +359,33 @@ class TestHarness:
         assert len(counterexample.entities_a) <= 2
         assert len(counterexample.entities_b) <= 2
         assert "FAIL" in report.summary()
+
+    def test_cross_mode_is_a_roster_of_the_same_sweep(self):
+        report = run_cross_mode(cases=[small_case()])
+        assert report.ok, report.summary()
+        assert report.counts["executors"] == [
+            "s3j", "s3j:memory", "s3j@2w", "s3j:memory@2w",
+        ]
+        assert report.counts["transforms"] == ["identity"]
+        assert report.counts["runs"] == 4
+
+    def test_cross_mode_catches_refined_set_drift(self, monkeypatch):
+        """The oracle covers the filter step only; a refinement step
+        that disagrees across engines must still be reported."""
+        import repro.fastpath as fastpath
+
+        real = fastpath.memory_spatial_join
+
+        def drops_a_refined_pair(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.refined = frozenset(sorted(result.refined)[1:])
+            return result
+
+        monkeypatch.setattr(fastpath, "memory_spatial_join", drops_a_refined_pair)
+        report = run_cross_mode(cases=[small_case()], worker_counts=(1,))
+        (violation,) = report.violations
+        assert violation.check == "refined-parity"
+        assert "s3j:memory" in violation.where and "1 missing" in violation.message
 
     def test_workload_catalog(self):
         with pytest.raises(ValueError, match="unknown workloads"):

@@ -1,0 +1,231 @@
+"""The gates can fail: seeded bugs, the trichotomy, one report shape.
+
+A gate that never fails proves nothing, so each check of the scenario
+harness is shown a bug it exists to catch — the index's ack-and-forget
+insert (which both service gates *passed* before the model was made
+independent of the index), the PR-9 tombstone filter, the PR-10 orphan
+rule inverted, an untyped compaction failure — and every ``repro
+verify`` mode is held to one report contract.
+"""
+
+import heapq
+import json
+
+import pytest
+
+from repro.faults.errors import ShardFailure
+from repro.service.api import BreakerState, QueryOutcome
+from repro.service.index import PersistentIndex, _sort_key
+from repro.storage.records import EID
+from repro.verify import (
+    Report,
+    cases_by_name,
+    run_chaos,
+    run_crash_verify,
+    run_cross_mode,
+    run_service_chaos,
+    run_service_verify,
+    run_verify,
+    transforms_by_name,
+)
+from repro.verify.crash import run_crash_case
+from repro.verify.executors import ExecutorSpec
+from repro.verify.scenario import classify
+
+
+def lose_every_third_insert(monkeypatch):
+    real = PersistentIndex.insert
+    calls = []
+
+    def lossy(self, entity):
+        calls.append(entity.eid)
+        if len(calls) % 3:
+            return real(self, entity)
+        self.epoch += 1  # acknowledged, never stored
+        return self.epoch
+
+    monkeypatch.setattr(PersistentIndex, "insert", lossy)
+
+
+def filter_tombstones_after_the_merge(monkeypatch):
+    """PR 9's bug: tombstones name *base* records, but the filter ran
+    over the merged base + delta stream, so re-inserting a deleted base
+    id vanished from every self-join (and from the next compaction)."""
+
+    def level_records(self, level):
+        handle = self._base.get(level)
+        base = handle.scan() if handle is not None else ()
+        merged = heapq.merge(base, self._delta.get(level, ()), key=_sort_key)
+        dead = self._tombstones.get(level, ())
+        return (record for record in merged if record[EID] not in dead)
+
+    monkeypatch.setattr(PersistentIndex, "level_records", level_records)
+
+
+def invert_the_orphan_rule(monkeypatch):
+    """PR 10's rule, backwards: adopt a ``-compact`` temp whose base
+    still exists, drop the one whose base is gone."""
+
+    def sweep(self):
+        backend = self._backend()
+        stored = set(self.storage.stored_files())
+        for name in sorted(stored):
+            if name.endswith("-compact"):
+                base = name[: -len("-compact")]
+                if base in stored:
+                    backend.delete_file(base)
+                    backend.rename_file(name, base)
+                else:
+                    backend.delete_file(name)
+
+    monkeypatch.setattr(PersistentIndex, "_sweep_orphans", sweep)
+
+
+class TestSeededBugs:
+    def test_acked_but_lost_insert_fails_both_service_gates(self, monkeypatch):
+        lose_every_third_insert(monkeypatch)
+        for report in (
+            run_service_verify(seed=0),
+            run_service_verify(seed=0, faults=False),
+            run_service_chaos(cases=4, seed=0),
+        ):
+            assert not report.ok
+            assert report.violations[0].check == "model"
+            assert "lost [" in report.violations[0].message
+
+    def test_tombstone_filter_bug_fails_the_service_gate(self, monkeypatch):
+        filter_tombstones_after_the_merge(monkeypatch)
+        report = run_service_verify(seed=0, faults=False)
+        assert not report.ok
+        assert any("self_join diverged" in v.message for v in report.violations)
+        assert not run_service_chaos(cases=4, seed=0).ok
+
+    def test_inverted_orphan_rule_fails_the_crash_check(self, monkeypatch):
+        healthy = run_crash_case(0, seed=0)
+        assert healthy.ok and healthy.counts["killed"], healthy.summary()
+        assert healthy.counts["point"] == "rename"  # the kill the rule is for
+        invert_the_orphan_rule(monkeypatch)
+        broken = run_crash_case(0, seed=0)
+        assert not broken.ok
+        assert broken.violations[0].check == "model"
+        assert "reopen 0: live set departs" in broken.violations[0].message
+
+    def test_untyped_compaction_failure_is_a_violation(self, monkeypatch):
+        def compact(self):
+            raise RuntimeError("fold died without a type")
+
+        monkeypatch.setattr(PersistentIndex, "compact", compact)
+        report = run_service_verify(seed=0, faults=False)
+        (violation,) = report.violations
+        assert violation.check == "trichotomy" and "[compact]" in violation.where
+        assert "untyped RuntimeError" in violation.message
+
+
+def outcome(status, **fields):
+    return QueryOutcome(op="join", status=status, epoch=3, **fields)
+
+
+OPEN_BREAKER = ShardFailure(
+    shard_id="service", kind="breaker", error_type="CircuitOpen", message="open",
+    attempts=0,
+)
+
+
+class TestTrichotomy:
+    def test_ok_is_never_a_problem(self):
+        assert classify(outcome("ok"), BreakerState.CLOSED, False) == []
+
+    def test_loud_needs_a_typed_error(self):
+        loud = outcome("failed", error="TransientFault: injected")
+        assert classify(loud, BreakerState.CLOSED, True) == []
+        assert classify(outcome("failed"), BreakerState.OPEN, True) == [
+            "failed without a typed error (silent failure)"
+        ]
+
+    def test_partial_must_declare_the_open_breaker(self):
+        declared = outcome("partial", failures=(OPEN_BREAKER,))
+        assert classify(declared, BreakerState.OPEN, True) == []
+        assert classify(declared, BreakerState.HALF_OPEN, True) == []
+        assert classify(declared, BreakerState.CLOSED, True) == [
+            "partial served with the breaker closed"
+        ]
+        assert classify(outcome("partial"), BreakerState.OPEN, True) == [
+            "partial without a CircuitOpen failure"
+        ]
+
+    def test_quiet_profile_admits_only_ok(self):
+        loud = outcome("failed", error="TransientFault: injected")
+        assert classify(loud, BreakerState.CLOSED, False) == [
+            "failed outcome with no fault plan"
+        ]
+        declared = outcome("partial", failures=(OPEN_BREAKER,))
+        assert "partial outcome with no fault plan" in classify(
+            declared, BreakerState.OPEN, False
+        )
+
+    def test_unknown_status_is_a_problem(self):
+        assert classify(outcome("rejected"), BreakerState.CLOSED, True) == [
+            "unexpected status 'rejected'"
+        ]
+
+
+GATES = {
+    "default": lambda: run_verify(
+        cases=cases_by_name(("uniform",)),
+        transforms=transforms_by_name(("swap-ab",)),
+        executors=[ExecutorSpec("sweep")],
+    ),
+    "cross-mode": lambda: run_cross_mode(cases=cases_by_name(("uniform",))),
+    "chaos": lambda: run_chaos(cases=3, seed=1),
+    "service": lambda: run_service_verify(seed=1, ops=30, entities=60),
+    "service-chaos": lambda: run_service_chaos(cases=2, seed=5, ops=15, entities=40),
+    "crash": lambda: run_crash_verify(cases=2, seed=1, ops=32),
+}
+"""Every gate, small.  What each must still carry in its JSON is what
+tests, CI and the README read."""
+
+KEYS = {
+    "default": {"cases", "executors", "transforms", "runs", "pairs_checked"},
+    "cross-mode": {"cases", "executors", "runs", "pairs_checked"},
+    "chaos": {"seed", "cases", "tally", "outcomes"},
+    "service": {
+        "ops", "epochs_checked", "ok_queries", "failed_queries",
+        "partial_queries", "compactions", "breaker_opened", "faults",
+    },
+    "service-chaos": {"scenarios", "outcomes"},
+    "crash": {"kills", "ledger_parity_ok", "cases"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GATES))
+def test_every_gate_returns_the_one_report(mode, capsys):
+    from repro.cli import _emit
+
+    report = GATES[mode]()
+    assert isinstance(report, Report)
+    assert report.ok, report.summary()
+    assert report.summary().splitlines()[0].endswith("PASS")
+    payload = json.loads(json.dumps(report.to_dict()))
+    assert payload["ok"] is True and payload["violations"] == []
+    assert KEYS[mode] <= set(payload)
+    assert _emit(report, as_json=False) == 0
+    assert capsys.readouterr().out.strip() == report.summary()
+
+    report.fail("seeded", "a test", "one violation\nover two lines")
+    assert not report.ok
+    assert "FAIL" in report.summary() and "[seeded] a test" in report.summary()
+    assert _emit(report, as_json=True) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert payload["violations"] == [
+        {"check": "seeded", "where": "a test", "message": "one violation\nover two lines"}
+    ]
+
+
+def test_sweeps_fold_one_sub_report_per_case():
+    chaos = GATES["service-chaos"]()
+    assert chaos.counts["scenarios"] == len(chaos.counts["outcomes"]) == 2
+    assert all(
+        {"gate", "ok", "ok_queries", "breaker_opened", "violations"} <= set(o)
+        for o in chaos.counts["outcomes"]
+    )
