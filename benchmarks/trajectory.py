@@ -107,12 +107,6 @@ def _service_qps(payload: dict[str, Any]) -> dict[str, float]:
     return {"service_qps": float(payload["service_qps"])}
 
 
-def _durable_overhead(payload: dict[str, Any]) -> dict[str, float]:
-    if "durable_overhead" not in payload:
-        return {}
-    return {"durable_overhead": float(payload["durable_overhead"])}
-
-
 GATES: dict[str, tuple[GateSpec, ...]] = {
     "fastpath": (
         GateSpec(metric="speedup", select=_fastpath_metrics),
@@ -131,17 +125,6 @@ GATES: dict[str, tuple[GateSpec, ...]] = {
     # the benchmark itself.
     "service": (
         GateSpec(metric="service_qps", select=_service_qps, threshold=0.60),
-    ),
-    # Durable-over-memory wall ratio: both sides share the run, so the
-    # ratio is portable, but fsync cost still swings with the
-    # filesystem — collapse-only threshold like the throughput gates.
-    "durable": (
-        GateSpec(
-            metric="durable_overhead",
-            select=_durable_overhead,
-            direction="lower",
-            threshold=0.60,
-        ),
     ),
 }
 """Per-benchmark gate specs; benchmarks without an entry are

@@ -708,6 +708,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.datagen.uniform import uniform_squares
     from repro.service import (
+        IndexExistsError,
         JoinService,
         PersistentIndex,
         ServiceConfig,
@@ -727,22 +728,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     index_params = {}
     if args.compaction_threshold is not None:
         index_params["compaction_threshold"] = args.compaction_threshold
-    entities = dataset.entities
     if args.data_dir is not None:
-        from repro.service.index import SNAPSHOT_FILE
-
         index_params["data_dir"] = args.data_dir
-        if os.path.exists(os.path.join(args.data_dir, SNAPSHOT_FILE)):
-            # Reopening an existing durable index: the bootstrap
-            # dataset is for first boot only.
-            entities = []
+
+    def open_index() -> PersistentIndex:
+        # The opened store decides: the bootstrap dataset is for a first
+        # boot only — one that committed nothing counts as never booted.
+        try:
+            return PersistentIndex(dataset.entities, **index_params)
+        except IndexExistsError:
+            return PersistentIndex(**index_params)
 
     async def run() -> None:
-        with PersistentIndex(entities, **index_params) as index:
+        with open_index() as index:
             server = ServiceServer(JoinService(index, config), args.host, args.port)
             host, port = await server.start()
+            origin = (
+                f"recovered ({index.notes_replayed} notes replayed, "
+                f"{index.debris_dropped} debris files dropped)"
+                if index.recovered
+                else "bootstrapped"
+            )
             print(
-                f"serving {len(index)} entities on {host}:{port} "
+                f"serving {len(index)} entities on {host}:{port} {origin} "
                 f"(JSON-lines; ops: point window join insert delete stats)",
                 file=sys.stderr,
             )

@@ -30,13 +30,14 @@ from repro.service.api import (
     ServiceConfig,
     TokenBucket,
 )
-from repro.service.index import PersistentIndex
+from repro.service.index import IndexExistsError, PersistentIndex
 from repro.service.scan import live_self_scan
 from repro.service.server import ServiceServer
 
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
+    "IndexExistsError",
     "JoinService",
     "PersistentIndex",
     "QueryOutcome",

@@ -527,6 +527,8 @@ class JoinService:
             "pool_hit_ratio": ledger.buffer_hits / fetches if fetches else 0.0,
             "entities": len(self.index),
             "epoch": self.index.epoch,
+            "notes_replayed": index.notes_replayed,
+            "debris_dropped": index.debris_dropped,
             "delta_records": self.index.delta_records,
             "compactions": self.index.compactions,
             "queries": self.queries,

@@ -6,8 +6,16 @@ level files kept open across queries in one long-lived storage
 manager; incremental ``insert``/``delete`` land in a small in-memory
 **delta** (one sorted buffer per level, deletes of base entities as
 tombstones) merged into every query's view; ``compact`` folds the delta
-back into the level files (write-new + atomic rename, the external
-sorter's temp-file discipline) once it grows past a threshold.
+back into fresh level files once it grows past a threshold.
+
+A durable index (``data_dir=``) has **one log**, the durable store's
+WAL (DESIGN.md section 16).  A mutation is validated, appended to the
+store's journal as one note (``I`` + the 48-byte descriptor, ``D`` + the
+eid) and only then applied in memory; a bulk load or compaction commits
+its files with one *manifest* note (``M`` + JSON: name, epoch,
+compactions, level -> file) that resets the journal.  Reopen reads the
+manifest, deletes every stored file it does not name, attaches the rest
+and replays the remaining notes through the same ``_apply_*`` methods.
 
 Every mutation *and* every compaction bumps the **epoch**.  The epoch
 is the index's only cache key ingredient besides the query itself: a
@@ -23,9 +31,9 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
+import struct
 from bisect import bisect_left, insort
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.curves.base import SpaceFillingCurve
@@ -46,21 +54,28 @@ from repro.service.scan import live_self_scan
 from repro.storage.backend import Record, StorageBackend
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import EID, HKEY, XLO, YHI
+from repro.storage.records import EID, HKEY, XLO, YHI, EntityDescriptorCodec
 
 DEFAULT_COMPACTION_THRESHOLD = 256
 """Delta records (inserts + tombstones) that trigger compaction."""
 
-SNAPSHOT_FILE = "index-snapshot.json"
-"""Delta/tombstone/epoch snapshot of a durable index, in its data
-directory next to the page store.  Written atomically before every
-mutation is acknowledged."""
-
-SNAPSHOT_SCHEMA = 1
-
+_DESCRIPTOR = EntityDescriptorCodec()
+_EID = struct.Struct("<q")
 
 _sort_key = itemgetter(HKEY, EID)
 """Level files are Hilbert-sorted; eid breaks ties deterministically."""
+
+
+def _page_keys(handle: PagedFile, records: list[Record]) -> list[int]:
+    """The page directory of a level file (first key of every page) from
+    the sorted records just written or read: level files are
+    bulk-written, so every page but the last is full."""
+    return [record[HKEY] for record in records[:: handle.records_per_page]]
+
+
+class IndexExistsError(ValueError):
+    """Entities were given to bulk-load, but the store already holds a
+    committed index (the bootstrap set is for first boot only)."""
 
 
 class PersistentIndex:
@@ -93,13 +108,10 @@ class PersistentIndex:
         )
         config = storage or StorageConfig()
         if data_dir is not None:
-            # A durable index: the page store (and its WAL) plus the
-            # delta snapshot all live under this directory, and a later
+            # A durable index: the page store and its WAL — the index's
+            # only log too — live under this directory, and a later
             # process can reopen the whole thing.
-            config = dataclasses.replace(
-                config, backend="durable", directory=data_dir
-            )
-        self.data_dir = Path(data_dir) if data_dir is not None else None
+            config = dataclasses.replace(config, backend="durable", directory=data_dir)
         self.storage = StorageManager(config, obs=obs)
         self.obs = self.storage.obs
         self.name = name
@@ -109,24 +121,28 @@ class PersistentIndex:
         self.queries = 0  # point/window queries answered
         self.query_page_reads = 0  # base pages those fetched on pool misses
         self.recovered = False
+        self.notes_replayed = 0  # journal notes re-applied by a reopen
+        self.debris_dropped = 0  # stored files no manifest named, deleted on open
         self._base: dict[int, PagedFile] = {}
         self._directory: dict[int, list[int]] = {}  # level -> page first keys
         self._delta: dict[int, list[Record]] = {}
         self._tombstones: dict[int, set[int]] = {}  # level -> base eids
         self._live: dict[int, tuple[int, Entity]] = {}  # eid -> (level, entity)
         seed = list(entities)
-        if self.data_dir is not None:
-            self._sweep_orphans()
-        if self.data_dir is not None and (self.data_dir / SNAPSHOT_FILE).exists():
-            if seed:
-                raise ValueError(
-                    f"{self.data_dir} already holds an index; reopening "
-                    "cannot also bulk-load entities"
-                )
-            self._reopen()
-        else:
+        notes = self._backend().journal()
+        if not notes:
+            # No committed manifest: nothing here was ever acknowledged,
+            # so whatever the store holds is a first boot that died.
+            self._drop_unnamed(set())
             self._bulk_load(seed)
-            self._persist()
+        elif seed:
+            self.storage.close()
+            raise IndexExistsError(
+                f"{config.directory} already holds an index; reopening "
+                "cannot also bulk-load entities"
+            )
+        else:
+            self._reopen(notes)
 
     # -- construction ----------------------------------------------------
 
@@ -138,32 +154,17 @@ class PersistentIndex:
         return level, record
 
     def _bulk_load(self, entities: list[Entity]) -> None:
-        by_level: dict[int, list[Record]] = {}
+        """The first compaction: everything starts in the delta and is
+        folded into generation-0 level files, leaving epoch 0."""
         for entity in entities:
             if entity.eid in self._live:
                 raise ValueError(f"duplicate entity id {entity.eid}")
             level, record = self._describe(entity)
-            by_level.setdefault(level, []).append(record)
+            self._delta.setdefault(level, []).append(record)
             self._live[entity.eid] = (level, entity)
-        with self.storage.stats.phase("load"):
-            for level, records in sorted(by_level.items()):
-                records.sort(key=_sort_key)
-                handle = self.storage.create_file(self._level_name(level))
-                handle.append_many(records)
-                handle.flush()
-                self._set_base(level, handle, records)
-
-    def _level_name(self, level: int) -> str:
-        return f"{self.name}-L{level}"
-
-    def _set_base(self, level: int, handle: PagedFile, records: list[Record]) -> None:
-        """Install a level file and its page directory (first key of every
-        page) from the sorted records just written or read: level files
-        are bulk-written, so every page but the last is full."""
-        self._base[level] = handle
-        self._directory[level] = [
-            record[HKEY] for record in records[:: handle.records_per_page]
-        ]
+        for records in self._delta.values():
+            records.sort(key=_sort_key)
+        self._fold("load", epoch=0, compactions=0)
 
     # -- durability ------------------------------------------------------
 
@@ -179,151 +180,53 @@ class PersistentIndex:
         sugar for ``PersistentIndex(data_dir=...)``."""
         return cls(storage=storage, obs=obs, data_dir=data_dir, **kwargs)  # type: ignore[arg-type]
 
-    def _sweep_orphans(self) -> None:
-        """Resolve debris a dead process left behind.
-
-        Half-written ``*.tmp`` files from interrupted atomic writes are
-        deleted.  A ``-compact`` level file is an interrupted compaction
-        rename, and which half of the rename it died in decides its
-        fate: the replace-rename deletes the old base *before* renaming
-        the temp onto its name, and the temp is fully written and
-        durable before the rename begins — so a temp whose base still
-        exists lost the race (the base is authoritative; drop the temp),
-        while a temp whose base is *gone* is the complete replacement
-        (finish the rename it was killed in the middle of).
-        """
-        assert self.data_dir is not None
-        for tmp in self.data_dir.glob("*.tmp"):
-            tmp.unlink()
-        stored = set(self.storage.stored_files())
-        for name in sorted(stored):
-            if not name.endswith("-compact"):
-                continue
-            base = name[: -len("-compact")]
-            if base in stored:
-                self._backend().delete_file(name)
-            else:
-                self._backend().rename_file(name, base)
-
     def _backend(self) -> StorageBackend:
-        """The physical backend (the benchmark reads its recovery report)."""
+        """The physical backend under any fault/retry wrapper: the journal
+        is its, and the benchmark reads its recovery report."""
         return self.storage.physical_backend()
 
-    def _persist(self) -> None:
-        """Write the delta snapshot atomically (fsync + rename).
+    def _drop_unnamed(self, named: set[str]) -> None:
+        """The one debris rule: a stored file the manifest does not name
+        was never acknowledged (its bulk load or compaction died before
+        the commit) or is already replaced (died after it) — delete it."""
+        for stored in sorted(set(self.storage.stored_files()) - named):
+            self._backend().delete_file(stored)
+            self.debris_dropped += 1
 
-        Called after every mutation *before* the caller gets its new
-        epoch back, so an acknowledged operation is on the medium: the
-        base level files are durable the moment their pages hit the
-        WAL-backed store, and everything else — delta buffers,
-        tombstones, epoch — round-trips through this snapshot.  A crash
-        mid-write leaves the previous snapshot intact (atomic replace),
-        so recovery sees either k or k+1 acknowledged operations, never
-        a torn state.  Plain file I/O, invisible to the simulated
-        ledger.
-        """
-        if self.data_dir is None:
-            return
-        payload = {
-            "schema": SNAPSHOT_SCHEMA,
-            "name": self.name,
-            "epoch": self.epoch,
-            "compactions": self.compactions,
-            "delta": {
-                str(level): [list(record) for record in records]
-                for level, records in sorted(self._delta.items())
-            },
-            "tombstones": {
-                str(level): sorted(dead)
-                for level, dead in sorted(self._tombstones.items())
-            },
-        }
-        from repro.obs.fileio import atomic_write_json
-
-        atomic_write_json(self.data_dir / SNAPSHOT_FILE, payload, indent=None)
-
-    def _reopen(self) -> None:
-        """Rebuild the live index from the page store and the snapshot.
-
-        All reads go straight to the recovered backend catalog — never
-        through the buffer pool — so reopening is free in the simulated
-        ledger, like process start-up should be.
-
-        The snapshot may be one acknowledged mutation *ahead* of a
-        compaction that did or did not commit before the crash (rename
-        logged vs. not), so the delta is normalized against the
-        recovered base: a delta record already present verbatim in its
-        base level was folded by a committed compaction and is dropped,
-        as is a tombstone whose eid no longer appears in the base.
-        """
-        assert self.data_dir is not None
-        data = json.loads((self.data_dir / SNAPSHOT_FILE).read_text("utf-8"))
-        if data.get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(f"unsupported snapshot schema {data.get('schema')!r}")
-        if data.get("name") != self.name:
+    def _reopen(self, notes: list[bytes]) -> None:
+        """Rebuild the live index from the recovered journal: attach the
+        level files the manifest (always the first note) names, then
+        replay the mutations logged after it through the live path.
+        Reads go straight to the recovered backend catalog, never
+        through the buffer pool, so reopening is free in the simulated
+        ledger, like process start-up should be."""
+        manifest = json.loads(notes[0][1:])
+        if manifest["name"] != self.name:
             raise ValueError(
-                f"store at {self.data_dir} holds index {data.get('name')!r}, "
+                f"the store holds index {manifest['name']!r}, "
                 f"asked to open {self.name!r}"
             )
-        self.epoch = int(data["epoch"])
-        self.compactions = int(data["compactions"])
+        self.epoch, self.compactions = manifest["epoch"], manifest["compactions"]
         self.recovered = True
-
-        def typed(row: list) -> Record:
-            return (int(row[0]), *map(float, row[1:5]), int(row[5]))
-
-        # Base levels: every surviving level file in the catalog (a
-        # committed compaction can empty or create a level after the
-        # last snapshot, so the catalog is authoritative).
-        prefix = f"{self.name}-L"
-        base_records: dict[int, list[Record]] = {}
-        for stored in self.storage.stored_files():
-            if not stored.startswith(prefix):
-                continue
-            level = int(stored[len(prefix) :])
+        levels = {int(level): stored for level, stored in manifest["levels"].items()}
+        self._drop_unnamed(set(levels.values()))
+        for level, stored in levels.items():
             handle = self.storage.attach_file(stored)
-            base_records[level] = list(self._raw_scan(handle))
-            self._set_base(level, handle, base_records[level])
-        snapshot_delta = {
-            int(key): [typed(row) for row in rows]
-            for key, rows in data["delta"].items()
-        }
-        snapshot_dead = {
-            int(key): {int(eid) for eid in eids}
-            for key, eids in data["tombstones"].items()
-        }
-        for level in sorted(set(snapshot_delta) | set(snapshot_dead)):
-            by_eid = {r[EID]: r for r in base_records.get(level, ())}
-            # A delta record found verbatim in the base was folded by a
-            # compaction that committed (rename logged) just before the
-            # crash; its tombstone twin, if any, is equally stale.  A
-            # record *not* in the base is still pending — and so is a
-            # tombstone whose eid the base still carries.
-            records = [
-                r for r in snapshot_delta.get(level, []) if by_eid.get(r[EID]) != r
-            ]
-            pending = {r[EID] for r in records}
-            dead = {
-                eid
-                for eid in snapshot_dead.get(level, set())
-                if eid in by_eid and (eid in pending or eid not in {
-                    r[EID] for r in snapshot_delta.get(level, [])
-                })
-            }
-            if records:
-                self._delta[level] = records
-            if dead:
-                self._tombstones[level] = dead
-        # The live set: base minus tombstones, plus the delta.
-        for level, records in base_records.items():
-            dead = self._tombstones.get(level, set())
-            for record in records:
-                if record[EID] not in dead:
-                    self._live[record[EID]] = (level, self._entity_of(record))
-        for level, records in self._delta.items():
+            records = list(self._raw_scan(handle))
+            self._base[level] = handle
+            self._directory[level] = _page_keys(handle, records)
             for record in records:
                 self._live[record[EID]] = (level, self._entity_of(record))
-        self._persist()
+        for note in notes[1:]:
+            if note[:1] == b"I":
+                record = _DESCRIPTOR.decode(note[1:])
+                entity = self._entity_of(record)
+                self._apply_insert(self.assigner.level(entity.mbr), record, entity)
+            elif note[:1] == b"D":
+                self._apply_delete(*_EID.unpack(note[1:]))
+            else:
+                raise ValueError(f"unknown journal note {note[:16]!r}")
+        self.notes_replayed = len(notes) - 1
 
     def _raw_scan(self, handle: PagedFile) -> Iterator[Record]:
         """Every record of a base file, read directly from the backend
@@ -385,17 +288,23 @@ class PersistentIndex:
         return SpatialDataset(name, self.live_entities())
 
     # -- mutations -------------------------------------------------------
+    # Validate, append one journal note, then apply in memory: a note
+    # that fails to reach the log leaves the index as it was, and a
+    # reopen applies the same notes through the same two methods.
 
     def insert(self, entity: Entity) -> int:
         """Add one entity to the live set; returns the new epoch."""
         if entity.eid in self._live:
             raise ValueError(f"entity id {entity.eid} is already live")
         level, record = self._describe(entity)
+        self._backend().journal_append(b"I" + _DESCRIPTOR.encode(record))
+        self._apply_insert(level, record, entity)
+        return self.epoch
+
+    def _apply_insert(self, level: int, record: Record, entity: Entity) -> None:
         insort(self._delta.setdefault(level, []), record, key=_sort_key)
         self._live[entity.eid] = (level, entity)
         self.epoch += 1
-        self._persist()
-        return self.epoch
 
     def delete(self, eid: int) -> int:
         """Remove one live entity; returns the new epoch.
@@ -404,10 +313,14 @@ class PersistentIndex:
         entity already in a base level file gets a tombstone that the
         merge applies until the next compaction folds it in.
         """
-        try:
-            level, _ = self._live.pop(eid)
-        except KeyError:
-            raise KeyError(f"no live entity with id {eid}") from None
+        if eid not in self._live:
+            raise KeyError(f"no live entity with id {eid}")
+        self._backend().journal_append(b"D" + _EID.pack(eid))
+        self._apply_delete(eid)
+        return self.epoch
+
+    def _apply_delete(self, eid: int) -> None:
+        level, _ = self._live.pop(eid)
         buffer = self._delta.get(level, [])
         for position, record in enumerate(buffer):
             if record[EID] == eid:
@@ -418,53 +331,68 @@ class PersistentIndex:
         else:
             self._tombstones.setdefault(level, set()).add(eid)
         self.epoch += 1
-        self._persist()
-        return self.epoch
 
     # -- compaction ------------------------------------------------------
 
     def compact(self) -> bool:
         """Fold the delta and tombstones into the base level files.
-
-        Write-new + atomic rename per affected level (the external
-        sorter's temp-file discipline: the replacement is complete
-        before it takes the base name, and the temp file is dropped on
-        any failure).  Returns whether anything was folded; when it
-        was, the epoch advances so cached results keyed on the old
-        epoch can never be served against the new file set.
-        """
-        affected = sorted(set(self._delta) | set(self._tombstones))
-        if not affected:
+        Returns whether anything was folded; when it was, the epoch
+        advances so cached results keyed on the old epoch can never be
+        served against the new file set."""
+        if not (self._delta or self._tombstones):
             return False
-        with self.storage.stats.phase("compaction"):
-            self.storage.phase_boundary()
-            for level in affected:
-                records = list(self.level_records(level))
-                temp_name = f"{self._level_name(level)}-compact"
-                temp = self.storage.create_file(temp_name)
-                try:
-                    temp.append_many(records)
-                    temp.flush()
-                    if records:
-                        self.storage.rename_file(
-                            temp_name, self._level_name(level), replace=True
-                        )
-                        self._set_base(level, temp, records)
-                    else:
-                        self.storage.drop_file(temp_name)
-                        if level in self._base:
-                            self.storage.drop_file(self._level_name(level))
-                            del self._base[level], self._directory[level]
-                except BaseException:
-                    if temp_name in self.storage.list_files():
-                        self.storage.drop_file(temp_name)
-                    raise
-                self._delta.pop(level, None)
-                self._tombstones.pop(level, None)
-        self.compactions += 1
-        self.epoch += 1
-        self._persist()
+        self._fold("compaction", self.epoch + 1, self.compactions + 1)
         return True
+
+    def _fold(self, phase: str, epoch: int, compactions: int) -> None:
+        """Write every level with pending changes to a *fresh* file, then
+        commit with one manifest note — which names the level files of
+        the whole index and *resets* the journal, every earlier note
+        being folded into those files — and only then drop the files
+        replaced.  The note shares the mutations' LSN order, so a reopen
+        sees the old manifest plus its notes or the new one, never a
+        mixture; a failure before it drops the fresh files and leaves
+        the live set, the stored files and the journal as they were.
+        """
+        affected = set(self._delta) | set(self._tombstones)
+        base = {
+            level: handle
+            for level, handle in self._base.items()
+            if level not in affected
+        }
+        directory = {level: self._directory[level] for level in base}
+        with self.storage.stats.phase(phase):
+            self.storage.phase_boundary()
+            try:
+                for level in sorted(affected):
+                    records = list(self.level_records(level))
+                    if records:
+                        base[level] = handle = self.storage.create_file(
+                            f"{self.name}-L{level}-{compactions}"
+                        )
+                        handle.append_many(records)
+                        handle.flush()
+                        directory[level] = _page_keys(handle, records)
+                manifest = {
+                    "name": self.name,
+                    "epoch": epoch,
+                    "compactions": compactions,
+                    "levels": {level: handle.name for level, handle in base.items()},
+                }
+                self._backend().journal_append(
+                    b"M" + json.dumps(manifest, sort_keys=True).encode(), reset=True
+                )
+            except Exception:
+                for level in sorted(affected & set(base)):
+                    self.storage.drop_file(base[level].name)
+                raise
+            replaced = [self._base[level] for level in sorted(affected & set(self._base))]
+            self._base, self._directory = base, directory
+            self._delta.clear()
+            self._tombstones.clear()
+            self.epoch, self.compactions = epoch, compactions
+            for handle in replaced:
+                self.storage.drop_file(handle.name)
 
     # -- queries ---------------------------------------------------------
 

@@ -72,6 +72,16 @@ class StorageBackend(ABC):
         for :class:`MemoryBackend`, whose medium *is* process memory.
         """
 
+    def journal_append(self, note: bytes, reset: bool = False) -> None:
+        """Append one opaque client note to the store's journal, first
+        discarding every earlier note if ``reset`` — one atomic, durable
+        step.  A no-op by default, like ``sync()``: a medium that dies
+        with the process has nothing to recover notes into."""
+
+    def journal(self) -> list[bytes]:
+        """The notes since the last reset, oldest first (none by default)."""
+        return []
+
     @abstractmethod
     def close(self) -> None:
         """Release any held resources (idempotent).  Implies ``sync()``

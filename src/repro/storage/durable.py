@@ -19,7 +19,18 @@ acknowledged operation left behind:
 - **checkpoint** (``checkpoint.json``, written atomically) — the full
   catalog (name -> file id -> page -> slot mapping), the free list, and
   the LSN up to which the data file is known durable; the log is reset
-  after every checkpoint.
+  after every checkpoint;
+- **journal** — ``journal_append`` logs an opaque client note like any
+  other record (optionally discarding all earlier notes in the same
+  atomic step); ``journal()`` hands the surviving notes back after a
+  reopen.  Pending notes ride in the checkpoint, so the log reset
+  cannot drop them.  The resident index keeps its mutable state here.
+
+A write or fsync error while logging marks the store **failed**: the
+record may or may not be on the medium, so an ack after it could be
+reordered under it by the next recovery.  Every later logging operation
+raises :class:`DurableStoreError` naming the original error until the
+directory is reopened; reads work and ``close()`` skips its checkpoint.
 
 The simulated I/O ledger never sees any of this: the buffer pool above
 counts the same logical transfers no matter which backend is plugged
@@ -31,9 +42,10 @@ environment variable, used by the kill-and-reopen harness in
 :mod:`repro.verify.crash`) makes the store die — really ``SIGKILL``
 itself, or raise :class:`SimulatedCrash` for in-process tests — at a
 named instant: mid-WAL-append (a torn log tail), after the WAL fsync
-but before the data write, mid-data-write (a torn page), around a
-rename, or mid-checkpoint.  Every one of them must recover to the last
-acknowledged state; that is what ``repro verify --crash`` samples.
+but before the data write, mid-data-write (a torn page), just before a
+journal reset (the index's compaction commit), or mid-checkpoint.
+Every one of them must recover to the last acknowledged state; that is
+what ``repro verify --crash`` samples.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ import os
 import signal
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO
 
@@ -53,7 +65,7 @@ from repro.storage.backend import BackendClosedError, Record, StorageBackend
 from repro.storage.records import RecordCodec
 
 MAGIC = b"S3JPAGES"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the journal (OP_NOTE records, notes in the checkpoint)
 HEADER_SIZE = 64
 _HEADER = struct.Struct("<8sIIQI")  # magic, version, page size, epoch, crc
 _SLOT_HEADER = struct.Struct("<IIQQ")  # crc, payload length, file id, page no
@@ -61,7 +73,7 @@ _COUNT = struct.Struct("<I")  # record count, first field of a payload
 
 DATA_FILE = "pages.data"
 CHECKPOINT_FILE = "checkpoint.json"
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 DEFAULT_CHECKPOINT_BYTES = 1024 * 1024
 """WAL bytes that trigger an automatic checkpoint (and log reset)."""
@@ -74,13 +86,14 @@ CRASH_POINTS = (
     "wal-append",
     "wal-synced",
     "data-write",
-    "rename",
+    "commit",
     "checkpoint",
 )
 
 
 class DurableStoreError(RuntimeError):
-    """A structural store problem: bad header, checksum, or catalog."""
+    """A structural store problem — bad header, checksum, catalog, an
+    older on-disk format — or a write to a store that has failed."""
 
 
 class SimulatedCrash(BaseException):
@@ -117,24 +130,11 @@ class CrashPoint:
             raise ValueError("crash action must be 'kill' or 'raise'")
 
     def to_env(self) -> str:
-        return json.dumps(
-            {
-                "point": self.point,
-                "index": self.index,
-                "fraction": self.fraction,
-                "action": self.action,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_env(cls, text: str) -> CrashPoint:
-        data = json.loads(text)
-        return cls(
-            point=str(data["point"]),
-            index=int(data.get("index", 0)),
-            fraction=float(data.get("fraction", 0.5)),
-            action=str(data.get("action", "kill")),
-        )
+        return cls(**json.loads(text))
 
 
 @dataclass
@@ -145,16 +145,11 @@ class RecoveryReport:
     healed_pages: int = 0
     truncated_bytes: int = 0
     dropped_segments: int = 0
+    journal_notes: int = 0  # client notes handed back by journal()
     epoch: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "replayed_records": self.replayed_records,
-            "healed_pages": self.healed_pages,
-            "truncated_bytes": self.truncated_bytes,
-            "dropped_segments": self.dropped_segments,
-            "epoch": self.epoch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -194,6 +189,8 @@ class DurableBackend(StorageBackend):
         self._next_slot = 0
         self._next_file_id = 1
         self._next_lsn = 1
+        self._journal: list[bytes] = []
+        self._failed: OSError | None = None
         self.epoch = 0
         self.last_recovery: RecoveryReport | None = None
         self._closed = False
@@ -295,7 +292,7 @@ class DurableBackend(StorageBackend):
 
     def _recover(self) -> None:
         report = RecoveryReport()
-        checkpoint_lsn = self._load_checkpoint()
+        self._load_checkpoint()
         healed: set[tuple[int, int]] = set()
 
         def apply(record: wal.WalRecord) -> None:
@@ -308,6 +305,7 @@ class DurableBackend(StorageBackend):
         report.truncated_bytes = scan.truncated_bytes
         report.dropped_segments = scan.dropped_segments
         report.healed_pages = len(healed)
+        report.journal_notes = len(self._journal)
         # Recovery is itself a recovery point: bump the epoch, persist
         # everything, and reset the log so a second open of the same
         # directory replays nothing (double-reopen idempotence).
@@ -325,16 +323,13 @@ class DurableBackend(StorageBackend):
         )
         self._write_checkpoint()
         self.last_recovery = report
-        if checkpoint_lsn == 0 and scan.records == 0:
-            report.replayed_records = 0
 
-    def _load_checkpoint(self) -> int:
+    def _load_checkpoint(self) -> None:
         path = self.directory / CHECKPOINT_FILE
         if not path.exists():
             # A store that died before its very first checkpoint: the
             # WAL (possibly empty) is the entire history.
-            self._next_lsn = 1
-            return 0
+            return
         data = json.loads(path.read_text(encoding="utf-8"))
         if data.get("schema") != CHECKPOINT_SCHEMA:
             raise DurableStoreError(
@@ -357,9 +352,8 @@ class DurableBackend(StorageBackend):
             )
             self._entries[entry.file_id] = entry
             self._names[entry.name] = entry.file_id
-        lsn = int(data["lsn"])
-        self._next_lsn = lsn + 1
-        return lsn
+        self._journal = [bytes.fromhex(note) for note in data["journal"]]
+        self._next_lsn = int(data["lsn"]) + 1
 
     def _replay(
         self,
@@ -405,11 +399,11 @@ class DurableBackend(StorageBackend):
                     f"WAL rename record {record.lsn} names unknown file "
                     f"id {file_id}"
                 )
-            stale = self._names.pop(entry.name, None)
-            if stale is not None and stale != file_id:  # pragma: no cover
-                self._names[entry.name] = stale
+            self._names.pop(entry.name, None)
             entry.name = new_name
             self._names[new_name] = file_id
+        elif record.op == wal.OP_NOTE:
+            self._apply_note(record.body)
         else:
             raise DurableStoreError(f"unknown WAL op {record.op}")
 
@@ -481,14 +475,26 @@ class DurableBackend(StorageBackend):
 
     # -- WAL plumbing -----------------------------------------------------
 
+    def _refuse_if_failed(self) -> None:
+        if self._failed is not None:
+            raise DurableStoreError(
+                f"store failed on {self._failed!r}; nothing more can be "
+                "written until the directory is reopened"
+            )
+
     def _log(self, op: int, body: bytes) -> None:
+        self._refuse_if_failed()
         record = wal.WalRecord(self._next_lsn, op, body)
         self._next_lsn += 1
-        if self._crash_due("wal-append"):
-            self._wal.append(record, partial_writer=self._partial_then_die)
-        else:
-            self._wal.append(record)
-        self._wal.sync()  # the commit point: log before data, always
+        try:
+            if self._crash_due("wal-append"):
+                self._wal.append(record, partial_writer=self._partial_then_die)
+            else:
+                self._wal.append(record)
+            self._wal.sync()  # the commit point: log before data, always
+        except OSError as error:
+            self._failed = error  # on the medium or not: only a reopen can tell
+            raise
         self._maybe_crash("wal-synced")
 
     def _maybe_checkpoint(self) -> None:
@@ -498,6 +504,7 @@ class DurableBackend(StorageBackend):
     def checkpoint(self) -> None:
         """Make the log redundant: fsync the data file, persist the
         catalog atomically, then reset the log to a fresh segment."""
+        self._refuse_if_failed()
         self._data.flush()
         os.fsync(self._data.fileno())
         self._write_checkpoint()
@@ -513,6 +520,7 @@ class DurableBackend(StorageBackend):
             "next_file_id": self._next_file_id,
             "next_slot": self._next_slot,
             "free": sorted(self._free),
+            "journal": [note.hex() for note in self._journal],
             "files": [
                 {
                     "file_id": entry.file_id,
@@ -644,7 +652,6 @@ class DurableBackend(StorageBackend):
         entry = self._entry(old)
         if new in self._names:
             raise FileExistsError(f"storage file {new!r} already exists")
-        self._maybe_crash("rename")
         self._log(wal.OP_RENAME, wal.pack_rename(entry.file_id, new))
         self._names.pop(old, None)
         entry.name = new
@@ -680,6 +687,26 @@ class DurableBackend(StorageBackend):
         self._write_slot(slot, entry.file_id, page_no, payload)
         self._maybe_checkpoint()
 
+    def journal_append(self, note: bytes, reset: bool = False) -> None:
+        self._check_open()
+        if reset:
+            self._maybe_crash("commit")
+        body = wal.pack_note(note, reset)
+        self._log(wal.OP_NOTE, body)
+        self._apply_note(body)
+        self._maybe_checkpoint()
+
+    def _apply_note(self, body: bytes) -> None:
+        """One journal record takes effect — live and on replay alike."""
+        note, reset = wal.unpack_note(body)
+        if reset:
+            self._journal.clear()
+        self._journal.append(note)
+
+    def journal(self) -> list[bytes]:
+        self._check_open()
+        return list(self._journal)
+
     def sync(self) -> None:
         """Force full durability: commit the log and fsync the data file."""
         self._check_open()
@@ -691,6 +718,7 @@ class DurableBackend(StorageBackend):
         if self._closed:
             return
         self._closed = True
-        self.checkpoint()
+        if self._failed is None:
+            self.checkpoint()
         self._wal.close()
         self._data.close()

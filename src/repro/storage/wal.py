@@ -2,8 +2,8 @@
 
 Classic physical-redo WAL discipline (DESIGN.md section 16): every
 mutation of the durable store — a page write, a file create/delete/
-rename — is first appended to the log and ``fsync``'d, and only then
-applied to the data file.  Recovery replays committed records onto the
+rename, a client journal note — is first appended to the log and
+``fsync``'d, and only then applied to the data file.  Recovery replays committed records onto the
 data file (idempotent physical redo), so a torn data-page write is
 *healed* from the log instead of merely detected, and a torn log tail
 (the one record a power cut interrupted) is identified by its checksum
@@ -19,10 +19,14 @@ Record layout (little-endian)::
 
     magic   u32   0x57414C31 ("1LAW" on disk)
     lsn     u64   monotonically increasing, 1-based
-    op      u8    1=page write  2=create  3=delete  4=rename
+    op      u8    1=page write  2=create  3=delete  4=rename  5=note
     crc     u32   crc32 over (lsn, op, body)
     length  u32   body length in bytes
     body    ...   op-specific (see the pack_* helpers)
+
+A note (op 5) is one entry of the store's client journal: a ``reset``
+byte — 1 discards every earlier note in the same atomic step — then
+opaque client bytes (``DurableBackend.journal_append``).
 
 A record is **committed** once an ``fsync`` covering it returned; the
 store fsyncs after every append.  The scanner accepts a record only if
@@ -47,6 +51,7 @@ OP_WRITE = 1
 OP_CREATE = 2
 OP_DELETE = 3
 OP_RENAME = 4
+OP_NOTE = 5
 
 _WRITE_BODY = struct.Struct("<QQQ")  # file id, page no, slot
 _CREATE_BODY = struct.Struct("<QII")  # file id, record size, capacity
@@ -118,6 +123,14 @@ def pack_rename(file_id: int, new_name: str) -> bytes:
 def unpack_rename(body: bytes) -> tuple[int, str]:
     (file_id,) = _RENAME_BODY.unpack_from(body, 0)
     return file_id, body[_RENAME_BODY.size :].decode()
+
+
+def pack_note(note: bytes, reset: bool) -> bytes:
+    return bytes([reset]) + note
+
+
+def unpack_note(body: bytes) -> tuple[bytes, bool]:
+    return body[1:], bool(body[0])
 
 
 # -- the segmented log -------------------------------------------------

@@ -6,8 +6,9 @@ process (:mod:`repro.verify.crash_worker`) runs the ops of
 :class:`~repro.service.index.PersistentIndex`, with a sampled
 :class:`~repro.storage.durable.CrashPoint` planted in its environment —
 the durable backend ``SIGKILL``s its own process mid-WAL-append,
-between the WAL fsync and the data write, mid-data-page write, around a
-compaction rename, or mid-checkpoint.  The parent counts the operations
+between the WAL fsync and the data write, mid-data-page write, just
+before a bulk-load or compaction commit, or mid-checkpoint.  The parent
+counts the operations
 the child *acknowledged* (one ``ack`` line per completed operation),
 reopens the store in its own process, and holds it to the model:
 
@@ -52,7 +53,7 @@ from repro.verify.scenario import LiveModel, Op, Progress, check_index, op_sched
 
 WORKER_COMPACTION_THRESHOLD = 12
 """Small on purpose: the schedule must cross several compactions so
-rename/checkpoint crash points have occurrences to land on."""
+commit/checkpoint crash points have occurrences to land on."""
 
 DEFAULT_OPS = 72
 
@@ -63,7 +64,7 @@ _INDEX_RANGES = {
     "wal-append": 40,
     "wal-synced": 40,
     "data-write": 30,
-    "rename": 6,
+    "commit": 6,
     "checkpoint": 3,
 }
 

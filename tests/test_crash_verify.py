@@ -7,11 +7,16 @@ points) and a couple of real SIGKILL round-trips.
 """
 
 import random
+import signal
+import subprocess
+import sys
 
 from repro.service.index import PersistentIndex
+from repro.storage.durable import CRASH_POINTS, CrashPoint
 from repro.verify.crash import (
     DEFAULT_OPS,
     _acked_model,
+    _worker_env,
     run_crash_case,
     sample_crash_point,
 )
@@ -65,13 +70,7 @@ class TestSchedule:
         points = {
             sample_crash_point(random.Random(seed)).point for seed in range(60)
         }
-        assert points == {
-            "wal-append",
-            "wal-synced",
-            "data-write",
-            "rename",
-            "checkpoint",
-        }
+        assert points == set(CRASH_POINTS) and len(CRASH_POINTS) == 5
 
 
 class TestCrashCases:
@@ -86,6 +85,16 @@ class TestCrashCases:
                 assert result.counts["acked"] == DEFAULT_OPS
             # The op in flight at the kill landed, or it did not.
             assert result.counts["recovered"] - result.counts["acked"] in (0, 1)
+
+    def test_kill_inside_an_insert_recovers_the_unacked_note(self):
+        """The WAL is the only log, so a mutation passes the store's
+        crash points: killed between the note's fsync and its ack, the
+        insert is on the medium and the reopen is the k + 1 model."""
+        result = run_crash_case(14, seed=14)
+        assert result.ok and result.counts["killed"], result.summary()
+        assert result.counts["point"] == "wal-synced"
+        assert result.counts["recovered"] == result.counts["acked"] + 1
+        assert result.counts["recovery"]["journal_notes"] > 0
 
     def test_acked_prefix_is_k_or_k_plus_one(self, tmp_path):
         """The recovered live set must be the model after the acked ops
@@ -107,3 +116,34 @@ class TestCrashCases:
             model, matched = _acked_model(index, schedule, done - 5)
             assert matched == 0
             assert model.live != {e.eid: e for e in index.live_entities()}
+
+
+class TestServeFirstBoot:
+    """``repro serve`` decides bootstrap-vs-reopen from the opened store:
+    a first boot killed mid-bulk-load committed nothing, so the restart
+    bootstraps again (the parent crashed with FileExistsError until the
+    directory was deleted by hand)."""
+
+    def boot(self, data_dir, crash=None):
+        command = [sys.executable, "-u", "-m", "repro.cli", "serve"]
+        command += ["--data-dir", str(data_dir), "--entities", "300"]
+        return subprocess.Popen(
+            command, env=_worker_env(crash), stderr=subprocess.PIPE, text=True
+        )
+
+    def banner(self, process):
+        try:
+            return next(line for line in process.stderr if "serving" in line)
+        finally:
+            process.terminate()
+            process.wait(timeout=30)
+
+    def test_killed_first_boot_then_bootstrap_then_reopen(self, tmp_path):
+        first = self.boot(tmp_path, CrashPoint("data-write", index=2))
+        assert first.wait(timeout=60) == -signal.SIGKILL
+        assert "serving" not in first.stderr.read()
+        second = self.banner(self.boot(tmp_path))
+        assert "serving 300 entities" in second and "bootstrapped" in second
+        third = self.banner(self.boot(tmp_path))
+        assert "serving 300 entities" in third
+        assert "recovered (0 notes replayed, 0 debris files dropped)" in third

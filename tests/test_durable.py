@@ -8,6 +8,7 @@ restarted process would.  The genuine-``SIGKILL`` path is exercised by
 ``repro verify --crash`` (tests in ``test_crash_verify.py``).
 """
 
+import errno
 import os
 import tempfile
 
@@ -15,19 +16,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.errors import FaultError
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
+from repro.service.api import JoinService
 from repro.service.index import PersistentIndex
-from repro.storage import wal
+from repro.storage import durable, wal
 from repro.storage.backend import BackendClosedError, FileBackend, MemoryBackend
 from repro.storage.durable import (
+    CRASH_ENV,
     DATA_FILE,
     CrashPoint,
     DurableBackend,
     DurableStoreError,
     SimulatedCrash,
 )
+from repro.storage.manager import StorageConfig
 from repro.storage.records import EntityDescriptorCodec
+from repro.verify.scenario import LiveModel, check_index
 
 PAGE_SIZE = 512  # 10 descriptor records per page
 
@@ -414,56 +422,200 @@ class TestPersistentIndexReopen:
         assert any(2 in pair for pair in pairs)
         index.close()
 
-    def test_orphan_temp_dropped_when_base_exists(self, tmp_path):
+    def test_unnamed_file_dropped_on_reopen(self, tmp_path):
+        """The one debris rule: a stored file the manifest does not name
+        is deleted on open, and the live set does not notice."""
         codec = EntityDescriptorCodec()
         index = self.seeded(tmp_path, threshold=4)
         for i in range(6):
             index.insert(entity(i, 0.1 * i, 0.1 * i))
         index.compact()
-        level_files = [
-            name
-            for name in index.storage.stored_files()
-            if name.startswith("idx-L") and not name.endswith("-compact")
-        ]
-        assert level_files
+        named = index.storage.stored_files()
+        assert named and all(name.startswith("idx-L") for name in named)
         live_before = sorted(e.eid for e in index.live_entities())
+        # Plant what a compaction that died before its commit leaves.
         backend = index._backend()
-        page_size = index.storage.config.page_size
-        # Plant the debris of a compaction that died before its rename
-        # committed: the base is authoritative, the temp must go.
-        orphan = f"{level_files[0]}-compact"
-        backend.create_file(orphan, codec, page_size)
-        backend.write_page(orphan, 0, [(999, 0.0, 0.0, 1.0, 1.0, 0)])
+        backend.create_file("idx-L0-7", codec, index.storage.config.page_size)
+        backend.write_page("idx-L0-7", 0, [(999, 0.0, 0.0, 1.0, 1.0, 0)])
         index.close()
 
         reopened = self.seeded(tmp_path, threshold=4)
-        assert orphan not in reopened.storage.stored_files()
+        assert reopened.storage.stored_files() == named
+        assert reopened.debris_dropped == 1
         assert sorted(e.eid for e in reopened.live_entities()) == live_before
         assert 999 not in reopened
         reopened.close()
 
-    def test_orphan_temp_adopted_when_base_missing(self, tmp_path):
-        index = self.seeded(tmp_path, threshold=4)
-        for i in range(6):
+    def test_reopen_describes_itself(self, tmp_path):
+        index = self.seeded(tmp_path, threshold=100)
+        assert not index.recovered
+        for i in range(5):
             index.insert(entity(i, 0.1 * i, 0.1 * i))
-        index.compact()
-        level_files = [
-            name
-            for name in index.storage.stored_files()
-            if name.startswith("idx-L") and not name.endswith("-compact")
-        ]
-        live_before = sorted(e.eid for e in index.live_entities())
-        backend = index._backend()
-        # Simulate a replace-rename killed between deleting the old
-        # base and renaming the temp: only the temp remains.
-        backend.rename_file(level_files[0], f"{level_files[0]}-compact")
+        index.delete(2)
+        epoch = index.epoch
+        index.close()
+        reopened = self.seeded(tmp_path, threshold=100)
+        assert reopened.recovered and reopened.epoch == epoch
+        assert (reopened.notes_replayed, reopened.debris_dropped) == (6, 0)
+        assert reopened._backend().last_recovery.journal_notes == 7  # + the manifest
+        stats = JoinService(reopened).stats()
+        assert (stats["notes_replayed"], stats["debris_dropped"]) == (6, 0)
+        reopened.close()
+
+    def test_fault_wrappers_never_swallow_a_note(self, tmp_path):
+        """The journal belongs to the physical store: wrapped in fault
+        and retry layers (whose own ``journal_append`` is the no-op
+        default), the index still logs every mutation."""
+        config = StorageConfig(fault_plan=FaultPlan(), retry=RetryPolicy())
+        index = PersistentIndex.open(str(tmp_path), storage=config)
+        assert index.storage.backend is not index._backend()
+        assert isinstance(index._backend(), DurableBackend)
+        index.insert(entity(1, 0.1, 0.1))
+        assert len(index._backend().journal()) == 2
+        index.close()
+        with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
+            assert 1 in reopened
+
+    def test_killed_first_boot_is_bootstrapped_again(self, tmp_path, monkeypatch):
+        """A bulk load that died before its manifest committed never
+        acknowledged anything: the restart drops its level files and
+        loads the same bootstrap set (the parent raised FileExistsError
+        here, and ``open`` served an empty index over the orphans)."""
+        entities = [entity(i, (i % 10) * 0.09, (i // 10) * 0.09) for i in range(100)]
+        config = StorageConfig(page_size=PAGE_SIZE)
+        crash = CrashPoint("data-write", index=5, action="raise")
+        monkeypatch.setenv(CRASH_ENV, crash.to_env())
+        with pytest.raises(SimulatedCrash):
+            PersistentIndex(entities, storage=config, data_dir=str(tmp_path))
+        monkeypatch.delenv(CRASH_ENV)
+
+        restarted = PersistentIndex(entities, storage=config, data_dir=str(tmp_path))
+        assert not restarted.recovered and restarted.debris_dropped >= 1
+        assert restarted.live_entities() == entities
+        assert check_index(restarted, model_of(entities)) == []
+        restarted.close()
+        for _ in range(2):  # and every later open is a plain reopen
+            with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
+                assert reopened.recovered and reopened.debris_dropped == 0
+                assert reopened.live_entities() == entities
+
+    def test_failed_compaction_changes_nothing(self, tmp_path):
+        """A fold that dies before its commit (the third page write
+        fails) raises a typed error and leaves the live set, the stored
+        files and the journal exactly as they were."""
+        config = StorageConfig(page_size=PAGE_SIZE, fault_plan=FaultPlan.failing_writes(2))
+        index = PersistentIndex.open(str(tmp_path), storage=config, compaction_threshold=10**9)
+        entities = [entity(i, (i % 8) * 0.1, (i // 8) * 0.1) for i in range(40)]
+        for item in entities:
+            index.insert(item)
+        stored, journal = index.storage.stored_files(), index._backend().journal()
+        epoch = index.epoch
+        with pytest.raises(FaultError):
+            index.compact()
+        assert (index.epoch, index.compactions) == (epoch, 0)
+        assert index.storage.stored_files() == stored
+        assert index._backend().journal() == journal
+        assert check_index(index, model_of(entities)) == []
+        index.close()
+        healthy = StorageConfig(page_size=PAGE_SIZE)
+        with PersistentIndex.open(str(tmp_path), storage=healthy) as reopened:
+            assert reopened.debris_dropped == 0
+            assert check_index(reopened, model_of(entities)) == []
+
+    def test_old_format_directory_is_refused_not_swept(self, tmp_path, monkeypatch):
+        """A directory written before the journal existed has no
+        manifest; treating that as "never booted" would delete its level
+        files.  The format bump makes the store refuse it first."""
+        monkeypatch.setattr(durable, "FORMAT_VERSION", 1)
+        old = make_store(tmp_path)
+        old.create_file("idx-L3", EntityDescriptorCodec(), PAGE_SIZE)
+        old.write_page("idx-L3", 0, page(0))
+        old.close()
+        monkeypatch.undo()
+        before = (tmp_path / DATA_FILE).read_bytes()
+        with pytest.raises(DurableStoreError, match="unsupported store format 1"):
+            PersistentIndex.open(str(tmp_path))
+        assert (tmp_path / DATA_FILE).read_bytes() == before
+
+
+def model_of(entities):
+    model = LiveModel()
+    for item in entities:
+        model.apply("insert", item)
+    return model
+
+
+class TestFailedStore:
+    """ROADMAP 4(c): a failed flush is not a crash — the process lives
+    on, so the store must refuse to acknowledge anything after it."""
+
+    def fail_next_fsync(self, monkeypatch):
+        real = os.fsync
+
+        def eio_once(fd):
+            monkeypatch.setattr(os, "fsync", real)
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", eio_once)
+
+    def test_failed_insert_leaves_the_index_unchanged(self, tmp_path, monkeypatch):
+        index = PersistentIndex.open(str(tmp_path))
+        index.insert(entity(1, 0.1, 0.1))
+        epoch = index.epoch
+        self.fail_next_fsync(monkeypatch)
+        with pytest.raises(OSError, match="Input/output"):
+            index.insert(entity(2, 0.11, 0.11))
+        # The parent applied before it persisted: 2 stayed live in memory.
+        assert 2 not in index and index.epoch == epoch
+        assert index.window_query(Rect(0, 0, 1, 1)) == (1,)
+        assert check_index(index, model_of([entity(1, 0.1, 0.1)])) == []
         index.close()
 
-        reopened = self.seeded(tmp_path, threshold=4)
-        stored = reopened.storage.stored_files()
-        assert level_files[0] in stored
-        assert f"{level_files[0]}-compact" not in stored
-        assert sorted(e.eid for e in reopened.live_entities()) == live_before
+    def test_failed_store_refuses_until_reopened(self, tmp_path, monkeypatch):
+        """Never retry-and-ack: the failed note may have reached the
+        file, so anything acknowledged after it could be reordered
+        under it by the next recovery."""
+        index = PersistentIndex.open(str(tmp_path))
+        index.insert(entity(1, 0.1, 0.1))
+        self.fail_next_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            index.insert(entity(2, 0.11, 0.11))
+        for mutate in (
+            lambda: index.insert(entity(3, 0.5, 0.5)),
+            lambda: index.delete(1),
+            index.compact,
+            index._backend().checkpoint,
+        ):
+            with pytest.raises(DurableStoreError, match="Input/output error.*reopened"):
+                mutate()
+        assert index.window_query(Rect(0, 0, 1, 1)) == (1,)  # reads still work
+        index.close()  # and so does close, without a checkpoint
+        lives = []
+        for _ in range(2):
+            with PersistentIndex.open(str(tmp_path)) as reopened:
+                lives.append([e.eid for e in reopened.live_entities()])
+        assert lives[0] in ([1], [1, 2])  # k or k + 1, never 3
+        assert lives[1] == lives[0]
+
+    def test_store_level_failure_and_recovery(self, tmp_path, monkeypatch):
+        codec = EntityDescriptorCodec()
+        store = make_store(tmp_path)
+        store.create_file("f", codec, PAGE_SIZE)
+        store.write_page("f", 0, page(0))
+        self.fail_next_fsync(monkeypatch)
+        with pytest.raises(OSError):
+            store.write_page("f", 1, page(1))
+        with pytest.raises(DurableStoreError, match="store failed"):
+            store.write_page("f", 1, page(1))
+        with pytest.raises(DurableStoreError):
+            store.journal_append(b"note")
+        assert store.read_page("f", 0) == page(0)
+        store.close()
+        reopened = make_store(tmp_path)
+        reopened.attach_file("f", codec, PAGE_SIZE)
+        assert reopened.read_page("f", 0) == page(0)
+        reopened.journal_append(b"accepted again")
+        assert reopened.journal() == [b"accepted again"]
         reopened.close()
 
 

@@ -2,8 +2,9 @@
 
 Hypothesis picks the interleaving — insert, delete, re-insert of a
 deleted id (same box or a new one), compact, point / window / join
-queries, and, for the durable variant, close-and-reopen — and after
-every step the index must equal the model: the same
+queries, and, for the durable variant, close-and-reopen and
+crash-at-a-sampled-point-and-reopen — and after every step the index
+must equal the model: the same
 :class:`~repro.verify.scenario.LiveModel` and
 :func:`~repro.verify.scenario.check_index` the ``repro verify`` gates
 use, driven here by shrinking search instead of a seeded generator.
@@ -26,6 +27,7 @@ from hypothesis.stateful import (
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.service.index import PersistentIndex
+from repro.storage.durable import CRASH_POINTS, CrashPoint, SimulatedCrash
 from repro.verify.scenario import LiveModel, apply_op, check_index
 
 dyadic = st.integers(0, 64).map(lambda k: k / 64)
@@ -101,6 +103,39 @@ class IndexMachine(RuleBasedStateMachine):
         self.index.close()
         self.index = self.open()
         assert self.index.recovered
+
+    @precondition(lambda self: self.durable)
+    @rule(data=st.data())
+    def crash(self, data):
+        """Die at a sampled instant inside one mutation or compaction
+        (``SimulatedCrash``), abandon the object without ``close()`` as
+        a killed process would, reopen: the op in flight either fully
+        happened or never did.  An op the armed point never reaches
+        simply completes and is acknowledged."""
+        ops = [("compact", None), ("insert", Entity(self.next_eid, Rect(0.25, 0.25, 0.5, 0.5)))]
+        ops += [("delete", eid) for eid in sorted(self.model.live)[:2]]
+        op, payload = data.draw(st.sampled_from(ops))
+        self.next_eid += 1
+        if op == "compact":
+            where = st.tuples(st.sampled_from(CRASH_POINTS), st.integers(0, 1))
+        else:  # a mutation is one note: the only two instants it passes
+            where = st.tuples(st.sampled_from(("wal-append", "wal-synced")), st.just(0))
+        store = self.index._backend()
+        store._crash = CrashPoint(
+            *data.draw(where), fraction=data.draw(st.floats(0.0, 1.0)), action="raise"
+        )
+        store._crash_counts.clear()
+        try:
+            self.mutate(op, payload)
+        except SimulatedCrash:
+            self.index = self.open()
+            assert self.index.recovered
+            landed = LiveModel(list(self.model.live.values()))
+            landed.apply(op, payload)
+            if landed.live == {e.eid: e for e in self.index.live_entities()}:
+                self.model = landed  # k + 1; the invariant holds k otherwise
+        else:
+            store._crash = None
 
     @invariant()
     def index_equals_model(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.costs import CostModel, CpuModel, DiskModel
+from repro.storage.durable import CrashPoint, DurableBackend, SimulatedCrash
 from repro.storage.iostats import IOStats, PhaseStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import (
@@ -40,12 +41,17 @@ class TestCodecs:
 
 
 class TestBackends:
-    @pytest.fixture(params=["memory", "disk"])
+    """One contract, every backend (SNIPPETS.md snippet 2's
+    ``ALL_BACKENDS`` idiom); the journal cases ride in the same suite."""
+
+    @pytest.fixture(params=["memory", "disk", "durable"])
     def backend(self, request, tmp_path):
         if request.param == "memory":
             backend = MemoryBackend()
-        else:
+        elif request.param == "disk":
             backend = FileBackend(tmp_path)
+        else:
+            backend = DurableBackend(tmp_path, page_size=4096)
         yield backend
         backend.close()
 
@@ -105,6 +111,64 @@ class TestBackends:
         backend.create_file("b", codec, 4096)
         with pytest.raises(FileExistsError):
             backend.rename_file("a", "b")
+
+    def test_journal_order_and_reset(self, backend):
+        """Only a medium that outlives the process keeps notes: memory
+        and disk accept them as no-ops and hand back nothing."""
+        keeps = isinstance(backend, DurableBackend)
+        assert backend.journal() == []
+        backend.journal_append(b"a")
+        backend.journal_append(b"b")
+        assert backend.journal() == ([b"a", b"b"] if keeps else [])
+        backend.journal_append(b"c", reset=True)
+        backend.journal_append(b"")
+        assert backend.journal() == ([b"c", b""] if keeps else [])
+
+    def test_journal_survives_close_checkpoints_and_double_reopen(self, tmp_path):
+        """Pending notes ride in the checkpoint, so the store's own log
+        reset (automatic here: ``checkpoint_bytes`` is tiny) cannot drop
+        them; a reset note drops its predecessors and nothing else."""
+        store = DurableBackend(tmp_path, page_size=4096, checkpoint_bytes=256)
+        store.create_file("f", CandidatePairCodec(), 4096)
+        store.journal_append(b"dropped by the reset")
+        store.write_page("f", 0, [(1, 2)])  # > 256 bytes of log: checkpoint
+        store.journal_append(b"manifest", reset=True)
+        for i in range(5):
+            store.journal_append(b"note %d" % i)
+            store.write_page("f", i, [(i, i)])
+        expected = [b"manifest"] + [b"note %d" % i for i in range(5)]
+        assert store.journal() == expected
+        store.close()
+        for _ in range(2):
+            store = DurableBackend(tmp_path)
+            assert store.journal() == expected
+            assert store.last_recovery.journal_notes == len(expected)
+            assert store.last_recovery.replayed_records == 0
+            store.close()
+
+    @pytest.mark.parametrize(
+        "point, reset, recovered",
+        [
+            ("wal-append", False, [b"old", b"acked"]),  # torn: never happened
+            ("wal-synced", False, [b"old", b"acked", b"in flight"]),
+            ("commit", True, [b"old", b"acked"]),
+            ("wal-append", True, [b"old", b"acked"]),  # a torn reset resets nothing
+            ("wal-synced", True, [b"in flight"]),
+        ],
+    )
+    def test_journal_note_in_flight_is_all_or_nothing(
+        self, tmp_path, point, reset, recovered
+    ):
+        crash = CrashPoint(point, index=0 if point == "commit" else 2, action="raise")
+        store = DurableBackend(tmp_path, page_size=4096, crash_point=crash)
+        store.journal_append(b"old")
+        store.journal_append(b"acked")
+        with pytest.raises(SimulatedCrash):
+            store.journal_append(b"in flight", reset=reset)
+        for _ in range(2):
+            store = DurableBackend(tmp_path)
+            assert store.journal() == recovered
+            store.close()
 
     def test_file_backend_overflow_page_raises(self, tmp_path):
         backend = FileBackend(tmp_path)

@@ -3,9 +3,9 @@
 A gate that never fails proves nothing, so each check of the scenario
 harness is shown a bug it exists to catch — the index's ack-and-forget
 insert (which both service gates *passed* before the model was made
-independent of the index), the PR-9 tombstone filter, the PR-10 orphan
-rule inverted, an untyped compaction failure — and every ``repro
-verify`` mode is held to one report contract.
+independent of the index), the PR-9 tombstone filter, a compaction
+commit that forgets to reset the journal, an untyped compaction failure
+— and every ``repro verify`` mode is held to one report contract.
 """
 
 import heapq
@@ -16,6 +16,8 @@ import pytest
 from repro.faults.errors import ShardFailure
 from repro.service.api import BreakerState, QueryOutcome
 from repro.service.index import PersistentIndex, _sort_key
+from repro.storage import wal
+from repro.storage.durable import DurableBackend
 from repro.storage.records import EID
 from repro.verify import (
     Report,
@@ -62,23 +64,19 @@ def filter_tombstones_after_the_merge(monkeypatch):
     monkeypatch.setattr(PersistentIndex, "level_records", level_records)
 
 
-def invert_the_orphan_rule(monkeypatch):
-    """PR 10's rule, backwards: adopt a ``-compact`` temp whose base
-    still exists, drop the one whose base is gone."""
+def commit_without_reset(monkeypatch):
+    """The one-log design's own bug: a manifest note that commits the
+    new level files but forgets to *reset* the journal, so the notes it
+    folded are replayed on top of the files they are already in.  The
+    patch sits where a live append and recovery's replay meet, because
+    the crash gate's mutations run in a child process and only the
+    reopen runs here."""
 
-    def sweep(self):
-        backend = self._backend()
-        stored = set(self.storage.stored_files())
-        for name in sorted(stored):
-            if name.endswith("-compact"):
-                base = name[: -len("-compact")]
-                if base in stored:
-                    backend.delete_file(base)
-                    backend.rename_file(name, base)
-                else:
-                    backend.delete_file(name)
+    def apply_note(self, body):
+        note, _reset = wal.unpack_note(body)
+        self._journal.append(note)
 
-    monkeypatch.setattr(PersistentIndex, "_sweep_orphans", sweep)
+    monkeypatch.setattr(DurableBackend, "_apply_note", apply_note)
 
 
 class TestSeededBugs:
@@ -100,15 +98,15 @@ class TestSeededBugs:
         assert any("self_join diverged" in v.message for v in report.violations)
         assert not run_service_chaos(cases=4, seed=0).ok
 
-    def test_inverted_orphan_rule_fails_the_crash_check(self, monkeypatch):
+    def test_commit_without_reset_fails_the_crash_check(self, monkeypatch):
         healthy = run_crash_case(0, seed=0)
         assert healthy.ok and healthy.counts["killed"], healthy.summary()
-        assert healthy.counts["point"] == "rename"  # the kill the rule is for
-        invert_the_orphan_rule(monkeypatch)
+        # Killed entering its fourth commit: three manifests were logged.
+        assert (healthy.counts["point"], healthy.counts["index"]) == ("commit", 3)
+        commit_without_reset(monkeypatch)
         broken = run_crash_case(0, seed=0)
         assert not broken.ok
-        assert broken.violations[0].check == "model"
-        assert "reopen 0: live set departs" in broken.violations[0].message
+        assert broken.violations[0].check in ("reopen", "model")
 
     def test_untyped_compaction_failure_is_a_violation(self, monkeypatch):
         def compact(self):
