@@ -9,11 +9,11 @@ more than its threshold (default 20%); ``show`` prints the trajectory.
 
 Gating policy:
 
-- Gated metrics are **machine-portable ratios** (the fast-path
-  ``speedup``: both sides of the division ran on the same host in the
-  same process, so the ratio survives moving between the dev box and a
-  CI runner).  Absolute wall-clock metrics are tracked in the history
-  for trend plots but never gated.
+- A tight (default 20%) gate suits only a **machine-portable ratio**
+  — both sides of the division ran on the same host in the same
+  process, so it survives moving between the dev box and a CI runner.
+  Host-dependent metrics (the one series left, ``service_qps``) get a
+  wide threshold, so only a collapse — not a slower runner — fires.
 - The comparison baseline is the rolling **median**, not the last run
   — one noisy history entry cannot poison the gate.
 - A gate needs ``min_samples`` history entries before it fires; until
@@ -22,9 +22,9 @@ Gating policy:
 
 CLI::
 
-    python -m benchmarks.trajectory append BENCH_fastpath.json
-    python -m benchmarks.trajectory check  BENCH_fastpath.json
-    python -m benchmarks.trajectory show   fastpath
+    python -m benchmarks.trajectory append BENCH_service.json
+    python -m benchmarks.trajectory check  BENCH_service.json
+    python -m benchmarks.trajectory show   service
 
 The history file defaults to ``benchmarks/history/<bench>.jsonl``
 (committed, so CI has a baseline) and is written atomically.
@@ -83,24 +83,6 @@ class GateSpec:
         return current > baseline * (1.0 + self.threshold)
 
 
-def _fastpath_metrics(payload: dict[str, Any]) -> dict[str, float]:
-    return {
-        f"speedup[{row['workload']}]": float(row["speedup"])
-        for row in payload.get("rows", [])
-        if "speedup" in row
-    }
-
-
-def _fastpath_throughput(payload: dict[str, Any]) -> dict[str, float]:
-    return {
-        f"memory_pairs_per_s[{row['workload']}]": float(
-            row["memory_pairs_per_s"]
-        )
-        for row in payload.get("rows", [])
-        if "memory_pairs_per_s" in row
-    }
-
-
 def _service_qps(payload: dict[str, Any]) -> dict[str, float]:
     if "service_qps" not in payload:
         return {}
@@ -108,21 +90,9 @@ def _service_qps(payload: dict[str, Any]) -> dict[str, float]:
 
 
 GATES: dict[str, tuple[GateSpec, ...]] = {
-    "fastpath": (
-        GateSpec(metric="speedup", select=_fastpath_metrics),
-        # Throughput is host-dependent: tracked (history/`show`) but a
-        # wide threshold so only a collapse — not a slower runner —
-        # fires it.  The portable speedup ratio is the tight gate.
-        GateSpec(
-            metric="memory_pairs_per_s",
-            select=_fastpath_throughput,
-            threshold=0.60,
-        ),
-    ),
-    # Service throughput over real TCP is host-dependent, so like the
-    # fast-path pairs/s gate it only fires on a collapse, not on a
-    # slower runner; correctness of every response is checked inside
-    # the benchmark itself.
+    # Service throughput over real TCP is host-dependent, so it only
+    # fires on a collapse, not on a slower runner; correctness of every
+    # response is checked inside the benchmark itself.
     "service": (
         GateSpec(metric="service_qps", select=_service_qps, threshold=0.60),
     ),
@@ -135,7 +105,7 @@ history-tracked only."""
 
 
 def bench_name_of(artifact_path: str | os.PathLike[str]) -> str:
-    """``BENCH_fastpath.json`` -> ``fastpath``."""
+    """``BENCH_service.json`` -> ``service``."""
     stem = Path(artifact_path).name
     if stem.startswith("BENCH_") and stem.endswith(".json"):
         return stem[len("BENCH_") : -len(".json")]
@@ -175,8 +145,6 @@ def make_entry(
         for key in (
             "entities",
             "entities_per_side",
-            "repeats",
-            "min_speedup",
             "clients",
             "ops_per_client",
         )
@@ -387,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     append.add_argument("--bench", default=None, help="benchmark name override")
 
     show = commands.add_parser("show", help="print a benchmark's trajectory")
-    show.add_argument("bench", help="benchmark name (e.g. fastpath)")
+    show.add_argument("bench", help="benchmark name (e.g. service)")
     return parser
 
 

@@ -26,8 +26,8 @@ from repro.join.metrics import JoinMetrics
 from repro.sorting.external_sort import ExternalSorter
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import EID, XHI, XLO, YHI, YLO, CandidatePairCodec
-from repro.sweep.plane_sweep import sweep_intersections
+from repro.storage.records import XHI, XLO, YHI, YLO, CandidatePairCodec
+from repro.sweep.plane_sweep import sorted_columns, sweep_intersections
 
 _MAPPINGS = ("round_robin", "hash")
 _MAX_REPARTITION_DEPTH = 8
@@ -320,14 +320,12 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
         pairs: set[tuple[int, int]],
     ) -> None:
         """Load a fitting partition pair and plane-sweep it."""
-        records_a = list(file_a.scan())
-        records_b = list(file_b.scan())
-        for rec_a, rec_b in sweep_intersections(
-            records_a, records_b, stats=self.storage.stats
-        ):
-            pair = (rec_a[EID], rec_b[EID])
-            pairs.add(pair)
-            candidates.append(pair)
+        stats = self.storage.stats
+        columns_a = sorted_columns(list(file_a.scan()), stats)
+        columns_b = sorted_columns(list(file_b.scan()), stats)
+        found = sweep_intersections(columns_a, columns_b, stats=stats)
+        pairs.update(found)
+        candidates.extend(found)
         self.storage.drop_file(file_a.name)
         self.storage.drop_file(file_b.name)
 

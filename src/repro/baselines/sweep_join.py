@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from repro.join.base import SpatialJoinAlgorithm
 from repro.join.metrics import JoinMetrics
-from repro.storage.backend import Record
-from repro.storage.costs import sort_comparison_count
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import EID, XLO, CandidatePairCodec
-from repro.sweep.plane_sweep import sweep_intersections
+from repro.storage.records import CandidatePairCodec
+from repro.sweep.plane_sweep import sorted_columns, sweep_intersections
 
 
 class PlaneSweepJoin(SpatialJoinAlgorithm):
@@ -43,9 +41,9 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
 
         with self._phase("sort"):
             with tracer.span("read-sort:A", side="A"):
-                records_a = self._read_sorted(input_a)
+                columns_a = sorted_columns(list(input_a.scan()), stats)
             with tracer.span("read-sort:B", side="B"):
-                records_b = self._read_sorted(input_b)
+                columns_b = sorted_columns(list(input_b.scan()), stats)
             self.storage.phase_boundary()
 
         pairs: set[tuple[int, int]] = set()
@@ -54,12 +52,9 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
         )
         with self._phase("join"):
             with tracer.span("sweep") as span:
-                for rec_a, rec_b in sweep_intersections(
-                    records_a, records_b, stats=stats, presorted=True
-                ):
-                    pair = (rec_a[EID], rec_b[EID])
-                    pairs.add(pair)
-                    result.append(pair)
+                found = sweep_intersections(columns_a, columns_b, stats=stats)
+                pairs.update(found)
+                result.extend(found)
                 span.set(pairs=len(pairs))
             self.storage.phase_boundary()
 
@@ -67,10 +62,3 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
         metrics.replication_a = 1.0
         metrics.replication_b = 1.0
         return pairs, metrics
-
-    def _read_sorted(self, source: PagedFile) -> list[Record]:
-        records = sorted(source.scan(), key=lambda record: record[XLO])
-        self.storage.stats.charge_cpu(
-            "compare", sort_comparison_count(len(records))
-        )
-        return records

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.filtertree.levels import quantize_array
 from repro.storage.backend import Record
 from repro.storage.records import HKEY, XHI, XLO, YHI, YLO
 
@@ -86,14 +87,6 @@ def _corner_columns(
     return table[:, XLO], table[:, YLO], table[:, XHI], table[:, YHI]
 
 
-def _quantize(coords: np.ndarray, side: int) -> np.ndarray:
-    """Vectorized :meth:`SpaceFillingCurve.quantize`: truncate-to-grid
-    with the top edge clamped, validating the unit-square domain."""
-    if coords.size and (coords.min() < 0.0 or coords.max() > 1.0):
-        raise ValueError("coordinate outside the unit square")
-    return np.minimum((coords * side).astype(np.int64), side - 1)
-
-
 # -- S3J: level files ------------------------------------------------------
 
 
@@ -127,8 +120,8 @@ def partition_levels(
         if hilbert_precomputed:
             hkeys: list[int] = [record[HKEY] for record in block]
         else:
-            qx = _quantize((xlo + xhi) / 2, curve.side)
-            qy = _quantize((ylo + yhi) / 2, curve.side)
+            qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
+            qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")
             hkeys = curve.keys(qx, qy).tolist()
             stats.charge_cpu("hilbert", n)
 

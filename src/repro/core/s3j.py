@@ -140,10 +140,9 @@ class SizeSeparationSpatialJoin(SpatialJoinAlgorithm):
             self._file_name("result"), CandidatePairCodec()
         )
 
-        def emit(rec_a, rec_b) -> None:
-            pair = (rec_a[EID], rec_b[EID])
-            pairs.add(pair)
-            result.append(pair)
+        def emit(found: list[tuple[int, int]]) -> None:
+            pairs.update(found)
+            result.extend(found)
 
         with self._phase("join"):
             with tracer.span("sync-scan") as span:

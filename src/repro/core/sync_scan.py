@@ -11,10 +11,11 @@ The scan merges the *pages* of all level files of both data sets in
 order of Hilbert range — the paper's "process entries in A_l(Hs, He)
 with those contained in B_(l-i)(Hs, He) for i = 0..l", which "strongly
 resembles an L-way merge sort" (section 3.1).  Each page is read
-exactly once, x-sorted once, and plane-swept (with the same sweep
-module PBSM uses, per section 5) against the still-open pages of the
-other data set.  A page stays open while any of its entities' intervals
-can still enclose later arrivals.
+exactly once, turned into x-sorted columns once, and plane-swept (with
+the same sweep module PBSM uses, per section 5) against the still-open
+pages of the other data set — all of them in one kernel call, priced
+with one ledger charge.  A page stays open while any of its entities'
+intervals can still enclose later arrivals.
 """
 
 from __future__ import annotations
@@ -22,34 +23,36 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.storage.backend import Record
-from repro.storage.costs import sort_comparison_count
 from repro.storage.iostats import IOStats
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import HKEY, XLO
-from repro.sweep.plane_sweep import sweep_intersections
+from repro.storage.records import HKEY
+from repro.sweep.plane_sweep import Columns, sorted_columns, sweep_intersections, x_sorted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import EventSink
     from repro.obs.metrics import MetricsRegistry
 
-PairSink = Callable[[Record, Record], None]
+PairSink = Callable[[list[tuple[int, int]]], None]
+"""Receives the result pairs of one arriving page at a time, as
+``(eid from A, eid from B)``; it is never called with an empty list."""
 
-_SIDE_A = 0
-_SIDE_B = 1
+_SIDE_A = 0  # index of data set A in per-side pairs; B is 1
+
+# An open page: (max interval end, x-sorted columns, level).
+_OpenPage = tuple[int, Columns, int]
 
 
 def synchronized_scan(
     files_a: dict[int, PagedFile],
     files_b: dict[int, PagedFile],
     order: int,
-    on_pair: PairSink,
+    on_pairs: PairSink,
     stats: IOStats | None = None,
     metrics: MetricsRegistry | None = None,
     events: EventSink | None = None,
 ) -> int:
     """Merge the sorted level files of both data sets, reporting every
-    pair of MBR-intersecting descriptors to ``on_pair`` (``a`` first).
+    pair of MBR-intersecting descriptors to ``on_pairs``.
 
     ``files_a``/``files_b`` map level -> Hilbert-sorted level file;
     ``order`` is the curve order the Hilbert values were computed at.
@@ -63,48 +66,42 @@ def synchronized_scan(
     """
     beat = events is not None and events.enabled
     streams = [
-        _page_stream(handle, level, order, _SIDE_A, stats)
-        for level, handle in files_a.items()
-    ] + [
-        _page_stream(handle, level, order, _SIDE_B, stats)
-        for level, handle in files_b.items()
+        _page_stream(handle, level, order, side, stats)
+        for side, files in enumerate((files_a, files_b))
+        for level, handle in files.items()
     ]
-    # Open pages per side: (max interval end, x-sorted records, level).
-    open_a: list[tuple[int, list[Record], int]] = []
-    open_b: list[tuple[int, list[Record], int]] = []
+    open_pages: tuple[list[_OpenPage], list[_OpenPage]] = ([], [])
     processed = 0
     emitted = 0
     tests_before = 0
     if metrics is not None and stats is not None:
         tests_before = stats.total.cpu_ops.get("mbr_test", 0)
 
-    for start, tiebreak, max_end, side, records in heapq.merge(*streams):
-        _expire(open_a, start)
-        _expire(open_b, start)
-        level = tiebreak[1]
+    for start, (side, level, _), max_end, columns in heapq.merge(*streams):
+        # Drop pages none of whose intervals can reach the new start.
+        # Page max-ends are not nested (a page mixes cells), so this is
+        # a filter rather than a stack pop; the open set stays small
+        # because only pages holding large (low-level) entities persist.
+        for pages in open_pages:
+            pages[:] = [page for page in pages if page[0] > start]
+        others = open_pages[1 - side]
         if metrics is not None:
             metrics.count("scan.pages", side="A" if side == _SIDE_A else "B")
-            metrics.observe("scan.open_pages", len(open_a) + len(open_b))
-        if side == _SIDE_A:
-            for _, other_records, other_level in open_b:
-                if metrics is not None:
-                    metrics.count("scan.level_sweeps", a=level, b=other_level)
-                for rec_a, rec_b in sweep_intersections(
-                    records, other_records, stats=stats, presorted=True
-                ):
-                    on_pair(rec_a, rec_b)
-                    emitted += 1
-            open_a.append((max_end, records, level))
-        else:
-            for _, other_records, other_level in open_a:
-                if metrics is not None:
-                    metrics.count("scan.level_sweeps", a=other_level, b=level)
-                for rec_b, rec_a in sweep_intersections(
-                    records, other_records, stats=stats, presorted=True
-                ):
-                    on_pair(rec_a, rec_b)
-                    emitted += 1
-            open_b.append((max_end, records, level))
+            metrics.observe("scan.open_pages", sum(map(len, open_pages)))
+            for _, _, other_level in others:
+                levels = (level, other_level) if side == _SIDE_A else (other_level, level)
+                metrics.count("scan.level_sweeps", a=levels[0], b=levels[1])
+        if others:
+            # One kernel call per arriving page: the candidate count is
+            # a sum over (a, b) pairs, so sweeping the concatenation of
+            # the open pages charges what sweeping each in turn would.
+            against = others[0][1] if len(others) == 1 else x_sorted(*(p[1] for p in others))
+            a, b = (columns, against) if side == _SIDE_A else (against, columns)
+            found = sweep_intersections(a, b, stats=stats)
+            if found:
+                on_pairs(found)
+                emitted += len(found)
+        open_pages[side].append((max_end, columns, level))
         processed += 1
         if beat:
             events.heartbeat("join")
@@ -121,8 +118,9 @@ def synchronized_scan(
 
 def _page_stream(
     handle: PagedFile, level: int, order: int, side: int, stats: IOStats | None
-) -> Iterator[tuple[int, tuple[int, int, int], int, int, list[Record]]]:
-    """Yield (start, tiebreak, max_end, side, x-sorted records) per page.
+) -> Iterator[tuple[int, tuple[int, int, int], int, Columns]]:
+    """Yield (start, (side, level, page no), max_end, x-sorted columns)
+    per page; the middle element only breaks ties in the merge.
 
     The interval of an entity is the Hilbert key range of its
     level-``level`` cell: the stored key truncated to the top
@@ -138,18 +136,4 @@ def _page_stream(
             continue
         start = (records[0][HKEY] >> shift) << shift
         max_end = ((records[-1][HKEY] >> shift) << shift) + size
-        records.sort(key=lambda record: record[XLO])
-        if stats is not None:
-            stats.charge_cpu("compare", sort_comparison_count(len(records)))
-        yield start, (side, level, page_no), max_end, side, records
-
-
-def _expire(open_pages: list[tuple[int, list[Record], int]], start: int) -> None:
-    """Drop pages none of whose intervals can reach the new start.
-
-    Page max-ends are not nested (a page mixes cells), so this is a
-    filter rather than a stack pop; the open set stays small because
-    only pages holding large (low-level) entities persist.
-    """
-    if any(end <= start for end, _, _ in open_pages):
-        open_pages[:] = [item for item in open_pages if item[0] > start]
+        yield start, (side, level, page_no), max_end, sorted_columns(records, stats)

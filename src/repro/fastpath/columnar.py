@@ -22,16 +22,8 @@ import numpy as np
 
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
-from repro.filtertree.levels import LevelAssigner
+from repro.filtertree.levels import LevelAssigner, quantize_array
 from repro.join.dataset import SpatialDataset
-
-
-def _quantize(coords: np.ndarray, side: int) -> np.ndarray:
-    """Vectorized truncate-to-grid with the top edge clamped (the same
-    expression as :meth:`SpaceFillingCurve.quantize`)."""
-    if coords.size and (coords.min() < 0.0 or coords.max() > 1.0):
-        raise ValueError("coordinate outside the unit square")
-    return np.minimum((coords * side).astype(np.int64), side - 1)
 
 
 @dataclass(frozen=True)
@@ -90,8 +82,8 @@ class ColumnarDataset:
         xlo, ylo, xhi, yhi = boxes.T
         if n:
             level = assigner.levels(xlo, ylo, xhi, yhi)
-            qx = _quantize((xlo + xhi) / 2, curve.side)
-            qy = _quantize((ylo + yhi) / 2, curve.side)
+            qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
+            qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")
             key = curve.keys(qx, qy)
         else:
             level = np.empty(0, dtype=np.int64)

@@ -1,9 +1,12 @@
 """The vectorized forward-sweep interval join kernel.
 
-This is the memory-mode replacement for the ledger path's synchronized
-page scan: given two sets of rectangles, report every pair whose MBRs
-intersect (closed intervals — boundary contact counts, matching
-``Rect.intersects``).
+*The* sweep of both execution modes: given two sets of rectangles,
+report every pair whose MBRs intersect (closed intervals — boundary
+contact counts, matching ``Rect.intersects``).  Memory mode calls it
+per pair of nested cell groups (:func:`forward_sweep_pairs`), the paged
+engines per arriving page or partition pair through
+:func:`repro.sweep.plane_sweep.sweep_intersections`
+(:func:`sweep_intersecting_pairs`) — two entry points, one body.
 
 The kernel follows the *forward sweep* of Tsitsigkos & Mamoulis
 (PAPERS.md, 1908.11740): with both inputs sorted by ``xlo``, every
@@ -23,6 +26,9 @@ arithmetic and filtered by a vectorized closed-interval y-overlap mask
 from __future__ import annotations
 
 import numpy as np
+
+Boxes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+"""Rectangles as parallel arrays ``(xlo, ylo, xhi, yhi)``."""
 
 
 def _expand_ranges(
@@ -47,7 +53,7 @@ def _expand_ranges(
     return rows, np.repeat(starts, counts) + offsets
 
 
-def forward_sweep_pairs(
+def _x_overlap_pairs(
     axlo: np.ndarray,
     axhi: np.ndarray,
     bxlo: np.ndarray,
@@ -71,29 +77,37 @@ def forward_sweep_pairs(
     return np.concatenate([ia1, ia2]), np.concatenate([ib1, ib2])
 
 
-def sweep_intersecting_pairs(
+def forward_sweep_pairs(
     axlo: np.ndarray,
-    aylo: np.ndarray,
     axhi: np.ndarray,
-    ayhi: np.ndarray,
     bxlo: np.ndarray,
-    bylo: np.ndarray,
     bxhi: np.ndarray,
-    byhi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """All index pairs of intersecting rectangles between two inputs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Memory mode's entry point onto the kernel (its caller applies
+    the y-mask per cell group and needs no emission order)."""
+    return _x_overlap_pairs(axlo, axhi, bxlo, bxhi)
 
-    Inputs need not be pre-sorted; indices in the returned ``(ia, ib)``
-    arrays refer to the caller's original order.  The third element is
-    the number of x-overlapping candidate pairs the y-mask tested —
-    memory mode's analogue of the ledger's ``mbr_test`` count.
+
+def sweep_intersecting_pairs(a: Boxes, b: Boxes) -> tuple[np.ndarray, np.ndarray, int]:
+    """The paged engines' entry point: all index pairs of intersecting
+    rectangles between two inputs that are each ordered by ``xlo``.
+
+    The third element is the number of x-overlapping candidate pairs
+    the y-mask tested: the ``mbr_test`` count of the ledger, in both
+    execution modes.
+
+    Pairs come out in the order the record-at-a-time sweep reports
+    them — by the ``xlo`` of whichever rectangle starts first, A before
+    B on ties — because a file of them may be sorted with duplicate
+    elimination afterwards (PBSM), and which duplicates meet in one run
+    depends on the order they were written in.
     """
-    order_a = np.argsort(axlo, kind="stable")
-    order_b = np.argsort(bxlo, kind="stable")
-    ia, ib = forward_sweep_pairs(
-        axlo[order_a], axhi[order_a], bxlo[order_b], bxhi[order_b]
-    )
-    ia = order_a[ia]
-    ib = order_b[ib]
+    axlo, aylo, axhi, ayhi = a
+    bxlo, bylo, bxhi, byhi = b
+    ia, ib = _x_overlap_pairs(axlo, axhi, bxlo, bxhi)
     keep = (aylo[ia] <= byhi[ib]) & (bylo[ib] <= ayhi[ia])
-    return ia[keep], ib[keep], len(keep)
+    ia, ib = ia[keep], ib[keep]
+    # Class 1 precedes class 2 and each is in index order, so a stable
+    # sort on the pivot's xlo is the merge order of the scalar sweep.
+    emit = np.argsort(np.minimum(axlo[ia], bxlo[ib]), kind="stable")
+    return ia[emit], ib[emit], len(keep)

@@ -123,7 +123,7 @@ class FilterTreeIndex:
                 self.level_files,
                 other.level_files,
                 self.curve.order,
-                lambda a, b: pairs.add((a[0], b[0])),
+                pairs.update,
                 stats=self.storage.stats,
             )
         return pairs

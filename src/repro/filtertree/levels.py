@@ -102,10 +102,10 @@ class LevelAssigner:
         yhi: np.ndarray,
     ) -> np.ndarray:
         """Vectorized :meth:`level` over arrays of normalized corners."""
-        qxlo = self._quantize_array(xlo)
-        qylo = self._quantize_array(ylo)
-        qxhi = self._quantize_array(xhi)
-        qyhi = self._quantize_array(yhi)
+        qxlo = quantize_array(xlo, self.side, "xlo")
+        qylo = quantize_array(ylo, self.side, "ylo")
+        qxhi = quantize_array(xhi, self.side, "xhi")
+        qyhi = quantize_array(yhi, self.side, "yhi")
         px = self.order - _bit_lengths(qxlo ^ qxhi)
         py = self.order - _bit_lengths(qylo ^ qyhi)
         return np.minimum(np.minimum(px, py), self.max_level)
@@ -139,13 +139,16 @@ class LevelAssigner:
             raise ValueError(f"MBR spans multiple level-{level} cells")
         return (cx_lo, cy_lo)
 
-    def _quantize_array(self, coords: np.ndarray) -> np.ndarray:
-        values = np.asarray(coords, dtype=np.float64)
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("coordinates outside the unit square")
-        return np.minimum(
-            (values * self.side).astype(np.int64), self.side - 1
-        )
+
+def quantize_array(coords: np.ndarray, side: int, field: str) -> np.ndarray:
+    """Vectorized :meth:`LevelAssigner.quantize`: truncate-to-grid with
+    the top edge clamped.  ``field`` names the column in the error a
+    value outside the unit square gets — NaN included: the test is
+    written so that NaN, which fails every comparison, fails it."""
+    values = np.asarray(coords, dtype=np.float64)
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValueError(f"{field} coordinate outside the unit square")
+    return np.minimum((values * side).astype(np.int64), side - 1)
 
 
 _BIT_LENGTH_STEPS = (32, 16, 8, 4, 2, 1)

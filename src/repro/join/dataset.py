@@ -13,6 +13,7 @@ from typing import Iterator
 from repro.curves.base import SpaceFillingCurve
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
+from repro.storage.backend import Record
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
 
@@ -76,12 +77,15 @@ class SpatialDataset:
         option, section 3.1); otherwise the field is written as zero and
         S3J computes values on the fly.
         """
+        def descriptors() -> Iterator[Record]:
+            for entity in self.entities:
+                box = entity.mbr if margin == 0.0 else entity.mbr.expanded(margin).clamped()
+                hilbert = 0
+                if curve is not None:
+                    hilbert = curve.key_of_normalized(*box.center)
+                yield (entity.eid, box.xlo, box.ylo, box.xhi, box.yhi, hilbert)
+
         handle = storage.create_file(file_name)
-        for entity in self.entities:
-            box = entity.mbr if margin == 0.0 else entity.mbr.expanded(margin).clamped()
-            hilbert = 0
-            if curve is not None:
-                hilbert = curve.key_of_normalized(*box.center)
-            handle.append((entity.eid, box.xlo, box.ylo, box.xhi, box.yhi, hilbert))
+        handle.extend(descriptors())
         handle.flush()
         return handle

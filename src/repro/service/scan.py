@@ -34,7 +34,7 @@ from repro.storage.backend import Record
 from repro.storage.costs import sort_comparison_count
 from repro.storage.iostats import IOStats
 from repro.storage.records import HKEY, XLO
-from repro.sweep.plane_sweep import sweep_intersections, sweep_self_intersections
+from repro.sweep.plane_sweep import scalar_sweep_intersections, sweep_self_intersections
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -80,13 +80,9 @@ def live_self_scan(
                 metrics.count(
                     "service.scan.level_sweeps", a=level, b=other_level
                 )
-            for rec_a, rec_b in sweep_intersections(
-                records, other_records, stats=stats, presorted=True
-            ):
+            for rec_a, rec_b in scalar_sweep_intersections(records, other_records, stats):
                 on_pair(rec_a, rec_b)
-        for rec_a, rec_b in sweep_self_intersections(
-            records, stats=stats, presorted=True
-        ):
+        for rec_a, rec_b in sweep_self_intersections(records, stats):
             on_pair(rec_a, rec_b)
         open_chunks.append((max_end, records, level))
         processed += 1

@@ -206,7 +206,9 @@ class ExternalSorter:
     def _merge_streams(
         self, streams: list[Iterator[Record]], key: SortKey
     ) -> Iterator[Record]:
-        """Heap-based k-way merge, charging one comparison per heap op."""
+        """Heap-based k-way merge, priced at ``levels`` comparisons per
+        record merged — charged once, when the merge ends (or is
+        abandoned: an interrupted merge pays for what it consumed)."""
         heap: list[tuple[Any, int, Record]] = []
         for index, stream in enumerate(streams):
             record = next(stream, None)
@@ -214,13 +216,17 @@ class ExternalSorter:
                 heap.append((key(record), index, record))
         heapq.heapify(heap)
         levels = max(1, math.ceil(math.log2(len(streams) + 1)))
-        while heap:
-            sort_key, index, record = heapq.heappop(heap)
-            self.storage.stats.charge_cpu("compare", levels)
-            yield record
-            nxt = next(streams[index], None)
-            if nxt is not None:
-                heapq.heappush(heap, (key(nxt), index, nxt))
+        merged = 0
+        try:
+            while heap:
+                sort_key, index, record = heapq.heappop(heap)
+                merged += 1
+                yield record
+                nxt = next(streams[index], None)
+                if nxt is not None:
+                    heapq.heappush(heap, (key(nxt), index, nxt))
+        finally:
+            self.storage.stats.charge_cpu("compare", merged * levels)
 
     def _rename(self, current: str, target: str) -> PagedFile:
         """Move the final run under its public name — a true metadata

@@ -102,7 +102,9 @@ class TestForwardSweepKernel:
     @settings(max_examples=200, deadline=None)
     @given(a=box_arrays(), b=box_arrays())
     def test_intersecting_pairs_match_oracle(self, a, b):
-        ia, ib, candidates = sweep_intersecting_pairs(*a, *b)
+        a = tuple(column[np.argsort(a[0], kind="stable")] for column in a)
+        b = tuple(column[np.argsort(b[0], kind="stable")] for column in b)
+        ia, ib, candidates = sweep_intersecting_pairs(a, b)
         got = set(zip(ia.tolist(), ib.tolist()))
         assert len(ia) == len(got), "kernel produced a duplicate pair"
         assert got == _oracle_box_pairs(a, b)
@@ -112,7 +114,7 @@ class TestForwardSweepKernel:
         # a.xhi == b.xlo and a.yhi == b.ylo: closed intervals intersect.
         a = tuple(np.array([v]) for v in (0.0, 0.0, 0.25, 0.25))
         b = tuple(np.array([v]) for v in (0.25, 0.25, 0.5, 0.5))
-        ia, ib, _ = sweep_intersecting_pairs(*a, *b)
+        ia, ib, _ = sweep_intersecting_pairs(a, b)
         assert set(zip(ia.tolist(), ib.tolist())) == {(0, 0)}
 
     def test_duplicate_identical_boxes(self):
@@ -122,20 +124,20 @@ class TestForwardSweepKernel:
             np.array([0.3, 0.3, 0.3]),
             np.array([0.4, 0.4, 0.4]),
         )
-        ia, ib, _ = sweep_intersecting_pairs(*coords, *coords)
+        ia, ib, _ = sweep_intersecting_pairs(coords, coords)
         assert len(ia) == 9  # full 3x3 cross product, each pair once
 
     def test_zero_area_point_on_edge(self):
         point = tuple(np.array([v]) for v in (0.5, 0.5, 0.5, 0.5))
         box = tuple(np.array([v]) for v in (0.25, 0.25, 0.5, 0.5))
-        ia, ib, _ = sweep_intersecting_pairs(*point, *box)
+        ia, ib, _ = sweep_intersecting_pairs(point, box)
         assert len(ia) == 1
 
     def test_empty_inputs(self):
         empty = tuple(np.empty(0) for _ in range(4))
         box = tuple(np.array([v]) for v in (0.0, 0.0, 1.0, 1.0))
         for a, b in [(empty, box), (box, empty), (empty, empty)]:
-            ia, ib, candidates = sweep_intersecting_pairs(*a, *b)
+            ia, ib, candidates = sweep_intersecting_pairs(a, b)
             assert len(ia) == len(ib) == candidates == 0
 
 

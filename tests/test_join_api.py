@@ -1,6 +1,8 @@
 """Tests for the top-level join API, predicates, datasets, metrics,
 and results."""
 
+import warnings
+
 import pytest
 
 from repro.geometry.entity import Entity
@@ -262,6 +264,44 @@ class TestParameterValidation:
     def test_none_shard_level_allowed(self):
         ds = self.small()
         assert spatial_join(ds, ds).pairs  # shard_level=None is the default
+
+
+class TestCoordinateValidation:
+    """No coordinate outside ``[0, 1]`` — NaN included, which passes
+    every ``<``/``>`` test — may reach the array kernels: a cast of NaN
+    to a grid index is undefined, and ``searchsorted`` over a column
+    holding one has no defined candidate count."""
+
+    FIELDS = ("xlo", "ylo", "xhi", "yhi")
+
+    def joined_with(self, field, value, mode):
+        box = dict(xlo=0.2, ylo=0.2, xhi=0.3, yhi=0.3)
+        box[field] = value
+        bad = SpatialDataset("bad", [Entity(0, Rect(**box))])
+        good = make_squares(20, 0.05, seed=1, name="V")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spatial_join(bad, good, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["ledger", "memory"])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_nan_is_refused_by_field_name(self, field, mode):
+        with pytest.raises(ValueError, match=f"{field} coordinate outside the unit square"):
+            self.joined_with(field, float("nan"), mode)
+
+    @pytest.mark.parametrize("mode", ["ledger", "memory"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("xlo", -0.1), ("ylo", float("-inf")), ("xhi", 1.5), ("yhi", float("inf"))],
+    )
+    def test_inf_and_out_of_square_are_refused(self, field, value, mode):
+        with pytest.raises(ValueError, match="outside the unit square"):
+            self.joined_with(field, value, mode)
+
+    def test_scalar_partition_refuses_nan_too(self):
+        bad = SpatialDataset("bad", [Entity(0, Rect(0.2, float("nan"), 0.3, 0.3))])
+        with pytest.raises(ValueError, match="outside the unit square"):
+            spatial_join(bad, bad, batch_size=None)
 
 
 class TestWarmProcessDeterminism:

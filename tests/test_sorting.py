@@ -127,6 +127,28 @@ class TestMultiPass:
             assert measured == pytest.approx(expected, rel=0.15)
 
 
+class TestMergePricing:
+    """A k-way merge costs ``levels`` comparisons per record it merged,
+    charged once per merge rather than once per record."""
+
+    def streams(self):
+        return [iter([(k,) for k in range(start, 30, 3)]) for start in range(3)]
+
+    def test_whole_merge(self, storage):
+        sorter = ExternalSorter(storage)
+        merged = list(sorter._merge_streams(self.streams(), key=lambda r: r[0]))
+        assert merged == [(k,) for k in range(30)]
+        assert storage.stats.total.cpu_ops == {"compare": 30 * 2}  # ceil(log2(3+1))
+
+    def test_an_abandoned_merge_pays_for_what_it_consumed(self, storage):
+        sorter = ExternalSorter(storage)
+        merge = sorter._merge_streams(self.streams(), key=lambda r: r[0])
+        assert [next(merge) for _ in range(7)] == [(k,) for k in range(7)]
+        assert storage.stats.total.cpu_ops == {}
+        merge.close()
+        assert storage.stats.total.cpu_ops == {"compare": 7 * 2}
+
+
 class TestDuplicateElimination:
     def test_unique_drops_duplicates(self, storage):
         pairs = [(1, 2), (3, 4), (1, 2), (5, 6), (3, 4), (1, 2)]

@@ -1,16 +1,55 @@
-"""Tests for the shared plane-sweep module."""
+"""Tests for the shared plane-sweep module.
+
+Every case of :class:`SweepCases` runs through both entry points — the
+paged engines' bulk one (x-sorted columns in, eid pairs out, the ledger
+priced once per call) and the record-at-a-time reference — and
+:class:`TestEquivalence` holds the two to the same pair sequence and
+the same charges on the inputs where they could differ.
+"""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.iostats import IOStats
-from repro.sweep.plane_sweep import sweep_intersections, sweep_self_intersections
+from repro.storage.costs import sort_comparison_count
+from repro.sweep.plane_sweep import (
+    scalar_sweep_intersections,
+    sorted_columns,
+    sweep_intersections,
+    sweep_self_intersections,
+    x_sorted,
+)
 
 
 def rec(eid, xlo, ylo, xhi, yhi):
     return (eid, xlo, ylo, xhi, yhi, 0)
+
+
+def by_xlo(records):
+    return sorted(records, key=lambda r: r[1])
+
+
+def bulk_sweep(left, right, stats=None):
+    """The bulk entry point over record lists."""
+    return sweep_intersections(
+        sorted_columns(left, stats), sorted_columns(right, stats), stats=stats
+    )
+
+
+def scalar_sweep(left, right, stats=None):
+    """The reference over record lists; it takes x-sorted lists, so the
+    sort and its price are the adapter's."""
+    if stats is not None:
+        stats.charge_cpu(
+            "compare", sort_comparison_count(len(left)) + sort_comparison_count(len(right))
+        )
+    return [
+        (a[0], b[0])
+        for a, b in scalar_sweep_intersections(by_xlo(left), by_xlo(right), stats=stats)
+    ]
 
 
 def brute(left, right):
@@ -38,67 +77,71 @@ def random_records(rng, count, start_eid=0, max_side=0.3):
     return records
 
 
-class TestSweep:
+class SweepCases:
+    """The cases both entry points must pass; ``sweep`` is the adapter."""
+
     def test_empty_inputs(self):
-        assert list(sweep_intersections([], [])) == []
-        assert list(sweep_intersections([rec(1, 0, 0, 1, 1)], [])) == []
+        assert self.sweep([], []) == []
+        assert self.sweep([rec(1, 0, 0, 1, 1)], []) == []
+        assert self.sweep([], [rec(1, 0, 0, 1, 1)]) == []
 
     def test_single_pair(self):
         a = [rec(1, 0.0, 0.0, 0.5, 0.5)]
         b = [rec(2, 0.4, 0.4, 1.0, 1.0)]
-        assert [(x[0], y[0]) for x, y in sweep_intersections(a, b)] == [(1, 2)]
+        assert self.sweep(a, b) == [(1, 2)]
 
     def test_orientation_preserved(self):
-        """First element of each yielded pair comes from ``left``."""
+        """First element of each reported pair comes from ``left``."""
         a = [rec(1, 0.5, 0.5, 0.6, 0.6)]
         b = [rec(2, 0.0, 0.0, 1.0, 1.0)]  # b starts before a
-        pairs = list(sweep_intersections(a, b))
-        assert pairs[0][0][0] == 1 and pairs[0][1][0] == 2
+        assert self.sweep(a, b) == [(1, 2)]
 
     def test_touching_edges_match(self):
         a = [rec(1, 0.0, 0.0, 0.5, 1.0)]
         b = [rec(2, 0.5, 0.0, 1.0, 1.0)]
-        assert len(list(sweep_intersections(a, b))) == 1
+        assert len(self.sweep(a, b)) == 1
 
     def test_y_disjoint_filtered(self):
         a = [rec(1, 0.0, 0.0, 1.0, 0.2)]
         b = [rec(2, 0.0, 0.5, 1.0, 1.0)]
-        assert list(sweep_intersections(a, b)) == []
+        assert self.sweep(a, b) == []
 
     def test_matches_brute_force_random(self):
         rng = random.Random(1)
         a = random_records(rng, 120)
         b = random_records(rng, 150, start_eid=1000)
-        found = {(x[0], y[0]) for x, y in sweep_intersections(a, b)}
-        assert found == brute(a, b)
+        assert set(self.sweep(a, b)) == brute(a, b)
 
     def test_no_duplicate_reports(self):
         rng = random.Random(2)
         a = random_records(rng, 100)
         b = random_records(rng, 100, start_eid=1000)
-        reported = [(x[0], y[0]) for x, y in sweep_intersections(a, b)]
+        reported = self.sweep(a, b)
         assert len(reported) == len(set(reported))
 
     def test_identical_rectangles_both_sides(self):
         a = [rec(i, 0.2, 0.2, 0.4, 0.4) for i in range(5)]
         b = [rec(100 + i, 0.2, 0.2, 0.4, 0.4) for i in range(5)]
-        assert len(list(sweep_intersections(a, b))) == 25
+        assert len(self.sweep(a, b)) == 25
 
     def test_presorted_inputs(self):
         rng = random.Random(3)
-        a = sorted(random_records(rng, 80), key=lambda r: r[1])
-        b = sorted(random_records(rng, 80, start_eid=500), key=lambda r: r[1])
-        found = {(x[0], y[0]) for x, y in sweep_intersections(a, b, presorted=True)}
-        assert found == brute(a, b)
+        a = by_xlo(random_records(rng, 80))
+        b = by_xlo(random_records(rng, 80, start_eid=500))
+        assert set(self.sweep(a, b)) == brute(a, b)
 
     def test_charges_cpu(self):
         stats = IOStats()
         rng = random.Random(4)
         a = random_records(rng, 50)
         b = random_records(rng, 50, start_eid=500)
-        list(sweep_intersections(a, b, stats=stats))
+        self.sweep(a, b, stats=stats)
         assert stats.total.cpu_ops.get("mbr_test", 0) > 0
         assert stats.total.cpu_ops.get("compare", 0) > 0
+
+
+class TestSweep(SweepCases):
+    sweep = staticmethod(bulk_sweep)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -106,8 +149,85 @@ class TestSweep:
         rng = random.Random(seed)
         a = random_records(rng, rng.randrange(0, 60))
         b = random_records(rng, rng.randrange(0, 60), start_eid=1000)
-        found = {(x[0], y[0]) for x, y in sweep_intersections(a, b)}
-        assert found == brute(a, b)
+        assert set(self.sweep(a, b)) == brute(a, b)
+
+
+class TestScalarReference(SweepCases):
+    sweep = staticmethod(scalar_sweep)
+
+
+# -- bulk entry == scalar reference ---------------------------------------
+#
+# Coordinates are multiples of 1/16, so equal ``xlo`` across (and within)
+# sides, touching edges, zero-width and zero-height rectangles and exact
+# duplicates are all common: the cases where the two-class decomposition
+# and the merge's ``<=`` must break ties the same way.
+
+GRID = 16
+
+record_on_grid = st.tuples(
+    st.integers(0, GRID), st.integers(0, GRID), st.integers(0, 5), st.integers(0, 5)
+).map(
+    lambda t: (
+        t[0] / GRID,
+        t[1] / GRID,
+        min(t[0] + t[2], GRID) / GRID,
+        min(t[1] + t[3], GRID) / GRID,
+    )
+)
+
+
+def record_lists(start_eid, max_size=24):
+    return st.lists(record_on_grid, max_size=max_size).map(
+        lambda boxes: [rec(start_eid + i, *box) for i, box in enumerate(boxes)]
+    )
+
+
+class TestEquivalence:
+    @given(left=record_lists(0), right=record_lists(1000), presorted=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_same_pairs_in_the_same_order_for_the_same_price(self, left, right, presorted):
+        if presorted:
+            left, right = by_xlo(left), by_xlo(right)
+        bulk_stats, scalar_stats = IOStats(), IOStats()
+        bulk = bulk_sweep(left, right, stats=bulk_stats)
+        scalar = scalar_sweep(left, right, stats=scalar_stats)
+        assert bulk == scalar
+        assert set(bulk) == brute(left, right) and len(bulk) == len(set(bulk))
+        assert bulk_stats.total.cpu_ops == scalar_stats.total.cpu_ops
+
+    @given(
+        page=record_lists(0),
+        open_pages=st.lists(record_lists(0, max_size=8), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_call_against_the_concatenated_open_pages(self, page, open_pages):
+        """The candidate count is a sum over pairs, so the synchronized
+        scan may sweep an arriving page against all open pages at once."""
+        open_pages = [
+            [rec(1000 * (n + 1) + r[0], *r[1:5]) for r in records]
+            for n, records in enumerate(open_pages)
+        ]
+        scalar_stats, bulk_stats = IOStats(), IOStats()
+        one_by_one = Counter()
+        for records in open_pages:
+            found = scalar_sweep_intersections(by_xlo(page), by_xlo(records), scalar_stats)
+            one_by_one.update((a[0], b[0]) for a, b in found)
+        at_once = sweep_intersections(
+            sorted_columns(page),
+            x_sorted(*(sorted_columns(records) for records in open_pages)),
+            stats=bulk_stats,
+        )
+        assert Counter(at_once) == one_by_one
+        assert bulk_stats.total.cpu_ops == scalar_stats.total.cpu_ops
+
+    def test_entity_ids_never_pass_through_a_float(self):
+        big = 2**62 + 1  # not representable in float64
+        found = sweep_intersections(
+            sorted_columns([rec(big, 0.0, 0.0, 0.5, 0.5)]),
+            sorted_columns([rec(-big, 0.5, 0.5, 1.0, 1.0)]),
+        )
+        assert found == [(big, -big)]
 
 
 class TestSelfSweep:
@@ -135,6 +255,6 @@ class TestSelfSweep:
         }
         found = {
             frozenset((a[0], b[0]))
-            for a, b in sweep_self_intersections(records)
+            for a, b in sweep_self_intersections(by_xlo(records))
         }
         assert found == expected

@@ -55,13 +55,19 @@ def brute(rects_a, rects_b):
     }
 
 
+def collect(seen):
+    """A pair sink: the scan hands it one arriving page's pairs at a
+    time, ``(eid from A, eid from B)``, never an empty list."""
+    def on_pairs(found):
+        assert found
+        seen.extend(found)
+    return on_pairs
+
+
 def run_scan(storage, files_a, files_b):
-    pairs = set()
-    synchronized_scan(
-        files_a, files_b, ORDER, lambda a, b: pairs.add((a[0], b[0])),
-        stats=storage.stats,
-    )
-    return pairs
+    seen = []
+    synchronized_scan(files_a, files_b, ORDER, collect(seen), stats=storage.stats)
+    return set(seen)
 
 
 class TestCorrectness:
@@ -110,13 +116,12 @@ class TestCorrectness:
             files_a = build_level_files(storage, "A", rects_a)
             files_b = build_level_files(storage, "B", rects_b, start_eid=1000)
             seen = []
-            synchronized_scan(
-                files_a, files_b, ORDER, lambda a, b: seen.append((a[0], b[0]))
-            )
+            synchronized_scan(files_a, files_b, ORDER, collect(seen))
             assert len(seen) == len(set(seen))
 
     def test_orientation(self):
-        """on_pair always receives the A record first."""
+        """The sink always receives A's entity ids first, whichever
+        side's page arrived."""
         with StorageManager(StorageConfig(buffer_pages=64)) as storage:
             rng = random.Random(6)
             rects_a = random_rects(rng, 80)
@@ -142,7 +147,7 @@ class TestReadOnceInvariant:
             )
             storage.stats.reset()
             with storage.stats.phase("join"):
-                synchronized_scan(files_a, files_b, ORDER, lambda a, b: None)
+                synchronized_scan(files_a, files_b, ORDER, collect([]))
             phase = storage.stats.phases["join"]
             assert phase.page_reads == total_pages
             assert phase.buffer_hits == 0

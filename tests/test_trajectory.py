@@ -10,6 +10,7 @@ import pytest
 
 from benchmarks.trajectory import (
     DEFAULT_MIN_SAMPLES,
+    GATES,
     HISTORY_DIR,
     GateSpec,
     append_entry,
@@ -22,41 +23,51 @@ from benchmarks.trajectory import (
 )
 
 
-def fastpath_payload(speedup_uniform=6.0, speedup_self=13.0) -> dict:
+def synthetic_payload(speedup_uniform=6.0, speedup_self=13.0) -> dict:
     return {
         "entities": 20000,
-        "min_speedup": 5.0,
-        "repeats": 2,
         "rows": [
-            {
-                "workload": "uniform",
-                "speedup": speedup_uniform,
-                "memory_pairs_per_s": 40000.0,
-            },
-            {
-                "workload": "self-join",
-                "speedup": speedup_self,
-                "memory_pairs_per_s": 55000.0,
-            },
+            {"workload": "uniform", "speedup": speedup_uniform},
+            {"workload": "self-join", "speedup": speedup_self},
         ],
     }
 
 
+@pytest.fixture(autouse=True)
+def synthetic_gate(monkeypatch):
+    """A default-threshold gate over two series of a made-up benchmark:
+    the one committed series (``service``) is collapse-only, too wide to
+    show the 20% policy."""
+    monkeypatch.setitem(
+        GATES,
+        "synthetic",
+        (
+            GateSpec(
+                metric="speedup",
+                select=lambda payload: {
+                    f"speedup[{row['workload']}]": float(row["speedup"])
+                    for row in payload.get("rows", [])
+                },
+            ),
+        ),
+    )
+
+
 def seed_history(tmp_path: Path, count: int = 4) -> Path:
     for _ in range(count):
-        append_entry("fastpath", fastpath_payload(), history_dir=tmp_path)
-    return history_path("fastpath", tmp_path)
+        append_entry("synthetic", synthetic_payload(), history_dir=tmp_path)
+    return history_path("synthetic", tmp_path)
 
 
 class TestHistory:
     def test_bench_name_of(self):
-        assert bench_name_of("BENCH_fastpath.json") == "fastpath"
+        assert bench_name_of("BENCH_service.json") == "service"
         assert bench_name_of("/a/b/BENCH_parallel_scaling.json") == (
             "parallel_scaling"
         )
 
     def test_entry_captures_gated_metrics_and_config(self):
-        entry = make_entry("fastpath", fastpath_payload())
+        entry = make_entry("synthetic", synthetic_payload())
         assert entry["schema"] == 1
         assert entry["metrics"]["speedup[uniform]"] == 6.0
         assert entry["metrics"]["speedup[self-join]"] == 13.0
@@ -66,11 +77,11 @@ class TestHistory:
         path = seed_history(tmp_path, count=3)
         entries = load_history(path)
         assert len(entries) == 3
-        assert all(entry["bench"] == "fastpath" for entry in entries)
+        assert all(entry["bench"] == "synthetic" for entry in entries)
 
     def test_load_rejects_unknown_schema(self, tmp_path):
-        path = tmp_path / "fastpath.jsonl"
-        path.write_text(json.dumps({"schema": 99, "bench": "fastpath"}) + "\n")
+        path = tmp_path / "synthetic.jsonl"
+        path.write_text(json.dumps({"schema": 99, "bench": "synthetic"}) + "\n")
         with pytest.raises(ValueError, match="unsupported history schema"):
             load_history(path)
 
@@ -82,11 +93,11 @@ class TestGate:
     def test_seeded_25pct_regression_is_caught(self, tmp_path):
         """The issue's acceptance gate: a 25% speedup drop must fail."""
         seed_history(tmp_path)
-        history = load_history(history_path("fastpath", tmp_path))
-        regressed = fastpath_payload(
+        history = load_history(history_path("synthetic", tmp_path))
+        regressed = synthetic_payload(
             speedup_uniform=6.0 * 0.75, speedup_self=13.0 * 0.75
         )
-        report = check_artifact(regressed, "fastpath", history)
+        report = check_artifact(regressed, "synthetic", history)
         assert not report.ok
         failing = [r.metric for r in report.results if r.regressed]
         assert "speedup[uniform]" in failing
@@ -94,20 +105,20 @@ class TestGate:
 
     def test_within_threshold_passes(self, tmp_path):
         seed_history(tmp_path)
-        history = load_history(history_path("fastpath", tmp_path))
-        wobble = fastpath_payload(
+        history = load_history(history_path("synthetic", tmp_path))
+        wobble = synthetic_payload(
             speedup_uniform=6.0 * 0.9, speedup_self=13.0 * 1.1
         )
-        report = check_artifact(wobble, "fastpath", history)
+        report = check_artifact(wobble, "synthetic", history)
         assert report.ok
 
     def test_min_samples_guard(self, tmp_path):
         """Too little history: the gate reports but never fails."""
         seed_history(tmp_path, count=DEFAULT_MIN_SAMPLES - 1)
-        history = load_history(history_path("fastpath", tmp_path))
+        history = load_history(history_path("synthetic", tmp_path))
         report = check_artifact(
-            fastpath_payload(speedup_uniform=0.1, speedup_self=0.1),
-            "fastpath",
+            synthetic_payload(speedup_uniform=0.1, speedup_self=0.1),
+            "synthetic",
             history,
         )
         assert report.ok
@@ -118,12 +129,12 @@ class TestGate:
         # One crazy-fast outlier entry must not poison the baseline.
         for speedup in (6.0, 6.1, 5.9, 60.0):
             append_entry(
-                "fastpath",
-                fastpath_payload(speedup_uniform=speedup),
+                "synthetic",
+                synthetic_payload(speedup_uniform=speedup),
                 history_dir=tmp_path,
             )
-        history = load_history(history_path("fastpath", tmp_path))
-        report = check_artifact(fastpath_payload(), "fastpath", history)
+        history = load_history(history_path("synthetic", tmp_path))
+        report = check_artifact(synthetic_payload(), "synthetic", history)
         uniform = next(
             r for r in report.results if r.metric == "speedup[uniform]"
         )
@@ -148,8 +159,8 @@ class TestGate:
 
 class TestCli:
     def _artifact(self, tmp_path, **kwargs) -> str:
-        path = tmp_path / "BENCH_fastpath.json"
-        path.write_text(json.dumps(fastpath_payload(**kwargs)))
+        path = tmp_path / "BENCH_synthetic.json"
+        path.write_text(json.dumps(synthetic_payload(**kwargs)))
         return str(path)
 
     def test_append_then_check_passes(self, tmp_path, capsys):
@@ -169,11 +180,11 @@ class TestCli:
             main(["--history-dir", str(history), "append", good])
         bad_path = tmp_path / "BENCH_bad.json"
         bad_path.write_text(
-            json.dumps(fastpath_payload(speedup_uniform=4.0, speedup_self=8.0))
+            json.dumps(synthetic_payload(speedup_uniform=4.0, speedup_self=8.0))
         )
         code = main(
             ["--history-dir", str(history), "check", str(bad_path),
-             "--bench", "fastpath"]
+             "--bench", "synthetic"]
         )
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
@@ -188,7 +199,7 @@ class TestCli:
         artifact = self._artifact(tmp_path)
         history = tmp_path / "history"
         main(["--history-dir", str(history), "append", artifact])
-        assert main(["--history-dir", str(history), "show", "fastpath"]) == 0
+        assert main(["--history-dir", str(history), "show", "synthetic"]) == 0
         out = capsys.readouterr().out
         assert "speedup[uniform]" in out
 
@@ -197,33 +208,16 @@ class TestCommittedHistory:
     """The repository's own seed must satisfy its own gate."""
 
     def test_committed_seed_exists_and_loads(self):
-        path = HISTORY_DIR / "fastpath.jsonl"
-        entries = load_history(path)
+        entries = load_history(HISTORY_DIR / "service.jsonl")
         assert len(entries) >= DEFAULT_MIN_SAMPLES
         for entry in entries:
-            assert entry["metrics"]["speedup[uniform]"] > 1.0
-            assert entry["metrics"]["speedup[self-join]"] > 1.0
+            assert entry["metrics"]["service_qps"] > 0
 
     def test_committed_seed_is_self_consistent(self):
-        """Each seed entry, replayed as a fresh artifact, passes the
-        gate against the others — the history is not pre-regressed."""
-        entries = load_history(HISTORY_DIR / "fastpath.jsonl")
-        last = entries[-1]["metrics"]
-        payload = {
-            "rows": [
-                {
-                    "workload": "uniform",
-                    "speedup": last["speedup[uniform]"],
-                    "memory_pairs_per_s": last["memory_pairs_per_s[uniform]"],
-                },
-                {
-                    "workload": "self-join",
-                    "speedup": last["speedup[self-join]"],
-                    "memory_pairs_per_s": last[
-                        "memory_pairs_per_s[self-join]"
-                    ],
-                },
-            ]
-        }
-        report = check_artifact(payload, "fastpath", entries)
+        """The last seed entry, replayed as a fresh artifact, passes
+        the gate against the history — it is not pre-regressed."""
+        entries = load_history(HISTORY_DIR / "service.jsonl")
+        payload = {"service_qps": entries[-1]["metrics"]["service_qps"]}
+        report = check_artifact(payload, "service", entries)
         assert report.ok, report.describe()
+        assert all(result.baseline is not None for result in report.results)

@@ -10,7 +10,6 @@ from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import WithinDistance
-from repro.storage.records import XHI, XLO, YHI, YLO
 from repro.verify import (
     DEFAULT_INVARIANTS,
     Divergence,
@@ -322,43 +321,46 @@ class TestHarness:
 
     def test_catches_boundary_dropping_join(self, monkeypatch):
         """A join kernel that drops boundary-contact pairs (the classic
-        open-interval bug) must produce a minimized divergence."""
-        import repro.baselines.sweep_join as sweep_module
-        from repro.sweep.plane_sweep import sweep_intersections as real_sweep
+        open-interval bug) must produce a minimized divergence — through
+        every paged engine, since they share the one kernel."""
+        import repro.sweep.plane_sweep as sweep_module
 
-        def open_interval_sweep(left, right, **kwargs):
-            for rec_a, rec_b in real_sweep(left, right, **kwargs):
-                touching = (
-                    rec_a[XHI] == rec_b[XLO]
-                    or rec_b[XHI] == rec_a[XLO]
-                    or rec_a[YHI] == rec_b[YLO]
-                    or rec_b[YHI] == rec_a[YLO]
-                )
-                if not touching:
-                    yield rec_a, rec_b
+        real_kernel = sweep_module.sweep_intersecting_pairs
+
+        def open_interval_kernel(a, b):
+            ia, ib, candidates = real_kernel(a, b)
+            (axlo, aylo, axhi, ayhi), (bxlo, bylo, bxhi, byhi) = a, b
+            inside = (
+                (axhi[ia] != bxlo[ib])
+                & (bxhi[ib] != axlo[ia])
+                & (ayhi[ia] != bylo[ib])
+                & (byhi[ib] != aylo[ia])
+            )
+            return ia[inside], ib[inside], candidates
 
         monkeypatch.setattr(
-            sweep_module, "sweep_intersections", open_interval_sweep
+            sweep_module, "sweep_intersecting_pairs", open_interval_kernel
         )
-        report = run_verify(
-            quick=True,
-            cases=[small_case()],
-            transforms=transforms_by_name(()),
-            executors=[ExecutorSpec("sweep")],
-            obs_parity=False,
-        )
-        assert not report.ok
-        (violation,) = report.violations
-        assert violation.check == "pair-set"
-        divergence = violation.payload
-        assert isinstance(divergence, Divergence)
-        assert divergence.executor == "sweep"
-        assert divergence.diff.missing and not divergence.diff.extra
-        counterexample = divergence.counterexample
-        assert counterexample is not None
-        assert len(counterexample.entities_a) <= 2
-        assert len(counterexample.entities_b) <= 2
-        assert "FAIL" in report.summary()
+        for executor in ("sweep", "s3j"):
+            report = run_verify(
+                quick=True,
+                cases=[small_case()],
+                transforms=transforms_by_name(()),
+                executors=[ExecutorSpec(executor)],
+                obs_parity=False,
+            )
+            assert not report.ok
+            (violation,) = report.violations
+            assert violation.check == "pair-set"
+            divergence = violation.payload
+            assert isinstance(divergence, Divergence)
+            assert divergence.executor == executor
+            assert divergence.diff.missing and not divergence.diff.extra
+            counterexample = divergence.counterexample
+            assert counterexample is not None
+            assert len(counterexample.entities_a) <= 2
+            assert len(counterexample.entities_b) <= 2
+            assert "FAIL" in report.summary()
 
     def test_cross_mode_is_a_roster_of_the_same_sweep(self):
         report = run_cross_mode(cases=[small_case()])
