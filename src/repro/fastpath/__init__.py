@@ -5,8 +5,8 @@ paper's 1997 system; this package is the *raw-speed* counterpart
 (ROADMAP: "true in-memory fast path", after Tsitsigkos & Mamoulis,
 PAPERS.md 1908.11740): the same S3J size-separation structure — level
 classification, Hilbert-cell assignment — executed over columnar NumPy
-arrays with a 1D forward-sweep interval kernel per cell pair, and zero
-PagedFile/BufferPool simulation.
+arrays with one 1D forward-sweep kernel call per cell level on
+rank-composite keys, and zero PagedFile/BufferPool simulation.
 
 Selected with ``spatial_join(..., mode="memory")`` or
 ``repro join --mode memory``; differentially verified against the

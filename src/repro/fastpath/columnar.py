@@ -2,11 +2,12 @@
 
 One :class:`ColumnarDataset` holds everything the memory-mode join
 needs about one input as parallel NumPy arrays — entity id, filter-step
-MBR corners, Filter-Tree level, and the Hilbert key of the MBR center —
-built **once** per input with the PR 1 batched kernels
-(:meth:`~repro.filtertree.levels.LevelAssigner.levels`,
-:meth:`~repro.curves.base.SpaceFillingCurve.keys`) and never touched by
-a PagedFile or BufferPool.
+MBR corners, Filter-Tree level, and the curve key of the cell holding
+the MBR center — built **once** per input with whole-column passes
+(``np.fromiter`` over attribute getters, then
+:meth:`~repro.filtertree.levels.LevelAssigner.levels` and
+:meth:`~repro.curves.base.SpaceFillingCurve.keys`): no Python statement
+runs per entity, and no PagedFile or BufferPool is touched.
 
 The boxes are exactly the descriptor boxes of the ledger path: each
 entity's MBR expanded by the predicate margin per side and clamped to
@@ -17,6 +18,7 @@ and their pair sets can be compared byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -31,20 +33,21 @@ class ColumnarDataset:
     """One join input as parallel columns (struct-of-arrays).
 
     All arrays share one length; ``level`` is capped at the assigner's
-    ``max_level`` and ``key`` is the Hilbert key of the (expanded) MBR
-    center at full curve order — the level-``l`` cell containing the
-    box is its top ``2*l`` bits (the curve's prefix property).
+    ``max_level`` and ``cell`` is the curve key, at order ``depth``, of
+    the ``2^depth`` grid cell holding the (expanded) MBR center: the top
+    ``2*depth`` bits of the center's full-order key, by the curve's
+    prefix property.  The level-``l`` cell containing a box is
+    ``cell >> 2*(depth - l)`` for ``l <= min(level, depth)``.
     """
 
-    name: str
     eid: np.ndarray  # int64
     xlo: np.ndarray  # float64
     ylo: np.ndarray
     xhi: np.ndarray
     yhi: np.ndarray
     level: np.ndarray  # int64, in [0, max_level]
-    key: np.ndarray  # int64 Hilbert center keys
-    order: int
+    cell: np.ndarray  # int64 curve keys at order ``depth``
+    depth: int
 
     def __len__(self) -> int:
         return len(self.eid)
@@ -56,46 +59,40 @@ class ColumnarDataset:
         margin: float = 0.0,
         curve: SpaceFillingCurve | None = None,
         assigner: LevelAssigner | None = None,
+        depth: int | None = None,
     ) -> ColumnarDataset:
         """Build the columns from a :class:`SpatialDataset`.
 
-        ``margin`` is the predicate's MBR margin; expansion and clamping
-        use the exact expressions of
-        :meth:`SpatialDataset.write_descriptors`, so memory mode and
-        ledger mode classify identical boxes.
+        ``margin`` is the predicate's MBR margin, applied column-wise by
+        the IEEE operations of ``Rect.expanded(margin).clamped()`` —
+        what :meth:`SpatialDataset.write_descriptors` applies — so both
+        modes classify identical boxes.  ``depth`` is how many curve
+        levels ``cell`` resolves (default: the assigner's ``max_level``);
+        each costs the curve kernel one pass over the input.
         """
         curve = curve or HilbertCurve()
-        assigner = assigner or LevelAssigner(
-            order=curve.order, max_level=min(16, curve.order)
-        )
+        assigner = assigner or LevelAssigner(curve.order, min(16, curve.order))
+        depth = assigner.max_level if depth is None else depth
+        if margin < 0:
+            raise ValueError("margin must be non-negative")
         n = len(dataset)
-        eid = np.empty(n, dtype=np.int64)
-        boxes = np.empty((n, 4), dtype=np.float64)
-        for row, entity in enumerate(dataset):
-            box = (
-                entity.mbr
-                if margin == 0.0
-                else entity.mbr.expanded(margin).clamped()
-            )
-            eid[row] = entity.eid
-            boxes[row] = (box.xlo, box.ylo, box.xhi, box.yhi)
-        xlo, ylo, xhi, yhi = boxes.T
-        if n:
-            level = assigner.levels(xlo, ylo, xhi, yhi)
-            qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
-            qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")
-            key = curve.keys(qx, qy)
-        else:
-            level = np.empty(0, dtype=np.int64)
-            key = np.empty(0, dtype=np.int64)
-        return cls(
-            name=dataset.name,
-            eid=eid,
-            xlo=np.ascontiguousarray(xlo),
-            ylo=np.ascontiguousarray(ylo),
-            xhi=np.ascontiguousarray(xhi),
-            yhi=np.ascontiguousarray(yhi),
-            level=level,
-            key=key,
-            order=curve.order,
+        eid = np.fromiter(map(attrgetter("eid"), dataset), np.int64, n)
+        boxes = list(map(attrgetter("mbr"), dataset))
+        xlo, ylo, xhi, yhi = (
+            np.fromiter(map(attrgetter(corner), boxes), np.float64, n)
+            for corner in ("xlo", "ylo", "xhi", "yhi")
         )
+        if margin != 0.0:
+            xlo, ylo = (np.clip(low - margin, 0.0, 1.0) for low in (xlo, ylo))
+            xhi, yhi = (np.clip(high + margin, 0.0, 1.0) for high in (xhi, yhi))
+        # levels() refuses NaN and out-of-square corners by field name
+        # before anything here is cast to a grid index.
+        level = assigner.levels(xlo, ylo, xhi, yhi)
+        qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
+        qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")
+        if depth:
+            shift = curve.order - depth
+            cell = type(curve)(order=depth).keys(qx >> shift, qy >> shift)
+        else:  # a curve has at least order 1; the one depth-0 cell is 0
+            cell = np.zeros(n, dtype=np.int64)
+        return cls(eid, xlo, ylo, xhi, yhi, level, cell, depth)

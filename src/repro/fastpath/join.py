@@ -1,41 +1,55 @@
 """The in-memory S3J: size separation over columnar arrays.
 
 Same structure as the ledger-mode algorithm (partition by Filter-Tree
-level, order by Hilbert key, join nested cells) but executed as NumPy
-array passes with no storage simulation:
+level, order by curve key, join nested cells) but executed as NumPy
+array passes with no storage simulation, and a Python trip count that
+depends on the cell level ``K`` only — not on the number of entities or
+occupied cells:
 
-- **partition** — vectorized level classification and Hilbert-cell
-  assignment (the PR 1 batched kernels via
-  :class:`~repro.fastpath.columnar.ColumnarDataset`);
-- **sort** — one ``np.lexsort`` per input grouping entities by
-  ``(effective level, cell prefix)`` and ordering each group by ``xlo``;
-- **join** — a forward-sweep kernel (:mod:`repro.fastpath.sweep`) per
-  pair of *nested* cells.
+- **partition** — vectorized level classification and depth-``K`` cell
+  assignment (:class:`~repro.fastpath.columnar.ColumnarDataset`);
+- **sort** — one ``argsort`` of both inputs' ``xlo`` together replaces
+  every x coordinate by an integer *rank*: ``rlo`` is a row's position
+  in that order (a permutation, so nothing ties) and ``rhi`` that of the
+  last ``xlo`` not above its ``xhi``.  Two boxes x-overlap exactly when
+  ``rlo(a) <= rhi(b)`` and ``rlo(b) <= rhi(a)``;
+- **join** — per cell level ``lc <= K`` and role, **one** call of the
+  forward-sweep kernel (:mod:`repro.fastpath.sweep`) on the int64 keys
+  ``ancestor_cell(lc) * R + rank``, ``R`` the number of ranks: a key
+  range ``[klo, khi]`` cannot leave its cell, so the one sweep is the
+  sweep of every cell of the level side by side.  The kernel yields
+  candidates a chunk at a time and the y-mask runs per chunk, so peak
+  memory is the columns plus one chunk whatever the candidate count.
 
 Cell nesting replaces the synchronized scan: levels are capped at a
-*cell level* ``K`` (so the grid stays coarse enough for groups to have
-work in them), and two entities can only intersect when one's
-``(level, prefix)`` cell is an ancestor of — or equal to — the other's.
-That holds because ``level()`` places every box strictly inside a
-half-open grid cell (PR 4's closed-interval semantics: boxes touching a
-grid line get a coarser level), and half-open cells of any two levels
-are either nested or disjoint.  Group pairs are therefore enumerated by
-*ancestor lookups only* — at most ``K+1`` dictionary probes per group,
-never a descendant enumeration.
+*cell level* ``K`` (so cells stay coarse enough to have work in them),
+and two entities can only intersect when one's ``(level, cell)`` is an
+ancestor of — or equal to — the other's: ``level()`` places every box
+strictly inside a half-open grid cell (boxes touching a grid line get a
+coarser level), and half-open cells of two levels are nested or
+disjoint.  So level ``lc`` joins one input's entities *at* ``lc`` with
+the other's at ``lc`` or finer, matched on the level-``lc`` ancestor
+cell: the top ``2*lc`` bits of the depth-``K`` cell key.  Role 1 (A
+fine, B at ``lc``) takes equal levels too, role 2 (B fine, A at ``lc``)
+strictly finer ones only — each nested pair exactly once; a self join
+keeps role 1 (canonicalization folds the mirror images).
 
 The returned :class:`~repro.join.result.JoinResult` carries Table-2
-compatible metrics: the same three phases as ledger S3J with honest CPU
-operation counts (level/hilbert/compare/mbr_test) priced by the default
-cost model, zero simulated I/O, and ``details["mode"] == "memory"``.
+compatible metrics: the three phases of ledger S3J with counted CPU
+operations (level/hilbert/compare/mbr_test) priced by the default cost
+model, zero simulated I/O, and ``details["mode"] == "memory"``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple, Sequence
 
 from repro.curves.base import SpaceFillingCurve
+from repro.curves.hilbert import HilbertCurve
 from repro.fastpath.columnar import ColumnarDataset
 from repro.fastpath.sweep import forward_sweep_pairs
+from repro.filtertree.levels import LevelAssigner
 from repro.join.dataset import SpatialDataset
 from repro.join.metrics import JoinMetrics
 from repro.join.predicates import Intersects, JoinPredicate
@@ -54,98 +68,88 @@ PHASE_NAMES = ("partition", "sort", "join")
 """Memory mode reports the same Table 2 phases as ledger-mode S3J."""
 
 
-def default_cell_level(
-    count: int, max_level: int, occupancy: int = DEFAULT_CELL_OCCUPANCY
-) -> int:
-    """Cell level ``K`` targeting ``occupancy`` entities per cell: a
-    ``2^K`` grid has ``4^K`` cells, so ``K = floor(log4(n/occupancy))``,
-    clamped to ``[0, max_level]``."""
-    if count <= occupancy:
+def default_cell_level(count: int, max_level: int) -> int:
+    """Cell level ``K`` targeting :data:`DEFAULT_CELL_OCCUPANCY`
+    entities per cell: a ``2^K`` grid has ``4^K`` cells, so ``K =
+    floor(log4(n/occupancy))``, clamped to ``[0, max_level]``."""
+    if count <= DEFAULT_CELL_OCCUPANCY:
         return 0
-    return max(0, min(max_level, int(math.log(count / occupancy, 4))))
+    return max(0, min(max_level, int(math.log(count / DEFAULT_CELL_OCCUPANCY, 4))))
 
 
-class _Groups:
-    """One input's entities bucketed by ``(effective level, cell prefix)``.
+class _Rows(NamedTuple):
+    """Every row of the join — both inputs — as parallel columns in
+    ``xlo`` order, so a row's index is the rank ``rlo`` of its ``xlo``."""
 
-    ``order`` sorts the input by ``(eff, prefix, xlo)``; groups are the
-    contiguous runs of equal ``(eff, prefix)``, so each group's slice is
-    already in ``xlo`` order — exactly what the sweep kernel needs.
-    """
-
-    def __init__(self, col: ColumnarDataset, cell_level: int) -> None:
-        eff = np.minimum(col.level, cell_level)
-        prefix = col.key >> (2 * (col.order - eff))
-        order = np.lexsort((col.xlo, prefix, eff))
-        self.eid = col.eid[order]
-        self.xlo = col.xlo[order]
-        self.ylo = col.ylo[order]
-        self.xhi = col.xhi[order]
-        self.yhi = col.yhi[order]
-        eff_s = eff[order]
-        pre_s = prefix[order]
-        if len(eff_s):
-            change = np.flatnonzero(
-                (eff_s[1:] != eff_s[:-1]) | (pre_s[1:] != pre_s[:-1])
-            )
-            self.starts = np.concatenate(([0], change + 1))
-            self.stops = np.concatenate((self.starts[1:], [len(eff_s)]))
-        else:
-            self.starts = np.empty(0, dtype=np.int64)
-            self.stops = np.empty(0, dtype=np.int64)
-        self.eff = eff_s[self.starts]
-        self.prefix = pre_s[self.starts]
-        self.lookup = {
-            (int(level), int(pre)): idx
-            for idx, (level, pre) in enumerate(zip(self.eff, self.prefix))
-        }
-        self.levels = sorted({int(level) for level in self.eff})
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def slice(self, idx: int) -> tuple[np.ndarray, ...]:
-        lo, hi = int(self.starts[idx]), int(self.stops[idx])
-        return (
-            self.eid[lo:hi],
-            self.xlo[lo:hi],
-            self.ylo[lo:hi],
-            self.xhi[lo:hi],
-            self.yhi[lo:hi],
-        )
+    rhi: np.ndarray  # rank of the last xlo <= this row's xhi
+    ylo: np.ndarray
+    yhi: np.ndarray
+    eid: np.ndarray
+    eff: np.ndarray  # effective level: min(level, K)
+    cell: np.ndarray  # depth-K cell key
 
 
-def _nested_group_pairs(
-    groups_a: _Groups, groups_b: _Groups, self_join: bool
-) -> list[tuple[int, int]]:
-    """All ``(a_group, b_group)`` index pairs whose cells nest.
+def _rank_x(
+    columns: Sequence[ColumnarDataset], cell_level: int
+) -> tuple[_Rows, list[np.ndarray]]:
+    """The sort phase: one argsort puts every row of the join in
+    ``xlo`` order.  Returns the rows and each input's own row indices."""
 
-    Loop 1 finds, for each A group, every B group at an equal-or-
-    coarser level whose cell contains it; loop 2 finds, for each B
-    group, every *strictly* coarser A group — together covering each
-    nested pair exactly once.  A self join keeps loop 1 only (the pair
-    set is symmetric and canonicalization folds the mirror images).
-    """
-    pairs: list[tuple[int, int]] = []
-    for ga in range(len(groups_a)):
-        la, pa = int(groups_a.eff[ga]), int(groups_a.prefix[ga])
-        for lb in groups_b.levels:
-            if lb > la:
-                break
-            gb = groups_b.lookup.get((lb, pa >> (2 * (la - lb))))
-            if gb is not None:
-                pairs.append((ga, gb))
-    if self_join:
-        return pairs
-    for gb in range(len(groups_b)):
-        lb, pb = int(groups_b.eff[gb]), int(groups_b.prefix[gb])
-        for la in groups_a.levels:
-            if la >= lb:
-                break
-            ga = groups_a.lookup.get((la, pb >> (2 * (lb - la))))
-            if ga is not None:
-                pairs.append((ga, gb))
-    return pairs
+    def joined(name: str) -> np.ndarray:
+        return np.concatenate([getattr(col, name) for col in columns])
+
+    xlo = joined("xlo")
+    order = np.argsort(xlo)
+    rows = _Rows(
+        rhi=np.searchsorted(xlo[order], joined("xhi")[order], side="right") - 1,
+        ylo=joined("ylo")[order],
+        yhi=joined("yhi")[order],
+        eid=joined("eid")[order],
+        eff=np.minimum(joined("level")[order], cell_level),
+        cell=joined("cell")[order],
+    )
+    in_a = order < len(columns[0])
+    return rows, [np.flatnonzero(in_a), np.flatnonzero(~in_a)][: len(columns)]
+
+
+def _level_order(rows: _Rows, side: np.ndarray, level: int, shift: int) -> np.ndarray:
+    """One input's rows at ``level`` or finer, ordered by (ancestor cell
+    ``cell >> shift``, rank).  ``side`` is in rank order already, so a
+    stable sort on the cell id alone does it — a radix sort while the id
+    fits 16 bits (``level <= 8``)."""
+    index = side[rows.eff[side] >= level]
+    cell = (rows.cell[index] >> shift).astype(np.min_scalar_type((1 << 2 * level) - 1))
+    return index[np.argsort(cell, kind="stable")]
+
+
+def _sweep_level(
+    rows: _Rows,
+    shift: int,
+    fine: np.ndarray,
+    coarse: np.ndarray,
+    eids_fine: list[np.ndarray],
+    eids_coarse: list[np.ndarray],
+) -> tuple[int, int]:
+    """One kernel call: every x-overlapping (fine, coarse) pair of one
+    level, y-masked chunk by chunk.  ``fine`` and ``coarse`` index
+    ``rows`` in :func:`_level_order`.  Appends the surviving eid columns;
+    returns the candidate count (the ``mbr_test`` charge) and how many
+    cells the coarse rows occupy."""
+
+    def keyed(index: np.ndarray) -> tuple[np.ndarray, ...]:
+        base = (rows.cell[index] >> shift) * len(rows.rhi)
+        return base + index, base + rows.rhi[index], rows.ylo[index], rows.yhi[index], base
+
+    fklo, fkhi, fylo, fyhi, _ = keyed(fine)
+    cklo, ckhi, cylo, cyhi, cbase = keyed(coarse)
+    candidates = 0
+    for i, j in forward_sweep_pairs(fklo, fkhi, cklo, ckhi):
+        candidates += len(i)
+        keep = (fylo[i] <= cyhi[j]) & (cylo[j] <= fyhi[i])
+        eids_fine.append(rows.eid[fine[i[keep]]])
+        eids_coarse.append(rows.eid[coarse[j[keep]]])
+    cells = len(coarse) and 1 + np.count_nonzero(cbase[1:] != cbase[:-1])
+    return candidates, int(cells)
 
 
 def memory_spatial_join(
@@ -169,84 +173,61 @@ def memory_spatial_join(
     size); ``curve``/``max_level`` mirror the ledger algorithm's
     parameters so metamorphic transforms apply to both modes.
     """
-    from repro.curves.hilbert import HilbertCurve
-    from repro.filtertree.levels import LevelAssigner
-
     predicate = predicate or Intersects()
     obs = obs or NULL_OBS
     tracer = obs.tracer
     self_join = dataset_a is dataset_b
     curve = curve or HilbertCurve()
-    assigner = LevelAssigner(
-        order=curve.order, max_level=min(max_level, curve.order)
-    )
-    margin = predicate.mbr_margin
+    assigner = LevelAssigner(curve.order, min(max_level, curve.order))
+    if cell_level is None:
+        count = max(len(dataset_a), len(dataset_b))
+        cell_level = default_cell_level(count, assigner.max_level)
+    elif not 0 <= cell_level <= assigner.max_level:
+        raise ValueError(f"cell_level {cell_level} outside [0, {assigner.max_level}]")
 
     phases = {name: PhaseStats() for name in PHASE_NAMES}
-    with tracer.span(
-        "memory_join", algorithm="s3j", mode="memory", self_join=self_join
-    ) as root:
+    with tracer.span("memory_join", algorithm="s3j", mode="memory", self_join=self_join) as root:
         with tracer.span("partition", kind="phase"):
-            col_a = ColumnarDataset.from_dataset(
-                dataset_a, margin=margin, curve=curve, assigner=assigner
-            )
-            col_b = (
-                col_a
-                if self_join
-                else ColumnarDataset.from_dataset(
-                    dataset_b, margin=margin, curve=curve, assigner=assigner
-                )
-            )
-            classified = len(col_a) + (0 if self_join else len(col_b))
+            margin = predicate.mbr_margin
+            columns = [
+                ColumnarDataset.from_dataset(dataset, margin, curve, assigner, cell_level)
+                for dataset in ((dataset_a,) if self_join else (dataset_a, dataset_b))
+            ]
+            levels = [_level_histogram(col) for col in columns]
+            classified = sum(map(len, columns))
             phases["partition"].charge_cpu("level", classified)
             phases["partition"].charge_cpu("hilbert", classified)
 
-        if cell_level is None:
-            cell_level = default_cell_level(
-                max(len(col_a), len(col_b)), assigner.max_level
-            )
-        elif not 0 <= cell_level <= assigner.max_level:
-            raise ValueError(
-                f"cell_level {cell_level} outside [0, {assigner.max_level}]"
-            )
-
         with tracer.span("sort", kind="phase"):
-            groups_a = _Groups(col_a, cell_level)
-            groups_b = groups_a if self_join else _Groups(col_b, cell_level)
-            comparisons = sort_comparison_count(len(col_a))
-            if not self_join:
-                comparisons += sort_comparison_count(len(col_b))
-            phases["sort"].charge_cpu("compare", comparisons)
+            rows, sides = _rank_x(columns, cell_level)
+            compares = sum(sort_comparison_count(len(col)) for col in columns)
+            phases["sort"].charge_cpu("compare", compares)
+            del columns  # the join reads `rows` only; at 90k entities this is 5 MiB
 
         with tracer.span("join", kind="phase") as span:
-            eids_a: list[np.ndarray] = []
-            eids_b: list[np.ndarray] = []
+            eids_a = [np.empty(0, dtype=np.int64)]
+            eids_b = [np.empty(0, dtype=np.int64)]
+            groups = [0] * len(sides)  # per role: cells its coarse rows occupy
             candidates = 0
-            group_pairs = _nested_group_pairs(groups_a, groups_b, self_join)
-            on_progress = progress_emitter(
-                obs.events, "join", len(group_pairs),
-                every=max(1, len(group_pairs) // 8),
-            )
-            for done, (ga, gb) in enumerate(group_pairs, start=1):
-                aeid, axlo, aylo, axhi, ayhi = groups_a.slice(ga)
-                beid, bxlo, bylo, bxhi, byhi = groups_b.slice(gb)
-                ia, ib = forward_sweep_pairs(axlo, axhi, bxlo, bxhi)
-                candidates += len(ia)
-                keep = (aylo[ia] <= byhi[ib]) & (bylo[ib] <= ayhi[ia])
-                eids_a.append(aeid[ia[keep]])
-                eids_b.append(beid[ib[keep]])
-                if on_progress is not None:
-                    on_progress(done, f"cells:{ga}x{gb}")
+            calls = (cell_level + 1) * len(sides)
+            on_progress = progress_emitter(obs.events, "join", calls)
+            for level in range(cell_level + 1):
+                shift = 2 * (cell_level - level)
+                fine = [_level_order(rows, side, level, shift) for side in sides]
+                at_level = [rows.eff[index] == level for index in fine]
+                # Role 1: A at `level` or finer x B at `level`; role 2,
+                # its mirror image, takes strictly finer B only.
+                sweeps = [(fine[0], fine[-1][at_level[-1]], eids_a, eids_b)]
+                if not self_join:
+                    sweeps.append((fine[1][~at_level[1]], fine[0][at_level[0]], eids_b, eids_a))
+                for role, sweep in enumerate(sweeps):
+                    tested, cells = _sweep_level(rows, shift, *sweep)
+                    candidates += tested
+                    groups[role] += cells
+                    if on_progress is not None:
+                        on_progress(level * len(sides) + role + 1, f"level:{level}")
             phases["join"].charge_cpu("mbr_test", candidates)
-            if eids_a:
-                raw = list(
-                    zip(
-                        np.concatenate(eids_a).tolist(),
-                        np.concatenate(eids_b).tolist(),
-                    )
-                )
-            else:
-                raw = []
+            raw = zip(np.concatenate(eids_a).tolist(), np.concatenate(eids_b).tolist())
             pairs = canonical_pairs(raw, self_join)
             span.set(candidates=candidates, pairs=len(pairs))
 
@@ -259,19 +240,17 @@ def memory_spatial_join(
                 "mode": "memory",
                 "cell_level": cell_level,
                 "candidates": candidates,
-                "groups_a": len(groups_a),
-                "groups_b": len(groups_b),
-                "levels_a": _level_histogram(col_a),
-                "levels_b": _level_histogram(col_b),
+                "groups_a": groups[-1],
+                "groups_b": groups[0],
+                "levels_a": levels[0],
+                "levels_b": levels[-1],
             },
         )
         result = JoinResult(pairs=pairs, metrics=metrics, self_join=self_join)
         if refine:
             with tracer.span("refine", kind="refine"):
                 entities_a = dataset_a.entity_by_id()
-                entities_b = (
-                    entities_a if self_join else dataset_b.entity_by_id()
-                )
+                entities_b = entities_a if self_join else dataset_b.entity_by_id()
                 result.refine(predicate, entities_a, entities_b)
         root.set(candidate_pairs=len(result.pairs))
     return result
@@ -279,5 +258,5 @@ def memory_spatial_join(
 
 def _level_histogram(col: ColumnarDataset) -> dict[int, int]:
     """Entity count per Filter-Tree level (ledger ``levels_*`` detail)."""
-    levels, counts = np.unique(col.level, return_counts=True)
-    return {int(level): int(count) for level, count in zip(levels, counts)}
+    counts = np.bincount(col.level)
+    return {int(level): int(counts[level]) for level in np.flatnonzero(counts)}

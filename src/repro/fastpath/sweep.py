@@ -3,7 +3,7 @@
 *The* sweep of both execution modes: given two sets of rectangles,
 report every pair whose MBRs intersect (closed intervals — boundary
 contact counts, matching ``Rect.intersects``).  Memory mode calls it
-per pair of nested cell groups (:func:`forward_sweep_pairs`), the paged
+once per cell level and role (:func:`forward_sweep_pairs`), the paged
 engines per arriving page or partition pair through
 :func:`repro.sweep.plane_sweep.sweep_intersections`
 (:func:`sweep_intersecting_pairs`) — two entry points, one body.
@@ -21,19 +21,29 @@ and each class is a single contiguous range of the other input's sorted
 ranges are expanded to explicit index pairs with ``repeat``/``cumsum``
 arithmetic and filtered by a vectorized closed-interval y-overlap mask
 — no Python-level loop over candidates anywhere.
+
+Nothing in that needs ``xlo`` to be a coordinate: any ordered key with
+``lo <= hi`` per row works.  Memory mode's keys are int64 composites
+``cell * R + x-rank``, so one call sweeps every cell of a level and may
+find millions of candidates; its entry point expands them in chunks.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 Boxes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 """Rectangles as parallel arrays ``(xlo, ylo, xhi, yhi)``."""
 
+CHUNK_CANDIDATES = 1 << 16
+"""Candidates per chunk of :func:`forward_sweep_pairs`: a chunk and its
+caller's y-mask are a few MiB, cache-resident, where a whole level of a
+90k-entity join is tens of MiB of index arrays."""
 
-def _expand_ranges(
-    starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+
+def _expand_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand per-row half-open index ranges ``[starts[i], stops[i])``
     into explicit ``(row, index)`` pairs.
 
@@ -46,35 +56,47 @@ def _expand_ranges(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    # Offset of each output slot within its row's range: a global
-    # arange minus the (repeated) cumulative start of the row's block.
+    # Output slot k of row i holds starts[i] + (k - first slot of i):
+    # a global arange plus the (repeated) per-row constant.
     block_starts = np.cumsum(counts) - counts
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(block_starts, counts)
-    return rows, np.repeat(starts, counts) + offsets
+    return rows, np.repeat(starts - block_starts, counts) + np.arange(total, dtype=np.int64)
 
 
-def _x_overlap_pairs(
+def _overlap_ranges(
     axlo: np.ndarray,
     axhi: np.ndarray,
     bxlo: np.ndarray,
     bxhi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``(i, j)`` with closed-interval x-overlap:
-    ``axlo[i] <= bxhi[j] and bxlo[j] <= axhi[i]``.
-
-    Both ``axlo`` and ``bxlo`` must be sorted ascending (``axhi`` /
-    ``bxhi`` ride along unsorted).  Each qualifying pair is produced
-    exactly once, by the two-class decomposition above.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-interval x-overlap (``axlo[i] <= bxhi[j] and bxlo[j] <=
+    axhi[i]``) as half-open index ranges ``(lo1, hi1, lo2, hi2)``: row
+    ``i`` of A overlaps ``b[lo1[i]:hi1[i]]`` (class 1) and row ``j`` of B
+    overlaps ``a[lo2[j]:hi2[j]]`` (class 2), each pair in exactly one.
+    ``axlo`` and ``bxlo`` must be sorted ascending (``axhi`` / ``bxhi``
+    ride along unsorted)."""
     # Class 1: b starts inside a — bxlo[j] in [axlo[i], axhi[i]].
     lo1 = np.searchsorted(bxlo, axlo, side="left")
     hi1 = np.searchsorted(bxlo, axhi, side="right")
-    ia1, ib1 = _expand_ranges(lo1, np.maximum(lo1, hi1))
     # Class 2: a starts strictly inside b — axlo[i] in (bxlo[j], bxhi[j]].
     lo2 = np.searchsorted(axlo, bxlo, side="right")
     hi2 = np.searchsorted(axlo, bxhi, side="right")
-    ib2, ia2 = _expand_ranges(lo2, np.maximum(lo2, hi2))
-    return np.concatenate([ia1, ia2]), np.concatenate([ib1, ib2])
+    return lo1, np.maximum(lo1, hi1), lo2, np.maximum(lo2, hi2)
+
+
+def _expand_chunks(
+    starts: np.ndarray, stops: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_expand_ranges` over consecutive runs of whole rows, each
+    run as long as fits :data:`CHUNK_CANDIDATES` pairs (a single row
+    above that goes alone)."""
+    ends = np.cumsum(stops - starts)
+    first = 0
+    while first < len(ends):
+        budget = (ends[first - 1] if first else 0) + CHUNK_CANDIDATES
+        last = max(first + 1, int(np.searchsorted(ends, budget, side="right")))
+        rows, indices = _expand_ranges(starts[first:last], stops[first:last])
+        yield rows + first, indices
+        first = last
 
 
 def forward_sweep_pairs(
@@ -82,10 +104,14 @@ def forward_sweep_pairs(
     axhi: np.ndarray,
     bxlo: np.ndarray,
     bxhi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Memory mode's entry point onto the kernel (its caller applies
-    the y-mask per cell group and needs no emission order)."""
-    return _x_overlap_pairs(axlo, axhi, bxlo, bxhi)
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Memory mode's entry point onto the kernel: every x-overlapping
+    index pair exactly once, as ``(ia, ib)`` chunks (its caller applies
+    the y-mask per chunk and needs no emission order)."""
+    lo1, hi1, lo2, hi2 = _overlap_ranges(axlo, axhi, bxlo, bxhi)
+    yield from _expand_chunks(lo1, hi1)
+    for ib, ia in _expand_chunks(lo2, hi2):
+        yield ia, ib
 
 
 def sweep_intersecting_pairs(a: Boxes, b: Boxes) -> tuple[np.ndarray, np.ndarray, int]:
@@ -104,7 +130,10 @@ def sweep_intersecting_pairs(a: Boxes, b: Boxes) -> tuple[np.ndarray, np.ndarray
     """
     axlo, aylo, axhi, ayhi = a
     bxlo, bylo, bxhi, byhi = b
-    ia, ib = _x_overlap_pairs(axlo, axhi, bxlo, bxhi)
+    lo1, hi1, lo2, hi2 = _overlap_ranges(axlo, axhi, bxlo, bxhi)
+    ia1, ib1 = _expand_ranges(lo1, hi1)
+    ib2, ia2 = _expand_ranges(lo2, hi2)
+    ia, ib = np.concatenate([ia1, ia2]), np.concatenate([ib1, ib2])
     keep = (aylo[ia] <= byhi[ib]) & (bylo[ib] <= ayhi[ia])
     ia, ib = ia[keep], ib[keep]
     # Class 1 precedes class 2 and each is in index order, so a stable

@@ -151,22 +151,18 @@ def quantize_array(coords: np.ndarray, side: int, field: str) -> np.ndarray:
     return np.minimum((values * side).astype(np.int64), side - 1)
 
 
-_BIT_LENGTH_STEPS = (32, 16, 8, 4, 2, 1)
-
-
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
     """Vectorized ``int.bit_length`` for non-negative int64 arrays.
 
-    Binary-search reduction: six fixed passes regardless of magnitude
-    (the naive one-bit-per-pass loop costs ``order`` full-array passes
-    on the batch-partition hot path).
+    An integer below ``2^53`` is exactly a float64 and its bit length is
+    that float's binary exponent, one ``np.frexp`` pass.  Wider values
+    would round when cast (``2^63 - 1`` becomes ``2^63``, one bit too
+    long), so a value with high 32 bits is measured by those alone.
     """
-    work = np.asarray(values, dtype=np.int64).copy()
+    work = np.asarray(values, dtype=np.int64)
     if work.size and work.min() < 0:
         raise ValueError("inputs must be non-negative")
-    lengths = np.zeros(work.shape, dtype=np.int64)
-    for step in _BIT_LENGTH_STEPS:
-        big = work >= (1 << step)
-        lengths[big] += step
-        work[big] >>= step
-    return lengths + (work > 0)
+    high = work >> 32
+    wide = high > 0
+    narrow = np.where(wide, high, work).astype(np.float64)
+    return np.frexp(narrow)[1] + 32 * wide

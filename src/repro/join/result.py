@@ -4,7 +4,7 @@ from the refinement step, and the metrics of the run."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.geometry.entity import Entity
 from repro.join.metrics import JoinMetrics
@@ -17,9 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Pair = tuple[int, int]
 
 
-def canonical_pairs(
-    raw_pairs: set[Pair] | list[Pair], self_join: bool
-) -> frozenset[Pair]:
+def canonical_pairs(raw_pairs: Iterable[Pair], self_join: bool) -> frozenset[Pair]:
     """Normalize a raw pair collection for comparison across algorithms.
 
     For a self join, mirrored pairs collapse to ``(min, max)`` and

@@ -34,6 +34,8 @@ from repro.geometry.rect import Rect
 from repro.join.api import available_algorithms, spatial_join
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import WithinDistance
+from repro.obs import Observability
+from repro.obs.events import EventLog
 
 from .conftest import brute_force_pairs, brute_force_self_pairs, make_squares
 
@@ -94,9 +96,14 @@ class TestForwardSweepKernel:
         bxlo, _, bxhi, _ = b
         oa = np.argsort(axlo, kind="stable")
         ob = np.argsort(bxlo, kind="stable")
-        ia, ib = forward_sweep_pairs(axlo[oa], axhi[oa], bxlo[ob], bxhi[ob])
-        got = set(zip(oa[ia].tolist(), ob[ib].tolist()))
-        assert len(ia) == len(got), "kernel produced a duplicate pair"
+        chunks = list(forward_sweep_pairs(axlo[oa], axhi[oa], bxlo[ob], bxhi[ob]))
+        emitted = sum(len(ia) for ia, _ in chunks)
+        got = {
+            pair
+            for ia, ib in chunks
+            for pair in zip(oa[ia].tolist(), ob[ib].tolist())
+        }
+        assert emitted == len(got), "kernel produced a duplicate pair"
         assert got == _oracle_x_pairs(axlo, axhi, bxlo, bxhi)
 
     @settings(max_examples=200, deadline=None)
@@ -154,7 +161,7 @@ class TestColumnarDataset:
     def test_empty_dataset(self):
         col = ColumnarDataset.from_dataset(SpatialDataset("empty", []))
         assert len(col) == 0
-        assert col.level.dtype == np.int64 and col.key.dtype == np.int64
+        assert col.level.dtype == np.int64 and col.cell.dtype == np.int64
 
     def test_default_cell_level_bounds(self):
         assert default_cell_level(0, max_level=8) == 0
@@ -216,6 +223,18 @@ class TestMemoryJoinOracle:
         assert metrics.total_ios == 0
         assert set(metrics.breakdown()) == {"partition", "sort", "join"}
         json.dumps(metrics.to_dict())  # must be serializable
+
+    @pytest.mark.parametrize("self_join", [False, True])
+    def test_progress_event_per_kernel_call(self, self_join):
+        a = make_squares(700, 0.02, seed=1, name="A")
+        b = a if self_join else make_squares(600, 0.02, seed=2, name="B")
+        log = EventLog()
+        result = memory_spatial_join(a, b, obs=Observability(events=log))
+        progress = [e for e in log.to_dicts() if e["type"] == "shard_progress"]
+        calls = (result.metrics.details["cell_level"] + 1) * (1 if self_join else 2)
+        assert calls > 1
+        assert [e["done"] for e in progress] == list(range(1, calls + 1))
+        assert all(e["phase"] == "join" and e["total"] == calls for e in progress)
 
     def test_refine(self):
         a = make_squares(60, 0.02, seed=5, name="A")
