@@ -743,12 +743,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         with open_index() as index:
             server = ServiceServer(JoinService(index, config), args.host, args.port)
             host, port = await server.start()
-            origin = (
-                f"recovered ({index.notes_replayed} notes replayed, "
-                f"{index.debris_dropped} debris files dropped)"
-                if index.recovered
-                else "bootstrapped"
-            )
+            origin = "bootstrapped"
+            if index.recovered:
+                mapped = index._backend().last_recovery.mapped_pages
+                origin = (
+                    f"recovered ({index.notes_replayed} notes replayed, "
+                    f"{mapped} pages mapped from the log, "
+                    f"{index.debris_dropped} debris files dropped)"
+                )
             print(
                 f"serving {len(index)} entities on {host}:{port} {origin} "
                 f"(JSON-lines; ops: point window join insert delete stats)",

@@ -375,6 +375,7 @@ class JoinService:
                     "compaction_completed",
                     epoch=self.index.epoch,
                     compactions=self.index.compactions,
+                    **self.index.last_fold,
                 )
             metrics = self.obs.active_metrics
             if metrics is not None:
@@ -531,6 +532,7 @@ class JoinService:
             "debris_dropped": index.debris_dropped,
             "delta_records": self.index.delta_records,
             "compactions": self.index.compactions,
+            "last_fold": index.last_fold,
             "queries": self.queries,
             "rejected": self.rejected,
             "failed": self.failed,

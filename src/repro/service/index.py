@@ -29,10 +29,9 @@ files.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import struct
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -123,9 +122,11 @@ class PersistentIndex:
         self.recovered = False
         self.notes_replayed = 0  # journal notes re-applied by a reopen
         self.debris_dropped = 0  # stored files no manifest named, deleted on open
+        self.last_fold: dict[str, int] = {}  # what the latest fold cost (none yet: empty)
         self._base: dict[int, PagedFile] = {}
         self._directory: dict[int, list[int]] = {}  # level -> page first keys
         self._delta: dict[int, list[Record]] = {}
+        self._delta_keys: dict[int, int] = {}  # eid -> Hilbert key, of inserts in the delta
         self._tombstones: dict[int, set[int]] = {}  # level -> base eids
         self._live: dict[int, tuple[int, Entity]] = {}  # eid -> (level, entity)
         seed = list(entities)
@@ -250,8 +251,8 @@ class PersistentIndex:
     @property
     def delta_records(self) -> int:
         """Pending delta size: buffered inserts plus tombstones."""
-        return sum(len(buf) for buf in self._delta.values()) + sum(
-            len(dead) for dead in self._tombstones.values()
+        return sum(map(len, self._delta.values())) + sum(
+            map(len, self._tombstones.values())
         )
 
     @property
@@ -268,15 +269,23 @@ class PersistentIndex:
         Base pages are read through the buffer pool, so the simulated
         ledger prices every query's base I/O."""
         handle = self._base.get(level)
-        base: Iterable[Record] = handle.scan() if handle is not None else ()
-        delta = self._delta.get(level, ())
+        delta = self._delta.get(level, [])
         dead = self._tombstones.get(level)
-        if dead:
-            # Tombstones name *base* records only — a delta record with
-            # the same eid (a re-insert after deleting a base entity)
-            # is live and must pass through.
-            base = (record for record in base if record[EID] not in dead)
-        return heapq.merge(base, delta, key=_sort_key)
+        merged = 0  # delta records already sent out
+        # A base page at a time: one nothing touches passes through as
+        # read, and two sorted runs sort in one C-level merge.
+        for page in handle.scan_pages() if handle is not None else ():
+            upto = bisect_right(delta, _sort_key(page[-1]), merged, key=_sort_key)
+            if dead:
+                # Tombstones name *base* records only: a delta record of
+                # the same eid (a re-insert) is live and passes through.
+                page = [record for record in page if record[EID] not in dead]
+            if upto > merged:
+                page += delta[merged:upto]
+                page.sort(key=_sort_key)
+                merged = upto
+            yield from page
+        yield from delta[merged:]
 
     def live_entities(self) -> list[Entity]:
         """The live entity set (insertion-independent order: by eid)."""
@@ -303,6 +312,7 @@ class PersistentIndex:
 
     def _apply_insert(self, level: int, record: Record, entity: Entity) -> None:
         insort(self._delta.setdefault(level, []), record, key=_sort_key)
+        self._delta_keys[entity.eid] = record[HKEY]
         self._live[entity.eid] = (level, entity)
         self.epoch += 1
 
@@ -321,15 +331,14 @@ class PersistentIndex:
 
     def _apply_delete(self, eid: int) -> None:
         level, _ = self._live.pop(eid)
-        buffer = self._delta.get(level, [])
-        for position, record in enumerate(buffer):
-            if record[EID] == eid:
-                del buffer[position]
-                if not buffer:
-                    del self._delta[level]
-                break
-        else:
+        key = self._delta_keys.pop(eid, None)
+        if key is None:
             self._tombstones.setdefault(level, set()).add(eid)
+        else:
+            buffer = self._delta[level]
+            del buffer[bisect_left(buffer, (key, eid), key=_sort_key)]
+            if not buffer:
+                del self._delta[level]
         self.epoch += 1
 
     # -- compaction ------------------------------------------------------
@@ -361,6 +370,9 @@ class PersistentIndex:
             if level not in affected
         }
         directory = {level: self._directory[level] for level in base}
+        backend = self._backend()
+        written, fsyncs = backend.bytes_written, backend.fsyncs
+        fresh: list[PagedFile] = []
         with self.storage.stats.phase(phase):
             self.storage.phase_boundary()
             try:
@@ -370,6 +382,7 @@ class PersistentIndex:
                         base[level] = handle = self.storage.create_file(
                             f"{self.name}-L{level}-{compactions}"
                         )
+                        fresh.append(handle)
                         handle.append_many(records)
                         handle.flush()
                         directory[level] = _page_keys(handle, records)
@@ -379,20 +392,28 @@ class PersistentIndex:
                     "compactions": compactions,
                     "levels": {level: handle.name for level, handle in base.items()},
                 }
-                self._backend().journal_append(
+                backend.journal_append(
                     b"M" + json.dumps(manifest, sort_keys=True).encode(), reset=True
                 )
             except Exception:
-                for level in sorted(affected & set(base)):
-                    self.storage.drop_file(base[level].name)
+                for handle in fresh:
+                    self.storage.drop_file(handle.name)
                 raise
             replaced = [self._base[level] for level in sorted(affected & set(self._base))]
             self._base, self._directory = base, directory
             self._delta.clear()
+            self._delta_keys.clear()
             self._tombstones.clear()
             self.epoch, self.compactions = epoch, compactions
             for handle in replaced:
                 self.storage.drop_file(handle.name)
+        self.last_fold = {
+            "levels": len(affected),
+            "records": sum(handle.num_records for handle in fresh),
+            "pages": sum(handle.num_pages for handle in fresh),
+            "bytes": backend.bytes_written - written,
+            "fsyncs": backend.fsyncs - fsyncs,
+        }
 
     # -- queries ---------------------------------------------------------
 

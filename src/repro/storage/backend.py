@@ -42,6 +42,8 @@ class StorageBackend(ABC):
     backend raises :class:`BackendClosedError`.
     """
 
+    bytes_written = fsyncs = 0  # physical counts, where a backend keeps them (durable)
+
     @abstractmethod
     def create_file(self, name: str, codec: RecordCodec, page_size: int) -> None:
         """Register a new (empty) file."""
@@ -218,12 +220,7 @@ class FileBackend(StorageBackend):
         if len(block) < _PAGE_HEADER.size:
             raise ValueError(f"page {page_no} of {name!r} was never written")
         (count,) = _PAGE_HEADER.unpack_from(block, 0)
-        records = []
-        offset = _PAGE_HEADER.size
-        for _ in range(count):
-            records.append(codec.decode(block[offset : offset + codec.record_size]))
-            offset += codec.record_size
-        return records
+        return codec.decode_page(block[_PAGE_HEADER.size :], count)
 
     def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
         self._check_open()
@@ -234,8 +231,7 @@ class FileBackend(StorageBackend):
                 f"{len(records)} records exceed page capacity {capacity}"
             )
         block_size = self._block_size(name)
-        payload = b"".join(codec.encode(record) for record in records)
-        block = _PAGE_HEADER.pack(len(records)) + payload
+        block = _PAGE_HEADER.pack(len(records)) + codec.encode_page(records)
         block += b"\x00" * (block_size - len(block))
         handle = self._handle(name)
         end = handle.seek(0, os.SEEK_END)

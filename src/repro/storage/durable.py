@@ -4,48 +4,54 @@
 section 16).  Where :class:`~repro.storage.backend.FileBackend` writes
 real files with accidental durability semantics, this store survives
 ``SIGKILL`` at any instant and reopens to exactly the state its last
-acknowledged operation left behind:
+returned *barrier* left behind.  Every page is written once:
 
 - **data file** (``pages.data``) — a persistent header (magic, format
   version, page size, epoch) followed by fixed-size page slots, each
   carrying a crc32 checksum over (file id, page no, payload);
-- **free list** — slots of deleted files are reused lowest-first, so
-  the data file does not grow without bound under churn;
-- **write-ahead log** (:mod:`repro.storage.wal`) — every mutation is
-  logged and fsynced *before* the data file is touched; recovery on
-  open replays committed records (idempotent physical redo, which heals
-  torn data-page writes), truncates the log's torn tail, bumps the
-  header epoch, and checkpoints;
-- **checkpoint** (``checkpoint.json``, written atomically) — the full
-  catalog (name -> file id -> page -> slot mapping), the free list, and
-  the LSN up to which the data file is known durable; the log is reset
-  after every checkpoint;
-- **journal** — ``journal_append`` logs an opaque client note like any
-  other record (optionally discarding all earlier notes in the same
-  atomic step); ``journal()`` hands the surviving notes back after a
-  reopen.  Pending notes ride in the checkpoint, so the log reset
-  cannot drop them.  The resident index keeps its mutable state here.
+- **shadow slots** — ``write_page`` writes the slot and nothing else,
+  always to a slot no *committed* mapping names: a page not yet made
+  durable is overwritten in place, a rewrite of a committed page goes
+  to a fresh slot.  Until a barrier such pages are *pending*: readable
+  here, unknown to a reopen;
+- **barriers** — ``journal_append``, ``sync``, ``checkpoint``,
+  ``close``.  One that finds pages pending fsyncs the data file once,
+  then logs one ``map`` record per file (page -> slot, no payload)
+  ahead of its own record under one log fsync; one that finds none
+  costs its one log fsync;
+- **write-ahead log** (:mod:`repro.storage.wal`) — mappings, file
+  creates/deletes/renames and client notes, never page images.
+  Recovery replays committed records onto the catalog — it never writes
+  a data slot, so a torn or lost page write can only sit in a slot
+  nothing names — truncates the torn tail, bumps the epoch, checkpoints;
+- **free list** — every slot no committed mapping names, reused
+  lowest-first, and freed only once the record that frees it is
+  durable: a file's delete record, or the barrier that logged a remap;
+- **checkpoint** (``checkpoint.json``, written atomically) — the
+  catalog (name -> file id -> page -> slot) and the journal; the log is
+  reset after every checkpoint;
+- **journal** — ``journal_append`` logs an opaque client note
+  (``reset`` discards all earlier ones in the same atomic step) and
+  ``journal()`` hands the survivors back after a reopen.  The resident
+  index keeps its mutable state here; its manifest note is the barrier
+  that commits a compaction's level files.
 
-A write or fsync error while logging marks the store **failed**: the
-record may or may not be on the medium, so an ack after it could be
-reordered under it by the next recovery.  Every later logging operation
-raises :class:`DurableStoreError` naming the original error until the
-directory is reopened; reads work and ``close()`` skips its checkpoint.
+An ``OSError`` from a slot write, a data fsync or a log write marks the
+store **failed**: the bytes may or may not be on the medium, so no later
+barrier may commit a mapping to them, nor an ack be reordered under
+them.  Every later write or barrier raises :class:`DurableStoreError`
+naming the original error until the directory is reopened; reads work
+and ``close()`` skips its checkpoint.  The simulated I/O ledger sees
+none of this: it is byte-identical across ``memory``/``disk``/``durable``.
 
-The simulated I/O ledger never sees any of this: the buffer pool above
-counts the same logical transfers no matter which backend is plugged
-in, so ledger metrics are byte-identical across ``memory``/``disk``/
-``durable`` for fault-free runs (parity-gated in the tests).
-
-Crash points: the ``crash_point`` hook (or the ``REPRO_DURABLE_CRASH``
-environment variable, used by the kill-and-reopen harness in
-:mod:`repro.verify.crash`) makes the store die — really ``SIGKILL``
-itself, or raise :class:`SimulatedCrash` for in-process tests — at a
-named instant: mid-WAL-append (a torn log tail), after the WAL fsync
-but before the data write, mid-data-write (a torn page), just before a
-journal reset (the index's compaction commit), or mid-checkpoint.
-Every one of them must recover to the last acknowledged state; that is
-what ``repro verify --crash`` samples.
+Crash points (the ``crash_point`` hook, or ``REPRO_DURABLE_CRASH`` from
+:mod:`repro.verify.crash`): the store ``SIGKILL``s itself — or raises
+:class:`SimulatedCrash` in-process — at ``data-write`` (mid-slot-write:
+a torn pending page), ``data-synced`` (after a barrier's data fsync,
+before its first ``map``), ``wal-append`` (a torn ``map`` or note),
+``wal-synced`` (record durable, not yet applied), ``commit`` (entering
+a journal reset — the index's compaction commit) or ``checkpoint``, and
+must recover to the last returned barrier from every one.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from repro.storage.backend import BackendClosedError, Record, StorageBackend
 from repro.storage.records import RecordCodec
 
 MAGIC = b"S3JPAGES"
-FORMAT_VERSION = 2  # 2: the journal (OP_NOTE records, notes in the checkpoint)
+FORMAT_VERSION = 3  # 3: the log carries page mappings (OP_MAP), not page images
 HEADER_SIZE = 64
 _HEADER = struct.Struct("<8sIIQI")  # magic, version, page size, epoch, crc
 _SLOT_HEADER = struct.Struct("<IIQQ")  # crc, payload length, file id, page no
@@ -73,10 +79,12 @@ _COUNT = struct.Struct("<I")  # record count, first field of a payload
 
 DATA_FILE = "pages.data"
 CHECKPOINT_FILE = "checkpoint.json"
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
-DEFAULT_CHECKPOINT_BYTES = 1024 * 1024
-"""WAL bytes that trigger an automatic checkpoint (and log reset)."""
+DEFAULT_CHECKPOINT_BYTES = 64 * 1024
+"""WAL bytes that trigger an automatic checkpoint (and log reset): about
+a thousand records, now that none holds a page, so that is all a reopen
+replays."""
 
 CRASH_ENV = "REPRO_DURABLE_CRASH"
 """JSON crash-point spec consumed at construction — the kill-and-reopen
@@ -86,6 +94,7 @@ CRASH_POINTS = (
     "wal-append",
     "wal-synced",
     "data-write",
+    "data-synced",
     "commit",
     "checkpoint",
 )
@@ -142,7 +151,7 @@ class RecoveryReport:
     """What one open-with-recovery did (surfaced by the crash harness)."""
 
     replayed_records: int = 0
-    healed_pages: int = 0
+    mapped_pages: int = 0  # page -> slot mappings the log added to the checkpoint's
     truncated_bytes: int = 0
     dropped_segments: int = 0
     journal_notes: int = 0  # client notes handed back by journal()
@@ -181,16 +190,19 @@ class DurableBackend(StorageBackend):
         self._crash = crash_point
         self._crash_counts: dict[str, int] = {}
         self.checkpoint_bytes = checkpoint_bytes
-        self._segment_bytes = segment_bytes
         self._entries: dict[int, _FileEntry] = {}  # file id -> entry
         self._names: dict[str, int] = {}  # name -> file id
-        self._codecs: dict[str, RecordCodec] = {}
+        self._codecs: dict[int, RecordCodec] = {}  # file id -> codec, bound by create/attach
         self._free: list[int] = []  # heap of free slots
         self._next_slot = 0
+        self._pending: dict[int, set[int]] = {}  # file id -> pages written since the last barrier
+        self._superseded: list[int] = []  # committed slots those rewrote: free after the next one
         self._next_file_id = 1
         self._next_lsn = 1
         self._journal: list[bytes] = []
         self._failed: OSError | None = None
+        self.bytes_written = 0  # slot, log and checkpoint bytes handed to the OS
+        self._fsyncs = 0  # data-file and checkpoint fsyncs; the log counts its own
         self.epoch = 0
         self.last_recovery: RecoveryReport | None = None
         self._closed = False
@@ -205,20 +217,24 @@ class DurableBackend(StorageBackend):
                 )
             self._data: BinaryIO = open(data_path, "r+b")
             self._recover()
+        elif page_size is None:
+            raise DurableStoreError("creating a durable store needs an explicit page size")
         else:
-            if page_size is None:
-                raise DurableStoreError(
-                    "creating a durable store needs an explicit page size"
-                )
             self.page_size = page_size
             self._data = open(data_path, "w+b")
-            self.epoch = 1
-            self._write_header()
-            os.fsync(self._data.fileno())
-            self._wal = wal.WriteAheadLog(
-                self.directory, self._segment_bytes, start_sequence=1
-            )
-            self._write_checkpoint()
+        # Opening is itself a recovery point: bump the epoch, persist
+        # everything, and start a fresh log, so a second open of the
+        # same directory replays nothing (double-reopen idempotence).
+        self.epoch += 1
+        self._write_header()
+        self._fsync(self._data)
+        segments = wal.list_segments(self.directory)
+        self._wal = wal.WriteAheadLog(
+            self.directory,
+            segment_bytes,
+            start_sequence=max(map(wal.segment_sequence, segments), default=0) + 1,
+        )
+        self._write_checkpoint()
 
     # -- layout ----------------------------------------------------------
 
@@ -284,8 +300,7 @@ class DurableBackend(StorageBackend):
         torn state is what recovery really reads) and die."""
         assert self._crash is not None
         handle.write(data[: int(len(data) * self._crash.fraction)])
-        handle.flush()
-        os.fsync(handle.fileno())
+        self._fsync(handle)
         self._die()
 
     # -- recovery ---------------------------------------------------------
@@ -293,35 +308,30 @@ class DurableBackend(StorageBackend):
     def _recover(self) -> None:
         report = RecoveryReport()
         self._load_checkpoint()
-        healed: set[tuple[int, int]] = set()
 
         def apply(record: wal.WalRecord) -> None:
             if record.lsn < self._next_lsn:
                 return  # already reflected by the checkpoint
-            self._replay(record, report, healed)
+            try:
+                self._apply(record.op, record.body)
+            except KeyError as error:
+                raise DurableStoreError(
+                    f"WAL record {record.lsn} names unknown file id {error}"
+                ) from None
+            report.replayed_records += 1
+            if record.op == wal.OP_MAP:
+                report.mapped_pages += len(wal.unpack_map(record.body)[1])
             self._next_lsn = record.lsn + 1
 
         scan = wal.scan_segments(self.directory, apply)
         report.truncated_bytes = scan.truncated_bytes
         report.dropped_segments = scan.dropped_segments
-        report.healed_pages = len(healed)
         report.journal_notes = len(self._journal)
-        # Recovery is itself a recovery point: bump the epoch, persist
-        # everything, and reset the log so a second open of the same
-        # directory replays nothing (double-reopen idempotence).
-        self.epoch += 1
-        report.epoch = self.epoch
-        self._write_header()
-        self._wal = wal.WriteAheadLog(
-            self.directory,
-            self._segment_bytes,
-            start_sequence=max(
-                (wal.segment_sequence(p) for p in wal.list_segments(self.directory)),
-                default=0,
-            )
-            + 1,
-        )
-        self._write_checkpoint()
+        # Free: whatever no committed mapping names (uncommitted writes too).
+        used = {slot for entry in self._entries.values() for slot in entry.pages.values()}
+        self._next_slot = max(used, default=-1) + 1
+        self._free = sorted(set(range(self._next_slot)) - used)
+        report.epoch = self.epoch + 1  # __init__ bumps it next
         self.last_recovery = report
 
     def _load_checkpoint(self) -> None:
@@ -336,9 +346,6 @@ class DurableBackend(StorageBackend):
                 f"unsupported checkpoint schema {data.get('schema')!r}"
             )
         self._next_file_id = int(data["next_file_id"])
-        self._next_slot = int(data["next_slot"])
-        self._free = [int(slot) for slot in data["free"]]
-        heapq.heapify(self._free)
         for row in data["files"]:
             entry = _FileEntry(
                 file_id=int(row["file_id"]),
@@ -355,75 +362,32 @@ class DurableBackend(StorageBackend):
         self._journal = [bytes.fromhex(note) for note in data["journal"]]
         self._next_lsn = int(data["lsn"]) + 1
 
-    def _replay(
-        self,
-        record: wal.WalRecord,
-        report: RecoveryReport,
-        healed: set[tuple[int, int]],
-    ) -> None:
-        report.replayed_records += 1
-        if record.op == wal.OP_WRITE:
-            file_id, page_no, slot, payload = wal.unpack_write(record.body)
-            entry = self._entries.get(file_id)
-            if entry is None:
-                raise DurableStoreError(
-                    f"WAL write record {record.lsn} names unknown file "
-                    f"id {file_id}"
-                )
-            # Idempotent physical redo: rewrite the slot from the log
-            # unconditionally.  A torn or lost data write is healed; an
-            # intact one is rewritten with identical bytes.
-            if not self._slot_matches(entry, page_no, slot, payload):
-                healed.add((file_id, page_no))
-            self._write_slot(slot, entry.file_id, page_no, payload)
-            entry.pages[page_no] = slot
-            self._note_slot_used(slot)
-        elif record.op == wal.OP_CREATE:
-            file_id, record_size, capacity, name = wal.unpack_create(record.body)
-            entry = _FileEntry(file_id, name, record_size, capacity)
-            self._entries[file_id] = entry
+    def _apply(self, op: int, body: bytes) -> None:
+        """A committed record takes effect on the catalog, live or replayed."""
+        if op == wal.OP_NOTE:  # first: every insert/delete ack is one
+            self._apply_note(body)
+        elif op == wal.OP_MAP:
+            file_id, pages = wal.unpack_map(body)
+            self._entries[file_id].pages.update(pages)
+        elif op == wal.OP_CREATE:
+            file_id, record_size, capacity, name = wal.unpack_create(body)
+            self._entries[file_id] = _FileEntry(file_id, name, record_size, capacity)
             self._names[name] = file_id
             self._next_file_id = max(self._next_file_id, file_id + 1)
-        elif record.op == wal.OP_DELETE:
-            file_id = wal.unpack_delete(record.body)
-            entry = self._entries.pop(file_id, None)
-            if entry is not None:
-                self._names.pop(entry.name, None)
-                for slot in entry.pages.values():
-                    heapq.heappush(self._free, slot)
-        elif record.op == wal.OP_RENAME:
-            file_id, new_name = wal.unpack_rename(record.body)
-            entry = self._entries.get(file_id)
-            if entry is None:
-                raise DurableStoreError(
-                    f"WAL rename record {record.lsn} names unknown file "
-                    f"id {file_id}"
-                )
-            self._names.pop(entry.name, None)
+        elif op == wal.OP_DELETE:
+            entry = self._entries.pop(wal.unpack_delete(body))
+            del self._names[entry.name]
+            self._pending.pop(entry.file_id, None)
+            for slot in entry.pages.values():  # durable: nothing committed names them
+                heapq.heappush(self._free, slot)
+        elif op == wal.OP_RENAME:
+            file_id, new_name = wal.unpack_rename(body)
+            entry = self._entries[file_id]
+            del self._names[entry.name]
             entry.name = new_name
             self._names[new_name] = file_id
-        elif record.op == wal.OP_NOTE:
-            self._apply_note(record.body)
         else:
-            raise DurableStoreError(f"unknown WAL op {record.op}")
-
-    def _slot_matches(
-        self, entry: _FileEntry, page_no: int, slot: int, payload: bytes
-    ) -> bool:
-        """Whether the data file already holds this exact committed
-        write (used only to report healed pages, not for correctness)."""
-        if entry.pages.get(page_no) != slot:
-            return False
-        try:
-            return self._read_slot(slot, entry.file_id, page_no) == payload
-        except DurableStoreError:
-            return False
-
-    def _note_slot_used(self, slot: int) -> None:
-        self._next_slot = max(self._next_slot, slot + 1)
-        if slot in self._free:
-            self._free.remove(slot)
-            heapq.heapify(self._free)
+            raise DurableStoreError(f"unknown WAL op {op}")
 
     # -- slots ------------------------------------------------------------
 
@@ -440,15 +404,16 @@ class DurableBackend(StorageBackend):
         crc = zlib.crc32(payload, zlib.crc32(struct.pack("<QQ", file_id, page_no)))
         block = _SLOT_HEADER.pack(crc, len(payload), file_id, page_no) + payload
         block += b"\x00" * (self._block_size - len(block))
-        offset = self._slot_offset(slot)
-        end = self._data.seek(0, os.SEEK_END)
-        if offset > end:
-            self._data.write(b"\x00" * (offset - end))
-        self._data.seek(offset)
-        if self._crash_due("data-write"):
-            self._partial_then_die(self._data, block)
-        self._data.write(block)
-        self._data.flush()
+        try:
+            self._data.seek(self._slot_offset(slot))
+            if self._crash_due("data-write"):
+                self._partial_then_die(self._data, block)
+            self._data.write(block)
+            self._data.flush()
+        except OSError as error:
+            self._failed = error  # on the medium or not: no barrier may name it
+            raise
+        self.bytes_written += len(block)
 
     def _read_slot(self, slot: int, file_id: int, page_no: int) -> bytes:
         self._data.seek(self._slot_offset(slot))
@@ -482,31 +447,60 @@ class DurableBackend(StorageBackend):
                 "written until the directory is reopened"
             )
 
-    def _log(self, op: int, body: bytes) -> None:
-        self._refuse_if_failed()
+    @property
+    def fsyncs(self) -> int:
+        """``fsync`` calls issued so far, on any of the store's files."""
+        return self._fsyncs + self._wal.syncs
+
+    def _fsync(self, handle: Any) -> None:
+        handle.flush()
+        os.fsync(handle.fileno())
+        self._fsyncs += 1
+
+    def _append(self, op: int, body: bytes) -> None:
         record = wal.WalRecord(self._next_lsn, op, body)
         self._next_lsn += 1
+        self._wal.append(record, self._partial_then_die if self._crash_due("wal-append") else None)
+        self.bytes_written += wal.WAL_HEADER.size + len(body)
+
+    def _log(self, op: int | None, body: bytes = b"", barrier: bool = False) -> None:
+        """Append one record (``None``: none), fsync the log — the
+        commit point — and apply it.  A *barrier* first fsyncs pending
+        pages and logs where they went, under the same log fsync; only
+        then are the slots they superseded free."""
+        self._refuse_if_failed()
+        pending = self._pending if barrier else None
+        if op is None and not pending:
+            return
         try:
-            if self._crash_due("wal-append"):
-                self._wal.append(record, partial_writer=self._partial_then_die)
-            else:
-                self._wal.append(record)
-            self._wal.sync()  # the commit point: log before data, always
+            if pending:
+                self._fsync(self._data)
+                self._maybe_crash("data-synced")
+                for file_id, pages in pending.items():
+                    slots = self._entries[file_id].pages
+                    mapping = [(page_no, slots[page_no]) for page_no in pages]
+                    self._append(wal.OP_MAP, wal.pack_map(file_id, mapping))
+            if op is not None:
+                self._append(op, body)
+            self._wal.sync()
         except OSError as error:
             self._failed = error  # on the medium or not: only a reopen can tell
             raise
         self._maybe_crash("wal-synced")
-
-    def _maybe_checkpoint(self) -> None:
-        if self._wal.bytes_appended >= self.checkpoint_bytes:
-            self.checkpoint()
+        if barrier:
+            for slot in self._superseded:
+                heapq.heappush(self._free, slot)
+            self._superseded.clear()
+            self._pending.clear()
+        if op is not None:
+            self._apply(op, body)
+            if self._wal.bytes_appended >= self.checkpoint_bytes:
+                self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Make the log redundant: fsync the data file, persist the
-        catalog atomically, then reset the log to a fresh segment."""
-        self._refuse_if_failed()
-        self._data.flush()
-        os.fsync(self._data.fileno())
+        """Make the log redundant: a barrier, then persist the catalog
+        atomically, then reset the log to a fresh segment."""
+        self._log(None, barrier=True)
         self._write_checkpoint()
         self._maybe_crash("checkpoint")
         self._wal.reset(self._wal.sequence + 1)
@@ -515,11 +509,7 @@ class DurableBackend(StorageBackend):
         payload = {
             "schema": CHECKPOINT_SCHEMA,
             "lsn": self._next_lsn - 1,
-            "epoch": self.epoch,
-            "page_size": self.page_size,
             "next_file_id": self._next_file_id,
-            "next_slot": self._next_slot,
-            "free": sorted(self._free),
             "journal": [note.hex() for note in self._journal],
             "files": [
                 {
@@ -541,37 +531,20 @@ class DurableBackend(StorageBackend):
         # repro.obs.fileio to keep the storage layer import-light.
         path = self.directory / CHECKPOINT_FILE
         tmp = path.with_name(path.name + ".tmp")
+        text = json.dumps(payload, sort_keys=True)
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
+            handle.write(text)
+            self._fsync(handle)
         os.replace(tmp, path)
+        self.bytes_written += len(text)
 
-    # -- payload codec ----------------------------------------------------
+    # -- StorageBackend ---------------------------------------------------
 
     def _entry(self, name: str) -> _FileEntry:
         try:
             return self._entries[self._names[name]]
         except KeyError:
             raise FileNotFoundError(f"no storage file named {name!r}") from None
-
-    def _encode_payload(self, name: str, records: list[Record]) -> bytes:
-        codec = self._codecs[name]
-        return _COUNT.pack(len(records)) + b"".join(
-            codec.encode(record) for record in records
-        )
-
-    def _decode_payload(self, name: str, payload: bytes) -> list[Record]:
-        codec = self._codecs[name]
-        (count,) = _COUNT.unpack_from(payload, 0)
-        records = []
-        offset = _COUNT.size
-        for _ in range(count):
-            records.append(codec.decode(payload[offset : offset + codec.record_size]))
-            offset += codec.record_size
-        return records
-
-    # -- StorageBackend ---------------------------------------------------
 
     def _check_open(self) -> None:
         if self._closed:
@@ -586,18 +559,12 @@ class DurableBackend(StorageBackend):
                 f"store page size is {self.page_size}, cannot create "
                 f"{name!r} with page size {page_size}"
             )
-        file_id = self._next_file_id
-        self._next_file_id += 1
         capacity = codec.records_per_page(page_size)
         self._log(
             wal.OP_CREATE,
-            wal.pack_create(file_id, codec.record_size, capacity, name),
+            wal.pack_create(self._next_file_id, codec.record_size, capacity, name),
         )
-        self._entries[file_id] = _FileEntry(
-            file_id, name, codec.record_size, capacity
-        )
-        self._names[name] = file_id
-        self._codecs[name] = codec
+        self._codecs[self._names[name]] = codec
 
     def attach_file(self, name: str, codec: RecordCodec, page_size: int) -> int:
         """Re-bind a codec to a file recovered from a previous process;
@@ -614,7 +581,7 @@ class DurableBackend(StorageBackend):
                 f"file {name!r} was written with {entry.record_size}-byte "
                 f"records, codec expects {codec.record_size}"
             )
-        self._codecs[name] = codec
+        self._codecs[entry.file_id] = codec
         return len(entry.pages)
 
     def stored_files(self) -> list[str]:
@@ -640,12 +607,7 @@ class DurableBackend(StorageBackend):
         if file_id is None:
             return
         self._log(wal.OP_DELETE, wal.pack_delete(file_id))
-        entry = self._entries.pop(file_id)
-        self._names.pop(name, None)
-        self._codecs.pop(name, None)
-        for slot in entry.pages.values():
-            heapq.heappush(self._free, slot)
-        self._maybe_checkpoint()
+        self._codecs.pop(file_id, None)
 
     def rename_file(self, old: str, new: str) -> None:
         self._check_open()
@@ -653,12 +615,6 @@ class DurableBackend(StorageBackend):
         if new in self._names:
             raise FileExistsError(f"storage file {new!r} already exists")
         self._log(wal.OP_RENAME, wal.pack_rename(entry.file_id, new))
-        self._names.pop(old, None)
-        entry.name = new
-        self._names[new] = entry.file_id
-        codec = self._codecs.pop(old, None)
-        if codec is not None:
-            self._codecs[new] = codec
 
     def read_page(self, name: str, page_no: int) -> list[Record]:
         self._check_open()
@@ -667,7 +623,8 @@ class DurableBackend(StorageBackend):
         if slot is None:
             raise ValueError(f"page {page_no} of {name!r} was never written")
         payload = self._read_slot(slot, entry.file_id, page_no)
-        return self._decode_payload(name, payload)
+        (count,) = _COUNT.unpack_from(payload, 0)
+        return self._codecs[entry.file_id].decode_page(payload[_COUNT.size :], count)
 
     def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
         self._check_open()
@@ -676,25 +633,26 @@ class DurableBackend(StorageBackend):
             raise ValueError(
                 f"{len(records)} records exceed page capacity {entry.capacity}"
             )
-        payload = self._encode_payload(name, records)
-        slot = entry.pages.get(page_no)
-        if slot is None:
+        self._refuse_if_failed()
+        payload = _COUNT.pack(len(records)) + self._codecs[entry.file_id].encode_page(records)
+        pending = self._pending.setdefault(entry.file_id, set())
+        if page_no in pending:
+            # Not yet durable, so nothing committed names its slot.
+            self._write_slot(entry.pages[page_no], entry.file_id, page_no, payload)
+        else:
+            # A committed page keeps its slot until the remap commits.
             slot = self._allocate_slot()
-        # WAL first (fsynced inside _log), data second: a crash between
-        # the two replays the payload from the log on reopen.
-        self._log(wal.OP_WRITE, wal.pack_write(entry.file_id, page_no, slot, payload))
-        entry.pages[page_no] = slot
-        self._write_slot(slot, entry.file_id, page_no, payload)
-        self._maybe_checkpoint()
+            self._write_slot(slot, entry.file_id, page_no, payload)
+            if page_no in entry.pages:
+                self._superseded.append(entry.pages[page_no])
+            entry.pages[page_no] = slot
+            pending.add(page_no)
 
     def journal_append(self, note: bytes, reset: bool = False) -> None:
         self._check_open()
         if reset:
             self._maybe_crash("commit")
-        body = wal.pack_note(note, reset)
-        self._log(wal.OP_NOTE, body)
-        self._apply_note(body)
-        self._maybe_checkpoint()
+        self._log(wal.OP_NOTE, wal.pack_note(note, reset), barrier=True)
 
     def _apply_note(self, body: bytes) -> None:
         """One journal record takes effect — live and on replay alike."""
@@ -708,11 +666,9 @@ class DurableBackend(StorageBackend):
         return list(self._journal)
 
     def sync(self) -> None:
-        """Force full durability: commit the log and fsync the data file."""
+        """The bare barrier: every acknowledged page now survives a kill."""
         self._check_open()
-        self._wal.sync()
-        self._data.flush()
-        os.fsync(self._data.fileno())
+        self._log(None, barrier=True)
 
     def close(self) -> None:
         if self._closed:

@@ -276,10 +276,10 @@ class StorageManager:
 
         ``pool.flush()`` writes every dirty frame through the backend;
         ``backend.sync()`` then makes those writes durable (fsync on the
-        file backends, WAL commit + data fsync on the durable one, a
-        no-op in memory).  The flush is priced by the ledger exactly as
-        any other flush; ``backend.sync()`` itself is free, preserving
-        cross-backend ledger parity.
+        file backend, a barrier on the durable one, a no-op in memory).
+        The flush is priced by the ledger exactly as any other flush;
+        ``backend.sync()`` itself is free, preserving cross-backend
+        ledger parity.
         """
         self.pool.flush()
         self.backend.sync()

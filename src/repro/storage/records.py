@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
-from typing import Any
+from itertools import starmap
+from typing import Any, Iterable
 
 
 class RecordCodec(ABC):
@@ -27,6 +28,14 @@ class RecordCodec(ABC):
     @abstractmethod
     def decode(self, data: bytes) -> tuple[Any, ...]:
         """Unpack one record from exactly ``record_size`` bytes."""
+
+    @abstractmethod
+    def encode_page(self, records: Iterable[tuple[Any, ...]]) -> bytes:
+        """A page's records back to back: ``b"".join(map(encode, records))``."""
+
+    @abstractmethod
+    def decode_page(self, data: bytes, count: int) -> list[tuple[Any, ...]]:
+        """The first ``count`` records of a page's bytes (the rest is padding)."""
 
     def records_per_page(self, page_size: int) -> int:
         """``E`` — how many records fit in one page."""
@@ -53,6 +62,15 @@ class StructCodec(RecordCodec):
 
     def decode(self, data: bytes) -> tuple[Any, ...]:
         return self._struct.unpack(data)
+
+    def encode_page(self, records: Iterable[tuple[Any, ...]]) -> bytes:
+        return b"".join(starmap(self._struct.pack, records))
+
+    def decode_page(self, data: bytes, count: int) -> list[tuple[Any, ...]]:
+        records = list(self._struct.iter_unpack(data[: count * self._struct.size]))
+        if len(records) != count:  # a short page, as decode() of a short slice
+            raise struct.error(f"page holds {len(records)} records, not {count}")
+        return records
 
 
 class EntityDescriptorCodec(StructCodec):

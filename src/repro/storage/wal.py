@@ -1,38 +1,40 @@
 """The write-ahead log of the durable page store.
 
-Classic physical-redo WAL discipline (DESIGN.md section 16): every
-mutation of the durable store — a page write, a file create/delete/
-rename, a client journal note — is first appended to the log and
-``fsync``'d, and only then applied to the data file.  Recovery replays committed records onto the
-data file (idempotent physical redo), so a torn data-page write is
-*healed* from the log instead of merely detected, and a torn log tail
-(the one record a power cut interrupted) is identified by its checksum
-and truncated away.
+The log carries **metadata, never page images** (DESIGN.md section 16):
+a file create/delete/rename, a client journal note, and — at every
+barrier of the store — one ``map`` record per file naming the slots its
+freshly written pages went to.  Pages are fsynced in the data file
+*before* their ``map`` record is appended, so recovery replays mappings
+onto the catalog and never writes a data slot.  A torn log tail (the one
+record a power cut interrupted) is identified by its checksum and
+truncated away.
 
 The log is **segmented**: records append to ``wal-<seq>.log`` until the
 segment exceeds ``segment_bytes``, then a fresh segment (with the next
 sequence number, never reused) is started.  A checkpoint makes every
-record redundant — the data file is fsynced and the full catalog
-persisted — after which all segments are deleted and a new one begins.
+record redundant — the full catalog is persisted — after which all
+segments are deleted and a new one begins.
 
 Record layout (little-endian)::
 
     magic   u32   0x57414C31 ("1LAW" on disk)
     lsn     u64   monotonically increasing, 1-based
-    op      u8    1=page write  2=create  3=delete  4=rename  5=note
+    op      u8    1=map  2=create  3=delete  4=rename  5=note
     crc     u32   crc32 over (lsn, op, body)
     length  u32   body length in bytes
     body    ...   op-specific (see the pack_* helpers)
 
-A note (op 5) is one entry of the store's client journal: a ``reset``
+A map (op 1) is a file id followed by ``(page no, slot)`` pairs.  A
+note (op 5) is one entry of the store's client journal: a ``reset``
 byte — 1 discards every earlier note in the same atomic step — then
 opaque client bytes (``DurableBackend.journal_append``).
 
-A record is **committed** once an ``fsync`` covering it returned; the
-store fsyncs after every append.  The scanner accepts a record only if
-the magic matches, the LSN is the expected successor, the declared body
-is fully present, and the checksum agrees — anything else is the torn
-tail and scanning stops there.
+A record is **committed** once an ``fsync`` covering it returned; map
+records ride under the fsync of the barrier that logged them, every
+other record is fsynced on its own.  The scanner accepts a record only
+if the magic matches, the LSN is the expected successor, the declared
+body is fully present, and the checksum agrees — anything else is the
+torn tail and scanning stops there.
 """
 
 from __future__ import annotations
@@ -41,22 +43,22 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Callable
 
 WAL_MAGIC = 0x57414C31
 WAL_HEADER = struct.Struct("<IQBII")  # magic, lsn, op, crc, body length
 
-OP_WRITE = 1
+OP_MAP = 1
 OP_CREATE = 2
 OP_DELETE = 3
 OP_RENAME = 4
 OP_NOTE = 5
 
-_WRITE_BODY = struct.Struct("<QQQ")  # file id, page no, slot
+_FILE_ID = struct.Struct("<Q")  # the whole delete body; rename and map lead with it
+_MAP_PAIR = struct.Struct("<QQ")  # page no, slot
 _CREATE_BODY = struct.Struct("<QII")  # file id, record size, capacity
-_DELETE_BODY = struct.Struct("<Q")  # file id
-_RENAME_BODY = struct.Struct("<Q")  # file id
 
 DEFAULT_SEGMENT_BYTES = 256 * 1024
 """Segment rotation threshold: a segment exceeding this is closed and
@@ -90,13 +92,13 @@ def record_crc(lsn: int, op: int, body: bytes) -> int:
 # -- op bodies ---------------------------------------------------------
 
 
-def pack_write(file_id: int, page_no: int, slot: int, payload: bytes) -> bytes:
-    return _WRITE_BODY.pack(file_id, page_no, slot) + payload
+def pack_map(file_id: int, pages: list[tuple[int, int]]) -> bytes:
+    return _FILE_ID.pack(file_id) + b"".join(starmap(_MAP_PAIR.pack, pages))
 
 
-def unpack_write(body: bytes) -> tuple[int, int, int, bytes]:
-    file_id, page_no, slot = _WRITE_BODY.unpack_from(body, 0)
-    return file_id, page_no, slot, body[_WRITE_BODY.size :]
+def unpack_map(body: bytes) -> tuple[int, list[tuple[int, int]]]:
+    (file_id,) = _FILE_ID.unpack_from(body, 0)
+    return file_id, list(_MAP_PAIR.iter_unpack(body[_FILE_ID.size :]))
 
 
 def pack_create(file_id: int, record_size: int, capacity: int, name: str) -> bytes:
@@ -109,20 +111,20 @@ def unpack_create(body: bytes) -> tuple[int, int, int, str]:
 
 
 def pack_delete(file_id: int) -> bytes:
-    return _DELETE_BODY.pack(file_id)
+    return _FILE_ID.pack(file_id)
 
 
 def unpack_delete(body: bytes) -> int:
-    return _DELETE_BODY.unpack(body)[0]
+    return _FILE_ID.unpack(body)[0]
 
 
 def pack_rename(file_id: int, new_name: str) -> bytes:
-    return _RENAME_BODY.pack(file_id) + new_name.encode()
+    return _FILE_ID.pack(file_id) + new_name.encode()
 
 
 def unpack_rename(body: bytes) -> tuple[int, str]:
-    (file_id,) = _RENAME_BODY.unpack_from(body, 0)
-    return file_id, body[_RENAME_BODY.size :].decode()
+    (file_id,) = _FILE_ID.unpack_from(body, 0)
+    return file_id, body[_FILE_ID.size :].decode()
 
 
 def pack_note(note: bytes, reset: bool) -> bytes:
@@ -170,6 +172,7 @@ class WriteAheadLog:
         self.sequence = start_sequence
         self._handle = open(self.directory / segment_name(self.sequence), "ab")
         self.bytes_appended = 0  # across segments since construction/reset
+        self.syncs = 0  # fsyncs issued, rotation and close included
 
     @property
     def segment_path(self) -> Path:
@@ -198,6 +201,7 @@ class WriteAheadLog:
         """The commit point: everything appended so far is now durable."""
         self._handle.flush()
         os.fsync(self._handle.fileno())
+        self.syncs += 1
 
     def _rotate(self) -> None:
         self.sync()
@@ -217,8 +221,7 @@ class WriteAheadLog:
 
     def close(self) -> None:
         if not self._handle.closed:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self.sync()
             self._handle.close()
 
 
@@ -226,7 +229,6 @@ class WriteAheadLog:
 class WalScan:
     """What recovery learned from reading the log."""
 
-    records: int = 0
     truncated_bytes: int = 0
     dropped_segments: int = 0
 
@@ -263,7 +265,6 @@ def scan_segments(directory: Path, apply: Callable[[WalRecord], None]) -> WalSca
                 break
             assert record is not None
             apply(record)
-            scan.records += 1
             expected_lsn = record.lsn + 1
             offset += WAL_HEADER.size + len(record.body)
     return scan

@@ -5,11 +5,11 @@ process (:mod:`repro.verify.crash_worker`) runs the ops of
 :func:`repro.verify.scenario.op_schedule` against a durable
 :class:`~repro.service.index.PersistentIndex`, with a sampled
 :class:`~repro.storage.durable.CrashPoint` planted in its environment —
-the durable backend ``SIGKILL``s its own process mid-WAL-append,
-between the WAL fsync and the data write, mid-data-page write, just
-before a bulk-load or compaction commit, or mid-checkpoint.  The parent
-counts the operations
-the child *acknowledged* (one ``ack`` line per completed operation),
+the durable backend ``SIGKILL``s its own process mid-log-append,
+between a log fsync and its record taking effect, mid-slot-write,
+between a barrier's data fsync and its map records, just before a
+bulk-load or compaction commit, or mid-checkpoint.  The parent counts
+the operations the child *acknowledged* (one ``ack`` line per completed operation),
 reopens the store in its own process, and holds it to the model:
 
 - the recovered live-entity set equals the
@@ -64,6 +64,7 @@ _INDEX_RANGES = {
     "wal-append": 40,
     "wal-synced": 40,
     "data-write": 30,
+    "data-synced": 6,
     "commit": 6,
     "checkpoint": 3,
 }

@@ -8,8 +8,10 @@ restarted process would.  The genuine-``SIGKILL`` path is exercised by
 ``repro verify --crash`` (tests in ``test_crash_verify.py``).
 """
 
+import asyncio
 import errno
 import os
+import shutil
 import tempfile
 
 import pytest
@@ -21,6 +23,8 @@ from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
+from repro.obs import Observability
+from repro.obs.events import EventLog
 from repro.service.api import JoinService
 from repro.service.index import PersistentIndex
 from repro.storage import durable, wal
@@ -141,6 +145,25 @@ class TestRoundTrip:
         store.close()
 
 
+    def test_every_record_may_tip_the_log_into_a_checkpoint(self, tmp_path):
+        """With pages pending, too: a delete's checkpoint must not try
+        to map the pages of the file it just deleted."""
+        codec = EntityDescriptorCodec()
+        store = make_store(tmp_path, checkpoint_bytes=1)
+        store.create_file("gone", codec, PAGE_SIZE)
+        store.create_file("kept", codec, PAGE_SIZE)
+        store.write_page("gone", 0, page(0))
+        store.write_page("kept", 0, page(1))
+        store.delete_file("gone")  # checkpoints: commits kept's page on the way
+        store._data.close()  # abandoned, not closed: what a kill leaves
+        reopened = make_store(tmp_path)
+        assert reopened.stored_files() == ["kept"]
+        assert reopened.last_recovery.replayed_records == 0
+        reopened.attach_file("kept", codec, PAGE_SIZE)
+        assert reopened.read_page("kept", 0) == page(1)
+        reopened.close()
+
+
 class TestCrashPointSpec:
     def test_env_round_trip(self):
         point = CrashPoint("data-write", index=3, fraction=0.25, action="raise")
@@ -160,60 +183,89 @@ class TestCrashPointSpec:
 
 
 class TestRecovery:
-    """Occurrence accounting for the crash indices below: ``create_file``
-    logs a WAL record too, so after create + N page writes the next
-    logged mutation is wal-append/wal-synced occurrence ``N + 1``;
-    ``data-write`` counts only slot writes."""
+    """The barrier contract: a page survives a kill once a barrier
+    (``sync``, ``journal_append``, ``checkpoint``, ``close``) issued
+    after its ``write_page`` has returned — not before.
+
+    Occurrence accounting for the crash indices below: ``create_file``
+    logs (and fsyncs) one record, ``write_page`` logs nothing, and a
+    barrier over pages of one file logs one map record.  So in
+    :meth:`crashed_store` the create is log occurrence 0, the first
+    ``sync`` occurrence 1 and the one in flight occurrence 2, for
+    ``wal-append`` and ``wal-synced`` alike; ``data-write`` counts slot
+    writes, ``data-synced`` barriers that found pages pending."""
 
     def crashed_store(self, tmp_path, crash_point):
+        """Pages 0 and 1 committed by a returned barrier; the store dies
+        somewhere inside page 2's write or the barrier after it."""
         codec = EntityDescriptorCodec()
         store = make_store(tmp_path, crash_point=crash_point)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.write_page("f", 1, page(1))
+        store.sync()
         with pytest.raises(SimulatedCrash):
             store.write_page("f", 2, page(2))
+            store.sync()
         return codec
 
-    def test_torn_wal_tail_truncated(self, tmp_path):
-        # Dies mid-append of page 2's log record: never committed.
-        codec = self.crashed_store(
-            tmp_path, CrashPoint("wal-append", index=3, fraction=0.5, action="raise")
-        )
+    def reopened(self, tmp_path, codec):
         store = make_store(tmp_path)
-        assert store.last_recovery.truncated_bytes > 0
         store.attach_file("f", codec, PAGE_SIZE)
         assert store.read_page("f", 0) == page(0)
         assert store.read_page("f", 1) == page(1)
+        return store
+
+    def test_torn_wal_tail_truncated(self, tmp_path):
+        # Dies mid-append of page 2's map record: never committed.
+        codec = self.crashed_store(
+            tmp_path, CrashPoint("wal-append", index=2, fraction=0.5, action="raise")
+        )
+        store = self.reopened(tmp_path, codec)
+        assert store.last_recovery.truncated_bytes > 0
         with pytest.raises(ValueError, match="never written"):
             store.read_page("f", 2)
         store.close()
 
     def test_committed_write_replayed_from_wal(self, tmp_path):
-        # Dies after the WAL fsync, before the data write: committed.
+        # Dies after the barrier's log fsync, before it returned: the
+        # mapping is committed, and the page was durable before it.
         codec = self.crashed_store(
-            tmp_path, CrashPoint("wal-synced", index=3, action="raise")
+            tmp_path, CrashPoint("wal-synced", index=2, action="raise")
         )
-        store = make_store(tmp_path)
-        assert store.last_recovery.replayed_records >= 1
-        store.attach_file("f", codec, PAGE_SIZE)
+        store = self.reopened(tmp_path, codec)
+        assert store.last_recovery.replayed_records == 3  # create + two maps
+        assert store.last_recovery.mapped_pages == 3
         assert store.read_page("f", 2) == page(2)
         store.close()
 
-    def test_torn_data_page_healed(self, tmp_path):
-        # Dies mid-slot-write: the log is complete, the page is torn.
-        codec = self.crashed_store(
-            tmp_path, CrashPoint("data-write", index=2, fraction=0.3, action="raise")
-        )
-        store = make_store(tmp_path)
-        assert store.last_recovery.healed_pages >= 1
-        store.attach_file("f", codec, PAGE_SIZE)
-        assert store.read_page("f", 2) == page(2)
+    @pytest.mark.parametrize(
+        "crash",
+        [
+            CrashPoint("data-write", index=2, fraction=0.3, action="raise"),
+            CrashPoint("data-synced", index=1, action="raise"),
+        ],
+        ids=lambda crash: crash.point,
+    )
+    def test_uncommitted_page_is_never_named(self, tmp_path, crash):
+        """Torn mid-slot-write, or whole and fsynced but killed before
+        its map record: either way no committed mapping names the slot,
+        and recovery never writes one — the page simply is not there."""
+        codec = self.crashed_store(tmp_path, crash)
+        store = self.reopened(tmp_path, codec)
+        assert store.last_recovery.mapped_pages == 2
+        with pytest.raises(ValueError, match="never written"):
+            store.read_page("f", 2)
+        # Its slot is free again: the next page lands there.
+        store.write_page("f", 2, page(7))
+        store.sync()
+        three_slots = durable.HEADER_SIZE + 3 * store._block_size
+        assert os.path.getsize(tmp_path / DATA_FILE) == three_slots
         store.close()
 
     def test_double_reopen_is_idempotent(self, tmp_path):
         codec = self.crashed_store(
-            tmp_path, CrashPoint("wal-synced", index=3, action="raise")
+            tmp_path, CrashPoint("wal-synced", index=2, action="raise")
         )
         first = make_store(tmp_path)
         first.close()
@@ -247,6 +299,9 @@ class TestRecovery:
         reopened.close()
 
     def test_wal_rotation_and_checkpoint_trigger(self, tmp_path):
+        """Page writes put nothing in the log any more; the notes (and
+        the map record each one's barrier logs) are what rotate the
+        segments and trigger the checkpoints here."""
         codec = EntityDescriptorCodec()
         store = make_store(
             tmp_path, segment_bytes=2048, checkpoint_bytes=8192
@@ -254,57 +309,134 @@ class TestRecovery:
         store.create_file("f", codec, PAGE_SIZE)
         for page_no in range(64):
             store.write_page("f", page_no, page(page_no % 50))
+            store.journal_append(b"n" * 100)
+        segments = wal.list_segments(tmp_path)
+        assert len(segments) > 1  # rotated since the last reset,
+        # and that reset — a checkpoint — dropped most of what was logged
+        assert sum(path.stat().st_size for path in segments) < 64 * 100
         store.close()
         reopened = make_store(tmp_path)
         reopened.attach_file("f", codec, PAGE_SIZE)
         assert reopened.read_page("f", 63) == page(13)
+        assert len(reopened.journal()) == 64
         reopened.close()
 
-    @settings(max_examples=25, deadline=None)
+    def test_freed_slot_reused_by_a_pending_page(self, tmp_path):
+        """Regression (a): a slot freed by a durable delete is handed to
+        a pending page; the kill comes before the barrier.  No committed
+        file reads that slot's new bytes — and a delete that did *not*
+        become durable frees nothing."""
+        codec = EntityDescriptorCodec()
+        crash = CrashPoint("data-synced", index=2, action="raise")
+        store = make_store(tmp_path, crash_point=crash)
+        for name, start in (("a", 0), ("keep", 5)):
+            store.create_file(name, codec, PAGE_SIZE)
+            store.write_page(name, 0, page(start))
+            store.sync()
+        size = os.path.getsize(tmp_path / DATA_FILE)
+        store.delete_file("a")  # durable on return: its slot is free
+        store.create_file("b", codec, PAGE_SIZE)
+        store.write_page("b", 0, page(9))
+        assert os.path.getsize(tmp_path / DATA_FILE) == size  # reused a's slot
+        with pytest.raises(SimulatedCrash):
+            store.sync()
+        store = make_store(tmp_path)
+        assert store.stored_files() == ["b", "keep"]
+        assert store.attach_file("b", codec, PAGE_SIZE) == 0  # created, never mapped
+        store.attach_file("keep", codec, PAGE_SIZE)
+        assert store.read_page("keep", 0) == page(5)
+        # The torn delete: "keep" must still own its slot afterwards.
+        store._crash = CrashPoint("wal-append", fraction=0.5, action="raise")
+        with pytest.raises(SimulatedCrash):
+            store.delete_file("keep")
+        store = make_store(tmp_path)
+        store.attach_file("b", codec, PAGE_SIZE)
+        store.attach_file("keep", codec, PAGE_SIZE)
+        store.write_page("b", 0, page(3))  # takes a free slot, not keep's
+        store.sync()
+        assert store.read_page("keep", 0) == page(5)
+        store.close()
+
+    def test_rewrite_of_a_committed_page_is_shadowed(self, tmp_path):
+        """Regression (b): a committed page is rewritten and the kill
+        comes before the barrier — the old content is intact, because
+        the rewrite went to a fresh slot.  Once a barrier returns the
+        new content is what survives, and the old slot is free."""
+        codec = EntityDescriptorCodec()
+        crash = CrashPoint("data-synced", index=1, action="raise")
+        store = make_store(tmp_path, crash_point=crash)
+        store.create_file("f", codec, PAGE_SIZE)
+        store.write_page("f", 0, page(0))
+        store.sync()
+        store.write_page("f", 0, page(7))
+        store.write_page("f", 0, page(8))  # pending: overwritten in place
+        assert store.read_page("f", 0) == page(8)
+        size = os.path.getsize(tmp_path / DATA_FILE)
+        with pytest.raises(SimulatedCrash):
+            store.sync()
+        store = make_store(tmp_path)
+        store.attach_file("f", codec, PAGE_SIZE)
+        assert store.read_page("f", 0) == page(0)
+        store.write_page("f", 0, page(7))
+        store.sync()
+        store.write_page("f", 1, page(1))  # lands in the slot the remap freed
+        store.close()
+        assert os.path.getsize(tmp_path / DATA_FILE) == size
+        store = make_store(tmp_path)
+        store.attach_file("f", codec, PAGE_SIZE)
+        assert store.read_page("f", 0) == page(7)
+        assert store.read_page("f", 1) == page(1)
+        store.close()
+
+    @settings(max_examples=40, deadline=None)
     @given(
-        point=st.sampled_from(["wal-append", "wal-synced", "data-write"]),
+        point=st.sampled_from(["wal-append", "wal-synced", "data-write", "data-synced"]),
         index=st.integers(min_value=0, max_value=8),
         fraction=st.floats(min_value=0.0, max_value=1.0),
+        barrier_every=st.integers(min_value=1, max_value=4),
     )
-    def test_recovery_lands_on_acked_prefix(self, point, index, fraction):
-        """Whatever instant the store dies at, reopening recovers every
-        acknowledged write exactly; the in-flight write is either absent
-        or complete — never torn."""
+    def test_recovery_lands_on_acked_prefix(self, point, index, fraction, barrier_every):
+        """Whatever instant the store dies at, every page acknowledged
+        by a returned barrier reads back exactly; a later write —
+        rewrites of committed pages included — is absent or complete,
+        never torn; and a second reopen replays nothing."""
         codec = EntityDescriptorCodec()
-        writes = [(page_no, page(page_no)) for page_no in range(6)]
+        writes = [(page_no % 4, page(step)) for step, page_no in enumerate(range(9))]
         with tempfile.TemporaryDirectory() as directory:
             crash = CrashPoint(point, index=index, fraction=fraction, action="raise")
             store = make_store(directory, crash_point=crash)
-            acked = []
-            crashed_write = None
+            committed = {}  # page no -> records, as of the last returned barrier
+            later = {}  # page no -> every version written since
             try:
                 store.create_file("f", codec, PAGE_SIZE)
-                for page_no, records in writes:
-                    crashed_write = (page_no, records)
+                for step, (page_no, records) in enumerate(writes):
+                    later.setdefault(page_no, []).append(records)
                     store.write_page("f", page_no, records)
-                    acked.append((page_no, records))
-                    crashed_write = None
+                    if step % barrier_every == 0:
+                        store.sync()
+                        committed.update({no: versions[-1] for no, versions in later.items()})
+                        later.clear()
                 store.close()
+                committed.update({no: versions[-1] for no, versions in later.items()})
+                later.clear()
             except SimulatedCrash:
                 pass
-            reopened = make_store(directory)
-            if "f" in reopened.stored_files():
-                reopened.attach_file("f", codec, PAGE_SIZE)
-                stored = dict(acked)
-                for page_no, records in acked:
-                    assert reopened.read_page("f", page_no) == records
-                if crashed_write is not None:
-                    page_no, records = crashed_write
-                    if page_no not in stored:
+            for attempt in range(2):
+                reopened = make_store(directory)
+                assert attempt == 0 or reopened.last_recovery.replayed_records == 0
+                if "f" in reopened.stored_files():
+                    reopened.attach_file("f", codec, PAGE_SIZE)
+                    for page_no in committed.keys() | later.keys():
                         try:
                             recovered = reopened.read_page("f", page_no)
                         except ValueError:
                             recovered = None
-                        assert recovered in (None, records)
-            else:
-                # Death before the create committed: nothing was acked.
-                assert acked == []
-            reopened.close()
+                        allowed = [committed.get(page_no), *later.get(page_no, [])]
+                        assert recovered in allowed
+                else:
+                    # Death before the create committed: nothing was acked.
+                    assert committed == {}
+                reopened.close()
 
 
 class TestSyncContract:
@@ -522,6 +654,57 @@ class TestPersistentIndexReopen:
             assert reopened.debris_dropped == 0
             assert check_index(reopened, model_of(entities)) == []
 
+    def test_a_fold_logs_mappings_never_page_images(self, tmp_path):
+        """Grep-level: after a bulk load and a compaction no stored
+        page's payload occurs anywhere in the log's segments, which the
+        fold grew by a few bytes per page — and the fold says what it
+        cost, on the event and in ``stats``."""
+        config = StorageConfig(page_size=PAGE_SIZE)
+        entities = [entity(i, (i % 20) * 0.045, (i // 20) * 0.045) for i in range(400)]
+        log = EventLog()
+        index = PersistentIndex(
+            entities[:300], storage=config, obs=Observability(events=log),
+            data_dir=str(tmp_path), compaction_threshold=10**9,
+        )
+        service = JoinService(index)
+        for item in entities[300:]:
+            index.insert(item)
+        for eid in range(0, 300, 7):
+            index.delete(eid)
+        def segments():
+            return b"".join(p.read_bytes() for p in wal.list_segments(tmp_path))
+
+        logged = len(segments())
+        asyncio.run(service.compact())
+        cost = index.last_fold
+        assert cost["levels"] >= 1 and cost["records"] == len(index)
+        assert cost["pages"] >= cost["records"] / 10
+        # Pages once, as slots; the log adds mappings, not a second copy.
+        block = index._backend()._block_size
+        assert cost["pages"] * block <= cost["bytes"] < cost["pages"] * (block + 64)
+        # One data fsync and one log fsync commit it; each fresh file's
+        # create and each replaced file's delete is a log fsync of its own.
+        assert cost["fsyncs"] == 2 + 2 * cost["levels"]
+        (event,) = [e for e in log.events if e["type"] == "compaction_completed"]
+        assert {key: event[key] for key in cost} == cost
+        assert service.stats()["last_fold"] == cost
+
+        codec = EntityDescriptorCodec()
+        pages = 0
+        for handle in index._base.values():
+            for records in handle.scan_pages():
+                assert codec.encode_page(records[:2]) not in segments()
+                pages += 1
+        assert pages == cost["pages"]
+        assert len(segments()) - logged < pages * 64
+        # What a kill right now leaves: the reopen maps every page of
+        # both folds from the log, and says so.
+        shutil.copytree(tmp_path, tmp_path.with_name("killed"))
+        with PersistentIndex.open(str(tmp_path.with_name("killed")), storage=config) as reopened:
+            assert reopened._backend().last_recovery.mapped_pages >= pages
+            assert check_index(reopened, model_of(index.live_entities())) == []
+        index.close()
+
     def test_old_format_directory_is_refused_not_swept(self, tmp_path, monkeypatch):
         """A directory written before the journal existed has no
         manifest; treating that as "never booted" would delete its level
@@ -598,25 +781,118 @@ class TestFailedStore:
         assert lives[1] == lives[0]
 
     def test_store_level_failure_and_recovery(self, tmp_path, monkeypatch):
+        """A barrier whose data fsync fails: the pending page may or may
+        not be on the medium, so no later barrier may commit a mapping
+        to it — there is no later barrier until the reopen."""
         codec = EntityDescriptorCodec()
         store = make_store(tmp_path)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
+        store.sync()
+        store.write_page("f", 1, page(1))
         self.fail_next_fsync(monkeypatch)
-        with pytest.raises(OSError):
-            store.write_page("f", 1, page(1))
-        with pytest.raises(DurableStoreError, match="store failed"):
-            store.write_page("f", 1, page(1))
-        with pytest.raises(DurableStoreError):
-            store.journal_append(b"note")
+        with pytest.raises(OSError, match="Input/output"):
+            store.sync()
+        for refused in (
+            lambda: store.write_page("f", 2, page(2)),
+            lambda: store.journal_append(b"note"),
+            store.sync,
+            store.checkpoint,
+            lambda: store.delete_file("f"),
+        ):
+            with pytest.raises(DurableStoreError, match="Input/output error.*reopened"):
+                refused()
         assert store.read_page("f", 0) == page(0)
-        store.close()
+        assert store.read_page("f", 1) == page(1)  # reads still work
+        store.close()  # without a checkpoint: page 1 stays uncommitted
         reopened = make_store(tmp_path)
         reopened.attach_file("f", codec, PAGE_SIZE)
         assert reopened.read_page("f", 0) == page(0)
+        with pytest.raises(ValueError, match="never written"):
+            reopened.read_page("f", 1)
         reopened.journal_append(b"accepted again")
         assert reopened.journal() == [b"accepted again"]
         reopened.close()
+
+    def test_failed_slot_write_fails_the_store(self, tmp_path):
+        """ENOSPC on the n-th slot write: the page may be half there, so
+        the store refuses everything after it — a barrier that went on
+        would commit a mapping to a slot nobody finished writing."""
+        codec = EntityDescriptorCodec()
+        store = make_store(tmp_path)
+        store.create_file("f", codec, PAGE_SIZE)
+        store.write_page("f", 0, page(0))
+        store.sync()
+        store._data = FailingWrites(store._data, fail_on=2)
+        store.write_page("f", 1, page(1))
+        with pytest.raises(OSError, match="No space left"):
+            store.write_page("f", 0, page(7))  # a rewrite: page 0 keeps its slot
+        with pytest.raises(DurableStoreError, match="No space left.*reopened"):
+            store.write_page("f", 2, page(2))
+        with pytest.raises(DurableStoreError, match="No space left.*reopened"):
+            store.sync()
+        assert store.read_page("f", 0) == page(0)
+        store.close()
+        reopened = make_store(tmp_path)
+        assert reopened.attach_file("f", codec, PAGE_SIZE) == 1
+        assert reopened.read_page("f", 0) == page(0)
+        reopened.close()
+
+    def test_fold_whose_data_fsync_fails_changes_nothing(self, tmp_path, monkeypatch):
+        """The index-level case: the compaction's one data fsync fails
+        after every fresh page was written.  The live set, the journal
+        and — once the reopen has swept the unnamed fresh files — the
+        stored files are as they were."""
+        config = StorageConfig(page_size=PAGE_SIZE)
+        index = PersistentIndex.open(str(tmp_path), storage=config, compaction_threshold=10**9)
+        entities = [entity(i, (i % 8) * 0.1, (i // 8) * 0.1) for i in range(60)]
+        for item in entities[:40]:
+            index.insert(item)
+        index.compact()
+        for item in entities[40:]:
+            index.insert(item)
+        index.delete(7)
+        del entities[7]
+        stored, journal = index.storage.stored_files(), index._backend().journal()
+        epoch = index.epoch
+        data_fd, real = index._backend()._data.fileno(), os.fsync
+
+        def eio_on_the_data_file(fd):
+            if fd == data_fd:
+                raise OSError(errno.EIO, "Input/output error")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", eio_on_the_data_file)
+        # The fold's own clean-up (dropping its fresh files) is refused
+        # too, so the error that surfaces is the refusal naming the EIO.
+        with pytest.raises(DurableStoreError, match="Input/output error"):
+            index.compact()
+        monkeypatch.undo()
+        assert (index.epoch, index.compactions) == (epoch, 1)
+        assert index._backend().journal() == journal
+        assert check_index(index, model_of(entities)) == []  # base pages still read
+        index.close()
+        with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
+            assert reopened.debris_dropped >= 1
+            assert reopened.storage.stored_files() == stored
+            assert check_index(reopened, model_of(entities)) == []
+
+
+class FailingWrites:
+    """The data file's handle, failing its ``fail_on``-th write (1-based)
+    with ENOSPC; everything else passes through."""
+
+    def __init__(self, handle, fail_on):
+        self._handle, self._left = handle, fail_on
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def write(self, data):
+        self._left -= 1
+        if self._left == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(data)
 
 
 class TestWalUnit:
@@ -624,7 +900,7 @@ class TestWalUnit:
         log = wal.WriteAheadLog(tmp_path, segment_bytes=1024, start_sequence=1)
         bodies = [os.urandom(40) for _ in range(20)]
         for lsn, body in enumerate(bodies, start=1):
-            log.append(wal.WalRecord(lsn, wal.OP_WRITE, body))
+            log.append(wal.WalRecord(lsn, wal.OP_NOTE, body))
         log.sync()
         log.close()
         seen = []
@@ -635,8 +911,8 @@ class TestWalUnit:
 
     def test_torn_tail_detected_and_truncated(self, tmp_path):
         log = wal.WriteAheadLog(tmp_path, segment_bytes=1 << 20, start_sequence=1)
-        log.append(wal.WalRecord(1, wal.OP_WRITE, b"x" * 32))
-        log.append(wal.WalRecord(2, wal.OP_WRITE, b"y" * 32))
+        log.append(wal.WalRecord(1, wal.OP_NOTE, b"x" * 32))
+        log.append(wal.WalRecord(2, wal.OP_NOTE, b"y" * 32))
         log.sync()
         path = log.segment_path
         log.close()

@@ -99,12 +99,12 @@ class TestSeededBugs:
         assert not run_service_chaos(cases=4, seed=0).ok
 
     def test_commit_without_reset_fails_the_crash_check(self, monkeypatch):
-        healthy = run_crash_case(0, seed=0)
+        healthy = run_crash_case(17, seed=0)
         assert healthy.ok and healthy.counts["killed"], healthy.summary()
         # Killed entering its fourth commit: three manifests were logged.
         assert (healthy.counts["point"], healthy.counts["index"]) == ("commit", 3)
         commit_without_reset(monkeypatch)
-        broken = run_crash_case(0, seed=0)
+        broken = run_crash_case(17, seed=0)
         assert not broken.ok
         assert broken.violations[0].check in ("reopen", "model")
 
