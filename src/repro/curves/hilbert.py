@@ -2,11 +2,16 @@
 
 This is the curve the paper's prototype uses; the authors report a
 "table driven routine" computing one value in under 10 microseconds at
-maximum precision.  Here the scalar mapping is the classic quadrant
-rotate-and-recurse algorithm, and :meth:`HilbertCurve.keys` is a
-vectorized NumPy equivalent used by the data generators and
-partitioners (the per-value CPU cost the paper measures is modeled by
-:class:`repro.storage.costs.CpuModel`, not by Python wall-clock).
+maximum precision.  So is this one: the quadrant rotate-and-recurse
+algorithm is a four-state machine (the sub-curve's orientation: axes
+swapped or not, both coordinates complemented or not) that turns one
+bit of ``x`` and ``y`` into two key bits, and :data:`_STEP` is that
+machine run four bits at a time — 4 states x 256 inputs, one lookup per
+nibble in :meth:`HilbertCurve.key` and one gather per nibble in the
+vectorized :meth:`HilbertCurve.keys`.  The bit-at-a-time loop survives
+as the reference in ``tests/test_curves.py`` (the per-value CPU cost
+the paper measures is modeled by :class:`repro.storage.costs.CpuModel`,
+not by Python wall-clock).
 """
 
 from __future__ import annotations
@@ -15,31 +20,60 @@ import numpy as np
 
 from repro.curves.base import SpaceFillingCurve
 
+_NIBBLE = 4
+
+
+def _step_table() -> list[int]:
+    """``table[state << 8 | xnibble << 4 | ynibble]`` = the eight key
+    bits of the nibble pair ``<< 10 |`` the state it leaves the machine
+    in ``<< 8``, ready to index the next step.  State bit 0: the axes
+    are swapped; bit 1: both coordinates are complemented (the two
+    commute, so their parities are the state)."""
+    table = []
+    for start in range(4):
+        for xs in range(1 << _NIBBLE):
+            for ys in range(1 << _NIBBLE):
+                state, digits = start, 0
+                for bit in reversed(range(_NIBBLE)):
+                    rx = (xs >> bit & 1) ^ (state >> 1)
+                    ry = (ys >> bit & 1) ^ (state >> 1)
+                    if state & 1:
+                        rx, ry = ry, rx
+                    digits = digits << 2 | (3 * rx) ^ ry
+                    if ry == 0:  # the quadrant's sub-curve is transposed,
+                        state ^= 1 | rx << 1  # and reflected in the last one
+                table.append(digits << 10 | state << 8)
+    return table
+
+
+_STEP = _step_table()
+_STEP_ARRAY = np.array(_STEP, dtype=np.int64)
+
 
 class HilbertCurve(SpaceFillingCurve):
     """2-D Hilbert curve of the given order (bits per dimension)."""
 
     name = "hilbert"
 
+    def __init__(self, order: int = 16) -> None:
+        super().__init__(order)
+        # An order that is no multiple of four runs with leading zero
+        # bits.  Each such pair yields key bits 00 and toggles the swap,
+        # so starting swapped when their number is odd leaves the
+        # machine where the curve of this order starts: not swapped.
+        pad = -order % _NIBBLE
+        self._start = (pad & 1) << 8
+        self._shifts = tuple(range(order + pad - _NIBBLE, -1, -_NIBBLE))
+
     def key(self, x: int, y: int) -> int:
         if not (0 <= x < self.side and 0 <= y < self.side):
             raise ValueError(f"({x}, {y}) outside the {self.side}^2 grid")
-        d = 0
-        s = self.side >> 1
-        while s > 0:
-            rx = 1 if x & s else 0
-            ry = 1 if y & s else 0
-            d += s * s * ((3 * rx) ^ ry)
-            # Keep only the bits below s, then rotate the quadrant so the
-            # recursion always sees the canonical sub-curve orientation.
-            x &= s - 1
-            y &= s - 1
-            if ry == 0:
-                if rx == 1:
-                    x = s - 1 - x
-                    y = s - 1 - y
-                x, y = y, x
-            s >>= 1
+        x <<= _NIBBLE
+        d, state = 0, self._start
+        for shift in self._shifts:
+            step = _STEP[state | x >> shift & 0xF0 | y >> shift & 0x0F]
+            d = d << 8 | step >> 10
+            state = step & 0x300
         return d
 
     def point(self, key: int) -> tuple[int, int]:
@@ -63,22 +97,14 @@ class HilbertCurve(SpaceFillingCurve):
         return x, y
 
     def keys(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        x = np.asarray(xs, dtype=np.int64).copy()
-        y = np.asarray(ys, dtype=np.int64).copy()
+        x = np.asarray(xs, dtype=np.int64) << _NIBBLE
+        y = np.asarray(ys, dtype=np.int64)
         if x.shape != y.shape:
             raise ValueError("xs and ys must have the same shape")
         d = np.zeros(x.shape, dtype=np.int64)
-        s = self.side >> 1
-        while s > 0:
-            rx = ((x & s) > 0).astype(np.int64)
-            ry = ((y & s) > 0).astype(np.int64)
-            d += s * s * ((3 * rx) ^ ry)
-            x &= s - 1
-            y &= s - 1
-            flip = (ry == 0) & (rx == 1)
-            x = np.where(flip, s - 1 - x, x)
-            y = np.where(flip, s - 1 - y, y)
-            swap = ry == 0
-            x, y = np.where(swap, y, x), np.where(swap, x, y)
-            s >>= 1
+        state = self._start
+        for shift in self._shifts:
+            step = _STEP_ARRAY[state | x >> shift & 0xF0 | y >> shift & 0x0F]
+            d = d << 8 | step >> 10
+            state = step & 0x300
         return d

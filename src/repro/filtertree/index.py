@@ -17,11 +17,13 @@ many times.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.sync_scan import synchronized_scan
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import LevelAssigner
-from repro.filtertree.ranges import matching, range_records, window_key_ranges
+from repro.filtertree.ranges import KeyDirectory, matching
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.sorting.external_sort import ExternalSorter
@@ -34,8 +36,8 @@ class FilterTreeIndex:
     """A Filter Tree over one spatial data set.
 
     Entities live in the level file of their Filter-Tree level, sorted
-    by the Hilbert value of their MBR center; per level, a sparse
-    page-boundary directory supports key-range seeks.
+    by the Hilbert value of their MBR center; one key directory over
+    all of them places a window's key ranges on pages.
     """
 
     def __init__(
@@ -52,8 +54,7 @@ class FilterTreeIndex:
             order=self.curve.order, max_level=min(max_level, self.curve.order)
         )
         self.level_files: dict[int, PagedFile] = {}
-        # level -> first Hilbert key of each page (the page directory).
-        self._directories: dict[int, list[int]] = {}
+        self._directory = KeyDirectory(self.curve, self.assigner.max_level)
 
     def __len__(self) -> int:
         return sum(handle.num_records for handle in self.level_files.values())
@@ -62,7 +63,7 @@ class FilterTreeIndex:
 
     def build(self, dataset: SpatialDataset) -> FilterTreeIndex:
         """Bulk-load the index: partition into level files, sort each by
-        Hilbert value, and record the page directories."""
+        Hilbert value, and build the key directory."""
         if self.level_files:
             raise RuntimeError(f"index {self.name!r} is already built")
         staging: dict[int, PagedFile] = {}
@@ -78,15 +79,19 @@ class FilterTreeIndex:
                 staging[level] = handle
             handle.append((entity.eid, mbr.xlo, mbr.ylo, mbr.xhi, mbr.yhi, key))
         sorter = ExternalSorter(self.storage)
+        entries = {}
         for level, handle in sorted(staging.items()):
             outcome = sorter.sort(
                 handle, f"{self.name}-L{level}", key=lambda record: record[HKEY]
             )
             self.storage.drop_file(handle.name)
             self.level_files[level] = outcome.output
-            self._directories[level] = [  # read once at build time
-                page[0][HKEY] for page in outcome.output.scan_pages()
-            ]
+            keys = []
+            for page in outcome.output.scan_pages():  # read once at build time
+                keys.append(self._directory.level_keys(level, page))
+                self._directory.grow(level, page)
+            entries[level] = np.concatenate(keys)
+        self._directory.replace(entries)
         return self
 
     # -- window queries ------------------------------------------------------
@@ -94,19 +99,16 @@ class FilterTreeIndex:
     def window_query(self, window: Rect) -> list[int]:
         """Entity ids whose MBRs intersect the query window.
 
-        Per level, only the pages whose Hilbert range can contain
-        entities of cells overlapping the window are read — large
-        entities are caught at the few high levels, small ones inside
-        the window's own key ranges (:mod:`repro.filtertree.ranges`).
+        Only the pages holding a record whose centre can belong to an
+        entity meeting the window are read — per level, a box bounded
+        by the level's cells and its largest entity
+        (:mod:`repro.filtertree.ranges`).
         """
         results: list[int] = []
-        ranges = window_key_ranges(self.curve, window, self.level_files)
-        for level, key_ranges in ranges.items():
-            for records in range_records(
-                self.level_files[level], self._directories[level], key_ranges
-            ):
-                self.storage.stats.charge_cpu("mbr_test", len(records))
-                results += matching(records, window)
+        plan = self._directory.key_ranges(window, self.level_files)
+        for _, records in self._directory.base_slices(plan, self.level_files):
+            self.storage.stats.charge_cpu("mbr_test", len(records))
+            results += matching(records, window)
         return results
 
     # -- joins ----------------------------------------------------------------
@@ -134,5 +136,5 @@ class FilterTreeIndex:
         """Delete the index's files."""
         for handle in self.level_files.values():
             self.storage.drop_file(handle.name)
+        self._directory.replace(dict.fromkeys(self.level_files))
         self.level_files.clear()
-        self._directories.clear()

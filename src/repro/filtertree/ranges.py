@@ -1,17 +1,31 @@
-"""Window -> key ranges -> page slices: the Filter Tree access path.
+"""Window -> centre boxes -> key ranges -> page slices: the Filter
+Tree access path, shared by both indexes.
 
-A level-``l`` entity lies inside one level-``l`` cell and is filed
-under the curve key of its centre, so (prefix property) every
-candidate for a window sits in the key ranges of the level-``l`` cells
-the window meets — by monotone quantization, the grid box between the
-quantized window corners.
+An entity is filed under the curve key of its MBR centre, in the level
+file of its size class.  Two facts bound where the centre of a level-
+``l`` entity that meets a window can lie, both in grid units (``q`` is
+``curve.quantize``, monotone):
+
+- the entity lies inside one level-``l`` cell, so the centre is in one
+  of the level-``l`` cells between the quantized window corners;
+- the level's *reach* ``(rx, ry)`` bounds ``q(cx) - q(xlo)`` and
+  ``q(xhi) - q(cx)`` of every record in it, and ``xlo <= wxhi``,
+  ``wxlo <= xhi`` give ``q(wxlo) - rx <= q(cx) <= q(wxhi) + rx``.
+
+The intersection is an integer box; its cover by at most 2x2 cells at
+the deepest depth that allows it is (prefix property) at most four key
+ranges.  :class:`KeyDirectory` turns the ranges of every level into
+record positions with one binary search over one sorted array, so only
+pages that hold a candidate are fetched.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import accumulate
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.curves.base import SpaceFillingCurve
 from repro.geometry.rect import Rect
@@ -20,67 +34,166 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.records import HKEY
 
 KeyRange = tuple[int, int]  # half-open [lo, hi) interval of curve keys
+Reach = tuple[int, int]  # grid units a level's centres lie from its MBR edges
+Plan = list[tuple[int, list[KeyRange]]]  # per level, its sorted disjoint ranges
 record_key = itemgetter(HKEY)
 
 
-def window_key_ranges(
-    curve: SpaceFillingCurve, window: Rect, levels: Iterable[int]
-) -> dict[int, list[KeyRange]]:
-    """Per requested level, the sorted, merged key ranges that can hold
-    an entity meeting ``window`` (empty when it misses the unit square).
-
-    At most four ``curve.key`` calls however large the window: they are
-    taken at the deepest level where the clipped window spans <= 2x2
-    cells.  A coarser level's cells are their ancestors (shift the
-    prefixes); a deeper level reuses the ranges, a superset of its own.
-    """
-    if min(window.xhi, window.yhi) < 0.0 or max(window.xlo, window.ylo) > 1.0:
-        return {}
-    xlo, ylo, xhi, yhi = map(curve.quantize, window.clamped().as_tuple())
+def box_key_ranges(
+    curve: SpaceFillingCurve, xlo: int, ylo: int, xhi: int, yhi: int
+) -> list[KeyRange]:
+    """The sorted, merged key ranges of the <= 2x2 cells that cover the
+    closed grid box, taken at the deepest level where four suffice: at
+    most four ``curve.key`` calls however large the box."""
     down = max((xhi - xlo).bit_length(), (yhi - ylo).bit_length(), 1) - 1
     while (xhi >> down) - (xlo >> down) > 1 or (yhi >> down) - (ylo >> down) > 1:
         down += 1
-    deepest = curve.order - down
-    prefixes = [
-        curve.cell_key_range(cx << down, cy << down, deepest)[0] >> 2 * down
-        for cx in {xlo >> down, xhi >> down}
-        for cy in {ylo >> down, yhi >> down}
-    ]
-    ranges: dict[int, list[KeyRange]] = {}
-    for level in levels:
-        up = 2 * max(deepest - level, 0)
-        width = 1 << 2 * down + up
-        merged: list[KeyRange] = []
-        for lo in sorted({(prefix >> up) * width for prefix in prefixes}):
-            if merged and merged[-1][1] == lo:
-                merged[-1] = (merged[-1][0], lo + width)
-            else:
-                merged.append((lo, lo + width))
-        ranges[level] = merged
-    return ranges
+    width = 1 << 2 * down
+    merged: list[KeyRange] = []
+    for lo in sorted(
+        {
+            curve.key(cx << down, cy << down) & -width
+            for cx in {xlo >> down, xhi >> down}
+            for cy in {ylo >> down, yhi >> down}
+        }
+    ):
+        if merged and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], lo + width)
+        else:
+            merged.append((lo, lo + width))
+    return merged
 
 
-def range_records(
-    handle: PagedFile, directory: list[int], ranges: list[KeyRange]
-) -> Iterator[list[Record]]:
-    """The records of a key-sorted file whose key falls in one of the
-    sorted, disjoint ``ranges``, one slice per touched page.  Only the
-    pages that ``directory`` (first key of every page) places in a
-    range are read, each once; the first and last are bisected.
+class KeyDirectory:
+    """One sorted ``int64`` array ``level << 2*order | key`` over every
+    base record of an index (8 bytes beside the record's 48), plus each
+    level's reach.  Level files are bulk-written — every page but the
+    last is full — so a position in the array names a page and a slot.
     """
-    page_no, records = -1, []
-    for lo, hi in ranges:
-        # The page before the first one starting at or after ``lo`` may
-        # spill into the range (its last key is not in the directory).
-        first = max(bisect_left(directory, lo) - 1, 0)
-        last = bisect_left(directory, hi) - 1
-        for number in range(first, last + 1):
-            if number != page_no:
-                page_no, records = number, handle.read_page(number)
-            start = bisect_left(records, lo, key=record_key) if number == first else 0
-            stop = bisect_left(records, hi, key=record_key) if number == last else None
-            if chunk := records[start:stop]:
-                yield chunk
+
+    def __init__(self, curve: SpaceFillingCurve, max_level: int) -> None:
+        self.curve = curve
+        self._shift = 2 * curve.order
+        if ((max_level + 1) << self._shift).bit_length() > 63:
+            raise ValueError(
+                f"{max_level + 1} levels of order-{curve.order} keys "
+                "do not fit the 64-bit key directory"
+            )
+        self._half_side = curve.side / 2
+        self.keys = np.empty(0, dtype=np.int64)
+        self.starts: dict[int, int] = {}  # level -> position of its first record
+        self.reach: dict[int, Reach] = {}  # of base and delta records alike
+
+    def level_keys(self, level: int, records: Sequence[Record]) -> np.ndarray:
+        """The directory's part for a level file holding exactly the
+        key-sorted ``records``."""
+        keys = np.fromiter(map(record_key, records), np.int64, len(records))
+        keys += level << self._shift
+        return keys
+
+    def replace(self, entries: Mapping[int, np.ndarray | None]) -> None:
+        """Install the :meth:`level_keys` of rewritten level files
+        (``None``: the level is gone, its reach with it); every other
+        level keeps its part."""
+        order = sorted(self.starts)
+        stops = [self.starts[level] for level in order[1:]] + [len(self.keys)]
+        parts = {
+            level: self.keys[self.starts[level] : stop]
+            for level, stop in zip(order, stops)
+        }
+        for level, keys in entries.items():
+            if keys is None:
+                parts.pop(level, None)
+                self.reach.pop(level, None)
+            else:
+                parts[level] = keys
+        order = sorted(parts)
+        self.keys = np.concatenate([parts[level] for level in order] or [self.keys[:0]])
+        sizes = (len(parts[level]) for level in order)
+        self.starts = dict(zip(order, accumulate(sizes, initial=0)))
+
+    def grow(self, level: int, records: Iterable[Record]) -> None:
+        """Widen a level's reach to cover ``records`` too.  Reach only
+        grows — a delete leaves it high, which is safe — until a reopen
+        takes it off the level files afresh."""
+        width = height = 0.0
+        for _, xlo, ylo, xhi, yhi, _ in records:
+            if xhi - xlo > width:
+                width = xhi - xlo
+            if yhi - ylo > height:
+                height = yhi - ylo
+        # q(a) - q(b) <= ceil((a - b) * side) for a >= b, the centre is
+        # half a width from either edge, and the float centre and width
+        # are off by far less than a grid unit: floor + 2 covers both.
+        rx, ry = int(width * self._half_side) + 2, int(height * self._half_side) + 2
+        held = self.reach.get(level, (0, 0))
+        if rx > held[0] or ry > held[1]:
+            self.reach[level] = (max(rx, held[0]), max(ry, held[1]))
+
+    def key_ranges(self, window: Rect, levels: Iterable[int]) -> Plan:
+        """Per requested level, the key ranges that can hold an entity
+        meeting ``window`` (nothing when it misses the unit square).
+        Levels with the same centre box share one cover."""
+        wxlo, wylo, wxhi, wyhi = window.as_tuple()
+        if wxhi < 0.0 or wyhi < 0.0 or wxlo > 1.0 or wylo > 1.0:
+            return []
+        curve = self.curve
+        xlo, ylo = curve.quantize(max(wxlo, 0.0)), curve.quantize(max(wylo, 0.0))
+        xhi, yhi = curve.quantize(min(wxhi, 1.0)), curve.quantize(min(wyhi, 1.0))
+        covers: dict[tuple[int, int, int, int], list[KeyRange]] = {}
+        plan: Plan = []
+        for level in levels:
+            rx, ry = self.reach[level]
+            cell = (1 << curve.order - level) - 1
+            # The reach box, cut to the level's cells the window meets.
+            left, cell_left = xlo - rx, xlo & ~cell
+            low, cell_low = ylo - ry, ylo & ~cell
+            right, cell_right = xhi + rx, xhi | cell
+            high, cell_high = yhi + ry, yhi | cell
+            box = (
+                left if left > cell_left else cell_left,
+                low if low > cell_low else cell_low,
+                right if right < cell_right else cell_right,
+                high if high < cell_high else cell_high,
+            )
+            ranges = covers.get(box)
+            if ranges is None:
+                ranges = covers[box] = box_key_ranges(curve, *box)
+            plan.append((level, ranges))
+        return plan
+
+    def base_slices(
+        self, plan: Plan, files: Mapping[int, PagedFile]
+    ) -> Iterator[tuple[int, list[Record]]]:
+        """``(level, records)`` for every page of a level file holding
+        records of the level's planned ranges — exactly those records.
+        One binary search places every range of every level; each page
+        is read (through the pool: the ledger prices it) once."""
+        bounds = [
+            (level << self._shift) + key
+            for level, ranges in plan
+            if level in files
+            for key_range in ranges
+            for key in key_range
+        ]
+        cuts = self.keys.searchsorted(bounds).tolist()
+        at = 0
+        for level, ranges in plan:
+            handle = files.get(level)
+            if handle is None:
+                continue
+            first, size = self.starts[level], handle.records_per_page
+            page_no, records = -1, []
+            for _ in ranges:
+                start, stop = cuts[at] - first, cuts[at + 1] - first
+                at += 2
+                if start == stop:
+                    continue
+                for number in range(start // size, (stop - 1) // size + 1):
+                    if number != page_no:
+                        page_no, records = number, handle.read_page(number)
+                    offset = number * size
+                    yield level, records[max(start - offset, 0) : stop - offset]
 
 
 def matching(

@@ -525,6 +525,9 @@ class JoinService:
         return {
             "index_queries": index.queries,
             "pages_read_per_query": index.query_page_reads / max(index.queries, 1),
+            "pool_fetches_per_query": index.query_page_fetches / max(index.queries, 1),
+            "records_examined_per_hit": index.query_records_examined
+            / max(index.query_hits, 1),
             "pool_hit_ratio": ledger.buffer_hits / fetches if fetches else 0.0,
             "entities": len(self.index),
             "epoch": self.index.epoch,

@@ -32,18 +32,14 @@ import dataclasses
 import json
 import struct
 from bisect import bisect_left, bisect_right, insort
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import DEFAULT_MAX_LEVEL, LevelAssigner
-from repro.filtertree.ranges import (
-    matching,
-    range_records,
-    record_key,
-    window_key_ranges,
-)
+from repro.filtertree.ranges import KeyDirectory, matching, record_key
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
@@ -63,13 +59,6 @@ _EID = struct.Struct("<q")
 
 _sort_key = itemgetter(HKEY, EID)
 """Level files are Hilbert-sorted; eid breaks ties deterministically."""
-
-
-def _page_keys(handle: PagedFile, records: list[Record]) -> list[int]:
-    """The page directory of a level file (first key of every page) from
-    the sorted records just written or read: level files are
-    bulk-written, so every page but the last is full."""
-    return [record[HKEY] for record in records[:: handle.records_per_page]]
 
 
 class IndexExistsError(ValueError):
@@ -118,16 +107,20 @@ class PersistentIndex:
         self.epoch = 0
         self.compactions = 0
         self.queries = 0  # point/window queries answered
-        self.query_page_reads = 0  # base pages those fetched on pool misses
+        self.query_page_fetches = 0  # base pages those asked the pool for
+        self.query_page_reads = 0  # ... of which pool misses
+        self.query_records_examined = 0  # records MBR-tested (base + delta)
+        self.query_hits = 0  # ids returned
         self.recovered = False
         self.notes_replayed = 0  # journal notes re-applied by a reopen
         self.debris_dropped = 0  # stored files no manifest named, deleted on open
         self.last_fold: dict[str, int] = {}  # what the latest fold cost (none yet: empty)
         self._base: dict[int, PagedFile] = {}
-        self._directory: dict[int, list[int]] = {}  # level -> page first keys
+        self._directory = KeyDirectory(self.curve, self.assigner.max_level)
         self._delta: dict[int, list[Record]] = {}
         self._delta_keys: dict[int, int] = {}  # eid -> Hilbert key, of inserts in the delta
         self._tombstones: dict[int, set[int]] = {}  # level -> base eids
+        self._pending = 0  # delta records + tombstones
         self._live: dict[int, tuple[int, Entity]] = {}  # eid -> (level, entity)
         seed = list(entities)
         notes = self._backend().journal()
@@ -163,8 +156,9 @@ class PersistentIndex:
             level, record = self._describe(entity)
             self._delta.setdefault(level, []).append(record)
             self._live[entity.eid] = (level, entity)
-        for records in self._delta.values():
+        for level, records in self._delta.items():
             records.sort(key=_sort_key)
+            self._directory.grow(level, records)
         self._fold("load", epoch=0, compactions=0)
 
     # -- durability ------------------------------------------------------
@@ -211,13 +205,16 @@ class PersistentIndex:
         self.recovered = True
         levels = {int(level): stored for level, stored in manifest["levels"].items()}
         self._drop_unnamed(set(levels.values()))
+        entries = {}
         for level, stored in levels.items():
             handle = self.storage.attach_file(stored)
             records = list(self._raw_scan(handle))
             self._base[level] = handle
-            self._directory[level] = _page_keys(handle, records)
+            entries[level] = self._directory.level_keys(level, records)
+            self._directory.grow(level, records)
             for record in records:
                 self._live[record[EID]] = (level, self._entity_of(record))
+        self._directory.replace(entries)
         for note in notes[1:]:
             if note[:1] == b"I":
                 record = _DESCRIPTOR.decode(note[1:])
@@ -251,13 +248,11 @@ class PersistentIndex:
     @property
     def delta_records(self) -> int:
         """Pending delta size: buffered inserts plus tombstones."""
-        return sum(map(len, self._delta.values())) + sum(
-            map(len, self._tombstones.values())
-        )
+        return self._pending
 
     @property
     def needs_compaction(self) -> bool:
-        return self.delta_records >= self.compaction_threshold
+        return self._pending >= self.compaction_threshold
 
     def levels(self) -> list[int]:
         """Levels with any live or pending data, sorted."""
@@ -265,9 +260,14 @@ class PersistentIndex:
 
     def level_records(self, level: int) -> Iterator[Record]:
         """The live records of one level in Hilbert order: the base
-        level file merged with the delta buffer, minus tombstones.
-        Base pages are read through the buffer pool, so the simulated
-        ledger prices every query's base I/O."""
+        level file merged with the delta buffer, minus tombstones."""
+        return chain.from_iterable(self.level_pages(level))
+
+    def level_pages(self, level: int) -> Iterator[list[Record]]:
+        """:meth:`level_records` a base page at a time, each merged with
+        the delta records up to its last key (the rest of the delta
+        comes last).  Base pages are read through the buffer pool, so
+        the simulated ledger prices every scan's base I/O."""
         handle = self._base.get(level)
         delta = self._delta.get(level, [])
         dead = self._tombstones.get(level)
@@ -284,8 +284,8 @@ class PersistentIndex:
                 page += delta[merged:upto]
                 page.sort(key=_sort_key)
                 merged = upto
-            yield from page
-        yield from delta[merged:]
+            yield page
+        yield delta[merged:]
 
     def live_entities(self) -> list[Entity]:
         """The live entity set (insertion-independent order: by eid)."""
@@ -313,6 +313,8 @@ class PersistentIndex:
     def _apply_insert(self, level: int, record: Record, entity: Entity) -> None:
         insort(self._delta.setdefault(level, []), record, key=_sort_key)
         self._delta_keys[entity.eid] = record[HKEY]
+        self._directory.grow(level, (record,))
+        self._pending += 1
         self._live[entity.eid] = (level, entity)
         self.epoch += 1
 
@@ -334,11 +336,13 @@ class PersistentIndex:
         key = self._delta_keys.pop(eid, None)
         if key is None:
             self._tombstones.setdefault(level, set()).add(eid)
+            self._pending += 1
         else:
             buffer = self._delta[level]
             del buffer[bisect_left(buffer, (key, eid), key=_sort_key)]
             if not buffer:
                 del self._delta[level]
+            self._pending -= 1
         self.epoch += 1
 
     # -- compaction ------------------------------------------------------
@@ -369,7 +373,7 @@ class PersistentIndex:
             for level, handle in self._base.items()
             if level not in affected
         }
-        directory = {level: self._directory[level] for level in base}
+        entries = dict.fromkeys(affected)  # level -> its new directory keys
         backend = self._backend()
         written, fsyncs = backend.bytes_written, backend.fsyncs
         fresh: list[PagedFile] = []
@@ -377,7 +381,7 @@ class PersistentIndex:
             self.storage.phase_boundary()
             try:
                 for level in sorted(affected):
-                    records = list(self.level_records(level))
+                    records = list(chain.from_iterable(self.level_pages(level)))
                     if records:
                         base[level] = handle = self.storage.create_file(
                             f"{self.name}-L{level}-{compactions}"
@@ -385,7 +389,7 @@ class PersistentIndex:
                         fresh.append(handle)
                         handle.append_many(records)
                         handle.flush()
-                        directory[level] = _page_keys(handle, records)
+                        entries[level] = self._directory.level_keys(level, records)
                 manifest = {
                     "name": self.name,
                     "epoch": epoch,
@@ -400,10 +404,12 @@ class PersistentIndex:
                     self.storage.drop_file(handle.name)
                 raise
             replaced = [self._base[level] for level in sorted(affected & set(self._base))]
-            self._base, self._directory = base, directory
+            self._base = base
+            self._directory.replace(entries)
             self._delta.clear()
             self._delta_keys.clear()
             self._tombstones.clear()
+            self._pending = 0
             self.epoch, self.compactions = epoch, compactions
             for handle in replaced:
                 self.storage.drop_file(handle.name)
@@ -425,38 +431,38 @@ class PersistentIndex:
         """Ids of live entities whose MBR intersects the window, sorted
         (closed-interval semantics, same as the sweep).
 
-        Per level the window maps to a few key ranges; only the base
-        pages the directory places in one are read — through the pool,
+        Per level the window maps to a few key ranges
+        (:mod:`repro.filtertree.ranges`); only the base pages the key
+        directory finds a candidate on are read — through the pool,
         which stays warm across queries, so the ledger prices exactly
         the pages fetched — and the sorted delta is bisected on the
         same ranges.  Tombstones name base records only.
         """
         hits: list[int] = []
-        reads = self.storage.stats.total.page_reads
+        ledger = self.storage.stats.total
+        reads, cached = ledger.page_reads, ledger.buffer_hits
         examined = 0
         with self.storage.stats.phase("query"):
-            ranges = window_key_ranges(self.curve, window, self.levels())
-            for level, key_ranges in ranges.items():
-                handle = self._base.get(level)
-                if handle is not None:
-                    dead = self._tombstones.get(level, ())
-                    for records in range_records(
-                        handle, self._directory[level], key_ranges
-                    ):
-                        examined += len(records)
-                        hits += matching(records, window, dead)
+            plan = self._directory.key_ranges(window, self.levels())
+            for level, records in self._directory.base_slices(plan, self._base):
+                examined += len(records)
+                hits += matching(records, window, self._tombstones.get(level, ()))
+            for level, key_ranges in plan:
                 delta = self._delta.get(level, ())
                 for lo, hi in key_ranges if delta else ():
                     start = bisect_left(delta, lo, key=record_key)
                     stop = bisect_left(delta, hi, start, key=record_key)
                     examined += stop - start
                     hits += matching(delta[start:stop], window)
-        fetched = self.storage.stats.total.page_reads - reads
+        read = ledger.page_reads - reads
         self.queries += 1
-        self.query_page_reads += fetched
+        self.query_page_fetches += read + ledger.buffer_hits - cached
+        self.query_page_reads += read
+        self.query_records_examined += examined
+        self.query_hits += len(hits)
         metrics = self.obs.active_metrics
         if metrics is not None:
-            metrics.count("index.query_pages_read", fetched)
+            metrics.count("index.query_pages_read", read)
             metrics.count("index.query_records_examined", examined)
             metrics.count("index.query_hits", len(hits))
         return tuple(sorted(hits))

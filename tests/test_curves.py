@@ -127,6 +127,70 @@ class TestHilbertSpecifics:
         assert c.point(c.key(x, y)) == (x, y)
 
 
+def bit_loop_key(order: int, x: int, y: int) -> int:
+    """The classic quadrant rotate-and-recurse Hilbert mapping, one bit
+    of ``x`` and ``y`` per step: what ``HilbertCurve.key`` ran until the
+    4-bit state table took over, kept as its reference."""
+    d = 0
+    s = 1 << order >> 1
+    while s > 0:
+        rx = 1 if x & s else 0
+        ry = 1 if y & s else 0
+        d += s * s * ((3 * rx) ^ ry)
+        # Keep only the bits below s, then rotate the quadrant so the
+        # recursion always sees the canonical sub-curve orientation.
+        x &= s - 1
+        y &= s - 1
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        s >>= 1
+    return d
+
+
+class TestHilbertTable:
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_every_cell_of_small_orders(self, order):
+        curve = HilbertCurve(order=order)
+        cells = [(x, y) for x in range(curve.side) for y in range(curve.side)]
+        expected = [bit_loop_key(order, x, y) for x, y in cells]
+        assert [curve.key(x, y) for x, y in cells] == expected
+        xs, ys = (np.array(column) for column in zip(*cells))
+        batch = curve.keys(xs, ys)
+        assert batch.dtype == np.int64 and batch.tolist() == expected
+        assert [curve.point(key) for key in expected] == cells
+
+    @pytest.mark.parametrize("order", [16, 31, 13, 30])  # pad 0, 1, 3, 2 bits
+    def test_random_cells_of_large_orders(self, order):
+        curve = HilbertCurve(order=order)
+        rng = np.random.default_rng(order)
+        xs = rng.integers(0, curve.side, size=2000)
+        ys = rng.integers(0, curve.side, size=2000)
+        expected = [bit_loop_key(order, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert curve.keys(xs, ys).tolist() == expected
+        for x, y, key in zip(xs[:200].tolist(), ys[:200].tolist(), expected):
+            assert curve.key(x, y) == key and curve.point(key) == (x, y)
+
+    @pytest.mark.parametrize("order", [16, 31])
+    def test_a_coarser_curve_is_the_top_bits(self, order):
+        fine = HilbertCurve(order=order)
+        rng = np.random.default_rng(3)
+        xs = rng.integers(0, fine.side, size=300)
+        ys = rng.integers(0, fine.side, size=300)
+        keys = fine.keys(xs, ys)
+        for k in range(1, order):
+            coarse = type(fine)(order=k)
+            down = order - k
+            assert (coarse.keys(xs >> down, ys >> down) == keys >> 2 * down).all()
+            assert coarse.key(int(xs[0]) >> down, int(ys[0]) >> down) == int(keys[0]) >> 2 * down
+
+    def test_empty_input(self):
+        empty = HilbertCurve().keys(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 class TestVectorized:
     @pytest.mark.parametrize("cls", ALL_CURVES, ids=lambda c: c.name)
     def test_keys_matches_scalar(self, cls):

@@ -1,4 +1,5 @@
-"""``PersistentIndex.level_records`` against the merge it replaced.
+"""``PersistentIndex.level_pages`` / ``level_records`` against the merge
+they replaced.
 
 The per-record ``heapq.merge`` over a tombstone-filtering generator —
 what compaction and the resident self-join ran until the page-at-a-time
@@ -110,8 +111,9 @@ def test_level_records_matches_the_heapq_merge(base, script):
             assert list(index.level_records(level)) == list(
                 reference_level_records(index, level)
             )
-        # The same mutation prefix folded under both implementations.
-        twin.level_records = lambda level: reference_level_records(twin, level)
+        # The same mutation prefix folded under both implementations
+        # (a fold takes its records from ``level_pages``).
+        twin.level_pages = lambda level: [list(reference_level_records(twin, level))]
         assert index.compact() == twin.compact()
         assert level_pages(index) == level_pages(twin)
         assert index.live_entities() == twin.live_entities()

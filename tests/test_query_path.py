@@ -2,23 +2,28 @@
 
 Three kinds of check: differential (random interleavings of mutations,
 compactions and reopens against a brute-force scan of a model live
-set — the linear scan survives only here, as the oracle), the
-machine-independent pruning gate (ledger page reads, warm pool, page
-directories), and the query-side input validation / observability of
-the service.
+set — the linear scan survives only here, as the oracle — seeded and
+as a hypothesis property, with the reach invariant checked from its
+integer definition after every step), the machine-independent pruning
+gate (ledger page reads, warm pool, the key directory, records examined
+per hit), and the query-side input validation / observability of the
+service.
 """
 
 import asyncio
 import json
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.curves.base import curve_by_name
 from repro.curves.hilbert import HilbertCurve
 from repro.datagen.uniform import uniform_squares_by_coverage
 from repro.filtertree.index import FilterTreeIndex
-from repro.filtertree.ranges import window_key_ranges
+from repro.filtertree.ranges import KeyDirectory
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
@@ -36,17 +41,26 @@ def coordinate(rng: random.Random) -> float:
     """Half of all coordinates sit exactly on a grid line ``k / 2**l``
     (1.0 included), where the closed-interval rules bite."""
     if rng.random() < 0.5:
-        level = rng.randint(0, 6)
+        level = rng.choice([rng.randint(0, 6), rng.randint(0, 16)])
         return rng.randint(0, 1 << level) / (1 << level)
     return rng.random()
 
 
 def random_box(rng: random.Random, max_side: float) -> Rect:
+    if rng.random() < 0.02:  # nearly the whole space, in a level of small boxes
+        return Rect(rng.random() / 50, rng.random() / 50, 0.99, 1.0 - rng.random() / 50)
     x, y = coordinate(rng), coordinate(rng)
     width, height = (
         rng.choice([0.0, 1 / 64, 1 / 8, rng.random() * max_side]) for _ in "wh"
     )
     return Rect(x, y, min(1.0, x + width), min(1.0, y + height))
+
+
+def touching(box: Rect, at_corner: bool) -> Rect:
+    """A window meeting ``box`` at one corner, or along one edge, only."""
+    if at_corner:
+        return Rect(box.xhi, box.yhi, min(1.0, box.xhi + 0.1), min(1.0, box.yhi + 0.1))
+    return Rect(max(0.0, box.xlo - 0.1), box.ylo, box.xlo, box.yhi)
 
 
 def random_window(rng: random.Random, model: dict[int, Rect]) -> Rect:
@@ -60,16 +74,40 @@ def random_window(rng: random.Random, model: dict[int, Rect]) -> Rect:
     if kind < 0.5:  # zero area
         return Rect.point(coordinate(rng), coordinate(rng))
     if kind < 0.7 and model:  # touches an entity at an edge or a corner only
-        box = model[rng.choice(sorted(model))]
-        if rng.random() < 0.5:
-            return Rect(box.xhi, box.yhi, min(1.0, box.xhi + 0.1), min(1.0, box.yhi + 0.1))
-        return Rect(max(0.0, box.xlo - 0.1), box.ylo, box.xlo, box.yhi)
+        return touching(model[rng.choice(sorted(model))], rng.random() < 0.5)
     return random_box(rng, 0.6)
 
 
-def run_interleaving(seed: int, curve_name: str, steps: int, data_dir=None) -> int:
-    """Replay one seeded schedule; returns how many queries were checked."""
-    rng = random.Random(seed)
+def assert_reach_covers_every_record(index: PersistentIndex) -> None:
+    """The invariant the centre boxes rest on, from its definition:
+    dead base records count too (tombstones leave them in the file)."""
+    q = index.curve.quantize
+    for level in index.levels():
+        rx, ry = index._directory.reach[level]
+        handle = index._base.get(level)
+        base = list(index._raw_scan(handle)) if handle is not None else []
+        for _, xlo, ylo, xhi, yhi, key in base + index._delta.get(level, []):
+            cx, cy = Rect(xlo, ylo, xhi, yhi).center
+            assert index.curve.key(q(cx), q(cy)) == key
+            assert q(cx) - q(xlo) <= rx and q(xhi) - q(cx) <= rx
+            assert q(cy) - q(ylo) <= ry and q(yhi) - q(cy) <= ry
+
+
+def tight_reach(index: PersistentIndex) -> dict:
+    """What the reach is when taken from the live records alone."""
+    fresh = KeyDirectory(index.curve, index.assigner.max_level)
+    for level, entity in index._live.values():
+        fresh.grow(level, [(entity.eid, *entity.mbr.as_tuple(), 0)])
+    return fresh.reach
+
+
+def replay(curve_name: str, base: list[Rect], ops, data_dir=None) -> int:
+    """Run a schedule against a brute-force model; returns how many
+    queries were checked.  An op is ``("insert", box)``, ``("revive",
+    pick, box)`` (a deleted eid comes back, in whatever level its new
+    size puts it), ``("delete", pick)``, ``("compact",)``, ``("reopen",
+    fold_first)``, ``("window", rect)`` or ``("touch", pick, at_corner)``;
+    a pick is taken modulo what there is to pick from."""
 
     def open_index(entities=()):
         return PersistentIndex(
@@ -80,40 +118,102 @@ def run_interleaving(seed: int, curve_name: str, steps: int, data_dir=None) -> i
             data_dir=data_dir,
         )
 
-    model = {eid: random_box(rng, 0.1) for eid in range(150)}
+    model = dict(enumerate(base))
     index = open_index([Entity(eid, box) for eid, box in model.items()])
     next_eid, graveyard, checked = len(model), [], 0
     try:
-        for _ in range(steps):
-            roll = rng.random()
-            if roll < 0.25:
-                # Half the inserts revive a deleted eid: a re-insert
-                # after a tombstone must be live again.
-                if graveyard and rng.random() < 0.5:
-                    eid = graveyard.pop()
-                else:
-                    eid, next_eid = next_eid, next_eid + 1
-                model[eid] = random_box(rng, 0.1)
+        for op, *args in ops:
+            if op == "insert" or (op == "revive" and not graveyard):
+                eid, next_eid = next_eid, next_eid + 1
+                model[eid] = args[-1]
                 index.insert(Entity(eid, model[eid]))
-            elif roll < 0.45 and model:
-                eid = rng.choice(sorted(model))
+            elif op == "revive":
+                eid = graveyard.pop(args[0] % len(graveyard))
+                model[eid] = args[1]
+                index.insert(Entity(eid, model[eid]))
+            elif op == "delete" and model:
+                eid = sorted(model)[args[0] % len(model)]
                 del model[eid]
                 graveyard.append(eid)
                 index.delete(eid)
-            elif roll < 0.5:
+            elif op == "compact":
                 index.compact()
-            elif roll < 0.53 and data_dir is not None:
+            elif op == "reopen" and data_dir is not None:
+                folded = args[0] and (index.compact() or True)
                 index.close()
                 index = open_index()
-            else:
-                window = random_window(rng, model)
+                # Deletes leave the reach high; a reopen reads it off
+                # the files, so off folded files it is tight again.
+                assert not folded or index._directory.reach == tight_reach(index)
+            elif op == "window" or (op == "touch" and model):
+                window = args[0] if op == "window" else touching(
+                    model[sorted(model)[args[0] % len(model)]], args[1]
+                )
                 assert index.window_query(window) == brute(model, window), window
-                x, y = coordinate(rng), coordinate(rng)
-                assert index.point_query(x, y) == brute(model, Rect.point(x, y))
-                checked += 2
+                checked += 1
+            assert_reach_covers_every_record(index)
+            assert index.delta_records == sum(
+                map(len, [*index._delta.values(), *index._tombstones.values()])
+            )
     finally:
         index.close()
     return checked
+
+
+def run_interleaving(seed: int, curve_name: str, steps: int, data_dir=None) -> int:
+    """Replay one seeded schedule over 150 small boxes."""
+    rng = random.Random(seed)
+    base = [random_box(rng, 0.1) for _ in range(150)]
+    loaded = dict(enumerate(base))
+
+    def schedule():
+        for _ in range(steps):
+            roll = rng.random()
+            if roll < 0.25:  # half the inserts revive a deleted eid
+                op = rng.choice(["insert", "revive"])
+                yield op, rng.randrange(10**6), random_box(rng, rng.choice([0.001, 0.1, 0.7]))
+            elif roll < 0.45:
+                yield "delete", rng.randrange(10**6)
+            elif roll < 0.5:
+                yield ("compact",)
+            elif roll < 0.53:
+                yield "reopen", rng.random() < 0.5
+            else:
+                yield "window", random_window(rng, loaded)
+                yield "touch", rng.randrange(10**6), rng.random() < 0.5
+                yield "window", Rect.point(coordinate(rng), coordinate(rng))
+
+    return replay(curve_name, base, schedule(), data_dir)
+
+
+# The same schedule space for hypothesis: coordinates on the grid lines
+# of every level, zero-area and nearly-space-sized boxes, windows that
+# are degenerate, on grid lines, or partly / wholly outside the square.
+picks = st.integers(0, 10**6)
+grid_lines = st.integers(0, 16).flatmap(
+    lambda level: st.integers(0, 1 << level).map(lambda k: k / (1 << level))
+)
+inside = grid_lines | st.floats(0.0, 1.0)
+sides = st.sampled_from([0.0, 0.0, 2**-16, 1 / 64, 0.009]) | st.floats(0.0, 0.3)
+boxes = st.builds(
+    lambda x, y, w, h: Rect(x, y, min(1.0, x + w), min(1.0, y + h)), inside, inside, sides, sides
+) | st.just(Rect(0.004, 0.002, 0.99, 0.997))
+anywhere = inside | st.floats(-0.5, 1.5)
+windows = st.builds(
+    lambda x, y, w, h: Rect(x, y, x + w, y + h), anywhere, anywhere, sides, sides
+) | st.sampled_from([Rect(1.1, 0.2, 1.5, 0.4), Rect(-1.0, -1.0, -0.1, 2.0), Rect(-3, -3, 3, 3)])
+schedules = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), boxes),
+        st.tuples(st.just("revive"), picks, boxes),
+        st.tuples(st.just("delete"), picks),
+        st.just(("compact",)),
+        st.tuples(st.just("reopen"), st.booleans()),
+        st.tuples(st.just("window"), windows),
+        st.tuples(st.just("touch"), picks, st.booleans()),
+    ),
+    max_size=30,
+)
 
 
 class TestDifferential:
@@ -127,6 +227,16 @@ class TestDifferential:
 
     def test_durable_close_and_reopen(self, tmp_path):
         assert run_interleaving(11, "hilbert", steps=150, data_dir=str(tmp_path)) > 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        curve_name=st.sampled_from(["hilbert", "zorder", "gray"]),
+        base=st.lists(boxes, max_size=25),
+        ops=schedules,
+    )
+    def test_any_schedule_on_any_curve_matches_brute_force(self, curve_name, base, ops):
+        with tempfile.TemporaryDirectory() as data_dir:
+            replay(curve_name, base, ops, data_dir)
 
     def test_edge_and_corner_contact_on_grid_lines(self):
         boxes = {
@@ -159,6 +269,9 @@ class CountingCurve(HilbertCurve):
 
 class TestFilterTreeIndex:
     def test_large_window_over_point_data_costs_four_keys(self, storage):
+        """Four ``curve.key`` calls per *distinct centre box* however
+        large the window, so at most four per level (it was four per
+        query while every level shared the window's own cells)."""
         rng = random.Random(5)
         points = [Rect.point(coordinate(rng), coordinate(rng)) for _ in range(600)]
         boxes = points + [random_box(rng, 0.2) for _ in range(200)]
@@ -174,22 +287,45 @@ class TestFilterTreeIndex:
             for window in (Rect(x, y, x + 0.5, y + 0.5), random_window(rng, model)):
                 curve.key_calls = 0
                 assert tuple(sorted(index.window_query(window))) == brute(model, window)
-                assert curve.key_calls <= 4
+                assert curve.key_calls <= 4 * len(index.level_files)
+        # All 600 points share one level, one reach, one box: four keys.
+        curve.key_calls = 0
+        points_only = {16: index.level_files[16]}
+        index._directory.key_ranges(Rect(0.1, 0.1, 0.9, 0.9), points_only)
+        assert curve.key_calls <= 4
 
     def test_ranges_nest_across_levels(self):
         curve = HilbertCurve()
+        directory = KeyDirectory(curve, max_level=curve.order)
         window = Rect(0.3, 0.3, 0.35, 0.35)
-        ranges = window_key_ranges(curve, window, range(curve.order + 1))
-        assert ranges[0] == [(0, 4**curve.order)]
-        for level in range(curve.order):
-            spans = ranges[level]
-            assert spans == sorted(spans) and len(spans) <= 4
-            # Every deeper range lies inside one range of its parent level.
-            assert all(
-                any(lo <= a and b <= hi for lo, hi in spans)
-                for a, b in ranges[level + 1]
-            )
-        assert window_key_ranges(curve, Rect(1.5, 0.0, 2.0, 1.0), [0, 5]) == {}
+        levels = range(curve.order + 1)
+
+        def ranges_with_reach(reach):
+            directory.reach = dict.fromkeys(levels, (reach, reach))
+            return dict(directory.key_ranges(window, levels))
+
+        # A reach as large as the space leaves the level's own cells:
+        # a huge entity never widens a level past the cells the window meets.
+        by_cells = ranges_with_reach(curve.side)
+        assert by_cells[0] == [(0, 4**curve.order)]
+        for reach in (0, 300, curve.side):
+            ranges = ranges_with_reach(reach)
+            for level in levels:
+                spans = ranges[level]
+                assert spans == sorted(spans) and len(spans) <= 4
+                # With one reach everywhere every deeper range lies inside
+                # one range of its parent level, and inside the cells' ranges.
+                for outer in (ranges[max(level - 1, 0)], by_cells[level]):
+                    assert all(
+                        any(lo <= a and b <= hi for lo, hi in outer) for a, b in spans
+                    )
+        # Levels 0-5 have cells far wider than window + reach: one box, one cover.
+        tight = ranges_with_reach(300)
+        assert all(tight[level] is tight[0] for level in range(6))
+        assert sum(hi - lo for lo, hi in tight[0]) < 4**curve.order / 50
+        assert directory.key_ranges(Rect(1.5, 0.0, 2.0, 1.0), [0, 5]) == []
+        with pytest.raises(ValueError, match="do not fit"):
+            KeyDirectory(HilbertCurve(order=31), max_level=16)
 
 
 def read_shape_index(**kwargs) -> PersistentIndex:
@@ -200,16 +336,18 @@ def read_shape_index(**kwargs) -> PersistentIndex:
 
 
 def assert_directories_match_files(index: PersistentIndex) -> None:
-    assert set(index._directory) == set(index._base)
-    backend = index._backend()
-    for level, handle in index._base.items():
-        first_keys = [
-            backend.read_page(handle.name, page_no)[0][HKEY]
-            for page_no in range(handle.num_pages)
-        ]
-        assert index._directory[level] == first_keys
+    """The directory is the level-tagged key of every base record, in
+    file order, and knows where each level starts."""
+    directory = index._directory
+    assert list(directory.starts) == sorted(index._base)
+    expected = []
+    for level, handle in sorted(index._base.items()):
+        assert directory.starts[level] == len(expected)
         keys = [record[HKEY] for record in index._raw_scan(handle)]
         assert keys == sorted(keys)
+        expected += [(level << 2 * index.curve.order) + key for key in keys]
+    assert directory.keys.tolist() == expected
+    assert_reach_covers_every_record(index)
 
 
 class TestPruningGate:
@@ -239,6 +377,58 @@ class TestPruningGate:
             assert reads(lambda: [index.point_query(*p) for p in points]) < cold_points
             assert ledger.phases["query"].buffer_hits > 0
 
+    def test_only_pages_that_hold_a_candidate_are_fetched(self):
+        """ROADMAP 6(a)'s gate on the ``service_read`` request shape —
+        counts, so they repeat exactly: records examined per id returned
+        < 5 (22 while levels 0-3 were scanned cell-wide) and pool
+        fetches per query <= 6 (10.4 with first-key page directories)."""
+
+        def counts() -> tuple[int, int, int, int]:
+            rng = random.Random(3)
+            with read_shape_index() as index:
+                for _ in range(300):
+                    x, y = rng.random() * 0.95, rng.random() * 0.95
+                    index.window_query(Rect(x, y, x + 0.05, y + 0.05))
+                    index.point_query(rng.random(), rng.random())
+                return (
+                    index.queries,
+                    index.query_hits,
+                    index.query_records_examined,
+                    index.query_page_fetches,
+                )
+
+        queries, hits, examined, fetches = counts()
+        assert queries == 600 and hits > 1000
+        assert examined / hits < 5
+        assert fetches / queries <= 6
+        assert counts() == (queries, hits, examined, fetches)
+
+    def test_reach_stays_high_after_a_delete_until_a_reopen(self, tmp_path):
+        small = [Entity(eid, Rect(0.49, eid / 64, 0.51, eid / 64 + 0.01)) for eid in range(32)]
+        huge = Entity(99, Rect(0.01, 0.02, 0.99, 0.97))  # level 0 too: it crosses x = 0.5
+        far = Rect(0.9, 0.3, 0.9, 0.31)  # meets the huge box only
+        index = PersistentIndex(small, data_dir=str(tmp_path), compaction_threshold=10**9)
+        try:
+            tight = index._directory.reach[0]
+            assert tight == (657, 329)  # half of 0.02 x 0.01 in grid units, + 2
+            assert index.window_query(far) == () and index.query_records_examined == 0
+            index.insert(huge)
+            assert index._directory.reach[0] == (32114, 31131)
+            assert index.window_query(far) == (99,)
+            assert index.query_records_examined == 33  # all of level 0 by now
+            assert index.compact()
+            index.delete(99)
+            assert index.compact()  # a fold rewrites the keys, never the reach
+            assert index._directory.reach[0] == (32114, 31131)
+            # Stale-high is safe, and no worse than the level's own cells.
+            assert index.window_query(far) == ()
+            assert index.query_records_examined == 33 + 32
+        finally:
+            index.close()
+        with PersistentIndex.open(str(tmp_path)) as index:
+            assert index._directory.reach == {0: tight}
+            assert index.window_query(far) == () and index.query_records_examined == 0
+
     def test_directory_tracks_every_rewrite(self, tmp_path):
         entities = uniform_squares_by_coverage(600, 0.4, seed=2).entities
         index = PersistentIndex(
@@ -258,7 +448,7 @@ class TestPruningGate:
             for record in list(index._raw_scan(index._base[level])):
                 index.delete(record[0])
             assert index.compact()
-            assert level not in index._base and level not in index._directory
+            assert level not in index._base and level not in index._directory.reach
             assert_directories_match_files(index)
             live = {e.eid: e.mbr for e in index.live_entities()}
         finally:
@@ -348,11 +538,15 @@ class TestQueryObservability:
                 assert (empty["index_queries"], empty["pool_hit_ratio"]) == (0, 0.0)
                 for _ in range(2):  # the repeat is a result-cache hit
                     await service.window(0.4, 0.4, 0.45, 0.45)
-                await service.point(0.42, 0.42)
+                # An overlapping window shares pages with the first; a
+                # point inside it would not (its centre boxes are smaller).
+                await service.window(0.41, 0.41, 0.46, 0.46)
                 stats = service.stats()
                 assert stats["index_queries"] == 2
                 assert 0 < stats["pages_read_per_query"] < 20
+                assert stats["pages_read_per_query"] < stats["pool_fetches_per_query"] < 20
                 assert 0 < stats["pool_hit_ratio"] < 1
+                assert 1 <= stats["records_examined_per_hit"] < 10
                 json.dumps(stats)
 
         asyncio.run(scenario())

@@ -140,6 +140,10 @@ class IndexMachine(RuleBasedStateMachine):
     @invariant()
     def index_equals_model(self):
         assert check_index(self.index, self.model) == []
+        index = self.index  # the O(1) pending count is the sum it replaced
+        assert index.delta_records == sum(
+            map(len, [*index._delta.values(), *index._tombstones.values()])
+        )
 
 
 class DurableIndexMachine(IndexMachine):
