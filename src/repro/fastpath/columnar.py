@@ -3,9 +3,10 @@
 One :class:`ColumnarDataset` holds everything the memory-mode join
 needs about one input as parallel NumPy arrays — entity id, filter-step
 MBR corners, Filter-Tree level, and the curve key of the cell holding
-the MBR center — built **once** per input with whole-column passes
-(``np.fromiter`` over attribute getters, then
-:meth:`~repro.filtertree.levels.LevelAssigner.levels` and
+the MBR center.  Ids and corners are the data set's own
+(:meth:`~repro.join.dataset.SpatialDataset.columns`, built once per data
+set); what depends on the join is added here with whole-column passes
+(:meth:`~repro.filtertree.levels.LevelAssigner.levels` and
 :meth:`~repro.curves.base.SpaceFillingCurve.keys`): no Python statement
 runs per entity, and no PagedFile or BufferPool is touched.
 
@@ -18,7 +19,6 @@ and their pair sets can be compared byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -61,9 +61,10 @@ class ColumnarDataset:
         assigner: LevelAssigner | None = None,
         depth: int | None = None,
     ) -> ColumnarDataset:
-        """Build the columns from a :class:`SpatialDataset`.
+        """Add this join's columns to a :class:`SpatialDataset`'s own.
 
-        ``margin`` is the predicate's MBR margin, applied column-wise by
+        ``margin`` is the predicate's MBR margin, applied column-wise
+        (into new arrays: the data set's are read-only and shared) by
         the IEEE operations of ``Rect.expanded(margin).clamped()`` —
         what :meth:`SpatialDataset.write_descriptors` applies — so both
         modes classify identical boxes.  ``depth`` is how many curve
@@ -75,13 +76,7 @@ class ColumnarDataset:
         depth = assigner.max_level if depth is None else depth
         if margin < 0:
             raise ValueError("margin must be non-negative")
-        n = len(dataset)
-        eid = np.fromiter(map(attrgetter("eid"), dataset), np.int64, n)
-        boxes = list(map(attrgetter("mbr"), dataset))
-        xlo, ylo, xhi, yhi = (
-            np.fromiter(map(attrgetter(corner), boxes), np.float64, n)
-            for corner in ("xlo", "ylo", "xhi", "yhi")
-        )
+        eid, xlo, ylo, xhi, yhi = dataset.columns()
         if margin != 0.0:
             xlo, ylo = (np.clip(low - margin, 0.0, 1.0) for low in (xlo, ylo))
             xhi, yhi = (np.clip(high + margin, 0.0, 1.0) for high in (xhi, yhi))
@@ -94,5 +89,5 @@ class ColumnarDataset:
             shift = curve.order - depth
             cell = type(curve)(order=depth).keys(qx >> shift, qy >> shift)
         else:  # a curve has at least order 1; the one depth-0 cell is 0
-            cell = np.zeros(n, dtype=np.int64)
+            cell = np.zeros(len(eid), dtype=np.int64)
         return cls(eid, xlo, ylo, xhi, yhi, level, cell, depth)

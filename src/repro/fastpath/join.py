@@ -202,7 +202,7 @@ def memory_spatial_join(
             rows, sides = _rank_x(columns, cell_level)
             compares = sum(sort_comparison_count(len(col)) for col in columns)
             phases["sort"].charge_cpu("compare", compares)
-            del columns  # the join reads `rows` only; at 90k entities this is 5 MiB
+            del columns  # frees level and cell only: ids and corners are the data sets' own
 
         with tracer.span("join", kind="phase") as span:
             eids_a = [np.empty(0, dtype=np.int64)]

@@ -27,6 +27,7 @@ def descriptor_boxes(
     """``(eids, boxes)`` arrays of the filter-step boxes: each entity's
     MBR expanded by ``margin`` per side and clamped to the unit square
     (the exact box the descriptor files carry)."""
+    # Not ``dataset.columns()``: the oracle shares no code with what it judges.
     eids = np.empty(len(dataset), dtype=np.int64)
     boxes = np.empty((len(dataset), 4), dtype=np.float64)
     for row, entity in enumerate(dataset):

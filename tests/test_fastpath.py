@@ -163,6 +163,72 @@ class TestColumnarDataset:
         assert len(col) == 0
         assert col.level.dtype == np.int64 and col.cell.dtype == np.int64
 
+    def test_columns_are_built_once_and_read_only(self):
+        dataset = make_squares(40, 0.02, seed=7)
+        columns = dataset.columns()
+        assert dataset.columns() is columns
+        eid, *corners = columns
+        assert eid.dtype == np.int64 and eid.tolist() == [e.eid for e in dataset]
+        assert all(corner.dtype == np.float64 for corner in corners)
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        # A join without margin hands the very same arrays on.
+        col = ColumnarDataset.from_dataset(dataset)
+        assert col.eid is eid and col.xlo is corners[0]
+        assert ColumnarDataset.from_dataset(dataset, margin=0.1).xlo is not corners[0]
+
+    def test_an_edit_cannot_leave_stale_columns(self):
+        # The contents are fixed at construction, so there is no edit:
+        # the caller's list is copied, the copy is a tuple, the instance
+        # is frozen.  mbr() reads the same columns and agrees.
+        entities = list(make_squares(10, 0.02, seed=3))
+        dataset = SpatialDataset("fixed", entities)
+        columns, box = dataset.columns(), dataset.mbr()
+        entities.append(Entity.from_geometry(99, Rect(0.0, 0.0, 1.0, 1.0)))
+        assert len(dataset) == 10 and dataset.columns() is columns and dataset.mbr() == box
+        with pytest.raises(AttributeError):
+            dataset.entities.append(entities[-1])
+        with pytest.raises(AttributeError):  # FrozenInstanceError
+            dataset.entities = entities
+        grown = SpatialDataset("grown", entities)
+        assert grown.mbr() == Rect(0.0, 0.0, 1.0, 1.0) and len(grown.columns()[0]) == 11
+
+    @pytest.mark.parametrize(
+        "ids, offender",
+        [
+            ([1.5, 2.5], "1.5"),
+            ([7, 2**63], str(2**63)),
+            ([7, -(2**63) - 1], str(-(2**63) - 1)),
+            ([False, True], "False"),
+        ],
+    )
+    def test_ids_outside_int64_are_refused_by_name(self, ids, offender):
+        box = Rect(0.25, 0.25, 0.75, 0.75)
+        dataset = SpatialDataset("odd-ids", [Entity.from_geometry(eid, box) for eid in ids])
+        # Ledger mode carries ids as they are ...
+        assert spatial_join(dataset, dataset, algorithm="s3j").pairs == {tuple(sorted(ids))}
+        # ... memory mode keeps them in an int64 column, so it says no
+        # instead of answering (1, 2) or dying inside NumPy.
+        for join in (
+            lambda: memory_spatial_join(dataset, dataset),
+            lambda: spatial_join(dataset, dataset, algorithm="s3j", mode="memory"),
+            dataset.columns,
+        ):
+            with pytest.raises(ValueError) as raised:
+                join()
+            assert "'odd-ids'" in str(raised.value) and offender in str(raised.value)
+        # The refusal is memory mode's alone: the Table-3 figures read
+        # the corner columns, which take any id.
+        assert dataset.mbr() == box and dataset.coverage() == 2.0
+
+    def test_int64_extremes_are_ids(self):
+        box = Rect(0.25, 0.25, 0.75, 0.75)
+        ids = [-(2**63), 2**63 - 1]
+        dataset = SpatialDataset("wide", [Entity.from_geometry(eid, box) for eid in ids])
+        assert memory_spatial_join(dataset, dataset).pairs == {tuple(ids)}
+
     def test_default_cell_level_bounds(self):
         assert default_cell_level(0, max_level=8) == 0
         assert default_cell_level(100, max_level=8) == 0

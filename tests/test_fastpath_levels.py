@@ -11,14 +11,19 @@ defines what the shipped join must report — the pair set, the
 x-overlap candidate count (the ``mbr_test`` charge) and the number of
 occupied buckets per input.
 
-Also here: the structural guards that keep the rewrite's two
+Also here: the column builder ``ColumnarDataset.from_dataset`` ran on
+every join until PR 23 — five ``np.fromiter`` passes over ``Entity`` and
+``Rect`` attributes — as the reference for the columns the data set now
+builds once and keeps; and the structural guards that keep the rewrite's
 properties — a Python trip count that depends on the cell level only,
-and peak memory that does not depend on the candidate count.
+peak memory that does not depend on the candidate count, and no entity
+read after a data set's first join.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from repro.curves import GrayCurve, HilbertCurve, ZOrderCurve
 from repro.datagen import road_segments
 from repro.fastpath import ColumnarDataset, memory_spatial_join
 from repro.fastpath.sweep import CHUNK_CANDIDATES
-from repro.filtertree.levels import quantize_array
+from repro.filtertree.levels import LevelAssigner, quantize_array
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
@@ -210,6 +215,105 @@ class TestAgainstGroupPairLoop:
         _assert_matches_reference(a, b, None, Intersects())
 
 
+# ---------------------------------------------------------------------------
+# The reference column builder: PR 22's ``from_dataset`` body, rebuilt
+# from the entities on every call.
+
+
+def reference_columns(dataset, margin=0.0, curve=None, assigner=None, depth=None):
+    """``(eid, xlo, ylo, xhi, yhi, level, cell)`` straight off the
+    ``Entity`` objects, nothing cached."""
+    curve = curve or HilbertCurve()
+    assigner = assigner or LevelAssigner(curve.order, min(16, curve.order))
+    depth = assigner.max_level if depth is None else depth
+    n = len(dataset)
+    eid = np.fromiter(map(attrgetter("eid"), dataset), np.int64, n)
+    boxes = list(map(attrgetter("mbr"), dataset))
+    xlo, ylo, xhi, yhi = (
+        np.fromiter(map(attrgetter(corner), boxes), np.float64, n)
+        for corner in ("xlo", "ylo", "xhi", "yhi")
+    )
+    if margin != 0.0:
+        xlo, ylo = (np.clip(low - margin, 0.0, 1.0) for low in (xlo, ylo))
+        xhi, yhi = (np.clip(high + margin, 0.0, 1.0) for high in (xhi, yhi))
+    level = assigner.levels(xlo, ylo, xhi, yhi)
+    qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
+    qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")
+    if depth:
+        shift = curve.order - depth
+        cell = type(curve)(order=depth).keys(qx >> shift, qy >> shift)
+    else:
+        cell = np.zeros(n, dtype=np.int64)
+    return eid, xlo, ylo, xhi, yhi, level, cell
+
+
+COLUMN_NAMES = ("eid", "xlo", "ylo", "xhi", "yhi", "level", "cell")
+
+
+def _assert_columns_equal(col: ColumnarDataset, reference) -> None:
+    for name, expected in zip(COLUMN_NAMES, reference):
+        got = getattr(col, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tolist() == expected.tolist(), name
+
+
+class TestAgainstPerJoinColumnBuild:
+    """``from_dataset`` over the data set's cached columns equals the
+    per-join build it replaced, column for column — whatever margins the
+    same data set object was joined under before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dataset=datasets("A"),
+        margins=st.lists(
+            st.sampled_from([0.0, 1 / LATTICE, 0.013, 0.5, 2.0]), min_size=1, max_size=3
+        ),
+        depth=st.integers(0, 8),
+    )
+    def test_columns_equal_the_reference(self, dataset, margins, depth):
+        for margin in margins:  # one object, several joins' worth of calls
+            col = ColumnarDataset.from_dataset(dataset, margin=margin, depth=depth)
+            _assert_columns_equal(col, reference_columns(dataset, margin, depth=depth))
+        assert len(col) == len(dataset)
+
+    def test_empty_dataset(self):
+        empty = SpatialDataset("empty", [])
+        for margin in (0.0, 0.25):
+            col = ColumnarDataset.from_dataset(empty, margin=margin)
+            _assert_columns_equal(col, reference_columns(empty, margin))
+
+    def test_points_and_boxes_on_grid_lines(self):
+        boxes = [Rect.point(0.5, 0.5), Rect.point(0.0, 1.0), Rect(0.25, 0.25, 0.5, 0.5)]
+        boxes += [Rect(k / 8, 0.0, k / 8, 1.0) for k in range(9)]
+        dataset = SpatialDataset(
+            "lines", [Entity.from_geometry(eid, box) for eid, box in enumerate(boxes)]
+        )
+        for margin in (0.0, 1 / 8, 1 / 3):
+            for curve in (HilbertCurve(), ZOrderCurve(order=12), GrayCurve(order=9)):
+                col = ColumnarDataset.from_dataset(dataset, margin=margin, curve=curve)
+                _assert_columns_equal(col, reference_columns(dataset, margin, curve))
+
+    def test_margin_never_reaches_the_cache(self):
+        # Intersects, then a distance predicate, on ONE data set object:
+        # each equals the same join on fresh copies of the entities.
+        a = road_segments(1500, seed=5, name="A")
+        b = road_segments(1200, towns=7, seed=6, name="B")
+        before = [column.copy() for column in a.columns()]
+        for predicate in (Intersects(), WithinDistance(0.004), Intersects()):
+            fresh_a = SpatialDataset("A", list(a))
+            fresh_b = SpatialDataset("B", list(b))
+            assert (
+                memory_spatial_join(a, b, predicate=predicate).pairs
+                == memory_spatial_join(fresh_a, fresh_b, predicate=predicate).pairs
+            )
+            assert (
+                memory_spatial_join(a, a, predicate=predicate).pairs
+                == memory_spatial_join(fresh_a, fresh_a, predicate=predicate).pairs
+            )
+        for column, kept in zip(a.columns(), before):
+            assert column.tolist() == kept.tolist()
+
+
 class TestCellColumn:
     """``cell`` is the top ``2*depth`` bits of the full-order key: the
     prefix property every curve promises, used here to compute only
@@ -251,6 +355,26 @@ class TestStructure:
         calls.clear()
         details = memory_spatial_join(a, a).metrics.details
         assert 0 < len(calls) <= details["cell_level"] + 1
+
+    def test_second_join_reads_no_entity(self, monkeypatch):
+        a = road_segments(3000, seed=1, name="A")
+        b = road_segments(2000, towns=9, seed=2, name="B")
+        first = memory_spatial_join(a, b)
+        calls = []
+        fromiter = np.fromiter
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fromiter(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromiter", counted)
+        again = memory_spatial_join(a, b, predicate=WithinDistance(0.001))
+        assert memory_spatial_join(a, b).pairs == first.pairs <= again.pairs
+        assert memory_spatial_join(b, b).complete
+        assert calls == []
+        # ... and the guard can fire: a fresh data set builds its columns.
+        memory_spatial_join(SpatialDataset("fresh", list(a)), b)
+        assert len(calls) == 4
 
     def test_peak_memory_is_bounded_by_the_chunk(self):
         # Skinny horizontal slivers across the centre line: all level 0,
