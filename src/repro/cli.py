@@ -361,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="delta records that trigger background compaction "
-        "(default 256)",
+        help="the fewest delta records that trigger background compaction; "
+        "a fold is due at max(N, live entities / 8) (default 256)",
     )
     serve.add_argument(
         "--data-dir",

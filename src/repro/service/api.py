@@ -534,6 +534,7 @@ class JoinService:
             "notes_replayed": index.notes_replayed,
             "debris_dropped": index.debris_dropped,
             "delta_records": self.index.delta_records,
+            "compaction_due_at": index.compaction_due_at,
             "compactions": self.index.compactions,
             "last_fold": index.last_fold,
             "queries": self.queries,

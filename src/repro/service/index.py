@@ -6,7 +6,7 @@ level files kept open across queries in one long-lived storage
 manager; incremental ``insert``/``delete`` land in a small in-memory
 **delta** (one sorted buffer per level, deletes of base entities as
 tombstones) merged into every query's view; ``compact`` folds the delta
-back into fresh level files once it grows past a threshold.
+back into fresh level files once it holds 1/8 of the live set.
 
 A durable index (``data_dir=``) has **one log**, the durable store's
 WAL (DESIGN.md section 16).  A mutation is validated, appended to the
@@ -52,7 +52,11 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.records import EID, HKEY, XLO, YHI, EntityDescriptorCodec
 
 DEFAULT_COMPACTION_THRESHOLD = 256
-"""Delta records (inserts + tombstones) that trigger compaction."""
+"""The fewest delta records (inserts + tombstones) that trigger a fold."""
+
+COMPACTION_SIZE_RATIO = 8
+"""Above the threshold a fold is due at 1/8 of the live set, so the
+rewrite work per mutation does not grow with it (DESIGN.md section 15)."""
 
 _DESCRIPTOR = EntityDescriptorCodec()
 _EID = struct.Struct("<q")
@@ -251,8 +255,13 @@ class PersistentIndex:
         return self._pending
 
     @property
+    def compaction_due_at(self) -> int:
+        """The delta size at which the next fold is due."""
+        return max(self.compaction_threshold, len(self._live) // COMPACTION_SIZE_RATIO)
+
+    @property
     def needs_compaction(self) -> bool:
-        return self._pending >= self.compaction_threshold
+        return self._pending >= self.compaction_due_at
 
     def levels(self) -> list[int]:
         """Levels with any live or pending data, sorted."""

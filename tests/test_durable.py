@@ -728,6 +728,100 @@ def model_of(entities):
     return model
 
 
+class TestCrashNearARatioFold:
+    """``repro verify --crash`` and the state machine never hold more
+    than 12 pending records, so neither reaches a fold the size ratio
+    made due.  Here 2,000 entities carry a delta of 1/8 of the live set
+    (250 notes, with a floor of 12) when the store dies inside the
+    mutation that makes the fold due, or inside that fold."""
+
+    FLOOR = 12
+
+    def fold_instants(self, template, new, point):
+        """How often the fold after ``new`` passes ``point``, counted on
+        a copy by an armed crash that never fires."""
+        directory = template.with_name(f"{template.name}-count-{point}")
+        shutil.copytree(template, directory)
+        index = PersistentIndex.open(str(directory), compaction_threshold=self.FLOOR)
+        index.insert(new)
+        store = index._backend()
+        store._crash = CrashPoint(point, index=10**9, action="raise")
+        assert index.needs_compaction and index.compact()
+        index.close()
+        return store._crash_counts[point]
+
+    @pytest.fixture(scope="class")
+    def one_away(self, tmp_path_factory):
+        """A closed store one mutation short of a due fold, its model,
+        the mutation that makes the fold due, and how many instants of
+        each crash point that fold passes."""
+        template = tmp_path_factory.mktemp("ratio") / "store"
+        entities = [
+            entity(i, (i % 50) * 0.0196, (i // 50) * 0.0245, side=0.01) for i in range(2000)
+        ]
+        model = model_of(entities)
+        index = PersistentIndex(entities, data_dir=str(template), compaction_threshold=self.FLOOR)
+        assert index.compaction_due_at == 250 > self.FLOOR
+        step = 0
+        while index.delta_records < index.compaction_due_at - 1:
+            # A new entity, then a base one deleted: every note is a record.
+            op, payload = (
+                ("insert", entity(2000 + step, (step % 40) * 0.024, 0.97, side=0.01))
+                if step % 2 == 0
+                else ("delete", step // 2)
+            )
+            getattr(index, op)(payload)
+            model.apply(op, payload)
+            step += 1
+        assert not index.needs_compaction
+        index.close()
+        new = entity(9999, 0.5, 0.5, side=0.01)
+        counts = {
+            point: self.fold_instants(template, new, point)
+            for point in ("wal-append", "wal-synced")
+        }
+        return template, model, new, counts
+
+    @pytest.mark.parametrize(
+        "during, point, at, folded",
+        [
+            ("mutation", "wal-append", "first", False),  # its note torn
+            ("mutation", "wal-synced", "first", False),  # logged, never acked
+            ("fold", "wal-append", "first", False),  # creating the first level file
+            ("fold", "commit", "first", False),  # entering the manifest commit
+            ("fold", "wal-synced", "last", True),  # dropping the last replaced file
+            ("fold", "wal-append", "last", True),  # the same record, torn
+        ],
+    )
+    def test_reopen_lands_on_the_acked_prefix(self, one_away, tmp_path, during, point, at, folded):
+        template, model, new, counts = one_away
+        directory = tmp_path / "store"
+        shutil.copytree(template, directory)
+        index = PersistentIndex.open(str(directory), compaction_threshold=self.FLOOR)
+        assert index.notes_replayed == index.compaction_due_at - 1 == 249
+        landed = model_of(model.live.values())
+        landed.apply("insert", new)
+        crash = CrashPoint(point, index=0 if at == "first" else counts[point] - 1, action="raise")
+        if during == "fold":
+            index.insert(new)  # acknowledged: the fold must keep it
+            assert index.needs_compaction
+            model = landed
+        index._backend()._crash = crash
+        with pytest.raises(SimulatedCrash):
+            if during == "mutation":
+                index.insert(new)
+            else:
+                index.compact()
+        # Abandoned without close(), as a killed process leaves it.
+        with PersistentIndex.open(str(directory), compaction_threshold=self.FLOOR) as reopened:
+            live = {item.eid: item for item in reopened.live_entities()}
+            assert live in (model.live, landed.live)
+            assert check_index(reopened, landed if live == landed.live else model) == []
+            assert reopened.notes_replayed <= max(self.FLOOR, len(reopened) // 8)
+            assert (reopened.compactions == 1) == folded
+            assert reopened.notes_replayed == (0 if folded else 249 + (live == landed.live))
+
+
 class TestFailedStore:
     """ROADMAP 4(c): a failed flush is not a crash — the process lives
     on, so the store must refuse to acknowledge anything after it."""

@@ -9,6 +9,8 @@ the suite has no pytest-asyncio dependency.
 
 import asyncio
 import json
+import math
+import random
 
 import pytest
 
@@ -26,6 +28,8 @@ from repro.service import (
     ServiceServer,
     TokenBucket,
 )
+from repro.storage.buffer import BufferPoolExhausted
+from repro.storage.manager import StorageConfig
 from repro.verify import run_service_verify
 
 from tests.conftest import brute_force_self_pairs, make_squares
@@ -154,6 +158,62 @@ class TestPersistentIndex:
         index.close()
         index.close()  # second close is a no-op
         assert index.storage.closed
+
+
+class TestCompactionTrigger:
+    """A fold is due when the delta reaches 1/8 of the live set, and
+    never below ``compaction_threshold``."""
+
+    @pytest.mark.parametrize(
+        "floor, inserts",
+        [
+            (2, 57),  # 400 + 57 live: the ratio governs, 457 // 8 = 57
+            (100, 100),  # 400 + 100 live: 500 // 8 = 62, the floor governs
+        ],
+    )
+    def test_due_exactly_at_the_larger_of_floor_and_an_eighth(self, floor, inserts):
+        dataset = make_squares(400, 0.01, seed=3)
+        with PersistentIndex(dataset.entities, compaction_threshold=floor) as index:
+            for i in range(inserts - 1):
+                index.insert(square(1000 + i, 0.5, 0.5, side=0.01))
+            assert index.compaction_due_at == inserts
+            assert index.delta_records == inserts - 1
+            assert not index.needs_compaction
+            index.insert(square(999, 0.5, 0.5, side=0.01))
+            assert index.delta_records == index.compaction_due_at == inserts
+            assert index.needs_compaction
+            stats = JoinService(index).stats()
+            assert (stats["delta_records"], stats["compaction_due_at"]) == (inserts, inserts)
+
+    @staticmethod
+    def fold_writes_per_mutation(count, mutations=5000, seed=5):
+        """Page writes of the ``compaction`` phase per mutation, for one
+        insert/delete stream over ``count`` bulk-loaded squares at the
+        benchmark's coverage, folding whenever a fold is due."""
+        side = math.sqrt(0.4 / count)
+        dataset = make_squares(count, side, seed=seed)
+        rng = random.Random(seed)
+        live = [entity.eid for entity in dataset.entities]
+        with PersistentIndex(dataset.entities) as index:
+            for step in range(mutations):
+                if step % 2 == 0:
+                    x, y = rng.uniform(0, 1 - side), rng.uniform(0, 1 - side)
+                    index.insert(square(count + step, x, y, side))
+                    live.append(count + step)
+                else:
+                    index.delete(live.pop(rng.randrange(len(live))))
+                if index.needs_compaction:
+                    index.compact()
+            assert index.compactions >= 2
+            return index.storage.stats.phases["compaction"].page_writes / mutations
+
+    def test_rewrite_work_per_mutation_does_not_grow_with_the_index(self):
+        """A fixed fold threshold made every mutation pay base / 256
+        page rewrites (about 8x more at 16,000 entities than at 2,000);
+        folding at 1/8 of the live set keeps it flat."""
+        small = self.fold_writes_per_mutation(2_000)
+        large = self.fold_writes_per_mutation(16_000)
+        assert large <= 1.25 * small
 
 
 class TestTokenBucket:
@@ -355,6 +415,80 @@ class TestJoinService:
                 json.dumps(stats)  # must be JSON-serializable as-is
 
         self.run(scenario())
+
+
+def pin_every_frame(index):
+    """Pin base pages until every frame of the index's pool is pinned
+    (as a reader holding them would); returns what to unpin."""
+    pool = index.storage.pool
+    pages = [
+        (handle.name, page_no)
+        for handle in index._base.values()
+        for page_no in range(handle.num_pages)
+    ]
+    assert len(pages) > pool.capacity  # some page is left outside
+    pinned = pages[: pool.capacity]
+    for name, page_no in pinned:
+        pool.fetch(name, page_no)
+    return pinned
+
+
+class TestPoolExhaustionUnderLoad:
+    """With every frame pinned a query fails loudly — never a silent
+    wrong answer — and the pool serves again once they are released."""
+
+    everything = (0.0, 0.0, 1.0, 1.0)  # every base page holds a candidate
+
+    def test_window_query_raises_then_recovers(self):
+        dataset = make_squares(600, 0.01, seed=31)
+        storage = StorageConfig(buffer_pages=4)
+
+        async def scenario():
+            with PersistentIndex(dataset.entities, storage=storage) as index:
+                service = JoinService(index)
+                pinned = pin_every_frame(index)
+                with pytest.raises(BufferPoolExhausted):
+                    await service.window(*self.everything)
+                assert service.breaker.state is BreakerState.CLOSED
+                for name, page_no in pinned:
+                    index.storage.pool.unpin(name, page_no)
+                outcome = await service.window(*self.everything)
+                assert outcome.status == "ok" and not outcome.cached
+                assert outcome.eids == tuple(range(600))
+
+        asyncio.run(scenario())
+
+    def test_rpc_answers_an_error_and_the_connection_lives(self):
+        dataset = make_squares(600, 0.01, seed=37)
+        storage = StorageConfig(buffer_pages=4)
+        xlo, ylo, xhi, yhi = self.everything
+        window = {"op": "window", "xlo": xlo, "ylo": ylo, "xhi": xhi, "yhi": yhi}
+
+        async def scenario():
+            with PersistentIndex(dataset.entities, storage=storage) as index:
+                server = ServiceServer(JoinService(index))
+                host, port = await server.start()
+                reader, writer = await asyncio.open_connection(host, port)
+
+                async def ask(request):
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                pinned = pin_every_frame(index)
+                failed = await ask(window)
+                assert failed["error"].startswith("BufferPoolExhausted: ")
+                assert (await ask({"op": "stats"}))["entities"] == 600
+                for name, page_no in pinned:
+                    index.storage.pool.unpin(name, page_no)
+                answered = await ask(window)
+                assert answered["status"] == "ok"
+                assert answered["eids"] == list(range(600))
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+
+        asyncio.run(scenario())
 
 
 class TestServiceServer:
