@@ -34,12 +34,7 @@ from repro.join.result import JoinResult
 from repro.obs import Observability
 from repro.obs.events import EventLog
 from repro.obs.report import build_run_report
-from repro.service import (
-    JoinService,
-    PersistentIndex,
-    ServiceConfig,
-    ServiceServer,
-)
+from repro.service import JoinService, PersistentIndex, ServiceServer
 
 from benchmarks.artifacts import bench_artifact_dir, write_bench_artifact
 from tests.conftest import make_squares
@@ -110,7 +105,7 @@ async def drive(entities: int, clients: int, ops: int) -> tuple[dict, list[str]]
     index = PersistentIndex(
         dataset.entities, obs=obs, compaction_threshold=64
     )
-    service = JoinService(index, ServiceConfig(max_inflight=16))
+    service = JoinService(index)
     server = ServiceServer(service)
     host, port = await server.start()
     failures: list[str] = []

@@ -38,7 +38,7 @@ correct/typed-failure/partial trichotomy.
 
 The long-lived service (DESIGN.md section 15): `serve` starts the
 JSON-lines TCP front-end over a resident :class:`PersistentIndex`
-(incremental inserts/deletes, background compaction, admission control,
+(incremental inserts/deletes, background compaction, rate limiting,
 circuit breaker), and ``verify --service`` replays interleaved
 queries/mutations against an independent model of the live set at every
 index epoch.  The ``verify`` mode flags (``--chaos``, ``--cross-mode``,
@@ -348,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="QPS",
         help="token-bucket admission rate in queries/second "
         "(default: unlimited)",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=8,
-        metavar="N",
-        help="concurrent query admission limit (default 8)",
     )
     serve.add_argument(
         "--compaction-threshold",
@@ -716,9 +709,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     try:
-        config = ServiceConfig(
-            max_inflight=args.max_inflight, rate=args.rate
-        )
+        config = ServiceConfig(rate=args.rate)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

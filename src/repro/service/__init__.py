@@ -14,7 +14,7 @@ Layers:
 - :mod:`repro.service.scan` — the synchronized self-scan over *live*
   (base + delta) record streams, chunked instead of paged.
 - :mod:`repro.service.api` — :class:`JoinService`: the asyncio query
-  front-end with admission control, token-bucket rate limiting, a
+  front-end with token-bucket rate limiting, a
   circuit breaker serving declared-partial results while open, and an
   LRU result cache keyed on (query, index epoch).
 - :mod:`repro.service.server` — the JSON-lines TCP server behind

@@ -1,10 +1,8 @@
 """The asyncio query front-end of the join service.
 
-Four defensive layers sit between a request and the index, each one a
+Three defensive layers sit between a request and the index, each one a
 standard serving-system idiom in pure python:
 
-- **Admission control** — a bounded in-flight semaphore: at most
-  ``max_inflight`` queries execute concurrently, the rest queue.
 - **Token-bucket rate limiting** — ``rate`` queries/second with a
   ``burst`` allowance; a query arriving to an empty bucket is rejected
   up front (``status="rejected"``) without touching the index.
@@ -22,10 +20,10 @@ standard serving-system idiom in pure python:
   its backing files are exactly those the entry was computed against.
 
 Queries execute inline on the event loop (the index is single-writer
-and the scans are simulated-I/O bound); mutations and compaction
-serialize behind one lock.  Everything observable flows through the
-session's :mod:`repro.obs` registry and event log, so ``repro report``
-renders a service run exactly like a batch join run.
+and the scans are simulated-I/O bound); queries, mutations and
+compaction serialize behind one lock.  Everything observable flows
+through the session's :mod:`repro.obs` registry and event log, so
+``repro report`` renders a service run exactly like a batch join run.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ Clock = Callable[[], float]
 class ServiceConfig:
     """Tuning of one :class:`JoinService` instance."""
 
-    max_inflight: int = 8
     rate: float | None = None  # queries/second; None = unlimited
     burst: int = 16
     cache_size: int = 128
@@ -59,8 +56,6 @@ class ServiceConfig:
     compaction_interval_s: float = 0.01  # background compactor poll
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if self.rate is not None and self.rate <= 0:
             raise ValueError("rate must be positive (or None for unlimited)")
         if self.burst < 1:
@@ -266,7 +261,13 @@ def _require_finite(**coordinates: float) -> None:
 
 
 class JoinService:
-    """The long-lived query front-end over one :class:`PersistentIndex`."""
+    """The long-lived query front-end over one :class:`PersistentIndex`.
+
+    No request waits: its one ``await`` is the ``_mutate`` lock, which
+    no holder awaits under, so :class:`ServiceServer` runs each request
+    to completion in the callback that read it.  Group commit (ROADMAP
+    item 5(b)) must revisit this before it adds an await that can wait.
+    """
 
     def __init__(
         self,
@@ -282,7 +283,6 @@ class JoinService:
             self.config.breaker_threshold, self.config.breaker_reset_s, clock
         )
         self.cache = ResultCache(self.config.cache_size)
-        self._inflight = asyncio.Semaphore(self.config.max_inflight)
         self._mutate = asyncio.Lock()
         self._compactor: asyncio.Task[None] | None = None
         self._delta_grew = asyncio.Event()
@@ -429,13 +429,12 @@ class JoinService:
                 epoch=self.index.epoch,
                 error="rate limited",
             )
-        async with self._inflight:
-            if events.enabled:
-                events.emit("query_started", op=op, epoch=self.index.epoch)
-            # Mutations serialize with queries so every query sees one
-            # consistent (live set, epoch) snapshot.
-            async with self._mutate:
-                outcome = self._execute(op, key)
+        if events.enabled:
+            events.emit("query_started", op=op, epoch=self.index.epoch)
+        # Mutations serialize with queries so every query sees one
+        # consistent (live set, epoch) snapshot.
+        async with self._mutate:
+            outcome = self._execute(op, key)
         if events.enabled:
             if outcome.status == "failed":
                 events.emit("query_failed", op=op, error=outcome.error)

@@ -55,6 +55,12 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--planner" in capsys.readouterr().err
 
+    def test_removed_max_inflight_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--max-inflight", "8"])
+        assert exit_info.value.code == 2
+        assert "--max-inflight" in capsys.readouterr().err
+
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "--quick"])
         assert args.quick

@@ -8,6 +8,7 @@ the suite has no pytest-asyncio dependency.
 """
 
 import asyncio
+import contextlib
 import json
 import math
 import random
@@ -311,13 +312,13 @@ class TestServiceConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_inflight": 0},
             {"rate": 0.0},
             {"rate": -1.0},
             {"burst": 0},
             {"cache_size": -1},
             {"breaker_threshold": 0},
             {"breaker_reset_s": -0.1},
+            {"compaction_interval_s": -0.1},
         ],
     )
     def test_validation(self, kwargs):
@@ -583,6 +584,151 @@ class TestServiceServer:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    INSERT = {"op": "insert", "eid": 9000, "xlo": 0.4, "ylo": 0.4, "xhi": 0.6, "yhi": 0.6}
+
+    @pytest.mark.parametrize(
+        "request_, field",
+        [
+            pytest.param({"op": "delete", "eid": 1.9}, "eid", id="float-id"),
+            pytest.param({"op": "delete", "eid": "7"}, "eid", id="string-id"),
+            pytest.param({"op": "delete", "eid": True}, "eid", id="bool-id"),
+            pytest.param({"op": "delete", "eid": 2**63}, "eid", id="id-past-int64"),
+            pytest.param({**INSERT, "eid": -(2**63) - 1}, "eid", id="id-below-int64"),
+            pytest.param({"op": "point", "x": "0.5", "y": 0.5}, "x", id="string-coordinate"),
+            pytest.param({"op": "point", "x": True, "y": 0.5}, "x", id="bool-coordinate"),
+            pytest.param({**INSERT, "xlo": "0.4"}, "xlo", id="string-corner"),
+            pytest.param({**INSERT, "yhi": True}, "yhi", id="bool-corner"),
+            pytest.param({**INSERT, "xhi": 10**400}, "xhi", id="corner-past-float"),
+            pytest.param({"op": "delete", "eid": 7, "force": True}, "force", id="extra-key"),
+            pytest.param({**INSERT, "note": None}, "note", id="extra-key-insert"),
+            pytest.param({"op": "insert", "eid": 9000, "xlo": 0.4}, "ylo", id="missing-key"),
+        ],
+    )
+    def test_a_request_off_the_schema_is_refused_and_changes_nothing(self, request_, field):
+        """The parent cast ids with ``int()`` and corners with ``float()``:
+        ``1.9`` and ``true`` deleted entity 1, ``"7"`` deleted entity 7,
+        and an unknown key was ignored."""
+        dataset = make_squares(30, side=0.04, seed=41)
+
+        async def scenario():
+            with PersistentIndex(dataset.entities) as index:
+                async with connected(index) as ask:
+                    refused = await ask(json.dumps(request_).encode())
+                    assert refused["error"].startswith(f"BadRequest: {field} "), refused
+                    assert index.epoch == 0
+                    assert set(index.live_entities()) == set(dataset.entities)
+                    assert (await ask(b'{"op": "stats"}'))["entities"] == 30
+
+        asyncio.run(scenario())
+
+    def test_a_request_that_suspends_is_answered_and_the_next_one_served(self):
+        dataset = make_squares(30, side=0.04, seed=43)
+
+        async def scenario():
+            with PersistentIndex(dataset.entities) as index:
+                service = JoinService(index)
+                window = service.window
+
+                async def suspending_window(*corners):
+                    await asyncio.sleep(0)
+                    return await window(*corners)
+
+                service.window = suspending_window
+                async with connected(index, service) as ask:
+                    suspended = await ask(
+                        b'{"op": "window", "xlo": 0, "ylo": 0, "xhi": 1, "yhi": 1}'
+                        b'\n{"op": "point", "x": 0.5, "y": 0.5}',
+                        replies=2,
+                    )
+                    assert suspended[0]["error"].startswith("RequestSuspended: ")
+                    assert suspended[1]["status"] == "ok"
+                    assert (await ask(b'{"op": "stats"}'))["entities"] == 30
+
+        asyncio.run(scenario())
+
+    def test_pipelined_requests_are_answered_in_order_under_back_pressure(
+        self, monkeypatch
+    ):
+        """10,000 requests written before any reply is read: the replies
+        (a few KiB each) outgrow the socket buffers, so the server must
+        stop reading until the client drains them.  Every 100th request
+        is an insert, so each reply's epoch says where it belongs."""
+        from repro.service import server as server_module
+
+        pauses = []
+        pause = server_module._Connection.pause_writing
+
+        def counted_pause(connection):
+            pauses.append(1)
+            pause(connection)
+
+        monkeypatch.setattr(server_module._Connection, "pause_writing", counted_pause)
+        dataset = make_squares(600, side=0.01, seed=47)
+        everything = {"op": "window", "xlo": 0, "ylo": 0, "xhi": 1, "yhi": 1}
+        requests = [
+            {**self.INSERT, "eid": 10_000 + i} if i % 100 == 0 else everything
+            for i in range(10_000)
+        ]
+
+        async def scenario():
+            with PersistentIndex(dataset.entities, compaction_threshold=10**9) as index:
+                server = ServiceServer(JoinService(index))
+                reader, writer = await asyncio.open_connection(*await server.start())
+                writer.write(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+                replies = [json.loads(await reader.readline()) for _ in requests]
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+                return replies
+
+        replies = asyncio.run(scenario())
+        assert pauses, "the server never stopped reading"
+        for i, reply in enumerate(replies):
+            inserted = i // 100 + 1
+            assert reply["epoch"] == inserted, i
+            if i % 100:
+                assert len(reply["eids"]) == 600 + inserted, i
+            else:
+                assert reply["ok"], i
+
+    def test_an_unterminated_last_line_is_answered_before_close(self):
+        dataset = make_squares(30, side=0.04, seed=53)
+
+        async def scenario():
+            with PersistentIndex(dataset.entities) as index:
+                server = ServiceServer(JoinService(index))
+                reader, writer = await asyncio.open_connection(*await server.start())
+                writer.write(b'{"op": "stats"}\n{"op": "delete", "eid": 3}')
+                writer.write_eof()
+                replies = [json.loads(line) async for line in reader]
+                assert [reply.get("entities") for reply in replies] == [30, None]
+                assert replies[1] == {"ok": True, "epoch": 1} and 3 not in index
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+
+        asyncio.run(scenario())
+
+
+@contextlib.asynccontextmanager
+async def connected(index, service=None):
+    """A served ``index`` and an ``ask(line, replies=1)`` that sends one
+    write and reads that many reply lines."""
+    server = ServiceServer(service or JoinService(index))
+    reader, writer = await asyncio.open_connection(*await server.start())
+
+    async def ask(line: bytes, replies: int = 1):
+        writer.write(line + b"\n")
+        answers = [json.loads(await reader.readline()) for _ in range(replies)]
+        return answers[0] if replies == 1 else answers
+
+    try:
+        yield ask
+    finally:
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
 
 
 class TestServiceVerifyGate:
