@@ -53,7 +53,7 @@ from repro.filtertree.levels import LevelAssigner
 from repro.join.dataset import SpatialDataset
 from repro.join.metrics import JoinMetrics
 from repro.join.predicates import Intersects, JoinPredicate
-from repro.join.result import JoinResult, canonical_pairs
+from repro.join.result import JoinResult, Pair, canonical_pairs
 from repro.obs import NULL_OBS, Observability
 from repro.obs.events import progress_emitter
 from repro.storage.costs import CostModel, sort_comparison_count
@@ -152,6 +152,48 @@ def _sweep_level(
     return candidates, int(cells)
 
 
+def join_columns(
+    columns: list[ColumnarDataset], cell_level: int, obs: Observability = NULL_OBS
+) -> tuple[frozenset[Pair], int, list[int]]:
+    """The sort and join phases of :func:`memory_spatial_join` and of the
+    service's live self-join (:mod:`repro.service.scan`), over one input
+    (a self join, role 1 only) or two.  Returns the canonical pairs, the
+    candidates the y-mask tested (the ``mbr_test`` charge) and, per
+    role, how many cells its coarse rows occupy.  ``columns`` is emptied
+    once ranked, freeing each input's level and cell columns."""
+    self_join = len(columns) == 1
+    with obs.tracer.span("sort", kind="phase"):
+        rows, sides = _rank_x(columns, cell_level)
+        columns.clear()
+
+    with obs.tracer.span("join", kind="phase") as span:
+        eids_a = [np.empty(0, dtype=np.int64)]
+        eids_b = [np.empty(0, dtype=np.int64)]
+        groups = [0] * len(sides)
+        candidates = 0
+        calls = (cell_level + 1) * len(sides)
+        on_progress = progress_emitter(obs.events, "join", calls)
+        for level in range(cell_level + 1):
+            shift = 2 * (cell_level - level)
+            fine = [_level_order(rows, side, level, shift) for side in sides]
+            at_level = [rows.eff[index] == level for index in fine]
+            # Role 1: A at `level` or finer x B at `level`; role 2,
+            # its mirror image, takes strictly finer B only.
+            sweeps = [(fine[0], fine[-1][at_level[-1]], eids_a, eids_b)]
+            if not self_join:
+                sweeps.append((fine[1][~at_level[1]], fine[0][at_level[0]], eids_b, eids_a))
+            for role, sweep in enumerate(sweeps):
+                tested, cells = _sweep_level(rows, shift, *sweep)
+                candidates += tested
+                groups[role] += cells
+                if on_progress is not None:
+                    on_progress(level * len(sides) + role + 1, f"level:{level}")
+        raw = zip(np.concatenate(eids_a).tolist(), np.concatenate(eids_b).tolist())
+        pairs = canonical_pairs(raw, self_join)
+        span.set(candidates=candidates, pairs=len(pairs))
+    return pairs, candidates, groups
+
+
 def memory_spatial_join(
     dataset_a: SpatialDataset,
     dataset_b: SpatialDataset,
@@ -198,38 +240,11 @@ def memory_spatial_join(
             phases["partition"].charge_cpu("level", classified)
             phases["partition"].charge_cpu("hilbert", classified)
 
-        with tracer.span("sort", kind="phase"):
-            rows, sides = _rank_x(columns, cell_level)
-            compares = sum(sort_comparison_count(len(col)) for col in columns)
-            phases["sort"].charge_cpu("compare", compares)
-            del columns  # frees level and cell only: ids and corners are the data sets' own
-
-        with tracer.span("join", kind="phase") as span:
-            eids_a = [np.empty(0, dtype=np.int64)]
-            eids_b = [np.empty(0, dtype=np.int64)]
-            groups = [0] * len(sides)  # per role: cells its coarse rows occupy
-            candidates = 0
-            calls = (cell_level + 1) * len(sides)
-            on_progress = progress_emitter(obs.events, "join", calls)
-            for level in range(cell_level + 1):
-                shift = 2 * (cell_level - level)
-                fine = [_level_order(rows, side, level, shift) for side in sides]
-                at_level = [rows.eff[index] == level for index in fine]
-                # Role 1: A at `level` or finer x B at `level`; role 2,
-                # its mirror image, takes strictly finer B only.
-                sweeps = [(fine[0], fine[-1][at_level[-1]], eids_a, eids_b)]
-                if not self_join:
-                    sweeps.append((fine[1][~at_level[1]], fine[0][at_level[0]], eids_b, eids_a))
-                for role, sweep in enumerate(sweeps):
-                    tested, cells = _sweep_level(rows, shift, *sweep)
-                    candidates += tested
-                    groups[role] += cells
-                    if on_progress is not None:
-                        on_progress(level * len(sides) + role + 1, f"level:{level}")
-            phases["join"].charge_cpu("mbr_test", candidates)
-            raw = zip(np.concatenate(eids_a).tolist(), np.concatenate(eids_b).tolist())
-            pairs = canonical_pairs(raw, self_join)
-            span.set(candidates=candidates, pairs=len(pairs))
+        compares = sum(sort_comparison_count(len(col)) for col in columns)
+        phases["sort"].charge_cpu("compare", compares)
+        # Empties `columns`: frees level and cell only, ids and corners are the data sets' own.
+        pairs, candidates, groups = join_columns(columns, cell_level, obs)
+        phases["join"].charge_cpu("mbr_test", candidates)
 
         metrics = JoinMetrics(
             algorithm="s3j",

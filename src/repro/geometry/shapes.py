@@ -63,15 +63,20 @@ class Segment:
         )
 
     def distance_to_point(self, x: float, y: float) -> float:
-        """Euclidean distance from a point to this segment."""
+        """Euclidean distance from a point to this segment.
+
+        No foot point ``p1 + t * (p2 - p1)`` is formed: rounding can put it
+        on the very point measured from (``8e-224 - 1`` is ``-1.0``).  A
+        clamped projection measures to the endpoint, an inner one ``|cross|
+        / length`` from the products :meth:`intersects` takes the sign of."""
         px, py = self.x2 - self.x1, self.y2 - self.y1
         norm = px * px + py * py
-        if norm == 0.0:
+        t = ((x - self.x1) * px + (y - self.y1) * py) / norm if norm else 0.0
+        if t <= 0.0:
             return math.hypot(x - self.x1, y - self.y1)
-        t = ((x - self.x1) * px + (y - self.y1) * py) / norm
-        t = min(1.0, max(0.0, t))
-        cx, cy = self.x1 + t * px, self.y1 + t * py
-        return math.hypot(x - cx, y - cy)
+        if t >= 1.0:
+            return math.hypot(x - self.x2, y - self.y2)
+        return abs((x - self.x1) * py - (y - self.y1) * px) / math.sqrt(norm)
 
     def distance_to(self, other: Segment) -> float:
         """Minimum distance between two segments (zero when they cross)."""

@@ -11,8 +11,8 @@ Layers:
 
 - :mod:`repro.service.index` — :class:`PersistentIndex`: the resident
   level files, the delta, tombstones, the epoch counter, compaction.
-- :mod:`repro.service.scan` — the synchronized self-scan over *live*
-  (base + delta) record streams, chunked instead of paged.
+- :mod:`repro.service.scan` — the self-join of the *live* (base +
+  delta) records: memory-mode S3J's join phase over their columns.
 - :mod:`repro.service.api` — :class:`JoinService`: the asyncio query
   front-end with token-bucket rate limiting, a
   circuit breaker serving declared-partial results while open, and an

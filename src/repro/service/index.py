@@ -43,7 +43,7 @@ from repro.filtertree.ranges import KeyDirectory, matching, record_key
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
-from repro.join.result import Pair, canonical_pairs
+from repro.join.result import Pair
 from repro.obs import Observability
 from repro.service.scan import live_self_scan
 from repro.storage.backend import Record, StorageBackend
@@ -477,20 +477,17 @@ class PersistentIndex:
         return tuple(sorted(hits))
 
     def self_join(self) -> frozenset[Pair]:
-        """All intersecting live pairs — the synchronized self-scan over
-        the live per-level streams, canonicalized like a batch self
-        join (``(min, max)``, no ``(e, e)``)."""
-        raw: set[Pair] = set()
+        """All intersecting live pairs (:func:`live_self_scan` over the
+        live per-level streams), canonicalized like a batch self join
+        (``(min, max)``, no ``(e, e)``)."""
         with self.storage.stats.phase("query"):
             self.storage.phase_boundary()
-            live_self_scan(
+            return live_self_scan(
                 {level: self.level_records(level) for level in self.levels()},
                 self.curve.order,
-                lambda a, b: raw.add((a[EID], b[EID])),
-                stats=self.storage.stats,
-                metrics=self.obs.active_metrics,
+                self.assigner.max_level,
+                self.storage.stats,
             )
-        return canonical_pairs(raw, self_join=True)
 
     # -- lifecycle -------------------------------------------------------
 

@@ -1,132 +1,57 @@
-"""The live synchronized self-scan: S3J's join phase over merged streams.
+"""The live self-join: memory-mode S3J's join phase over the live view.
 
-The batch join (:mod:`repro.core.sync_scan`) merges the *pages* of
-sorted level files.  The service joins the *live* view of its index —
-each level's base file merged with its in-memory delta minus tombstones
-— so there is no page grid to walk; instead the merged per-level record
-streams are cut into fixed-size **chunks** that play the role pages
-play in the batch scan.
-
-The correctness argument is the batch scan's, restated for chunks.  An
-entity's interval is its Hilbert key truncated to its level's cell
-(``2*(order-level)`` low bits zeroed); intervals of different levels
-are nested or disjoint, so two entities can intersect only if one
-interval contains the other.  Say ``Ix`` is contained in ``Iy``.  A
-chunk's ``start`` is its first record's interval start (streams are
-Hilbert-sorted, so ``chunk.start <= start of every member``) and its
-``max_end`` covers its last member's interval, hence every member's.
-If the two entities share a chunk, the chunk's self-sweep reports them.
-Otherwise whichever chunk arrives second in the merge (larger
-``start``) finds the other still open: with ``start_y <= start_x <
-end_x <= end_y``, y's chunk satisfies ``max_end >= end_y > start_x >=
-chunk_x.start`` and x's chunk satisfies ``max_end >= end_x > start_x >=
-start_y >= chunk_y.start`` — strictly above the arriving chunk's
-``start`` either way, and chunks are only expired when ``max_end <=
-start``.  So every intersecting pair is swept exactly once.
+A live record (base merged with delta, minus tombstones) already holds
+what memory mode's columns hold: the box, the level (its stream's) and
+the Hilbert key of the centre, whose top ``2*K`` bits are the depth-``K``
+cell.  So the records become one ``ColumnarDataset`` and
+:func:`~repro.fastpath.join.join_columns` joins them, self-join role
+only.  Base pages are read through the buffer pool, so the ledger prices
+them and read faults reach the join.  The module keeps its name because
+the layered benchmark's tracer wraps :func:`live_self_scan` by name.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from itertools import chain
+from typing import Iterable
 
+import numpy as np
+
+from repro.fastpath.columnar import ColumnarDataset
+from repro.fastpath.join import default_cell_level, join_columns
+from repro.join.result import Pair
 from repro.storage.backend import Record
 from repro.storage.costs import sort_comparison_count
 from repro.storage.iostats import IOStats
-from repro.storage.records import HKEY, XLO
-from repro.sweep.plane_sweep import scalar_sweep_intersections, sweep_self_intersections
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-
-PairSink = Callable[[Record, Record], None]
-
-CHUNK_RECORDS = 85
-"""Records per scan chunk — the descriptor capacity ``E`` of a default
-4 KB page, so a chunk models one page of the batch scan."""
+_RECORD = np.dtype("i8, f8, f8, f8, f8, i8")
+"""A stored record as one structured row: eid, box corners, Hilbert key."""
 
 
 def live_self_scan(
-    streams: dict[int, Iterable[Record]],
-    order: int,
-    on_pair: PairSink,
-    stats: IOStats | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> int:
-    """Self-join the live index: report every MBR-intersecting pair of
-    distinct entities to ``on_pair`` (each unordered pair at least once;
-    callers canonicalize).
+    streams: dict[int, Iterable[Record]], order: int, max_level: int, stats: IOStats
+) -> frozenset[Pair]:
+    """Every MBR-intersecting pair of distinct live entities, canonical
+    (``(min, max)``, no ``(e, e)``).
 
-    ``streams`` maps level -> Hilbert-sorted live record stream;
-    ``order`` is the curve order of the stored Hilbert keys.  Returns
-    the number of chunks processed.
+    ``streams`` maps level -> live record stream; ``order`` is the curve
+    order of the stored Hilbert keys and ``max_level`` the finest level
+    a record can have.  ``stats`` is charged one x-rank sort
+    (``compare``) and the kernel's candidates (``mbr_test``).
     """
-    chunked = [
-        _chunk_stream(stream, level, order, stats)
-        for level, stream in streams.items()
-    ]
-    # Open chunks: (max interval end, x-sorted records, level).
-    open_chunks: list[tuple[int, list[Record], int]] = []
-    processed = 0
-    for start, tiebreak, max_end, records in heapq.merge(*chunked):
-        if any(end <= start for end, _, _ in open_chunks):
-            open_chunks[:] = [item for item in open_chunks if item[0] > start]
-        level = tiebreak[0]
-        if metrics is not None:
-            metrics.count("service.scan.chunks", level=level)
-            metrics.observe("service.scan.open_chunks", len(open_chunks))
-        for _, other_records, other_level in open_chunks:
-            if metrics is not None:
-                metrics.count(
-                    "service.scan.level_sweeps", a=level, b=other_level
-                )
-            for rec_a, rec_b in scalar_sweep_intersections(records, other_records, stats):
-                on_pair(rec_a, rec_b)
-        for rec_a, rec_b in sweep_self_intersections(records, stats):
-            on_pair(rec_a, rec_b)
-        open_chunks.append((max_end, records, level))
-        processed += 1
-    return processed
-
-
-def _chunk_stream(
-    stream: Iterable[Record],
-    level: int,
-    order: int,
-    stats: IOStats | None,
-) -> Iterator[tuple[int, tuple[int, int], int, list[Record]]]:
-    """Yield ``(start, tiebreak, max_end, x-sorted records)`` per chunk.
-
-    Mirrors the batch scan's ``_page_stream``: interval truncation to
-    the level's cell, start from the first record, max_end from the
-    last, one x-sort per chunk (charged to the ledger like the batch
-    scan charges its per-page sort).
-    """
-    shift = 2 * (order - level)
-    size = 1 << shift
-    chunk: list[Record] = []
-    chunk_no = 0
-    for record in stream:
-        chunk.append(record)
-        if len(chunk) >= CHUNK_RECORDS:
-            yield _finish_chunk(chunk, level, chunk_no, shift, size, stats)
-            chunk = []
-            chunk_no += 1
-    if chunk:
-        yield _finish_chunk(chunk, level, chunk_no, shift, size, stats)
-
-
-def _finish_chunk(
-    chunk: list[Record],
-    level: int,
-    chunk_no: int,
-    shift: int,
-    size: int,
-    stats: IOStats | None,
-) -> tuple[int, tuple[int, int], int, list[Record]]:
-    start = (chunk[0][HKEY] >> shift) << shift
-    max_end = ((chunk[-1][HKEY] >> shift) << shift) + size
-    chunk.sort(key=lambda record: record[XLO])
-    if stats is not None:
-        stats.charge_cpu("compare", sort_comparison_count(len(chunk)))
-    return start, (level, chunk_no), max_end, chunk
+    by_level = {level: list(stream) for level, stream in streams.items()}
+    records = list(chain.from_iterable(by_level.values()))
+    if not records:
+        return frozenset()
+    # One C-level pass.  ``zip(*records)`` would make a GC-tracked
+    # iterator per record, promoted by the collections it triggers.
+    table = np.array(records, dtype=_RECORD)
+    eid, xlo, ylo, xhi, yhi, hkey = (table[name] for name in _RECORD.names)
+    level = np.repeat(list(by_level), [len(group) for group in by_level.values()])
+    depth = default_cell_level(len(records), max_level)
+    cell = hkey >> 2 * (order - depth)
+    columns = [ColumnarDataset(eid, xlo, ylo, xhi, yhi, level, cell, depth)]
+    pairs, candidates, _ = join_columns(columns, depth)
+    stats.charge_cpu("compare", sort_comparison_count(len(records)))
+    stats.charge_cpu("mbr_test", candidates)
+    return pairs

@@ -12,10 +12,9 @@ over descriptor *columns* through the vectorised kernel
 (:mod:`repro.fastpath.sweep`), whose two classes are exactly the
 candidates of a left pivot and of a right pivot here, ties included —
 so the ledger is priced with one ``charge_cpu("mbr_test", n)`` per call.
-:func:`scalar_sweep_intersections` is the same sweep record at a time:
-the reference the kernel is tested against and, with
-:func:`sweep_self_intersections`, the sweep of the resident service's
-live scan (:mod:`repro.service.scan`).
+:func:`scalar_sweep_intersections` is the same sweep record at a time,
+and :func:`sweep_self_intersections` its self-join form: the references
+the kernel is tested against.  Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations

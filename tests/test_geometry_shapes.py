@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry.shapes import Point, Polygon, Segment
@@ -81,6 +81,14 @@ class TestSegment:
     @given(
         st.tuples(coords, coords, coords, coords),
         st.tuples(coords, coords, coords, coords),
+    )
+    # Disjoint segments whose foot point p1 + t * (p2 - p1) rounds onto
+    # the other one: at an endpoint (8.1e-224 - 1 is -1.0), and inside
+    # (the true distance is about 2.3e-186).
+    @example(p=(0.0, 0.0, 0.0, 0.0), q=(0.0, 1.0, 0.0, 8.123549742053098e-224))
+    @example(
+        p=(1.0, 0.0, 1.2228746908023415e-17, 1.8527281103747487e-169),
+        q=(1.2228746908023415e-17, 0.0, 0.0, 1.0),
     )
     def test_distance_consistent_with_intersection(self, p, q):
         a = Segment(*p)

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.fastpath import default_cell_level
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.api import spatial_join
@@ -43,6 +44,37 @@ def square(eid: int, x: float, y: float, side: float = 0.05) -> Entity:
 def oracle_pairs(index: PersistentIndex) -> frozenset:
     live = index.snapshot_dataset()
     return spatial_join(live, live, algorithm="s3j").pairs
+
+
+def mixed_squares(count: int, seed: int) -> list[Entity]:
+    """Squares of four sizes, so they spread over many Filter-Tree levels."""
+    rng = random.Random(seed)
+    sides = (0.002, 0.01, 0.03, 0.1)
+    entities = []
+    for eid in range(count):
+        side = rng.choice(sides)
+        entities.append(square(eid, rng.uniform(0, 1 - side), rng.uniform(0, 1 - side), side))
+    return entities
+
+
+def insert_a_row(index: PersistentIndex, entities: list[Entity]) -> None:
+    """Ten pending inserts in a row and one tombstone."""
+    for i in range(10):
+        index.insert(square(2000 + i, 0.05 + 0.09 * i, 0.3, side=0.1))
+    index.delete(entities[0].eid)
+
+
+def churn(index: PersistentIndex, entities: list[Entity]) -> None:
+    """Pending inserts of mixed sizes, 50 tombstones, and a base eid
+    deleted and inserted again elsewhere: its base record is dead, its
+    delta record live."""
+    for entity in mixed_squares(60, seed=17):
+        index.insert(Entity(entity.eid + 10_000, entity.mbr))
+    for entity in entities[:50]:
+        index.delete(entity.eid)
+    reborn = entities[100].eid
+    index.delete(reborn)
+    index.insert(square(reborn, 0.48, 0.52, side=0.03))
 
 
 class FakeClock:
@@ -102,18 +134,27 @@ class TestPersistentIndex:
                 index.delete(42)
 
     def test_compaction_folds_delta_preserves_answers(self):
-        dataset = make_squares(80, side=0.04, seed=11)
-        with PersistentIndex(dataset.entities) as index:
-            for i in range(10):
-                index.insert(square(2000 + i, 0.05 + 0.09 * i, 0.3, side=0.1))
-            index.delete(dataset.entities[0].eid)
-            before = index.self_join()
-            epoch_before = index.epoch
-            assert index.compact()
-            assert index.delta_records == 0
-            assert index.compactions == 1
-            assert index.epoch == epoch_before + 1
-            assert index.self_join() == before == oracle_pairs(index)
+        # 80 equal squares join at cell level 0; 3,000 mixed sizes at
+        # cell level 2, with a base eid both tombstoned and in the delta.
+        for entities, mutate, cell_level in (
+            (make_squares(80, side=0.04, seed=11).entities, insert_a_row, 0),
+            (mixed_squares(3000, seed=13), churn, 2),
+        ):
+            with PersistentIndex(entities) as index:
+                mutate(index, entities)
+                assert default_cell_level(len(index), index.assigner.max_level) == cell_level
+                ledger = index.storage.stats.total
+                reads = ledger.page_reads
+                before = index.self_join()
+                # Every base page is read once, through the pool.
+                base_pages = sum(handle.num_pages for handle in index._base.values())
+                assert ledger.page_reads - reads == base_pages
+                epoch_before = index.epoch
+                assert index.compact()
+                assert index.delta_records == 0
+                assert index.compactions == 1
+                assert index.epoch == epoch_before + 1
+                assert index.self_join() == before == oracle_pairs(index)
 
     def test_compact_empty_delta_is_noop(self):
         with PersistentIndex(make_squares(20, 0.03, seed=1).entities) as index:
