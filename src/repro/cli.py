@@ -132,17 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     join.add_argument(
         "--backend",
-        choices=("memory", "disk", "durable"),
+        choices=("memory", "durable"),
         default="memory",
-        help="physical page store of ledger mode: in-process (default), "
-        "plain files, or the WAL-backed crash-consistent store; the "
-        "simulated ledger is byte-identical across all three",
+        help="physical page store of ledger mode: in-process (default) "
+        "or the WAL-backed crash-consistent store in real files; the "
+        "simulated ledger is byte-identical across both",
     )
     join.add_argument(
         "--data-dir",
         default=None,
         metavar="DIR",
-        help="directory for the disk/durable backend's files "
+        help="directory for the durable backend's files "
         "(default: a temporary directory)",
     )
     join.add_argument(
@@ -354,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="the fewest delta records that trigger background compaction; "
-        "a fold is due at max(N, live entities / 8) (default 256)",
+        help="the fewest mutations since the last fold that trigger "
+        "background compaction; a fold is due at max(N, live entities / 8) "
+        "(default 256)",
     )
     serve.add_argument(
         "--data-dir",
@@ -460,7 +461,7 @@ def cmd_join(args: argparse.Namespace) -> int:
             )
             return 2
     if args.data_dir is not None and args.backend == "memory":
-        print("--data-dir needs --backend disk or durable", file=sys.stderr)
+        print("--data-dir needs --backend durable", file=sys.stderr)
         return 2
     if args.data_dir is not None and (
         args.workers > 1 or args.shard_level is not None

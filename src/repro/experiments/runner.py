@@ -124,10 +124,10 @@ def run_algorithm(
     a fault-injecting one (DESIGN.md section 11) — both ride inside the
     storage config, so sharded runs apply them in every worker too.
 
-    ``backend`` selects the physical page store (``memory``/``disk``/
-    ``durable``) and ``data_dir`` where the file-backed ones keep their
-    files (a temporary directory otherwise).  The choice never shows in
-    the ledger: metrics are byte-identical across backends.
+    ``backend`` selects the physical page store (``memory`` or
+    ``durable``) and ``data_dir`` where the durable one keeps its files
+    (a temporary directory otherwise).  The choice never shows in the
+    ledger: metrics are byte-identical across backends.
     """
     if mode == "memory":
         if retry is not None or fault_plan is not None:

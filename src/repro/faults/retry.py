@@ -153,5 +153,11 @@ class RetryingBackend(StorageBackend):
     def sync(self) -> None:
         self.inner.sync()
 
+    def journal_append(self, note: bytes, reset: bool = False) -> None:
+        self.inner.journal_append(note, reset)
+
+    def journal(self) -> list[bytes]:
+        return self.inner.journal()
+
     def close(self) -> None:
         self.inner.close()

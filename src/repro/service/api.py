@@ -517,7 +517,10 @@ class JoinService:
     def stats(self) -> dict[str, Any]:
         """A JSON-ready service snapshot (the ``stats`` server op);
         ``pool_hit_ratio`` is the ledger's ``query`` phase, self-joins
-        included."""
+        included.  ``delta_records`` counts the mutations since the last
+        fold (an insert deleted again counts twice, as its two journal
+        notes do), and a fold is due when it reaches
+        ``compaction_due_at``."""
         index = self.index
         ledger = index.storage.stats.phases.get("query")
         fetches = ledger.buffer_hits + ledger.page_reads if ledger else 0

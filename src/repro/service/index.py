@@ -6,7 +6,8 @@ level files kept open across queries in one long-lived storage
 manager; incremental ``insert``/``delete`` land in a small in-memory
 **delta** (one sorted buffer per level, deletes of base entities as
 tombstones) merged into every query's view; ``compact`` folds the delta
-back into fresh level files once it holds 1/8 of the live set.
+back into fresh level files once the mutations since the last fold reach
+1/8 of the live set.
 
 A durable index (``data_dir=``) has **one log**, the durable store's
 WAL (DESIGN.md section 16).  A mutation is validated, appended to the
@@ -52,7 +53,7 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.records import EID, HKEY, XLO, YHI, EntityDescriptorCodec
 
 DEFAULT_COMPACTION_THRESHOLD = 256
-"""The fewest delta records (inserts + tombstones) that trigger a fold."""
+"""The fewest mutations since the last fold that make a fold due."""
 
 COMPACTION_SIZE_RATIO = 8
 """Above the threshold a fold is due at 1/8 of the live set, so the
@@ -124,7 +125,7 @@ class PersistentIndex:
         self._delta: dict[int, list[Record]] = {}
         self._delta_keys: dict[int, int] = {}  # eid -> Hilbert key, of inserts in the delta
         self._tombstones: dict[int, set[int]] = {}  # level -> base eids
-        self._pending = 0  # delta records + tombstones
+        self._pending = 0  # mutations applied since the last fold
         self._live: dict[int, tuple[int, Entity]] = {}  # eid -> (level, entity)
         seed = list(entities)
         notes = self._backend().journal()
@@ -251,12 +252,16 @@ class PersistentIndex:
 
     @property
     def delta_records(self) -> int:
-        """Pending delta size: buffered inserts plus tombstones."""
+        """Mutations applied since the last fold, each insert and each
+        delete counted once, even a delete that undoes a buffered insert
+        and so leaves no record behind.  That is what a durable index's
+        journal holds past its manifest, so the fold trigger bounds the
+        journal as well as the delta (which never holds more)."""
         return self._pending
 
     @property
     def compaction_due_at(self) -> int:
-        """The delta size at which the next fold is due."""
+        """The :attr:`delta_records` at which the next fold is due."""
         return max(self.compaction_threshold, len(self._live) // COMPACTION_SIZE_RATIO)
 
     @property
@@ -345,13 +350,12 @@ class PersistentIndex:
         key = self._delta_keys.pop(eid, None)
         if key is None:
             self._tombstones.setdefault(level, set()).add(eid)
-            self._pending += 1
         else:
             buffer = self._delta[level]
             del buffer[bisect_left(buffer, (key, eid), key=_sort_key)]
             if not buffer:
                 del self._delta[level]
-            self._pending -= 1
+        self._pending += 1
         self.epoch += 1
 
     # -- compaction ------------------------------------------------------
@@ -360,8 +364,10 @@ class PersistentIndex:
         """Fold the delta and tombstones into the base level files.
         Returns whether anything was folded; when it was, the epoch
         advances so cached results keyed on the old epoch can never be
-        served against the new file set."""
-        if not (self._delta or self._tombstones):
+        served against the new file set.  Mutations that cancelled out
+        still fold: no level file is written, but the manifest note
+        resets the journal they left behind."""
+        if not self._pending:
             return False
         self._fold("compaction", self.epoch + 1, self.compactions + 1)
         return True

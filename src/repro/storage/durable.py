@@ -1,10 +1,9 @@
 """The durable page store: a crash-consistent file-backed backend.
 
-:class:`DurableBackend` is the third storage backend (DESIGN.md
-section 16).  Where :class:`~repro.storage.backend.FileBackend` writes
-real files with accidental durability semantics, this store survives
-``SIGKILL`` at any instant and reopens to exactly the state its last
-returned *barrier* left behind.  Every page is written once:
+:class:`DurableBackend` is the one file-backed storage backend
+(DESIGN.md section 16).  It survives ``SIGKILL`` at any instant and
+reopens to exactly the state its last returned *barrier* left behind.
+Every page is written once:
 
 - **data file** (``pages.data``) — a persistent header (magic, format
   version, page size, epoch) followed by fixed-size page slots, each
@@ -42,7 +41,7 @@ barrier may commit a mapping to them, nor an ack be reordered under
 them.  Every later write or barrier raises :class:`DurableStoreError`
 naming the original error until the directory is reopened; reads work
 and ``close()`` skips its checkpoint.  The simulated I/O ledger sees
-none of this: it is byte-identical across ``memory``/``disk``/``durable``.
+none of this: it is byte-identical across ``memory`` and ``durable``.
 
 Crash points (the ``crash_point`` hook, or ``REPRO_DURABLE_CRASH`` from
 :mod:`repro.verify.crash`): the store ``SIGKILL``s itself — or raises

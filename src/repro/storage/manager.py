@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.obs import NULL_OBS, Observability
-from repro.storage.backend import FileBackend, MemoryBackend, StorageBackend
+from repro.storage.backend import MemoryBackend, StorageBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -31,10 +31,10 @@ class StorageConfig:
     the combined input size (section 5) unless stated otherwise.
 
     ``backend`` selects the physical page store: ``memory`` (counted,
-    not performed), ``disk`` (real files, flush-on-sync durability), or
-    ``durable`` (write-ahead logged, crash-consistent; DESIGN.md
-    section 16).  The simulated ledger is backend-independent: the same
-    run produces byte-identical I/O counts on all three.
+    not performed) or ``durable`` (real files, write-ahead logged,
+    crash-consistent; DESIGN.md section 16).  The simulated ledger is
+    backend-independent: the same run produces byte-identical I/O
+    counts on both.
 
     ``fault_plan`` / ``retry`` opt into the fault subsystem (DESIGN.md
     section 11): the physical backend is wrapped in a
@@ -91,12 +91,6 @@ class StorageManager:
     def _make_backend(self) -> StorageBackend:
         if self.config.backend == "memory":
             backend: StorageBackend = MemoryBackend()
-        elif self.config.backend == "disk":
-            directory = self.config.directory
-            if directory is None:
-                self._tempdir = tempfile.TemporaryDirectory(prefix="repro-storage-")
-                directory = self._tempdir.name
-            backend = FileBackend(directory)
         elif self.config.backend == "durable":
             from repro.storage.durable import DurableBackend
 
@@ -107,8 +101,8 @@ class StorageManager:
             backend = DurableBackend(directory, page_size=self.config.page_size)
         else:
             raise ValueError(
-                f"unknown backend {self.config.backend!r}; choose 'memory', "
-                "'disk', or 'durable'"
+                f"unknown backend {self.config.backend!r}; choose 'memory' "
+                "or 'durable'"
             )
         # Fault subsystem wrappers (innermost injection, outermost
         # retry, so retries see the injected faults): both are absent
@@ -270,19 +264,6 @@ class StorageManager:
     def response_time(self) -> float:
         """Simulated response time of all work recorded so far."""
         return self.cost_model.response_time(self.stats.total)
-
-    def sync(self) -> None:
-        """Flush dirty buffered pages and push them to the medium.
-
-        ``pool.flush()`` writes every dirty frame through the backend;
-        ``backend.sync()`` then makes those writes durable (fsync on the
-        file backend, a barrier on the durable one, a no-op in memory).
-        The flush is priced by the ledger exactly as any other flush;
-        ``backend.sync()`` itself is free, preserving cross-backend
-        ledger parity.
-        """
-        self.pool.flush()
-        self.backend.sync()
 
     # -- lifecycle -------------------------------------------------------
 

@@ -21,7 +21,7 @@ reopens the store in its own process, and holds it to the model:
 - reopening a second time changes nothing (recovery is idempotent).
 
 A fault-free ledger-parity check rides along: the same batch join run
-on the ``memory``, ``disk``, and ``durable`` backends must produce
+on the ``memory`` and ``durable`` backends must produce
 byte-identical simulated metrics, proving the durable machinery is
 invisible to the paper's cost model.
 
@@ -196,7 +196,7 @@ def check_ledger_parity(seed: int = 0) -> str:
     a = uniform_squares(300, 0.01, seed=seed + 1, name="CRA")
     b = uniform_squares(300, 0.01, seed=seed + 2, name="CRB")
     baseline = None
-    for backend in ("memory", "disk", "durable"):
+    for backend in ("memory", "durable"):
         run = run_algorithm(a, b, "s3j", scale=0.02, backend=backend)
         probe = (sorted(run.result.pairs), run.result.metrics.to_dict())
         if baseline is None:
@@ -218,7 +218,7 @@ def run_crash_verify(
     differs = check_ledger_parity(seed)
     if differs:
         report.counts["ledger_parity_ok"] = False
-        report.fail("ledger-parity", "memory/disk/durable", differs)
+        report.fail("ledger-parity", "memory/durable", differs)
     say("ledger parity: " + ("DIVERGED" if differs else "ok"))
     for case_no in range(cases):
         result = run_crash_case(case_no, seed=seed + case_no, ops=ops)

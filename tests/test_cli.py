@@ -61,6 +61,12 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--max-inflight" in capsys.readouterr().err
 
+    def test_removed_disk_backend_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["join", "--backend", "disk"])
+        assert exit_info.value.code == 2
+        assert "'memory', 'durable'" in capsys.readouterr().err
+
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "--quick"])
         assert args.quick

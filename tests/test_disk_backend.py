@@ -1,9 +1,11 @@
-"""End-to-end runs over the real-file backend.
+"""End-to-end runs through real files on disk.
 
 The memory backend counts I/O without performing it; these tests push
-the full stack — descriptor serialization, page blocks, buffer pool
-write-back, external sort, all three joins — through genuine files on
-disk and verify identical results.
+the full stack — descriptor serialization, page slots, buffer pool
+write-back, external sort, all three joins — through the durable
+store's files and verify identical results.  That memory and durable
+runs price a join identically is ``test_durable.py``'s
+``TestLedgerParity``.
 """
 
 import pytest
@@ -19,8 +21,8 @@ from tests.conftest import brute_force_pairs, make_squares
 
 
 @pytest.fixture
-def disk_storage(tmp_path):
-    config = StorageConfig(buffer_pages=16, backend="disk", directory=str(tmp_path))
+def durable_storage(tmp_path):
+    config = StorageConfig(buffer_pages=16, backend="durable", directory=str(tmp_path))
     with StorageManager(config) as manager:
         yield manager
 
@@ -33,54 +35,31 @@ ALGORITHMS = [
 
 
 @pytest.mark.parametrize("algorithm_cls", ALGORITHMS, ids=lambda c: c.name)
-def test_join_on_real_files(disk_storage, algorithm_cls):
+def test_join_on_real_files(durable_storage, algorithm_cls):
     a = make_squares(250, 0.04, seed=1, name="A")
     b = make_squares(250, 0.04, seed=2, name="B")
-    file_a = a.write_descriptors(disk_storage, "in-a")
-    file_b = b.write_descriptors(disk_storage, "in-b")
-    disk_storage.phase_boundary()
-    disk_storage.stats.reset()
-    algo = algorithm_cls(disk_storage)
+    file_a = a.write_descriptors(durable_storage, "in-a")
+    file_b = b.write_descriptors(durable_storage, "in-b")
+    durable_storage.phase_boundary()
+    durable_storage.stats.reset()
+    algo = algorithm_cls(durable_storage)
     result = algo.join(file_a, file_b)
     assert result.pairs == brute_force_pairs(a, b)
 
 
-def test_disk_and_memory_backends_agree(tmp_path):
-    a = make_squares(300, 0.03, seed=3, name="A")
-    b = make_squares(300, 0.03, seed=4, name="B")
-    results = {}
-    for backend in ("memory", "disk"):
-        config = StorageConfig(
-            buffer_pages=16,
-            backend=backend,
-            directory=str(tmp_path / backend) if backend == "disk" else None,
-        )
-        with StorageManager(config) as storage:
-            file_a = a.write_descriptors(storage, "in-a")
-            file_b = b.write_descriptors(storage, "in-b")
-            storage.phase_boundary()
-            storage.stats.reset()
-            result = SizeSeparationSpatialJoin(storage).join(file_a, file_b)
-            results[backend] = (result.pairs, result.metrics.total_ios)
-    assert results["memory"][0] == results["disk"][0]
-    # The I/O ledger is backend-independent: same logical behavior,
-    # same counted physical transfers.
-    assert results["memory"][1] == results["disk"][1]
-
-
-def test_external_sort_on_real_files(disk_storage):
-    handle = disk_storage.create_file("data")
+def test_external_sort_on_real_files(durable_storage):
+    handle = durable_storage.create_file("data")
     keys = [((i * 2654435761) % 4096) for i in range(2000)]
     for i, key in enumerate(keys):
         handle.append((i, 0.0, 0.0, 0.0, 0.0, key))
-    sorter = ExternalSorter(disk_storage, memory_pages=2)
+    sorter = ExternalSorter(durable_storage, memory_pages=2)
     result = sorter.sort(handle, "sorted", key=lambda r: r[HKEY])
     assert [r[HKEY] for r in result.output.scan()] == sorted(keys)
 
 
-def test_data_survives_pool_invalidation(disk_storage):
-    handle = disk_storage.create_file("persist")
+def test_data_survives_pool_invalidation(durable_storage):
+    handle = durable_storage.create_file("persist")
     records = [(i, i / 100, 0.0, i / 100, 0.0, i * 3) for i in range(500)]
     handle.append_many(records)
-    disk_storage.pool.invalidate()
+    durable_storage.pool.invalidate()
     assert list(handle.scan()) == records

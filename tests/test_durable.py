@@ -28,7 +28,7 @@ from repro.obs.events import EventLog
 from repro.service.api import JoinService
 from repro.service.index import PersistentIndex
 from repro.storage import durable, wal
-from repro.storage.backend import BackendClosedError, FileBackend, MemoryBackend
+from repro.storage.backend import BackendClosedError, MemoryBackend
 from repro.storage.durable import (
     CRASH_ENV,
     DATA_FILE,
@@ -444,17 +444,6 @@ class TestSyncContract:
         backend = MemoryBackend()
         backend.sync()
 
-    def test_file_backend_sync_and_close_fsync(self, tmp_path):
-        codec = EntityDescriptorCodec()
-        backend = FileBackend(str(tmp_path))
-        backend.create_file("f", codec, PAGE_SIZE)
-        backend.write_page("f", 0, page(0))
-        backend.sync()
-        assert backend.read_page("f", 0) == page(0)
-        backend.close()
-        with pytest.raises(BackendClosedError):
-            backend.sync()
-
     def test_durable_backend_sync(self, tmp_path):
         store = make_store(tmp_path)
         store.create_file("f", EntityDescriptorCodec(), PAGE_SIZE)
@@ -464,17 +453,17 @@ class TestSyncContract:
 
 
 class TestLedgerParity:
-    def test_three_backends_byte_identical(self, tmp_path):
+    def test_memory_and_durable_byte_identical(self, tmp_path):
         """The simulated ledger is a pure function of the logical I/O:
-        memory, disk, and durable runs of the same join produce
-        byte-identical metrics and identical pairs."""
+        memory and durable runs of the same join produce byte-identical
+        metrics and identical pairs."""
         from repro.datagen.uniform import uniform_squares
         from repro.experiments.runner import run_algorithm
 
         a = uniform_squares(250, 0.03, seed=5, name="A")
         b = uniform_squares(250, 0.03, seed=6, name="B")
         outcomes = {}
-        for backend in ("memory", "disk", "durable"):
+        for backend in ("memory", "durable"):
             run = run_algorithm(
                 a,
                 b,
@@ -487,7 +476,6 @@ class TestLedgerParity:
                 sorted(run.result.pairs),
                 run.result.metrics.to_dict(),
             )
-        assert outcomes["disk"] == outcomes["memory"]
         assert outcomes["durable"] == outcomes["memory"]
 
 
@@ -596,8 +584,8 @@ class TestPersistentIndexReopen:
 
     def test_fault_wrappers_never_swallow_a_note(self, tmp_path):
         """The journal belongs to the physical store: wrapped in fault
-        and retry layers (whose own ``journal_append`` is the no-op
-        default), the index still logs every mutation."""
+        and retry layers, which hand notes down to it, the index still
+        logs every mutation."""
         config = StorageConfig(fault_plan=FaultPlan(), retry=RetryPolicy())
         index = PersistentIndex.open(str(tmp_path), storage=config)
         assert index.storage.backend is not index._backend()
@@ -607,6 +595,31 @@ class TestPersistentIndexReopen:
         index.close()
         with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
             assert 1 in reopened
+
+    def test_insert_delete_churn_cannot_grow_the_journal(self, tmp_path):
+        """An insert deleted again before its fold leaves no record in
+        the delta but two notes in the journal.  Both count toward the
+        fold trigger, so a fold resets the journal before it passes the
+        trigger, and a reopen replays no more than that."""
+        entities = [
+            entity(i, (i % 50) * 0.0196, (i // 50) * 0.0245, side=0.01) for i in range(2000)
+        ]
+        index = PersistentIndex(entities, data_dir=str(tmp_path))
+        longest = 0
+        for step in range(1200):
+            fresh = entity(10_000 + step, 0.5, 0.5, side=0.01)
+            for op, payload in (("insert", fresh), ("delete", fresh.eid)):
+                getattr(index, op)(payload)
+                if index.needs_compaction:
+                    assert index.compact()
+                longest = max(longest, len(index._backend().journal()))
+        index.close()
+        with PersistentIndex.open(str(tmp_path)) as reopened:
+            due = reopened.compaction_due_at
+            assert reopened.notes_replayed == 2400 % due
+            assert reopened.compactions == 2400 // due
+            assert longest <= due + 1
+            assert check_index(reopened, model_of(entities)) == []
 
     def test_killed_first_boot_is_bootstrapped_again(self, tmp_path, monkeypatch):
         """A bulk load that died before its manifest committed never

@@ -1,6 +1,7 @@
 """The fault subsystem: plans, injection, torn writes, retries, and the
-storage-layer contracts they rely on (closed backends, sorter cleanup,
-fault-free parity)."""
+storage-layer contracts they rely on (sorter cleanup, fault-free
+parity); the closed-backend contract is in ``test_storage.py``'s
+``TestBackends``, which runs every wrapped stack."""
 
 import dataclasses
 
@@ -19,7 +20,7 @@ from repro.faults import (
     TransientIOError,
 )
 from repro.obs import Observability
-from repro.storage.backend import BackendClosedError, FileBackend, MemoryBackend
+from repro.storage.backend import MemoryBackend
 from repro.storage.iostats import IOStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import EntityDescriptorCodec
@@ -348,47 +349,6 @@ class TestManagerIntegration:
             "faults.giveups",
         ):
             assert obs.metrics.counter_total(metric) == 0
-
-
-class TestClosedBackendContract:
-    @pytest.mark.parametrize("kind", ["memory", "disk"])
-    def test_close_is_idempotent(self, kind, tmp_path):
-        backend = (
-            MemoryBackend() if kind == "memory" else FileBackend(tmp_path)
-        )
-        backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [REC])
-        backend.close()
-        backend.close()  # must not raise
-
-    @pytest.mark.parametrize("kind", ["memory", "disk"])
-    def test_operations_on_closed_backend_raise(self, kind, tmp_path):
-        backend = (
-            MemoryBackend() if kind == "memory" else FileBackend(tmp_path)
-        )
-        backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [REC])
-        backend.close()
-        with pytest.raises(BackendClosedError):
-            backend.read_page("f", 0)
-        with pytest.raises(BackendClosedError):
-            backend.write_page("f", 0, [REC])
-        with pytest.raises(BackendClosedError):
-            backend.create_file("g", EntityDescriptorCodec(), 4096)
-        with pytest.raises(BackendClosedError):
-            backend.delete_file("f")
-        with pytest.raises(BackendClosedError):
-            backend.rename_file("f", "g")
-
-    def test_file_backend_flushes_on_close(self, tmp_path):
-        backend = FileBackend(tmp_path)
-        backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [REC])
-        backend.close()
-        fresh = FileBackend(tmp_path)
-        fresh._codecs["f"] = EntityDescriptorCodec()
-        fresh._page_sizes["f"] = 4096
-        assert fresh.read_page("f", 0) == [REC]
 
 
 class TestSorterCleanup:

@@ -241,7 +241,7 @@ class TestApiWiring:
         assert result.pairs == brute_force_pairs(dataset_a, dataset_b)
 
     @pytest.mark.parametrize("workers", (1, 2))
-    @pytest.mark.parametrize("backend", ("disk", "durable"))
+    @pytest.mark.parametrize("backend", ("durable",))
     def test_file_backed_directory_is_private_per_sub_join(
         self, tmp_path, backend, workers
     ):

@@ -125,7 +125,8 @@ class TestPersistentIndex:
             index.insert(square(2, 0.5, 0.5))
             assert index.delta_records == 1
             index.delete(2)
-            assert index.delta_records == 0  # no tombstone needed
+            assert not index._delta and not index._tombstones  # no tombstone needed
+            assert index.delta_records == 2  # but both mutations count toward a fold
             assert 2 not in index
 
     def test_delete_missing_raises(self):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.storage.backend import FileBackend, MemoryBackend
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy
+from repro.storage.backend import BackendClosedError, MemoryBackend
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.costs import CostModel, CpuModel, DiskModel
 from repro.storage.durable import CrashPoint, DurableBackend, SimulatedCrash
@@ -18,6 +20,8 @@ from repro.storage.records import (
     EntityDescriptorCodec,
     StructCodec,
 )
+
+RECORD = (1, 0.1, 0.1, 0.2, 0.2, 0)
 
 
 class TestCodecs:
@@ -84,20 +88,40 @@ class TestCodecs:
             codec.decode_page(data[:20], 2)
 
 
-class TestBackends:
-    """One contract, every backend (SNIPPETS.md snippet 2's
-    ``ALL_BACKENDS`` idiom); the journal cases ride in the same suite."""
+STACKS = (
+    "memory",
+    "durable",
+    "memory+faults",
+    "durable+faults",
+    "memory+retry",
+    "durable+retry",
+)
+"""Every backend stack a :class:`StorageManager` builds: each physical
+store bare, under a fault plan that injects nothing, and under a retry
+policy."""
 
-    @pytest.fixture(params=["memory", "disk", "durable"])
-    def backend(self, request, tmp_path):
-        if request.param == "memory":
-            backend = MemoryBackend()
-        elif request.param == "disk":
-            backend = FileBackend(tmp_path)
-        else:
-            backend = DurableBackend(tmp_path, page_size=4096)
-        yield backend
-        backend.close()
+
+class TestBackends:
+    """One contract, every stack (SNIPPETS.md snippet 2's
+    ``ALL_BACKENDS`` idiom); the journal and closed-backend cases ride in
+    the same suite."""
+
+    @pytest.fixture(params=STACKS)
+    def manager(self, request):
+        kind, _, wrapper = request.param.partition("+")
+        manager = StorageManager(
+            StorageConfig(
+                backend=kind,
+                fault_plan=FaultPlan() if wrapper == "faults" else None,
+                retry=RetryPolicy() if wrapper == "retry" else None,
+            )
+        )
+        yield manager
+        manager.close()
+
+    @pytest.fixture
+    def backend(self, manager):
+        return manager.backend
 
     def test_roundtrip(self, backend):
         codec = EntityDescriptorCodec()
@@ -156,10 +180,41 @@ class TestBackends:
         with pytest.raises(FileExistsError):
             backend.rename_file("a", "b")
 
-    def test_journal_order_and_reset(self, backend):
+    def test_page_overflow_raises(self, backend):
+        codec = CandidatePairCodec()
+        backend.create_file("f", codec, 4096)
+        full = [(i, i) for i in range(codec.records_per_page(4096))]
+        backend.write_page("f", 0, full)
+        with pytest.raises(ValueError):
+            backend.write_page("f", 1, full + [(0, 0)])
+        assert backend.read_page("f", 0) == full
+
+    def test_close_is_idempotent(self, backend):
+        backend.create_file("f", EntityDescriptorCodec(), 4096)
+        backend.write_page("f", 0, [RECORD])
+        backend.close()
+        backend.close()  # must not raise
+
+    def test_operations_on_closed_backend_raise(self, backend):
+        backend.create_file("f", EntityDescriptorCodec(), 4096)
+        backend.write_page("f", 0, [RECORD])
+        backend.close()
+        with pytest.raises(BackendClosedError):
+            backend.read_page("f", 0)
+        with pytest.raises(BackendClosedError):
+            backend.write_page("f", 0, [RECORD])
+        with pytest.raises(BackendClosedError):
+            backend.create_file("g", EntityDescriptorCodec(), 4096)
+        with pytest.raises(BackendClosedError):
+            backend.delete_file("f")
+        with pytest.raises(BackendClosedError):
+            backend.rename_file("f", "g")
+
+    def test_journal_order_and_reset(self, manager, backend):
         """Only a medium that outlives the process keeps notes: memory
-        and disk accept them as no-ops and hand back nothing."""
-        keeps = isinstance(backend, DurableBackend)
+        accepts them as no-ops and hands back nothing, and a wrapper
+        hands them to the store beneath it."""
+        keeps = isinstance(manager.physical_backend(), DurableBackend)
         assert backend.journal() == []
         backend.journal_append(b"a")
         backend.journal_append(b"b")
@@ -214,13 +269,6 @@ class TestBackends:
             assert store.journal() == recovered
             store.close()
 
-    def test_file_backend_overflow_page_raises(self, tmp_path):
-        backend = FileBackend(tmp_path)
-        codec = CandidatePairCodec()
-        backend.create_file("f", codec, 64)  # 4 records per page
-        with pytest.raises(ValueError):
-            backend.write_page("f", 0, [(i, i) for i in range(5)])
-        backend.close()
 
 
 class TestBufferPool:
@@ -366,17 +414,10 @@ class TestStorageManager:
         list(handle.scan())
         assert storage.stats.total.page_reads == before + 1
 
-    def test_disk_backend_roundtrip(self, tmp_path):
-        config = StorageConfig(backend="disk", directory=str(tmp_path))
-        with StorageManager(config) as manager:
-            handle = manager.create_file("x")
-            handle.append_many((i, 0.5, 0.5, 0.6, 0.6, i) for i in range(100))
-            manager.pool.invalidate()
-            assert [r[0] for r in handle.scan()] == list(range(100))
-
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError):
-            StorageManager(StorageConfig(backend="tape"))
+        for backend in ("tape", "disk"):
+            with pytest.raises(ValueError, match="'memory' or 'durable'"):
+                StorageManager(StorageConfig(backend=backend))
 
     def test_descriptors_per_page(self, storage):
         assert storage.descriptors_per_page() == 85
