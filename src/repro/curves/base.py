@@ -31,9 +31,18 @@ class SpaceFillingCurve(ABC):
         self.side = 1 << order
         self.max_key = (1 << (2 * order)) - 1
 
-    @abstractmethod
     def key(self, x: int, y: int) -> int:
         """Curve key of the integer grid cell ``(x, y)``."""
+        if not (0 <= x < self.side and 0 <= y < self.side):
+            raise ValueError(f"({x}, {y}) outside the {self.side}^2 grid")
+        return self.cell_key(x, y, self.order)
+
+    @abstractmethod
+    def cell_key(self, x: int, y: int, depth: int) -> int:
+        """Key of the cell ``(x, y)`` of the ``2^depth`` grid, computed
+        from ``depth`` bits per axis (not bounds-checked).  By the prefix
+        property it is the top ``2*depth`` bits of the key of any point
+        in the cell, so a coarse cell is keyed without the full order."""
 
     @abstractmethod
     def point(self, key: int) -> tuple[int, int]:
@@ -63,7 +72,7 @@ class SpaceFillingCurve(ABC):
 
         This is the paper's ``Hilbert(xc, yc)`` computed on MBR centers.
         """
-        return self.key(self.quantize(x), self.quantize(y))
+        return self.cell_key(self.quantize(x), self.quantize(y), self.order)
 
     def cell_key_range(self, x: int, y: int, level: int) -> tuple[int, int]:
         """Half-open key range ``[lo, hi)`` of the level-``level`` cell

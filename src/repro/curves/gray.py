@@ -35,10 +35,8 @@ class GrayCurve(SpaceFillingCurve):
 
     name = "gray"
 
-    def key(self, x: int, y: int) -> int:
-        if not (0 <= x < self.side and 0 <= y < self.side):
-            raise ValueError(f"({x}, {y}) outside the {self.side}^2 grid")
-        return gray_decode(interleave_bits(x, y, self.order))
+    def cell_key(self, x: int, y: int, depth: int) -> int:
+        return gray_decode(interleave_bits(x, y, depth))
 
     def point(self, key: int) -> tuple[int, int]:
         if not 0 <= key <= self.max_key:

@@ -7,8 +7,9 @@ algorithm is a four-state machine (the sub-curve's orientation: axes
 swapped or not, both coordinates complemented or not) that turns one
 bit of ``x`` and ``y`` into two key bits, and :data:`_STEP` is that
 machine run four bits at a time — 4 states x 256 inputs, one lookup per
-nibble in :meth:`HilbertCurve.key` and one gather per nibble in the
-vectorized :meth:`HilbertCurve.keys`.  The bit-at-a-time loop survives
+nibble in :meth:`HilbertCurve.cell_key` (a coarse cell walks only its
+own nibbles) and one gather per nibble in the vectorized
+:meth:`HilbertCurve.keys`.  The bit-at-a-time loop survives
 as the reference in ``tests/test_curves.py`` (the per-value CPU cost
 the paper measures is modeled by :class:`repro.storage.costs.CpuModel`,
 not by Python wall-clock).
@@ -57,20 +58,23 @@ class HilbertCurve(SpaceFillingCurve):
 
     def __init__(self, order: int = 16) -> None:
         super().__init__(order)
-        # An order that is no multiple of four runs with leading zero
+        # A depth that is no multiple of four runs with leading zero
         # bits.  Each such pair yields key bits 00 and toggles the swap,
         # so starting swapped when their number is odd leaves the
-        # machine where the curve of this order starts: not swapped.
-        pad = -order % _NIBBLE
-        self._start = (pad & 1) << 8
-        self._shifts = tuple(range(order + pad - _NIBBLE, -1, -_NIBBLE))
+        # machine where the curve of this depth starts: not swapped.
+        # (Every depth starts there, so a coarser key is a prefix.)
+        self._walks = []  # per depth: (start state, nibble shifts)
+        for depth in range(order + 1):
+            pad = -depth % _NIBBLE
+            shifts = tuple(range(depth + pad - _NIBBLE, -1, -_NIBBLE))
+            self._walks.append(((pad & 1) << 8, shifts))
+        self._start, self._shifts = self._walks[order]
 
-    def key(self, x: int, y: int) -> int:
-        if not (0 <= x < self.side and 0 <= y < self.side):
-            raise ValueError(f"({x}, {y}) outside the {self.side}^2 grid")
+    def cell_key(self, x: int, y: int, depth: int) -> int:
+        state, shifts = self._walks[depth]
         x <<= _NIBBLE
-        d, state = 0, self._start
-        for shift in self._shifts:
+        d = 0
+        for shift in shifts:
             step = _STEP[state | x >> shift & 0xF0 | y >> shift & 0x0F]
             d = d << 8 | step >> 10
             state = step & 0x300

@@ -23,7 +23,7 @@ from repro.core.sync_scan import synchronized_scan
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import LevelAssigner
-from repro.filtertree.ranges import KeyDirectory, matching
+from repro.filtertree.ranges import KeyDirectory
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.sorting.external_sort import ExternalSorter
@@ -97,18 +97,14 @@ class FilterTreeIndex:
     # -- window queries ------------------------------------------------------
 
     def window_query(self, window: Rect) -> list[int]:
-        """Entity ids whose MBRs intersect the query window.
-
-        Only the pages holding a record whose centre can belong to an
-        entity meeting the window are read — per level, a box bounded
-        by the level's cells and its largest entity
-        (:mod:`repro.filtertree.ranges`).
-        """
-        results: list[int] = []
-        plan = self._directory.key_ranges(window, self.level_files)
-        for _, records in self._directory.base_slices(plan, self.level_files):
-            self.storage.stats.charge_cpu("mbr_test", len(records))
-            results += matching(records, window)
+        """Entity ids whose MBRs intersect the query window: one
+        :meth:`~repro.filtertree.ranges.KeyDirectory.probe`, which reads
+        only the pages holding a record whose centre can belong to an
+        entity meeting the window."""
+        levels = self.level_files
+        results, examined = self._directory.probe(window, levels, levels, {}, {})
+        if examined:
+            self.storage.stats.charge_cpu("mbr_test", examined)
         return results
 
     # -- joins ----------------------------------------------------------------

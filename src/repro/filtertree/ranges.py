@@ -1,5 +1,5 @@
-"""Window -> centre boxes -> key ranges -> page slices: the Filter
-Tree access path, shared by both indexes.
+"""Window -> centre boxes -> key ranges -> records: the Filter Tree
+access path, shared by both indexes.
 
 An entity is filed under the curve key of its MBR centre, in the level
 file of its size class.  Two facts bound where the centre of a level-
@@ -14,16 +14,19 @@ file of its size class.  Two facts bound where the centre of a level-
 
 The intersection is an integer box; its cover by at most 2x2 cells at
 the deepest depth that allows it is (prefix property) at most four key
-ranges.  :class:`KeyDirectory` turns the ranges of every level into
-record positions with one binary search over one sorted array, so only
-pages that hold a candidate are fetched.
+ranges, each keyed at the cover's own depth.  :meth:`KeyDirectory.probe`
+turns the ranges of every level into record positions with one binary
+search over one sorted array, fetches only the pages that hold a
+candidate and tests the records there, and bisects a level's delta on
+the same ranges — the one query loop of both indexes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from repro.curves.base import SpaceFillingCurve
 from repro.geometry.rect import Rect
 from repro.storage.backend import Record
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import HKEY
+from repro.storage.records import EID, HKEY
 
 KeyRange = tuple[int, int]  # half-open [lo, hi) interval of curve keys
 Reach = tuple[int, int]  # grid units a level's centres lie from its MBR edges
@@ -43,24 +46,20 @@ def box_key_ranges(
     curve: SpaceFillingCurve, xlo: int, ylo: int, xhi: int, yhi: int
 ) -> list[KeyRange]:
     """The sorted, merged key ranges of the <= 2x2 cells that cover the
-    closed grid box, taken at the deepest level where four suffice: at
-    most four ``curve.key`` calls however large the box."""
+    closed grid box, taken and keyed at the deepest depth where four
+    suffice: at most four ``curve.cell_key`` calls however large the box."""
     down = max((xhi - xlo).bit_length(), (yhi - ylo).bit_length(), 1) - 1
     while (xhi >> down) - (xlo >> down) > 1 or (yhi >> down) - (ylo >> down) > 1:
         down += 1
-    width = 1 << 2 * down
+    depth, shift = curve.order - down, 2 * down
+    columns = {xlo >> down, xhi >> down}
+    rows = {ylo >> down, yhi >> down}
     merged: list[KeyRange] = []
-    for lo in sorted(
-        {
-            curve.key(cx << down, cy << down) & -width
-            for cx in {xlo >> down, xhi >> down}
-            for cy in {ylo >> down, yhi >> down}
-        }
-    ):
-        if merged and merged[-1][1] == lo:
-            merged[-1] = (merged[-1][0], lo + width)
+    for cell in sorted([curve.cell_key(x, y, depth) for x in columns for y in rows]):
+        if merged and merged[-1][1] == cell << shift:
+            merged[-1] = (merged[-1][0], cell + 1 << shift)
         else:
-            merged.append((lo, lo + width))
+            merged.append((cell << shift, cell + 1 << shift))
     return merged
 
 
@@ -162,49 +161,57 @@ class KeyDirectory:
             plan.append((level, ranges))
         return plan
 
-    def base_slices(
-        self, plan: Plan, files: Mapping[int, PagedFile]
-    ) -> Iterator[tuple[int, list[Record]]]:
-        """``(level, records)`` for every page of a level file holding
-        records of the level's planned ranges — exactly those records.
+    def probe(
+        self,
+        window: Rect,
+        files: Mapping[int, PagedFile],
+        levels: Iterable[int],
+        dead: Mapping[int, Collection[int]],
+        delta: Mapping[int, Sequence[Record]],
+    ) -> tuple[list[int], int]:
+        """The eids of the records whose MBR meets the closed ``window``,
+        and how many records were examined.  Per planned level: the
+        records of its file in the planned ranges, minus the level's
+        ``dead`` eids, then those of its key-sorted ``delta`` buffer.
         One binary search places every range of every level; each page
-        is read (through the pool: the ledger prices it) once."""
-        bounds = [
-            (level << self._shift) + key
-            for level, ranges in plan
-            if level in files
-            for key_range in ranges
-            for key in key_range
-        ]
-        cuts = self.keys.searchsorted(bounds).tolist()
-        at = 0
+        holding one is read (through the pool: the ledger prices it)
+        once, in key order."""
+        plan, shift = self.key_ranges(window, levels), self._shift
+        cuts = self.keys.searchsorted(
+            [(level << shift) + key for level, ranges in plan if level in files
+             for key_range in ranges for key in key_range]
+        ).tolist()
+        rows: list[Record] = []
+        examined = at = 0
         for level, ranges in plan:
             handle = files.get(level)
-            if handle is None:
-                continue
-            first, size = self.starts[level], handle.records_per_page
-            page_no, records = -1, []
-            for _ in ranges:
-                start, stop = cuts[at] - first, cuts[at + 1] - first
-                at += 2
-                if start == stop:
-                    continue
-                for number in range(start // size, (stop - 1) // size + 1):
-                    if number != page_no:
-                        page_no, records = number, handle.read_page(number)
-                    offset = number * size
-                    yield level, records[max(start - offset, 0) : stop - offset]
-
-
-def matching(
-    records: list[Record], window: Rect, dead: Collection[int] = ()
-) -> list[int]:
-    """Eids of the records whose MBR meets the closed window, minus
-    those in ``dead``."""
-    wxlo, wylo, wxhi, wyhi = window.as_tuple()
-    return [
-        eid
-        for eid, xlo, ylo, xhi, yhi, _ in records
-        if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi
-        and eid not in dead
-    ]
+            if handle is not None:
+                first, size = self.starts[level], handle.records_per_page
+                page_no, page, mark = -1, [], len(rows)
+                for _ in ranges:
+                    start, stop = cuts[at] - first, cuts[at + 1] - first
+                    at += 2
+                    if start == stop:
+                        continue
+                    examined += stop - start
+                    for number in range(start // size, (stop - 1) // size + 1):
+                        if number != page_no:
+                            page_no, page = number, handle.read_page(number)
+                        offset = number * size
+                        rows += page[max(start - offset, 0) : stop - offset]
+                gone = dead.get(level)
+                if gone:  # tombstones name base records only
+                    rows[mark:] = [row for row in rows[mark:] if row[EID] not in gone]
+            buffer = delta.get(level)
+            for lo, hi in ranges if buffer else ():
+                start = bisect_left(buffer, lo, key=record_key)
+                stop = bisect_left(buffer, hi, start, key=record_key)
+                examined += stop - start
+                rows += buffer[start:stop]
+        wxlo, wylo, wxhi, wyhi = window.as_tuple()
+        hits = [
+            eid
+            for eid, xlo, ylo, xhi, yhi, _ in rows
+            if xlo <= wxhi and wxlo <= xhi and ylo <= wyhi and wylo <= yhi
+        ]
+        return hits, examined

@@ -257,10 +257,9 @@ def plan_join(
         else _two_layer_classes(dataset_b, shard_level, curve, margin)
     )
 
-    shift = curve.order - shard_level
     width = _prefix_width(shard_level)
     by_prefix: dict[int, tuple[int, int]] = {
-        curve.key(tile_x << shift, tile_y << shift) >> (2 * shift): (tile_x, tile_y)
+        curve.cell_key(tile_x, tile_y, shard_level): (tile_x, tile_y)
         for tile_x, tile_y in set(tiles_a) | set(tiles_b)
     }
 

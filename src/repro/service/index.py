@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import DEFAULT_MAX_LEVEL, LevelAssigner
-from repro.filtertree.ranges import KeyDirectory, matching, record_key
+from repro.filtertree.ranges import KeyDirectory
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
@@ -444,31 +444,17 @@ class PersistentIndex:
 
     def window_query(self, window: Rect) -> tuple[int, ...]:
         """Ids of live entities whose MBR intersects the window, sorted
-        (closed-interval semantics, same as the sweep).
-
-        Per level the window maps to a few key ranges
-        (:mod:`repro.filtertree.ranges`); only the base pages the key
-        directory finds a candidate on are read — through the pool,
-        which stays warm across queries, so the ledger prices exactly
-        the pages fetched — and the sorted delta is bisected on the
-        same ranges.  Tombstones name base records only.
+        (closed-interval semantics, same as the sweep): one
+        :meth:`~repro.filtertree.ranges.KeyDirectory.probe` of the base
+        and the delta.  Base pages are read through the pool, which stays
+        warm across queries, so the ledger prices exactly those fetched.
         """
-        hits: list[int] = []
         ledger = self.storage.stats.total
         reads, cached = ledger.page_reads, ledger.buffer_hits
-        examined = 0
         with self.storage.stats.phase("query"):
-            plan = self._directory.key_ranges(window, self.levels())
-            for level, records in self._directory.base_slices(plan, self._base):
-                examined += len(records)
-                hits += matching(records, window, self._tombstones.get(level, ()))
-            for level, key_ranges in plan:
-                delta = self._delta.get(level, ())
-                for lo, hi in key_ranges if delta else ():
-                    start = bisect_left(delta, lo, key=record_key)
-                    stop = bisect_left(delta, hi, start, key=record_key)
-                    examined += stop - start
-                    hits += matching(delta[start:stop], window)
+            hits, examined = self._directory.probe(
+                window, self._base, self.levels(), self._tombstones, self._delta
+            )
         read = ledger.page_reads - reads
         self.queries += 1
         self.query_page_fetches += read + ledger.buffer_hits - cached

@@ -69,7 +69,8 @@ class TestBijection:
 
 class TestPrefixProperty:
     def test_cells_are_contiguous_ranges(self, curve):
-        """Every level-l cell must map to one contiguous key range."""
+        """Every level-l cell must map to one contiguous key range, and
+        ``cell_key`` keys the cell by its first key's top ``2l`` bits."""
         order = curve.order
         for level in range(order + 1):
             shift = order - level
@@ -80,10 +81,11 @@ class TestPrefixProperty:
                         curve.key(x, y)
                     )
             cell_size = 1 << (2 * shift)
-            for keys in seen.values():
+            for (cx, cy), keys in seen.items():
                 keys.sort()
                 assert keys[-1] - keys[0] == cell_size - 1
                 assert keys[0] % cell_size == 0
+                assert curve.cell_key(cx, cy, level) == keys[0] >> 2 * shift
 
     def test_cell_key_range(self, curve):
         lo, hi = curve.cell_key_range(3, 4, 2)

@@ -11,6 +11,7 @@ service.
 """
 
 import asyncio
+import hashlib
 import json
 import random
 import tempfile
@@ -23,13 +24,13 @@ from repro.curves.base import curve_by_name
 from repro.curves.hilbert import HilbertCurve
 from repro.datagen.uniform import uniform_squares_by_coverage
 from repro.filtertree.index import FilterTreeIndex
-from repro.filtertree.ranges import KeyDirectory
+from repro.filtertree.ranges import KeyDirectory, box_key_ranges
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.obs import Observability
 from repro.service import JoinService, PersistentIndex, ServiceServer
-from repro.storage.manager import StorageConfig
+from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import HKEY
 
 
@@ -271,41 +272,143 @@ class TestDifferential:
 
 
 class CountingCurve(HilbertCurve):
+    """Counts the keys a cover takes: ``cell_key``, the only curve
+    method a window query calls."""
+
     def __init__(self) -> None:
         super().__init__()
         self.key_calls = 0
 
-    def key(self, x: int, y: int) -> int:
+    def cell_key(self, x: int, y: int, depth: int) -> int:
         self.key_calls += 1
-        return super().key(x, y)
+        return super().cell_key(x, y, depth)
+
+
+def reference_cover(curve, xlo: int, ylo: int, xhi: int, yhi: int) -> list:
+    """The <= 2x2-cell cover of a grid box from its definition: the
+    finest depth where the box spans at most two cells a side, each
+    cell's range taken off a full-order ``curve.key`` of its corner."""
+    down = min(
+        d for d in range(curve.order + 1)
+        if (xhi >> d) - (xlo >> d) <= 1 and (yhi >> d) - (ylo >> d) <= 1
+    )
+    width = 1 << 2 * down
+    starts = sorted(
+        {
+            curve.key(cx << down, cy << down) & -width
+            for cx in {xlo >> down, xhi >> down}
+            for cy in {ylo >> down, yhi >> down}
+        }
+    )
+    merged = []
+    for lo in starts:
+        if merged and merged[-1][1] == lo:
+            merged[-1] = (merged[-1][0], lo + width)
+        else:
+            merged.append((lo, lo + width))
+    return merged
+
+
+def grid_coordinate(order: int):
+    """Any grid unit, or the first or last unit of a cell of any depth
+    (a coordinate on a grid line)."""
+    anywhere = st.integers(0, (1 << order) - 1)
+    on_a_line = st.integers(0, order).flatmap(
+        lambda depth: st.builds(
+            lambda cell, last: (cell << order - depth) + last * ((1 << order - depth) - 1),
+            st.integers(0, (1 << depth) - 1),
+            st.booleans(),
+        )
+    )
+    return anywhere | on_a_line
+
+
+@st.composite
+def grid_boxes(draw):
+    """A curve of any name and order and a closed grid box on it:
+    degenerate (one or both sides zero), the whole square, or spanned
+    by coordinates on grid lines."""
+    curve = curve_by_name(
+        draw(st.sampled_from(["hilbert", "zorder", "gray"])),
+        draw(st.just(16) | st.integers(1, 31)),
+    )
+    if draw(st.integers(0, 9)) == 0:
+        return curve, (0, 0, curve.side - 1, curve.side - 1)
+    xs = sorted(draw(st.lists(grid_coordinate(curve.order), min_size=1, max_size=2)))
+    ys = sorted(draw(st.lists(grid_coordinate(curve.order), min_size=1, max_size=2)))
+    return curve, (xs[0], ys[0], xs[-1], ys[-1])
+
+
+def mixed_sweep(rng: random.Random) -> tuple[SpatialDataset, dict, list[Rect]]:
+    """800 entities, 600 of them points, and 80 windows over them: a
+    0.5-wide one, then a :func:`random_window`, forty times."""
+    points = [Rect.point(coordinate(rng), coordinate(rng)) for _ in range(600)]
+    boxes = points + [random_box(rng, 0.2) for _ in range(200)]
+    dataset = SpatialDataset(
+        "mixed", [Entity.from_geometry(eid, box) for eid, box in enumerate(boxes)]
+    )
+    model = dict(enumerate(boxes))
+    windows = []
+    for _ in range(40):
+        x, y = rng.random() * 0.5, rng.random() * 0.5
+        windows += [Rect(x, y, x + 0.5, y + 0.5), random_window(rng, model)]
+    return dataset, model, windows
 
 
 class TestFilterTreeIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_boxes())
+    def test_depth_keyed_cover_equals_the_full_order_keys(self, curve_and_box):
+        curve, box = curve_and_box
+        assert box_key_ranges(curve, *box) == reference_cover(curve, *box)
+
     def test_large_window_over_point_data_costs_four_keys(self, storage):
-        """Four ``curve.key`` calls per *distinct centre box* however
-        large the window, so at most four per level (it was four per
-        query while every level shared the window's own cells)."""
-        rng = random.Random(5)
-        points = [Rect.point(coordinate(rng), coordinate(rng)) for _ in range(600)]
-        boxes = points + [random_box(rng, 0.2) for _ in range(200)]
-        dataset = SpatialDataset(
-            "mixed", [Entity.from_geometry(eid, box) for eid, box in enumerate(boxes)]
-        )
+        """Four ``curve.cell_key`` calls per *distinct centre box*
+        however large the window, so at most four per level (it was
+        four per query while every level shared the window's own
+        cells)."""
+        dataset, model, windows = mixed_sweep(random.Random(5))
         curve = CountingCurve()
         index = FilterTreeIndex(storage, "ft", curve=curve).build(dataset)
         assert 16 in index.level_files  # the points: level == curve order
-        model = dict(enumerate(boxes))
-        for _ in range(40):
-            x, y = rng.random() * 0.5, rng.random() * 0.5
-            for window in (Rect(x, y, x + 0.5, y + 0.5), random_window(rng, model)):
-                curve.key_calls = 0
-                assert tuple(sorted(index.window_query(window))) == brute(model, window)
-                assert curve.key_calls <= 4 * len(index.level_files)
+        keys = 0
+        for window in windows:
+            curve.key_calls = 0
+            assert tuple(sorted(index.window_query(window))) == brute(model, window)
+            assert curve.key_calls <= 4 * len(index.level_files)
+            keys += curve.key_calls
+        assert keys >= 40  # each 0.5-wide window takes one at least
         # All 600 points share one level, one reach, one box: four keys.
         curve.key_calls = 0
         points_only = {16: index.level_files[16]}
         index._directory.key_ranges(Rect(0.1, 0.1, 0.9, 0.9), points_only)
-        assert curve.key_calls <= 4
+        assert 1 <= curve.key_calls <= 4
+
+    @pytest.mark.parametrize(
+        "name, tests, reads, hits, digest",
+        [
+            ("hilbert", 37298, 783, 46, "ccb6af552ebcf7c8"),
+            ("zorder", 37298, 778, 49, "6b5e427922727979"),
+            ("gray", 37298, 781, 46, "f4fd14466e2fb2d5"),
+        ],
+    )
+    def test_window_sweep_io_is_pinned(self, name, tests, reads, hits, digest):
+        """A seeded sweep's MBR tests, page reads, pool hits and answers
+        — ids in the order returned — repeat exactly: the probe reads
+        the pages and examines the records it always did."""
+        dataset, model, windows = mixed_sweep(random.Random(5))
+        with StorageManager(StorageConfig(buffer_pages=4)) as storage:
+            index = FilterTreeIndex(storage, "ft", curve=curve_by_name(name)).build(dataset)
+            before = storage.stats.snapshot()
+            answers = [index.window_query(window) for window in windows]
+            ledger = storage.stats.total
+            assert ledger.cpu_ops["mbr_test"] - before.cpu_ops.get("mbr_test", 0) == tests
+            assert ledger.page_reads - before.page_reads == reads
+            assert ledger.buffer_hits - before.buffer_hits == hits
+        for window, answer in zip(windows, answers):
+            assert tuple(sorted(answer)) == brute(model, window)
+        assert sum(map(len, answers)) == 10050
+        assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == digest
 
     def test_ranges_nest_across_levels(self):
         curve = HilbertCurve()
@@ -415,6 +518,9 @@ class TestPruningGate:
         assert examined / hits < 5
         assert fetches / queries <= 6
         assert counts() == (queries, hits, examined, fetches)
+        # Exact: a probe that reads other pages or examines other
+        # records moves them.
+        assert (queries, hits, examined, fetches) == (600, 5339, 19131, 2581)
 
     def test_reach_stays_high_after_a_delete_until_a_reopen(self, tmp_path):
         small = [Entity(eid, Rect(0.49, eid / 64, 0.51, eid / 64 + 0.01)) for eid in range(32)]
