@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.partition import partition_tiles
 from repro.geometry.rect import Rect
 from repro.join.base import SpatialJoinAlgorithm
@@ -26,8 +28,8 @@ from repro.join.metrics import JoinMetrics
 from repro.sorting.external_sort import ExternalSorter
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import CandidatePairCodec
-from repro.sweep.plane_sweep import sorted_columns, sweep_intersections
+from repro.storage.records import PAIR, CandidatePairCodec, concat_pages
+from repro.sweep.plane_sweep import sweep_intersections, x_sorted
 
 _MAPPINGS = ("round_robin", "hash")
 _MAX_REPARTITION_DEPTH = 8
@@ -85,7 +87,7 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[set[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[np.ndarray, JoinMetrics]:
         partitions = self.num_partitions or suggested_partitions(
             input_a.num_pages, input_b.num_pages, self.storage.memory_pages
         )
@@ -106,7 +108,7 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
             )
             self.storage.phase_boundary()
 
-        pairs: set[tuple[int, int]] = set()
+        pairs: list[np.ndarray] = []
         candidates = self.storage.create_file(
             self._file_name("candidates"), CandidatePairCodec()
         )
@@ -120,7 +122,7 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
                 if events.enabled:
                     events.emit(
                         "shard_progress", phase="join", done=p + 1,
-                        total=partitions, detail=f"P{p}", pairs=len(pairs),
+                        total=partitions, detail=f"P{p}", pairs=candidates.num_records,
                     )
             self.storage.phase_boundary()
 
@@ -129,7 +131,7 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
             result = sorter.sort(
                 candidates,
                 self._file_name("result"),
-                key=lambda record: record,
+                key=None,
                 unique=True,
             ).output
             self.storage.phase_boundary()
@@ -147,7 +149,7 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
             metrics.replication_a = written_a / input_a.num_records
         if input_b.num_records:
             metrics.replication_b = written_b / input_b.num_records
-        return pairs, metrics
+        return concat_pages(pairs, PAIR), metrics
 
     # -- partitioning -------------------------------------------------------
 
@@ -186,7 +188,7 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
         file_a: PagedFile | None,
         file_b: PagedFile | None,
         candidates: PagedFile,
-        pairs: set[tuple[int, int]],
+        pairs: list[np.ndarray],
         depth: int,
         parent_pages: int | None = None,
     ) -> int:
@@ -258,14 +260,14 @@ class PartitionBasedSpatialMergeJoin(SpatialJoinAlgorithm):
         file_a: PagedFile,
         file_b: PagedFile,
         candidates: PagedFile,
-        pairs: set[tuple[int, int]],
+        pairs: list[np.ndarray],
     ) -> None:
         """Load a fitting partition pair and plane-sweep it."""
         stats = self.storage.stats
-        columns_a = sorted_columns(list(file_a.scan()), stats)
-        columns_b = sorted_columns(list(file_b.scan()), stats)
-        found = sweep_intersections(columns_a, columns_b, stats=stats)
-        pairs.update(found)
+        rows_a = x_sorted(file_a.read_all(), stats)
+        rows_b = x_sorted(file_b.read_all(), stats)
+        found = sweep_intersections(rows_a, rows_b, stats=stats)
+        pairs.append(found)
         candidates.extend(found)
         self.storage.drop_file(file_a.name)
         self.storage.drop_file(file_b.name)

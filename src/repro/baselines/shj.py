@@ -103,7 +103,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[set[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[list[tuple[int, int]], JoinMetrics]:
         target = self.num_partitions or suggested_partitions(
             input_a.num_pages, self.storage.memory_pages, self.partition_multiplier
         )
@@ -121,7 +121,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
             files_b, written_b, filtered_b = self._partition_b(input_b, partitions)
             self.storage.phase_boundary()
 
-        pairs: set[tuple[int, int]] = set()
+        pairs: list[tuple[int, int]] = []
         result = self.storage.create_file(
             self._file_name("result"), CandidatePairCodec()
         )
@@ -175,7 +175,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
             # on eviction churn, and the ledger must not (see
             # repro.core.partition's parity invariant).
             source.pool.release(source.name, page_no)
-            record = records[rng.randrange(len(records))]
+            record = records[rng.randrange(len(records))].item()
             cx = (record[XLO] + record[XHI]) / 2
             cy = (record[YLO] + record[YHI]) / 2
             candidates.append((cx, cy))
@@ -215,7 +215,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
         file_a: PagedFile | None,
         file_b: PagedFile | None,
         result: PagedFile,
-        pairs: set[tuple[int, int]],
+        pairs: list[tuple[int, int]],
     ) -> int:
         """Join one partition pair: R-tree on A's side, probe with B's.
 
@@ -237,20 +237,24 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
             tree = RTree(max_entries=self.rtree_fanout, stats=stats)
             block_end = min(block_start + block_pages, file_a.num_pages)
             for page_no in range(block_start, block_end):
-                for record in file_a.read_page(page_no):
+                for record in file_a.read_page(page_no).tolist():
                     tree.insert(
                         Rect(record[XLO], record[YLO], record[XHI], record[YHI]),
                         record,
                     )
-            for record_b in file_b.scan():
-                window = Rect(
-                    record_b[XLO], record_b[YLO], record_b[XHI], record_b[YHI]
-                )
-                for record_a in tree.search(window):
-                    stats.charge_cpu("mbr_test")
-                    pair = (record_a[EID], record_b[EID])
-                    pairs.add(pair)
-                    result.append(pair)
+            # A B page's pairs go out before the next B page is read,
+            # where per-pair appends would have put them.
+            for page_b in file_b.scan_pages():
+                found = []
+                for record_b in page_b.tolist():
+                    window = Rect(
+                        record_b[XLO], record_b[YLO], record_b[XHI], record_b[YHI]
+                    )
+                    for record_a in tree.search(window):
+                        stats.charge_cpu("mbr_test")
+                        found.append((record_a[EID], record_b[EID]))
+                result.extend(found)
+                pairs += found
         self.storage.drop_file(file_a.name)
         self.storage.drop_file(file_b.name)
         return overflowed

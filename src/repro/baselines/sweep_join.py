@@ -20,11 +20,13 @@ kernel with the candidates under test.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.join.base import SpatialJoinAlgorithm
 from repro.join.metrics import JoinMetrics
 from repro.storage.pagedfile import PagedFile
 from repro.storage.records import CandidatePairCodec
-from repro.sweep.plane_sweep import sorted_columns, sweep_intersections
+from repro.sweep.plane_sweep import sweep_intersections, x_sorted
 
 
 class PlaneSweepJoin(SpatialJoinAlgorithm):
@@ -35,26 +37,24 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[set[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[np.ndarray, JoinMetrics]:
         stats = self.storage.stats
         tracer = self.obs.tracer
 
         with self._phase("sort"):
             with tracer.span("read-sort:A", side="A"):
-                columns_a = sorted_columns(list(input_a.scan()), stats)
+                rows_a = x_sorted(input_a.read_all(), stats)
             with tracer.span("read-sort:B", side="B"):
-                columns_b = sorted_columns(list(input_b.scan()), stats)
+                rows_b = x_sorted(input_b.read_all(), stats)
             self.storage.phase_boundary()
 
-        pairs: set[tuple[int, int]] = set()
         result = self.storage.create_file(
             self._file_name("result"), CandidatePairCodec()
         )
         with self._phase("join"):
             with tracer.span("sweep") as span:
-                found = sweep_intersections(columns_a, columns_b, stats=stats)
-                pairs.update(found)
-                result.extend(found)
+                pairs = sweep_intersections(rows_a, rows_b, stats=stats)
+                result.extend(pairs)
                 span.set(pairs=len(pairs))
             self.storage.phase_boundary()
 
@@ -62,3 +62,4 @@ class PlaneSweepJoin(SpatialJoinAlgorithm):
         metrics.replication_a = 1.0
         metrics.replication_b = 1.0
         return pairs, metrics
+

@@ -33,13 +33,13 @@ routing decisions are bit-identical, not merely close.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from repro.filtertree.levels import quantize_array
-from repro.storage.backend import Record
-from repro.storage.records import HKEY, XHI, XLO, YHI, YLO
+from repro.storage.backend import Page
+from repro.storage.records import concat_pages, copy_rows, corners, take
 
 if TYPE_CHECKING:
     from repro.core.bitmap import DynamicSpatialBitmap
@@ -56,31 +56,41 @@ output tails fits comfortably in the paper's buffer-pool sizings.  Read
 at every scan, so a test can patch it to force several blocks."""
 
 
-def iter_record_blocks(source: PagedFile) -> Iterator[list[Record]]:
-    """Yield blocks of at least ``DEFAULT_BATCH_SIZE`` records in file order.
+def iter_record_blocks(source: PagedFile) -> Iterator[Page]:
+    """Yield blocks of at least ``DEFAULT_BATCH_SIZE`` records in file
+    order, each one page array.
 
     Pages are read through the buffer pool (so the ledger counts them
     exactly as a record-at-a-time scan would) and their clean frames are
-    released as soon as the records are copied out, keeping the pool
-    footprint at one input frame regardless of block size.
+    released as soon as they are read, keeping the pool footprint at one
+    input frame regardless of block size.
     """
-    block: list[Record] = []
+    block: list[Page] = []
     for page_no in range(source.num_pages):
-        block.extend(source.read_page(page_no))
+        block.append(source.read_page(page_no))
         source.pool.release(source.name, page_no)
-        if len(block) >= DEFAULT_BATCH_SIZE:
-            yield block
+        if sum(map(len, block)) >= DEFAULT_BATCH_SIZE:
+            yield concat_pages(block)
             block = []
     if block:
-        yield block
+        yield concat_pages(block)
 
 
-def _corner_columns(
-    block: list[Record],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar float64 views of the MBR corners of one block."""
-    table = np.array(block, dtype=np.float64)
-    return table[:, XLO], table[:, YLO], table[:, XHI], table[:, YHI]
+def route(
+    rows: Page,
+    targets: np.ndarray,
+    files: dict[int, PagedFile],
+    storage: StorageManager,
+    namer: Callable[[int], str],
+) -> None:
+    """Append each row to the file of its target, targets in ascending
+    order and rows in block order within one (creating files on first
+    use)."""
+    for target in np.unique(targets).tolist():
+        handle = files.get(target)
+        if handle is None:
+            handle = files[target] = storage.create_file(namer(target))
+        handle.extend(take(rows, targets == target))
 
 
 # -- S3J: level files ------------------------------------------------------
@@ -106,48 +116,23 @@ def partition_levels(
     level_files: dict[int, PagedFile] = {}
     for block in iter_record_blocks(source):
         n = len(block)
-        xlo, ylo, xhi, yhi = _corner_columns(block)
-        levels = assigner.levels(xlo, ylo, xhi, yhi).tolist()
+        xlo, ylo, xhi, yhi = corners(block)
+        levels = assigner.levels(xlo, ylo, xhi, yhi)
         stats.charge_cpu("level", n)
-        if hilbert_precomputed:
-            hkeys: list[int] = [record[HKEY] for record in block]
-        else:
+        rows = copy_rows(block)  # the input pages are read-only
+        if not hilbert_precomputed:
             qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
             qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")
-            hkeys = curve.keys(qx, qy).tolist()
+            rows["hkey"] = curve.keys(qx, qy)
             stats.charge_cpu("hilbert", n)
-
-        kept: Sequence[int] | None = None
         if bitmap is not None:
+            args = (xlo, ylo, xhi, yhi, rows["hkey"].tolist(), levels.tolist())
             if building:
-                bitmap.set_batch(xlo, ylo, xhi, yhi, hkeys, levels)
+                bitmap.set_batch(*args)
             else:
-                admitted = bitmap.admits_batch(xlo, ylo, xhi, yhi, hkeys, levels)
-                kept = [i for i in range(n) if admitted[i]]
-
-        # Emitted descriptors reuse the original tuple fields (no float
-        # round-trips through NumPy), swapping in the fresh curve key.
-        grouped: dict[int, list[Record]] = {}
-        if kept is None:  # nothing filtered: emit the whole block
-            emitted = [
-                record[:HKEY] + (hkey,) for record, hkey in zip(block, hkeys)
-            ]
-            if len(set(levels)) == 1:  # uniform data: one level file
-                grouped[levels[0]] = emitted
-            else:
-                for level, out in zip(levels, emitted):
-                    grouped.setdefault(level, []).append(out)
-        else:
-            for i in kept:
-                grouped.setdefault(levels[i], []).append(
-                    block[i][:HKEY] + (hkeys[i],)
-                )
-        for level in sorted(grouped):
-            handle = level_files.get(level)
-            if handle is None:
-                handle = storage.create_file(namer(level))
-                level_files[level] = handle
-            handle.extend(grouped[level])
+                admitted = np.array(bitmap.admits_batch(*args), dtype=bool)
+                rows, levels = take(rows, admitted), levels[admitted]
+        route(rows, levels, level_files, storage, namer)
     return level_files
 
 
@@ -176,7 +161,7 @@ def partition_tiles(
     for block in iter_record_blocks(source):
         n = len(block)
         stats.charge_cpu("partition", n)
-        xlo, ylo, xhi, yhi = _corner_columns(block)
+        xlo, ylo, xhi, yhi = corners(block)
         # Closed-interval clip against the tile space; rows outside it
         # are the filtered entities (Rect.intersection returning None).
         keep = (
@@ -192,7 +177,8 @@ def partition_tiles(
         txlo_l, tylo_l = txlo.tolist(), tylo.tolist()
         txhi_l, tyhi_l = txhi.tolist(), tyhi.tolist()
 
-        grouped: dict[int, list[Record]] = {}
+        rows: list[int] = []  # a block row per (row, partition) copy
+        targets: list[int] = []
         for i in range(n):
             if not keep[i]:
                 filtered += 1
@@ -200,25 +186,18 @@ def partition_tiles(
             x0, x1 = txlo_l[i], txhi_l[i]
             y0, y1 = tylo_l[i], tyhi_l[i]
             if x0 == x1 and y0 == y1:  # the common unreplicated case
-                targets: Sequence[int] = (tile_to_partition(y0 * grid + x0),)
+                rows.append(i)
+                targets.append(tile_to_partition(y0 * grid + x0))
             else:
-                # The set's iteration order is the order replicated
-                # appends land in, which the PBSM goldens pin.
-                targets = {
+                tiles = {
                     tile_to_partition(cy * grid + cx)
                     for cy in range(y0, y1 + 1)
                     for cx in range(x0, x1 + 1)
                 }
-            record = block[i]
-            for p in targets:
-                grouped.setdefault(p, []).append(record)
-            written += len(targets)
-        for p in sorted(grouped):
-            handle = files.get(p)
-            if handle is None:
-                handle = storage.create_file(namer(p))
-                files[p] = handle
-            handle.extend(grouped[p])
+                rows += [i] * len(tiles)
+                targets += tiles
+        written += len(rows)
+        route(take(block, rows), np.array(targets), files, storage, namer)
     return files, written, filtered
 
 
@@ -265,10 +244,10 @@ def partition_nearest_center(
     for block in iter_record_blocks(source):
         n = len(block)
         stats.charge_cpu("partition", n * per_record_cost)
-        xlo, ylo, xhi, yhi = _corner_columns(block)
+        xlo, ylo, xhi, yhi = corners(block)
         cx = (xlo + xhi) / 2
         cy = (ylo + yhi) / 2
-        grouped: dict[int, list[Record]] = {}
+        targets = np.empty(n, dtype=np.int64)
         for i in range(n):
             dx = pcx - cx[i]
             dy = pcy - cy[i]
@@ -284,13 +263,8 @@ def partition_nearest_center(
             pcx[j] = (pxlo[j] + pxhi[j]) / 2
             pcy[j] = (pylo[j] + pyhi[j]) / 2
             counts[j] += 1
-            grouped.setdefault(j, []).append(block[i])
-        for j in sorted(grouped):
-            handle = files.get(j)
-            if handle is None:
-                handle = storage.create_file(namer(j))
-                files[j] = handle
-            handle.extend(grouped[j])
+            targets[i] = j
+        route(block, targets, files, storage, namer)
 
     for j, partition in enumerate(partitions):
         partition.mbr = Rect(
@@ -326,7 +300,7 @@ def partition_overlaps(
     for block in iter_record_blocks(source):
         n = len(block)
         stats.charge_cpu("partition", n * per_record_cost)
-        xlo, ylo, xhi, yhi = _corner_columns(block)
+        xlo, ylo, xhi, yhi = corners(block)
         overlap = (
             active[None, :]
             & (pxlo[None, :] <= xhi[:, None])
@@ -337,16 +311,8 @@ def partition_overlaps(
         row_counts = overlap.sum(axis=1)
         filtered += int((row_counts == 0).sum())
         written += int(row_counts.sum())
-        grouped: dict[int, list[Record]] = {}
         # nonzero is row-major: ascending record index, then ascending
         # partition index — the order appends land in.
         rows, cols = np.nonzero(overlap)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            grouped.setdefault(j, []).append(block[i])
-        for j in sorted(grouped):
-            handle = files.get(j)
-            if handle is None:
-                handle = storage.create_file(namer(j))
-                files[j] = handle
-            handle.extend(grouped[j])
+        route(take(block, rows), cols, files, storage, namer)
     return files, written, filtered

@@ -15,7 +15,7 @@ Given two spatial data sets A and B:
 
 from __future__ import annotations
 
-from operator import itemgetter
+import numpy as np
 
 from repro.core.bitmap import DynamicSpatialBitmap
 from repro.core.partition import partition_levels
@@ -28,7 +28,7 @@ from repro.join.metrics import JoinMetrics
 from repro.sorting.external_sort import ExternalSorter
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import HKEY, CandidatePairCodec
+from repro.storage.records import PAIR, CandidatePairCodec, concat_pages
 
 
 class SizeSeparationSpatialJoin(SpatialJoinAlgorithm):
@@ -78,7 +78,7 @@ class SizeSeparationSpatialJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[set[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[np.ndarray, JoinMetrics]:
         stats = self.storage.stats
         tracer = self.obs.tracer
         metrics = self.obs.active_metrics
@@ -127,14 +127,14 @@ class SizeSeparationSpatialJoin(SpatialJoinAlgorithm):
             sorted_b = self._sort_levels(levels_b, "B")
             self.storage.phase_boundary()
 
-        pairs: set[tuple[int, int]] = set()
+        found: list[np.ndarray] = []
         result = self.storage.create_file(
             self._file_name("result"), CandidatePairCodec()
         )
 
-        def emit(found: list[tuple[int, int]]) -> None:
-            pairs.update(found)
-            result.extend(found)
+        def emit(pairs: np.ndarray) -> None:
+            found.append(pairs)
+            result.extend(pairs)
 
         with self._phase("join"):
             with tracer.span("sync-scan") as span:
@@ -147,6 +147,7 @@ class SizeSeparationSpatialJoin(SpatialJoinAlgorithm):
                     metrics=metrics,
                     events=events,
                 )
+                pairs = concat_pages(found, PAIR)
                 span.set(pages=processed, pairs=len(pairs))
             self.storage.phase_boundary()
 
@@ -201,7 +202,7 @@ class SizeSeparationSpatialJoin(SpatialJoinAlgorithm):
             outcome = sorter.sort(
                 handle,
                 self._file_name(f"{tag}-L{level}-sorted"),
-                key=itemgetter(HKEY),
+                key="hkey",
             )
             sorted_files[level] = outcome.output
             self.storage.drop_file(handle.name)

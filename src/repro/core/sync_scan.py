@@ -11,7 +11,7 @@ The scan merges the *pages* of all level files of both data sets in
 order of Hilbert range — the paper's "process entries in A_l(Hs, He)
 with those contained in B_(l-i)(Hs, He) for i = 0..l", which "strongly
 resembles an L-way merge sort" (section 3.1).  Each page is read
-exactly once, turned into x-sorted columns once, and plane-swept (with
+exactly once, ordered by ``xlo`` once, and plane-swept (with
 the same sweep module PBSM uses, per section 5) against the still-open
 pages of the other data set — all of them in one kernel call, priced
 with one ledger charge.  A page stays open while any of its entities'
@@ -23,23 +23,27 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, Iterator
 
+import numpy as np
+
+from repro.storage.backend import Page
 from repro.storage.iostats import IOStats
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import HKEY
-from repro.sweep.plane_sweep import Columns, sorted_columns, sweep_intersections, x_sorted
+from repro.storage.records import concat_pages
+from repro.sweep.plane_sweep import sweep_intersections, x_sorted
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.events import EventSink
     from repro.obs.metrics import MetricsRegistry
 
-PairSink = Callable[[list[tuple[int, int]]], None]
-"""Receives the result pairs of one arriving page at a time, as
-``(eid from A, eid from B)``; it is never called with an empty list."""
+PairSink = Callable[[np.ndarray], None]
+"""Receives the result pairs of one arriving page at a time, as a
+:data:`~repro.storage.records.PAIR` array of ``(eid from A, eid from
+B)``; it is never called with an empty one."""
 
 _SIDE_A = 0  # index of data set A in per-side pairs; B is 1
 
-# An open page: (max interval end, x-sorted columns, level).
-_OpenPage = tuple[int, Columns, int]
+# An open page: (max interval end, its rows by xlo, level).
+_OpenPage = tuple[int, Page, int]
 
 
 def synchronized_scan(
@@ -77,7 +81,7 @@ def synchronized_scan(
     if metrics is not None and stats is not None:
         tests_before = stats.total.cpu_ops.get("mbr_test", 0)
 
-    for start, (side, level, _), max_end, columns in heapq.merge(*streams):
+    for start, (side, level, _), max_end, rows in heapq.merge(*streams):
         # Drop pages none of whose intervals can reach the new start.
         # Page max-ends are not nested (a page mixes cells), so this is
         # a filter rather than a stack pop; the open set stays small
@@ -95,13 +99,14 @@ def synchronized_scan(
             # One kernel call per arriving page: the candidate count is
             # a sum over (a, b) pairs, so sweeping the concatenation of
             # the open pages charges what sweeping each in turn would.
-            against = others[0][1] if len(others) == 1 else x_sorted(*(p[1] for p in others))
-            a, b = (columns, against) if side == _SIDE_A else (against, columns)
+            blocks = [page[1] for page in others]
+            against = blocks[0] if len(blocks) == 1 else x_sorted(concat_pages(blocks))
+            a, b = (rows, against) if side == _SIDE_A else (against, rows)
             found = sweep_intersections(a, b, stats=stats)
-            if found:
+            if len(found):
                 on_pairs(found)
                 emitted += len(found)
-        open_pages[side].append((max_end, columns, level))
+        open_pages[side].append((max_end, rows, level))
         processed += 1
         if beat:
             events.heartbeat("join")
@@ -118,8 +123,8 @@ def synchronized_scan(
 
 def _page_stream(
     handle: PagedFile, level: int, order: int, side: int, stats: IOStats | None
-) -> Iterator[tuple[int, tuple[int, int, int], int, Columns]]:
-    """Yield (start, (side, level, page no), max_end, x-sorted columns)
+) -> Iterator[tuple[int, tuple[int, int, int], int, Page]]:
+    """Yield (start, (side, level, page no), max_end, rows by ``xlo``)
     per page; the middle element only breaks ties in the merge.
 
     The interval of an entity is the Hilbert key range of its
@@ -131,9 +136,10 @@ def _page_stream(
     shift = 2 * (order - level)
     size = 1 << shift
     for page_no in range(handle.num_pages):
-        records = handle.read_page(page_no)
-        if not records:
+        page = handle.read_page(page_no)
+        if not len(page):
             continue
-        start = (records[0][HKEY] >> shift) << shift
-        max_end = ((records[-1][HKEY] >> shift) << shift) + size
-        yield start, (side, level, page_no), max_end, sorted_columns(records, stats)
+        keys = page["hkey"]
+        start = (int(keys[0]) >> shift) << shift
+        max_end = ((int(keys[-1]) >> shift) << shift) + size
+        yield start, (side, level, page_no), max_end, x_sorted(page, stats)

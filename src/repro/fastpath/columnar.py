@@ -63,10 +63,9 @@ class ColumnarDataset:
     ) -> ColumnarDataset:
         """Add this join's columns to a :class:`SpatialDataset`'s own.
 
-        ``margin`` is the predicate's MBR margin, applied column-wise
-        (into new arrays: the data set's are read-only and shared) by
-        the IEEE operations of ``Rect.expanded(margin).clamped()`` —
-        what :meth:`SpatialDataset.write_descriptors` applies — so both
+        ``margin`` is the predicate's MBR margin, applied by
+        :meth:`SpatialDataset.boxes` — what
+        :meth:`SpatialDataset.write_descriptors` applies too — so both
         modes classify identical boxes.  ``depth`` is how many curve
         levels ``cell`` resolves (default: the assigner's ``max_level``);
         each costs the curve kernel one pass over the input.
@@ -74,12 +73,8 @@ class ColumnarDataset:
         curve = curve or HilbertCurve()
         assigner = assigner or LevelAssigner(curve.order, min(16, curve.order))
         depth = assigner.max_level if depth is None else depth
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        eid, xlo, ylo, xhi, yhi = dataset.columns()
-        if margin != 0.0:
-            xlo, ylo = (np.clip(low - margin, 0.0, 1.0) for low in (xlo, ylo))
-            xhi, yhi = (np.clip(high + margin, 0.0, 1.0) for high in (xhi, yhi))
+        eid = dataset.columns()[0]
+        xlo, ylo, xhi, yhi = dataset.boxes(margin)
         # levels() refuses NaN and out-of-square corners by field name
         # before anything here is cast to a grid index.
         level = assigner.levels(xlo, ylo, xhi, yhi)

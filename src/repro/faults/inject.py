@@ -37,18 +37,12 @@ from repro.faults.errors import (
     TransientIOError,
 )
 from repro.faults.plan import FaultPlan, InjectionLog
-from repro.storage.backend import Record, StorageBackend
+from repro.storage.backend import Page, StorageBackend
 from repro.storage.records import RecordCodec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.storage.iostats import IOStats
-
-_Fingerprint = tuple[tuple, ...]
-
-
-def _fingerprint(records: list[Record]) -> _Fingerprint:
-    return tuple(tuple(record) for record in records)
 
 
 class FaultInjectingBackend(StorageBackend):
@@ -70,7 +64,8 @@ class FaultInjectingBackend(StorageBackend):
         # Torn pages only, keyed by (file, page): what the caller asked
         # to persist when the torn write fired.  An entry means the
         # on-medium page is known-partial; a later full write heals it.
-        self._shadow: dict[tuple[str, int], _Fingerprint] = {}
+        # The bytes stand for the page: a torn prefix never matches them.
+        self._shadow: dict[tuple[str, int], tuple[int, bytes]] = {}
 
     # -- the injection decision -----------------------------------------
 
@@ -146,28 +141,28 @@ class FaultInjectingBackend(StorageBackend):
         for key in [k for k in self._shadow if k[0] == old]:
             self._shadow[(new, key[1])] = self._shadow.pop(key)
 
-    def read_page(self, name: str, page_no: int) -> list[Record]:
+    def read_page(self, name: str, page_no: int) -> Page:
         self._inject("read", name, f"{name!r} page {page_no}")
         records = self.inner.read_page(name, page_no)
         expected = self._shadow.get((name, page_no))
-        if expected is not None and _fingerprint(records) != expected:
+        if expected is not None and records.tobytes() != expected[1]:
             if self.metrics is not None:
                 self.metrics.count("faults.torn_detected")
             raise TornWriteError(
                 f"torn write detected: {name!r} page {page_no} holds "
                 f"{len(records)} record(s), the last write intended "
-                f"{len(expected)}"
+                f"{expected[0]}"
             )
         return records
 
-    def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
+    def write_page(self, name: str, page_no: int, records: Page) -> None:
         kind = self._inject("write", name, f"{name!r} page {page_no}")
         if kind == "torn":
             # A power-cut write: a prefix reaches the medium, but the
             # caller is told nothing went wrong.  Remember the intended
             # contents so the next physical read fails loudly.
             self.inner.write_page(name, page_no, records[: len(records) // 2])
-            self._shadow[(name, page_no)] = _fingerprint(records)
+            self._shadow[(name, page_no)] = (len(records), records.tobytes())
             return
         self.inner.write_page(name, page_no, records)
         self._shadow.pop((name, page_no), None)  # a full write heals the page

@@ -35,7 +35,7 @@ from typing import Callable, TypeVar
 
 from repro.faults.errors import RetriesExhaustedError, TransientIOError
 from repro.obs import NULL_OBS, Observability
-from repro.storage.backend import Record, StorageBackend
+from repro.storage.backend import Page, StorageBackend
 from repro.storage.records import RecordCodec
 
 T = TypeVar("T")
@@ -136,14 +136,14 @@ class RetryingBackend(StorageBackend):
             "rename", f"{old}->{new}", lambda: self.inner.rename_file(old, new)
         )
 
-    def read_page(self, name: str, page_no: int) -> list[Record]:
+    def read_page(self, name: str, page_no: int) -> Page:
         return self._call(
             "read",
             f"{name}:{page_no}",
             lambda: self.inner.read_page(name, page_no),
         )
 
-    def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
+    def write_page(self, name: str, page_no: int, records: Page) -> None:
         self._call(
             "write",
             f"{name}:{page_no}",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.partition import route
 from repro.core.sync_scan import synchronized_scan
 from repro.curves.base import SpaceFillingCurve
 from repro.curves.hilbert import HilbertCurve
@@ -26,10 +27,11 @@ from repro.filtertree.levels import LevelAssigner
 from repro.filtertree.ranges import KeyDirectory
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
+from repro.join.result import canonical_pairs
 from repro.sorting.external_sort import ExternalSorter
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import HKEY
+from repro.storage.records import PAIR, concat_pages, corners
 
 
 class FilterTreeIndex:
@@ -66,31 +68,22 @@ class FilterTreeIndex:
         Hilbert value, and build the key directory."""
         if self.level_files:
             raise RuntimeError(f"index {self.name!r} is already built")
+        dataset.columns()  # refuses ids that are not int64 integers: they are stored
+        rows = dataset.descriptors(curve=self.curve)
+        levels = self.assigner.levels(*corners(rows))
+        self.storage.stats.charge_cpu("level", len(rows))
+        self.storage.stats.charge_cpu("hilbert", len(rows))
         staging: dict[int, PagedFile] = {}
-        for entity in dataset:
-            mbr = entity.mbr
-            level = self.assigner.level(mbr)
-            self.storage.stats.charge_cpu("level")
-            key = self.curve.key_of_normalized(*mbr.center)
-            self.storage.stats.charge_cpu("hilbert")
-            handle = staging.get(level)
-            if handle is None:
-                handle = self.storage.create_file(f"{self.name}-L{level}-staging")
-                staging[level] = handle
-            handle.append((entity.eid, mbr.xlo, mbr.ylo, mbr.xhi, mbr.yhi, key))
+        route(rows, levels, staging, self.storage, lambda level: f"{self.name}-L{level}-staging")
         sorter = ExternalSorter(self.storage)
         entries = {}
         for level, handle in sorted(staging.items()):
-            outcome = sorter.sort(
-                handle, f"{self.name}-L{level}", key=lambda record: record[HKEY]
-            )
+            outcome = sorter.sort(handle, f"{self.name}-L{level}", key="hkey")
             self.storage.drop_file(handle.name)
             self.level_files[level] = outcome.output
-            keys = []
-            for page in outcome.output.scan_pages():  # read once at build time
-                keys.append(self._directory.level_keys(level, page))
-                self._directory.grow(level, page)
-            entries[level] = np.concatenate(keys)
+            level_rows = outcome.output.read_all()  # read once at build time
+            entries[level] = self._directory.level_keys(level, level_rows)
+            self._directory.grow(level, level_rows)
         self._directory.replace(entries)
         return self
 
@@ -109,22 +102,22 @@ class FilterTreeIndex:
 
     # -- joins ----------------------------------------------------------------
 
-    def join(self, other: FilterTreeIndex, stats_phase: str = "join") -> set[tuple[int, int]]:
+    def join(self, other: FilterTreeIndex, stats_phase: str = "join") -> frozenset[tuple[int, int]]:
         """The Filter Tree join [SK96]: a synchronized scan over the two
         indexes' level files — S3J's join phase with both partition and
         sort phases already amortized into the indexes."""
         if self.curve.order != other.curve.order:
             raise ValueError("indexes must share a curve order to be joined")
-        pairs: set[tuple[int, int]] = set()
+        found: list[np.ndarray] = []
         with self.storage.stats.phase(stats_phase):
             synchronized_scan(
                 self.level_files,
                 other.level_files,
                 self.curve.order,
-                pairs.update,
+                found.append,
                 stats=self.storage.stats,
             )
-        return pairs
+        return canonical_pairs(concat_pages(found, PAIR), self_join=False)
 
     # -- maintenance -----------------------------------------------------------
 

@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.curves.base import SpaceFillingCurve
 from repro.geometry.rect import Rect
-from repro.storage.backend import Record
+from repro.storage.backend import Page, Record
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import EID, HKEY
+from repro.storage.records import EID, HKEY, corners
 
 KeyRange = tuple[int, int]  # half-open [lo, hi) interval of curve keys
 Reach = tuple[int, int]  # grid units a level's centres lie from its MBR edges
@@ -83,12 +83,10 @@ class KeyDirectory:
         self.starts: dict[int, int] = {}  # level -> position of its first record
         self.reach: dict[int, Reach] = {}  # of base and delta records alike
 
-    def level_keys(self, level: int, records: Sequence[Record]) -> np.ndarray:
+    def level_keys(self, level: int, rows: Page) -> np.ndarray:
         """The directory's part for a level file holding exactly the
-        key-sorted ``records``."""
-        keys = np.fromiter(map(record_key, records), np.int64, len(records))
-        keys += level << self._shift
-        return keys
+        key-sorted ``rows``."""
+        return rows["hkey"] + (level << self._shift)
 
     def replace(self, entries: Mapping[int, np.ndarray | None]) -> None:
         """Install the :meth:`level_keys` of rewritten level files
@@ -111,16 +109,16 @@ class KeyDirectory:
         sizes = (len(parts[level]) for level in order)
         self.starts = dict(zip(order, accumulate(sizes, initial=0)))
 
-    def grow(self, level: int, records: Iterable[Record]) -> None:
-        """Widen a level's reach to cover ``records`` too.  Reach only
-        grows — a delete leaves it high, which is safe — until a reopen
-        takes it off the level files afresh."""
-        width = height = 0.0
-        for _, xlo, ylo, xhi, yhi, _ in records:
-            if xhi - xlo > width:
-                width = xhi - xlo
-            if yhi - ylo > height:
-                height = yhi - ylo
+    def grow(self, level: int, rows: Page) -> None:
+        """Widen a level's reach to cover ``rows`` too."""
+        if len(rows):
+            xlo, ylo, xhi, yhi = corners(rows)
+            self.widen(level, float((xhi - xlo).max()), float((yhi - ylo).max()))
+
+    def widen(self, level: int, width: float, height: float) -> None:
+        """Widen a level's reach to cover an MBR of this ``width`` and
+        ``height``.  Reach only grows — a delete leaves it high, which is
+        safe — until a reopen takes it off the level files afresh."""
         # q(a) - q(b) <= ceil((a - b) * side) for a >= b, the centre is
         # half a width from either edge, and the float centre and width
         # are off by far less than a grid unit: floor + 2 covers both.
@@ -198,7 +196,7 @@ class KeyDirectory:
                         if number != page_no:
                             page_no, page = number, handle.read_page(number)
                         offset = number * size
-                        rows += page[max(start - offset, 0) : stop - offset]
+                        rows += page[max(start - offset, 0) : stop - offset].tolist()
                 gone = dead.get(level)
                 if gone:  # tombstones name base records only
                     rows[mark:] = [row for row in rows[mark:] if row[EID] not in gone]

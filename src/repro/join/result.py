@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from repro.geometry.entity import Entity
 from repro.join.metrics import JoinMetrics
 from repro.join.predicates import JoinPredicate
@@ -17,7 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Pair = tuple[int, int]
 
 
-def canonical_pairs(raw_pairs: Iterable[Pair], self_join: bool) -> frozenset[Pair]:
+def canonical_pairs(
+    raw_pairs: Iterable[Pair] | np.ndarray, self_join: bool
+) -> frozenset[Pair]:
     """Normalize a raw pair collection for comparison across algorithms.
 
     For a self join, mirrored pairs collapse to ``(min, max)`` and
@@ -25,7 +29,19 @@ def canonical_pairs(raw_pairs: Iterable[Pair], self_join: bool) -> frozenset[Pai
     algorithms join a data set with an identical copy of itself —
     "although only a single data set is involved, the algorithm does
     not exploit that fact", section 5.2.1).
+
+    A :data:`~repro.storage.records.PAIR` array becomes tuples here, its
+    ids interned: one ``int`` per distinct id, shared by every pair that
+    names it, where converting each column would mint two per pair.
     """
+    if isinstance(raw_pairs, np.ndarray):
+        a, b = raw_pairs["a"], raw_pairs["b"]
+        if self_join:
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            a, b = a[a != b], b[a != b]
+        ids, slots = np.unique(np.concatenate([a, b]), return_inverse=True)
+        interned = np.array(ids.tolist(), dtype=object)[slots].tolist()
+        return frozenset(zip(interned[: len(a)], interned[len(a) :]))
     if not self_join:
         return frozenset(raw_pairs)
     return frozenset(

@@ -138,7 +138,7 @@ class RTreeSpatialJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[set[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[list[tuple[int, int]], JoinMetrics]:
         stats = self.storage.stats
         tracer = self.obs.tracer
 
@@ -149,16 +149,13 @@ class RTreeSpatialJoin(SpatialJoinAlgorithm):
                 tree_b = self._load(input_b)
             self.storage.phase_boundary()
 
-        pairs: set[tuple[int, int]] = set()
         result = self.storage.create_file(
             self._file_name("result"), CandidatePairCodec()
         )
         with self._phase("join"):
             with tracer.span("traverse") as span:
-                for eid_a, eid_b in rtree_join(tree_a, tree_b, stats=stats):
-                    pair = (eid_a, eid_b)
-                    pairs.add(pair)
-                    result.append(pair)
+                pairs = list(rtree_join(tree_a, tree_b, stats=stats))
+                result.extend(pairs)
                 span.set(pairs=len(pairs))
             self.storage.phase_boundary()
 

@@ -1,11 +1,12 @@
 """Multi-pass external merge sort over paged files, a page at a time.
 
 Nothing here touches one record at a time through Python: run formation
-reads its input page by page, and a merge moves from one page boundary
+reads its input page by page and orders a run with one stable
+``argsort`` of its key field, and a merge moves from one page boundary
 to the next.  A loaded run page is used up when the merge passes its
 last key, so each merge step cuts every loaded page at the next such
-boundary (one bisection per run), sorts the cut pieces together (a
-stable timsort of k sorted pieces) and reads the one page that ran dry.
+boundary (one ``searchsorted`` per run), sorts the cut pieces together
+(a stable sort of k sorted pieces) and reads the one page that ran dry.
 The reads, page writes and buffer-pool events occur in exactly the
 order a record-at-a-time heap merge produces them, so the I/O and CPU
 ledger is identical to one (DESIGN.md section 7).
@@ -14,17 +15,17 @@ ledger is identical to one (DESIGN.md section 7).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
 
-from repro.storage.backend import Record
+import numpy as np
+
+from repro.storage.backend import Page
 from repro.storage.costs import sort_comparison_count
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import RecordCodec
+from repro.storage.records import RecordCodec, concat_pages, take
 
-SortKey = Callable[[Record], Any]
+SortKey = str | tuple[str, ...] | None  # a field, fields left to right, or the whole record
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,18 @@ class SortResult:
 
 
 class ExternalSorter:
-    """Sort a paged file by a record key in ``M`` pages of memory.
+    """Sort a paged file by a key (:data:`SortKey`) in ``M`` pages of memory.
 
     Run formation fills ``memory_pages`` worth of records, sorts them in
     memory, and spills a run; merging proceeds with fan-in
     ``F = max(2, memory_pages // bulk_pages - 1)`` (one buffer is
     reserved for output), the paper's ``F = M / B`` with bulk reads of
-    ``B`` pages.  With ``unique=True`` adjacent duplicate records are
-    dropped in every pass — duplicate elimination "can take place in any
-    phase of the sort" (section 4.1.2).  Both phases move a page at a
-    time, yet read and write the pages a record-at-a-time heap merge
-    does, in the same order (see the module docstring).
+    ``B`` pages.  Ties keep their input order.  With ``unique=True``
+    adjacent duplicate records are dropped in every pass — duplicate
+    elimination "can take place in any phase of the sort" (section
+    4.1.2).  Both phases move a page at a time, yet read and write the
+    pages a record-at-a-time heap merge does, in the same order (see
+    the module docstring).
     """
 
     def __init__(
@@ -170,8 +172,8 @@ class ExternalSorter:
         run_names: list[str] = []
         capacity = self.memory_pages * source.records_per_page
 
-        def spill(batch: list[Record]) -> None:
-            batch.sort(key=key)
+        def spill(batch: Page) -> None:
+            batch = take(batch, np.argsort(_keys(batch, key), kind="stable"))
             self.storage.stats.charge_cpu(
                 "compare", sort_comparison_count(len(batch))
             )
@@ -181,14 +183,15 @@ class ExternalSorter:
             self.storage.pool.invalidate(name)  # spill the run to disk
             run_names.append(name)
 
-        batch: list[Record] = []
+        held: list[Page] = []  # read, not yet spilled
         for page in source.scan_pages():
-            batch += page
-            while len(batch) >= capacity:
+            held.append(page)
+            while sum(map(len, held)) >= capacity:
+                batch = concat_pages(held)
                 spill(batch[:capacity])
-                del batch[:capacity]
-        if batch:
-            spill(batch)
+                held = [batch[capacity:]]
+        if sum(map(len, held)):
+            spill(concat_pages(held))
         return run_names
 
     def _merge_pass(
@@ -236,49 +239,56 @@ class ExternalSorter:
         levels = max(1, math.ceil(math.log2(len(runs) + 1)))
         per_page = out.records_per_page
         pages = [run.read_page(0) for run in runs]
+        keys = [_keys(page, key) for page in pages]
+        lasts = [column[-1].item() for column in keys]  # each loaded page's last key
         cuts = [0] * len(runs)  # first unmerged record of each loaded page
         next_page = [1] * len(runs)
         live = list(range(len(runs)))  # kept in run order: ties go to the lower run
-        pending: list[Record] = []  # merged, not yet a whole output page
-        previous: Record | None = None  # last record kept, for ``unique``
+        pending: list[Page] = []  # merged, not yet whole output pages
+        held = 0  # records in ``pending``
+        previous: Page | None = None  # last record kept, for ``unique``
         merged = 0
         try:
             while live:
-                bound, dry = min((key(pages[i][-1]), i) for i in live)
-                step: list[Record] = []
-                pieces = 0
+                _, dry = min((lasts[i], i) for i in live)
+                bound = keys[dry][-1:]
+                pieces: list[Page] = []
                 for i in live:
                     page, lo = pages[i], cuts[i]
                     if i == dry:
                         hi = len(page)
-                    elif i < dry:
-                        hi = bisect_right(page, bound, lo, key=key)
-                    else:
-                        hi = bisect_left(page, bound, lo, key=key)
-                    if hi > lo:
-                        step += page[lo:hi]
+                    else:  # ties with the bound: lower runs first
+                        side = "right" if i < dry else "left"
+                        hi = lo + int(keys[i][lo:].searchsorted(bound, side)[0])
+                    if hi > lo or i == dry:
+                        pieces.append(page[lo:hi])
                         cuts[i] = hi
-                        pieces += 1
-                if pieces > 1:
-                    step.sort(key=key)  # stable: run order breaks key ties
+                step = pieces[0] if len(pieces) == 1 else concat_pages(pieces)
+                if len(pieces) > 1:  # stable: run order breaks key ties
+                    step = take(step, np.argsort(_keys(step, key), kind="stable"))
                 merged += len(step)
                 if unique:
                     step = _drop_adjacent_duplicates(step, previous)
-                    if step:
-                        previous = step[-1]
-                pending += step
+                    if len(step):
+                        previous = step[-1:]
+                pending.append(step)
+                held += len(step)
                 run = runs[dry]
                 if next_page[dry] == run.num_pages:
                     live.remove(dry)
                     continue
-                whole = len(pending) - len(pending) % per_page
+                whole = held - held % per_page
                 if whole:
-                    out.extend(pending[:whole])
-                    del pending[:whole]
+                    rest = concat_pages(pending)
+                    out.extend(rest[:whole])
+                    pending, held = [rest[whole:]], held - whole
                 pages[dry] = run.read_page(next_page[dry])
+                keys[dry] = _keys(pages[dry], key)
+                lasts[dry] = keys[dry][-1].item()
                 cuts[dry] = 0
                 next_page[dry] += 1
-            out.extend(pending)
+            if held:
+                out.extend(concat_pages(pending))
         finally:
             self.storage.stats.charge_cpu("compare", merged * levels)
 
@@ -293,9 +303,18 @@ class ExternalSorter:
         return handle
 
 
-def _drop_adjacent_duplicates(
-    records: list[Record], previous: Record | None = None
-) -> list[Record]:
-    """``records`` without those equal to their predecessor
-    (``previous`` precedes the first)."""
-    return [record for record, before in zip(records, [previous, *records]) if record != before]
+def _keys(rows: Page, key: SortKey) -> np.ndarray:
+    """What ``rows`` are ordered by: a field, or a structured view of
+    the key fields (NumPy compares those field by field)."""
+    return rows if key is None else rows[key if isinstance(key, str) else list(key)]
+
+
+def _drop_adjacent_duplicates(rows: Page, previous: Page | None = None) -> Page:
+    """``rows`` without those equal to their predecessor (the one row
+    of ``previous`` precedes the first)."""
+    if not len(rows):
+        return rows
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = previous is None or bool(rows[0] != previous[0])
+    fresh[1:] = rows[1:] != rows[:-1]
+    return take(rows, fresh)

@@ -13,11 +13,17 @@ stack round-trips through genuine files and survives a kill.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.storage.records import RecordCodec
 
 Record = tuple[Any, ...]
+"""One record as Python values: a page row's ``tolist()`` item."""
+
+Page = np.ndarray
+"""A page: a read-only array of its file's codec dtype, at most ``E`` rows."""
 
 
 class BackendClosedError(RuntimeError):
@@ -53,13 +59,14 @@ class StorageBackend(ABC):
         name must not already exist at the backend)."""
 
     @abstractmethod
-    def read_page(self, name: str, page_no: int) -> list[Record]:
-        """Return the records stored in one page."""
+    def read_page(self, name: str, page_no: int) -> Page:
+        """Return the records stored in one page, as a read-only page."""
 
     @abstractmethod
-    def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
+    def write_page(self, name: str, page_no: int, records: Page | Sequence[Record]) -> None:
         """Persist the records of one page (``ValueError`` if they
-        exceed the file's page capacity)."""
+        exceed the file's page capacity).  Changing ``records`` once
+        this returns does not change the stored page."""
 
     def sync(self) -> None:
         """Flush every buffered write through to the medium.
@@ -90,9 +97,9 @@ class MemoryBackend(StorageBackend):
     """Pages held in process memory (I/O is counted, not performed)."""
 
     def __init__(self) -> None:
-        # name -> (records per page, page number -> records): deleting or
-        # renaming a file touches that file's pages only.
-        self._files: dict[str, tuple[int, dict[int, list[Record]]]] = {}
+        # name -> (codec, page number -> page): deleting or renaming a
+        # file touches that file's pages only.
+        self._files: dict[str, tuple[RecordCodec, int, dict[int, Page]]] = {}
         self._closed = False
 
     def _check_open(self) -> None:
@@ -103,7 +110,7 @@ class MemoryBackend(StorageBackend):
         self._check_open()
         if name in self._files:
             raise FileExistsError(f"storage file {name!r} already exists")
-        self._files[name] = (codec.records_per_page(page_size), {})
+        self._files[name] = (codec, codec.records_per_page(page_size), {})
 
     def delete_file(self, name: str) -> None:
         self._check_open()
@@ -117,19 +124,20 @@ class MemoryBackend(StorageBackend):
             raise FileExistsError(f"storage file {new!r} already exists")
         self._files[new] = self._files.pop(old)
 
-    def read_page(self, name: str, page_no: int) -> list[Record]:
+    def read_page(self, name: str, page_no: int) -> Page:
         self._check_open()
         try:
-            return list(self._files[name][1][page_no])
+            return self._files[name][2][page_no]
         except KeyError:
             raise ValueError(f"page {page_no} of {name!r} was never written") from None
 
-    def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
+    def write_page(self, name: str, page_no: int, records: Page | Sequence[Record]) -> None:
         self._check_open()
-        capacity, pages = self._files[name]
+        codec, capacity, pages = self._files[name]
         if len(records) > capacity:
             raise ValueError(f"{len(records)} records exceed page capacity {capacity}")
-        pages[page_no] = list(records)
+        # A read-only copy of its own, so read_page hands it out as is.
+        pages[page_no] = codec.decode_page(codec.encode_page(records), len(records))
 
     def close(self) -> None:
         self._closed = True

@@ -10,10 +10,9 @@ section 4 is written in: physical page reads and writes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from repro.storage.backend import Record, StorageBackend
+from repro.storage.backend import Page, StorageBackend
 from repro.storage.iostats import IOStats, file_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,11 +24,12 @@ class BufferPoolExhausted(RuntimeError):
 
 
 class Frame:
-    """One buffer frame: cached page contents plus bookkeeping."""
+    """One buffer frame: cached page contents plus bookkeeping.  A writer
+    replaces the read-only ``records`` page, never changes it."""
 
     __slots__ = ("records", "dirty", "pins")
 
-    def __init__(self, records: list[Record], dirty: bool) -> None:
+    def __init__(self, records: Page | list, dirty: bool) -> None:
         self.records = records
         self.dirty = dirty
         self.pins = 0
@@ -39,9 +39,8 @@ class BufferPool:
     """A fixed-capacity LRU page cache.
 
     ``capacity`` is the paper's ``M`` (memory size in pages).  Pages are
-    fetched with :meth:`page` (a pinning context manager) or
-    :meth:`fetch`/:meth:`unpin`; eviction writes dirty frames back to
-    the backend.
+    pinned with :meth:`fetch` or :meth:`create` and released with
+    :meth:`unpin`; eviction writes dirty frames back to the backend.
     """
 
     def __init__(
@@ -104,25 +103,6 @@ class BufferPool:
         frame.pins -= 1
         if dirty:
             frame.dirty = True
-
-    @contextmanager
-    def page(self, file_name: str, page_no: int, create: bool = False) -> Iterator[list[Record]]:
-        """Context manager giving pinned access to a page's record list.
-
-        Mutating the list is allowed; the page is marked dirty on exit
-        when its contents compare unequal (``!=``) to a snapshot taken
-        at entry.  This is *value* comparison, not identity: replacing a
-        record in place, appending, and deleting are all detected, while
-        rewriting a record with an equal value is treated as clean.
-        Newly created pages are always dirty (callers may also mark
-        explicitly via :meth:`unpin`)."""
-        frame = self.create(file_name, page_no) if create else self.fetch(file_name, page_no)
-        before = list(frame.records) if not create else None
-        try:
-            yield frame.records
-        finally:
-            dirty = create or frame.records != before
-            self.unpin(file_name, page_no, dirty=dirty)
 
     def _make_room(self) -> None:
         """Evict the least recently used unpinned frame if full."""

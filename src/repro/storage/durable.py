@@ -63,10 +63,10 @@ import struct
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Sequence
 
 from repro.storage import wal
-from repro.storage.backend import BackendClosedError, Record, StorageBackend
+from repro.storage.backend import BackendClosedError, Page, Record, StorageBackend
 from repro.storage.records import RecordCodec
 
 MAGIC = b"S3JPAGES"
@@ -615,7 +615,7 @@ class DurableBackend(StorageBackend):
             raise FileExistsError(f"storage file {new!r} already exists")
         self._log(wal.OP_RENAME, wal.pack_rename(entry.file_id, new))
 
-    def read_page(self, name: str, page_no: int) -> list[Record]:
+    def read_page(self, name: str, page_no: int) -> Page:
         self._check_open()
         entry = self._entry(name)
         slot = entry.pages.get(page_no)
@@ -625,7 +625,7 @@ class DurableBackend(StorageBackend):
         (count,) = _COUNT.unpack_from(payload, 0)
         return self._codecs[entry.file_id].decode_page(payload[_COUNT.size :], count)
 
-    def write_page(self, name: str, page_no: int, records: list[Record]) -> None:
+    def write_page(self, name: str, page_no: int, records: Page | Sequence[Record]) -> None:
         self._check_open()
         entry = self._entry(name)
         if len(records) > entry.capacity:

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.storage.backend import Record
+from repro.storage.backend import Page, Record
 from repro.storage.iostats import file_label
-from repro.storage.records import RecordCodec
+from repro.storage.records import RecordCodec, concat_pages
 
 if TYPE_CHECKING:
     from repro.storage.buffer import BufferPool
 
 
 class PagedFile:
-    """A named sequence of pages, each holding up to ``E`` records.
+    """A named sequence of pages, each a read-only array of up to ``E``
+    records of the file's codec dtype.
 
     The level files, partition files, run files, and result files of all
     three join algorithms are ``PagedFile`` instances; every access goes
@@ -43,55 +43,29 @@ class PagedFile:
         )
 
     def append(self, record: Record) -> None:
-        """Add one record at the end of the file.
+        """Add one record at the end of the file: :meth:`extend` by one."""
+        self.extend([record])
 
-        When the tail page fills, it is written behind immediately so
-        only one (partial) buffer page per open output file occupies
-        the pool.
-        """
-        if self.num_pages == 0 or self._tail_count == self.records_per_page:
-            if self.num_pages > 0:
-                self.pool.write_behind(self.name, self.num_pages - 1)
-            frame = self.pool.create(self.name, self.num_pages)
-            self.num_pages += 1
-            self._tail_count = 0
-        else:
-            frame = self.pool.fetch(self.name, self.num_pages - 1)
-        frame.records.append(record)
-        self._tail_count += 1
-        self.num_records += 1
-        if self._metrics is not None:
-            self._metrics.count("file.records_appended", file=self._metric_label)
-        self.pool.unpin(self.name, self.num_pages - 1, dirty=True)
-
-    def extend(self, records: Iterable[Record]) -> None:
-        """Append an iterable of records, filling whole pages per buffer
-        pool interaction instead of one fetch/unpin round-trip each.
-
-        The simulated ledger is kept *identical* to an equivalent loop
-        of :meth:`append`: the same pages are created, written behind
-        and flushed in the same per-file order, and the buffer-hit count
-        matches what the per-record tail-page fetches would have
-        recorded (one pool event per record: a create for the first
-        record of a fresh page, a hit for every other record landing on
-        a buffered tail).  Only the Python-level overhead — ``O(1)``
-        pool interactions per *page* instead of per *record* — differs.
-
-        Lazy iterables are consumed one page-chunk at a time, so runs
-        larger than memory can still be streamed through.
-        """
-        source = iter(records)
-        hits = 0
-        while True:
+    def extend(self, records: Page | Iterable[Record]) -> None:
+        """Append a page array (or records, as tuples), one buffer pool
+        interaction per page touched.  A tail page that fills is written
+        behind at once, so one partial page per open output file stays in
+        the pool.  The ledger is that of appending the records one at a
+        time: the same pages created, written behind and flushed in the
+        same per-file order, and one pool event per record (a create for
+        a fresh page's first record, a hit for every other)."""
+        rows = self.codec.page(records)
+        hits = done = 0
+        while done < len(rows):
             fresh = self.num_pages == 0 or self._tail_count == self.records_per_page
             room = self.records_per_page - (0 if fresh else self._tail_count)
-            chunk = list(itertools.islice(source, room))
-            if not chunk:
-                break
+            chunk = rows[done : done + room]
+            done += len(chunk)
             if fresh:
                 if self.num_pages > 0:
                     self.pool.write_behind(self.name, self.num_pages - 1)
                 frame = self.pool.create(self.name, self.num_pages)
+                frame.records = chunk
                 self.num_pages += 1
                 self._tail_count = 0
             else:
@@ -99,7 +73,7 @@ class PagedFile:
                 # the re-read, under pool pressure) the first record's
                 # scalar append would have caused.
                 frame = self.pool.fetch(self.name, self.num_pages - 1)
-            frame.records.extend(chunk)
+                frame.records = concat_pages((frame.records, chunk))
             self._tail_count += len(chunk)
             self.num_records += len(chunk)
             hits += len(chunk) - 1
@@ -113,30 +87,27 @@ class PagedFile:
             self.pool.unpin(self.name, self.num_pages - 1, dirty=True)
         self.pool.stats.record_hits(hits)
 
-    def append_many(self, records: Iterator[Record] | list[Record]) -> None:
-        """Append an iterable of records in order (bulk path; the
-        ledger matches a record-at-a-time append loop exactly)."""
-        self.extend(records)
-
-    def read_page(self, page_no: int) -> list[Record]:
-        """A copy of one page's records."""
+    def read_page(self, page_no: int) -> Page:
+        """One page's records: the buffered page itself (read-only)."""
         if not 0 <= page_no < self.num_pages:
             raise IndexError(f"page {page_no} outside [0, {self.num_pages})")
         frame = self.pool.fetch(self.name, page_no)
-        try:
-            return list(frame.records)
-        finally:
-            self.pool.unpin(self.name, page_no)
+        self.pool.unpin(self.name, page_no)
+        return frame.records
 
     def scan(self) -> Iterator[Record]:
-        """Yield every record in file order (page at a time)."""
-        for page_no in range(self.num_pages):
-            yield from self.read_page(page_no)
+        """Yield every record in file order, as a tuple (page at a time)."""
+        for page in self.scan_pages():
+            yield from page.tolist()
 
-    def scan_pages(self) -> Iterator[list[Record]]:
-        """Yield page record-lists in file order."""
+    def scan_pages(self) -> Iterator[Page]:
+        """Yield the pages in file order."""
         for page_no in range(self.num_pages):
             yield self.read_page(page_no)
+
+    def read_all(self) -> Page:
+        """Every record as one array, read a page at a time."""
+        return concat_pages(list(self.scan_pages()), self.codec.dtype)
 
     def flush(self) -> None:
         """Force dirty pages of this file to the backend."""

@@ -8,10 +8,13 @@ inside its x-extent.  Each intersecting pair is reported exactly once,
 and each tested candidate is one ``mbr_test`` of the ledger.
 
 :func:`sweep_intersections`, the paged engines' entry point, runs it
-over descriptor *columns* through the vectorised kernel
-(:mod:`repro.fastpath.sweep`), whose two classes are exactly the
-candidates of a left pivot and of a right pivot here, ties included —
-so the ledger is priced with one ``charge_cpu("mbr_test", n)`` per call.
+over two x-sorted descriptor arrays (:func:`x_sorted`) through the
+vectorised kernel (:mod:`repro.fastpath.sweep`), whose two classes are
+exactly the candidates of a left pivot and of a right pivot here, ties
+included — so the ledger is priced with one ``charge_cpu("mbr_test",
+n)`` per call.  Ids stay ``int64``: the pairs are a ``PAIR`` array, a
+result file's rows, and become tuples once, when the join's result is
+built (:func:`repro.join.result.canonical_pairs`).
 :func:`scalar_sweep_intersections` is the same sweep record at a time,
 and :func:`sweep_self_intersections` its self-join form: the references
 the kernel is tested against.  Nothing under ``src/`` calls them.
@@ -19,61 +22,45 @@ the kernel is tested against.  Nothing under ``src/`` calls them.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from repro.fastpath.sweep import sweep_intersecting_pairs
-from repro.storage.backend import Record
+from repro.storage.backend import Page, Record
 from repro.storage.costs import sort_comparison_count
 from repro.storage.iostats import IOStats
-from repro.storage.records import XHI, XLO, YHI, YLO
-
-Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-"""Descriptors as parallel arrays ``(eid, xlo, ylo, xhi, yhi)``."""
+from repro.storage.records import PAIR, XHI, XLO, YHI, YLO, corners, take
 
 
-def sorted_columns(records: Sequence[Record], stats: IOStats | None = None) -> Columns:
-    """Descriptor records as columns ordered by ``xlo``, the sort's
-    comparisons charged to ``stats`` when given.
-
-    The id column holds the records' own ``int`` objects: ids are only
-    carried, never computed with (or rounded through a float), and a
-    result pair built from them points at ints that already exist — an
-    ``int64`` column would mint two per pair, 4 MiB per 30k-pair result.
-    """
+def x_sorted(rows: Page, stats: IOStats | None = None) -> Page:
+    """Descriptor rows ordered by ``xlo`` (stable), the sort's
+    comparisons charged to ``stats`` when given."""
     if stats is not None:
-        stats.charge_cpu("compare", sort_comparison_count(len(records)))
-    if not records:
-        return (np.empty(0, dtype=object), *(np.empty(0) for _ in range(4)))
-    eid, xlo, ylo, xhi, yhi, _ = zip(*records)
-    boxes = (np.array(column, dtype=np.float64) for column in (xlo, ylo, xhi, yhi))
-    return x_sorted((np.array(eid, dtype=object), *boxes))
-
-
-def x_sorted(*blocks: Columns) -> Columns:
-    """Concatenate column blocks into one block ordered by ``xlo``
-    (stable, like the record sort it replaces)."""
-    columns = blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
-    order = np.argsort(columns[1], kind="stable")
-    return tuple(column[order] for column in columns)
+        stats.charge_cpu("compare", sort_comparison_count(len(rows)))
+    return take(rows, np.argsort(rows["xlo"], kind="stable"))
 
 
 def sweep_intersections(
-    left: Columns, right: Columns, stats: IOStats | None = None
-) -> list[tuple[int, int]]:
+    left: Page, right: Page, stats: IOStats | None = None
+) -> np.ndarray:
     """Every pair of intersecting MBRs between two ``xlo``-ordered
-    column blocks, as ``(eid from left, eid from right)``.
+    descriptor arrays, as a :data:`~repro.storage.records.PAIR` array of
+    ``(eid from left, eid from right)`` in the scalar sweep's order.
 
     Closed-interval semantics: boundary contact counts as intersection.
     One ``mbr_test`` per x-overlapping candidate is charged to ``stats``
     when given — the count :func:`scalar_sweep_intersections` charges
     one at a time.  Sorting, and its price, is the caller's.
     """
-    ia, ib, candidates = sweep_intersecting_pairs(left[1:], right[1:])
+    ia, ib, candidates = sweep_intersecting_pairs(corners(left), corners(right))
     if stats is not None and candidates:  # like the scalar loop: no candidate, no entry
         stats.charge_cpu("mbr_test", candidates)
-    return list(zip(left[0][ia].tolist(), right[0][ib].tolist()))
+    pairs = np.empty(len(ia), dtype=PAIR)
+    pairs["a"] = left["eid"][ia]
+    pairs["b"] = right["eid"][ib]
+    pairs.setflags(write=False)  # a page-to-be: files take it without a copy
+    return pairs
 
 
 def scalar_sweep_intersections(

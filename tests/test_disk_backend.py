@@ -53,13 +53,13 @@ def test_external_sort_on_real_files(durable_storage):
     for i, key in enumerate(keys):
         handle.append((i, 0.0, 0.0, 0.0, 0.0, key))
     sorter = ExternalSorter(durable_storage, memory_pages=2)
-    result = sorter.sort(handle, "sorted", key=lambda r: r[HKEY])
+    result = sorter.sort(handle, "sorted", key="hkey")
     assert [r[HKEY] for r in result.output.scan()] == sorted(keys)
 
 
 def test_data_survives_pool_invalidation(durable_storage):
     handle = durable_storage.create_file("persist")
     records = [(i, i / 100, 0.0, i / 100, 0.0, i * 3) for i in range(500)]
-    handle.append_many(records)
+    handle.extend(records)
     durable_storage.pool.invalidate()
     assert list(handle.scan()) == records

@@ -64,13 +64,13 @@ class TestRoundTrip:
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.write_page("f", 1, page(1))
-        assert store.read_page("f", 0) == page(0)
+        assert store.read_page("f", 0).tolist() == page(0)
         store.close()
 
         reopened = make_store(tmp_path)
         assert reopened.stored_files() == ["f"]
         assert reopened.attach_file("f", codec, PAGE_SIZE) == 2
-        assert reopened.read_page("f", 1) == page(1)
+        assert reopened.read_page("f", 1).tolist() == page(1)
         assert reopened.file_record_counts("f") == [3, 3]
         reopened.close()
 
@@ -126,7 +126,7 @@ class TestRoundTrip:
         reopened = make_store(tmp_path)
         assert reopened.stored_files() == ["c"]
         reopened.attach_file("c", codec, PAGE_SIZE)
-        assert reopened.read_page("c", 0) == page(0)
+        assert reopened.read_page("c", 0).tolist() == page(0)
         reopened.close()
 
     def test_free_slots_reused_lowest_first(self, tmp_path):
@@ -160,7 +160,7 @@ class TestRoundTrip:
         assert reopened.stored_files() == ["kept"]
         assert reopened.last_recovery.replayed_records == 0
         reopened.attach_file("kept", codec, PAGE_SIZE)
-        assert reopened.read_page("kept", 0) == page(1)
+        assert reopened.read_page("kept", 0).tolist() == page(1)
         reopened.close()
 
 
@@ -212,8 +212,8 @@ class TestRecovery:
     def reopened(self, tmp_path, codec):
         store = make_store(tmp_path)
         store.attach_file("f", codec, PAGE_SIZE)
-        assert store.read_page("f", 0) == page(0)
-        assert store.read_page("f", 1) == page(1)
+        assert store.read_page("f", 0).tolist() == page(0)
+        assert store.read_page("f", 1).tolist() == page(1)
         return store
 
     def test_torn_wal_tail_truncated(self, tmp_path):
@@ -236,7 +236,7 @@ class TestRecovery:
         store = self.reopened(tmp_path, codec)
         assert store.last_recovery.replayed_records == 3  # create + two maps
         assert store.last_recovery.mapped_pages == 3
-        assert store.read_page("f", 2) == page(2)
+        assert store.read_page("f", 2).tolist() == page(2)
         store.close()
 
     @pytest.mark.parametrize(
@@ -274,7 +274,7 @@ class TestRecovery:
         assert second.last_recovery.replayed_records == 0
         assert second.last_recovery.truncated_bytes == 0
         second.attach_file("f", codec, PAGE_SIZE)
-        assert second.read_page("f", 2) == page(2)
+        assert second.read_page("f", 2).tolist() == page(2)
         second.close()
 
     def test_empty_wal_reopen(self, tmp_path):
@@ -295,7 +295,7 @@ class TestRecovery:
             store.checkpoint()
         reopened = make_store(tmp_path)
         reopened.attach_file("f", codec, PAGE_SIZE)
-        assert reopened.read_page("f", 0) == page(0)
+        assert reopened.read_page("f", 0).tolist() == page(0)
         reopened.close()
 
     def test_wal_rotation_and_checkpoint_trigger(self, tmp_path):
@@ -317,7 +317,7 @@ class TestRecovery:
         store.close()
         reopened = make_store(tmp_path)
         reopened.attach_file("f", codec, PAGE_SIZE)
-        assert reopened.read_page("f", 63) == page(13)
+        assert reopened.read_page("f", 63).tolist() == page(13)
         assert len(reopened.journal()) == 64
         reopened.close()
 
@@ -344,7 +344,7 @@ class TestRecovery:
         assert store.stored_files() == ["b", "keep"]
         assert store.attach_file("b", codec, PAGE_SIZE) == 0  # created, never mapped
         store.attach_file("keep", codec, PAGE_SIZE)
-        assert store.read_page("keep", 0) == page(5)
+        assert store.read_page("keep", 0).tolist() == page(5)
         # The torn delete: "keep" must still own its slot afterwards.
         store._crash = CrashPoint("wal-append", fraction=0.5, action="raise")
         with pytest.raises(SimulatedCrash):
@@ -354,7 +354,7 @@ class TestRecovery:
         store.attach_file("keep", codec, PAGE_SIZE)
         store.write_page("b", 0, page(3))  # takes a free slot, not keep's
         store.sync()
-        assert store.read_page("keep", 0) == page(5)
+        assert store.read_page("keep", 0).tolist() == page(5)
         store.close()
 
     def test_rewrite_of_a_committed_page_is_shadowed(self, tmp_path):
@@ -370,13 +370,13 @@ class TestRecovery:
         store.sync()
         store.write_page("f", 0, page(7))
         store.write_page("f", 0, page(8))  # pending: overwritten in place
-        assert store.read_page("f", 0) == page(8)
+        assert store.read_page("f", 0).tolist() == page(8)
         size = os.path.getsize(tmp_path / DATA_FILE)
         with pytest.raises(SimulatedCrash):
             store.sync()
         store = make_store(tmp_path)
         store.attach_file("f", codec, PAGE_SIZE)
-        assert store.read_page("f", 0) == page(0)
+        assert store.read_page("f", 0).tolist() == page(0)
         store.write_page("f", 0, page(7))
         store.sync()
         store.write_page("f", 1, page(1))  # lands in the slot the remap freed
@@ -384,8 +384,8 @@ class TestRecovery:
         assert os.path.getsize(tmp_path / DATA_FILE) == size
         store = make_store(tmp_path)
         store.attach_file("f", codec, PAGE_SIZE)
-        assert store.read_page("f", 0) == page(7)
-        assert store.read_page("f", 1) == page(1)
+        assert store.read_page("f", 0).tolist() == page(7)
+        assert store.read_page("f", 1).tolist() == page(1)
         store.close()
 
     @settings(max_examples=40, deadline=None)
@@ -428,7 +428,7 @@ class TestRecovery:
                     reopened.attach_file("f", codec, PAGE_SIZE)
                     for page_no in committed.keys() | later.keys():
                         try:
-                            recovered = reopened.read_page("f", page_no)
+                            recovered = reopened.read_page("f", page_no).tolist()
                         except ValueError:
                             recovered = None
                         allowed = [committed.get(page_no), *later.get(page_no, [])]
@@ -909,12 +909,12 @@ class TestFailedStore:
         ):
             with pytest.raises(DurableStoreError, match="Input/output error.*reopened"):
                 refused()
-        assert store.read_page("f", 0) == page(0)
-        assert store.read_page("f", 1) == page(1)  # reads still work
+        assert store.read_page("f", 0).tolist() == page(0)
+        assert store.read_page("f", 1).tolist() == page(1)  # reads still work
         store.close()  # without a checkpoint: page 1 stays uncommitted
         reopened = make_store(tmp_path)
         reopened.attach_file("f", codec, PAGE_SIZE)
-        assert reopened.read_page("f", 0) == page(0)
+        assert reopened.read_page("f", 0).tolist() == page(0)
         with pytest.raises(ValueError, match="never written"):
             reopened.read_page("f", 1)
         reopened.journal_append(b"accepted again")
@@ -938,11 +938,11 @@ class TestFailedStore:
             store.write_page("f", 2, page(2))
         with pytest.raises(DurableStoreError, match="No space left.*reopened"):
             store.sync()
-        assert store.read_page("f", 0) == page(0)
+        assert store.read_page("f", 0).tolist() == page(0)
         store.close()
         reopened = make_store(tmp_path)
         assert reopened.attach_file("f", codec, PAGE_SIZE) == 1
-        assert reopened.read_page("f", 0) == page(0)
+        assert reopened.read_page("f", 0).tolist() == page(0)
         reopened.close()
 
     def test_fold_whose_data_fsync_fails_changes_nothing(self, tmp_path, monkeypatch):

@@ -123,7 +123,7 @@ class TestInjection:
             backend.write_page("f", 0, [REC])
         # Nothing persisted: the retry writes the full page.
         backend.write_page("f", 0, [REC])
-        assert backend.read_page("f", 0) == [REC]
+        assert backend.read_page("f", 0).tolist() == [REC]
 
     def test_random_stream_is_deterministic(self):
         def run():
@@ -186,7 +186,7 @@ class TestTornWrites:
         return FaultPlan(schedule=(ScheduledFault(op="write", kind="torn", last=1),))
 
     def records(self, n):
-        return [(i, 0.1, 0.1, 0.2, 0.2, 0) for i in range(n)]
+        return EntityDescriptorCodec().page([(i, 0.1, 0.1, 0.2, 0.2, 0) for i in range(n)])
 
     def test_torn_write_detected_on_read(self):
         backend = make_backend(self.plan())
@@ -199,13 +199,13 @@ class TestTornWrites:
         backend = FaultInjectingBackend(inner, self.plan())
         backend.create_file("f", EntityDescriptorCodec(), 4096)
         backend.write_page("f", 0, self.records(4))
-        assert inner.read_page("f", 0) == self.records(4)[:2]
+        assert inner.read_page("f", 0).tolist() == self.records(4)[:2].tolist()
 
     def test_full_rewrite_heals_the_page(self):
         backend = make_backend(self.plan())
         backend.write_page("f", 0, self.records(4))  # torn
         backend.write_page("f", 0, self.records(4))  # full rewrite
-        assert backend.read_page("f", 0) == self.records(4)
+        assert backend.read_page("f", 0).tolist() == self.records(4).tolist()
 
     def test_detection_survives_rename(self):
         backend = make_backend(self.plan())
@@ -259,7 +259,7 @@ class TestRetryingBackend:
         inner.create_file("f", EntityDescriptorCodec(), 4096)
         backend = RetryingBackend(inner, RetryPolicy(max_attempts=3), obs=obs)
         backend.write_page("f", 0, [REC])  # attempts 1,2 fail, 3 succeeds
-        assert backend.read_page("f", 0) == [REC]
+        assert backend.read_page("f", 0).tolist() == [REC]
         assert obs.metrics.counter_total("faults.retries_attempted") == 2
         assert obs.metrics.counter_total("faults.retries_succeeded") == 1
         assert obs.metrics.counter_total("faults.giveups") == 0
@@ -389,11 +389,11 @@ class TestSorterCleanup:
             assert manager.backend.log.calls["write"] == 7  # pin the layout
             sorter = ExternalSorter(manager, memory_pages=2)
             with pytest.raises(FaultIOError):
-                sorter.sort(handle, "sorted", key=lambda r: r[0])
+                sorter.sort(handle, "sorted", key="eid")
             assert self.run_names(manager) == []
             assert "input" in manager.list_files()
             # The storage is still usable: the same input sorts fine now.
-            result = sorter.sort(handle, "sorted", key=lambda r: r[0])
+            result = sorter.sort(handle, "sorted", key="eid")
             assert list(result.output.scan()) == sorted(handle.scan())
             assert self.run_names(manager) == []
 
@@ -403,6 +403,6 @@ class TestSorterCleanup:
         with StorageManager(StorageConfig(buffer_pages=16)) as manager:
             handle = self.fill(manager, records=400)
             sorter = ExternalSorter(manager, memory_pages=2)
-            sorter.sort(handle, "sorted", key=lambda r: r[0])
+            sorter.sort(handle, "sorted", key="eid")
             assert self.run_names(manager) == []
             assert "sorted" in manager.list_files()

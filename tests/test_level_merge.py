@@ -18,7 +18,7 @@ from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.service.index import PersistentIndex, _sort_key
 from repro.storage.manager import StorageConfig
-from repro.storage.records import EID
+from repro.storage.records import EID, EntityDescriptorCodec
 
 CONFIG = StorageConfig(page_size=256)  # 5 descriptors per page
 
@@ -113,7 +113,9 @@ def test_level_records_matches_the_heapq_merge(base, script):
             )
         # The same mutation prefix folded under both implementations
         # (a fold takes its records from ``level_pages``).
-        twin.level_pages = lambda level: [list(reference_level_records(twin, level))]
+        twin.level_pages = lambda level: [
+            EntityDescriptorCodec().page(list(reference_level_records(twin, level)))
+        ]
         assert index.compact() == twin.compact()
         assert level_pages(index) == level_pages(twin)
         assert index.live_entities() == twin.live_entities()

@@ -31,7 +31,7 @@ from repro.join.dataset import SpatialDataset
 from repro.obs import Observability
 from repro.service import JoinService, PersistentIndex, ServiceServer
 from repro.storage.manager import StorageConfig, StorageManager
-from repro.storage.records import HKEY
+from repro.storage.records import HKEY, EntityDescriptorCodec
 
 
 def brute(model: dict[int, Rect], window: Rect) -> tuple[int, ...]:
@@ -98,7 +98,7 @@ def tight_reach(index: PersistentIndex) -> dict:
     """What the reach is when taken from the live records alone."""
     fresh = KeyDirectory(index.curve, index.assigner.max_level)
     for level, entity in index._live.values():
-        fresh.grow(level, [(entity.eid, *entity.mbr.as_tuple(), 0)])
+        fresh.grow(level, EntityDescriptorCodec().page([(entity.eid, *entity.mbr.as_tuple(), 0)]))
     return fresh.reach
 
 

@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from itertools import islice
 from operator import itemgetter
 
 import pytest
@@ -28,29 +29,29 @@ class TestBasics:
         keys = [5, 3, 9, 1, 7, 7, 0]
         source = fill_descriptors(storage, "in", keys)
         sorter = ExternalSorter(storage)
-        result = sorter.sort(source, "out", key=lambda r: r[HKEY])
+        result = sorter.sort(source, "out", key="hkey")
         assert [r[HKEY] for r in result.output.scan()] == sorted(keys)
 
     def test_empty_input(self, storage):
         source = fill_descriptors(storage, "in", [])
-        result = ExternalSorter(storage).sort(source, "out", key=lambda r: r[HKEY])
+        result = ExternalSorter(storage).sort(source, "out", key="hkey")
         assert list(result.output.scan()) == []
         assert result.initial_runs == 0
 
     def test_single_record(self, storage):
         source = fill_descriptors(storage, "in", [42])
-        result = ExternalSorter(storage).sort(source, "out", key=lambda r: r[HKEY])
+        result = ExternalSorter(storage).sort(source, "out", key="hkey")
         assert [r[HKEY] for r in result.output.scan()] == [42]
 
     def test_output_registered_under_name(self, storage):
         source = fill_descriptors(storage, "in", [3, 1, 2])
-        ExternalSorter(storage).sort(source, "out", key=lambda r: r[HKEY])
+        ExternalSorter(storage).sort(source, "out", key="hkey")
         assert [r[HKEY] for r in storage.open_file("out").scan()] == [1, 2, 3]
 
     def test_intermediate_runs_cleaned_up(self, storage):
         source = fill_descriptors(storage, "in", list(range(500, 0, -1)))
         sorter = ExternalSorter(storage, memory_pages=2)
-        sorter.sort(source, "out", key=lambda r: r[HKEY])
+        sorter.sort(source, "out", key="hkey")
         leftovers = [f for f in storage.list_files() if f.startswith("__sort-run")]
         assert leftovers == []
 
@@ -68,8 +69,8 @@ class TestBasics:
         first = fill_descriptors(storage, "in1", [5, 3, 9])
         second = fill_descriptors(storage, "in2", [8, 2, 6, 4])
         sorter = ExternalSorter(storage)
-        sorter.sort(first, "out", key=lambda r: r[HKEY])
-        result = sorter.sort(second, "out", key=lambda r: r[HKEY])
+        sorter.sort(first, "out", key="hkey")
+        result = sorter.sort(second, "out", key="hkey")
         assert [r[HKEY] for r in result.output.scan()] == [2, 4, 6, 8]
         assert [r[HKEY] for r in storage.open_file("out").scan()] == [2, 4, 6, 8]
         leftovers = [f for f in storage.list_files() if f.startswith("__sort-run")]
@@ -81,8 +82,8 @@ class TestBasics:
             first = fill_descriptors(storage, "in1", list(range(400, 0, -1)))
             second = fill_descriptors(storage, "in2", list(range(0, 900, 2)))
             sorter = ExternalSorter(storage, memory_pages=2)
-            sorter.sort(first, "out", key=lambda r: r[HKEY])
-            result = sorter.sort(second, "out", key=lambda r: r[HKEY])
+            sorter.sort(first, "out", key="hkey")
+            result = sorter.sort(second, "out", key="hkey")
             assert [r[HKEY] for r in result.output.scan()] == list(range(0, 900, 2))
 
 
@@ -93,7 +94,7 @@ class TestMultiPass:
             random.Random(5).shuffle(keys)
             source = fill_descriptors(storage, "in", keys)
             sorter = ExternalSorter(storage, memory_pages=2)
-            result = sorter.sort(source, "out", key=lambda r: r[HKEY])
+            result = sorter.sort(source, "out", key="hkey")
             assert result.initial_runs > sorter.fan_in  # forces 2+ merge passes
             assert result.merge_passes >= 2
             assert [r[HKEY] for r in result.output.scan()] == sorted(keys)
@@ -105,13 +106,13 @@ class TestMultiPass:
             source = fill_descriptors(storage, "in", keys)
             sorter = ExternalSorter(storage, memory_pages=3)
             predicted = sorter.predicted_passes(source.num_pages)
-            result = sorter.sort(source, "out", key=lambda r: r[HKEY])
+            result = sorter.sort(source, "out", key="hkey")
             assert result.total_passes == predicted
 
     def test_fits_in_memory_single_pass(self, storage):
         source = fill_descriptors(storage, "in", [3, 1, 2])
         sorter = ExternalSorter(storage)
-        result = sorter.sort(source, "out", key=lambda r: r[HKEY])
+        result = sorter.sort(source, "out", key="hkey")
         assert result.total_passes == 1
         assert sorter.predicted_passes(source.num_pages) == 1
 
@@ -125,7 +126,7 @@ class TestMultiPass:
             storage.stats.reset()
             sorter = ExternalSorter(storage, memory_pages=4)
             with storage.stats.phase("sort"):
-                result = sorter.sort(source, "out", key=lambda r: r[HKEY])
+                result = sorter.sort(source, "out", key="hkey")
             pages = source.num_pages
             expected = 2 * result.total_passes * pages
             measured = storage.stats.phases["sort"].total_ios
@@ -150,7 +151,7 @@ class TestMergePricing:
     def test_whole_merge(self, storage):
         runs = interleaved_runs(storage, 10)
         out = storage.create_file("out")
-        ExternalSorter(storage)._merge_runs(runs, out, itemgetter(HKEY), unique=False)
+        ExternalSorter(storage)._merge_runs(runs, out, "hkey", unique=False)
         assert [r[HKEY] for r in out.scan()] == list(range(30))
         assert storage.stats.total.cpu_ops == {"compare": 30 * 2}  # ceil(log2(3+1))
 
@@ -164,7 +165,7 @@ class TestMergePricing:
             out = storage.create_file("out")
             with pytest.raises(FaultIOError):
                 ExternalSorter(storage)._merge_runs(
-                    runs, out, itemgetter(HKEY), unique=False
+                    runs, out, "hkey", unique=False
                 )
             assert storage.stats.total.cpu_ops["compare"] == 253 * 2
             assert out.num_records == 170  # the whole pages of the 253
@@ -177,6 +178,7 @@ class HeapMergeSorter(ExternalSorter):
     whose ledger the real sorter must equal."""
 
     def _form_runs(self, source, key, codec, unique):
+        key = record_key(codec, key)
         run_names, batch = [], []
         capacity = self.memory_pages * source.records_per_page
 
@@ -198,6 +200,7 @@ class HeapMergeSorter(ExternalSorter):
         return run_names
 
     def _merge_runs(self, runs, out, key, unique):
+        key = record_key(out.codec, key)
         streams = [run.scan() for run in runs]
         merged = 0
 
@@ -214,10 +217,24 @@ class HeapMergeSorter(ExternalSorter):
                     heapq.heappush(heap, (key(record), index, record))
 
         try:
-            out.extend(drop_duplicates(merge()) if unique else merge())
+            # Handed on a page's worth at a time, as ``extend`` used to
+            # consume a lazy iterable.
+            stream = drop_duplicates(merge()) if unique else merge()
+            per_page = out.records_per_page
+            while chunk := list(islice(stream, per_page - out.num_records % per_page)):
+                out.extend(chunk)
         finally:
             levels = max(1, math.ceil(math.log2(len(runs) + 1)))
             self.storage.stats.charge_cpu("compare", merged * levels)
+
+
+def record_key(codec, key):
+    """What a field key (or ``None``, the whole record) orders record
+    tuples by."""
+    if key is None:
+        return lambda record: record
+    fields = (key,) if isinstance(key, str) else key
+    return itemgetter(*(codec.dtype.names.index(field) for field in fields))
 
 
 def drop_duplicates(records):
@@ -276,14 +293,14 @@ class TestHeapMergeParity:
         codec = CandidatePairCodec()
         records = [(k, i % 3) for i, k in enumerate(keys)]
         args = (records, codec, page_records * codec.record_size, pool, memory,
-                itemgetter(0), unique)
+                "a", unique)
         expected = traced_sort(HeapMergeSorter, *args)
         assert traced_sort(ExternalSorter, *args) == expected
 
     def test_descriptors_through_several_merge_passes(self):
         keys = [random.Random(3).randrange(500) for _ in range(3000)]
         records = [(i, 0.0, 0.0, 0.0, 0.0, k) for i, k in enumerate(keys)]
-        args = (records, EntityDescriptorCodec(), 4096, 4, 3, itemgetter(HKEY), False)
+        args = (records, EntityDescriptorCodec(), 4096, 4, 3, "hkey", False)
         expected = traced_sort(HeapMergeSorter, *args)
         assert expected[3] >= 2
         assert traced_sort(ExternalSorter, *args) == expected
@@ -293,9 +310,9 @@ class TestDuplicateElimination:
     def test_unique_drops_duplicates(self, storage):
         pairs = [(1, 2), (3, 4), (1, 2), (5, 6), (3, 4), (1, 2)]
         handle = storage.create_file("pairs", CandidatePairCodec())
-        handle.append_many(pairs)
+        handle.extend(pairs)
         sorter = ExternalSorter(storage)
-        result = sorter.sort(handle, "out", key=lambda r: r, unique=True)
+        result = sorter.sort(handle, "out", key=None, unique=True)
         assert list(result.output.scan()) == [(1, 2), (3, 4), (5, 6)]
 
     def test_unique_across_runs(self):
@@ -305,14 +322,14 @@ class TestDuplicateElimination:
             for i in range(1000):
                 handle.append((i % 97, (i * 31) % 97))
             sorter = ExternalSorter(storage, memory_pages=2)
-            result = sorter.sort(handle, "out", key=lambda r: r, unique=True)
+            result = sorter.sort(handle, "out", key=None, unique=True)
             records = list(result.output.scan())
             assert records == sorted(set(records))
 
     def test_non_unique_keeps_duplicates(self, storage):
         handle = storage.create_file("pairs", CandidatePairCodec())
-        handle.append_many([(1, 2), (1, 2)])
-        result = ExternalSorter(storage).sort(handle, "out", key=lambda r: r)
+        handle.extend([(1, 2), (1, 2)])
+        result = ExternalSorter(storage).sort(handle, "out", key=None)
         assert list(result.output.scan()) == [(1, 2), (1, 2)]
 
 
@@ -323,7 +340,7 @@ class TestProperties:
         with StorageManager(StorageConfig(buffer_pages=16)) as storage:
             source = fill_descriptors(storage, "in", keys)
             sorter = ExternalSorter(storage, memory_pages=2)
-            result = sorter.sort(source, "out", key=lambda r: r[HKEY])
+            result = sorter.sort(source, "out", key="hkey")
             assert [r[HKEY] for r in result.output.scan()] == sorted(keys)
 
     @given(st.lists(st.integers(0, 50), max_size=200))
@@ -331,9 +348,9 @@ class TestProperties:
     def test_unique_output_is_sorted_set(self, keys):
         with StorageManager(StorageConfig(buffer_pages=16)) as storage:
             handle = storage.create_file("pairs", CandidatePairCodec())
-            handle.append_many((k, k) for k in keys)
+            handle.extend((k, k) for k in keys)
             sorter = ExternalSorter(storage, memory_pages=2)
-            result = sorter.sort(handle, "out", key=lambda r: r, unique=True)
+            result = sorter.sort(handle, "out", key=None, unique=True)
             assert list(result.output.scan()) == sorted({(k, k) for k in keys})
 
 

@@ -3,12 +3,18 @@ paged files, ledger, and cost models."""
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.faults.plan import FaultPlan
+from repro.faults.errors import TornWriteError
+from repro.faults.inject import FaultInjectingBackend
+from repro.faults.plan import FaultPlan, ScheduledFault
 from repro.faults.retry import RetryPolicy
+from repro.geometry.entity import Entity
+from repro.geometry.rect import Rect
+from repro.service.index import PersistentIndex
 from repro.storage.backend import BackendClosedError, MemoryBackend
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.costs import CostModel, CpuModel, DiskModel
@@ -16,12 +22,15 @@ from repro.storage.durable import CrashPoint, DurableBackend, SimulatedCrash
 from repro.storage.iostats import IOStats, PhaseStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import (
+    DESCRIPTOR,
+    PAIR,
     CandidatePairCodec,
     EntityDescriptorCodec,
-    StructCodec,
+    RecordCodec,
 )
 
 RECORD = (1, 0.1, 0.1, 0.2, 0.2, 0)
+DESCRIPTORS = EntityDescriptorCodec()
 
 
 class TestCodecs:
@@ -44,8 +53,10 @@ class TestCodecs:
             EntityDescriptorCodec().records_per_page(32)
 
     def test_struct_codec_generic(self):
-        codec = StructCodec("<id")
+        codec = RecordCodec("<i4,<f8")
+        assert codec.record_size == 12
         assert codec.decode(codec.encode((1, 2.5))) == (1, 2.5)
+        assert codec.decode_page(codec.encode_page([(1, 2.5)]), 1).tolist() == [(1, 2.5)]
 
     @staticmethod
     def check_page(codec, records):
@@ -54,16 +65,21 @@ class TestCodecs:
         back, whatever padding follows them."""
         data = codec.encode_page(records)
         assert data == b"".join(map(codec.encode, records))
-        assert codec.decode_page(data, len(records)) == records
-        assert codec.decode_page(data + b"\x00" * 17, len(records)) == records
-        assert [codec.encode(r) for r in codec.decode_page(data, len(records))] == [
+        page = codec.decode_page(data, len(records))
+        assert page.dtype == codec.dtype and not page.flags.writeable
+        assert page.tolist() == records
+        assert codec.decode_page(data + b"\x00" * 17, len(records)).tolist() == records
+        assert [codec.encode(r) for r in page.tolist()] == [
             codec.encode(r) for r in records
         ]  # bit-exact, the sign of a zero included
 
     INT64 = st.integers(-(2**63), 2**63 - 1)
     FLOAT = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308])
-    DESCRIPTOR = st.tuples(INT64, FLOAT, FLOAT, FLOAT, FLOAT, st.integers(0, 2**64 - 1))
-    EXTREME = (-(2**63), -0.0, 5e-324, float("inf"), 1.7976931348623157e308, 2**64 - 1)
+    DESCRIPTOR = st.tuples(INT64, FLOAT, FLOAT, FLOAT, FLOAT, INT64)
+    EXTREME = (-(2**63), -0.0, 5e-324, float("inf"), 1.7976931348623157e308, 2**63 - 1)
+    # Curve keys are non-negative: where the field was uint64 they are
+    # the same 8 bytes.
+    KEYED = st.tuples(INT64, FLOAT, FLOAT, FLOAT, FLOAT, st.integers(0, 2**63 - 1))
 
     @given(st.lists(DESCRIPTOR, max_size=85))
     @example([])
@@ -82,10 +98,37 @@ class TestCodecs:
     def test_short_page_raises_like_a_short_record(self):
         codec = CandidatePairCodec()
         data = codec.encode_page([(1, 2), (3, 4)])
-        with pytest.raises(struct.error):
+        with pytest.raises(ValueError):
             codec.decode_page(data[:16], 2)
-        with pytest.raises(struct.error):
+        with pytest.raises(ValueError):
             codec.decode_page(data[:20], 2)
+        with pytest.raises(struct.error):
+            codec.decode(data[:12])
+
+    @given(st.lists(KEYED, max_size=85), st.lists(st.tuples(INT64, INT64), max_size=256))
+    @example([EXTREME[:5] + (2**63 - 1,)], [(-(2**63), 2**63 - 1)])
+    def test_page_bytes_are_the_struct_layout(self, descriptors, pairs):
+        """A page's bytes are those the ``<qddddQ`` / ``<qq`` record
+        formats give, back to back — what a durable store written before
+        pages were arrays holds, so such a store still decodes."""
+        for dtype, fmt, records in ((DESCRIPTOR, "<qddddQ", descriptors), (PAIR, "<qq", pairs)):
+            expected = b"".join(struct.pack(fmt, *record) for record in records)
+            page = np.array(records, dtype=dtype)
+            assert page.tobytes() == expected
+            assert RecordCodec(dtype).decode_page(expected, len(records)).tolist() == records
+
+    def test_journal_notes_keep_their_bytes(self, tmp_path):
+        """``I`` + the 48 ``<qddddQ`` bytes, ``D`` + the ``<q`` id: the
+        notes a journal written before pages were arrays holds."""
+        box = Rect(0.25, 0.5, 0.375, 0.625)
+        with PersistentIndex([Entity.from_geometry(1, box)], data_dir=str(tmp_path)) as index:
+            index.insert(Entity.from_geometry(2, box))
+            index.delete(1)
+            key = index.curve.key_of_normalized(*box.center)
+            assert index._backend().journal()[1:] == [
+                b"I" + struct.pack("<qddddQ", 2, *box.as_tuple(), key),
+                b"D" + struct.pack("<q", 1),
+            ]
 
 
 STACKS = (
@@ -127,23 +170,42 @@ class TestBackends:
         codec = EntityDescriptorCodec()
         backend.create_file("f", codec, 4096)
         records = [(i, 0.1, 0.2, 0.3, 0.4, i * 7) for i in range(10)]
-        backend.write_page("f", 0, records)
-        assert backend.read_page("f", 0) == records
+        backend.write_page("f", 0, codec.page(records))
+        page = backend.read_page("f", 0)
+        assert page.dtype == DESCRIPTOR and page.tolist() == records
+
+    def test_read_page_is_not_writeable(self, backend):
+        codec = CandidatePairCodec()
+        backend.create_file("f", codec, 4096)
+        backend.write_page("f", 0, codec.page([(1, 2), (3, 4)]))
+        page = backend.read_page("f", 0)
+        assert not page.flags.writeable
+        with pytest.raises(ValueError):
+            page["a"][0] = 9
+        assert backend.read_page("f", 0).tolist() == [(1, 2), (3, 4)]
+
+    def test_written_array_is_not_aliased(self, backend):
+        codec = CandidatePairCodec()
+        backend.create_file("f", codec, 4096)
+        written = np.array([(1, 2), (3, 4)], dtype=PAIR)
+        backend.write_page("f", 0, written)
+        written["a"] = 99  # the caller's array, after the write returned
+        assert backend.read_page("f", 0).tolist() == [(1, 2), (3, 4)]
 
     def test_overwrite_page(self, backend):
         codec = CandidatePairCodec()
         backend.create_file("f", codec, 4096)
-        backend.write_page("f", 0, [(1, 2)])
-        backend.write_page("f", 0, [(3, 4), (5, 6)])
-        assert backend.read_page("f", 0) == [(3, 4), (5, 6)]
+        backend.write_page("f", 0, codec.page([(1, 2)]))
+        backend.write_page("f", 0, codec.page([(3, 4), (5, 6)]))
+        assert backend.read_page("f", 0).tolist() == [(3, 4), (5, 6)]
 
     def test_out_of_order_page_writes(self, backend):
         codec = CandidatePairCodec()
         backend.create_file("f", codec, 4096)
-        backend.write_page("f", 3, [(3, 3)])
-        backend.write_page("f", 1, [(1, 1)])
-        assert backend.read_page("f", 3) == [(3, 3)]
-        assert backend.read_page("f", 1) == [(1, 1)]
+        backend.write_page("f", 3, codec.page([(3, 3)]))
+        backend.write_page("f", 1, codec.page([(1, 1)]))
+        assert backend.read_page("f", 3).tolist() == [(3, 3)]
+        assert backend.read_page("f", 1).tolist() == [(1, 1)]
 
     def test_missing_page_raises(self, backend):
         backend.create_file("f", EntityDescriptorCodec(), 4096)
@@ -158,7 +220,7 @@ class TestBackends:
     def test_delete_then_recreate(self, backend):
         codec = CandidatePairCodec()
         backend.create_file("f", codec, 4096)
-        backend.write_page("f", 0, [(1, 2)])
+        backend.write_page("f", 0, codec.page([(1, 2)]))
         backend.delete_file("f")
         backend.create_file("f", codec, 4096)
         with pytest.raises(ValueError):
@@ -167,9 +229,9 @@ class TestBackends:
     def test_rename_moves_pages(self, backend):
         codec = CandidatePairCodec()
         backend.create_file("old", codec, 4096)
-        backend.write_page("old", 0, [(1, 2)])
+        backend.write_page("old", 0, codec.page([(1, 2)]))
         backend.rename_file("old", "new")
-        assert backend.read_page("new", 0) == [(1, 2)]
+        assert backend.read_page("new", 0).tolist() == [(1, 2)]
         with pytest.raises(FileNotFoundError):
             backend.rename_file("old", "elsewhere")
 
@@ -184,31 +246,44 @@ class TestBackends:
         codec = CandidatePairCodec()
         backend.create_file("f", codec, 4096)
         full = [(i, i) for i in range(codec.records_per_page(4096))]
-        backend.write_page("f", 0, full)
+        backend.write_page("f", 0, codec.page(full))
         with pytest.raises(ValueError):
-            backend.write_page("f", 1, full + [(0, 0)])
-        assert backend.read_page("f", 0) == full
+            backend.write_page("f", 1, codec.page(full + [(0, 0)]))
+        assert backend.read_page("f", 0).tolist() == full
 
     def test_close_is_idempotent(self, backend):
         backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [RECORD])
+        backend.write_page("f", 0, DESCRIPTORS.page([RECORD]))
         backend.close()
         backend.close()  # must not raise
 
     def test_operations_on_closed_backend_raise(self, backend):
         backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [RECORD])
+        backend.write_page("f", 0, DESCRIPTORS.page([RECORD]))
         backend.close()
         with pytest.raises(BackendClosedError):
             backend.read_page("f", 0)
         with pytest.raises(BackendClosedError):
-            backend.write_page("f", 0, [RECORD])
+            backend.write_page("f", 0, DESCRIPTORS.page([RECORD]))
         with pytest.raises(BackendClosedError):
             backend.create_file("g", EntityDescriptorCodec(), 4096)
         with pytest.raises(BackendClosedError):
             backend.delete_file("f")
         with pytest.raises(BackendClosedError):
             backend.rename_file("f", "g")
+
+    def test_a_torn_write_is_loud_on_read(self, manager):
+        """Under the fault layer a torn page never reads back as data:
+        the shadow holds the intended page's bytes."""
+        torn = FaultPlan(schedule=(ScheduledFault(op="write", kind="torn", last=1),))
+        backend = FaultInjectingBackend(manager.physical_backend(), torn)
+        codec = CandidatePairCodec()
+        backend.create_file("f", codec, 4096)
+        backend.write_page("f", 0, codec.page([(1, 2), (3, 4)]))
+        with pytest.raises(TornWriteError, match="intended 2"):
+            backend.read_page("f", 0)
+        backend.write_page("f", 0, codec.page([(5, 6)]))  # a full write heals it
+        assert backend.read_page("f", 0).tolist() == [(5, 6)]
 
     def test_journal_order_and_reset(self, manager, backend):
         """Only a medium that outlives the process keeps notes: memory
@@ -228,13 +303,14 @@ class TestBackends:
         reset (automatic here: ``checkpoint_bytes`` is tiny) cannot drop
         them; a reset note drops its predecessors and nothing else."""
         store = DurableBackend(tmp_path, page_size=4096, checkpoint_bytes=256)
-        store.create_file("f", CandidatePairCodec(), 4096)
+        pairs = CandidatePairCodec()
+        store.create_file("f", pairs, 4096)
         store.journal_append(b"dropped by the reset")
-        store.write_page("f", 0, [(1, 2)])  # > 256 bytes of log: checkpoint
+        store.write_page("f", 0, pairs.page([(1, 2)]))  # > 256 bytes of log: checkpoint
         store.journal_append(b"manifest", reset=True)
         for i in range(5):
             store.journal_append(b"note %d" % i)
-            store.write_page("f", i, [(i, i)])
+            store.write_page("f", i, pairs.page([(i, i)]))
         expected = [b"manifest"] + [b"note %d" % i for i in range(5)]
         assert store.journal() == expected
         store.close()
@@ -280,7 +356,7 @@ class TestBufferPool:
 
     def test_miss_then_hit(self):
         pool, backend, stats = self.make_pool()
-        backend.write_page("f", 0, [(1, 0.0, 0.0, 0.0, 0.0, 0)])
+        backend.write_page("f", 0, DESCRIPTORS.page([(1, 0.0, 0.0, 0.0, 0.0, 0)]))
         pool.fetch("f", 0)
         pool.unpin("f", 0)
         pool.fetch("f", 0)
@@ -291,14 +367,14 @@ class TestBufferPool:
     def test_eviction_writes_dirty(self):
         pool, backend, stats = self.make_pool(capacity=2)
         frame = pool.create("f", 0)
-        frame.records.append((1, 0.0, 0.0, 0.0, 0.0, 0))
+        frame.records = DESCRIPTORS.page([(1, 0.0, 0.0, 0.0, 0.0, 0)])
         pool.unpin("f", 0, dirty=True)
         pool.create("f", 1)
         pool.unpin("f", 1, dirty=True)
         pool.create("f", 2)  # evicts page 0
         pool.unpin("f", 2, dirty=True)
         assert stats.total.page_writes == 1
-        assert backend.read_page("f", 0) == [(1, 0.0, 0.0, 0.0, 0.0, 0)]
+        assert backend.read_page("f", 0).tolist() == [(1, 0.0, 0.0, 0.0, 0.0, 0)]
 
     def test_pinned_pages_not_evicted(self):
         pool, _, _ = self.make_pool(capacity=2)
@@ -317,10 +393,10 @@ class TestBufferPool:
     def test_flush_clears_dirty_without_evicting(self):
         pool, backend, stats = self.make_pool()
         frame = pool.create("f", 0)
-        frame.records.append((9, 0.0, 0.0, 0.0, 0.0, 0))
+        frame.records = DESCRIPTORS.page([(9, 0.0, 0.0, 0.0, 0.0, 0)])
         pool.unpin("f", 0, dirty=True)
         pool.flush()
-        assert backend.read_page("f", 0)
+        assert len(backend.read_page("f", 0)) == 1
         assert len(pool) == 1
         pool.flush()  # second flush writes nothing
         assert stats.total.page_writes == 1
@@ -341,7 +417,7 @@ class TestBufferPool:
     def test_write_behind_flushes_and_drops(self):
         pool, backend, stats = self.make_pool()
         frame = pool.create("f", 0)
-        frame.records.append((1, 0.0, 0.0, 0.0, 0.0, 0))
+        frame.records = DESCRIPTORS.page([(1, 0.0, 0.0, 0.0, 0.0, 0)])
         pool.unpin("f", 0, dirty=True)
         pool.write_behind("f", 0)
         assert len(pool) == 0
@@ -358,7 +434,7 @@ class TestPagedFile:
     def test_append_and_scan(self, storage):
         handle = storage.create_file("data")
         records = [(i, 0.0, 0.0, 1.0, 1.0, i) for i in range(200)]
-        handle.append_many(records)
+        handle.extend(records)
         assert list(handle.scan()) == records
         assert handle.num_records == 200
         assert handle.num_pages == 3  # 85 per page
@@ -371,7 +447,7 @@ class TestPagedFile:
 
     def test_scan_pages_shape(self, storage):
         handle = storage.create_file("data")
-        handle.append_many((i, 0.0, 0.0, 0.0, 0.0, 0) for i in range(90))
+        handle.extend((i, 0.0, 0.0, 0.0, 0.0, 0) for i in range(90))
         pages = list(handle.scan_pages())
         assert [len(p) for p in pages] == [85, 5]
 
@@ -424,7 +500,7 @@ class TestStorageManager:
 
     def test_rename_is_metadata_only(self, storage):
         handle = storage.create_file("old")
-        handle.append_many((i, 0.1, 0.1, 0.2, 0.2, i) for i in range(200))
+        handle.extend((i, 0.1, 0.1, 0.2, 0.2, i) for i in range(200))
         handle.flush()
         before = storage.stats.snapshot()
         renamed = storage.rename_file("old", "new")
@@ -560,48 +636,11 @@ class TestCostModels:
         assert CpuModel().op_costs["hilbert"] == pytest.approx(10e-6)
 
 
-class TestPageDirtyDetection:
-    """The pool's ``page()`` context manager detects dirtiness by value
-    comparison against an entry snapshot (not identity)."""
-
-    def make_pool(self):
-        backend = MemoryBackend()
-        backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [(1, 0.0, 0.0, 0.0, 0.0, 0)])
-        stats = IOStats()
-        return BufferPool(backend, 3, stats), backend, stats
-
-    def test_in_place_mutation_marks_dirty(self):
-        pool, backend, _ = self.make_pool()
-        with pool.page("f", 0) as records:
-            records[0] = (1, 9.0, 9.0, 9.0, 9.0, 0)  # replace in place
-        pool.invalidate()
-        assert backend.read_page("f", 0) == [(1, 9.0, 9.0, 9.0, 9.0, 0)]
-
-    def test_append_and_delete_mark_dirty(self):
-        pool, backend, stats = self.make_pool()
-        with pool.page("f", 0) as records:
-            records.append((2, 1.0, 1.0, 2.0, 2.0, 0))
-        pool.invalidate()
-        assert len(backend.read_page("f", 0)) == 2
-        with pool.page("f", 0) as records:
-            del records[0]
-        pool.invalidate()
-        assert backend.read_page("f", 0) == [(2, 1.0, 1.0, 2.0, 2.0, 0)]
-
-    def test_equal_value_rewrite_stays_clean(self):
-        pool, _, stats = self.make_pool()
-        with pool.page("f", 0) as records:
-            records[0] = (1, 0.0, 0.0, 0.0, 0.0, 0)  # same value, new tuple
-        pool.invalidate()
-        assert stats.total.page_writes == 0
-
-
 class TestRelease:
     def make_pool(self, capacity=3):
         backend = MemoryBackend()
         backend.create_file("f", EntityDescriptorCodec(), 4096)
-        backend.write_page("f", 0, [(1, 0.0, 0.0, 0.0, 0.0, 0)])
+        backend.write_page("f", 0, DESCRIPTORS.page([(1, 0.0, 0.0, 0.0, 0.0, 0)]))
         stats = IOStats()
         return BufferPool(backend, capacity, stats), backend, stats
 
@@ -618,7 +657,7 @@ class TestRelease:
         frame = pool.fetch("f", 0)  # pinned
         pool.release("f", 0)
         assert len(pool) == 1
-        frame.records.append((2, 0.0, 0.0, 0.0, 0.0, 0))
+        frame.records = DESCRIPTORS.page([(1, 0.0, 0.0, 0.0, 0.0, 0), (2, 0.0, 0.0, 0.0, 0.0, 0)])
         pool.unpin("f", 0, dirty=True)
         pool.release("f", 0)  # dirty: must not be lost
         assert len(pool) == 1

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from repro.storage.iostats import IOStats
 from repro.storage.costs import sort_comparison_count
+from repro.storage.records import EntityDescriptorCodec, concat_pages
 from repro.sweep.plane_sweep import (
     scalar_sweep_intersections,
-    sorted_columns,
     sweep_intersections,
     sweep_self_intersections,
     x_sorted,
@@ -32,11 +32,16 @@ def by_xlo(records):
     return sorted(records, key=lambda r: r[1])
 
 
+def sorted_rows(records, stats=None):
+    """Records as a descriptor page ordered by xlo."""
+    return x_sorted(EntityDescriptorCodec().page(records), stats)
+
+
 def bulk_sweep(left, right, stats=None):
     """The bulk entry point over record lists."""
     return sweep_intersections(
-        sorted_columns(left, stats), sorted_columns(right, stats), stats=stats
-    )
+        sorted_rows(left, stats), sorted_rows(right, stats), stats=stats
+    ).tolist()
 
 
 def scalar_sweep(left, right, stats=None):
@@ -214,20 +219,20 @@ class TestEquivalence:
             found = scalar_sweep_intersections(by_xlo(page), by_xlo(records), scalar_stats)
             one_by_one.update((a[0], b[0]) for a, b in found)
         at_once = sweep_intersections(
-            sorted_columns(page),
-            x_sorted(*(sorted_columns(records) for records in open_pages)),
+            sorted_rows(page),
+            x_sorted(concat_pages([sorted_rows(records) for records in open_pages])),
             stats=bulk_stats,
         )
-        assert Counter(at_once) == one_by_one
+        assert Counter(at_once.tolist()) == one_by_one
         assert bulk_stats.total.cpu_ops == scalar_stats.total.cpu_ops
 
     def test_entity_ids_never_pass_through_a_float(self):
         big = 2**62 + 1  # not representable in float64
         found = sweep_intersections(
-            sorted_columns([rec(big, 0.0, 0.0, 0.5, 0.5)]),
-            sorted_columns([rec(-big, 0.5, 0.5, 1.0, 1.0)]),
+            sorted_rows([rec(big, 0.0, 0.0, 0.5, 0.5)]),
+            sorted_rows([rec(-big, 0.5, 0.5, 1.0, 1.0)]),
         )
-        assert found == [(big, -big)]
+        assert found.tolist() == [(big, -big)]
 
 
 class TestSelfSweep:

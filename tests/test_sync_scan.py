@@ -11,6 +11,7 @@ from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import LevelAssigner
 from repro.geometry.rect import Rect
 from repro.storage.manager import StorageConfig, StorageManager
+from repro.storage.records import PAIR
 
 ORDER = 10
 CURVE = HilbertCurve(order=ORDER)
@@ -30,7 +31,7 @@ def build_level_files(storage, tag, rects, start_eid=0):
     for level, records in by_level.items():
         records.sort(key=lambda r: r[5])
         handle = storage.create_file(f"{tag}-L{level}")
-        handle.append_many(records)
+        handle.extend(records)
         files[level] = handle
     storage.phase_boundary()
     return files
@@ -57,10 +58,11 @@ def brute(rects_a, rects_b):
 
 def collect(seen):
     """A pair sink: the scan hands it one arriving page's pairs at a
-    time, ``(eid from A, eid from B)``, never an empty list."""
+    time, a ``PAIR`` array of ``(eid from A, eid from B)``, never an
+    empty one."""
     def on_pairs(found):
-        assert found
-        seen.extend(found)
+        assert found.dtype == PAIR and len(found)
+        seen.extend(found.tolist())
     return on_pairs
 
 

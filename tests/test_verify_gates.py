@@ -18,7 +18,7 @@ from repro.service.api import BreakerState, QueryOutcome
 from repro.service.index import PersistentIndex, _sort_key
 from repro.storage import wal
 from repro.storage.durable import DurableBackend
-from repro.storage.records import EID
+from repro.storage.records import EID, EntityDescriptorCodec
 from repro.verify import (
     Report,
     cases_by_name,
@@ -33,6 +33,8 @@ from repro.verify import (
 from repro.verify.crash import run_crash_case
 from repro.verify.executors import ExecutorSpec
 from repro.verify.scenario import classify
+
+DESCRIPTORS = EntityDescriptorCodec()
 
 
 def lose_every_third_insert(monkeypatch):
@@ -59,7 +61,7 @@ def filter_tombstones_after_the_merge(monkeypatch):
         base = handle.scan() if handle is not None else ()
         merged = heapq.merge(base, self._delta.get(level, ()), key=_sort_key)
         dead = self._tombstones.get(level, ())
-        yield [record for record in merged if record[EID] not in dead]
+        yield DESCRIPTORS.page([record for record in merged if record[EID] not in dead])
 
     monkeypatch.setattr(PersistentIndex, "level_pages", level_pages)
 
