@@ -145,7 +145,7 @@ async def drive(entities: int, clients: int, ops: int) -> tuple[dict, list[str]]
 
     # The service run renders through the same observatory as a batch
     # join: the ledger's phase buckets become the metrics, the event
-    # log becomes the timeline/analytics.
+    # log becomes the event census.
     metrics = JoinMetrics(
         algorithm="service",
         phase_names=("load", "query", "compaction"),

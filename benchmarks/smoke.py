@@ -8,11 +8,10 @@ trace-event document, then leaves the JSON artifacts for CI to upload::
 
     python -m benchmarks.smoke --out-dir bench-artifacts --scale 0.05
 
-With ``--workers N`` (default 2) the run also exercises the execution
-observatory: an instrumented sharded join with the event log streaming
-to JSONL, whose report must carry a populated event stream and
-straggler analytics (one Gantt lane per shard, an imbalance factor),
-rendered through ``repro report`` both as terminal timeline and as the
+The run also exercises the execution observatory: one instrumented S3J
+join with the event log streaming to JSONL, whose report must carry
+every Table-2 phase and the same event stream that was streamed,
+rendered through ``repro report`` both as terminal view and as the
 self-contained HTML artifact CI uploads.
 
 Exits nonzero when a report is missing a phase (or anything else is
@@ -28,8 +27,6 @@ import sys
 from pathlib import Path
 
 from repro.cli import main as repro_main
-from repro.experiments.runner import run_algorithm
-from repro.experiments.workloads import workload_by_name
 from repro.obs.events import events_from_jsonl
 from repro.obs.report import TABLE2_PHASES, RunReport
 
@@ -80,43 +77,13 @@ def run_one(algorithm: str, out_dir: Path, scale: float) -> list[str]:
     return failures
 
 
-def run_sharded(algorithm: str, scale: float) -> list[str]:
-    """Run one 2-worker sharded join; fail on any divergence from the
-    serial pair set (count alone could mask compensating errors)."""
-    workload = workload_by_name(WORKLOAD)
-    dataset_a, dataset_b = workload.datasets(scale)
-    predicate = workload.predicate()
-    serial = run_algorithm(
-        dataset_a, dataset_b, algorithm, predicate=predicate, scale=scale
-    )
-    sharded = run_algorithm(
-        dataset_a, dataset_b, algorithm, predicate=predicate, scale=scale, workers=2
-    )
-    failures: list[str] = []
-    if sharded.result.pairs != serial.result.pairs:
-        failures.append(
-            f"{algorithm}: sharded (--workers 2) found "
-            f"{len(sharded.result.pairs)} pairs, serial found "
-            f"{len(serial.result.pairs)}"
-        )
-    plan = sharded.result.metrics.details.get("plan")
-    if not plan or plan["tasks"] < 1:
-        failures.append(f"{algorithm}: sharded run reports no shard plan")
-    print(
-        f"sharded {algorithm}: {len(sharded.result.pairs):,} pairs over "
-        f"{plan['tasks'] if plan else 0} sub-joins (= serial: "
-        f"{sharded.result.pairs == serial.result.pairs})"
-    )
-    return failures
-
-
-def run_observatory(out_dir: Path, scale: float, workers: int) -> list[str]:
-    """One sharded instrumented run through the execution observatory.
+def run_observatory(out_dir: Path, scale: float) -> list[str]:
+    """One instrumented run through the execution observatory.
 
     Streams the event log to JSONL, then requires the report to carry
-    the event stream and straggler analytics (one lane per shard, an
-    imbalance factor), and renders it with ``repro report`` — terminal
-    view to stdout, HTML artifact for CI to upload.
+    every Table-2 phase of S3J and the streamed events, and renders it
+    with ``repro report`` — terminal view to stdout, HTML artifact for
+    CI to upload.
     """
     report_path = out_dir / "smoke_observatory.report.json"
     events_path = out_dir / "smoke_observatory.events.jsonl"
@@ -130,8 +97,6 @@ def run_observatory(out_dir: Path, scale: float, workers: int) -> list[str]:
             WORKLOAD,
             "--scale",
             str(scale),
-            "--workers",
-            str(workers),
             "--report",
             str(report_path),
             "--events",
@@ -143,31 +108,18 @@ def run_observatory(out_dir: Path, scale: float, workers: int) -> list[str]:
 
     failures: list[str] = []
     report = RunReport.load(str(report_path))
+    for phase in TABLE2_PHASES["s3j"]:
+        if phase not in report.metrics.phases:
+            failures.append(f"observatory: report is missing phase {phase!r}")
     if not report.events:
         failures.append("observatory: report carries no events")
     stream = events_from_jsonl(events_path.read_text(encoding="utf-8"))
-    if len(stream) != len(report.events):
+    if stream != report.events:
         failures.append(
             f"observatory: streamed {len(stream)} events but the report "
-            f"carries {len(report.events)}"
+            f"carries {len(report.events)} different ones"
         )
-    analytics = report.analytics or {}
-    plan = report.metrics.details.get("plan") or {}
-    lanes = analytics.get("shards") or []
-    if plan.get("tasks") and len(lanes) != plan["tasks"]:
-        failures.append(
-            f"observatory: {len(lanes)} Gantt lanes for "
-            f"{plan['tasks']} shards"
-        )
-    if not analytics.get("imbalance_factor"):
-        failures.append("observatory: analytics has no imbalance factor")
-    if analytics.get("workers") != workers:
-        failures.append(
-            f"observatory: analytics says {analytics.get('workers')} "
-            f"workers, ran with {workers}"
-        )
-
-    # Render: terminal timeline to stdout, HTML artifact for upload.
+    # Render: terminal view to stdout, HTML artifact for upload.
     for render_args in (
         [str(report_path)],
         [str(report_path), "--html", str(html_path)],
@@ -176,7 +128,7 @@ def run_observatory(out_dir: Path, scale: float, workers: int) -> list[str]:
         if code != 0:
             failures.append(f"observatory: repro report exited with {code}")
     html = html_path.read_text(encoding="utf-8") if html_path.exists() else ""
-    for probe in ("Shard Gantt lanes", "imbalance factor", "Span flame view"):
+    for probe in ("<h2>Phases</h2>", "Span flame view"):
         if probe not in html:
             failures.append(f"observatory: HTML report is missing {probe!r}")
     return failures
@@ -186,12 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="bench-artifacts")
     parser.add_argument("--scale", type=float, default=0.05)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count of the observatory run (0 skips it)",
-    )
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
@@ -200,10 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     for algorithm in sorted(TABLE2_PHASES):
         print(f"=== smoke: {algorithm} ===")
         failures.extend(run_one(algorithm, out_dir, args.scale))
-        failures.extend(run_sharded(algorithm, args.scale))
-    if args.workers > 0:
-        print(f"=== smoke: observatory ({args.workers} workers) ===")
-        failures.extend(run_observatory(out_dir, args.scale, args.workers))
+    print("=== smoke: observatory ===")
+    failures.extend(run_observatory(out_dir, args.scale))
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -21,20 +21,18 @@ artifact paths are validated up front — a bad combination (``--trace
 exits 2 with a clear message *before* the join runs.
 
 `report` renders a saved RunReport: the terminal view (phase table,
-shard Gantt lanes, straggler analytics) and, with ``--html``, a
-self-contained HTML report.  `table3` and `table4` regenerate the
-paper's tables; ``table4 --json`` emits the rows as JSON.  `verify`
-runs the differential correctness harness (:mod:`repro.verify`) —
-every registered algorithm plus a sharded run, cross-checked against
-the brute-force oracle under metamorphic transforms and ledger
-invariants — and exits non-zero on any divergence.
+event counts) and, with ``--html``, a self-contained HTML report.
+`table3` and `table4` regenerate the paper's tables; ``table4 --json``
+emits the rows as JSON.  `verify` runs the differential correctness
+harness (:mod:`repro.verify`) — every registered algorithm and the
+memory-mode engine, cross-checked against the brute-force oracle under
+metamorphic transforms and ledger invariants — and exits non-zero on
+any divergence.
 
 Fault tolerance (DESIGN.md section 11): ``join --retry-attempts`` /
-``--retry-backoff`` install the retrying storage layer,
-``join --inject-crash cell-0 --workers 2`` kills a shard's first worker
-attempt to exercise recovery, and ``verify --chaos --cases N`` reruns
-the harness under N sampled fault plans asserting the
-correct/typed-failure/partial trichotomy.
+``--retry-backoff`` install the retrying storage layer, and ``verify
+--chaos --cases N`` reruns the harness under N sampled fault plans
+asserting that every run ends correct or as a typed failure.
 
 The long-lived service (DESIGN.md section 15): `serve` starts the
 JSON-lines TCP front-end over a resident :class:`PersistentIndex`
@@ -53,7 +51,6 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from repro.curves.base import DEFAULT_ORDER
 from repro.datagen.paper import default_scale, table3_rows
 from repro.experiments.runner import run_algorithm
 from repro.experiments.table4 import format_table4, table4_rows
@@ -66,7 +63,7 @@ if TYPE_CHECKING:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (worker counts)."""
+    """argparse type: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -74,20 +71,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be at least 1 (got {value})"
-        )
-    return value
-
-
-def _shard_level(text: str) -> int:
-    """argparse type: a Filter-Tree shard level within the curve order."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if not 1 <= value <= DEFAULT_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"shard level must be between 1 and {DEFAULT_ORDER} "
-            f"(the curve order), got {value}"
         )
     return value
 
@@ -146,18 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: a temporary directory)",
     )
     join.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="run the join sharded by Hilbert range on N worker processes",
-    )
-    join.add_argument(
-        "--shard-level",
-        type=_shard_level,
-        default=None,
-        help="Filter-Tree level k of the 4^k shard grid (default: from --workers)",
-    )
-    join.add_argument(
         "--retry-attempts",
         type=_positive_int,
         default=None,
@@ -170,27 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="base backoff of the retry layer (simulated; default 0.005)",
-    )
-    join.add_argument(
-        "--inject-crash",
-        default=None,
-        metavar="SHARDS",
-        help="comma-separated shard ids whose first worker attempt dies "
-        "(e.g. cell-0); needs --workers > 1 or --shard-level",
-    )
-    join.add_argument(
-        "--crash-attempts",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="with --inject-crash: kill the first N attempts of each "
-        "listed shard (N > retry budget leaves the shard dead)",
-    )
-    join.add_argument(
-        "--partial-results",
-        action="store_true",
-        help="on a sharded run, return the completed shards' pairs when "
-        "some shards stay dead (declared partial; exits non-zero)",
     )
     join.add_argument(
         "--report",
@@ -209,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="stream the structured event log to a JSONL file live "
-        "(tail -f it to watch shard lifecycle while the run is in flight)",
+        "(tail -f it to watch the run's phases while it is in flight)",
     )
     _add_scale(join)
 
@@ -248,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="chaos mode: rerun the harness under sampled fault plans "
-        "and assert the correct/typed-failure/partial trichotomy",
+        "and assert every run ends correct or as a typed failure",
     )
     mode.add_argument(
         "--cross-mode",
         action="store_true",
         help="cross-mode parity: run every workload through ledger mode "
-        "and memory mode (serial and sharded) and require identical "
-        "pair sets, all equal to the brute-force oracle",
+        "and memory mode and require identical pair sets, all equal to "
+        "the brute-force oracle",
     )
     mode.add_argument(
         "--service",
@@ -299,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--transforms",
         default=None,
         help="comma-separated metamorphic transform names",
-    )
-    verify.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="worker count of the sharded executor runs (default: 2)",
     )
     verify.add_argument(
         "--seed", type=int, default=0, help="workload generation seed"
@@ -442,13 +386,9 @@ def cmd_join(args: argparse.Namespace) -> int:
         if args.algorithm != "s3j":
             print("--mode memory implements s3j only", file=sys.stderr)
             return 2
-        if (
-            args.retry_attempts is not None
-            or args.retry_backoff is not None
-            or args.inject_crash
-        ):
+        if args.retry_attempts is not None or args.retry_backoff is not None:
             print(
-                "--retry-*/--inject-crash are storage-layer knobs; "
+                "--retry-* are storage-layer knobs; "
                 "--mode memory has no storage to wrap",
                 file=sys.stderr,
             )
@@ -463,24 +403,6 @@ def cmd_join(args: argparse.Namespace) -> int:
     if args.data_dir is not None and args.backend == "memory":
         print("--data-dir needs --backend durable", file=sys.stderr)
         return 2
-    if args.data_dir is not None and (
-        args.workers > 1 or args.shard_level is not None
-    ):
-        print(
-            "--data-dir names one store; sharded workers each need their "
-            "own (omit it to give every worker a temporary directory)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.partial_results:
-        if args.workers == 1 and args.shard_level is None:
-            print(
-                "--partial-results needs a sharded run "
-                "(--workers > 1 or --shard-level)",
-                file=sys.stderr,
-            )
-            return 2
-        params["partial_results"] = True
     retry = None
     if args.retry_attempts is not None or args.retry_backoff is not None:
         from repro.faults import RetryPolicy
@@ -491,21 +413,6 @@ def cmd_join(args: argparse.Namespace) -> int:
                 args.retry_backoff if args.retry_backoff is not None else 0.005
             ),
         )
-    fault_plan = None
-    if args.inject_crash:
-        if args.workers == 1 and args.shard_level is None:
-            print(
-                "--inject-crash needs a sharded run "
-                "(--workers > 1 or --shard-level)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan(
-            crash_shards=tuple(args.inject_crash.split(",")),
-            crash_attempts=args.crash_attempts,
-        )
     obs = None
     event_log = None
     if args.report or args.trace or args.events:
@@ -513,8 +420,6 @@ def cmd_join(args: argparse.Namespace) -> int:
 
         event_log = EventLog(stream_path=args.events)
         obs = Observability(events=event_log)
-    from repro.faults.errors import ShardExecutionError
-
     try:
         run = run_algorithm(
             dataset_a,
@@ -523,23 +428,12 @@ def cmd_join(args: argparse.Namespace) -> int:
             predicate=workload.predicate(),
             scale=scale,
             obs=obs,
-            workers=args.workers,
-            shard_level=args.shard_level,
             mode=args.mode,
             backend=args.backend,
             data_dir=args.data_dir,
             retry=retry,
-            fault_plan=fault_plan,
             **params,
         )
-    except ShardExecutionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        print(
-            "hint: --partial-results returns the completed shards' pairs "
-            "as a declared-partial result",
-            file=sys.stderr,
-        )
-        return 1
     finally:
         if event_log is not None:
             event_log.close()
@@ -556,13 +450,6 @@ def cmd_join(args: argparse.Namespace) -> int:
             print(f"mode      : {args.mode}")
         if args.backend != "memory":
             print(f"backend   : {args.backend}")
-        if metrics.details.get("parallel"):
-            plan = metrics.details["plan"]
-            print(
-                f"sharding  : {args.workers} workers, level "
-                f"{plan['shard_level']} ({plan['tasks']} tiles, "
-                f"{plan['mini_joins']} mini-joins)"
-            )
         print(f"pairs     : {len(run.result.pairs):,}")
         print(f"page I/Os : {metrics.total_ios:,}")
         print(f"r_A / r_B : {metrics.replication_a:.2f} / {metrics.replication_b:.2f}")
@@ -570,17 +457,6 @@ def cmd_join(args: argparse.Namespace) -> int:
         for phase, seconds in metrics.breakdown().items():
             print(f"  {phase:<10} {seconds:8.2f} s")
         print(f"total     : {metrics.response_time:8.2f} s (simulated)")
-        if not run.result.complete:
-            # A declared-partial result is loud in the human output too,
-            # not only in the report JSON.
-            failures = run.result.failures
-            print(f"FAILURES  : {len(failures)} shard(s) incomplete — "
-                  "pairs above cover completed shards only")
-            for failure in failures:
-                print(
-                    f"  {failure.shard_id:<12} {failure.error_type} "
-                    f"after {failure.attempts} attempt(s): {failure.message}"
-                )
         if args.report:
             run.report.save(args.report)
             print(f"report    : {args.report}", file=sys.stderr)
@@ -589,13 +465,6 @@ def cmd_join(args: argparse.Namespace) -> int:
 
         atomic_write_json(args.trace, obs.tracer.to_chrome_trace(), indent=None)
         print(f"trace     : {args.trace}", file=sys.stderr)
-    if not run.result.complete:
-        print(
-            f"error: {len(run.result.failures)} shard(s) failed; "
-            "result is partial",
-            file=sys.stderr,
-        )
-        return 3
     return 0
 
 
@@ -652,11 +521,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else None
         )
         if args.cross_mode:
-            gate = partial(
-                verify.run_cross_mode,
-                cases=cases,
-                worker_counts=tuple(dict.fromkeys((1, args.workers))),
-            )
+            gate = partial(verify.run_cross_mode, cases=cases)
         elif args.crash:
             gate = partial(verify.run_crash_verify, cases=args.cases)
         elif args.service:
@@ -677,7 +542,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     algorithms=(
                         tuple(args.algorithms.split(",")) if args.algorithms else None
                     ),
-                    worker_counts=(args.workers,),
                 ),
                 minimize=not args.no_minimize,
             )

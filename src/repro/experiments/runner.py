@@ -99,8 +99,6 @@ def run_algorithm(
     predicate: JoinPredicate | None = None,
     scale: float = 1.0,
     obs: Observability | None = None,
-    workers: int = 1,
-    shard_level: int | None = None,
     mode: str = "ledger",
     backend: str = "memory",
     data_dir: str | None = None,
@@ -112,17 +110,14 @@ def run_algorithm(
 
     With an enabled ``obs`` the returned :class:`ExperimentResult` also
     carries a machine-readable :class:`~repro.obs.report.RunReport`.
-    ``workers``/``shard_level`` select the sharded parallel executor
-    (:mod:`repro.parallel`); the per-shard storage managers all use
-    this experiment's paper-faithful configuration.
 
     ``mode="memory"`` runs the in-memory fast path instead of the
     simulated-storage model: no storage configuration exists there, so
     ``retry``/``fault_plan`` (storage-level layers) are rejected.
 
     ``retry`` installs a retrying storage layer and ``fault_plan``
-    a fault-injecting one (DESIGN.md section 11) — both ride inside the
-    storage config, so sharded runs apply them in every worker too.
+    a fault-injecting one (DESIGN.md section 11); both ride inside the
+    storage config.
 
     ``backend`` selects the physical page store (``memory`` or
     ``durable``) and ``data_dir`` where the durable one keeps its files
@@ -151,12 +146,9 @@ def run_algorithm(
             config = dataclasses.replace(
                 config, retry=retry, fault_plan=fault_plan
             )
-    # Sharded runs get their run_started/run_completed bracket from the
-    # parallel executor (which knows the shard plan); serial runs get
-    # theirs here so every instrumented run's event stream is bracketed.
+    # Every instrumented run's event stream is bracketed here.
     events = obs.events if obs is not None else None
-    serial = workers == 1 and shard_level is None
-    bracket = events is not None and events.enabled and serial
+    bracket = events is not None and events.enabled
     if bracket:
         events.emit(
             "run_started",
@@ -173,8 +165,6 @@ def run_algorithm(
         predicate=predicate or Intersects(),
         storage=config,
         obs=obs,
-        workers=workers,
-        shard_level=shard_level,
         mode=mode,
         **params,
     )

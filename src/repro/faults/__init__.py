@@ -7,11 +7,10 @@ Four pieces (see DESIGN.md section 11):
   encoded in the type (:class:`TransientIOError` vs
   :class:`PermanentIOError` / :class:`TornWriteError`).
 - **injection** (:mod:`repro.faults.plan` / :mod:`repro.faults.inject`)
-  — a picklable :class:`FaultPlan` (seeded rates and/or explicit
-  :class:`ScheduledFault` rules, plus worker crash/delay directives)
-  executed by :class:`FaultInjectingBackend`, a wrapper over any
-  storage backend that also simulates torn writes and detects them on
-  read.
+  — a frozen :class:`FaultPlan` (seeded rates and/or explicit
+  :class:`ScheduledFault` rules) executed by
+  :class:`FaultInjectingBackend`, a wrapper over any storage backend
+  that also simulates torn writes and detects them on read.
 - **recovery** (:mod:`repro.faults.retry`) — :class:`RetryPolicy`
   (bounded attempts, exponential backoff, deterministic jitter) applied
   by :class:`RetryingBackend` at the buffer-pool/backend boundary;
@@ -19,7 +18,7 @@ Four pieces (see DESIGN.md section 11):
   ``faults.*`` metrics and ``retry:*`` span events.
 - **chaos verification** lives in :mod:`repro.verify.chaos`: sampled
   fault plans driven through the differential harness, asserting the
-  correct-result / typed-failure / declared-partial trichotomy.
+  that every run ends as a correct result or a typed failure.
 
 Typical use::
 
@@ -38,12 +37,9 @@ from repro.faults.errors import (
     FaultIOError,
     PermanentIOError,
     RetriesExhaustedError,
-    ShardExecutionError,
     ShardFailure,
-    ShardTimeoutError,
     TornWriteError,
     TransientIOError,
-    WorkerCrashError,
 )
 from repro.faults.inject import FaultInjectingBackend
 from repro.faults.plan import (
@@ -70,10 +66,7 @@ __all__ = [
     "RetryingBackend",
     "RetryPolicy",
     "ScheduledFault",
-    "ShardExecutionError",
     "ShardFailure",
-    "ShardTimeoutError",
     "TornWriteError",
     "TransientIOError",
-    "WorkerCrashError",
 ]

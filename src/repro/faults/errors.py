@@ -17,17 +17,14 @@ Retryability is encoded in the type, not in a flag:
 - :class:`RetriesExhaustedError` — a transient fault that outlived the
   retry budget; permanent from the caller's point of view.
 
-The executor-facing branch (:class:`WorkerCrashError`,
-:class:`ShardTimeoutError`, :class:`ShardExecutionError`) covers the
-parallel executor's fault surface; :class:`ShardFailure` is the
-structured per-shard report that partial-results mode returns instead
-of raising.
+:class:`ShardFailure` is the structured failure report the service's
+circuit breaker returns with a declared-partial reply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import asdict, dataclass
+from typing import Any
 
 
 class FaultError(Exception):
@@ -54,66 +51,16 @@ class RetriesExhaustedError(PermanentIOError):
     """A transient fault that persisted past the retry budget."""
 
 
-class WorkerCrashError(FaultError):
-    """A shard worker died (or, in-process, simulated dying) mid-task."""
-
-
-class ShardTimeoutError(FaultError):
-    """A shard exceeded the executor's per-shard timeout."""
-
-
 @dataclass(frozen=True)
 class ShardFailure:
-    """One shard that could not be completed, in a picklable, JSON-ready
-    form — what partial-results mode reports instead of raising."""
+    """One unit of work that could not be completed, in a JSON-ready
+    form — what a declared-partial reply reports instead of raising."""
 
     shard_id: str
-    kind: str  # the planner's task kind: "tile"
+    kind: str
     error_type: str
     message: str
     attempts: int
 
-    def describe(self) -> str:
-        return (
-            f"shard {self.shard_id} ({self.kind}) failed after "
-            f"{self.attempts} attempt(s): {self.error_type}: {self.message}"
-        )
-
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "shard_id": self.shard_id,
-            "kind": self.kind,
-            "error_type": self.error_type,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> ShardFailure:
-        return cls(
-            shard_id=str(data["shard_id"]),
-            kind=str(data["kind"]),
-            error_type=str(data["error_type"]),
-            message=str(data["message"]),
-            attempts=int(data["attempts"]),
-        )
-
-
-class ShardExecutionError(FaultError):
-    """Raised when shards failed and partial results were not opted in.
-
-    Carries the structured :class:`ShardFailure` reports so callers can
-    still see *which* shards died and why.
-    """
-
-    def __init__(self, failures: Iterable[ShardFailure]) -> None:
-        self.failures: tuple[ShardFailure, ...] = tuple(failures)
-        summary = "; ".join(
-            f"{f.shard_id} ({f.error_type})" for f in self.failures
-        )
-        super().__init__(
-            f"{len(self.failures)} shard(s) failed: {summary}"
-        )
-
-    def __reduce__(self):  # keep the failures through pickling
-        return (self.__class__, (self.failures,))
+        return asdict(self)

@@ -15,7 +15,7 @@
   the mismatch and raises :class:`TornWriteError`.  A later full
   rewrite of the page heals it.
 
-Torn-write detection is what keeps the chaos trichotomy honest: a
+Torn-write detection is what keeps the chaos gate honest: a
 partially persisted page can never silently flow into a wrong answer —
 it either stays cached (the in-memory copy is correct), gets
 overwritten, or fails loudly on read.

@@ -1,9 +1,9 @@
 """Deterministic fault plans.
 
-A :class:`FaultPlan` says *which* storage calls and shard workers fail
-and *how*, in a way that is a pure function of the plan and the call
-sequence — rerunning the same workload under the same plan injects the
-exact same faults.  Two sources compose:
+A :class:`FaultPlan` says *which* storage calls fail and *how*, in a
+way that is a pure function of the plan and the call sequence —
+rerunning the same workload under the same plan injects the exact same
+faults.  Two sources compose:
 
 - an explicit **schedule** of :class:`ScheduledFault` rules ("the 3rd
   write onward fails permanently"), matched against a per-operation
@@ -12,16 +12,10 @@ exact same faults.  Two sources compose:
   kind, optionally capped by ``max_faults`` so a plan can model "flaky
   for a while, then healthy".
 
-Plans are frozen dataclasses: picklable (they ride inside
-:class:`~repro.storage.manager.StorageConfig` into shard worker
-processes) and hashable.  The mutable call counters live in the
-:class:`~repro.faults.inject.FaultInjectingBackend`, never here.
-
-Worker-level faults (``crash_shards`` / ``delay_shards``) are consumed
-by the parallel executor: a crashed shard kills its worker process
-(``os._exit``) or, in-process, raises
-:class:`~repro.faults.errors.WorkerCrashError`; a delayed shard sleeps
-``delay_s`` so per-shard timeouts can be exercised deterministically.
+Plans are frozen, hashable dataclasses that ride inside
+:class:`~repro.storage.manager.StorageConfig`.  The mutable call
+counters live in the :class:`~repro.faults.inject.FaultInjectingBackend`,
+never here.
 """
 
 from __future__ import annotations
@@ -70,7 +64,7 @@ class ScheduledFault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One deterministic fault scenario for storage and workers.
+    """One deterministic fault scenario for storage.
 
     Rates are per-call probabilities drawn from a ``random.Random``
     seeded with ``seed`` (``seed=None`` disables the random source;
@@ -91,12 +85,6 @@ class FaultPlan:
     max_faults: int | None = None
     latency_ops: int = 1
     schedule: tuple[ScheduledFault, ...] = ()
-    # Worker-level faults, consumed by the parallel executor.
-    crash_shards: tuple[str, ...] = ()
-    crash_attempts: int = 1
-    delay_shards: tuple[str, ...] = ()
-    delay_attempts: int = 1
-    delay_s: float = 0.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -112,10 +100,6 @@ class FaultPlan:
             raise ValueError("latency_ops must be non-negative")
         if self.max_faults is not None and self.max_faults < 0:
             raise ValueError("max_faults must be non-negative")
-        if self.crash_attempts < 0 or self.delay_attempts < 0:
-            raise ValueError("crash/delay attempt counts must be >= 0")
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
 
     # -- convenience constructors ---------------------------------------
 
@@ -145,20 +129,6 @@ class FaultPlan:
     def injects_storage_faults(self) -> bool:
         return bool(self.schedule) or self.random_enabled
 
-    # -- worker-level fault queries -------------------------------------
-
-    def crashes_shard(self, shard_id: str, attempt: int) -> bool:
-        """Whether the given shard's worker crashes on this attempt."""
-        return shard_id in self.crash_shards and attempt <= self.crash_attempts
-
-    def delays_shard(self, shard_id: str, attempt: int) -> bool:
-        """Whether the given shard sleeps ``delay_s`` on this attempt."""
-        return (
-            self.delay_s > 0
-            and shard_id in self.delay_shards
-            and attempt <= self.delay_attempts
-        )
-
     def describe(self) -> str:
         """A short human-readable signature for reports and logs."""
         parts = []
@@ -176,10 +146,6 @@ class FaultPlan:
             parts.append(f"max={self.max_faults}")
         if self.schedule:
             parts.append(f"sched={len(self.schedule)}")
-        if self.crash_shards:
-            parts.append(f"crash={','.join(self.crash_shards)}")
-        if self.delay_shards:
-            parts.append(f"delay={','.join(self.delay_shards)}@{self.delay_s}s")
         return "FaultPlan(" + (" ".join(parts) or "none") + ")"
 
 

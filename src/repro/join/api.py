@@ -97,8 +97,6 @@ def spatial_join(
     storage: StorageManager | StorageConfig | None = None,
     refine: bool = False,
     obs: Observability | None = None,
-    workers: int = 1,
-    shard_level: int | None = None,
     mode: str = "ledger",
     **params: Any,
 ) -> JoinResult:
@@ -116,12 +114,6 @@ def spatial_join(
     set.  Memory mode accepts only the ``curve``, ``max_level``, and
     ``cell_level`` parameters.
 
-    ``workers > 1`` (or an explicit ``shard_level``) runs the join
-    sharded by Hilbert key range on that many worker processes (see
-    :mod:`repro.parallel`); results and merged metrics are identical
-    for every worker count.  Sharded runs build per-shard storage, so
-    ``storage`` must then be a :class:`StorageConfig` or ``None``.
-
     ``obs`` attaches an :class:`~repro.obs.Observability` (tracer +
     metrics registry) to the run; it is observation only and never
     changes a simulated ledger count.  An existing
@@ -137,20 +129,6 @@ def spatial_join(
         raise ValueError(
             f"unknown mode {mode!r}; choose from {EXECUTION_MODES}"
         )
-    # The CLI validates these, but the library entry point must too:
-    # workers=0 or a negative count would otherwise slip past the
-    # workers != 1 check below and fall into the sharded path.
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(
-            f"workers must be an int >= 1, got {workers!r}"
-        )
-    if shard_level is not None and (
-        not isinstance(shard_level, int) or shard_level < 0
-    ):
-        raise ValueError(
-            f"shard_level must be a non-negative int or None, got {shard_level!r}"
-        )
-    sharded = workers != 1 or shard_level is not None
     if mode == "memory":
         if algorithm.lower() != "s3j":
             raise ValueError(
@@ -162,39 +140,12 @@ def spatial_join(
                 "mode='memory' runs without storage simulation; "
                 "storage must be None"
             )
-        allowed = set(_MEMORY_MODE_PARAMS)
-        if sharded:  # executor knobs consumed by parallel_spatial_join
-            allowed |= {"partial_results", "shard_timeout_s", "shard_retries"}
-        unknown = set(params) - allowed
+        unknown = set(params) - _MEMORY_MODE_PARAMS
         if unknown:
             raise ValueError(
                 f"mode='memory' does not accept parameters {sorted(unknown)}; "
-                f"supported: {sorted(allowed)}"
+                f"supported: {sorted(_MEMORY_MODE_PARAMS)}"
             )
-
-    if sharded:
-        from repro.parallel.executor import parallel_spatial_join
-
-        if isinstance(storage, StorageManager):
-            raise ValueError(
-                "a sharded join (workers/shard_level) builds one storage "
-                "manager per shard; pass a StorageConfig instead"
-            )
-        return parallel_spatial_join(
-            dataset_a,
-            dataset_b,
-            algorithm=algorithm,
-            predicate=predicate,
-            storage=storage,
-            refine=refine,
-            obs=obs,
-            workers=workers,
-            shard_level=shard_level,
-            mode=mode,
-            **params,
-        )
-
-    if mode == "memory":
         from repro.fastpath import memory_spatial_join
 
         return memory_spatial_join(

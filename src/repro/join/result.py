@@ -4,7 +4,7 @@ from the refinement step, and the metrics of the run."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -12,9 +12,6 @@ from repro.geometry.entity import Entity
 from repro.join.metrics import JoinMetrics
 from repro.join.predicates import JoinPredicate
 from repro.storage.iostats import IOStats
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.errors import ShardFailure
 
 Pair = tuple[int, int]
 
@@ -51,26 +48,12 @@ def canonical_pairs(
 
 @dataclass
 class JoinResult:
-    """Outcome of one spatial join execution.
-
-    ``failures`` is non-empty only for a sharded run in partial-results
-    mode (``partial_results=True``) where some shards could not be
-    completed: it lists one structured
-    :class:`~repro.faults.errors.ShardFailure` per dead shard, and
-    ``pairs`` then covers the completed shards only.  A result with
-    failures is *declared partial*, never silently wrong.
-    """
+    """Outcome of one spatial join execution."""
 
     pairs: frozenset[Pair]
     metrics: JoinMetrics
     self_join: bool = False
     refined: frozenset[Pair] | None = field(default=None)
-    failures: tuple[ShardFailure, ...] = field(default=())
-
-    @property
-    def complete(self) -> bool:
-        """Whether every shard (trivially true unsharded) completed."""
-        return not self.failures
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -34,7 +34,6 @@ from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     EVENT_TYPES,
     NULL_EVENTS,
-    BufferedEventSink,
     EventLog,
     EventSink,
     events_from_jsonl,
@@ -54,7 +53,6 @@ from repro.obs.report import (
     build_run_report,
     phase_wall_times,
 )
-from repro.obs.straggler import StragglerAnalytics, analyze_events
 
 
 class Observability:
@@ -105,7 +103,6 @@ NULL_OBS = Observability(
 """The shared no-op observability object (safe: it stores nothing)."""
 
 __all__ = [
-    "BufferedEventSink",
     "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
     "EventLog",
@@ -121,10 +118,8 @@ __all__ = [
     "Observability",
     "RunReport",
     "Span",
-    "StragglerAnalytics",
     "TABLE2_PHASES",
     "Tracer",
-    "analyze_events",
     "build_run_report",
     "events_from_jsonl",
     "phase_wall_times",

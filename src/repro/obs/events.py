@@ -2,11 +2,10 @@
 
 Where spans (:mod:`repro.obs.tracer`) describe *how long* each nested
 region took after the fact, events describe *what happened when* while
-a run is still in flight: shards being dispatched, making progress
-through their phases, being retried after a timeout or crash, and
-completing.  The stream is the input to the straggler analytics
-(:mod:`repro.obs.straggler`) and the shard Gantt lanes of
-``repro report``.
+a run is still in flight: a join starting, making progress through its
+phases, and completing; the service admitting, answering and rejecting
+queries.  The stream lands in the run report and ``repro report``
+counts it.
 
 Design (DESIGN.md section 13):
 
@@ -15,19 +14,9 @@ Design (DESIGN.md section 13):
   bug, not a new event kind).
 - **Schema-versioned** — every event carries ``v`` =
   :data:`EVENT_SCHEMA_VERSION` plus ``ts``, a Unix wall-clock timestamp.
-  Wall time is used (not a per-process monotonic epoch) so events from
-  worker processes land on the same timeline as the parent's without
-  clock translation.
-- **Multiprocessing-safe by construction** — the parent holds an
-  :class:`EventLog`; each worker process buffers its own events in a
-  :class:`BufferedEventSink` that ships back with the shard result and
-  is folded into the parent log (:meth:`EventLog.extend`).  No queues,
-  no shared state, no cross-process locking.
 - **Streaming** — an :class:`EventLog` opened with a ``stream_path``
   appends each event to a JSONL file the moment it is emitted, so
-  ``tail -f`` shows shard lifecycle live.  Worker-side progress events
-  arrive when their shard completes (they ride the result payload);
-  consumers sort by ``ts`` to reconstruct the true timeline.
+  ``tail -f`` shows a run's progress live.
 - **Zero-cost when disabled** — the default sink everywhere is
   :data:`NULL_EVENTS`; hot loops additionally guard on
   ``events.enabled`` so an un-observed run never builds an event dict.
@@ -42,7 +31,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, TextIO
 
 EVENT_SCHEMA_VERSION = 1
 
@@ -50,13 +39,8 @@ EVENT_TYPES = frozenset(
     {
         "run_started",
         "run_completed",
-        "shard_dispatched",
         "shard_heartbeat",
         "shard_progress",
-        "shard_retry",
-        "shard_completed",
-        "shard_timed_out",
-        "shard_failed",
         "service_started",
         "service_stopped",
         "query_started",
@@ -70,12 +54,13 @@ EVENT_TYPES = frozenset(
         "breaker_closed",
     }
 )
-"""Every event type the schema admits.  ``shard_*`` events describe the
-parallel executor's shard lifecycle; ``run_*`` bracket a whole join;
-``service_*``/``query_*``/``index_updated``/``compaction_*``/
-``breaker_*`` describe the long-lived join service (DESIGN.md
-section 15).  Analytics ignore types they do not model, so service
-streams flow through the same log, report, and renderer unchanged."""
+"""Every event type the schema admits.  ``run_*`` bracket a whole join
+and ``shard_progress``/``shard_heartbeat`` report its phases from
+inside (the names predate the serial-only engine and are kept for the
+schema's sake); ``service_*``/``query_*``/``index_updated``/
+``compaction_*``/``breaker_*`` describe the long-lived join service
+(DESIGN.md section 15).  Both streams flow through the same log,
+report, and renderer."""
 
 HEARTBEAT_INTERVAL_S = 0.25
 """Minimum spacing of ``shard_heartbeat`` events: :meth:`EventSink.
@@ -104,18 +89,25 @@ NULL_EVENTS = EventSink()
 """Shared no-op sink (safe: it never stores anything)."""
 
 
-class _RecordingSink(EventSink):
-    """Common machinery of the enabled sinks: validation, timestamps,
-    default fields, heartbeat rate-limiting, and a lock (sinks may be
-    shared across threads; processes never share one)."""
+class EventLog(EventSink):
+    """The enabled sink: validates, timestamps and keeps every event,
+    optionally streaming JSONL live.
+
+    ``stream_path`` appends each event to a file as it is emitted (line
+    buffered and flushed, so ``tail -f`` follows the run).  A lock
+    guards the log, since a sink may be shared across threads.
+    """
 
     enabled = True
 
-    def __init__(self, **defaults: Any) -> None:
+    def __init__(self, stream_path: str | None = None) -> None:
         self.events: list[dict[str, Any]] = []
-        self._defaults = defaults
         self._lock = threading.Lock()
         self._last_ts = 0.0
+        self.stream_path = stream_path
+        self._stream: TextIO | None = None
+        if stream_path is not None:
+            self._stream = open(stream_path, "w", encoding="utf-8")
 
     def emit(self, type: str, **fields: Any) -> None:
         if type not in EVENT_TYPES:
@@ -123,17 +115,13 @@ class _RecordingSink(EventSink):
                 f"unknown event type {type!r}; the schema admits "
                 f"{sorted(EVENT_TYPES)}"
             )
-        event = {
-            "v": EVENT_SCHEMA_VERSION,
-            "type": type,
-            "ts": time.time(),
-            **self._defaults,
-            **fields,
-        }
+        event = {"v": EVENT_SCHEMA_VERSION, "type": type, "ts": time.time(), **fields}
         with self._lock:
             self.events.append(event)
             self._last_ts = event["ts"]
-            self._record(event)
+            if self._stream is not None:
+                self._stream.write(json.dumps(event, sort_keys=True) + "\n")
+                self._stream.flush()
 
     def heartbeat(self, phase: str) -> None:
         """Emit a ``shard_heartbeat`` if the sink has been quiet for
@@ -141,9 +129,6 @@ class _RecordingSink(EventSink):
         iteration of a long inner loop."""
         if time.time() - self._last_ts >= HEARTBEAT_INTERVAL_S:
             self.emit("shard_heartbeat", phase=phase)
-
-    def _record(self, event: dict[str, Any]) -> None:
-        """Hook for subclasses (called under the lock)."""
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """The recorded events as plain dicts (shared, do not mutate)."""
@@ -156,65 +141,6 @@ class _RecordingSink(EventSink):
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-class BufferedEventSink(_RecordingSink):
-    """The worker-process sink: buffers events for shipment.
-
-    Constructed inside a shard worker with the shard's identity as
-    default fields (``BufferedEventSink(shard_id="cell-3")``), filled by
-    the algorithm's progress hooks, and returned with the shard result;
-    the parent folds the buffer into its :class:`EventLog`.  Buffering
-    is what makes the event layer multiprocessing-safe: nothing is
-    shared between processes, ever.
-    """
-
-
-class EventLog(_RecordingSink):
-    """The parent-side event log, optionally streaming JSONL live.
-
-    ``stream_path`` appends each event to a file as it is emitted (line
-    buffered and flushed, so ``tail -f`` follows the run).  Events
-    folded in from workers (:meth:`extend`) are appended in arrival
-    order — their ``ts`` values predate the fold; sort by ``ts`` to
-    reconstruct the timeline.
-    """
-
-    def __init__(self, stream_path: str | None = None, **defaults: Any) -> None:
-        super().__init__(**defaults)
-        self.stream_path = stream_path
-        self._stream: TextIO | None = None
-        if stream_path is not None:
-            self._stream = open(stream_path, "w", encoding="utf-8")
-
-    def _record(self, event: dict[str, Any]) -> None:
-        if self._stream is not None:
-            self._stream.write(json.dumps(event, sort_keys=True) + "\n")
-            self._stream.flush()
-
-    def extend(self, events: Iterable[dict[str, Any]]) -> None:
-        """Fold shipped events (e.g. a worker's buffer) into the log.
-
-        Each event is re-validated — a worker cannot smuggle an
-        out-of-schema event past the type check.
-        """
-        for event in events:
-            event = dict(event)
-            type_ = event.pop("type", None)
-            event.pop("v", None)
-            ts = event.pop("ts", None)
-            if type_ not in EVENT_TYPES:
-                raise ValueError(f"unknown event type {type_!r} in shipped events")
-            merged = {
-                "v": EVENT_SCHEMA_VERSION,
-                "type": type_,
-                "ts": float(ts) if ts is not None else time.time(),
-                **self._defaults,
-                **event,
-            }
-            with self._lock:
-                self.events.append(merged)
-                self._record(merged)
 
     def close(self) -> None:
         """Close the stream file (idempotent); the in-memory log stays."""

@@ -5,11 +5,7 @@ inline CSS, no JavaScript, no external assets — that renders:
 
 - the run summary and per-phase table (simulated vs wall seconds);
 - the **span flame view**: the tracer's nested span tree as stacked
-  bars positioned on the run's wall-clock timeline;
-- the **shard Gantt lanes**: one bar per shard from the straggler
-  analytics, with the critical-path shard highlighted;
-- the straggler metrics table (imbalance factor, duration
-  percentiles, parallel efficiency, fault counts).
+  bars positioned on the run's wall-clock timeline.
 
 Everything is rendered server-side from the serialized report, so the
 artifact is safe to archive in CI and opens anywhere.
@@ -23,7 +19,6 @@ from typing import Any
 from repro.obs.fileio import atomic_write_text
 from repro.obs.render import _fmt_seconds
 from repro.obs.report import RunReport
-from repro.obs.straggler import StragglerAnalytics
 
 _MAX_FLAME_DEPTH = 12
 
@@ -40,19 +35,6 @@ th { background: #f4f4f8; }
 .bar { position: absolute; height: 16px; border-radius: 2px; overflow: hidden;
        font-size: 10px; line-height: 16px; color: #fff; padding-left: 3px;
        white-space: nowrap; box-sizing: border-box; }
-.lane-label { display: inline-block; width: 110px; font-family: monospace;
-              font-size: 11px; vertical-align: top; }
-.lane-row { margin: 2px 0; }
-.lane-track { display: inline-block; position: relative; height: 16px;
-              width: calc(100% - 260px); background: #f7f7fb;
-              border: 1px solid #e8e8f0; vertical-align: top; }
-.lane-note { display: inline-block; width: 130px; font-family: monospace;
-             font-size: 11px; padding-left: 6px; }
-.cell { background: #4a7ebb; }
-.failed { background: repeating-linear-gradient(45deg, #999, #999 4px,
-          #ccc 4px, #ccc 8px); }
-.critical { outline: 2px solid #e8a33d; }
-.kv td { text-align: left; }
 footer { margin-top: 3em; color: #888; font-size: 11px; }
 """
 
@@ -119,94 +101,6 @@ def _flame_section(report: RunReport) -> str:
     )
 
 
-def _gantt_section(analytics: StragglerAnalytics) -> str:
-    lanes = sorted(
-        analytics.lanes, key=lambda lane: (lane.start_s, lane.shard_id)
-    )
-    if not lanes:
-        return ""
-    origin = min(lane.start_s for lane in lanes)
-    span = max(lane.end_s for lane in lanes) - origin
-    critical = (analytics.critical_path or {}).get("shard_id")
-    rows = []
-    for lane in lanes:
-        if span > 0:
-            left = (lane.start_s - origin) / span * 100
-            width = max(0.3, lane.wall_s / span * 100)
-        else:
-            left, width = 0.0, 100.0
-        width = min(width, 100 - left)
-        classes = ["bar", "failed" if lane.failed else "cell"]
-        if lane.shard_id == critical:
-            classes.append("critical")
-        note = "failed" if lane.failed else _fmt_seconds(lane.wall_s)
-        if lane.pairs is not None:
-            note += f" · {lane.pairs:,}p"
-        if lane.attempts > 1:
-            note += f" · x{lane.attempts}"
-        title = (
-            f"{lane.shard_id} ({lane.kind}) — {note}, "
-            f"{lane.records if lane.records is not None else '?'} records"
-        )
-        rows.append(
-            '<div class="lane-row">'
-            f'<span class="lane-label">{_esc(lane.shard_id)}</span>'
-            '<span class="lane-track">'
-            f'<div class="{" ".join(classes)}" '
-            f'style="left:{left:.3f}%;width:{width:.3f}%;top:0" '
-            f'title="{_esc(title)}"></div></span>'
-            f'<span class="lane-note">{_esc(note)}</span></div>'
-        )
-    legend = (
-        '<p><span class="bar cell" style="position:static;display:inline-block;'
-        'width:2.2em">&nbsp;</span> tile shard &nbsp; '
-        "orange outline = critical path</p>"
-    )
-    return (
-        f"<h2>Shard Gantt lanes ({len(lanes)} shards, makespan "
-        f"{_fmt_seconds(analytics.makespan_s)})</h2>"
-        + legend
-        + "".join(rows)
-    )
-
-
-def _straggler_table(analytics: StragglerAnalytics) -> str:
-    pct = analytics.duration_percentiles
-    rows = [
-        ("shards", str(analytics.shard_count)),
-        ("workers", str(analytics.workers or "-")),
-        ("makespan", _fmt_seconds(analytics.makespan_s)),
-        ("total shard work", _fmt_seconds(analytics.total_shard_s)),
-        (
-            "imbalance factor (max/mean)",
-            "-" if analytics.imbalance_factor is None
-            else f"{analytics.imbalance_factor:.2f}",
-        ),
-        (
-            "parallel efficiency",
-            "-" if analytics.parallel_efficiency is None
-            else f"{analytics.parallel_efficiency * 100:.1f}%",
-        ),
-        (
-            "shard duration p50 / p95 / p99 / max",
-            f"{_fmt_seconds(pct.get('p50'))} / {_fmt_seconds(pct.get('p95'))}"
-            f" / {_fmt_seconds(pct.get('p99'))} / {_fmt_seconds(pct.get('max'))}"
-            if pct else "-",
-        ),
-        (
-            "retries / timeouts / failures",
-            f"{analytics.retries} / {analytics.timeouts} / {analytics.failures}",
-        ),
-    ]
-    body = "".join(
-        f"<tr><td>{_esc(k)}</td><td>{_esc(v)}</td></tr>" for k, v in rows
-    )
-    return (
-        "<h2>Straggler analytics</h2>"
-        f'<table class="kv"><tbody>{body}</tbody></table>'
-    )
-
-
 def _phase_section(report: RunReport) -> str:
     table = report.phase_table()
     if not table:
@@ -229,11 +123,6 @@ def render_html(report: RunReport) -> str:
     mode = report.metrics.details.get("mode", "ledger")
     workload = report.workload or "?"
     scale = f" @ scale {report.scale}" if report.scale is not None else ""
-    analytics = (
-        StragglerAnalytics.from_dict(report.analytics)
-        if report.analytics
-        else None
-    )
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>repro report — {_esc(report.algorithm)} on "
@@ -246,15 +135,10 @@ def render_html(report: RunReport) -> str:
         f"{len(report.events)} events</p>",
         _phase_section(report),
         _flame_section(report),
-    ]
-    if analytics is not None and analytics.lanes:
-        parts.append(_gantt_section(analytics))
-        parts.append(_straggler_table(analytics))
-    parts.append(
         "<footer>Generated by <code>repro report</code> — Size Separation "
         "Spatial Join reproduction. Self-contained; no external assets."
-        "</footer></body></html>"
-    )
+        "</footer></body></html>",
+    ]
     return "".join(parts)
 
 

@@ -34,8 +34,7 @@ def series_key(name: str, labels: dict[str, Any]) -> str:
 QUANTILE_SAMPLE_CAP = 4096
 """Samples retained per histogram for exact quantiles.  Distributions
 that outgrow the cap (bulk I/O series) fall back to bucket-interpolated
-approximations; the series the quantiles matter for — shard durations,
-per-shard pair counts — stay far below it."""
+approximations."""
 
 
 class Histogram:
@@ -252,21 +251,6 @@ class MetricsRegistry:
                 key: hist.as_dict() for key, hist in self.histograms.items()
             },
         }
-
-    def merge_dump(self, dump: dict[str, Any]) -> None:
-        """Fold an :meth:`as_dict` dump (e.g. from a worker process)
-        into this registry: counters add, histograms merge exactly,
-        gauges take the dump's value (merge dumps in a deterministic
-        order so the surviving gauge is deterministic too)."""
-        for key, value in dump["counters"].items():
-            self.counters[key] = self.counters.get(key, 0) + int(value)
-        for key, value in dump["gauges"].items():
-            self.gauges[key] = float(value)
-        for key, data in dump["histograms"].items():
-            hist = self.histograms.get(key)
-            if hist is None:
-                hist = self.histograms[key] = Histogram()
-            hist.merge(Histogram.from_dict(data))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> MetricsRegistry:

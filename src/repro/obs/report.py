@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.fileio import atomic_write_text
-from repro.obs.straggler import analyze_events
 from repro.obs.tracer import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,9 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
 SCHEMA_VERSION = 2
-"""Version 2 adds the execution event stream (``events``) and the
-straggler analytics derived from it (``analytics``); version-1 reports
-load fine with both empty."""
+"""Version 2 adds the execution event stream (``events``); version-1
+reports load with it empty.  Version-2 reports of sharded runs also
+carry an ``analytics`` block of per-shard statistics, which loads and is
+ignored: the sharded executor that wrote it is gone."""
 
 _ACCEPTED_SCHEMAS = (1, 2)
 
@@ -88,7 +88,6 @@ class RunReport:
     scale: float | None = None
     meta: dict[str, Any] = field(default_factory=dict)
     events: list[dict[str, Any]] = field(default_factory=list)
-    analytics: dict[str, Any] | None = None
 
     @property
     def simulated_seconds(self) -> float:
@@ -131,7 +130,6 @@ class RunReport:
             "spans": self.spans,
             "meta": self.meta,
             "events": self.events,
-            "analytics": self.analytics,
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -164,7 +162,6 @@ class RunReport:
             scale=data["scale"],
             meta=data.get("meta", {}),
             events=data.get("events", []),
-            analytics=data.get("analytics"),
         )
 
     @classmethod
@@ -193,12 +190,7 @@ def build_run_report(
     tracer: Tracer = obs.tracer
     if wall_seconds is None:
         wall_seconds = sum(span.wall_s for span in tracer.roots)
-    events: list[dict[str, Any]] = []
-    analytics: dict[str, Any] | None = None
-    if obs.events.enabled:
-        events = obs.events.to_dicts()
-        if events:
-            analytics = analyze_events(events).to_dict()
+    events = obs.events.to_dicts() if obs.events.enabled else []
     return RunReport(
         algorithm=result.metrics.algorithm,
         metrics=result.metrics,
@@ -211,5 +203,4 @@ def build_run_report(
         scale=scale,
         meta=dict(meta),
         events=events,
-        analytics=analytics,
     )

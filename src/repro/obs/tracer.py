@@ -165,22 +165,12 @@ class Tracer:
         """The Chrome trace-event format (``chrome://tracing``).
 
         Spans become complete ("ph": "X") events with microsecond
-        timestamps; span attributes ride along in ``args``.  Each
-        ``shard:<id>`` subtree of a sharded run is assigned its own
-        ``tid`` (with a thread-name metadata event), so the shards of a
-        parallel run render as separate lanes instead of one
-        impossibly-overlapping thread.
+        timestamps on one thread; span attributes ride along in
+        ``args``.
         """
         events: list[dict[str, Any]] = []
-        lane_names: dict[int, str] = {}
-        next_lane = 2
 
-        def walk(span: Span, tid: int) -> None:
-            nonlocal next_lane
-            if span.name.startswith("shard:"):
-                tid = next_lane
-                next_lane += 1
-                lane_names[tid] = span.name
+        def walk(span: Span) -> None:
             events.append(
                 {
                     "name": span.name,
@@ -189,26 +179,16 @@ class Tracer:
                     "ts": round(span.start_s * 1e6, 3),
                     "dur": round(span.wall_s * 1e6, 3),
                     "pid": 1,
-                    "tid": tid,
+                    "tid": 1,
                     "args": {**span.attrs, "cpu_s": round(span.cpu_s, 9)},
                 }
             )
             for child in span.children:
-                walk(child, tid)
+                walk(child)
 
         for root in self.roots:
-            walk(root, 1)
-        metadata = [
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "args": {"name": name},
-            }
-            for tid, name in sorted(lane_names.items())
-        ]
-        return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+            walk(root)
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 class _NullSpan(Span):

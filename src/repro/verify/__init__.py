@@ -10,9 +10,9 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   variants × executors against the oracle, with pluggable ledger
   invariants, partition conformance, obs-on/off parity, and ddmin
   counterexamples.  :func:`run_cross_mode` is the same sweep with the
-  ledger/memory × worker-count roster plus refined-set parity;
-  :func:`run_chaos` reruns it under sampled fault plans and asserts the
-  correct / typed-failure / declared-partial trichotomy.
+  ledger/memory roster plus refined-set parity; :func:`run_chaos`
+  reruns it under sampled fault plans and asserts that every run ends
+  correct or as a typed failure.
 - **scenario harness** (:mod:`~repro.verify.scenario`) — one seeded op
   generator, one :class:`LiveModel` advanced by the acknowledged ops
   alone, one :func:`check_index` verdict.  :func:`run_service_verify`

@@ -2,25 +2,21 @@
 
 Every chaos case runs one join algorithm over one verification workload
 with a *sampled* :class:`~repro.faults.plan.FaultPlan` (and usually a
-:class:`~repro.faults.retry.RetryPolicy`) installed, then asserts the
-**trichotomy** (DESIGN.md section 11): the run must end in exactly one
-of
+:class:`~repro.faults.retry.RetryPolicy`) installed, then asserts
+(DESIGN.md section 11) that the run ends in exactly one of
 
 - **correct** — the pair set equals the brute-force oracle's (the
   faults were absorbed by retries, healed writes, or cache hits);
 - **typed failure** — a :class:`~repro.faults.errors.FaultError`
   subclass propagated (permanent fault, exhausted retries, torn-write
-  detection, dead shard without partial-results mode);
-- **declared partial** — a sharded run in partial-results mode returned
-  completed shards plus :class:`ShardFailure` reports; the returned
-  pairs must be a subset of the oracle and every missing pair must
-  belong to a declared-failed shard (computed by re-running the
-  deterministic shard planner).
+  detection).
 
-Anything else — a wrong pair set, a missing pair nobody declared, an
-untyped exception — is a silent-wrong-answer bug and fails the report.
+Anything else — a wrong pair set or an untyped exception — is a
+silent-wrong-answer bug and fails the report.  (Declared-partial
+answers belong to the service; :mod:`repro.verify.scenario` checks
+them.)
 
-On top of the trichotomy each case checks post-recovery bookkeeping:
+On top of the outcome each case checks post-recovery bookkeeping:
 ``faults.retries_attempted >= faults.retries_succeeded``, no give-ups
 on a fully correct run, and per-phase ledger buckets still summing to
 the totals after recovery.
@@ -34,13 +30,11 @@ from typing import Any, Callable
 
 from repro.faults import FaultError, FaultPlan, RetryPolicy
 from repro.join.api import spatial_join
-from repro.join.result import Pair, canonical_pairs
 from repro.obs import Observability
-from repro.parallel.planner import plan_join
 from repro.storage.iostats import PhaseStats
 from repro.storage.manager import StorageConfig
 from repro.verify.cases import VerifyCase
-from repro.verify.oracle import oracle_for_case, oracle_pairs
+from repro.verify.oracle import oracle_for_case
 from repro.verify.report import Report
 from repro.verify.workloads import generated_cases
 
@@ -52,7 +46,7 @@ CHAOS_ENTITY_LIMIT = 70
 """Workloads are shrunk to this many entities per side so a sweep of
 hundreds of fault scenarios stays fast."""
 
-GOOD_OUTCOMES = ("correct", "typed-failure", "partial")
+GOOD_OUTCOMES = ("correct", "typed-failure")
 
 
 @dataclass(frozen=True)
@@ -64,20 +58,15 @@ class ChaosScenario:
     algorithm: str
     plan: FaultPlan
     retry: RetryPolicy | None
-    sharded: bool
-    partial_results: bool
     buffer_pages: int
 
     def describe(self) -> str:
-        mode = "sharded" if self.sharded else "serial"
-        if self.sharded and self.partial_results:
-            mode += "+partial"
         retry = (
             f"retry x{self.retry.max_attempts}" if self.retry else "no retry"
         )
         return (
             f"#{self.index} {self.algorithm} on {self.case.name} "
-            f"({mode}, {retry}, M={self.buffer_pages}) {self.plan.describe()}"
+            f"({retry}, M={self.buffer_pages}) {self.plan.describe()}"
         )
 
 
@@ -86,7 +75,7 @@ class ChaosOutcome:
     """What one chaos case ended as, with any invariant violations."""
 
     scenario: str
-    outcome: str  # "correct" | "typed-failure" | "partial" | "wrong" | ...
+    outcome: str  # "correct" | "typed-failure" | "wrong" | "untyped-error"
     detail: str = ""
     violations: tuple[str, ...] = ()
 
@@ -123,8 +112,6 @@ def sample_scenario(
     roster = cases if cases is not None else _shrunk_cases(seed)
     case = roster[index % len(roster)]
     algorithm = algorithms[index % len(algorithms)]
-    sharded = index % 4 == 3  # every 4th case goes through the executor
-    partial_results = sharded and rng.random() < 0.5
 
     profile = rng.choice(("transient", "permanent", "torn", "mixed", "quiet"))
     kwargs: dict[str, Any] = {"seed": rng.randrange(2**31)}
@@ -143,11 +130,6 @@ def sample_scenario(
     # "quiet": no storage faults — the fault-free path must stay correct.
     if rng.random() < 0.3:
         kwargs["max_faults"] = rng.randrange(1, 6)
-    if sharded and rng.random() < 0.5:
-        # Crash a worker; recoverable half the time (the executor
-        # re-dispatches), sticky otherwise (fails or goes partial).
-        kwargs["crash_shards"] = (f"cell-{rng.randrange(4):x}",)
-        kwargs["crash_attempts"] = rng.choice((1, 99))
     plan = FaultPlan(**kwargs)
 
     retry = None
@@ -161,40 +143,8 @@ def sample_scenario(
         algorithm=algorithm,
         plan=plan,
         retry=retry,
-        sharded=sharded,
-        partial_results=partial_results,
         buffer_pages=rng.choice((8, 16, 32)),
     )
-
-
-def _excused_pairs(
-    scenario: ChaosScenario, failed_shard_ids: set[str]
-) -> frozenset[Pair]:
-    """Oracle pairs attributable to declared-failed shards.
-
-    Planning is deterministic, so re-planning reconstructs exactly the
-    mini-joins the dead shards would have run.  A tile shard is excused
-    per *mini-join* (the union over its class-pair sub-joins), not as a
-    cross product of the tile's sides — the tile never joins
-    everything-with-everything, so neither may its excuse.
-    """
-    case = scenario.case
-    shard_plan = plan_join(
-        case.dataset_a,
-        case.dataset_b,
-        1,  # chaos sharded runs always use shard_level=1
-        margin=case.margin,
-    )
-    excused: set[Pair] = set()
-    for task in shard_plan.tasks:
-        if task.shard_id not in failed_shard_ids:
-            continue
-        for mini in task.mini_joins:
-            dataset_b = mini.dataset_a if mini.self_join else mini.dataset_b
-            excused.update(
-                oracle_pairs(mini.dataset_a, dataset_b, margin=case.margin)
-            )
-    return canonical_pairs(excused, case.self_join)
 
 
 def _ledger_violations(metrics_phases: dict[str, PhaseStats]) -> list[str]:
@@ -225,15 +175,6 @@ def run_chaos_case(scenario: ChaosScenario) -> ChaosOutcome:
         fault_plan=scenario.plan,
         retry=scenario.retry,
     )
-    execution: dict[str, Any] = {}
-    if scenario.sharded:
-        # workers=1 + shard_level=1 drives the hardened executor (crash
-        # and partial-results paths included) without process startup.
-        execution = {
-            "workers": 1,
-            "shard_level": 1,
-            "partial_results": scenario.partial_results,
-        }
     label = scenario.describe()
     try:
         result = spatial_join(
@@ -243,7 +184,6 @@ def run_chaos_case(scenario: ChaosScenario) -> ChaosOutcome:
             predicate=case.predicate,
             storage=config,
             obs=obs,
-            **execution,
         )
     except FaultError as error:
         return ChaosOutcome(
@@ -259,32 +199,8 @@ def run_chaos_case(scenario: ChaosScenario) -> ChaosOutcome:
             detail=f"{type(error).__name__}: {error}",
         )
 
-    violations = _metric_violations(
-        obs, complete_success=not result.failures
-    ) + _ledger_violations(result.metrics.phases)
-
-    if result.failures:
-        failed_ids = {f.shard_id for f in result.failures}
-        excused = _excused_pairs(scenario, failed_ids)
-        extra = result.pairs - oracle
-        unexcused = oracle - result.pairs - excused
-        if extra or unexcused:
-            return ChaosOutcome(
-                scenario=label,
-                outcome="wrong",
-                detail=(
-                    f"declared-partial result diverges: {len(extra)} bogus, "
-                    f"{len(unexcused)} missing beyond the "
-                    f"{len(failed_ids)} failed shard(s)"
-                ),
-                violations=tuple(violations),
-            )
-        return ChaosOutcome(
-            scenario=label,
-            outcome="partial",
-            detail=f"{len(failed_ids)} shard(s) declared failed",
-            violations=tuple(violations),
-        )
+    violations = _metric_violations(obs, complete_success=True)
+    violations += _ledger_violations(result.metrics.phases)
 
     if result.pairs != oracle:
         extra = result.pairs - oracle
@@ -322,10 +238,10 @@ def run_chaos(
     algorithms: tuple[str, ...] = CHAOS_ALGORITHMS,
     progress: Callable[[str], None] | None = None,
 ) -> Report:
-    """Run ``cases`` sampled fault scenarios and report the trichotomy:
+    """Run ``cases`` sampled fault scenarios and report their endings:
     ``counts["tally"]`` says how many ended each way, and every ending
-    outside it — or bookkeeping breach on a good ending — is a
-    violation."""
+    other than correct or typed failure — or bookkeeping breach on a
+    good ending — is a violation."""
     if cases < 1:
         raise ValueError("cases must be positive")
     roster = _shrunk_cases(seed)
@@ -341,7 +257,7 @@ def run_chaos(
         tally[outcome.outcome] = tally.get(outcome.outcome, 0) + 1
         outcomes.append(asdict(outcome))
         if outcome.outcome not in GOOD_OUTCOMES:
-            report.fail("trichotomy", outcome.scenario, f"{outcome.outcome}: {outcome.detail}")
+            report.fail("outcome", outcome.scenario, f"{outcome.outcome}: {outcome.detail}")
         for violation in outcome.violations:
             report.fail("bookkeeping", outcome.scenario, violation)
         if progress is not None:

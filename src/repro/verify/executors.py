@@ -1,8 +1,8 @@
 """Executors: one runnable configuration of one join algorithm.
 
 An :class:`ExecutorSpec` names an algorithm from the registry plus the
-knobs the harness varies (worker count, shard level, constructor
-parameters).  :func:`run_executor` executes a spec on a
+knobs the harness varies (execution mode, constructor parameters).
+:func:`run_executor` executes a spec on a
 :class:`~repro.verify.cases.VerifyCase` and captures everything the
 invariant checkers need alongside the pair set: the full ledger totals,
 the per-phase metrics, the observability registry, and the page counts
@@ -36,8 +36,6 @@ class ExecutorSpec:
     """
 
     algorithm: str
-    workers: int = 1
-    shard_level: int | None = None
     params: tuple[tuple[str, Any], ...] = ()
     label: str | None = None
     mode: str = "ledger"
@@ -49,13 +47,7 @@ class ExecutorSpec:
         name = self.algorithm
         if self.mode != "ledger":
             name = f"{name}:{self.mode}"
-        if self.workers != 1 or self.shard_level is not None:
-            name = f"{name}@{self.workers}w"
         return name
-
-    @property
-    def sharded(self) -> bool:
-        return self.workers != 1 or self.shard_level is not None
 
 
 @dataclass
@@ -67,7 +59,7 @@ class RunRecord:
     pairs: frozenset[Pair]
     metrics: JoinMetrics
     refined: frozenset[Pair] | None = None  # when the spec asked to refine
-    ledger_total: PhaseStats | None = None  # serial runs only
+    ledger_total: PhaseStats | None = None  # ledger mode only
     registry: Any | None = None  # MetricsRegistry of instrumented runs
     level_file_pages: dict[str, int] = field(default_factory=dict)
 
@@ -77,15 +69,10 @@ class RunRecord:
 
 
 def default_executors(
-    algorithms: tuple[str, ...] | None = None,
-    worker_counts: tuple[int, ...] = (2,),
-    sharded_algorithms: tuple[str, ...] = ("s3j",),
-    memory_mode: bool = True,
+    algorithms: tuple[str, ...] | None = None, memory_mode: bool = True
 ) -> list[ExecutorSpec]:
-    """The default roster: every registered algorithm serially, plus
-    sharded runs of ``sharded_algorithms`` at each worker count, plus
-    (when ``memory_mode`` and s3j is in the roster) the in-memory fast
-    path serially and at each worker count."""
+    """The default roster: every registered algorithm, plus (when
+    ``memory_mode`` and s3j is in the roster) the in-memory fast path."""
     names = algorithms or available_algorithms()
     unknown = set(names) - set(available_algorithms())
     if unknown:
@@ -94,36 +81,20 @@ def default_executors(
             f"choose from {available_algorithms()}"
         )
     specs = [ExecutorSpec(algorithm=name) for name in names]
-    for name in sharded_algorithms:
-        if name not in names:
-            continue
-        for workers in worker_counts:
-            if workers == 1:
-                continue
-            specs.append(ExecutorSpec(algorithm=name, workers=workers))
     if memory_mode and "s3j" in names:
         specs.append(ExecutorSpec(algorithm="s3j", mode="memory"))
-        for workers in worker_counts:
-            if workers == 1:
-                continue
-            specs.append(
-                ExecutorSpec(algorithm="s3j", workers=workers, mode="memory")
-            )
     return specs
 
 
-def cross_mode_executors(
-    worker_counts: tuple[int, ...] = (1, 2), refine: bool = True
-) -> list[ExecutorSpec]:
+def cross_mode_executors(refine: bool = True) -> list[ExecutorSpec]:
     """The cross-mode roster: S3J through both engines — the ledger
     mode scans simulated pages, the memory mode sweeps columnar arrays,
-    and they share nothing below ``spatial_join`` — serial and
-    Hilbert-sharded, each also running the exact-predicate refinement
-    step so the harness can hold the refined sets to each other."""
+    and they share nothing below ``spatial_join`` — each also running
+    the exact-predicate refinement step so the harness can hold the
+    refined sets to each other."""
     params = (("refine", True),) if refine else ()
     return [
-        ExecutorSpec("s3j", workers=workers, mode=mode, params=params)
-        for workers in worker_counts
+        ExecutorSpec("s3j", mode=mode, params=params)
         for mode in ("ledger", "memory")
     ]
 
@@ -136,21 +107,19 @@ def run_executor(
 ) -> RunRecord:
     """Run one executor on one case and capture its evidence.
 
-    Serial ledger runs build their own :class:`StorageManager` so the
-    live ledger totals and the sorted level files can be inspected
-    before the storage is torn down; sharded runs (per-shard storage)
-    and memory-mode runs (no storage at all) capture the pair sets and
-    metrics only, and the storage invariants skip them.
+    Ledger runs build their own :class:`StorageManager` so the live
+    ledger totals and the sorted level files can be inspected before the
+    storage is torn down; memory-mode runs (no storage at all) capture
+    the pair sets and metrics only, and the storage invariants skip
+    them.
     """
     params = dict(spec.params)
     if overrides:
         params.update(overrides)
     obs = Observability() if instrument else None
     manager = None
-    if spec.sharded or spec.mode == "memory":
-        params.update(
-            obs=obs, workers=spec.workers, shard_level=spec.shard_level, mode=spec.mode
-        )
+    if spec.mode == "memory":
+        params.update(obs=obs, mode=spec.mode)
     else:
         manager = StorageManager(
             default_storage_config(case.dataset_a, case.dataset_b), obs=obs

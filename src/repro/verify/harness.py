@@ -13,8 +13,7 @@ is shrunk to a minimized counterexample before it is reported.
 
 Cross-mode parity (``repro verify --cross-mode``) is this same sweep
 with the roster of :func:`~repro.verify.executors.cross_mode_executors`
-and the identity transform: every engine and worker count against the
-oracle, plus — for executors that refine — refined sets equal to each
+and the identity transform: both engines against the oracle, plus — for executors that refine — refined sets equal to each
 other (the oracle covers the filter step only).
 """
 
@@ -165,7 +164,7 @@ def run_verify(
 
     Quick mode (the CI smoke configuration) covers three generated
     workloads, four metamorphic variants plus identity, every
-    registered algorithm, and a 2-worker sharded S3J; full mode adds
+    registered algorithm, and memory-mode S3J; full mode adds
     the degenerate and paper workloads, the reflection transform, and
     obs-parity checks for every serial executor.
     """
@@ -263,12 +262,9 @@ def run_verify(
                     )
 
         if obs_parity:
-            parity_specs = [
-                spec
-                for spec in executors
-                if not spec.sharded and (not quick or spec.algorithm == "s3j")
-            ]
-            for spec in parity_specs:
+            for spec in executors:
+                if quick and spec.algorithm != "s3j":
+                    continue
                 report.violations.extend(check_obs_parity(case, spec))
                 counts["runs"] += 2
 
@@ -278,19 +274,18 @@ def run_verify(
 
 def run_cross_mode(
     cases: list[VerifyCase] | None = None,
-    worker_counts: tuple[int, ...] = (1, 2),
     refine: bool = True,
     seed: int = 0,
     progress: Progress | None = None,
 ) -> Report:
     """Cross-mode parity: every workload through ledger mode and memory
-    mode at each worker count — all pair sets equal to the brute-force
-    oracle, refined sets equal across modes."""
+    mode — all pair sets equal to the brute-force oracle, refined sets
+    equal across modes."""
     report = run_verify(
         quick=False,
         cases=cases,
         transforms=transforms_by_name(()),
-        executors=cross_mode_executors(worker_counts, refine),
+        executors=cross_mode_executors(refine),
         obs_parity=False,
         seed=seed,
         progress=progress,

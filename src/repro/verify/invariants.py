@@ -66,7 +66,7 @@ class PhaseBucketsSumInvariant(Invariant):
     )
 
     def check(self, record: RunRecord) -> list[str]:
-        if record.ledger_total is None:  # sharded runs keep no live ledger
+        if record.ledger_total is None:  # only memory-mode runs: no live ledger
             return []
         summed = PhaseStats()
         for bucket in record.metrics.phases.values():
@@ -100,7 +100,7 @@ class JoinReadsOnceInvariant(Invariant):
     name = "join-reads-once"
 
     def check(self, record: RunRecord) -> list[str]:
-        if record.spec.algorithm != "s3j" or record.spec.sharded:
+        if record.spec.algorithm != "s3j":
             return []
         if record.registry is None or not record.level_file_pages:
             return []

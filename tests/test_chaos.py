@@ -1,10 +1,10 @@
 """Chaos verification gates.
 
 Three layers: a hypothesis suite driving randomly sampled fault
-scenarios through the trichotomy check, the 200-case chaos gate (zero
+scenarios through the outcome check, the 200-case chaos gate (zero
 silent wrong answers), and the retry-layer byte-parity gate over the
 real CLI (``repro join --report`` with and without ``--retry-*`` must
-serialize identically when no fault fires, for 1 and 2 workers).
+serialize identically when no fault fires).
 """
 
 import json
@@ -49,14 +49,6 @@ class TestScenarioSampling:
         }
         assert len(plans) > 6  # the sweep genuinely explores
 
-    def test_every_fourth_case_is_sharded(self):
-        scenarios = [
-            sample_scenario(i, seed=0, cases=roster(0)) for i in range(8)
-        ]
-        assert [s.sharded for s in scenarios] == [
-            False, False, False, True, False, False, False, True,
-        ]
-
 
 class TestTrichotomy:
     @settings(
@@ -66,8 +58,8 @@ class TestTrichotomy:
     )
     @given(index=st.integers(min_value=0, max_value=2_000), seed=st.integers(0, 3))
     def test_sampled_scenarios_never_answer_wrong(self, index, seed):
-        """The trichotomy and the retry-metric invariants, under
-        arbitrary sampled fault plans."""
+        """The correct / typed-failure outcome and the retry-metric
+        invariants, under arbitrary sampled fault plans."""
         scenario = sample_scenario(index, seed=seed, cases=roster(seed))
         outcome = run_chaos_case(scenario)
         assert outcome.outcome in GOOD_OUTCOMES, (
@@ -79,7 +71,7 @@ class TestTrichotomy:
 
     def test_chaos_gate_200_cases(self):
         """The acceptance gate: 200 seeded scenarios, zero silent wrong
-        answers, and all three trichotomy arms actually visited."""
+        answers, and both good outcomes actually visited."""
         report = run_chaos(cases=200, seed=0)
         assert report.ok, report.summary()
         tally = report.counts["tally"]
@@ -87,7 +79,7 @@ class TestTrichotomy:
         assert tally.get("untyped-error", 0) == 0
         assert tally.get("correct", 0) > 0
         assert tally.get("typed-failure", 0) > 0
-        assert tally.get("partial", 0) > 0
+        assert set(tally) <= set(GOOD_OUTCOMES)
 
 
 TIMING_KEYS = {
@@ -99,12 +91,9 @@ TIMING_KEYS = {
     "elapsed",
     "generated_at",
     "timestamp",
-    # The event stream and its straggler analytics are real-clock
-    # artifacts by nature (timestamps, rate-limited heartbeat counts,
-    # duration percentiles); parity over them is covered by the
-    # ledger/metrics gates in tests/test_straggler.py.
+    # The event stream is a real-clock artifact by nature (timestamps,
+    # rate-limited heartbeat counts).
     "events",
-    "analytics",
 }
 
 
@@ -156,13 +145,6 @@ class TestRetryParityGate:
         plain = cli_report(tmp_path, "w1-plain")
         layered = cli_report(
             tmp_path, "w1-retry", "--retry-attempts", "4", "--retry-backoff", "0.01"
-        )
-        assert normalized(plain) == normalized(layered)
-
-    def test_workers_2(self, tmp_path):
-        plain = cli_report(tmp_path, "w2-plain", "--workers", "2")
-        layered = cli_report(
-            tmp_path, "w2-retry", "--workers", "2", "--retry-attempts", "4"
         )
         assert normalized(plain) == normalized(layered)
 

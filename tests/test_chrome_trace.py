@@ -1,21 +1,17 @@
 """Chrome Trace Event format validation (satellite of the observatory).
 
 A generic validator for the subset of the Trace Event format the tracer
-emits — complete ("X") duration events plus thread-name ("M") metadata
-— applied to both synthetic span trees and a real 2-worker sharded run
-whose grafted worker span trees must land on a consistent timeline in
-distinct shard lanes.
+emits — complete ("X") duration events on one thread — applied to both
+synthetic span trees and a real instrumented join.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
+from repro.join.api import spatial_join
 from repro.obs import Observability
 from repro.obs.tracer import Tracer
-from repro.parallel import parallel_spatial_join
 
 from tests.conftest import make_squares
 
@@ -24,21 +20,17 @@ def validate_trace(trace: dict) -> list[dict]:
     """Assert Trace Event schema invariants; return the X events.
 
     - the document is JSON-serializable with a ``traceEvents`` list;
-    - every event has ``ph`` in {"X", "M"}; X events carry numeric
-      ``ts``/``dur`` (microseconds, non-negative) and integer
-      ``pid``/``tid``;
+    - every event has ``ph`` "X", numeric ``ts``/``dur`` (microseconds,
+      non-negative) and integer ``pid``/``tid``;
     - within each tid, X events are properly nested: sorted by start
       time, a later event either starts at-or-after the previous one's
       end or lies entirely inside it (no partial overlap — the matched
-      begin/end pair property, phrased for complete events);
-    - every M event is a ``thread_name`` record for a tid that exists.
+      begin/end pair property, phrased for complete events).
     """
     json.dumps(trace)
-    events = trace["traceEvents"]
-    assert isinstance(events, list)
-    x_events = [event for event in events if event["ph"] == "X"]
-    m_events = [event for event in events if event["ph"] == "M"]
-    assert len(x_events) + len(m_events) == len(events)
+    x_events = trace["traceEvents"]
+    assert isinstance(x_events, list)
+    assert all(event["ph"] == "X" for event in x_events)
 
     for event in x_events:
         assert isinstance(event["ts"], (int, float))
@@ -65,12 +57,6 @@ def validate_trace(trace: dict) -> list[dict]:
                     f"overlaps its predecessor"
                 )
             open_stack.append((start, end))
-
-    tids = set(by_tid)
-    for event in m_events:
-        assert event["name"] == "thread_name"
-        assert event["args"]["name"]
-        assert event["tid"] in tids
     return x_events
 
 
@@ -88,8 +74,8 @@ class TestSyntheticTraces:
         ]
 
     def test_unsharded_trace_has_no_metadata_events(self):
-        # Regression guard: serial traces keep the historical shape
-        # (X events only, single tid).
+        # Regression guard: traces keep the historical shape (X events
+        # only, single tid).
         tracer = Tracer()
         with tracer.span("sort", kind="phase"):
             pass
@@ -97,78 +83,24 @@ class TestSyntheticTraces:
         assert all(event["ph"] == "X" for event in events)
         assert {event["tid"] for event in events} == {1}
 
-    def test_shard_subtrees_get_distinct_tids_and_names(self):
+    def test_shard_named_spans_stay_on_the_one_thread(self):
         tracer = Tracer()
-        with tracer.span("parallel_join"):
-            with tracer.span("shard:cell-0", kind="shard"):
-                with tracer.span("spatial_join"):
-                    pass
-            with tracer.span("shard:cell-1", kind="shard"):
+        with tracer.span("outer"):
+            with tracer.span("shard:cell-0"):
                 pass
-        trace = tracer.to_chrome_trace()
-        x_events = validate_trace(trace)
-        by_name = {event["name"]: event for event in x_events}
-        tid_0 = by_name["shard:cell-0"]["tid"]
-        tid_1 = by_name["shard:cell-1"]["tid"]
-        assert by_name["parallel_join"]["tid"] == 1
-        assert tid_0 != tid_1 != 1
-        # Children inherit their shard's lane.
-        assert by_name["spatial_join"]["tid"] == tid_0
-        lanes = {
-            event["args"]["name"]
-            for event in trace["traceEvents"]
-            if event["ph"] == "M"
-        }
-        assert lanes == {"shard:cell-0", "shard:cell-1"}
+        events = validate_trace(tracer.to_chrome_trace())
+        assert {event["tid"] for event in events} == {1}
 
 
-class TestShardedRunTrace:
-    @pytest.fixture(scope="class")
-    def sharded_trace(self):
+class TestJoinRunTrace:
+    def test_instrumented_join_trace_validates(self):
         dataset_a = make_squares(120, side=0.01, seed=1, name="A")
         dataset_b = make_squares(150, side=0.02, seed=2, name="B")
         obs = Observability()
-        result = parallel_spatial_join(dataset_a, dataset_b, workers=2, obs=obs)
-        return obs.tracer.to_chrome_trace(), result
-
-    def test_grafted_worker_trees_validate(self, sharded_trace):
-        trace, result = sharded_trace
-        x_events = validate_trace(trace)
-        tasks = result.metrics.details["plan"]["tasks"]
-        shard_events = [
-            event for event in x_events if event["name"].startswith("shard:")
-        ]
-        assert len(shard_events) == tasks
-        assert len({event["tid"] for event in shard_events}) == tasks
-
-    def test_worker_spans_land_inside_their_shard_span(self, sharded_trace):
-        """The graft rebases worker-relative span clocks onto the
-        parent timeline: each shard's nested spatial_join must start
-        at-or-after its shard span starts."""
-        trace, _ = sharded_trace
-        x_events = validate_trace(trace)
-        by_tid: dict[int, list[dict]] = {}
-        for event in x_events:
-            by_tid.setdefault(event["tid"], []).append(event)
-        checked = 0
-        for events in by_tid.values():
-            shard = [e for e in events if e["name"].startswith("shard:")]
-            inner = [e for e in events if e["name"] == "spatial_join"]
-            if not shard or not inner:
-                continue
-            assert inner[0]["ts"] >= shard[0]["ts"] - 1.0  # µs slack
-            checked += 1
-        assert checked > 0
-
-    def test_timestamps_cover_the_run_not_the_epoch(self, sharded_trace):
-        """Grafted spans must not sit at µs offsets that predate the
-        root (a symptom of forgetting to rebase worker clocks)."""
-        trace, _ = sharded_trace
-        x_events = validate_trace(trace)
-        root = next(e for e in x_events if e["name"] == "parallel_join")
+        spatial_join(dataset_a, dataset_b, obs=obs)
+        x_events = validate_trace(obs.tracer.to_chrome_trace())
+        root = next(e for e in x_events if e["name"] == "spatial_join")
+        assert {"partition", "sort", "join"} <= {e["name"] for e in x_events}
         for event in x_events:
             assert event["ts"] >= root["ts"] - 1.0
-            assert (
-                event["ts"] + event["dur"]
-                <= root["ts"] + root["dur"] + 1.0
-            )
+            assert event["ts"] + event["dur"] <= root["ts"] + root["dur"] + 1.0

@@ -26,31 +26,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["join", "--workload", "XYZ"])
 
+    # The removed sharding flags accept no value at all: argparse
+    # rejects each as an unrecognized argument.
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
     def test_rejects_bad_worker_counts(self, value, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["join", "--workers", value])
-        err = capsys.readouterr().err
-        assert "must be at least 1" in err or "is not an integer" in err
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "17", "-3", "two"])
     def test_rejects_bad_shard_levels(self, value, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["join", "--shard-level", value])
-        err = capsys.readouterr().err
-        assert "between 1 and 16" in err or "is not an integer" in err
-
-    def test_accepts_valid_sharding(self):
-        args = build_parser().parse_args(
-            ["join", "--workers", "4", "--shard-level", "2"]
-        )
-        assert args.workers == 4
-        assert args.shard_level == 2
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shard-level" in capsys.readouterr().err
 
     def test_removed_planner_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
-                ["join", "--workers", "2", "--planner", "residual"]
+                ["join", "--planner", "residual"]
             )
         assert exit_info.value.code == 2
         assert "--planner" in capsys.readouterr().err
@@ -67,10 +62,26 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "'memory', 'durable'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["join", "--workers", "2"],
+            ["join", "--shard-level", "1"],
+            ["join", "--inject-crash", "cell-0"],
+            ["join", "--crash-attempts", "2"],
+            ["join", "--partial-results"],
+            ["verify", "--workers", "2"],
+        ],
+    )
+    def test_removed_sharding_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "--quick"])
         assert args.quick
-        assert args.workers == 2
         assert not args.no_minimize
 
     @pytest.mark.parametrize(
@@ -89,9 +100,11 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
-    def test_verify_rejects_bad_workers(self):
-        with pytest.raises(SystemExit):
+    def test_verify_rejects_bad_workers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["verify", "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -239,7 +252,7 @@ class TestObservabilityFlags:
 
 
 class TestExecutionModes:
-    """`repro join --mode memory` and the partial-result exit codes."""
+    """`repro join --mode memory`."""
 
     def test_memory_mode_runs(self, capsys):
         assert main(
@@ -248,13 +261,6 @@ class TestExecutionModes:
         out = capsys.readouterr().out
         assert "mode      : memory" in out
         assert "page I/Os : 0" in out
-
-    def test_memory_mode_sharded(self, capsys):
-        assert main(
-            ["join", "--mode", "memory", "--workers", "2", "--scale", "0.02"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "mode      : memory" in out and "sharding" in out
 
     def test_memory_mode_rejects_non_s3j(self, capsys):
         assert main(
@@ -270,42 +276,6 @@ class TestExecutionModes:
         ) == 2
         assert "no storage" in capsys.readouterr().err
 
-    def test_partial_results_needs_sharding(self, capsys):
-        assert main(
-            ["join", "--partial-results", "--scale", "0.02"]
-        ) == 2
-        assert "sharded" in capsys.readouterr().err
-
-    def test_transient_crash_retries_to_success(self, capsys):
-        # Default shard retry budget survives a single crashed attempt.
-        assert main(
-            ["join", "--workers", "2", "--inject-crash", "cell-0",
-             "--scale", "0.02"]
-        ) == 0
-        assert "FAILURES" not in capsys.readouterr().out
-
-    def test_persistent_crash_without_partial_exits_1(self, capsys):
-        assert main(
-            ["join", "--workers", "2", "--inject-crash", "cell-0",
-             "--crash-attempts", "5", "--scale", "0.02"]
-        ) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "--partial-results" in err
-
-    def test_persistent_crash_partial_exits_3(self, capsys):
-        # A dead shard with --partial-results: pairs for the completed
-        # shards, a loud FAILURES block, and exit code 3.
-        assert main(
-            ["join", "--workers", "2", "--inject-crash", "cell-0",
-             "--crash-attempts", "5", "--partial-results",
-             "--scale", "0.02"]
-        ) == 3
-        captured = capsys.readouterr()
-        assert "FAILURES  : 1 shard(s) incomplete" in captured.out
-        assert "cell-0" in captured.out
-        assert "result is partial" in captured.err
-
-
 class TestCrossModeCommand:
     def test_cross_mode_passes(self, capsys):
         assert main(
@@ -320,8 +290,8 @@ class TestCrossModeCommand:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        # 1 workload x 2 modes x (serial + 2-worker)
-        assert report["runs"] == 4
+        # 1 workload x 2 modes
+        assert report["runs"] == 2
 
     def test_cross_mode_unknown_workload_exits_2(self, capsys):
         assert main(

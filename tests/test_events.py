@@ -12,23 +12,24 @@ from repro.obs.events import (
     EVENT_TYPES,
     HEARTBEAT_INTERVAL_S,
     NULL_EVENTS,
-    BufferedEventSink,
     EventLog,
     EventSink,
     events_from_jsonl,
     progress_emitter,
 )
 
+from tests.conftest import make_squares
+
 
 class TestSchema:
     def test_events_carry_version_type_and_timestamp(self):
         log = EventLog()
-        log.emit("shard_dispatched", shard_id="cell-0")
+        log.emit("shard_progress", phase="sort", done=1, total=2)
         (event,) = log.to_dicts()
         assert event["v"] == EVENT_SCHEMA_VERSION
-        assert event["type"] == "shard_dispatched"
+        assert event["type"] == "shard_progress"
         assert event["ts"] > 0
-        assert event["shard_id"] == "cell-0"
+        assert event["phase"] == "sort"
 
     def test_unknown_type_raises(self):
         log = EventLog()
@@ -42,16 +43,15 @@ class TestSchema:
             log.emit(type_)
         assert len(log) == len(EVENT_TYPES)
 
-    def test_default_fields_ride_every_event(self):
-        sink = BufferedEventSink(shard_id="cell-3")
-        sink.emit("shard_progress", phase="join", done=1, total=2)
-        (event,) = sink.to_dicts()
-        assert event["shard_id"] == "cell-3"
-
-    def test_explicit_field_beats_default(self):
-        sink = BufferedEventSink(shard_id="cell-1")
-        sink.emit("shard_progress", shard_id="cell-9")
-        assert sink.to_dicts()[0]["shard_id"] == "cell-9"
+    @pytest.mark.parametrize(
+        "type_",
+        ["shard_dispatched", "shard_retry", "shard_completed",
+         "shard_timed_out", "shard_failed"],
+    )
+    def test_sharded_executor_types_are_gone(self, type_):
+        assert type_ not in EVENT_TYPES
+        with pytest.raises(ValueError, match="unknown event type"):
+            EventLog().emit(type_)
 
 
 class TestNullSink:
@@ -77,8 +77,8 @@ class TestNullSink:
 class TestRoundTrip:
     def test_jsonl_round_trip(self):
         log = EventLog()
-        log.emit("run_started", algorithm="s3j", workers=2)
-        log.emit("shard_completed", shard_id="cell-0", wall_s=0.5)
+        log.emit("run_started", algorithm="s3j", workers=1)
+        log.emit("run_completed", algorithm="s3j", pairs=7, wall_s=0.5)
         parsed = events_from_jsonl(log.to_jsonl())
         assert parsed == log.to_dicts()
 
@@ -101,38 +101,6 @@ class TestRoundTrip:
         log = EventLog(stream_path=str(tmp_path / "e.jsonl"))
         log.close()
         log.close()
-
-
-class TestExtend:
-    def test_worker_buffer_folds_into_parent_log(self):
-        worker = BufferedEventSink(shard_id="cell-2")
-        worker.emit("shard_progress", phase="sort", done=1, total=3)
-        parent = EventLog()
-        parent.extend(worker.to_dicts())
-        (event,) = parent.to_dicts()
-        assert event["shard_id"] == "cell-2"
-        assert event["type"] == "shard_progress"
-
-    def test_extend_preserves_worker_timestamps(self):
-        worker = BufferedEventSink(shard_id="cell-0")
-        worker.emit("shard_heartbeat", phase="start")
-        original_ts = worker.to_dicts()[0]["ts"]
-        parent = EventLog()
-        parent.extend(worker.to_dicts())
-        assert parent.to_dicts()[0]["ts"] == original_ts
-
-    def test_extend_revalidates(self):
-        parent = EventLog()
-        with pytest.raises(ValueError, match="unknown event type"):
-            parent.extend([{"type": "smuggled", "ts": 1.0, "v": 1}])
-
-    def test_extend_streams_to_file(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        worker = BufferedEventSink(shard_id="cell-1")
-        worker.emit("shard_completed", wall_s=0.1)
-        with EventLog(stream_path=str(path)) as log:
-            log.extend(worker.to_dicts())
-        assert json.loads(path.read_text())["shard_id"] == "cell-1"
 
 
 class TestHeartbeat:
@@ -172,3 +140,34 @@ class TestProgressEmitter:
         assert [e["done"] for e in progress] == [4, 8, 10]
         assert progress[-1]["detail"] == "step-10"
         assert all(e["total"] == 10 for e in progress)
+
+
+class TestLedgerParity:
+    """Events are observation only: a run's ledger is byte-identical
+    with the event log on or off."""
+
+    @pytest.mark.parametrize("algorithm", ["s3j", "pbsm", "shj"])
+    def test_serial_ledger_identical_with_events_on_and_off(self, algorithm):
+        from repro.experiments.runner import run_algorithm
+
+        dataset_a = make_squares(120, side=0.01, seed=1, name="A")
+        dataset_b = make_squares(150, side=0.02, seed=2, name="B")
+        plain = run_algorithm(dataset_a, dataset_b, algorithm)
+        obs = Observability(events=EventLog())
+        observed = run_algorithm(dataset_a, dataset_b, algorithm, obs=obs)
+        assert plain.result.metrics.to_dict() == observed.result.metrics.to_dict()
+        assert plain.result.pairs == observed.result.pairs
+        types = [event["type"] for event in obs.events.to_dicts()]
+        assert types[0] == "run_started"
+        assert types[-1] == "run_completed"
+        assert "shard_progress" in types
+
+    def test_events_only_obs_skips_span_and_metric_instrumentation(self):
+        from repro.join.api import spatial_join
+        from repro.obs import NULL_METRICS, NULL_TRACER
+
+        dataset_a = make_squares(120, side=0.01, seed=1, name="A")
+        obs = Observability(tracer=NULL_TRACER, metrics=NULL_METRICS, events=EventLog())
+        spatial_join(dataset_a, dataset_a, obs=obs)
+        assert obs.events.to_dicts()
+        assert obs.tracer.roots == []  # the null tracer collected nothing

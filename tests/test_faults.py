@@ -16,6 +16,7 @@ from repro.faults import (
     RetryingBackend,
     RetryPolicy,
     ScheduledFault,
+    ShardFailure,
     TornWriteError,
     TransientIOError,
 )
@@ -69,8 +70,8 @@ class TestFaultPlan:
             FaultPlan(transient_read_rate=1.5)
         with pytest.raises(ValueError, match="max_faults"):
             FaultPlan(max_faults=-1)
-        with pytest.raises(ValueError, match="delay_s"):
-            FaultPlan(delay_s=-0.1)
+        with pytest.raises(ValueError, match="latency_ops"):
+            FaultPlan(latency_ops=-1)
 
     def test_random_enabled_needs_seed_and_rate(self):
         assert not FaultPlan(seed=1).random_enabled
@@ -86,24 +87,17 @@ class TestFaultPlan:
             seed=7,
             torn_write_rate=0.1,
             schedule=(ScheduledFault(op="write", kind="torn"),),
-            crash_shards=("cell-0",),
         )
         assert pickle.loads(pickle.dumps(plan)) == plan
         assert hash(plan) == hash(pickle.loads(pickle.dumps(plan)))
 
-    def test_crash_and_delay_queries(self):
-        plan = FaultPlan(
-            crash_shards=("cell-0",),
-            crash_attempts=2,
-            delay_shards=("cell-1",),
-            delay_s=0.5,
-        )
-        assert plan.crashes_shard("cell-0", 1)
-        assert plan.crashes_shard("cell-0", 2)
-        assert not plan.crashes_shard("cell-0", 3)
-        assert not plan.crashes_shard("cell-1", 1)
-        assert plan.delays_shard("cell-1", 1)
-        assert not plan.delays_shard("cell-1", 2)
+    @pytest.mark.parametrize(
+        "field",
+        ["crash_shards", "crash_attempts", "delay_shards", "delay_attempts", "delay_s"],
+    )
+    def test_worker_fault_fields_are_gone(self, field):
+        with pytest.raises(TypeError):
+            FaultPlan(**{field: 1})
 
 
 class TestInjection:
@@ -406,3 +400,19 @@ class TestSorterCleanup:
             sorter.sort(handle, "sorted", key="eid")
             assert self.run_names(manager) == []
             assert "sorted" in manager.list_files()
+
+
+class TestShardFailure:
+    def test_wire_shape(self):
+        # The service's declared-partial reply puts this dict on the wire.
+        failure = ShardFailure(
+            shard_id="service", kind="breaker", error_type="CircuitOpen",
+            message="open", attempts=0,
+        )
+        assert failure.to_dict() == {
+            "shard_id": "service", "kind": "breaker", "error_type": "CircuitOpen",
+            "message": "open", "attempts": 0,
+        }
+        assert list(failure.to_dict()) == [
+            "shard_id", "kind", "error_type", "message", "attempts",
+        ]

@@ -249,21 +249,31 @@ class TestParameterValidation:
     def small(self):
         return make_squares(20, 0.05, seed=1, name="V")
 
+    # The removed sharding parameters accept no value at all: each is an
+    # unknown argument to the default (ledger) mode's algorithm.
     @pytest.mark.parametrize("workers", [0, -1, 1.5, "2"])
     def test_bad_workers_raises(self, workers):
         ds = self.small()
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(TypeError, match="workers"):
             spatial_join(ds, ds, workers=workers)
 
     @pytest.mark.parametrize("shard_level", [-1, 0.5, "1"])
     def test_bad_shard_level_raises(self, shard_level):
         ds = self.small()
-        with pytest.raises(ValueError, match="shard_level"):
+        with pytest.raises(TypeError, match="shard_level"):
             spatial_join(ds, ds, shard_level=shard_level)
 
-    def test_none_shard_level_allowed(self):
+    @pytest.mark.parametrize("mode, error", [("ledger", TypeError), ("memory", ValueError)])
+    @pytest.mark.parametrize(
+        "param",
+        ["workers", "shard_level", "partial_results", "shard_timeout_s", "shard_retries"],
+    )
+    def test_removed_sharding_parameters_raise(self, param, mode, error):
+        # Sharded execution is gone: its knobs are unknown arguments,
+        # rejected like any other, before a result exists.
         ds = self.small()
-        assert spatial_join(ds, ds).pairs  # shard_level=None is the default
+        with pytest.raises(error, match=param):
+            spatial_join(ds, ds, mode=mode, **{param: 2})
 
 
 class TestCoordinateValidation:
@@ -306,17 +316,16 @@ class TestWarmProcessDeterminism:
     process numbered its runs differently from a fresh one and the
     second run's ledger/report drifted.  Naming is per-manager now."""
 
-    def run_once(self, workers=1):
+    def run_once(self):
         import json
 
         dataset_a = make_squares(80, 0.03, seed=5, name="A")
         dataset_b = make_squares(90, 0.04, seed=6, name="B")
-        result = spatial_join(dataset_a, dataset_b, workers=workers)
+        result = spatial_join(dataset_a, dataset_b)
         return json.dumps(result.metrics.to_dict(), sort_keys=True)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_back_to_back_joins_identical(self, workers):
-        assert self.run_once(workers) == self.run_once(workers)
+    def test_back_to_back_joins_identical(self):
+        assert self.run_once() == self.run_once()
 
     def test_warm_process_all_algorithms(self):
         import json

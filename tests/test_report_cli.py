@@ -13,8 +13,8 @@ from repro.obs.report import RunReport
 
 
 @pytest.fixture(scope="module")
-def sharded_report_path(tmp_path_factory):
-    """One real 2-worker instrumented run, shared across render tests."""
+def report_paths(tmp_path_factory):
+    """One real instrumented run, shared across render tests."""
     out = tmp_path_factory.mktemp("observatory")
     report_path = out / "run.report.json"
     events_path = out / "run.events.jsonl"
@@ -23,7 +23,6 @@ def sharded_report_path(tmp_path_factory):
             "join",
             "--workload", "UN1-UN2",
             "--scale", "0.02",
-            "--workers", "2",
             "--report", str(report_path),
             "--events", str(events_path),
         ]
@@ -33,30 +32,23 @@ def sharded_report_path(tmp_path_factory):
 
 
 class TestEventsFlag:
-    def test_stream_file_written_and_in_schema(self, sharded_report_path):
-        report_path, events_path = sharded_report_path
+    def test_stream_file_written_and_in_schema(self, report_paths):
+        report_path, events_path = report_paths
         # events_from_jsonl re-validates every line against the schema.
         streamed = events_from_jsonl(events_path.read_text())
         assert streamed
         types = [event["type"] for event in streamed]
         assert types[0] == "run_started"
         assert types[-1] == "run_completed"
-        assert "shard_dispatched" in types
-        assert "shard_completed" in types
+        assert {"partition", "sort"} <= {
+            event["phase"] for event in streamed if event["type"] == "shard_progress"
+        }
 
-    def test_stream_matches_report_events(self, sharded_report_path):
-        report_path, events_path = sharded_report_path
+    def test_stream_matches_report_events(self, report_paths):
+        report_path, events_path = report_paths
         report = RunReport.load(str(report_path))
         streamed = events_from_jsonl(events_path.read_text())
         assert streamed == report.events
-
-    def test_report_carries_straggler_analytics(self, sharded_report_path):
-        report_path, _ = sharded_report_path
-        report = RunReport.load(str(report_path))
-        analytics = report.analytics
-        assert analytics["workers"] == 2
-        assert analytics["imbalance_factor"] >= 1.0
-        assert analytics["shards"]
 
     def test_events_without_report_still_streams(self, tmp_path, capsys):
         events_path = tmp_path / "only.events.jsonl"
@@ -121,28 +113,26 @@ class TestPathValidation:
 
 
 class TestReportCommand:
-    def test_terminal_render(self, sharded_report_path, capsys):
-        report_path, _ = sharded_report_path
+    def test_terminal_render(self, report_paths, capsys):
+        report_path, _ = report_paths
         assert main(["report", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert "s3j" in out
-        assert "shard lanes" in out
-        assert "imbalance factor" in out
-        assert "critical path" in out
-        # One Gantt lane per shard in the plan.
+        for phase in ("partition", "sort", "join"):
+            assert phase in out
         report = RunReport.load(str(report_path))
-        for lane in report.analytics["shards"]:
-            assert lane["shard_id"] in out
+        assert f"events    : {len(report.events)} (" in out
 
-    def test_json_summary(self, sharded_report_path, capsys):
-        report_path, _ = sharded_report_path
+    def test_json_summary(self, report_paths, capsys):
+        report_path, _ = report_paths
         assert main(["report", str(report_path), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["algorithm"] == "s3j"
-        assert summary["analytics"]["imbalance_factor"] >= 1.0
+        assert summary["events"] == len(RunReport.load(str(report_path)).events)
+        assert set(summary["phase_table"]) >= {"partition", "sort", "join"}
 
-    def test_html_render(self, sharded_report_path, tmp_path, capsys):
-        report_path, _ = sharded_report_path
+    def test_html_render(self, report_paths, tmp_path, capsys):
+        report_path, _ = report_paths
         html_path = tmp_path / "run.html"
         assert main(
             ["report", str(report_path), "--html", str(html_path)]
@@ -150,46 +140,60 @@ class TestReportCommand:
         capsys.readouterr()
         html = html_path.read_text()
         assert html.startswith("<!doctype html>")
-        assert "Shard Gantt lanes" in html
         assert "Span flame view" in html
-        assert "imbalance factor" in html
+        assert "<h2>Phases</h2>" in html
 
     def test_report_written_before_planner_removal_still_renders(
-        self, sharded_report_path, tmp_path, capsys
+        self, report_paths, tmp_path, capsys
     ):
-        # Reports saved while a second shard planner existed carry keys
-        # and a lane kind this version no longer writes; `repro report`
-        # must ignore them, not reject the artifact.  (The share key is
-        # spelled in two pieces so a repository-wide search for the
-        # removed name stays empty.)
-        report_path, _ = sharded_report_path
+        # Reports saved while sharded execution existed carry a
+        # per-shard ``analytics`` block, ``shard_*`` lifecycle events and
+        # plan details this version no longer writes; `repro report`
+        # must load and render them, not reject the artifact.  The
+        # writer is gone, so the old shape is built from a serial report.
+        report_path, _ = report_paths
         data = json.loads(report_path.read_text())
-        data["analytics"]["planner"] = "residual"
-        data["analytics"]["residual" + "_share"] = 0.421
-        lane = data["analytics"]["shards"][-1]
-        old_id = lane["shard_id"]
-        lane["shard_id"] = lane["kind"] = "residual-A"
-        data["analytics"]["critical_path"]["shard_id"] = "residual-A"
-        for event in data["events"]:
-            if event["type"] == "run_started":
-                event["planner"] = "residual"
-            if event.get("shard_id") == old_id:
-                event["shard_id"] = "residual-A"
-        data["metrics"]["details"]["plan"] |= {
-            "planner": "residual", "residual_a": 3, "residual_b": 2,
+        assert data["schema_version"] == 2
+        lane = {
+            "shard_id": "cell-0", "kind": "tile", "attempts": 1,
+            "failed": False, "pairs": data["pairs"], "records": 1054,
+            "start_s": 0.07, "wall_s": 0.82, "phase_wall": {"join": 0.5},
+        }
+        data["analytics"] = {
+            "shards": [lane], "workers": 2, "makespan_s": 0.9,
+            "imbalance_factor": 1.0, "record_imbalance_factor": 1.0,
+            "parallel_efficiency": 0.91, "retries": 0, "timeouts": 0,
+            "failures": 0, "heartbeats": 0, "progress_events": 3,
+            "duration_percentiles": {"p50": 0.82, "max": 0.82},
+            "critical_path": {"shard_id": "cell-0", "kind": "tile",
+                              "wall_s": 0.82, "share_of_total": 1.0},
+            "planner": "residual", "residual" + "_share": 0.0,
+        }
+        ts = data["events"][0]["ts"]
+        data["events"][0] |= {"workers": 2, "shard_level": 1, "tasks": 1}
+        data["events"][1:1] = [
+            {"v": 1, "type": "shard_dispatched", "ts": ts, "shard_id": "cell-0",
+             "kind": "tile", "attempt": 1, "records": 1054, "in_process": False},
+            {"v": 1, "type": "shard_completed", "ts": ts, "shard_id": "cell-0",
+             "kind": "tile", "attempt": 1, "pairs": data["pairs"], "wall_s": 0.82},
+        ]
+        data["metrics"]["details"] |= {
+            "parallel": True, "shard_level": 1,
+            "plan": {"shard_level": 1, "tasks": 1, "mini_joins": 4},
         }
         old_path = tmp_path / "old.report.json"
         old_path.write_text(json.dumps(data))
 
         assert main(["report", str(old_path)]) == 0
         out = capsys.readouterr().out
-        assert "residual-A" in out and "imbalance factor" in out
+        assert "1 shard_dispatched" in out and "1 shard_completed" in out
         assert main(["report", str(old_path), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["analytics"]["shards"] == len(data["analytics"]["shards"])
+        assert summary["pairs"] == data["pairs"]
+        assert summary["events"] == len(data["events"])
         html_path = tmp_path / "old.html"
         assert main(["report", str(old_path), "--html", str(html_path)]) == 0
-        assert "residual-A" in html_path.read_text()
+        assert html_path.read_text().startswith("<!doctype html>")
 
     def test_serial_report_renders_without_analytics(self, tmp_path, capsys):
         report_path = tmp_path / "serial.report.json"
@@ -222,8 +226,8 @@ class TestReportCommand:
         assert main(["report", str(path)]) == 2
         assert "not a RunReport" in capsys.readouterr().err
 
-    def test_html_missing_parent_exits_2(self, sharded_report_path, capsys):
-        report_path, _ = sharded_report_path
+    def test_html_missing_parent_exits_2(self, report_paths, capsys):
+        report_path, _ = report_paths
         assert main(
             ["report", str(report_path), "--html", "/no/such/dir/out.html"]
         ) == 2

@@ -191,10 +191,7 @@ class TestDiffAndMinimize:
 class TestExecutors:
     def test_default_roster(self):
         names = [spec.name for spec in default_executors()]
-        assert names == [
-            "pbsm", "rtree", "s3j", "shj", "sweep",
-            "s3j@2w", "s3j:memory", "s3j:memory@2w",
-        ]
+        assert names == ["pbsm", "rtree", "s3j", "shj", "sweep", "s3j:memory"]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithms"):
@@ -208,17 +205,13 @@ class TestExecutors:
         assert record.registry is not None
         assert record.level_file_pages  # S3J leaves sorted level files
 
-    def test_sharded_and_memory_runs_capture_pairs_only(self):
+    def test_memory_run_captures_pairs_only(self):
         case = small_case()
-        expected = oracle_pairs(case.dataset_a, case.dataset_b)
-        for spec in (
-            ExecutorSpec("s3j", workers=2),
-            ExecutorSpec("s3j", mode="memory", params=(("refine", True),)),
-        ):
-            record = run_executor(case, spec)
-            assert record.pairs == expected
-            assert record.ledger_total is None and not record.level_file_pages
-            assert (record.refined is not None) == bool(spec.params)
+        spec = ExecutorSpec("s3j", mode="memory", params=(("refine", True),))
+        record = run_executor(case, spec)
+        assert record.pairs == oracle_pairs(case.dataset_a, case.dataset_b)
+        assert record.ledger_total is None and not record.level_file_pages
+        assert record.refined is not None
 
     def test_uninstrumented_run_has_no_registry(self):
         record = run_executor(small_case(), ExecutorSpec("sweep"), instrument=False)
@@ -365,11 +358,9 @@ class TestHarness:
     def test_cross_mode_is_a_roster_of_the_same_sweep(self):
         report = run_cross_mode(cases=[small_case()])
         assert report.ok, report.summary()
-        assert report.counts["executors"] == [
-            "s3j", "s3j:memory", "s3j@2w", "s3j:memory@2w",
-        ]
+        assert report.counts["executors"] == ["s3j", "s3j:memory"]
         assert report.counts["transforms"] == ["identity"]
-        assert report.counts["runs"] == 4
+        assert report.counts["runs"] == 2
 
     def test_cross_mode_catches_refined_set_drift(self, monkeypatch):
         """The oracle covers the filter step only; a refinement step
@@ -384,7 +375,7 @@ class TestHarness:
             return result
 
         monkeypatch.setattr(fastpath, "memory_spatial_join", drops_a_refined_pair)
-        report = run_cross_mode(cases=[small_case()], worker_counts=(1,))
+        report = run_cross_mode(cases=[small_case()])
         (violation,) = report.violations
         assert violation.check == "refined-parity"
         assert "s3j:memory" in violation.where and "1 missing" in violation.message
