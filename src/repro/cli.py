@@ -217,16 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--crash",
         action="store_true",
-        help="crash mode: SIGKILL a real child process at sampled WAL "
-        "offsets, reopen the durable store, and require oracle-exact "
-        "recovered answers (--cases sampled kill points)",
+        help="crash mode: replay --cases seeded schedules on a recording "
+        "disk, reopen the durable store from every state a power cut "
+        "could leave at every fsync, and require oracle-exact recovered "
+        "answers (default 3 schedules)",
     )
     verify.add_argument(
         "--cases",
         type=_positive_int,
-        default=25,
+        default=None,
         metavar="N",
-        help="number of sampled fault scenarios in chaos mode (default 25)",
+        help="number of sampled fault scenarios in chaos mode (default 25), "
+        "of seeded schedules in crash mode (default 3)",
     )
     verify.add_argument(
         "--ops",
@@ -520,14 +522,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if args.workloads
             else None
         )
+        counted = {} if args.cases is None else {"cases": args.cases}
         if args.cross_mode:
             gate = partial(verify.run_cross_mode, cases=cases)
         elif args.crash:
-            gate = partial(verify.run_crash_verify, cases=args.cases)
+            gate = partial(verify.run_crash_verify, **counted)
         elif args.service:
             gate = partial(verify.run_service_verify, ops=args.ops)
         elif args.chaos:
-            gate = partial(verify.run_chaos, cases=args.cases)
+            gate = partial(verify.run_chaos, **counted)
         else:
             gate = partial(
                 verify.run_verify,

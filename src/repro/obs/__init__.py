@@ -89,13 +89,6 @@ class Observability:
         low-level hooks use to skip instrumentation entirely."""
         return self.metrics if self.metrics.enabled else None
 
-    @classmethod
-    def disabled(cls) -> Observability:
-        """A fresh all-disabled instance (prefer :data:`NULL_OBS`)."""
-        return cls(
-            tracer=NullTracer(), metrics=NullMetricsRegistry(), events=EventSink()
-        )
-
 
 NULL_OBS = Observability(
     tracer=NULL_TRACER, metrics=NULL_METRICS, events=NULL_EVENTS

@@ -136,27 +136,6 @@ class Histogram:
             seen += bucket_count
         return float(self.max if self.max is not None else 0.0)
 
-    def merge(self, other: Histogram) -> None:
-        """Fold another histogram's samples into this one (exact: the
-        summary is closed under merging, including retained samples —
-        unless the union outgrows the retention cap)."""
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        for key, count in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + count
-        if (
-            self.samples is not None
-            and other.samples is not None
-            and len(self.samples) + len(other.samples) <= QUANTILE_SAMPLE_CAP
-        ):
-            self.samples.extend(other.samples)
-        else:
-            self.samples = None
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "count": self.count,

@@ -22,7 +22,7 @@ subpackage is that storage manager:
 
 from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostModel, CpuModel, DiskModel
-from repro.storage.durable import CrashPoint, DurableBackend, SimulatedCrash
+from repro.storage.durable import DurableBackend
 from repro.storage.iostats import IOStats, PhaseStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.pagedfile import PagedFile
@@ -33,7 +33,6 @@ __all__ = [
     "BufferPool",
     "CostModel",
     "CpuModel",
-    "CrashPoint",
     "DiskModel",
     "DurableBackend",
     "EntityDescriptorCodec",
@@ -41,7 +40,6 @@ __all__ = [
     "PagedFile",
     "PhaseStats",
     "RecordCodec",
-    "SimulatedCrash",
     "StorageConfig",
     "StorageManager",
     "WalRecord",

@@ -1,7 +1,7 @@
 """The durable page store: a crash-consistent file-backed backend.
 
 :class:`DurableBackend` is the one file-backed storage backend
-(DESIGN.md section 16).  It survives ``SIGKILL`` at any instant and
+(DESIGN.md section 16).  It survives a power cut at any instant and
 reopens to exactly the state its last returned *barrier* left behind.
 Every page is written once:
 
@@ -43,14 +43,15 @@ naming the original error until the directory is reopened; reads work
 and ``close()`` skips its checkpoint.  The simulated I/O ledger sees
 none of this: it is byte-identical across ``memory`` and ``durable``.
 
-Crash points (the ``crash_point`` hook, or ``REPRO_DURABLE_CRASH`` from
-:mod:`repro.verify.crash`): the store ``SIGKILL``s itself — or raises
-:class:`SimulatedCrash` in-process — at ``data-write`` (mid-slot-write:
-a torn pending page), ``data-synced`` (after a barrier's data fsync,
-before its first ``map``), ``wal-append`` (a torn ``map`` or note),
-``wal-synced`` (record durable, not yet applied), ``commit`` (entering
-a journal reset — the index's compaction commit) or ``checkpoint``, and
-must recover to the last returned barrier from every one.
+Every file operation goes through the seam of :mod:`repro.obs.fileio`,
+bound at construction.  Durability order: a barrier fsyncs the data
+file before it logs the ``map`` records naming its slots; a checkpoint
+fsyncs its temp file, renames it over ``checkpoint.json``, fsyncs the
+directory, and only then unlinks the old log segments and creates the
+new one, whose directory fsync makes both durable.  ``repro verify
+--crash`` replays the store on a recording file system and reopens it
+from every disk image a power cut could leave at every fsync boundary
+(DESIGN.md section 16); each must recover to the last returned barrier.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ from __future__ import annotations
 import heapq
 import json
 import os
-import signal
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Sequence
+from typing import BinaryIO, Sequence
 
+from repro.obs import fileio
 from repro.storage import wal
 from repro.storage.backend import BackendClosedError, Page, Record, StorageBackend
 from repro.storage.records import RecordCodec
@@ -85,64 +86,10 @@ DEFAULT_CHECKPOINT_BYTES = 64 * 1024
 a thousand records, now that none holds a page, so that is all a reopen
 replays."""
 
-CRASH_ENV = "REPRO_DURABLE_CRASH"
-"""JSON crash-point spec consumed at construction — the kill-and-reopen
-harness plants it in the child's environment."""
-
-CRASH_POINTS = (
-    "wal-append",
-    "wal-synced",
-    "data-write",
-    "data-synced",
-    "commit",
-    "checkpoint",
-)
-
 
 class DurableStoreError(RuntimeError):
     """A structural store problem — bad header, checksum, catalog, an
     older on-disk format — or a write to a store that has failed."""
-
-
-class SimulatedCrash(BaseException):
-    """An in-process stand-in for ``SIGKILL`` (crash_point action
-    ``raise``): derives from ``BaseException`` so no recovery path in
-    the library can absorb it, and the test reopens the directory with
-    a fresh store exactly as a restarted process would."""
-
-
-@dataclass(frozen=True)
-class CrashPoint:
-    """Die at the ``index``-th occurrence of a named instant.
-
-    ``fraction`` applies to the partial-write points (``wal-append``,
-    ``data-write``): that fraction of the record/block bytes reaches
-    the file before death.  ``action`` is ``kill`` (a genuine
-    ``SIGKILL`` to the current process — subprocess harness) or
-    ``raise`` (:class:`SimulatedCrash` — in-process tests).
-    """
-
-    point: str
-    index: int = 0
-    fraction: float = 0.5
-    action: str = "kill"
-
-    def __post_init__(self) -> None:
-        if self.point not in CRASH_POINTS:
-            raise ValueError(
-                f"unknown crash point {self.point!r}; choose from {CRASH_POINTS}"
-            )
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("crash fraction must be within [0, 1]")
-        if self.action not in ("kill", "raise"):
-            raise ValueError("crash action must be 'kill' or 'raise'")
-
-    def to_env(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_env(cls, text: str) -> CrashPoint:
-        return cls(**json.loads(text))
 
 
 @dataclass
@@ -155,9 +102,6 @@ class RecoveryReport:
     dropped_segments: int = 0
     journal_notes: int = 0  # client notes handed back by journal()
     epoch: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
@@ -180,14 +124,10 @@ class DurableBackend(StorageBackend):
         page_size: int | None = None,
         segment_bytes: int = wal.DEFAULT_SEGMENT_BYTES,
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        crash_point: CrashPoint | None = None,
     ) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if crash_point is None and os.environ.get(CRASH_ENV):
-            crash_point = CrashPoint.from_env(os.environ[CRASH_ENV])
-        self._crash = crash_point
-        self._crash_counts: dict[str, int] = {}
+        self._files = fileio.current()
+        self._files.makedirs(self.directory)
         self.checkpoint_bytes = checkpoint_bytes
         self._entries: dict[int, _FileEntry] = {}  # file id -> entry
         self._names: dict[str, int] = {}  # name -> file id
@@ -201,38 +141,41 @@ class DurableBackend(StorageBackend):
         self._journal: list[bytes] = []
         self._failed: OSError | None = None
         self.bytes_written = 0  # slot, log and checkpoint bytes handed to the OS
-        self._fsyncs = 0  # data-file and checkpoint fsyncs; the log counts its own
+        self._fsyncs = 0  # data-file, checkpoint and its directory's; the log counts its own
         self.epoch = 0
         self.last_recovery: RecoveryReport | None = None
         self._closed = False
 
         data_path = self.directory / DATA_FILE
-        if data_path.exists():
+        if self._files.exists(data_path):
+            self._data: BinaryIO = self._files.open(data_path, "r+b")
             self.page_size = self._read_header()
             if page_size is not None and page_size != self.page_size:
+                self._data.close()
                 raise DurableStoreError(
                     f"store at {self.directory} uses page size "
                     f"{self.page_size}, configuration asked for {page_size}"
                 )
-            self._data: BinaryIO = open(data_path, "r+b")
             self._recover()
+            # Opening is itself a recovery point: bump the epoch, persist
+            # the catalog, start a fresh log segment, so a second open
+            # replays nothing.  The header is one write in one sector that
+            # recovery never needs, so the next data fsync carries it.
+            self.epoch += 1
+            self._data.seek(0)
+            self._data.write(self._header())
         elif page_size is None:
             raise DurableStoreError("creating a durable store needs an explicit page size")
         else:
-            self.page_size = page_size
-            self._data = open(data_path, "w+b")
-        # Opening is itself a recovery point: bump the epoch, persist
-        # everything, and start a fresh log, so a second open of the
-        # same directory replays nothing (double-reopen idempotence).
-        self.epoch += 1
-        self._write_header()
-        self._fsync(self._data)
-        segments = wal.list_segments(self.directory)
-        self._wal = wal.WriteAheadLog(
-            self.directory,
-            segment_bytes,
-            start_sequence=max(map(wal.segment_sequence, segments), default=0) + 1,
-        )
+            # Created whole or not at all, so no power cut leaves a data
+            # file without its header behind.
+            self.page_size, self.epoch = page_size, 1
+            self._files.atomic_replace(data_path, self._header())
+            self._fsyncs += 2
+            self._data = self._files.open(data_path, "r+b")
+        segments = wal.list_segments(self.directory, self._files)
+        start = max(map(wal.segment_sequence, segments), default=0) + 1
+        self._wal = wal.WriteAheadLog(self.directory, segment_bytes, start, self._files)
         self._write_checkpoint()
 
     # -- layout ----------------------------------------------------------
@@ -246,23 +189,14 @@ class DurableBackend(StorageBackend):
     def _slot_offset(self, slot: int) -> int:
         return HEADER_SIZE + slot * self._block_size
 
-    def _write_header(self) -> None:
-        packed = _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            self.page_size,
-            self.epoch,
-            zlib.crc32(
-                struct.pack("<IIQ", FORMAT_VERSION, self.page_size, self.epoch)
-            ),
-        )
-        self._data.seek(0)
-        self._data.write(packed + b"\x00" * (HEADER_SIZE - len(packed)))
-        self._data.flush()
+    def _header(self) -> bytes:
+        fields = (FORMAT_VERSION, self.page_size, self.epoch)
+        packed = _HEADER.pack(MAGIC, *fields, zlib.crc32(struct.pack("<IIQ", *fields)))
+        return packed.ljust(HEADER_SIZE, b"\x00")
 
     def _read_header(self) -> int:
-        with open(self.directory / DATA_FILE, "rb") as handle:
-            blob = handle.read(HEADER_SIZE)
+        self._data.seek(0)
+        blob = self._data.read(HEADER_SIZE)
         if len(blob) < _HEADER.size:
             raise DurableStoreError("data file too short to hold a header")
         magic, version, page_size, epoch, crc = _HEADER.unpack_from(blob, 0)
@@ -274,33 +208,6 @@ class DurableBackend(StorageBackend):
             raise DurableStoreError("store header checksum mismatch")
         self.epoch = epoch
         return page_size
-
-    # -- crash-point hooks ----------------------------------------------
-
-    def _crash_due(self, point: str) -> bool:
-        if self._crash is None or self._crash.point != point:
-            return False
-        count = self._crash_counts.get(point, 0)
-        self._crash_counts[point] = count + 1
-        return count == self._crash.index
-
-    def _die(self) -> None:
-        assert self._crash is not None
-        if self._crash.action == "raise":
-            raise SimulatedCrash(f"simulated crash at {self._crash.point}")
-        os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - harness
-
-    def _maybe_crash(self, point: str) -> None:
-        if self._crash_due(point):
-            self._die()
-
-    def _partial_then_die(self, handle: Any, data: bytes) -> None:
-        """Persist a prefix of ``data`` (through to the medium, so the
-        torn state is what recovery really reads) and die."""
-        assert self._crash is not None
-        handle.write(data[: int(len(data) * self._crash.fraction)])
-        self._fsync(handle)
-        self._die()
 
     # -- recovery ---------------------------------------------------------
 
@@ -322,7 +229,7 @@ class DurableBackend(StorageBackend):
                 report.mapped_pages += len(wal.unpack_map(record.body)[1])
             self._next_lsn = record.lsn + 1
 
-        scan = wal.scan_segments(self.directory, apply)
+        scan = wal.scan_segments(self.directory, apply, self._files)
         report.truncated_bytes = scan.truncated_bytes
         report.dropped_segments = scan.dropped_segments
         report.journal_notes = len(self._journal)
@@ -335,27 +242,19 @@ class DurableBackend(StorageBackend):
 
     def _load_checkpoint(self) -> None:
         path = self.directory / CHECKPOINT_FILE
-        if not path.exists():
+        if not self._files.exists(path):
             # A store that died before its very first checkpoint: the
             # WAL (possibly empty) is the entire history.
             return
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(self._files.read_bytes(path))
         if data.get("schema") != CHECKPOINT_SCHEMA:
             raise DurableStoreError(
                 f"unsupported checkpoint schema {data.get('schema')!r}"
             )
         self._next_file_id = int(data["next_file_id"])
         for row in data["files"]:
-            entry = _FileEntry(
-                file_id=int(row["file_id"]),
-                name=str(row["name"]),
-                record_size=int(row["record_size"]),
-                capacity=int(row["capacity"]),
-                pages={
-                    int(page_no): int(slot)
-                    for page_no, slot in row["pages"].items()
-                },
-            )
+            pages = {int(page_no): slot for page_no, slot in row.pop("pages").items()}
+            entry = _FileEntry(**row, pages=pages)
             self._entries[entry.file_id] = entry
             self._names[entry.name] = entry.file_id
         self._journal = [bytes.fromhex(note) for note in data["journal"]]
@@ -405,8 +304,6 @@ class DurableBackend(StorageBackend):
         block += b"\x00" * (self._block_size - len(block))
         try:
             self._data.seek(self._slot_offset(slot))
-            if self._crash_due("data-write"):
-                self._partial_then_die(self._data, block)
             self._data.write(block)
             self._data.flush()
         except OSError as error:
@@ -451,15 +348,10 @@ class DurableBackend(StorageBackend):
         """``fsync`` calls issued so far, on any of the store's files."""
         return self._fsyncs + self._wal.syncs
 
-    def _fsync(self, handle: Any) -> None:
-        handle.flush()
-        os.fsync(handle.fileno())
-        self._fsyncs += 1
-
     def _append(self, op: int, body: bytes) -> None:
         record = wal.WalRecord(self._next_lsn, op, body)
         self._next_lsn += 1
-        self._wal.append(record, self._partial_then_die if self._crash_due("wal-append") else None)
+        self._wal.append(record)
         self.bytes_written += wal.WAL_HEADER.size + len(body)
 
     def _log(self, op: int | None, body: bytes = b"", barrier: bool = False) -> None:
@@ -473,8 +365,8 @@ class DurableBackend(StorageBackend):
             return
         try:
             if pending:
-                self._fsync(self._data)
-                self._maybe_crash("data-synced")
+                self._files.fsync(self._data)
+                self._fsyncs += 1
                 for file_id, pages in pending.items():
                     slots = self._entries[file_id].pages
                     mapping = [(page_no, slots[page_no]) for page_no in pages]
@@ -485,7 +377,6 @@ class DurableBackend(StorageBackend):
         except OSError as error:
             self._failed = error  # on the medium or not: only a reopen can tell
             raise
-        self._maybe_crash("wal-synced")
         if barrier:
             for slot in self._superseded:
                 heapq.heappush(self._free, slot)
@@ -501,7 +392,6 @@ class DurableBackend(StorageBackend):
         atomically, then reset the log to a fresh segment."""
         self._log(None, barrier=True)
         self._write_checkpoint()
-        self._maybe_crash("checkpoint")
         self._wal.reset(self._wal.sequence + 1)
 
     def _write_checkpoint(self) -> None:
@@ -510,31 +400,11 @@ class DurableBackend(StorageBackend):
             "lsn": self._next_lsn - 1,
             "next_file_id": self._next_file_id,
             "journal": [note.hex() for note in self._journal],
-            "files": [
-                {
-                    "file_id": entry.file_id,
-                    "name": entry.name,
-                    "record_size": entry.record_size,
-                    "capacity": entry.capacity,
-                    "pages": {
-                        str(page_no): slot
-                        for page_no, slot in sorted(entry.pages.items())
-                    },
-                }
-                for entry in sorted(
-                    self._entries.values(), key=lambda e: e.file_id
-                )
-            ],
+            "files": [asdict(self._entries[file_id]) for file_id in sorted(self._entries)],
         }
-        # Inline atomic write (temp + fsync + rename) rather than
-        # repro.obs.fileio to keep the storage layer import-light.
-        path = self.directory / CHECKPOINT_FILE
-        tmp = path.with_name(path.name + ".tmp")
-        text = json.dumps(payload, sort_keys=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            self._fsync(handle)
-        os.replace(tmp, path)
+        text = json.dumps(payload, sort_keys=True).encode()
+        self._files.atomic_replace(self.directory / CHECKPOINT_FILE, text)
+        self._fsyncs += 2  # the temp file, then the directory after the rename
         self.bytes_written += len(text)
 
     # -- StorageBackend ---------------------------------------------------
@@ -649,8 +519,6 @@ class DurableBackend(StorageBackend):
 
     def journal_append(self, note: bytes, reset: bool = False) -> None:
         self._check_open()
-        if reset:
-            self._maybe_crash("commit")
         self._log(wal.OP_NOTE, wal.pack_note(note, reset), barrier=True)
 
     def _apply_note(self, body: bytes) -> None:
@@ -665,7 +533,7 @@ class DurableBackend(StorageBackend):
         return list(self._journal)
 
     def sync(self) -> None:
-        """The bare barrier: every acknowledged page now survives a kill."""
+        """The bare barrier: every acknowledged page now survives a crash."""
         self._check_open()
         self._log(None, barrier=True)
 

@@ -13,7 +13,10 @@ The log is **segmented**: records append to ``wal-<seq>.log`` until the
 segment exceeds ``segment_bytes``, then a fresh segment (with the next
 sequence number, never reused) is started.  A checkpoint makes every
 record redundant — the full catalog is persisted — after which all
-segments are deleted and a new one begins.
+segments are deleted and a new one begins.  Starting a segment fsyncs
+the directory, so the segment a record is committed into — and the
+unlinks of a reset before it — are durable before any record in it is.
+All file I/O goes through the seam of :mod:`repro.obs.fileio`.
 
 Record layout (little-endian)::
 
@@ -46,6 +49,8 @@ from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
 from typing import Callable
+
+from repro.obs import fileio
 
 WAL_MAGIC = 0x57414C31
 WAL_HEADER = struct.Struct("<IQBII")  # magic, lsn, op, crc, body length
@@ -146,19 +151,18 @@ def segment_sequence(path: Path) -> int:
     return int(path.name[len("wal-") : -len(".log")])
 
 
-def list_segments(directory: Path) -> list[Path]:
+def list_segments(directory: Path, files: fileio.OsFiles | None = None) -> list[Path]:
     """Existing segment files in sequence order."""
-    return sorted(directory.glob("wal-*.log"), key=segment_sequence)
+    names = (files or fileio.current()).listdir(directory)
+    segments = [Path(directory) / n for n in names if n.startswith("wal-") and n.endswith(".log")]
+    return sorted(segments, key=segment_sequence)
 
 
 class WriteAheadLog:
     """The append side of the segmented log.
 
     ``append`` buffers into the current segment and flushes to the OS;
-    ``sync`` fsyncs, which is the commit point.  The ``partial_writer``
-    hook exists for the crash harness only: it lets the durable store
-    persist a deliberate *prefix* of one record before dying, producing
-    an honest torn tail.
+    ``sync`` fsyncs, which is the commit point.
     """
 
     def __init__(
@@ -166,57 +170,53 @@ class WriteAheadLog:
         directory: str | os.PathLike[str],
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         start_sequence: int = 1,
+        files: fileio.OsFiles | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.segment_bytes = segment_bytes
-        self.sequence = start_sequence
-        self._handle = open(self.directory / segment_name(self.sequence), "ab")
+        self._files = files or fileio.current()
         self.bytes_appended = 0  # across segments since construction/reset
-        self.syncs = 0  # fsyncs issued, rotation and close included
+        self.syncs = 0  # fsyncs issued, of segments and of the directory
+        self._start(start_sequence)
 
     @property
     def segment_path(self) -> Path:
         return self.directory / segment_name(self.sequence)
 
-    def append(
-        self,
-        record: WalRecord,
-        partial_writer: Callable[[object, bytes], None] | None = None,
-    ) -> None:
+    def _start(self, sequence: int) -> None:
+        """Create segment ``sequence`` and make its directory entry durable."""
+        self.sequence = sequence
+        self._handle = self._files.open(self.segment_path, "ab")
+        self._files.fsync_dir(self.directory)
+        self.syncs += 1
+
+    def append(self, record: WalRecord) -> None:
         """Append one record (rotating first if the segment is full)."""
         data = record.encode()
-        if (
-            self._handle.tell() > 0
-            and self._handle.tell() + len(data) > self.segment_bytes
-        ):
+        if self._handle.tell() and self._handle.tell() + len(data) > self.segment_bytes:
             self._rotate()
-        if partial_writer is not None:
-            partial_writer(self._handle, data)
-        else:
-            self._handle.write(data)
+        self._handle.write(data)
         self._handle.flush()
         self.bytes_appended += len(data)
 
     def sync(self) -> None:
         """The commit point: everything appended so far is now durable."""
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        self._files.fsync(self._handle)
         self.syncs += 1
 
     def _rotate(self) -> None:
         self.sync()
         self._handle.close()
-        self.sequence += 1
-        self._handle = open(self.directory / segment_name(self.sequence), "ab")
+        self._start(self.sequence + 1)
 
     def reset(self, next_sequence: int) -> None:
         """Checkpoint aftermath: delete every segment, start a fresh one
-        with a sequence number that has never been used."""
+        with a sequence number that has never been used (the one
+        directory fsync covers the unlinks and the create)."""
         self._handle.close()
-        for path in list_segments(self.directory):
-            path.unlink()
-        self.sequence = next_sequence
-        self._handle = open(self.directory / segment_name(self.sequence), "ab")
+        for path in list_segments(self.directory, self._files):
+            self._files.unlink(path)
+        self._start(next_sequence)
         self.bytes_appended = 0
 
     def close(self) -> None:
@@ -233,7 +233,11 @@ class WalScan:
     dropped_segments: int = 0
 
 
-def scan_segments(directory: Path, apply: Callable[[WalRecord], None]) -> WalScan:
+def scan_segments(
+    directory: Path,
+    apply: Callable[[WalRecord], None],
+    files: fileio.OsFiles | None = None,
+) -> WalScan:
     """Read every committed record in LSN order and feed it to ``apply``.
 
     The first structurally invalid record — bad magic, non-successor
@@ -243,25 +247,25 @@ def scan_segments(directory: Path, apply: Callable[[WalRecord], None]) -> WalSca
     the tail segment tore mid-rotation; its records were never
     acknowledged).
     """
+    files = files or fileio.current()
     scan = WalScan()
     expected_lsn: int | None = None
     torn = False
-    for path in list_segments(directory):
+    for path in list_segments(directory, files):
         if torn:
-            path.unlink()
+            files.unlink(path)
             scan.dropped_segments += 1
             continue
-        data = path.read_bytes()
+        data = files.read_bytes(path)
         offset = 0
         while offset < len(data):
             good, record = _decode_at(data, offset, expected_lsn)
             if not good:
                 torn = True
                 scan.truncated_bytes = len(data) - offset
-                with open(path, "r+b") as handle:
+                with files.open(path, "r+b") as handle:
                     handle.truncate(offset)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    files.fsync(handle)
                 break
             assert record is not None
             apply(record)

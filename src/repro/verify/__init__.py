@@ -18,8 +18,9 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   alone, one :func:`check_index` verdict.  :func:`run_service_verify`
   and :func:`run_service_chaos` replay it through a live
   :class:`~repro.service.api.JoinService` under fault profiles;
-  :func:`run_crash_verify` runs the same ops in a child process that is
-  ``SIGKILL``ed mid-write, and checks the reopened store.
+  :func:`run_crash_verify` runs the same ops on a recording disk and
+  reopens the store from every state a power cut could leave at every
+  fsync.
 
 Every gate returns the same :class:`Report`::
 

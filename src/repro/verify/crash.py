@@ -1,42 +1,30 @@
-"""The kill-and-reopen crash gate for the durable storage stack.
+"""The crash gate for the durable storage stack: power loss at every fsync.
 
-The scenario class the in-process replay cannot model: a real child
-process (:mod:`repro.verify.crash_worker`) runs the ops of
-:func:`repro.verify.scenario.op_schedule` against a durable
-:class:`~repro.service.index.PersistentIndex`, with a sampled
-:class:`~repro.storage.durable.CrashPoint` planted in its environment —
-the durable backend ``SIGKILL``s its own process mid-log-append,
-between a log fsync and its record taking effect, mid-slot-write,
-between a barrier's data fsync and its map records, just before a
-bulk-load or compaction commit, or mid-checkpoint.  The parent counts
-the operations the child *acknowledged* (one ``ack`` line per completed operation),
-reopens the store in its own process, and holds it to the model:
+``repro verify --crash`` replays :func:`repro.verify.scenario.op_schedule`
+in process against a durable :class:`~repro.service.index.PersistentIndex`
+whose files live on a :class:`~repro.verify.recorder.Recorder`, installed
+through the file-I/O seam.  At every fsync and directory-fsync boundary
+each distinct disk image a power cut could leave is reopened and held to
+the :class:`~repro.verify.scenario.LiveModel` after the ``k`` acked ops
+or ``k + 1`` (the op in flight fully survived or never happened) by
+:func:`~repro.verify.scenario.check_index` — and so is a second reopen,
+of what a power cut right after the first leaves.  The store runs on a
+small checkpoint and segment budget, so a schedule crosses automatic
+checkpoints, rotations and compaction commits; half-way through, the
+schedule itself loses power at a torn log tail and runs on from the
+recovered store, whose recovery boundaries are enumerated too.
 
-- the recovered live-entity set equals the
-  :class:`~repro.verify.scenario.LiveModel` after ``k`` or ``k + 1``
-  acknowledged operations (the op in flight at the kill either fully
-  survived or never happened — nothing in between);
-- :func:`~repro.verify.scenario.check_index` against that model passes:
-  self-join and window answers are exact;
-- reopening a second time changes nothing (recovery is idempotent).
-
-A fault-free ledger-parity check rides along: the same batch join run
-on the ``memory`` and ``durable`` backends must produce
-byte-identical simulated metrics, proving the durable machinery is
-invisible to the paper's cost model.
-
-Wired into ``repro verify --crash`` and the CI crash-smoke job; the
-``--serve-roundtrip`` entry point additionally kills and restarts a
-real ``repro serve`` process and requires the restarted service to
-answer from the recovered index.
+A ledger-parity check rides along (memory and durable backends must
+price a join byte-identically).  ``--fsync-mutations`` runs a schedule
+once per fsync call site with that site a no-op and fails unless each
+run finds a violation; ``--serve-roundtrip`` kills and restarts a real
+``repro serve`` process, the one check that needs one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
-import signal
 import socket
 import subprocess
 import sys
@@ -46,126 +34,112 @@ from pathlib import Path
 from typing import Any
 
 from repro.datagen.uniform import uniform_squares
+from repro.obs import fileio
 from repro.service.index import PersistentIndex
-from repro.storage.durable import CRASH_ENV, CRASH_POINTS, CrashPoint
+from repro.verify.recorder import Recorder, State
 from repro.verify.report import Report
-from repro.verify.scenario import LiveModel, Op, Progress, check_index, op_schedule
+from repro.verify.scenario import LiveModel, Op, Progress, apply_op, check_index, op_schedule
 
-WORKER_COMPACTION_THRESHOLD = 12
-"""Small on purpose: the schedule must cross several compactions so
-commit/checkpoint crash points have occurrences to land on."""
+COMPACTION_THRESHOLD = 12
+"""Small on purpose: the schedule must cross several compaction commits."""
+
+CHECKPOINT_BYTES = 2048
+SEGMENT_BYTES = 1024
+"""The store's log budgets during a schedule: an automatic checkpoint
+every ~28 notes and a segment rotation every ~14, where the defaults
+would take a thousand."""
+
+STORE = "/repro-crash-store"
+"""The data directory's name on the recorder; nothing touches the disk."""
 
 DEFAULT_OPS = 72
-
-# How many occurrences of each point one schedule plausibly produces;
-# sampling indexes beyond the high end yields "ran to completion"
-# cases, which are kept — surviving with zero crashes is also a result.
-_INDEX_RANGES = {
-    "wal-append": 40,
-    "wal-synced": 40,
-    "data-write": 30,
-    "data-synced": 6,
-    "commit": 6,
-    "checkpoint": 3,
-}
+DEFAULT_SCHEDULES = 3
 
 
-def sample_crash_point(rng: random.Random) -> CrashPoint:
-    """One deterministic crash-point sample."""
-    point = rng.choice(CRASH_POINTS)
-    return CrashPoint(
-        point=point,
-        index=rng.randrange(_INDEX_RANGES[point]),
-        fraction=rng.uniform(0.05, 0.95),
-        action="kill",
-    )
+def open_index(disk: Recorder) -> PersistentIndex:
+    """Open the durable index on ``disk`` (the recorder binds for life)."""
+    with fileio.using(disk):
+        return PersistentIndex.open(STORE, compaction_threshold=COMPACTION_THRESHOLD)
 
 
-def _worker_env(crash: CrashPoint | None) -> dict[str, str]:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
-    if crash is not None:
-        env[CRASH_ENV] = crash.to_env()
-    else:
-        env.pop(CRASH_ENV, None)
-    return env
+def check_crash_state(
+    state: State, schedule: list[Op], acked: int, report: Report, where: str
+) -> int | None:
+    """Reopen one disk image twice and hold both to the acked prefix;
+    returns how many ops the recovered index holds (None: it did not
+    reopen)."""
+    expected: LiveModel | None = None
+    recovered = None
+    for reopen in range(2):
+        disk = Recorder(state)
+        try:
+            index = open_index(disk)
+        except Exception as error:  # noqa: BLE001 - verdict, not control flow
+            report.fail("reopen", where, f"reopen {reopen} raised {type(error).__name__}: {error}")
+            return None
+        if expected is None:
+            expected, recovered = _acked_model(index, schedule, acked)
+        for problem in check_index(index, expected):
+            report.fail("model", where, f"reopen {reopen}: {problem}")
+        state = disk.durable_state()  # power lost right after the reopen
+    return recovered
 
 
-def _run_worker(
-    data_dir: str, seed: int, ops: int, crash: CrashPoint | None
-) -> tuple[int, int]:
-    """Run one schedule in a child process; (acked ops, return code)."""
-    process = subprocess.run(
-        [
-            sys.executable,
-            "-u",
-            "-m",
-            "repro.verify.crash_worker",
-            "--data-dir",
-            data_dir,
-            "--seed",
-            str(seed),
-            "--ops",
-            str(ops),
-        ],
-        env=_worker_env(crash),
-        capture_output=True,
-        text=True,
-        timeout=240,
-    )
-    acked = 0
-    for line in process.stdout.splitlines():
-        if line.startswith("ack "):
-            acked = int(line.split()[1]) + 1
-    return acked, process.returncode
-
-
-def run_crash_case(case_no: int, seed: int, ops: int = DEFAULT_OPS) -> Report:
-    """One sampled SIGKILL point: run, kill, reopen twice, check."""
-    crash = sample_crash_point(random.Random((seed << 16) ^ case_no))
+def run_crash_schedule(
+    seed: int, ops: int = DEFAULT_OPS, noop_sites: frozenset[str] = frozenset()
+) -> Report:
+    """Replay one schedule on the recorder and check every crash state
+    at every fsync boundary; stops at the first violation."""
     _, schedule = op_schedule(seed, ops)
-    where = f"case {case_no}: {crash.point}[{crash.index}] f={crash.fraction:.2f}"
-    with tempfile.TemporaryDirectory(prefix="repro-crash-") as data_dir:
-        acked, returncode = _run_worker(data_dir, seed, ops, crash)
-        killed = returncode == -signal.SIGKILL
-        report = Report(
-            gate=where,
-            counts={
-                "case": case_no,
-                "point": crash.point,
-                "index": crash.index,
-                "fraction": crash.fraction,
-                "killed": killed,
-                "acked": acked,
-                "recovered": 0,
-                "recovery": None,
-            },
-        )
-        if not killed and returncode != 0:
-            report.fail("worker", where, f"exited {returncode} without being killed")
-        elif not killed and acked != ops:
-            report.fail("worker", where, f"completed but acked {acked}/{ops}")
-        if not report.ok:
-            return report
-        for reopen in range(2):  # the second pass proves idempotence
-            try:
-                index = PersistentIndex.open(
-                    data_dir, compaction_threshold=WORKER_COMPACTION_THRESHOLD
-                )
-            except Exception as error:  # noqa: BLE001 - verdict, not control flow
-                report.fail(
-                    "reopen", where, f"reopen {reopen} raised {type(error).__name__}: {error}"
-                )
-                break
-            with index:
-                recovery = index._backend().last_recovery
-                if reopen == 0 and recovery is not None:
-                    report.counts["recovery"] = recovery.to_dict()
-                model, report.counts["recovered"] = _acked_model(index, schedule, acked)
+    report = Report(gate=f"schedule seed={seed}", counts={"boundaries": 0})
+    sites: dict[str, int] = {}
+    seen: set[tuple[int, int]] = set()  # (image hash, acked)
+    run = {"acked": 0, "armed": False, "captured": None}
+
+    def on_boundary(disk: Recorder, site: str) -> None:
+        report.counts["boundaries"] += 1
+        sites[site] = sites.get(site, 0) + 1
+        for label, state in disk.crash_states():
+            if report.violations:
+                return  # later states would only repeat the finding
+            key = (hash(tuple(sorted(state.items()))), run["acked"])
+            if key not in seen:
+                seen.add(key)
+                where = f"seed {seed}, {run['acked']} acked, {site} {label}"
+                check_crash_state(state, schedule, run["acked"], report, where)
+            if run["armed"] and label.startswith("wal-") and label.endswith("/torn"):
+                run.update(armed=False, captured=(state, run["acked"]))
+
+    def reopen(disk: Recorder) -> PersistentIndex:
+        index = open_index(disk)
+        store = index._backend()
+        store.checkpoint_bytes, store._wal.segment_bytes = CHECKPOINT_BYTES, SEGMENT_BYTES
+        return index
+
+    try:
+        index = reopen(Recorder(on_boundary=on_boundary, noop_sites=noop_sites))
+        position = 0
+        while position < len(schedule) and not report.violations:
+            run["armed"] = position >= len(schedule) // 2 and "recovered_at" not in report.counts
+            apply_op(index, *schedule[position])
+            position = run["acked"] = position + 1
+            if index.needs_compaction:
+                index.compact()
+            if run["captured"] is not None:
+                # The power cut: this op never returned to its caller.
+                state, acked = run["captured"]
+                run.update(captured=None, acked=acked)
+                index = reopen(Recorder(state, on_boundary=on_boundary, noop_sites=noop_sites))
+                model, position = _acked_model(index, schedule, acked)
                 for problem in check_index(index, model):
-                    report.fail("model", where, f"reopen {reopen}: {problem}")
+                    report.fail("model", f"seed {seed}, reopened at {acked} acked", problem)
+                report.counts["recovered_at"] = acked
+                run["acked"] = position
+        report.counts["compactions"] = index.compactions
+        index.close()
+    except Exception as error:  # noqa: BLE001 - verdict, not control flow
+        report.fail("run", f"seed {seed}, {run['acked']} acked", f"{type(error).__name__}: {error}")
+    report.counts.update(crash_states=len(seen), sites=dict(sorted(sites.items())))
     return report
 
 
@@ -173,7 +147,7 @@ def _acked_model(
     index: PersistentIndex, schedule: list[Op], acked: int
 ) -> tuple[LiveModel, int]:
     """The model the recovered index must equal: the one after ``acked``
-    ops, or after ``acked + 1`` if the op in flight at the kill landed.
+    ops, or after ``acked + 1`` if the op in flight at the crash landed.
     When the live set matches neither, the acknowledged prefix is the
     contract (and ``check_index`` will say how it differs)."""
     recovered = {entity.eid: entity for entity in index.live_entities()}
@@ -207,33 +181,58 @@ def check_ledger_parity(seed: int = 0) -> str:
 
 
 def run_crash_verify(
-    cases: int = 25,
-    seed: int = 0,
-    ops: int = DEFAULT_OPS,
+    cases: int = DEFAULT_SCHEDULES, seed: int = 0, ops: int = DEFAULT_OPS,
     progress: Progress | None = None,
 ) -> Report:
-    """The full gate: ledger parity plus ``cases`` sampled kills."""
+    """The full gate: ledger parity plus ``cases`` seeded schedules,
+    every crash state at every fsync boundary of each."""
     say = progress or (lambda message: None)
-    report = Report(gate="crash verify", counts={"kills": 0, "ledger_parity_ok": True})
+    report = Report(gate="crash verify", counts={"crash_states": 0, "ledger_parity_ok": True})
     differs = check_ledger_parity(seed)
     if differs:
         report.counts["ledger_parity_ok"] = False
         report.fail("ledger-parity", "memory/durable", differs)
     say("ledger parity: " + ("DIVERGED" if differs else "ok"))
     for case_no in range(cases):
-        result = run_crash_case(case_no, seed=seed + case_no, ops=ops)
+        result = run_crash_schedule(seed + case_no, ops)
         report.absorb("cases", result)
-        report.counts["kills"] += result.counts["killed"]
-        say(
-            f"{result.gate} "
-            + ("killed" if result.counts["killed"] else "completed")
-            + f" acked={result.counts['acked']} recovered={result.counts['recovered']} "
-            + ("ok" if result.ok else "FAIL")
-        )
+        report.counts["crash_states"] += result.counts["crash_states"]
+        counts = result.counts
+        say(f"{result.gate}: {counts['boundaries']} fsync boundaries, {counts['crash_states']} "
+            f"crash states, power lost mid-run at {counts.get('recovered_at')} acked: "
+            + ("ok" if result.ok else "FAIL"))
+    return report
+
+
+def run_fsync_mutations(
+    seed: int = 0, ops: int = DEFAULT_OPS, progress: Progress | None = None
+) -> Report:
+    """The mutation check: one schedule per fsync call site, with that
+    site a no-op; each run must find a violation."""
+    say = progress or (lambda message: None)
+    clean = run_crash_schedule(seed, ops)
+    report = Report(gate="fsync mutation check", counts={"sites": list(clean.counts["sites"])})
+    if not clean.ok:
+        report.violations.extend(clean.violations)
+    for site in clean.counts["sites"]:
+        mutant = run_crash_schedule(seed, ops, noop_sites=frozenset({site}))
+        caught = mutant.violations[0].describe() if mutant.violations else None
+        say(f"{site} as a no-op: " + (f"caught — {caught}" if caught else "NOT CAUGHT"))
+        if caught is None:
+            report.fail("mutation", site, "no crash state tells this fsync is missing")
     return report
 
 
 # -- the serve kill-and-restart round-trip ------------------------------
+
+
+def serve_env() -> dict[str, str]:
+    """The environment a child ``repro serve`` runs in: this source tree
+    first on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def _read_port(process: subprocess.Popen, deadline: float = 30.0) -> int:
@@ -242,15 +241,10 @@ def _read_port(process: subprocess.Popen, deadline: float = 30.0) -> int:
     start = time.monotonic()
     while time.monotonic() - start < deadline:
         line = process.stderr.readline()
-        if not line:
-            if process.poll() is not None:
-                raise RuntimeError(
-                    f"serve exited {process.returncode} before binding"
-                )
-            continue
+        if not line and process.poll() is not None:
+            raise RuntimeError(f"serve exited {process.returncode} before binding")
         if "serving" in line and " on " in line:
-            address = line.split(" on ")[1].split()[0]
-            return int(address.rsplit(":", 1)[1])
+            return int(line.split(" on ")[1].split()[0].rsplit(":", 1)[1])
     raise RuntimeError("serve did not print its banner in time")
 
 
@@ -258,10 +252,7 @@ def _request(port: int, payload: dict[str, Any]) -> dict[str, Any]:
     with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
         conn.sendall((json.dumps(payload) + "\n").encode())
         data = b""
-        while not data.endswith(b"\n"):
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
+        while not data.endswith(b"\n") and (chunk := conn.recv(65536)):
             data += chunk
     return json.loads(data.decode())
 
@@ -271,84 +262,29 @@ def run_serve_roundtrip(
 ) -> bool:
     """Kill ``repro serve`` with SIGKILL and require the restarted
     process to answer from the recovered on-disk index."""
-
-    def say(message: str) -> None:
-        if progress:
-            progress(message)
-
+    say = progress or (lambda message: None)
+    window = {"op": "window", "xlo": 0, "ylo": 0, "xhi": 1, "yhi": 1}
     with tempfile.TemporaryDirectory(prefix="repro-serve-crash-") as data_dir:
-        command = [
-            sys.executable,
-            "-u",
-            "-m",
-            "repro.cli",
-            "serve",
-            "--data-dir",
-            data_dir,
-            "--entities",
-            str(entities),
-            "--seed",
-            str(seed),
-            "--compaction-threshold",
-            "16",
-        ]
-        env = _worker_env(None)
-        first = subprocess.Popen(
-            command, env=env, stderr=subprocess.PIPE, text=True
-        )
+        command = [sys.executable, "-u", "-m", "repro.cli", "serve", "--data-dir", data_dir]
+        command += ["--entities", str(entities), "--seed", str(seed), "--compaction-threshold", "16"]
+        first = subprocess.Popen(command, env=serve_env(), stderr=subprocess.PIPE, text=True)
         try:
             port = _read_port(first)
-            say(f"first serve up on port {port}")
-            for eid, (x, y) in enumerate(
-                [(0.11, 0.2), (0.5, 0.52), (0.82, 0.3), (0.4, 0.77)],
-                start=10_000,
-            ):
-                response = _request(
-                    port,
-                    {
-                        "op": "insert",
-                        "eid": eid,
-                        "xlo": x,
-                        "ylo": y,
-                        "xhi": x + 0.06,
-                        "yhi": y + 0.06,
-                    },
-                )
+            for eid, (x, y) in enumerate([(0.11, 0.2), (0.5, 0.52), (0.82, 0.3), (0.4, 0.77)], 10_000):
+                box = {"xlo": x, "ylo": y, "xhi": x + 0.06, "yhi": y + 0.06}
+                response = _request(port, {"op": "insert", "eid": eid, **box})
                 if not response.get("ok"):
                     raise RuntimeError(f"insert failed: {response}")
-            window = {"op": "window", "xlo": 0, "ylo": 0, "xhi": 1, "yhi": 1}
             before = _request(port, window)
-            stats = _request(port, {"op": "stats"})
-            say(
-                f"before kill: {len(before.get('eids', []))} live, "
-                f"epoch {stats.get('epoch')}"
-            )
+            say(f"first serve on port {port}: {len(before.get('eids', []))} live")
         finally:
             first.kill()  # SIGKILL: no goodbye, no flush
             first.wait(timeout=30)
-        say("first serve killed (SIGKILL)")
-
-        second = subprocess.Popen(
-            command, env=env, stderr=subprocess.PIPE, text=True
-        )
+        second = subprocess.Popen(command, env=serve_env(), stderr=subprocess.PIPE, text=True)
         try:
-            port = _read_port(second)
-            say(f"second serve up on port {port}")
-            after = _request(
-                port, {"op": "window", "xlo": 0, "ylo": 0, "xhi": 1, "yhi": 1}
-            )
-            stats = _request(port, {"op": "stats"})
-            if after.get("eids") != before.get("eids"):
-                say(
-                    f"MISMATCH: {len(before.get('eids', []))} live before, "
-                    f"{len(after.get('eids', []))} after restart"
-                )
-                return False
-            say(
-                f"after restart: {len(after.get('eids', []))} live, "
-                f"epoch {stats.get('epoch')} — answers identical"
-            )
-            return True
+            after = _request(_read_port(second), window)
+            say(f"killed and restarted: {len(after.get('eids', []))} live")
+            return after.get("eids") == before.get("eids")
         finally:
             second.terminate()
             try:
@@ -361,26 +297,25 @@ def run_serve_roundtrip(
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="repro.verify.crash", description=__doc__.splitlines()[0]
-    )
-    parser.add_argument("--cases", type=int, default=25)
+    parser = argparse.ArgumentParser(prog="repro.verify.crash", description=__doc__.splitlines()[0])
+    parser.add_argument("--cases", type=int, default=DEFAULT_SCHEDULES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", type=int, default=DEFAULT_OPS)
-    parser.add_argument(
-        "--serve-roundtrip",
-        action="store_true",
-        help="kill-and-restart a real `repro serve` process instead of "
-        "running the sampled crash cases",
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--serve-roundtrip", action="store_true", help="kill and restart a real `repro serve`")
+    mode.add_argument(
+        "--fsync-mutations", action="store_true",
+        help="one schedule per fsync call site, that site a no-op: each must find a violation",
     )
     args = parser.parse_args(argv)
     if args.serve_roundtrip:
         ok = run_serve_roundtrip(seed=args.seed, progress=print)
         print("serve round-trip: " + ("OK" if ok else "FAILED"))
         return 0 if ok else 1
-    report = run_crash_verify(
-        cases=args.cases, seed=args.seed, ops=args.ops, progress=print
-    )
+    if args.fsync_mutations:
+        report = run_fsync_mutations(seed=args.seed, ops=args.ops, progress=print)
+    else:
+        report = run_crash_verify(cases=args.cases, seed=args.seed, ops=args.ops, progress=print)
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -7,8 +7,8 @@ deleted id, compactions, and point / window / join queries.  A
 seeded transient drizzle, a permanent burst, or none) — ``repro verify
 --service`` is the scheduled burst plus its recovery assertions, the
 service chaos sweep is N sampled profiles, and the crash gate
-(:mod:`repro.verify.crash`) runs the same ops in a child process under
-a ``CrashPoint``.
+(:mod:`repro.verify.crash`) runs the same ops on a recording disk that
+loses power at every fsync boundary.
 
 **Model.**  :class:`LiveModel` is an ``eid -> Entity`` dict advanced by
 the *acknowledged ops* alone — never read back from the index, so an
@@ -18,9 +18,9 @@ answers come from :mod:`repro.verify.oracle`.
 **Verdict.**  :func:`check_index` holds an index to the model (live
 set, self-join — also against a cold batch ``spatial_join`` — and
 window queries); the in-process replay calls it at every epoch, the
-crash gate after each reopen.  :func:`classify` is the service
-trichotomy: a query outcome is **ok** (and then compared with the
-model), **loud** (``failed`` with a typed error), or **declared
+crash gate after each reopen of a crash state.  :func:`classify` is the
+service trichotomy: a query outcome is **ok** (and then compared with
+the model), **loud** (``failed`` with a typed error), or **declared
 partial** (``CircuitOpen`` named, breaker not closed) — and anything
 but ok needs a fault plan to excuse it.
 
@@ -155,7 +155,7 @@ def op_schedule(
 
 
 def apply_op(index: PersistentIndex, op: str, payload: Any) -> Any:
-    """Run one op against a bare index (the crash worker and the state
+    """Run one op against a bare index (the crash gate and the state
     machine); queries return the index's answer."""
     if op == "insert":
         return index.insert(payload)

@@ -1,47 +1,43 @@
 """The durable page store: WAL, crash recovery, ledger parity, and the
-kill-and-reopen persistent index (DESIGN.md section 16).
+crash-and-reopen persistent index (DESIGN.md section 16).
 
-In-process crashes use ``CrashPoint(action="raise")``, which throws
-:class:`SimulatedCrash` (a ``BaseException``) at the sampled instant;
-the test then reopens the directory with a fresh store exactly as a
-restarted process would.  The genuine-``SIGKILL`` path is exercised by
-``repro verify --crash`` (tests in ``test_crash_verify.py``).
+Crashes are disk images from the recording disk
+(:class:`repro.verify.recorder.Recorder`, installed through the file-I/O
+seam): a test runs the store on it, takes the crash state at the fsync
+boundary its case names — ``(sync)`` is a log commit, ``(_log)`` a
+barrier's data fsync — and reopens a fresh store on that image, exactly
+as a machine restarted after a power cut would.  ``repro verify
+--crash`` enumerates every such state (tests in ``test_crash_verify.py``).
 """
 
 import asyncio
 import errno
 import os
 import shutil
-import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.faults.errors import FaultError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
-from repro.obs import Observability
+from repro.obs import Observability, fileio
 from repro.obs.events import EventLog
 from repro.service.api import JoinService
 from repro.service.index import PersistentIndex
 from repro.storage import durable, wal
 from repro.storage.backend import BackendClosedError, MemoryBackend
-from repro.storage.durable import (
-    CRASH_ENV,
-    DATA_FILE,
-    CrashPoint,
-    DurableBackend,
-    DurableStoreError,
-    SimulatedCrash,
-)
+from repro.storage.durable import DATA_FILE, DurableBackend, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.storage.records import EntityDescriptorCodec
+from repro.verify.recorder import Recorder
 from repro.verify.scenario import LiveModel, check_index
 
 PAGE_SIZE = 512  # 10 descriptor records per page
+STORE = "/store"  # a data directory on the recording disk
+DATA = f"{STORE}/{DATA_FILE}"
 
 
 def record(i):
@@ -55,6 +51,30 @@ def page(start, count=3):
 def make_store(directory, **kwargs):
     kwargs.setdefault("page_size", PAGE_SIZE)
     return DurableBackend(directory, **kwargs)
+
+
+def recording(state=None):
+    """A recording disk (empty, or holding ``state``) that keeps the
+    crash states of every boundary it passes: ``[(site, {label: image})]``."""
+    seen = []
+    disk = Recorder(state, on_boundary=lambda d, site: seen.append((site, dict(d.crash_states()))))
+    return disk, seen
+
+
+def at(seen, function, nth=-1):
+    """The crash states of the ``nth`` boundary passed inside ``function``."""
+    return [states for site, states in seen if site.endswith(f"({function})")][nth]
+
+
+def reopen(state):
+    """A store reopened on a disk image, as a restarted machine would."""
+    disk, seen = recording(state)
+    with fileio.using(disk):
+        return make_store(STORE), disk, seen
+
+
+def data_size(disk):
+    return len(disk.files[DATA].live)
 
 
 class TestRoundTrip:
@@ -164,118 +184,91 @@ class TestRoundTrip:
         reopened.close()
 
 
-class TestCrashPointSpec:
-    def test_env_round_trip(self):
-        point = CrashPoint("data-write", index=3, fraction=0.25, action="raise")
-        assert CrashPoint.from_env(point.to_env()) == point
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"point": "nonsense"},
-            {"point": "wal-append", "fraction": 1.5},
-            {"point": "wal-append", "action": "explode"},
-        ],
-    )
-    def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            CrashPoint(**kwargs)
-
-
 class TestRecovery:
-    """The barrier contract: a page survives a kill once a barrier
+    """The barrier contract: a page survives a crash once a barrier
     (``sync``, ``journal_append``, ``checkpoint``, ``close``) issued
-    after its ``write_page`` has returned — not before.
+    after its ``write_page`` has returned — not before.  ``write_page``
+    logs nothing; a barrier over pending pages fsyncs the data file
+    (``_log``), then logs one map record per file under one log fsync
+    (``sync``)."""
 
-    Occurrence accounting for the crash indices below: ``create_file``
-    logs (and fsyncs) one record, ``write_page`` logs nothing, and a
-    barrier over pages of one file logs one map record.  So in
-    :meth:`crashed_store` the create is log occurrence 0, the first
-    ``sync`` occurrence 1 and the one in flight occurrence 2, for
-    ``wal-append`` and ``wal-synced`` alike; ``data-write`` counts slot
-    writes, ``data-synced`` barriers that found pages pending."""
-
-    def crashed_store(self, tmp_path, crash_point):
-        """Pages 0 and 1 committed by a returned barrier; the store dies
-        somewhere inside page 2's write or the barrier after it."""
+    def crashed_store(self):
+        """Pages 0 and 1 committed by a returned barrier, then page 2
+        written and committed by a second one; the store and the
+        boundaries it passed."""
         codec = EntityDescriptorCodec()
-        store = make_store(tmp_path, crash_point=crash_point)
+        disk, seen = recording()
+        with fileio.using(disk):
+            store = make_store(STORE)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.write_page("f", 1, page(1))
         store.sync()
-        with pytest.raises(SimulatedCrash):
-            store.write_page("f", 2, page(2))
-            store.sync()
-        return codec
+        store.write_page("f", 2, page(2))
+        store.sync()
+        return store, disk, seen
 
-    def reopened(self, tmp_path, codec):
-        store = make_store(tmp_path)
-        store.attach_file("f", codec, PAGE_SIZE)
+    def reopened(self, state):
+        store, disk, _ = reopen(state)
+        store.attach_file("f", EntityDescriptorCodec(), PAGE_SIZE)
         assert store.read_page("f", 0).tolist() == page(0)
         assert store.read_page("f", 1).tolist() == page(1)
-        return store
+        return store, disk
 
-    def test_torn_wal_tail_truncated(self, tmp_path):
-        # Dies mid-append of page 2's map record: never committed.
-        codec = self.crashed_store(
-            tmp_path, CrashPoint("wal-append", index=2, fraction=0.5, action="raise")
-        )
-        store = self.reopened(tmp_path, codec)
+    def test_torn_wal_tail_truncated(self):
+        """Power lost mid-way through a record that spans sectors: the
+        first sectors persist, the record is torn, and recovery
+        truncates it — nothing before it is lost."""
+        store, _, seen = self.crashed_store()
+        store.journal_append(b"n" * 1000)
+        (torn,) = [
+            state for label, state in at(seen, "sync").items()
+            if label.startswith("wal-") and label.endswith("/torn")
+        ]
+        store, _ = self.reopened(torn)
         assert store.last_recovery.truncated_bytes > 0
-        with pytest.raises(ValueError, match="never written"):
-            store.read_page("f", 2)
-        store.close()
+        assert store.journal() == []
+        assert store.read_page("f", 2).tolist() == page(2)  # its barrier returned
 
-    def test_committed_write_replayed_from_wal(self, tmp_path):
-        # Dies after the barrier's log fsync, before it returned: the
-        # mapping is committed, and the page was durable before it.
-        codec = self.crashed_store(
-            tmp_path, CrashPoint("wal-synced", index=2, action="raise")
-        )
-        store = self.reopened(tmp_path, codec)
+    def test_committed_write_replayed_from_wal(self):
+        # Power lost after the barrier's log fsync, before it returned:
+        # the mapping is committed, and the page was durable before it.
+        _, disk, _ = self.crashed_store()
+        store, _ = self.reopened(disk.durable_state())
         assert store.last_recovery.replayed_records == 3  # create + two maps
         assert store.last_recovery.mapped_pages == 3
         assert store.read_page("f", 2).tolist() == page(2)
-        store.close()
 
-    @pytest.mark.parametrize(
-        "crash",
-        [
-            CrashPoint("data-write", index=2, fraction=0.3, action="raise"),
-            CrashPoint("data-synced", index=1, action="raise"),
-        ],
-        ids=lambda crash: crash.point,
-    )
-    def test_uncommitted_page_is_never_named(self, tmp_path, crash):
-        """Torn mid-slot-write, or whole and fsynced but killed before
-        its map record: either way no committed mapping names the slot,
-        and recovery never writes one — the page simply is not there."""
-        codec = self.crashed_store(tmp_path, crash)
-        store = self.reopened(tmp_path, codec)
+    @pytest.mark.parametrize("crash", ["data-write", "data-synced"])
+    def test_uncommitted_page_is_never_named(self, crash):
+        """Torn mid-slot-write (the data fsync not yet done), or whole
+        and fsynced but lost before its map record: either way no
+        committed mapping names the slot, and recovery never writes one
+        — the page simply is not there."""
+        _, _, seen = self.crashed_store()
+        if crash == "data-write":
+            state = at(seen, "_log")[f"{DATA_FILE}+1/torn"]
+        else:
+            state = at(seen, "sync")["durable"]
+        store, disk = self.reopened(state)
         assert store.last_recovery.mapped_pages == 2
         with pytest.raises(ValueError, match="never written"):
             store.read_page("f", 2)
         # Its slot is free again: the next page lands there.
         store.write_page("f", 2, page(7))
         store.sync()
-        three_slots = durable.HEADER_SIZE + 3 * store._block_size
-        assert os.path.getsize(tmp_path / DATA_FILE) == three_slots
-        store.close()
+        assert data_size(disk) == durable.HEADER_SIZE + 3 * store._block_size
 
-    def test_double_reopen_is_idempotent(self, tmp_path):
-        codec = self.crashed_store(
-            tmp_path, CrashPoint("wal-synced", index=2, action="raise")
-        )
-        first = make_store(tmp_path)
+    def test_double_reopen_is_idempotent(self):
+        _, disk, _ = self.crashed_store()
+        first, disk, _ = reopen(disk.durable_state())
         first.close()
-        second = make_store(tmp_path)
+        second, _, _ = reopen(disk.durable_state())
         # The first recovery checkpointed: nothing left to replay.
         assert second.last_recovery.replayed_records == 0
         assert second.last_recovery.truncated_bytes == 0
-        second.attach_file("f", codec, PAGE_SIZE)
+        second.attach_file("f", EntityDescriptorCodec(), PAGE_SIZE)
         assert second.read_page("f", 2).tolist() == page(2)
-        second.close()
 
     def test_empty_wal_reopen(self, tmp_path):
         make_store(tmp_path).close()
@@ -284,19 +277,27 @@ class TestRecovery:
         assert store.stored_files() == []
         store.close()
 
-    def test_crash_during_checkpoint(self, tmp_path):
+    def test_crash_during_checkpoint(self):
+        """Every crash state inside the checkpoint after its barrier —
+        the temp file's fsync, the directory fsync after the rename, the
+        new log segment's directory fsync — reopens with the page."""
         codec = EntityDescriptorCodec()
-        store = make_store(
-            tmp_path, crash_point=CrashPoint("checkpoint", action="raise")
-        )
+        disk, seen = recording()
+        with fileio.using(disk):
+            store = make_store(STORE)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
-        with pytest.raises(SimulatedCrash):
-            store.checkpoint()
-        reopened = make_store(tmp_path)
-        reopened.attach_file("f", codec, PAGE_SIZE)
-        assert reopened.read_page("f", 0).tolist() == page(0)
-        reopened.close()
+        store.checkpoint()
+        last_commit = max(n for n, (site, _) in enumerate(seen) if site.endswith("(sync)"))
+        inside = seen[last_commit + 1 :]
+        assert [site.split(" ")[1] for site, _ in inside] == [
+            "(atomic_replace)", "(atomic_replace)", "(_start)",
+        ]
+        for _, states in inside:
+            for state in states.values():
+                reopened, _, _ = reopen(state)
+                reopened.attach_file("f", codec, PAGE_SIZE)
+                assert reopened.read_page("f", 0).tolist() == page(0)
 
     def test_wal_rotation_and_checkpoint_trigger(self, tmp_path):
         """Page writes put nothing in the log any more; the notes (and
@@ -321,122 +322,120 @@ class TestRecovery:
         assert len(reopened.journal()) == 64
         reopened.close()
 
-    def test_freed_slot_reused_by_a_pending_page(self, tmp_path):
+    def test_freed_slot_reused_by_a_pending_page(self):
         """Regression (a): a slot freed by a durable delete is handed to
-        a pending page; the kill comes before the barrier.  No committed
-        file reads that slot's new bytes — and a delete that did *not*
-        become durable frees nothing."""
+        a pending page; power fails before the barrier's map record.  No
+        committed file reads that slot's new bytes — and a delete that
+        did *not* become durable frees nothing."""
         codec = EntityDescriptorCodec()
-        crash = CrashPoint("data-synced", index=2, action="raise")
-        store = make_store(tmp_path, crash_point=crash)
+        disk, seen = recording()
+        with fileio.using(disk):
+            store = make_store(STORE)
         for name, start in (("a", 0), ("keep", 5)):
             store.create_file(name, codec, PAGE_SIZE)
             store.write_page(name, 0, page(start))
             store.sync()
-        size = os.path.getsize(tmp_path / DATA_FILE)
+        size = data_size(disk)
         store.delete_file("a")  # durable on return: its slot is free
         store.create_file("b", codec, PAGE_SIZE)
         store.write_page("b", 0, page(9))
-        assert os.path.getsize(tmp_path / DATA_FILE) == size  # reused a's slot
-        with pytest.raises(SimulatedCrash):
-            store.sync()
-        store = make_store(tmp_path)
+        assert data_size(disk) == size  # reused a's slot
+        store.sync()
+        store, _, seen = reopen(at(seen, "sync")["durable"])  # data synced, map lost
         assert store.stored_files() == ["b", "keep"]
         assert store.attach_file("b", codec, PAGE_SIZE) == 0  # created, never mapped
         store.attach_file("keep", codec, PAGE_SIZE)
         assert store.read_page("keep", 0).tolist() == page(5)
-        # The torn delete: "keep" must still own its slot afterwards.
-        store._crash = CrashPoint("wal-append", fraction=0.5, action="raise")
-        with pytest.raises(SimulatedCrash):
-            store.delete_file("keep")
-        store = make_store(tmp_path)
+        # A delete whose record never reached the medium: "keep" must
+        # still own its slot afterwards.
+        store.delete_file("keep")
+        store, _, _ = reopen(at(seen, "sync")["durable"])
         store.attach_file("b", codec, PAGE_SIZE)
         store.attach_file("keep", codec, PAGE_SIZE)
         store.write_page("b", 0, page(3))  # takes a free slot, not keep's
         store.sync()
         assert store.read_page("keep", 0).tolist() == page(5)
-        store.close()
 
-    def test_rewrite_of_a_committed_page_is_shadowed(self, tmp_path):
-        """Regression (b): a committed page is rewritten and the kill
-        comes before the barrier — the old content is intact, because
+    def test_rewrite_of_a_committed_page_is_shadowed(self):
+        """Regression (b): a committed page is rewritten and power fails
+        before the remap commits — the old content is intact, because
         the rewrite went to a fresh slot.  Once a barrier returns the
         new content is what survives, and the old slot is free."""
         codec = EntityDescriptorCodec()
-        crash = CrashPoint("data-synced", index=1, action="raise")
-        store = make_store(tmp_path, crash_point=crash)
+        disk, seen = recording()
+        with fileio.using(disk):
+            store = make_store(STORE)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.sync()
         store.write_page("f", 0, page(7))
         store.write_page("f", 0, page(8))  # pending: overwritten in place
         assert store.read_page("f", 0).tolist() == page(8)
-        size = os.path.getsize(tmp_path / DATA_FILE)
-        with pytest.raises(SimulatedCrash):
-            store.sync()
-        store = make_store(tmp_path)
+        size = data_size(disk)
+        store.sync()
+        store, disk, _ = reopen(at(seen, "sync")["durable"])  # data synced, remap lost
         store.attach_file("f", codec, PAGE_SIZE)
         assert store.read_page("f", 0).tolist() == page(0)
         store.write_page("f", 0, page(7))
         store.sync()
         store.write_page("f", 1, page(1))  # lands in the slot the remap freed
         store.close()
-        assert os.path.getsize(tmp_path / DATA_FILE) == size
-        store = make_store(tmp_path)
+        assert data_size(disk) == size
+        store, _, _ = reopen(disk.durable_state())
         store.attach_file("f", codec, PAGE_SIZE)
         assert store.read_page("f", 0).tolist() == page(7)
         assert store.read_page("f", 1).tolist() == page(1)
-        store.close()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        point=st.sampled_from(["wal-append", "wal-synced", "data-write", "data-synced"]),
-        index=st.integers(min_value=0, max_value=8),
-        fraction=st.floats(min_value=0.0, max_value=1.0),
-        barrier_every=st.integers(min_value=1, max_value=4),
-    )
-    def test_recovery_lands_on_acked_prefix(self, point, index, fraction, barrier_every):
-        """Whatever instant the store dies at, every page acknowledged
-        by a returned barrier reads back exactly; a later write —
-        rewrites of committed pages included — is absent or complete,
-        never torn; and a second reopen replays nothing."""
+    def test_recovery_lands_on_acked_prefix(self):
+        """Whatever instant the power fails at — every crash state at
+        every fsync boundary, with a barrier every one to four writes —
+        every page acknowledged by a returned barrier reads back
+        exactly; a later write — rewrites of committed pages included —
+        is absent or complete, never torn; and a second reopen replays
+        nothing."""
         codec = EntityDescriptorCodec()
         writes = [(page_no % 4, page(step)) for step, page_no in enumerate(range(9))]
-        with tempfile.TemporaryDirectory() as directory:
-            crash = CrashPoint(point, index=index, fraction=fraction, action="raise")
-            store = make_store(directory, crash_point=crash)
+        for barrier_every in range(1, 5):
             committed = {}  # page no -> records, as of the last returned barrier
             later = {}  # page no -> every version written since
-            try:
-                store.create_file("f", codec, PAGE_SIZE)
-                for step, (page_no, records) in enumerate(writes):
-                    later.setdefault(page_no, []).append(records)
-                    store.write_page("f", page_no, records)
-                    if step % barrier_every == 0:
-                        store.sync()
-                        committed.update({no: versions[-1] for no, versions in later.items()})
-                        later.clear()
-                store.close()
-                committed.update({no: versions[-1] for no, versions in later.items()})
-                later.clear()
-            except SimulatedCrash:
-                pass
-            for attempt in range(2):
-                reopened = make_store(directory)
-                assert attempt == 0 or reopened.last_recovery.replayed_records == 0
-                if "f" in reopened.stored_files():
-                    reopened.attach_file("f", codec, PAGE_SIZE)
-                    for page_no in committed.keys() | later.keys():
-                        try:
-                            recovered = reopened.read_page("f", page_no).tolist()
-                        except ValueError:
-                            recovered = None
-                        allowed = [committed.get(page_no), *later.get(page_no, [])]
-                        assert recovered in allowed
-                else:
-                    # Death before the create committed: nothing was acked.
-                    assert committed == {}
-                reopened.close()
+            cases = []
+
+            def snapshot(disk, site):
+                frozen = {no: list(versions) for no, versions in later.items()}
+                cases.append((dict(committed), frozen, disk.crash_states()))
+
+            disk = Recorder(on_boundary=snapshot)
+            with fileio.using(disk):
+                store = make_store(STORE)
+            store.create_file("f", codec, PAGE_SIZE)
+            for step, (page_no, records) in enumerate(writes):
+                later.setdefault(page_no, []).append(records)
+                store.write_page("f", page_no, records)
+                if step % barrier_every == 0:
+                    store.sync()
+                    committed.update({no: versions[-1] for no, versions in later.items()})
+                    later.clear()
+            store.close()
+            for committed_then, later_then, states in cases:
+                for _, state in states:
+                    self.check_acked_prefix(codec, state, committed_then, later_then)
+
+    def check_acked_prefix(self, codec, state, committed, later):
+        for attempt in range(2):
+            reopened, disk, _ = reopen(state)
+            assert attempt == 0 or reopened.last_recovery.replayed_records == 0
+            if "f" in reopened.stored_files():
+                reopened.attach_file("f", codec, PAGE_SIZE)
+                for page_no in committed.keys() | later.keys():
+                    try:
+                        recovered = reopened.read_page("f", page_no).tolist()
+                    except ValueError:
+                        recovered = None
+                    assert recovered in [committed.get(page_no), *later.get(page_no, [])]
+            else:
+                # Lost before the create committed: nothing was acked.
+                assert committed == {}
+            state = disk.durable_state()  # power lost again right after
 
 
 class TestSyncContract:
@@ -621,26 +620,28 @@ class TestPersistentIndexReopen:
             assert longest <= due + 1
             assert check_index(reopened, model_of(entities)) == []
 
-    def test_killed_first_boot_is_bootstrapped_again(self, tmp_path, monkeypatch):
+    def test_killed_first_boot_is_bootstrapped_again(self):
         """A bulk load that died before its manifest committed never
         acknowledged anything: the restart drops its level files and
         loads the same bootstrap set (the parent raised FileExistsError
         here, and ``open`` served an empty index over the orphans)."""
         entities = [entity(i, (i % 10) * 0.09, (i // 10) * 0.09) for i in range(100)]
         config = StorageConfig(page_size=PAGE_SIZE)
-        crash = CrashPoint("data-write", index=5, action="raise")
-        monkeypatch.setenv(CRASH_ENV, crash.to_env())
-        with pytest.raises(SimulatedCrash):
-            PersistentIndex(entities, storage=config, data_dir=str(tmp_path))
-        monkeypatch.delenv(CRASH_ENV)
-
-        restarted = PersistentIndex(entities, storage=config, data_dir=str(tmp_path))
+        disk, seen = recording()
+        with fileio.using(disk):
+            PersistentIndex(entities, storage=config, data_dir=STORE)
+        # Power lost in the bulk load's data fsync, its last page torn.
+        states = at(seen, "_log", 0)
+        torn = [label for label in states if label.startswith(DATA_FILE) and "/torn" in label]
+        disk = Recorder(states[torn[-1]])
+        with fileio.using(disk):
+            restarted = PersistentIndex(entities, storage=config, data_dir=STORE)
         assert not restarted.recovered and restarted.debris_dropped >= 1
         assert restarted.live_entities() == entities
         assert check_index(restarted, model_of(entities)) == []
         restarted.close()
         for _ in range(2):  # and every later open is a plain reopen
-            with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
+            with fileio.using(disk), PersistentIndex.open(STORE, storage=config) as reopened:
                 assert reopened.recovered and reopened.debris_dropped == 0
                 assert reopened.live_entities() == entities
 
@@ -745,35 +746,22 @@ class TestCrashNearARatioFold:
     """``repro verify --crash`` and the state machine never hold more
     than 12 pending records, so neither reaches a fold the size ratio
     made due.  Here 2,000 entities carry a delta of 1/8 of the live set
-    (250 notes, with a floor of 12) when the store dies inside the
+    (250 notes, with a floor of 12) when power fails inside the
     mutation that makes the fold due, or inside that fold."""
 
     FLOOR = 12
 
-    def fold_instants(self, template, new, point):
-        """How often the fold after ``new`` passes ``point``, counted on
-        a copy by an armed crash that never fires."""
-        directory = template.with_name(f"{template.name}-count-{point}")
-        shutil.copytree(template, directory)
-        index = PersistentIndex.open(str(directory), compaction_threshold=self.FLOOR)
-        index.insert(new)
-        store = index._backend()
-        store._crash = CrashPoint(point, index=10**9, action="raise")
-        assert index.needs_compaction and index.compact()
-        index.close()
-        return store._crash_counts[point]
-
     @pytest.fixture(scope="class")
-    def one_away(self, tmp_path_factory):
-        """A closed store one mutation short of a due fold, its model,
-        the mutation that makes the fold due, and how many instants of
-        each crash point that fold passes."""
-        template = tmp_path_factory.mktemp("ratio") / "store"
+    def one_away(self):
+        """The disk image of a closed store one mutation short of a due
+        fold, its model, and the mutation that makes the fold due."""
         entities = [
             entity(i, (i % 50) * 0.0196, (i // 50) * 0.0245, side=0.01) for i in range(2000)
         ]
         model = model_of(entities)
-        index = PersistentIndex(entities, data_dir=str(template), compaction_threshold=self.FLOOR)
+        disk = Recorder()
+        with fileio.using(disk):
+            index = PersistentIndex(entities, data_dir=STORE, compaction_threshold=self.FLOOR)
         assert index.compaction_due_at == 250 > self.FLOOR
         step = 0
         while index.delta_records < index.compaction_due_at - 1:
@@ -788,45 +776,50 @@ class TestCrashNearARatioFold:
             step += 1
         assert not index.needs_compaction
         index.close()
-        new = entity(9999, 0.5, 0.5, side=0.01)
-        counts = {
-            point: self.fold_instants(template, new, point)
-            for point in ("wal-append", "wal-synced")
-        }
-        return template, model, new, counts
+        return disk.durable_state(), model, entity(9999, 0.5, 0.5, side=0.01)
 
     @pytest.mark.parametrize(
         "during, point, at, folded",
         [
-            ("mutation", "wal-append", "first", False),  # its note torn
+            # wal-append / commit: the record's log commit, the record not
+            # on the medium; wal-synced: the record durable, never acked.
+            ("mutation", "wal-append", "first", False),  # its note lost
             ("mutation", "wal-synced", "first", False),  # logged, never acked
             ("fold", "wal-append", "first", False),  # creating the first level file
-            ("fold", "commit", "first", False),  # entering the manifest commit
+            ("fold", "commit", "first", False),  # inside the manifest's journal reset
             ("fold", "wal-synced", "last", True),  # dropping the last replaced file
-            ("fold", "wal-append", "last", True),  # the same record, torn
+            ("fold", "wal-append", "last", True),  # the same record, lost
         ],
     )
-    def test_reopen_lands_on_the_acked_prefix(self, one_away, tmp_path, during, point, at, folded):
-        template, model, new, counts = one_away
-        directory = tmp_path / "store"
-        shutil.copytree(template, directory)
-        index = PersistentIndex.open(str(directory), compaction_threshold=self.FLOOR)
+    def test_reopen_lands_on_the_acked_prefix(self, one_away, during, point, at, folded):
+        template, model, new = one_away
+        disk, seen = recording(template)
+        with fileio.using(disk):
+            index = PersistentIndex.open(STORE, compaction_threshold=self.FLOOR)
         assert index.notes_replayed == index.compaction_due_at - 1 == 249
         landed = model_of(model.live.values())
         landed.apply("insert", new)
-        crash = CrashPoint(point, index=0 if at == "first" else counts[point] - 1, action="raise")
         if during == "fold":
             index.insert(new)  # acknowledged: the fold must keep it
             assert index.needs_compaction
             model = landed
-        index._backend()._crash = crash
-        with pytest.raises(SimulatedCrash):
-            if during == "mutation":
-                index.insert(new)
-            else:
-                index.compact()
-        # Abandoned without close(), as a killed process leaves it.
-        with PersistentIndex.open(str(directory), compaction_threshold=self.FLOOR) as reopened:
+        del seen[:]
+        if during == "mutation":
+            index.insert(new)
+        else:
+            index.compact()
+        if point == "wal-synced":
+            state = disk.durable_state()  # the op returned; its ack never did
+        else:
+            commits = [n for n, (site, _) in enumerate(seen) if site.endswith("(sync)")]
+            if point == "commit":  # the first commit after the fold's data fsync
+                data_sync = next(n for n, (site, _) in enumerate(seen) if site.endswith("(_log)"))
+                commits = [n for n in commits if n > data_sync]
+            state = seen[commits[0 if at == "first" else -1]][1]["durable"]
+        # Abandoned without close(), as a power cut leaves it.
+        with fileio.using(Recorder(state)), PersistentIndex.open(
+            STORE, compaction_threshold=self.FLOOR
+        ) as reopened:
             live = {item.eid: item for item in reopened.live_entities()}
             assert live in (model.live, landed.live)
             assert check_index(reopened, landed if live == landed.live else model) == []
@@ -835,39 +828,75 @@ class TestCrashNearARatioFold:
             assert reopened.notes_replayed == (0 if folded else 249 + (live == landed.live))
 
 
+class FaultyDisk(Recorder):
+    """The recording disk with one armed fault, injected at the seam:
+    the ``countdown``-th ``fsync`` or ``write`` to a file whose name
+    starts with ``name`` raises ``OSError(code)``, a failing write
+    landing its first ``landed`` bytes first (a short write)."""
+
+    armed = None
+
+    def arm(self, call, name, code, countdown=1, landed=0):
+        self.armed = [call, name, code, countdown, landed]
+
+    def trip(self, call, handle):
+        armed = self.armed
+        if armed and armed[0] == call and Path(handle.path).name.startswith(armed[1]):
+            armed[3] -= 1
+            if armed[3] == 0:
+                self.armed = None
+                return armed
+        return None
+
+    def fsync(self, handle):
+        if self.trip("fsync", handle):
+            raise OSError(errno.EIO, "Input/output error")
+        super().fsync(handle)
+
+    def write(self, handle, data):
+        fault = self.trip("write", handle)
+        if fault:
+            super().write(handle, data[: fault[4]])
+            raise OSError(fault[2], os.strerror(fault[2]))
+        super().write(handle, data)
+
+
 class TestFailedStore:
     """ROADMAP 4(c): a failed flush is not a crash — the process lives
-    on, so the store must refuse to acknowledge anything after it."""
+    on, so the store must refuse to acknowledge anything after it.
+    Errors are injected at the file-I/O seam, and the reopen runs on
+    what the failed process left on the disk."""
 
-    def fail_next_fsync(self, monkeypatch):
-        real = os.fsync
+    def open_index(self, disk, **kwargs):
+        with fileio.using(disk):
+            return PersistentIndex.open(STORE, **kwargs)
 
-        def eio_once(fd):
-            monkeypatch.setattr(os, "fsync", real)
-            raise OSError(errno.EIO, "Input/output error")
-
-        monkeypatch.setattr(os, "fsync", eio_once)
-
-    def test_failed_insert_leaves_the_index_unchanged(self, tmp_path, monkeypatch):
-        index = PersistentIndex.open(str(tmp_path))
+    def test_failed_insert_leaves_the_index_unchanged(self):
+        disk = FaultyDisk()
+        index = self.open_index(disk)
         index.insert(entity(1, 0.1, 0.1))
         epoch = index.epoch
-        self.fail_next_fsync(monkeypatch)
-        with pytest.raises(OSError, match="Input/output"):
+        disk.arm("write", "wal-", errno.ENOSPC)  # the note's WAL append
+        with pytest.raises(OSError, match="No space left"):
             index.insert(entity(2, 0.11, 0.11))
         # The parent applied before it persisted: 2 stayed live in memory.
         assert 2 not in index and index.epoch == epoch
         assert index.window_query(Rect(0, 0, 1, 1)) == (1,)
         assert check_index(index, model_of([entity(1, 0.1, 0.1)])) == []
+        with pytest.raises(DurableStoreError, match="No space left.*reopened"):
+            index.insert(entity(3, 0.5, 0.5))
         index.close()
+        with self.open_index(disk) as reopened:
+            assert [e.eid for e in reopened.live_entities()] == [1]
 
-    def test_failed_store_refuses_until_reopened(self, tmp_path, monkeypatch):
+    def test_failed_store_refuses_until_reopened(self):
         """Never retry-and-ack: the failed note may have reached the
         file, so anything acknowledged after it could be reordered
         under it by the next recovery."""
-        index = PersistentIndex.open(str(tmp_path))
+        disk = FaultyDisk()
+        index = self.open_index(disk)
         index.insert(entity(1, 0.1, 0.1))
-        self.fail_next_fsync(monkeypatch)
+        disk.arm("fsync", "wal-", errno.EIO)  # the note's log commit
         with pytest.raises(OSError):
             index.insert(entity(2, 0.11, 0.11))
         for mutate in (
@@ -882,22 +911,24 @@ class TestFailedStore:
         index.close()  # and so does close, without a checkpoint
         lives = []
         for _ in range(2):
-            with PersistentIndex.open(str(tmp_path)) as reopened:
+            with self.open_index(disk) as reopened:
                 lives.append([e.eid for e in reopened.live_entities()])
         assert lives[0] in ([1], [1, 2])  # k or k + 1, never 3
         assert lives[1] == lives[0]
 
-    def test_store_level_failure_and_recovery(self, tmp_path, monkeypatch):
+    def test_store_level_failure_and_recovery(self):
         """A barrier whose data fsync fails: the pending page may or may
         not be on the medium, so no later barrier may commit a mapping
         to it — there is no later barrier until the reopen."""
         codec = EntityDescriptorCodec()
-        store = make_store(tmp_path)
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            store = make_store(STORE)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.sync()
         store.write_page("f", 1, page(1))
-        self.fail_next_fsync(monkeypatch)
+        disk.arm("fsync", DATA_FILE, errno.EIO)
         with pytest.raises(OSError, match="Input/output"):
             store.sync()
         for refused in (
@@ -912,7 +943,8 @@ class TestFailedStore:
         assert store.read_page("f", 0).tolist() == page(0)
         assert store.read_page("f", 1).tolist() == page(1)  # reads still work
         store.close()  # without a checkpoint: page 1 stays uncommitted
-        reopened = make_store(tmp_path)
+        with fileio.using(disk):
+            reopened = make_store(STORE)
         reopened.attach_file("f", codec, PAGE_SIZE)
         assert reopened.read_page("f", 0).tolist() == page(0)
         with pytest.raises(ValueError, match="never written"):
@@ -921,16 +953,19 @@ class TestFailedStore:
         assert reopened.journal() == [b"accepted again"]
         reopened.close()
 
-    def test_failed_slot_write_fails_the_store(self, tmp_path):
-        """ENOSPC on the n-th slot write: the page may be half there, so
-        the store refuses everything after it — a barrier that went on
-        would commit a mapping to a slot nobody finished writing."""
+    def test_failed_slot_write_fails_the_store(self):
+        """A short slot write — half the block lands, then ENOSPC: the
+        page may be half there, so the store refuses everything after it
+        — a barrier that went on would commit a mapping to a slot nobody
+        finished writing."""
         codec = EntityDescriptorCodec()
-        store = make_store(tmp_path)
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            store = make_store(STORE)
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.sync()
-        store._data = FailingWrites(store._data, fail_on=2)
+        disk.arm("write", DATA_FILE, errno.ENOSPC, countdown=2, landed=store._block_size // 2)
         store.write_page("f", 1, page(1))
         with pytest.raises(OSError, match="No space left"):
             store.write_page("f", 0, page(7))  # a rewrite: page 0 keeps its slot
@@ -940,18 +975,20 @@ class TestFailedStore:
             store.sync()
         assert store.read_page("f", 0).tolist() == page(0)
         store.close()
-        reopened = make_store(tmp_path)
+        with fileio.using(disk):
+            reopened = make_store(STORE)
         assert reopened.attach_file("f", codec, PAGE_SIZE) == 1
         assert reopened.read_page("f", 0).tolist() == page(0)
         reopened.close()
 
-    def test_fold_whose_data_fsync_fails_changes_nothing(self, tmp_path, monkeypatch):
+    def test_fold_whose_data_fsync_fails_changes_nothing(self):
         """The index-level case: the compaction's one data fsync fails
         after every fresh page was written.  The live set, the journal
         and — once the reopen has swept the unnamed fresh files — the
         stored files are as they were."""
         config = StorageConfig(page_size=PAGE_SIZE)
-        index = PersistentIndex.open(str(tmp_path), storage=config, compaction_threshold=10**9)
+        disk = FaultyDisk()
+        index = self.open_index(disk, storage=config, compaction_threshold=10**9)
         entities = [entity(i, (i % 8) * 0.1, (i // 8) * 0.1) for i in range(60)]
         for item in entities[:40]:
             index.insert(item)
@@ -962,44 +999,19 @@ class TestFailedStore:
         del entities[7]
         stored, journal = index.storage.stored_files(), index._backend().journal()
         epoch = index.epoch
-        data_fd, real = index._backend()._data.fileno(), os.fsync
-
-        def eio_on_the_data_file(fd):
-            if fd == data_fd:
-                raise OSError(errno.EIO, "Input/output error")
-            real(fd)
-
-        monkeypatch.setattr(os, "fsync", eio_on_the_data_file)
+        disk.arm("fsync", DATA_FILE, errno.EIO)
         # The fold's own clean-up (dropping its fresh files) is refused
         # too, so the error that surfaces is the refusal naming the EIO.
         with pytest.raises(DurableStoreError, match="Input/output error"):
             index.compact()
-        monkeypatch.undo()
         assert (index.epoch, index.compactions) == (epoch, 1)
         assert index._backend().journal() == journal
         assert check_index(index, model_of(entities)) == []  # base pages still read
         index.close()
-        with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
+        with self.open_index(disk, storage=config) as reopened:
             assert reopened.debris_dropped >= 1
             assert reopened.storage.stored_files() == stored
             assert check_index(reopened, model_of(entities)) == []
-
-
-class FailingWrites:
-    """The data file's handle, failing its ``fail_on``-th write (1-based)
-    with ENOSPC; everything else passes through."""
-
-    def __init__(self, handle, fail_on):
-        self._handle, self._left = handle, fail_on
-
-    def __getattr__(self, name):
-        return getattr(self._handle, name)
-
-    def write(self, data):
-        self._left -= 1
-        if self._left == 0:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self._handle.write(data)
 
 
 class TestWalUnit:

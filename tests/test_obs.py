@@ -165,11 +165,6 @@ class TestObservability:
         assert not NULL_OBS.enabled
         assert NULL_OBS.active_metrics is None
 
-    def test_disabled_constructor(self):
-        obs = Observability.disabled()
-        assert not obs.enabled
-        assert obs.active_metrics is None
-
 
 class TestPhaseWallTimes:
     def _span(self, name, wall, kind=None, children=()):
@@ -403,27 +398,6 @@ class TestHistogramQuantiles:
         # Bucket interpolation still lands inside the observed range.
         p50 = h.quantile(0.5)
         assert h.min <= p50 <= h.max
-
-    def test_merge_stays_exact_under_cap(self):
-        a, b = Histogram(), Histogram()
-        for value in (1.0, 2.0):
-            a.observe(value)
-        for value in (3.0, 4.0):
-            b.observe(value)
-        a.merge(b)
-        assert a.exact_quantiles
-        assert a.quantile(0.5) == pytest.approx(2.5)
-
-    def test_merge_past_cap_drops_samples(self):
-        from repro.obs.metrics import QUANTILE_SAMPLE_CAP
-
-        a, b = Histogram(), Histogram()
-        for _ in range(QUANTILE_SAMPLE_CAP // 2 + 1):
-            a.observe(1.0)
-            b.observe(3.0)
-        a.merge(b)
-        assert not a.exact_quantiles
-        assert a.count == 2 * (QUANTILE_SAMPLE_CAP // 2 + 1)
 
 
 class TestAtomicWrites:

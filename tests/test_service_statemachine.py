@@ -3,8 +3,9 @@
 Hypothesis picks the interleaving — insert, delete, re-insert of a
 deleted id (same box or a new one), a fresh insert deleted again
 (churn), compact, point / window / join
-queries, and, for the durable variant, close-and-reopen and
-crash-at-a-sampled-point-and-reopen — and after every step the index
+queries, and, for the durable variant (on the recording disk),
+close-and-reopen and power-loss-at-a-drawn-crash-state-and-reopen —
+and after every step the index
 must equal the model: the same
 :class:`~repro.verify.scenario.LiveModel` and
 :func:`~repro.verify.scenario.check_index` the ``repro verify`` gates
@@ -12,9 +13,6 @@ use, driven here by shrinking search instead of a seeded generator.
 Coordinates are dyadic, so boxes land on the grid lines where
 closed-interval and level-assignment bugs live.
 """
-
-import shutil
-import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -27,8 +25,9 @@ from hypothesis.stateful import (
 
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
+from repro.obs import fileio
 from repro.service.index import PersistentIndex
-from repro.storage.durable import CRASH_POINTS, CrashPoint, SimulatedCrash
+from repro.verify.recorder import Recorder
 from repro.verify.scenario import LiveModel, apply_op, check_index
 
 dyadic = st.integers(0, 64).map(lambda k: k / 64)
@@ -42,19 +41,20 @@ class IndexMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.data_dir = tempfile.mkdtemp(prefix="repro-sm-") if self.durable else None
+        self.disk = Recorder() if self.durable else None
         self.index = self.open()
         self.model = LiveModel()
         self.deleted = {}
         self.next_eid = 1
 
     def open(self):
-        return PersistentIndex(compaction_threshold=6, data_dir=self.data_dir)
+        if self.disk is None:
+            return PersistentIndex(compaction_threshold=6)
+        with fileio.using(self.disk):
+            return PersistentIndex(compaction_threshold=6, data_dir="/store")
 
     def teardown(self):
         self.index.close()
-        if self.data_dir is not None:
-            shutil.rmtree(self.data_dir, ignore_errors=True)
 
     def mutate(self, op, payload):
         apply_op(self.index, op, payload)
@@ -115,35 +115,31 @@ class IndexMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.durable)
     @rule(data=st.data())
     def crash(self, data):
-        """Die at a sampled instant inside one mutation or compaction
-        (``SimulatedCrash``), abandon the object without ``close()`` as
-        a killed process would, reopen: the op in flight either fully
-        happened or never did.  An op the armed point never reaches
-        simply completes and is acknowledged."""
+        """Lose power inside one mutation or compaction — a drawn crash
+        state of a drawn fsync boundary it passed — abandon the object
+        without ``close()``, and reopen on that disk image: the op in
+        flight either fully happened or never did.  An op that passes
+        no boundary (a compaction with nothing pending) simply
+        completes and is acknowledged."""
         ops = [("compact", None), ("insert", Entity(self.next_eid, Rect(0.25, 0.25, 0.5, 0.5)))]
         ops += [("delete", eid) for eid in sorted(self.model.live)[:2]]
         op, payload = data.draw(st.sampled_from(ops))
         self.next_eid += 1
-        if op == "compact":
-            where = st.tuples(st.sampled_from(CRASH_POINTS), st.integers(0, 1))
-        else:  # a mutation is one note: the only two instants it passes
-            where = st.tuples(st.sampled_from(("wal-append", "wal-synced")), st.just(0))
-        store = self.index._backend()
-        store._crash = CrashPoint(
-            *data.draw(where), fraction=data.draw(st.floats(0.0, 1.0)), action="raise"
-        )
-        store._crash_counts.clear()
+        before = LiveModel(list(self.model.live.values()))
+        boundaries = []
+        self.disk.on_boundary = lambda disk, site: boundaries.append(disk.crash_states())
         try:
             self.mutate(op, payload)
-        except SimulatedCrash:
-            self.index = self.open()
-            assert self.index.recovered
-            landed = LiveModel(list(self.model.live.values()))
-            landed.apply(op, payload)
-            if landed.live == {e.eid: e for e in self.index.live_entities()}:
-                self.model = landed  # k + 1; the invariant holds k otherwise
-        else:
-            store._crash = None
+        finally:
+            self.disk.on_boundary = None
+        if not boundaries:
+            return
+        _, state = data.draw(st.sampled_from(data.draw(st.sampled_from(boundaries))))
+        self.disk = Recorder(state)
+        self.index = self.open()
+        assert self.index.recovered
+        if before.live == {e.eid: e for e in self.index.live_entities()}:
+            self.model = before  # k; the invariant holds k + 1 otherwise
 
     @invariant()
     def index_equals_model(self):

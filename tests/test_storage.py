@@ -12,13 +12,14 @@ from repro.faults.errors import TornWriteError
 from repro.faults.inject import FaultInjectingBackend
 from repro.faults.plan import FaultPlan, ScheduledFault
 from repro.faults.retry import RetryPolicy
+from repro.obs import fileio
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.service.index import PersistentIndex
 from repro.storage.backend import BackendClosedError, MemoryBackend
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.costs import CostModel, CpuModel, DiskModel
-from repro.storage.durable import CrashPoint, DurableBackend, SimulatedCrash
+from repro.storage.durable import DurableBackend
 from repro.storage.iostats import IOStats, PhaseStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import (
@@ -28,6 +29,7 @@ from repro.storage.records import (
     EntityDescriptorCodec,
     RecordCodec,
 )
+from repro.verify.recorder import Recorder
 
 RECORD = (1, 0.1, 0.1, 0.2, 0.2, 0)
 DESCRIPTORS = EntityDescriptorCodec()
@@ -142,6 +144,9 @@ STACKS = (
 """Every backend stack a :class:`StorageManager` builds: each physical
 store bare, under a fault plan that injects nothing, and under a retry
 policy."""
+
+
+IN_FLIGHT = b"in flight" * 60  # spans a sector boundary of the log
 
 
 class TestBackends:
@@ -325,25 +330,35 @@ class TestBackends:
         "point, reset, recovered",
         [
             ("wal-append", False, [b"old", b"acked"]),  # torn: never happened
-            ("wal-synced", False, [b"old", b"acked", b"in flight"]),
+            ("wal-synced", False, [b"old", b"acked", IN_FLIGHT]),
             ("commit", True, [b"old", b"acked"]),
             ("wal-append", True, [b"old", b"acked"]),  # a torn reset resets nothing
-            ("wal-synced", True, [b"in flight"]),
+            ("wal-synced", True, [IN_FLIGHT]),
         ],
     )
-    def test_journal_note_in_flight_is_all_or_nothing(
-        self, tmp_path, point, reset, recovered
-    ):
-        crash = CrashPoint(point, index=0 if point == "commit" else 2, action="raise")
-        store = DurableBackend(tmp_path, page_size=4096, crash_point=crash)
+    def test_journal_note_in_flight_is_all_or_nothing(self, point, reset, recovered):
+        """Power fails inside the in-flight note's log commit: torn
+        across a sector boundary (``wal-append``), not on the medium at
+        all (``commit``, entering a reset), or whole (``wal-synced``)."""
+        states = []
+        disk = Recorder(on_boundary=lambda d, site: states.append(dict(d.crash_states())))
+        with fileio.using(disk):
+            store = DurableBackend("/store", page_size=4096)
         store.journal_append(b"old")
         store.journal_append(b"acked")
-        with pytest.raises(SimulatedCrash):
-            store.journal_append(b"in flight", reset=reset)
+        store.journal_append(IN_FLIGHT, reset=reset)
+        commit = states[-1]
+        if point == "wal-append":
+            (state,) = [image for label, image in commit.items() if label.endswith("/torn")]
+        else:
+            state = disk.durable_state() if point == "wal-synced" else commit["durable"]
         for _ in range(2):
-            store = DurableBackend(tmp_path)
+            disk = Recorder(state)
+            with fileio.using(disk):
+                store = DurableBackend("/store")
             assert store.journal() == recovered
             store.close()
+            state = disk.durable_state()
 
 
 
