@@ -29,10 +29,11 @@ memory-mode engine, cross-checked against the brute-force oracle under
 metamorphic transforms and ledger invariants — and exits non-zero on
 any divergence.
 
-Fault tolerance (DESIGN.md section 11): ``join --retry-attempts`` /
-``--retry-backoff`` install the retrying storage layer, and ``verify
---chaos --cases N`` reruns the harness under N sampled fault plans
-asserting that every run ends correct or as a typed failure.
+Storage faults (DESIGN.md section 11): ``verify --chaos --cases N``
+runs N sampled joins on the durable store with one errno fault or
+corrupt read injected at the file-I/O seam, and asserts that every run
+ends correct with no fault fired, or loud (``OSError`` or
+``DurableStoreError``) with one fired.
 
 The long-lived service (DESIGN.md section 15): `serve` starts the
 JSON-lines TCP front-end over a resident :class:`PersistentIndex`
@@ -129,20 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: a temporary directory)",
     )
     join.add_argument(
-        "--retry-attempts",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="install a retrying storage layer with N attempts per I/O",
-    )
-    join.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="base backoff of the retry layer (simulated; default 0.005)",
-    )
-    join.add_argument(
         "--report",
         default=None,
         metavar="PATH",
@@ -197,8 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--chaos",
         action="store_true",
-        help="chaos mode: rerun the harness under sampled fault plans "
-        "and assert every run ends correct or as a typed failure",
+        help="chaos mode: run sampled joins on the durable store with one "
+        "seam fault each (EIO/ENOSPC on a read, write or fsync, or a "
+        "corrupt read) and assert every fired fault ends loud and every "
+        "other run correct",
     )
     mode.add_argument(
         "--cross-mode",
@@ -211,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--service",
         action="store_true",
         help="service mode: replay interleaved queries/inserts/deletes "
-        "through the long-lived join service and require oracle-equal "
-        "answers at every index epoch (with injected read faults)",
+        "through the long-lived join service on a durable index and "
+        "require oracle-equal answers at every index epoch (with a "
+        "burst of EIO reads at the file-I/O seam)",
     )
     mode.add_argument(
         "--crash",
@@ -388,13 +378,6 @@ def cmd_join(args: argparse.Namespace) -> int:
         if args.algorithm != "s3j":
             print("--mode memory implements s3j only", file=sys.stderr)
             return 2
-        if args.retry_attempts is not None or args.retry_backoff is not None:
-            print(
-                "--retry-* are storage-layer knobs; "
-                "--mode memory has no storage to wrap",
-                file=sys.stderr,
-            )
-            return 2
         if args.backend != "memory" or args.data_dir is not None:
             print(
                 "--backend/--data-dir are storage-layer knobs; "
@@ -405,16 +388,6 @@ def cmd_join(args: argparse.Namespace) -> int:
     if args.data_dir is not None and args.backend == "memory":
         print("--data-dir needs --backend durable", file=sys.stderr)
         return 2
-    retry = None
-    if args.retry_attempts is not None or args.retry_backoff is not None:
-        from repro.faults import RetryPolicy
-
-        retry = RetryPolicy(
-            max_attempts=args.retry_attempts or 3,
-            base_backoff_s=(
-                args.retry_backoff if args.retry_backoff is not None else 0.005
-            ),
-        )
     obs = None
     event_log = None
     if args.report or args.trace or args.events:
@@ -433,7 +406,6 @@ def cmd_join(args: argparse.Namespace) -> int:
             mode=args.mode,
             backend=args.backend,
             data_dir=args.data_dir,
-            retry=retry,
             **params,
         )
     finally:

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.join.api import spatial_join
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import Intersects, JoinPredicate
@@ -102,8 +100,6 @@ def run_algorithm(
     mode: str = "ledger",
     backend: str = "memory",
     data_dir: str | None = None,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
     **params: Any,
 ) -> ExperimentResult:
     """Run one algorithm on one workload under paper conditions.
@@ -112,12 +108,7 @@ def run_algorithm(
     carries a machine-readable :class:`~repro.obs.report.RunReport`.
 
     ``mode="memory"`` runs the in-memory fast path instead of the
-    simulated-storage model: no storage configuration exists there, so
-    ``retry``/``fault_plan`` (storage-level layers) are rejected.
-
-    ``retry`` installs a retrying storage layer and ``fault_plan``
-    a fault-injecting one (DESIGN.md section 11); both ride inside the
-    storage config.
+    simulated-storage model: no storage configuration exists there.
 
     ``backend`` selects the physical page store (``memory`` or
     ``durable``) and ``data_dir`` where the durable one keeps its files
@@ -125,11 +116,6 @@ def run_algorithm(
     ledger: metrics are byte-identical across backends.
     """
     if mode == "memory":
-        if retry is not None or fault_plan is not None:
-            raise ValueError(
-                "retry/fault_plan are storage layers; mode='memory' has "
-                "no storage to wrap"
-            )
         if backend != "memory" or data_dir is not None:
             raise ValueError(
                 "backend/data_dir are storage settings; mode='memory' has "
@@ -141,10 +127,6 @@ def run_algorithm(
         if backend != "memory" or data_dir is not None:
             config = dataclasses.replace(
                 config, backend=backend, directory=data_dir
-            )
-        if retry is not None or fault_plan is not None:
-            config = dataclasses.replace(
-                config, retry=retry, fault_plan=fault_plan
             )
     # Every instrumented run's event stream is bracketed here.
     events = obs.events if obs is not None else None

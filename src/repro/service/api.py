@@ -6,14 +6,15 @@ standard serving-system idiom in pure python:
 - **Token-bucket rate limiting** — ``rate`` queries/second with a
   ``burst`` allowance; a query arriving to an empty bucket is rejected
   up front (``status="rejected"``) without touching the index.
-- **A circuit breaker** — repeated query failures (the PR 5 fault
-  taxonomy: injected storage faults surface as typed
-  :class:`~repro.faults.errors.FaultError`) trip it open; while open
-  the service does not touch the failing storage at all and serves
-  **declared-partial** results — an empty pair set carrying a
-  :class:`~repro.faults.errors.ShardFailure` that names the open
-  breaker, never a silent wrong answer.  After ``reset_s`` one probe is
-  let through (half-open); success closes the breaker.
+- **A circuit breaker** — repeated query failures (a storage error:
+  an ``OSError`` from the file-I/O seam, or a
+  :class:`~repro.storage.durable.DurableStoreError` such as a slot
+  checksum mismatch) trip it open; while open the service does not
+  touch the failing storage at all and serves **declared-partial**
+  results — an empty pair set carrying a :class:`ShardFailure` that
+  names the open breaker, never a silent wrong answer.  After
+  ``reset_s`` one probe is let through (half-open); success closes the
+  breaker.
 - **An LRU result cache** of the current index epoch — any insert,
   delete, *or compaction* advances the epoch, and the cache empties the
   first time it sees a newer one, so entries are only reused while the
@@ -33,16 +34,31 @@ import asyncio
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
-from repro.faults.errors import FaultError, ShardFailure
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.result import Pair
 from repro.service.index import PersistentIndex
+from repro.storage.durable import DurableStoreError
 
 Clock = Callable[[], float]
+
+
+@dataclass(frozen=True)
+class ShardFailure:
+    """One unit of work that could not be completed, in a JSON-ready
+    form — what a declared-partial reply reports instead of raising."""
+
+    shard_id: str
+    kind: str
+    error_type: str
+    message: str
+    attempts: int
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -499,7 +515,7 @@ class JoinService:
             else:
                 raise ValueError(f"unknown query op {op!r}")
             outcome = QueryOutcome(op=op, status="ok", epoch=epoch, **answer)
-        except FaultError as error:
+        except (OSError, DurableStoreError) as error:
             self.failed += 1
             opened = self.breaker.record_failure()
             if opened:

@@ -183,9 +183,9 @@ class PersistentIndex:
         return cls(storage=storage, obs=obs, data_dir=data_dir, **kwargs)  # type: ignore[arg-type]
 
     def _backend(self) -> StorageBackend:
-        """The physical backend under any fault/retry wrapper: the journal
-        is its, and the benchmark reads its recovery report."""
-        return self.storage.physical_backend()
+        """The page store: the journal is its, and the benchmark reads
+        its recovery report."""
+        return self.storage.backend
 
     def _drop_unnamed(self, named: set[str]) -> None:
         """The one debris rule: a stored file the manifest does not name
@@ -419,6 +419,11 @@ class PersistentIndex:
                     b"M" + json.dumps(manifest, sort_keys=True).encode(), reset=True
                 )
             except Exception:
+                # Discard every fresh frame first: a failed store refuses
+                # the deletes (the reopen drops the files as debris), and
+                # a dirty frame left behind would fail a later query.
+                for handle in fresh:
+                    self.storage.pool.drop_file(handle.name)
                 for handle in fresh:
                     self.storage.drop_file(handle.name)
                 raise

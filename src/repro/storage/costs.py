@@ -66,10 +66,6 @@ DEFAULT_CPU_COSTS: dict[str, float] = {
     "bitmap": 0.5e-6,       # per DSB bit set/probe
     "rtree": 2e-6,          # per R-tree node visit
     "partition": 0.5e-6,    # per entity routed to a partition/tile
-    "fault_latency": 0.0181,  # per injected-fault latency unit: one
-                              # random-access-equivalent stall (error
-                              # detection + failed transfer), so chaos
-                              # runs price recovery into response time
 }
 """Per-operation CPU costs in seconds, scaled to the paper's 133 MHz
 PowerPC (SPECint95 4.72).  The 10 us Hilbert cost is measured by the

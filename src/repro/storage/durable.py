@@ -76,6 +76,9 @@ HEADER_SIZE = 64
 _HEADER = struct.Struct("<8sIIQI")  # magic, version, page size, epoch, crc
 _SLOT_HEADER = struct.Struct("<IIQQ")  # crc, payload length, file id, page no
 _COUNT = struct.Struct("<I")  # record count, first field of a payload
+SLOT_COVERED = _SLOT_HEADER.size + _COUNT.size
+"""A slot's leading bytes — header and record count — that the checksum
+or the identity test covers whatever the page holds."""
 
 DATA_FILE = "pages.data"
 CHECKPOINT_FILE = "checkpoint.json"

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.obs import NULL_OBS, Observability
 from repro.storage.backend import MemoryBackend, StorageBackend
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.plan import FaultPlan
-    from repro.faults.retry import RetryPolicy
 from repro.storage.buffer import BufferPool
 from repro.storage.costs import CostModel
 from repro.storage.iostats import IOStats
@@ -35,14 +30,6 @@ class StorageConfig:
     crash-consistent; DESIGN.md section 16).  The simulated ledger is
     backend-independent: the same run produces byte-identical I/O
     counts on both.
-
-    ``fault_plan`` / ``retry`` opt into the fault subsystem (DESIGN.md
-    section 11): the physical backend is wrapped in a
-    :class:`~repro.faults.inject.FaultInjectingBackend` executing the
-    plan and/or a :class:`~repro.faults.retry.RetryingBackend` applying
-    the policy.  Both default to ``None`` (no wrapper at all), and a
-    retry layer over a fault-free run is a strict no-op — verified by
-    the parity tests.
     """
 
     page_size: int = DEFAULT_PAGE_SIZE
@@ -50,8 +37,6 @@ class StorageConfig:
     backend: str = "memory"
     directory: str | None = None
     cost_model: CostModel = field(default_factory=CostModel)
-    fault_plan: FaultPlan | None = None
-    retry: RetryPolicy | None = None
 
 
 class StorageManager:
@@ -90,38 +75,19 @@ class StorageManager:
 
     def _make_backend(self) -> StorageBackend:
         if self.config.backend == "memory":
-            backend: StorageBackend = MemoryBackend()
-        elif self.config.backend == "durable":
+            return MemoryBackend()
+        if self.config.backend == "durable":
             from repro.storage.durable import DurableBackend
 
             directory = self.config.directory
             if directory is None:
                 self._tempdir = tempfile.TemporaryDirectory(prefix="repro-storage-")
                 directory = self._tempdir.name
-            backend = DurableBackend(directory, page_size=self.config.page_size)
-        else:
-            raise ValueError(
-                f"unknown backend {self.config.backend!r}; choose 'memory' "
-                "or 'durable'"
-            )
-        # Fault subsystem wrappers (innermost injection, outermost
-        # retry, so retries see the injected faults): both are absent
-        # unless configured, and with zero faults the retry wrapper is
-        # a pure pass-through — the ledger and metrics are untouched.
-        if self.config.fault_plan is not None:
-            from repro.faults.inject import FaultInjectingBackend
-
-            backend = FaultInjectingBackend(
-                backend,
-                self.config.fault_plan,
-                stats=self.stats,
-                metrics=self.obs.active_metrics,
-            )
-        if self.config.retry is not None:
-            from repro.faults.retry import RetryingBackend
-
-            backend = RetryingBackend(backend, self.config.retry, obs=self.obs)
-        return backend
+            return DurableBackend(directory, page_size=self.config.page_size)
+        raise ValueError(
+            f"unknown backend {self.config.backend!r}; choose 'memory' "
+            "or 'durable'"
+        )
 
     # -- file lifecycle -------------------------------------------------
 
@@ -157,7 +123,7 @@ class StorageManager:
         if name in self._files:
             raise FileExistsError(f"storage file {name!r} already open")
         codec = codec or EntityDescriptorCodec()
-        backend = self.physical_backend()
+        backend = self.backend
         if not hasattr(backend, "attach_file"):
             raise ValueError(
                 f"backend {self.config.backend!r} has no persistent "
@@ -172,16 +138,9 @@ class StorageManager:
         self._files[name] = handle
         return handle
 
-    def physical_backend(self) -> StorageBackend:
-        """The innermost backend, under any fault/retry wrappers."""
-        backend = self.backend
-        while hasattr(backend, "inner"):
-            backend = backend.inner
-        return backend
-
     def stored_files(self) -> list[str]:
         """Names in the backend's persistent catalog (durable only)."""
-        backend = self.physical_backend()
+        backend = self.backend
         return backend.stored_files() if hasattr(backend, "stored_files") else []
 
     def drop_file(self, name: str) -> None:

@@ -11,8 +11,9 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   invariants, partition conformance, obs-on/off parity, and ddmin
   counterexamples.  :func:`run_cross_mode` is the same sweep with the
   ledger/memory roster plus refined-set parity; :func:`run_chaos`
-  reruns it under sampled fault plans and asserts that every run ends
-  correct or as a typed failure.
+  runs sampled joins on the durable store, one fault injected at the
+  file-I/O seam each, and asserts that every fired fault ends loud and
+  every other run correct.
 - **scenario harness** (:mod:`~repro.verify.scenario`) — one seeded op
   generator, one :class:`LiveModel` advanced by the acknowledged ops
   alone, one :func:`check_index` verdict.  :func:`run_service_verify`

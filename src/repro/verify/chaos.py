@@ -1,40 +1,43 @@
-"""Chaos verification: the differential harness under injected faults.
+"""Chaos verification: joins on the durable store, one storage fault each.
 
 Every chaos case runs one join algorithm over one verification workload
-with a *sampled* :class:`~repro.faults.plan.FaultPlan` (and usually a
-:class:`~repro.faults.retry.RetryPolicy`) installed, then asserts
-(DESIGN.md section 11) that the run ends in exactly one of
+on the durable store (:class:`~repro.storage.durable.DurableBackend`)
+over a :class:`~repro.verify.recorder.FaultyDisk` installed at the
+file-I/O seam, with one sampled :class:`~repro.verify.recorder.Fault`
+armed — EIO or ENOSPC on a read, write or fsync, or a corrupt read — or
+none (the quiet case).  The fault hits the ``nth`` such call on one of
+the store's files, ``nth`` drawn from the calls the same case makes
+fault-free, so an armed fault always fires.  A case ends (DESIGN.md
+section 11)
 
-- **correct** — the pair set equals the brute-force oracle's (the
-  faults were absorbed by retries, healed writes, or cache hits);
-- **typed failure** — a :class:`~repro.faults.errors.FaultError`
-  subclass propagated (permanent fault, exhausted retries, torn-write
-  detection).
+- **correct** — no fault fired and the pair set equals the brute-force
+  oracle's; or
+- **loud** — a fault fired and the join raised ``OSError`` or
+  :class:`~repro.storage.durable.DurableStoreError` (a corrupt read
+  fails the slot checksum).
 
-Anything else — a wrong pair set or an untyped exception — is a
-silent-wrong-answer bug and fails the report.  (Declared-partial
-answers belong to the service; :mod:`repro.verify.scenario` checks
-them.)
-
-On top of the outcome each case checks post-recovery bookkeeping:
-``faults.retries_attempted >= faults.retries_succeeded``, no give-ups
-on a fully correct run, and per-phase ledger buckets still summing to
-the totals after recovery.
+Every other ending is a violation: **swallowed** (a fault fired and the
+join still returned the right pairs), **spurious** (loud with nothing
+fired), **unfired** (an armed fault never went off: the case proved
+nothing), **wrong** pairs, or an **untyped** exception.
 """
 
 from __future__ import annotations
 
+import errno
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from repro.faults import FaultError, FaultPlan, RetryPolicy
 from repro.join.api import spatial_join
-from repro.obs import Observability
-from repro.storage.iostats import PhaseStats
+from repro.join.result import JoinResult
+from repro.obs import fileio
+from repro.storage.durable import CHECKPOINT_FILE, DATA_FILE, SLOT_COVERED, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.verify.cases import VerifyCase
 from repro.verify.oracle import oracle_for_case
+from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.report import Report
 from repro.verify.workloads import generated_cases
 
@@ -46,42 +49,65 @@ CHAOS_ENTITY_LIMIT = 70
 """Workloads are shrunk to this many entities per side so a sweep of
 hundreds of fault scenarios stays fast."""
 
-GOOD_OUTCOMES = ("correct", "typed-failure")
+KINDS = ("read", "corrupt", "write", "fsync", "quiet")
+FILES = (DATA_FILE, "wal-", CHECKPOINT_FILE)
+"""Name prefixes of the store's files: pages, log segments, checkpoint."""
+
+STORE = "/chaos"  # the store's directory on the recording disk
+GOOD_OUTCOMES = ("correct", "loud")
 
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One sampled fault scenario: workload x algorithm x fault plan."""
+    """One sampled case: workload x algorithm x buffer x fault.
+
+    ``kind`` ``"quiet"`` arms nothing.  Otherwise ``pick`` chooses among
+    the files the fault-free run makes such calls on, and ``position``
+    where among those calls the fault lands, both as fractions, since
+    the counts are only known once the case has run."""
 
     index: int
     case: VerifyCase
     algorithm: str
-    plan: FaultPlan
-    retry: RetryPolicy | None
     buffer_pages: int
+    kind: str
+    code: int = errno.EIO
+    landed: int = 0
+    pick: float = 0.0
+    position: float = 0.0
 
-    def describe(self) -> str:
-        retry = (
-            f"retry x{self.retry.max_attempts}" if self.retry else "no retry"
-        )
+    def describe(self, fault: Fault | None = None) -> str:
         return (
             f"#{self.index} {self.algorithm} on {self.case.name} "
-            f"({retry}, M={self.buffer_pages}) {self.plan.describe()}"
+            f"(M={self.buffer_pages}) {fault.describe() if fault else self.kind}"
         )
+
+    def fault(self, calls: Counter[tuple[str, str]]) -> Fault | None:
+        """The fault to arm, given the fault-free run's ``calls``."""
+        if self.kind == "quiet":
+            return None
+        op = "read" if self.kind == "corrupt" else self.kind
+        counts = {
+            prefix: sum(n for (call, name), n in calls.items() if call == op and name.startswith(prefix))
+            for prefix in FILES
+        }
+        prefixes = [prefix for prefix in FILES if counts[prefix]]
+        prefix = prefixes[int(self.pick * len(prefixes))]
+        nth = 1 + int(self.position * counts[prefix])
+        return Fault(self.kind, prefix, self.code, nth, landed=self.landed)
 
 
 @dataclass(frozen=True)
 class ChaosOutcome:
-    """What one chaos case ended as, with any invariant violations."""
+    """What one chaos case ended as."""
 
     scenario: str
-    outcome: str  # "correct" | "typed-failure" | "wrong" | "untyped-error"
+    outcome: str  # one of GOOD_OUTCOMES, or the violation's name
     detail: str = ""
-    violations: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return self.outcome in GOOD_OUTCOMES and not self.violations
+        return self.outcome in GOOD_OUTCOMES
 
 
 def _shrunk_cases(seed: int, limit: int = CHAOS_ENTITY_LIMIT) -> list[VerifyCase]:
@@ -102,134 +128,80 @@ def sample_scenario(
     cases: list[VerifyCase] | None = None,
     algorithms: tuple[str, ...] = CHAOS_ALGORITHMS,
 ) -> ChaosScenario:
-    """Deterministically sample chaos case number ``index``.
-
-    The scenario is a pure function of ``(seed, index)``: the same
-    sweep replays the same fault plans, so a failing case number is a
-    stable reproduction recipe.
-    """
+    """Deterministically sample chaos case number ``index``: a pure
+    function of ``(seed, index)``, so a failing case number is a stable
+    reproduction recipe."""
     rng = random.Random((seed << 20) ^ index)
     roster = cases if cases is not None else _shrunk_cases(seed)
-    case = roster[index % len(roster)]
-    algorithm = algorithms[index % len(algorithms)]
-
-    profile = rng.choice(("transient", "permanent", "torn", "mixed", "quiet"))
-    kwargs: dict[str, Any] = {"seed": rng.randrange(2**31)}
-    if profile == "transient":
-        kwargs["transient_read_rate"] = rng.uniform(0.005, 0.08)
-        kwargs["transient_write_rate"] = rng.uniform(0.005, 0.08)
-    elif profile == "permanent":
-        kwargs["permanent_rate"] = rng.uniform(0.001, 0.02)
-    elif profile == "torn":
-        kwargs["torn_write_rate"] = rng.uniform(0.005, 0.05)
-    elif profile == "mixed":
-        kwargs["transient_read_rate"] = rng.uniform(0.0, 0.05)
-        kwargs["transient_write_rate"] = rng.uniform(0.0, 0.05)
-        kwargs["permanent_rate"] = rng.uniform(0.0, 0.01)
-        kwargs["torn_write_rate"] = rng.uniform(0.0, 0.02)
-    # "quiet": no storage faults — the fault-free path must stay correct.
-    if rng.random() < 0.3:
-        kwargs["max_faults"] = rng.randrange(1, 6)
-    plan = FaultPlan(**kwargs)
-
-    retry = None
-    if rng.random() < 0.75:
-        retry = RetryPolicy(
-            max_attempts=rng.randrange(2, 5), seed=rng.randrange(2**31)
-        )
+    kind = rng.choice(KINDS)
+    code = rng.choice((errno.EIO, errno.ENOSPC)) if kind == "write" else errno.EIO
+    if kind == "write":
+        landed = rng.choice((0, rng.randrange(1, 4096)))
+    else:
+        landed = rng.randrange(SLOT_COVERED) if kind == "corrupt" else 0  # a covered byte
     return ChaosScenario(
         index=index,
-        case=case,
-        algorithm=algorithm,
-        plan=plan,
-        retry=retry,
+        case=roster[index % len(roster)],
+        algorithm=algorithms[index % len(algorithms)],
         buffer_pages=rng.choice((8, 16, 32)),
+        kind=kind,
+        code=code,
+        landed=landed,
+        pick=rng.random(),
+        position=rng.random(),
     )
 
 
-def _ledger_violations(metrics_phases: dict[str, PhaseStats]) -> list[str]:
-    """Post-recovery ledger sanity: no negative counts anywhere."""
-    problems = []
-    for name, stats in metrics_phases.items():
-        for attr in (
-            "page_reads",
-            "page_writes",
-            "random_reads",
-            "random_writes",
-            "buffer_hits",
-        ):
-            if getattr(stats, attr) < 0:
-                problems.append(f"phase {name}: negative {attr}")
-        if any(count < 0 for count in stats.cpu_ops.values()):
-            problems.append(f"phase {name}: negative cpu op count")
-    return problems
-
-
-def run_chaos_case(scenario: ChaosScenario) -> ChaosOutcome:
-    """Run one chaos scenario and classify its ending."""
-    case = scenario.case
-    oracle = oracle_for_case(case)
-    obs = Observability()
+def _join(scenario: ChaosScenario, disk: FaultyDisk) -> JoinResult:
     config = StorageConfig(
-        buffer_pages=scenario.buffer_pages,
-        fault_plan=scenario.plan,
-        retry=scenario.retry,
+        buffer_pages=scenario.buffer_pages, backend="durable", directory=STORE
     )
-    label = scenario.describe()
-    try:
-        result = spatial_join(
+    case = scenario.case
+    with fileio.using(disk):
+        return spatial_join(
             case.dataset_a,
             case.dataset_b,
             algorithm=scenario.algorithm,
             predicate=case.predicate,
             storage=config,
-            obs=obs,
         )
-    except FaultError as error:
-        return ChaosOutcome(
-            scenario=label,
-            outcome="typed-failure",
-            detail=f"{type(error).__name__}: {error}",
-            violations=tuple(_metric_violations(obs, complete_success=False)),
-        )
+
+
+def fault_free_calls(scenario: ChaosScenario) -> Counter[tuple[str, str]]:
+    """The reads, writes and fsyncs ``scenario``'s join makes, by file."""
+    disk = FaultyDisk()
+    _join(scenario, disk)
+    return disk.calls
+
+
+def run_chaos_case(
+    scenario: ChaosScenario, calls: Counter[tuple[str, str]] | None = None
+) -> ChaosOutcome:
+    """Run one chaos scenario and classify its ending; ``calls`` are
+    its fault-free call counts, counted here when not given."""
+    if calls is None and scenario.kind != "quiet":
+        calls = fault_free_calls(scenario)
+    fault = scenario.fault(calls or Counter())
+    disk = FaultyDisk(fault=fault)
+    label = scenario.describe(fault)
+    try:
+        result = _join(scenario, disk)
+    except (OSError, DurableStoreError) as error:
+        outcome = "loud" if disk.fired else "spurious"
+        return ChaosOutcome(label, outcome, f"{type(error).__name__}: {error}")
     except Exception as error:  # noqa: BLE001 - the bug class under test
-        return ChaosOutcome(
-            scenario=label,
-            outcome="untyped-error",
-            detail=f"{type(error).__name__}: {error}",
-        )
-
-    violations = _metric_violations(obs, complete_success=True)
-    violations += _ledger_violations(result.metrics.phases)
-
+        return ChaosOutcome(label, "untyped-error", f"{type(error).__name__}: {error}")
+    oracle = oracle_for_case(scenario.case)
     if result.pairs != oracle:
-        extra = result.pairs - oracle
-        missing = oracle - result.pairs
+        extra, missing = result.pairs - oracle, oracle - result.pairs
         return ChaosOutcome(
-            scenario=label,
-            outcome="wrong",
-            detail=f"{len(extra)} bogus pair(s), {len(missing)} missing",
-            violations=tuple(violations),
+            label, "wrong", f"{len(extra)} bogus pair(s), {len(missing)} missing"
         )
-    return ChaosOutcome(
-        scenario=label, outcome="correct", violations=tuple(violations)
-    )
-
-
-def _metric_violations(obs: Observability, complete_success: bool) -> list[str]:
-    """Retry bookkeeping invariants, readable from the metrics alone."""
-    metrics = obs.metrics
-    attempted = metrics.counter_total("faults.retries_attempted")
-    succeeded = metrics.counter_total("faults.retries_succeeded")
-    giveups = metrics.counter_total("faults.giveups")
-    problems = []
-    if attempted < succeeded:
-        problems.append(
-            f"retries_attempted ({attempted}) < retries_succeeded ({succeeded})"
-        )
-    if complete_success and giveups:
-        problems.append(f"{giveups} give-up(s) on a fully successful run")
-    return problems
+    if disk.fired:
+        return ChaosOutcome(label, "swallowed", "the fault fired, the join returned")
+    if fault is not None:
+        return ChaosOutcome(label, "unfired", "the armed fault never fired")
+    return ChaosOutcome(label, "correct")
 
 
 def run_chaos(
@@ -239,27 +211,40 @@ def run_chaos(
     progress: Callable[[str], None] | None = None,
 ) -> Report:
     """Run ``cases`` sampled fault scenarios and report their endings:
-    ``counts["tally"]`` says how many ended each way, and every ending
-    other than correct or typed failure — or bookkeeping breach on a
-    good ending — is a violation."""
+    ``counts["tally"]`` says how many ended each way (and ``kinds``
+    which faults were sampled); every ending but correct or loud is a
+    violation."""
     if cases < 1:
         raise ValueError("cases must be positive")
     roster = _shrunk_cases(seed)
     tally: dict[str, int] = {}
+    kinds: dict[str, int] = {}
     outcomes: list[dict[str, Any]] = []
     report = Report(
         gate="chaos",
-        counts={"seed": seed, "cases": cases, "tally": tally, "outcomes": outcomes},
+        counts={
+            "seed": seed,
+            "cases": cases,
+            "tally": tally,
+            "kinds": kinds,
+            "outcomes": outcomes,
+        },
     )
+    counted: dict[tuple[str, str, int], Counter[tuple[str, str]]] = {}
     for index in range(cases):
         scenario = sample_scenario(index, seed, cases=roster, algorithms=algorithms)
-        outcome = run_chaos_case(scenario)
+        calls = None
+        if scenario.kind != "quiet":
+            key = (scenario.case.name, scenario.algorithm, scenario.buffer_pages)
+            if key not in counted:
+                counted[key] = fault_free_calls(scenario)
+            calls = counted[key]
+        outcome = run_chaos_case(scenario, calls)
         tally[outcome.outcome] = tally.get(outcome.outcome, 0) + 1
+        kinds[scenario.kind] = kinds.get(scenario.kind, 0) + 1
         outcomes.append(asdict(outcome))
-        if outcome.outcome not in GOOD_OUTCOMES:
+        if not outcome.ok:
             report.fail("outcome", outcome.scenario, f"{outcome.outcome}: {outcome.detail}")
-        for violation in outcome.violations:
-            report.fail("bookkeeping", outcome.scenario, violation)
         if progress is not None:
-            progress(f"chaos {outcome.outcome:>13}  {scenario.describe()}")
+            progress(f"chaos {outcome.outcome:>13}  {outcome.scenario}")
     return report

@@ -19,6 +19,12 @@ A *boundary* is the instant before an ``fsync`` takes effect:
 caller's code location (``storage/wal.py:208 (sync)``).  A site in
 ``noop_sites`` makes nothing durable — the mutation check removes one
 fsync that way, with no source edit.
+
+:class:`FaultyDisk` is the recording disk with one armed :class:`Fault`:
+the one fault injector of the package.  A fault is an ``errno`` at the
+seam — a failing ``read``, ``write`` (a short one, if it lands bytes
+first) or ``fsync`` — or a ``corrupt`` read, which returns with one byte
+flipped.  The chaos gates run the durable store on it.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import errno
 import io
 import os
 import sys
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -72,10 +80,7 @@ class _Handle(io.IOBase):
         return len(data)
 
     def read(self, size: int = -1) -> bytes:
-        end = len(self.node.live) if size < 0 else self.pos + size
-        data = bytes(self.node.live[self.pos : end])
-        self.pos += len(data)
-        return data
+        return self.disk.read(self, size)
 
     def seek(self, offset: int, whence: int = 0) -> int:
         self.pos = offset + (self.pos if whence == 1 else 0)
@@ -111,8 +116,15 @@ class Recorder(OsFiles):
             self.record(node, 0, None)
         return _Handle(self, path, node, "a" in mode)
 
+    def read(self, handle: _Handle, size: int) -> bytes:
+        """Every read of every handle."""
+        end = len(handle.node.live) if size < 0 else handle.pos + size
+        data = bytes(handle.node.live[handle.pos : end])
+        handle.pos += len(data)
+        return data
+
     def write(self, handle: _Handle, data: bytes) -> None:
-        """Every write of every handle (tests inject errors here)."""
+        """Every write of every handle."""
         self.record(handle.node, handle.pos, data)
         handle.pos += len(data)
 
@@ -196,6 +208,84 @@ class Recorder(OsFiles):
                 states.append((f"{Path(directory).name}:{label}", {p: f.durable for p, f in names.items()}))
         states.append(("live", {path: bytes(node.live) for path, node in self.files.items()}))
         return states
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One armed fault: calls ``nth`` through ``last`` (``None``: the
+    ``nth`` alone) of ``call`` on files whose name starts with ``prefix``.
+    A ``read``, ``write`` or ``fsync`` fault raises ``OSError(code)``, a
+    write after landing its first ``landed`` bytes (a short write); a
+    ``corrupt`` fault is a read that returns with byte ``landed`` (modulo
+    its length) flipped."""
+
+    call: str
+    prefix: str
+    code: int = errno.EIO
+    nth: int = 1
+    last: int | None = None
+    landed: int = 0
+
+    @property
+    def op(self) -> str:
+        """The seam call it counts: a corrupt read is a read."""
+        return "read" if self.call == "corrupt" else self.call
+
+    def describe(self) -> str:
+        calls = f"{self.nth}" if self.last is None else f"{self.nth}-{self.last}"
+        what = "flip" if self.call == "corrupt" else errno.errorcode.get(self.code, self.code)
+        return f"{self.call} #{calls} of {self.prefix}* ({what}, {self.landed} B)"
+
+
+class FaultyDisk(Recorder):
+    """The recording disk with one armed :class:`Fault`.  ``calls``
+    counts every read, write and fsync by ``(call, file name)``;
+    ``fired`` counts the calls the fault hit."""
+
+    def __init__(self, state: State | None = None, fault: Fault | None = None, **kwargs) -> None:
+        super().__init__(state, **kwargs)
+        self.calls: Counter[tuple[str, str]] = Counter()
+        self.arm(fault)
+
+    def arm(self, fault: Fault | None) -> None:
+        """Arm ``fault`` (``None``: disarm), counting its calls from now."""
+        self.fault, self.matched, self.fired = fault, 0, 0
+
+    def _trip(self, call: str, handle: _Handle) -> Fault | None:
+        name = os.path.basename(handle.path)
+        self.calls[call, name] += 1
+        fault = self.fault
+        if fault is None or fault.op != call or not name.startswith(fault.prefix):
+            return None
+        self.matched += 1
+        if not fault.nth <= self.matched <= (fault.last or fault.nth):
+            return None
+        self.fired += 1
+        return fault
+
+    def read(self, handle: _Handle, size: int) -> bytes:
+        fault = self._trip("read", handle)
+        if fault is not None and fault.call != "corrupt":
+            raise OSError(fault.code, os.strerror(fault.code))
+        data = super().read(handle, size)
+        if fault is None or not data:
+            return data
+        flipped = bytearray(data)
+        flipped[fault.landed % len(data)] ^= 0xFF
+        return bytes(flipped)
+
+    def write(self, handle: _Handle, data: bytes) -> None:
+        fault = self._trip("write", handle)
+        if fault is not None:
+            super().write(handle, data[: fault.landed])
+            raise OSError(fault.code, os.strerror(fault.code))
+        super().write(handle, data)
+
+    def fsync(self, handle: _Handle) -> None:  # type: ignore[override]
+        fault = self._trip("fsync", handle)
+        if fault is not None:
+            raise OSError(fault.code, os.strerror(fault.code))
+        super().fsync(handle)
 
 
 def _renamed(names: dict[str, _File], changes: list[Change]) -> dict[str, _File]:

@@ -3,12 +3,13 @@
 **Scenario.**  :func:`op_schedule` is the one seeded op generator: a
 pure function of its seed yielding inserts, deletes, re-inserts of a
 deleted id, compactions, and point / window / join queries.  A
-:class:`Scenario` adds a fault profile (a scheduled read-fault burst, a
-seeded transient drizzle, a permanent burst, or none) — ``repro verify
---service`` is the scheduled burst plus its recovery assertions, the
-service chaos sweep is N sampled profiles, and the crash gate
-(:mod:`repro.verify.crash`) runs the same ops on a recording disk that
-loses power at every fsync boundary.
+:class:`Scenario` adds a fault profile, armed on the
+:class:`~repro.verify.recorder.FaultyDisk` its durable index runs on (a
+burst of EIO reads, one corrupt read, one failed WAL write, or none) —
+``repro verify --service`` is the read burst plus its recovery
+assertions, the service chaos sweep is N sampled profiles, and the
+crash gate (:mod:`repro.verify.crash`) runs the same ops on a recording
+disk that loses power at every fsync boundary.
 
 **Model.**  :class:`LiveModel` is an ``eid -> Entity`` dict advanced by
 the *acknowledged ops* alone — never read back from the index, so an
@@ -22,7 +23,9 @@ crash gate after each reopen of a crash state.  :func:`classify` is the
 service trichotomy: a query outcome is **ok** (and then compared with
 the model), **loud** (``failed`` with a typed error), or **declared
 partial** (``CircuitOpen`` named, breaker not closed) — and anything
-but ok needs a fault plan to excuse it.
+but ok needs an armed fault to excuse it.  A storage error is loud when
+it is an ``OSError`` or a
+:class:`~repro.storage.durable.DurableStoreError`.
 
 The replay drives the service's breaker from a manual clock it
 advances itself, so a verdict is a pure function of ``(seed, index)``:
@@ -32,21 +35,22 @@ no wall-clock sleep, no timing-dependent breaker state.
 from __future__ import annotations
 
 import asyncio
+import errno
 import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.faults.errors import FaultError
-from repro.faults.plan import FaultPlan, ScheduledFault
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.api import spatial_join
 from repro.join.dataset import SpatialDataset
+from repro.obs import fileio
 from repro.service.api import BreakerState, JoinService, QueryOutcome, ServiceConfig
 from repro.service.index import PersistentIndex
-from repro.storage.manager import StorageConfig
+from repro.storage.durable import DATA_FILE, SLOT_COVERED, DurableStoreError
 from repro.verify.oracle import oracle_pairs, oracle_window
+from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.report import Report
 
 Progress = Callable[[str], None]
@@ -66,7 +70,9 @@ CHECK_WINDOWS = (
 also draws them, so the same query recurs across epochs and a result
 cached under a stale epoch would be served and caught."""
 
-PROFILES = ("scheduled-burst", "seeded-transient", "permanent-burst", "quiet")
+PROFILES = ("scheduled-burst", "corrupt-read", "write-failure", "quiet")
+
+STORE = "/service"  # the index's data directory on the recording disk
 
 BREAKER_RESET_S = 1.0  # manual-clock seconds
 STEPS_PER_RESET = 4
@@ -85,6 +91,14 @@ class LiveModel:
             self.live[payload.eid] = payload
         elif op == "delete":
             del self.live[payload]
+
+    def admits(self, op: str, payload: Any) -> bool:
+        """Whether a mutation is valid on the live set: a schedule's
+        re-insert or delete names an id its own model has live or
+        deleted, which a refused mutation before it may have changed."""
+        if op == "insert":
+            return payload.eid not in self.live
+        return op != "delete" or payload in self.live
 
     def dataset(self) -> SpatialDataset:
         return SpatialDataset("model", [self.live[eid] for eid in sorted(self.live)])
@@ -182,8 +196,8 @@ def check_index(index: PersistentIndex, model: LiveModel) -> list[str]:
     """Every way ``index`` departs from ``model`` (empty = exact).
 
     The live set is compared first and from memory alone; the self-join
-    and window checks read storage, so under a fault plan they may
-    raise a typed :class:`FaultError` — the caller's to classify.
+    and window checks read storage, so under an armed fault they may
+    raise a storage error — the caller's to classify.
     """
     problems = []
     stored = {entity.eid: entity for entity in index.live_entities()}
@@ -215,15 +229,15 @@ def check_index(index: PersistentIndex, model: LiveModel) -> list[str]:
 
 
 def classify(
-    outcome: QueryOutcome, breaker_state: BreakerState, faults_planned: bool
+    outcome: QueryOutcome, breaker_state: BreakerState, faults_armed: bool
 ) -> list[str]:
     """The service trichotomy: what is wrong with one query outcome
     *besides* its answer (which the caller compares when ``ok``)."""
     if outcome.status == "ok":
         return []
     problems = []
-    if not faults_planned:
-        problems.append(f"{outcome.status} outcome with no fault plan")
+    if not faults_armed:
+        problems.append(f"{outcome.status} outcome with no fault armed")
     if outcome.status == "failed":
         if not outcome.error:
             problems.append("failed without a typed error (silent failure)")
@@ -244,7 +258,7 @@ class Scenario:
     index: int
     seed: int
     profile: str
-    plan: FaultPlan | None
+    fault: Fault | None
     ops: int
     entities: int
     recovery: bool = False
@@ -252,38 +266,38 @@ class Scenario:
     breaker, and the service to heal to exact answers after it."""
 
     def describe(self) -> str:
-        plan = self.plan.describe() if self.plan is not None else "no faults"
+        fault = self.fault.describe() if self.fault is not None else "no fault"
         return (
             f"#{self.index} service {self.profile} "
-            f"({self.ops} ops over {self.entities} entities) {plan}"
+            f"({self.ops} ops over {self.entities} entities) {fault}"
         )
 
 
-def _burst(kind: str, first: int, length: int) -> FaultPlan:
-    return FaultPlan(
-        schedule=(ScheduledFault(op="read", kind=kind, first=first, last=first + length),)
-    )
+def _burst(first: int, length: int) -> Fault:
+    """EIO on page reads ``first`` through ``first + length``."""
+    return Fault("read", DATA_FILE, errno.EIO, first, first + length)
 
 
 def sample_service_scenario(
     index: int, seed: int, ops: int = 30, entities: int = 80
 ) -> Scenario:
     """Deterministically sample service scenario number ``index``; the
-    profiles cycle, so every fourth one is the quiet control.  Faults
-    are on reads only: the bulk load is write-only, so the index always
-    comes up and the faults land on queries and compaction folds."""
+    profiles cycle, so every fourth one is the quiet control.  The fault
+    is armed once the index is up, and counts the reads or WAL writes of
+    the schedule alone: a read burst, one corrupt read (the slot
+    checksum must catch it), or one failed WAL write (the store refuses
+    every later write until reopened; queries must still be exact)."""
     rng = random.Random((seed << 20) ^ index)
     profile = PROFILES[index % len(PROFILES)]
-    plan: FaultPlan | None = None
+    fault: Fault | None = None
     if profile == "scheduled-burst":
-        plan = _burst("transient", rng.randrange(10, 40), rng.randrange(10, 30))
-    elif profile == "seeded-transient":
-        plan = FaultPlan(
-            seed=rng.randrange(2**31), transient_read_rate=rng.uniform(0.02, 0.15)
-        )
-    elif profile == "permanent-burst":
-        plan = _burst("permanent", rng.randrange(5, 30), rng.randrange(3, 12))
-    return Scenario(index, seed, profile, plan, ops, entities)
+        fault = _burst(rng.randrange(10, 40), rng.randrange(10, 30))
+    elif profile == "corrupt-read":
+        fault = Fault("corrupt", DATA_FILE, nth=rng.randrange(5, 40), landed=rng.randrange(SLOT_COVERED))
+    elif profile == "write-failure":
+        code = rng.choice((errno.EIO, errno.ENOSPC))
+        fault = Fault("write", "wal-", code, nth=rng.randrange(2, ops // 2))
+    return Scenario(index, seed, profile, fault, ops, entities)
 
 
 async def _serve(service: JoinService, op: str, payload: Any) -> Any:
@@ -305,11 +319,11 @@ async def _replay(scenario: Scenario) -> Report:
         scenario.seed * 7919 + scenario.index, scenario.ops, scenario.entities
     )
     model = LiveModel(loaded)
-    index = PersistentIndex(
-        loaded,
-        storage=StorageConfig(fault_plan=scenario.plan),
-        compaction_threshold=10**9,  # compaction is an explicit scenario op
-    )
+    disk = FaultyDisk()
+    with fileio.using(disk):
+        # compaction is an explicit scenario op
+        index = PersistentIndex(loaded, data_dir=STORE, compaction_threshold=10**9)
+    disk.arm(scenario.fault)
     now = [0.0]
     service = JoinService(
         index,
@@ -321,7 +335,7 @@ async def _replay(scenario: Scenario) -> Report:
         ),
         clock=lambda: now[0],
     )
-    faults = scenario.plan is not None
+    faults = scenario.fault is not None
     report = Report(gate=scenario.describe())
     tally: Counter[str] = Counter()
 
@@ -329,12 +343,12 @@ async def _replay(scenario: Scenario) -> Report:
         for problem in problems:
             report.fail(check, f"#{scenario.index} step {step} [{op}]", problem)
 
-    def loud(step: int, op: str, error: FaultError) -> None:
-        """A typed failure outside a service query: fine under a fault
-        plan, a violation without one."""
+    def loud(step: int, op: str, error: Exception) -> None:
+        """A storage error outside a service query: fine under an armed
+        fault, a violation without one."""
         tally["loud"] += 1
         if not faults:
-            judge(step, op, "trichotomy", [f"{type(error).__name__} with no fault plan"])
+            judge(step, op, "trichotomy", [f"{type(error).__name__} with no fault armed"])
 
     async def ask(step: int, op: str, payload: Any) -> QueryOutcome:
         outcome = await _serve(service, op, payload)
@@ -349,16 +363,22 @@ async def _replay(scenario: Scenario) -> Report:
         return outcome
 
     async def mutate(step: int, op: str, payload: Any) -> None:
-        """Only a compaction reads storage; a fold that dies must die
-        typed, and the next epoch check proves it left the live set
-        alone."""
+        """A mutation that dies must die loud, and the next epoch check
+        proves it left the live set alone.  One the model says is
+        invalid — a refused mutation came before it — must be refused."""
+        valid = model.admits(op, payload)
         try:
             acked = await _serve(service, op, payload)
-        except FaultError as error:
+        except (OSError, DurableStoreError) as error:
             loud(step, op, error)
         except Exception as error:  # noqa: BLE001 - the silent-failure class
-            judge(step, op, "trichotomy", [f"untyped {type(error).__name__}: {error}"])
+            if not valid and isinstance(error, (ValueError, KeyError)):
+                tally["refused"] += 1
+            else:
+                judge(step, op, "trichotomy", [f"untyped {type(error).__name__}: {error}"])
         else:
+            if not valid:
+                judge(step, op, "model", [f"acknowledged {op} the live set does not admit"])
             model.apply(op, payload)
             if op == "compact" and acked:
                 tally["compactions"] += 1
@@ -367,7 +387,7 @@ async def _replay(scenario: Scenario) -> Report:
         tally["epochs"] += 1
         try:
             judge(step, "check", "model", check_index(index, model))
-        except FaultError as error:
+        except (OSError, DurableStoreError) as error:
             loud(step, "check", error)
 
     try:
@@ -386,8 +406,8 @@ async def _replay(scenario: Scenario) -> Report:
                 judge(scenario.ops, "faults", "recovery", ["the breaker never opened"])
             # Each failed probe burns one read of the burst, so as many
             # probes as the burst is long always get past it.
-            burst = scenario.plan.schedule[0]
-            for _ in range(burst.last - burst.first + 2):
+            burst = scenario.fault
+            for _ in range(burst.last - burst.nth + 2):
                 now[0] += BREAKER_RESET_S
                 if (await ask(scenario.ops, "join", None)).status == "ok":
                     break
@@ -406,6 +426,7 @@ async def _replay(scenario: Scenario) -> Report:
         failed_queries=tally["failed"],
         partial_queries=tally["partial"],
         loud_errors=tally["loud"],
+        refused_mutations=tally["refused"],
         compactions=tally["compactions"],
         breaker_opened=service.breaker.opened_count,
     )
@@ -425,12 +446,12 @@ def run_service_verify(
     progress: Progress | None = None,
 ) -> Report:
     """The service differential gate (``repro verify --service``): one
-    replay under a scheduled mid-stream read-fault burst, plus the
+    replay on a durable index with EIO on page reads 40-70, plus the
     recovery assertions — or, with ``faults=False``, the quiet control,
     where every outcome must be ok."""
-    plan = _burst("transient", 40, 30) if faults else None
+    fault = _burst(40, 30) if faults else None
     profile = "scheduled-burst" if faults else "quiet"
-    report = run_scenario(Scenario(0, seed, profile, plan, ops, entities, recovery=faults))
+    report = run_scenario(Scenario(0, seed, profile, fault, ops, entities, recovery=faults))
     report.gate = "service differential gate"
     if progress:
         progress(

@@ -1,10 +1,10 @@
 """Chaos verification gates.
 
-Three layers: a hypothesis suite driving randomly sampled fault
-scenarios through the outcome check, the 200-case chaos gate (zero
-silent wrong answers), and the retry-layer byte-parity gate over the
-real CLI (``repro join --report`` with and without ``--retry-*`` must
-serialize identically when no fault fires).
+A hypothesis suite driving randomly sampled seam faults through the
+outcome check, the 200-case chaos gate on the durable store (every
+fired fault loud, every quiet run correct), the gate shown a store
+without its slot checksum, and the CI chaos-smoke invocation over the
+real CLI.
 """
 
 import json
@@ -17,8 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.storage import durable
+from repro.storage.durable import DurableBackend
 from repro.verify.chaos import (
     GOOD_OUTCOMES,
+    KINDS,
     run_chaos,
     run_chaos_case,
     sample_scenario,
@@ -39,15 +42,13 @@ class TestScenarioSampling:
     def test_sampling_is_deterministic(self):
         first = sample_scenario(7, seed=3, cases=roster(3))
         second = sample_scenario(7, seed=3, cases=roster(3))
-        assert first.plan == second.plan
-        assert first.retry == second.retry
+        assert first == second
         assert first.describe() == second.describe()
 
     def test_indices_vary_the_scenario(self):
-        plans = {
-            sample_scenario(i, seed=0, cases=roster(0)).plan for i in range(12)
-        }
-        assert len(plans) > 6  # the sweep genuinely explores
+        scenarios = [sample_scenario(i, seed=0, cases=roster(0)) for i in range(12)]
+        assert len({(s.kind, s.position) for s in scenarios}) > 6
+        assert {s.kind for s in scenarios} == set(KINDS)
 
 
 class TestTrichotomy:
@@ -58,97 +59,48 @@ class TestTrichotomy:
     )
     @given(index=st.integers(min_value=0, max_value=2_000), seed=st.integers(0, 3))
     def test_sampled_scenarios_never_answer_wrong(self, index, seed):
-        """The correct / typed-failure outcome and the retry-metric
-        invariants, under arbitrary sampled fault plans."""
+        """Under an arbitrary sampled seam fault: correct with nothing
+        fired, or loud with the fault fired."""
         scenario = sample_scenario(index, seed=seed, cases=roster(seed))
         outcome = run_chaos_case(scenario)
-        assert outcome.outcome in GOOD_OUTCOMES, (
-            f"{scenario.describe()} ended as {outcome.outcome}: "
-            f"{outcome.detail}"
-        )
-        assert outcome.violations == (), scenario.describe()
-        assert outcome.ok
+        assert outcome.ok, f"{outcome.scenario} ended as {outcome.outcome}: {outcome.detail}"
+        assert outcome.outcome == ("correct" if scenario.kind == "quiet" else "loud")
 
     def test_chaos_gate_200_cases(self):
-        """The acceptance gate: 200 seeded scenarios, zero silent wrong
-        answers, and both good outcomes actually visited."""
+        """The acceptance gate: 200 seeded scenarios on the durable
+        store, every fault kind sampled, every armed one fired and loud,
+        and both good endings visited."""
         report = run_chaos(cases=200, seed=0)
         assert report.ok, report.summary()
-        tally = report.counts["tally"]
-        assert tally.get("wrong", 0) == 0
-        assert tally.get("untyped-error", 0) == 0
-        assert tally.get("correct", 0) > 0
-        assert tally.get("typed-failure", 0) > 0
-        assert set(tally) <= set(GOOD_OUTCOMES)
-
-
-TIMING_KEYS = {
-    "wall_s",
-    "cpu_s",
-    "start_s",
-    "wall_seconds",
-    "phase_wall",
-    "elapsed",
-    "generated_at",
-    "timestamp",
-    # The event stream is a real-clock artifact by nature (timestamps,
-    # rate-limited heartbeat counts).
-    "events",
-}
-
-
-def normalized(data):
-    """Strip real-clock fields; everything left must be deterministic."""
-    if isinstance(data, dict):
-        return {
-            key: normalized(value)
-            for key, value in data.items()
-            if key not in TIMING_KEYS
-        }
-    if isinstance(data, list):
-        return [normalized(item) for item in data]
-    return data
-
-
-def cli_report(tmp_path: Path, tag: str, *extra: str) -> dict:
-    """Run ``repro join --report`` in a fresh interpreter (fresh process
-    = fresh file-label counters, which keeps runs comparable)."""
-    path = tmp_path / f"{tag}.json"
-    subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "join",
-            "--workload",
-            "UN1-UN2",
-            "--scale",
-            "0.05",
-            "--report",
-            str(path),
-            *extra,
-        ],
-        check=True,
-        capture_output=True,
-        cwd=Path(__file__).resolve().parent.parent,
-        env={**os.environ, "PYTHONPATH": "src"},
-        timeout=300,
-    )
-    return json.loads(path.read_text())
-
-
-@pytest.mark.slow
-class TestRetryParityGate:
-    """Retry layer + zero faults must not change one serialized byte."""
-
-    def test_workers_1(self, tmp_path):
-        plain = cli_report(tmp_path, "w1-plain")
-        layered = cli_report(
-            tmp_path, "w1-retry", "--retry-attempts", "4", "--retry-backoff", "0.01"
+        tally, kinds = report.counts["tally"], report.counts["kinds"]
+        assert set(tally) == set(GOOD_OUTCOMES)
+        assert tally["correct"] == kinds["quiet"]
+        assert set(kinds) == set(KINDS)
+        assert all(
+            ("Error" in outcome["detail"]) == (outcome["outcome"] == "loud")
+            for outcome in report.counts["outcomes"]
         )
-        assert normalized(plain) == normalized(layered)
 
-    def test_chaos_cli_smoke(self, tmp_path):
+    def test_a_store_without_its_slot_check_fails_the_gate(self, monkeypatch):
+        """The slot checksum and identity test are what make a corrupt
+        read loud: without them the gate at its CI setting finds a
+        swallowed fault (or a wrong answer)."""
+
+        def unchecked(self, slot, file_id, page_no):
+            self._data.seek(self._slot_offset(slot))
+            block = self._data.read(self._block_size)
+            _, length, _, _ = durable._SLOT_HEADER.unpack_from(block, 0)
+            return block[durable._SLOT_HEADER.size :][:length]
+
+        assert run_chaos(cases=5, seed=0).ok
+        monkeypatch.setattr(DurableBackend, "_read_slot", unchecked)
+        report = run_chaos(cases=5, seed=0)
+        assert not report.ok
+        assert report.counts["kinds"]["corrupt"] >= 1
+        assert {"swallowed", "wrong", "untyped-error"} & set(report.counts["tally"])
+
+    @pytest.mark.slow
+    def test_chaos_cli_smoke(self):
         """The CI chaos-smoke invocation stays green end to end."""
         proc = subprocess.run(
             [

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import itertools
 import json
 
 import pytest
@@ -270,11 +271,12 @@ class TestExecutionModes:
         assert "s3j only" in capsys.readouterr().err
 
     def test_memory_mode_rejects_retry_flags(self, capsys):
-        assert main(
-            ["join", "--mode", "memory", "--retry-attempts", "2",
-             "--scale", "0.02"]
-        ) == 2
-        assert "no storage" in capsys.readouterr().err
+        """The retry layer is deleted: its flags are unknown in every mode."""
+        for mode, flag in itertools.product(("memory", "ledger"), ("--retry-attempts", "--retry-backoff")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["join", "--mode", mode, flag, "2", "--scale", "0.02"])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 class TestCrossModeCommand:
     def test_cross_mode_passes(self, capsys):

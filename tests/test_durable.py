@@ -14,13 +14,9 @@ import asyncio
 import errno
 import os
 import shutil
-from pathlib import Path
 
 import pytest
 
-from repro.faults.errors import FaultError
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.obs import Observability, fileio
@@ -32,7 +28,7 @@ from repro.storage.backend import BackendClosedError, MemoryBackend
 from repro.storage.durable import DATA_FILE, DurableBackend, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.storage.records import EntityDescriptorCodec
-from repro.verify.recorder import Recorder
+from repro.verify.recorder import Fault, FaultyDisk, Recorder
 from repro.verify.scenario import LiveModel, check_index
 
 PAGE_SIZE = 512  # 10 descriptor records per page
@@ -581,20 +577,6 @@ class TestPersistentIndexReopen:
         assert (stats["notes_replayed"], stats["debris_dropped"]) == (6, 0)
         reopened.close()
 
-    def test_fault_wrappers_never_swallow_a_note(self, tmp_path):
-        """The journal belongs to the physical store: wrapped in fault
-        and retry layers, which hand notes down to it, the index still
-        logs every mutation."""
-        config = StorageConfig(fault_plan=FaultPlan(), retry=RetryPolicy())
-        index = PersistentIndex.open(str(tmp_path), storage=config)
-        assert index.storage.backend is not index._backend()
-        assert isinstance(index._backend(), DurableBackend)
-        index.insert(entity(1, 0.1, 0.1))
-        assert len(index._backend().journal()) == 2
-        index.close()
-        with PersistentIndex.open(str(tmp_path), storage=config) as reopened:
-            assert 1 in reopened
-
     def test_insert_delete_churn_cannot_grow_the_journal(self, tmp_path):
         """An insert deleted again before its fold leaves no record in
         the delta but two notes in the journal.  Both count toward the
@@ -645,27 +627,31 @@ class TestPersistentIndexReopen:
                 assert reopened.recovered and reopened.debris_dropped == 0
                 assert reopened.live_entities() == entities
 
-    def test_failed_compaction_changes_nothing(self, tmp_path):
-        """A fold that dies before its commit (the third page write
-        fails) raises a typed error and leaves the live set, the stored
-        files and the journal exactly as they were."""
-        config = StorageConfig(page_size=PAGE_SIZE, fault_plan=FaultPlan.failing_writes(2))
-        index = PersistentIndex.open(str(tmp_path), storage=config, compaction_threshold=10**9)
+    def test_failed_compaction_changes_nothing(self):
+        """A fold that dies before its commit (its third page write
+        fails) raises a storage error and leaves the live set and the
+        journal exactly as they were.  The failed store refuses to drop
+        the fold's fresh files, so the reopen drops them as debris."""
+        config = StorageConfig(page_size=PAGE_SIZE)
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            index = PersistentIndex.open(STORE, storage=config, compaction_threshold=10**9)
         entities = [entity(i, (i % 8) * 0.1, (i // 8) * 0.1) for i in range(40)]
         for item in entities:
             index.insert(item)
         stored, journal = index.storage.stored_files(), index._backend().journal()
         epoch = index.epoch
-        with pytest.raises(FaultError):
+        disk.arm(Fault("write", DATA_FILE, errno.EIO, nth=3))
+        with pytest.raises((OSError, DurableStoreError)):
             index.compact()
+        assert disk.fired == 1
         assert (index.epoch, index.compactions) == (epoch, 0)
-        assert index.storage.stored_files() == stored
         assert index._backend().journal() == journal
         assert check_index(index, model_of(entities)) == []
         index.close()
-        healthy = StorageConfig(page_size=PAGE_SIZE)
-        with PersistentIndex.open(str(tmp_path), storage=healthy) as reopened:
-            assert reopened.debris_dropped == 0
+        with fileio.using(disk), PersistentIndex.open(STORE, storage=config) as reopened:
+            assert reopened.debris_dropped >= 1
+            assert reopened.storage.stored_files() == stored
             assert check_index(reopened, model_of(entities)) == []
 
     def test_a_fold_logs_mappings_never_page_images(self, tmp_path):
@@ -828,39 +814,6 @@ class TestCrashNearARatioFold:
             assert reopened.notes_replayed == (0 if folded else 249 + (live == landed.live))
 
 
-class FaultyDisk(Recorder):
-    """The recording disk with one armed fault, injected at the seam:
-    the ``countdown``-th ``fsync`` or ``write`` to a file whose name
-    starts with ``name`` raises ``OSError(code)``, a failing write
-    landing its first ``landed`` bytes first (a short write)."""
-
-    armed = None
-
-    def arm(self, call, name, code, countdown=1, landed=0):
-        self.armed = [call, name, code, countdown, landed]
-
-    def trip(self, call, handle):
-        armed = self.armed
-        if armed and armed[0] == call and Path(handle.path).name.startswith(armed[1]):
-            armed[3] -= 1
-            if armed[3] == 0:
-                self.armed = None
-                return armed
-        return None
-
-    def fsync(self, handle):
-        if self.trip("fsync", handle):
-            raise OSError(errno.EIO, "Input/output error")
-        super().fsync(handle)
-
-    def write(self, handle, data):
-        fault = self.trip("write", handle)
-        if fault:
-            super().write(handle, data[: fault[4]])
-            raise OSError(fault[2], os.strerror(fault[2]))
-        super().write(handle, data)
-
-
 class TestFailedStore:
     """ROADMAP 4(c): a failed flush is not a crash — the process lives
     on, so the store must refuse to acknowledge anything after it.
@@ -876,7 +829,7 @@ class TestFailedStore:
         index = self.open_index(disk)
         index.insert(entity(1, 0.1, 0.1))
         epoch = index.epoch
-        disk.arm("write", "wal-", errno.ENOSPC)  # the note's WAL append
+        disk.arm(Fault("write", "wal-", errno.ENOSPC))  # the note's WAL append
         with pytest.raises(OSError, match="No space left"):
             index.insert(entity(2, 0.11, 0.11))
         # The parent applied before it persisted: 2 stayed live in memory.
@@ -896,7 +849,7 @@ class TestFailedStore:
         disk = FaultyDisk()
         index = self.open_index(disk)
         index.insert(entity(1, 0.1, 0.1))
-        disk.arm("fsync", "wal-", errno.EIO)  # the note's log commit
+        disk.arm(Fault("fsync", "wal-"))  # the note's log commit
         with pytest.raises(OSError):
             index.insert(entity(2, 0.11, 0.11))
         for mutate in (
@@ -928,7 +881,7 @@ class TestFailedStore:
         store.write_page("f", 0, page(0))
         store.sync()
         store.write_page("f", 1, page(1))
-        disk.arm("fsync", DATA_FILE, errno.EIO)
+        disk.arm(Fault("fsync", DATA_FILE))
         with pytest.raises(OSError, match="Input/output"):
             store.sync()
         for refused in (
@@ -965,7 +918,7 @@ class TestFailedStore:
         store.create_file("f", codec, PAGE_SIZE)
         store.write_page("f", 0, page(0))
         store.sync()
-        disk.arm("write", DATA_FILE, errno.ENOSPC, countdown=2, landed=store._block_size // 2)
+        disk.arm(Fault("write", DATA_FILE, errno.ENOSPC, nth=2, landed=store._block_size // 2))
         store.write_page("f", 1, page(1))
         with pytest.raises(OSError, match="No space left"):
             store.write_page("f", 0, page(7))  # a rewrite: page 0 keeps its slot
@@ -999,7 +952,7 @@ class TestFailedStore:
         del entities[7]
         stored, journal = index.storage.stored_files(), index._backend().journal()
         epoch = index.epoch
-        disk.arm("fsync", DATA_FILE, errno.EIO)
+        disk.arm(Fault("fsync", DATA_FILE))
         # The fold's own clean-up (dropping its fresh files) is refused
         # too, so the error that surfaces is the refusal naming the EIO.
         with pytest.raises(DurableStoreError, match="Input/output error"):

@@ -1,26 +1,32 @@
 """Failure injection: the storage stack must fail loudly and stay
 consistent when the backend misbehaves or inputs are malformed.
 
-The flaky backend here is the shared :mod:`repro.faults` machinery
-(``FaultPlan.failing_writes`` is the promoted form of the ad-hoc
-``FlakyBackend`` this file used to define)."""
+Write faults are injected at the file-I/O seam, under the durable
+store (:class:`repro.verify.recorder.FaultyDisk`)."""
+
+import errno
 
 import pytest
 
-from repro.faults import FaultInjectingBackend, FaultPlan
+from repro.obs import fileio
 from repro.storage.backend import MemoryBackend
 from repro.storage.buffer import BufferPool
+from repro.storage.durable import DATA_FILE, DurableBackend
 from repro.storage.iostats import IOStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.pagedfile import PagedFile
 from repro.storage.records import EntityDescriptorCodec
+from repro.verify.recorder import Fault, FaultyDisk
 
 
 class TestBackendFailures:
     def make(self, fail_after):
-        backend = FaultInjectingBackend(
-            MemoryBackend(), FaultPlan.failing_writes(fail_after)
-        )
+        """A 2-frame pool over a durable store whose page write number
+        ``fail_after + 1`` fails with EIO."""
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            backend = DurableBackend("/store", page_size=4096)
+        disk.arm(Fault("write", DATA_FILE, errno.EIO, nth=fail_after + 1))
         backend.create_file("f", EntityDescriptorCodec(), 4096)
         stats = IOStats()
         pool = BufferPool(backend, 2, stats)
@@ -29,7 +35,7 @@ class TestBackendFailures:
 
     def test_write_failure_propagates_from_eviction(self):
         backend, pool, handle = self.make(fail_after=0)
-        with pytest.raises(IOError, match="injected"):
+        with pytest.raises(OSError, match="Input/output error"):
             # Fill pages until an eviction forces the failing write.
             for i in range(400):
                 handle.append((i, 0.0, 0.0, 0.0, 0.0, 0))
@@ -37,14 +43,17 @@ class TestBackendFailures:
     def test_write_failure_propagates_from_flush(self):
         backend, pool, handle = self.make(fail_after=0)
         handle.append((1, 0.0, 0.0, 0.0, 0.0, 0))
-        with pytest.raises(IOError, match="injected"):
+        with pytest.raises(OSError, match="Input/output error"):
             pool.flush()
 
     def test_reads_keep_working_after_failed_flush(self):
         backend, pool, handle = self.make(fail_after=1)
         handle.append((1, 0.0, 0.0, 0.0, 0.0, 0))
         pool.flush()  # first write succeeds
-        assert list(handle.scan()) == [(1, 0.0, 0.0, 0.0, 0.0, 0)]
+        handle.append((2, 0.0, 0.0, 0.0, 0.0, 0))
+        with pytest.raises(OSError, match="Input/output error"):
+            pool.flush()  # the rewrite fails, and fails the store
+        assert backend.read_page("f", 0).tolist() == [(1, 0.0, 0.0, 0.0, 0.0, 0)]
 
     def test_missing_page_read_is_loud(self):
         backend = MemoryBackend()

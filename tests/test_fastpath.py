@@ -423,14 +423,6 @@ class TestModeValidation:
         with pytest.raises(ValueError, match="dsb_level"):
             spatial_join(a, a, mode="memory", dsb_level=2)
 
-    def test_runner_rejects_fault_layers(self):
-        from repro.experiments.runner import run_algorithm
-        from repro.faults.retry import RetryPolicy
-
-        a = make_squares(5, 0.1, seed=0)
-        with pytest.raises(ValueError, match="storage"):
-            run_algorithm(a, a, "s3j", mode="memory", retry=RetryPolicy())
-
 
 # Both execution modes, one process each.  The ids keep the "-1"
 # suffix these cases had when multi-process legs ran beside them, so a

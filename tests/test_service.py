@@ -30,6 +30,7 @@ from repro.service import (
     ServiceServer,
     TokenBucket,
 )
+from repro.service.api import ShardFailure
 from repro.storage.buffer import BufferPoolExhausted
 from repro.storage.manager import StorageConfig
 from repro.verify import run_service_verify
@@ -821,3 +822,19 @@ class TestServiceVerifyGate:
         messages = [v.message for v in report.violations if v.check == "recovery"]
         assert "the burst injected no loud failure" in messages
         assert "the breaker never opened" in messages
+
+
+class TestShardFailure:
+    def test_wire_shape(self):
+        # The service's declared-partial reply puts this dict on the wire.
+        failure = ShardFailure(
+            shard_id="service", kind="breaker", error_type="CircuitOpen",
+            message="open", attempts=0,
+        )
+        assert failure.to_dict() == {
+            "shard_id": "service", "kind": "breaker", "error_type": "CircuitOpen",
+            "message": "open", "attempts": 0,
+        }
+        assert list(failure.to_dict()) == [
+            "shard_id", "kind", "error_type", "message", "attempts",
+        ]

@@ -1,26 +1,37 @@
 """Chaos tests for the long-lived join service.
 
 The sampled-scenario sweep (repro.verify.scenario) plus targeted
-cases: the breaker trichotomy under a mid-stream fault burst, loud
-compaction failures leaving the base files intact, and cache
-invalidation across a compaction epoch (the stale-cache bug class the
-epoch key exists to kill).
+cases: the breaker trichotomy under a burst of read errors at the
+file-I/O seam, loud compaction failures leaving the base files intact,
+and cache invalidation across a compaction epoch (the stale-cache bug
+class the epoch key exists to kill).
 """
 
 import asyncio
 
-from repro.faults.errors import FaultError
-from repro.faults.plan import FaultPlan, ScheduledFault
+import pytest
+
+from repro.obs import fileio
 from repro.service import (
     BreakerState,
     JoinService,
     PersistentIndex,
     ServiceConfig,
 )
-from repro.storage.manager import StorageConfig
+from repro.storage.durable import DATA_FILE, DurableStoreError
+from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.scenario import run_service_chaos, sample_service_scenario
 
 from tests.conftest import make_squares
+
+
+def durable_index(entities, fault, **kwargs):
+    """A durable index on a faulty disk, ``fault`` armed once it is up."""
+    disk = FaultyDisk()
+    with fileio.using(disk):
+        index = PersistentIndex(entities, data_dir="/store", **kwargs)
+    disk.arm(fault)
+    return index, disk
 
 
 def square_entity(eid, x, y, side=0.1):
@@ -40,7 +51,7 @@ class TestScenarioSampling:
     def test_profiles_cycle(self):
         profiles = [sample_service_scenario(i, seed=0).profile for i in range(4)]
         assert len(set(profiles)) == 4
-        assert sample_service_scenario(3, seed=0).plan is None  # quiet
+        assert sample_service_scenario(3, seed=0).fault is None  # quiet
 
 
 class TestServiceChaosSweep:
@@ -61,26 +72,20 @@ class TestServiceChaosSweep:
 
 class TestFaultBurstTrichotomy:
     def test_burst_trips_breaker_then_partial(self):
-        """A read-fault burst: the first failures are loud, the tripped
-        breaker then declares partial results, never a silent wrong set."""
+        """A burst of EIO page reads: the first failures are loud, the
+        tripped breaker then declares partial results, never a silent
+        wrong set."""
         dataset = make_squares(80, side=0.04, seed=31)
-        plan = FaultPlan(
-            schedule=(
-                ScheduledFault(op="read", kind="transient", first=1, last=None),
-            )
-        )
 
         async def scenario():
-            index = PersistentIndex(
-                dataset.entities, storage=StorageConfig(fault_plan=plan)
-            )
+            index, _ = durable_index(dataset.entities, Fault("read", DATA_FILE, last=10**9))
             try:
                 config = ServiceConfig(breaker_threshold=2, breaker_reset_s=60.0)
                 service = JoinService(index, config)
                 first = await service.join()
                 second = await service.join()
                 assert first.status == second.status == "failed"
-                assert "injected" in first.error
+                assert first.error == "OSError: [Errno 5] Input/output error"
                 assert service.breaker.state is BreakerState.OPEN
                 third = await service.join()
                 assert third.status == "partial"
@@ -97,18 +102,13 @@ class TestFaultBurstTrichotomy:
         """A fold that dies mid-compaction raises a typed error and the
         pre-compaction answers remain exactly reachable."""
         dataset = make_squares(60, side=0.04, seed=37)
-        # The compaction fold is the first heavy read sequence we run,
-        # so a scheduled read fault inside it dies there deterministically.
-        plan = FaultPlan(
-            schedule=(
-                ScheduledFault(op="read", kind="permanent", first=1, last=2),
-            )
-        )
+        # The compaction fold is the first read sequence we run, so page
+        # reads 1-2 fail inside it, deterministically.
 
         async def scenario():
-            index = PersistentIndex(
+            index, disk = durable_index(
                 dataset.entities,
-                storage=StorageConfig(fault_plan=plan),
+                Fault("read", DATA_FILE, nth=1, last=2),
                 compaction_threshold=10**9,
             )
             try:
@@ -116,12 +116,9 @@ class TestFaultBurstTrichotomy:
                 await service.insert(square_entity(7000, 0.4, 0.4))
                 live_before = [e.eid for e in index.live_entities()]
                 epoch_before = index.epoch
-                failed_loudly = False
-                try:
+                with pytest.raises((OSError, DurableStoreError)):
                     await service.compact()
-                except FaultError:
-                    failed_loudly = True
-                assert failed_loudly
+                assert disk.fired >= 1
                 assert index.compactions == 0
                 assert index.epoch == epoch_before  # no phantom epoch bump
                 assert [e.eid for e in index.live_entities()] == live_before

@@ -10,11 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultIOError, FaultPlan, ScheduledFault
+from repro.obs import fileio
 from repro.sorting.external_sort import ExternalSorter, SortResult
 from repro.storage.costs import sort_comparison_count
+from repro.storage.durable import DATA_FILE
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import HKEY, CandidatePairCodec, EntityDescriptorCodec
+from repro.verify.recorder import Fault, FaultyDisk
+
+
+def faulty_storage(fault, **config):
+    """A durable storage manager on a disk whose ``fault`` is armed."""
+    with fileio.using(FaultyDisk(fault=fault)) as disk:
+        storage = StorageManager(StorageConfig(backend="durable", directory="/store", **config))
+    return storage, disk
 
 
 def fill_descriptors(storage, name, keys):
@@ -159,16 +168,62 @@ class TestMergePricing:
         # Two 85-record pages per run.  Reads 1-3 load each run's first
         # page; run 0's (last key 252) runs dry first, so read 4 — its
         # second page — comes after merging keys 0..252, and fails.
-        plan = FaultPlan(schedule=(ScheduledFault(op="read", kind="permanent", first=4),))
-        with StorageManager(StorageConfig(fault_plan=plan)) as storage:
+        storage, disk = faulty_storage(Fault("read", DATA_FILE, nth=4))
+        with storage:
             runs = interleaved_runs(storage, 170)
             out = storage.create_file("out")
-            with pytest.raises(FaultIOError):
+            with pytest.raises(OSError, match="Input/output error"):
                 ExternalSorter(storage)._merge_runs(
                     runs, out, "hkey", unique=False
                 )
+            assert disk.fired == 1
             assert storage.stats.total.cpu_ops["compare"] == 253 * 2
             assert out.num_records == 170  # the whole pages of the 253
+
+
+class TestSorterCleanup:
+    def fill(self, manager, records=600):
+        handle = manager.create_file("input")
+        for i in range(records):
+            handle.append((i, 0.1, 0.1, 0.2, 0.2, 0))
+        return handle
+
+    def run_names(self, manager):
+        return [
+            name
+            for name in manager.list_files()
+            if name.startswith("__sort-run")
+        ]
+
+    def test_failed_sort_drops_temp_runs(self):
+        # Filling 600 records write-behinds pages 0..6 (7 writes; the
+        # partial tail stays buffered).  Sorting with 2 memory pages
+        # reads those 7 back to spill five runs; read 8 is the first
+        # merge's, where the fault sits, so the sort dies with five runs
+        # on the store.  A failed read leaves the store writable, so the
+        # closing flush and the second sort take the healthy path.
+        storage, disk = faulty_storage(Fault("read", DATA_FILE, nth=8), buffer_pages=16)
+        with storage as manager:
+            handle = self.fill(manager)
+            assert disk.calls["write", DATA_FILE] == 7  # pin the layout
+            sorter = ExternalSorter(manager, memory_pages=2)
+            with pytest.raises(OSError, match="Input/output error"):
+                sorter.sort(handle, "sorted", key="eid")
+            assert disk.fired == 1
+            assert self.run_names(manager) == []
+            assert "input" in manager.list_files()
+            # The storage is still usable: the same input sorts fine now.
+            result = sorter.sort(handle, "sorted", key="eid")
+            assert list(result.output.scan()) == sorted(handle.scan())
+            assert self.run_names(manager) == []
+
+    def test_successful_sort_leaves_no_runs(self):
+        with StorageManager(StorageConfig(buffer_pages=16)) as manager:
+            handle = self.fill(manager, records=400)
+            sorter = ExternalSorter(manager, memory_pages=2)
+            sorter.sort(handle, "sorted", key="eid")
+            assert self.run_names(manager) == []
+            assert "sorted" in manager.list_files()
 
 
 class HeapMergeSorter(ExternalSorter):

@@ -8,10 +8,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.faults.errors import TornWriteError
-from repro.faults.inject import FaultInjectingBackend
-from repro.faults.plan import FaultPlan, ScheduledFault
-from repro.faults.retry import RetryPolicy
 from repro.obs import fileio
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
@@ -19,7 +15,7 @@ from repro.service.index import PersistentIndex
 from repro.storage.backend import BackendClosedError, MemoryBackend
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.costs import CostModel, CpuModel, DiskModel
-from repro.storage.durable import DurableBackend
+from repro.storage.durable import DATA_FILE, SLOT_COVERED, DurableBackend, DurableStoreError
 from repro.storage.iostats import IOStats, PhaseStats
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import (
@@ -29,7 +25,7 @@ from repro.storage.records import (
     EntityDescriptorCodec,
     RecordCodec,
 )
-from repro.verify.recorder import Recorder
+from repro.verify.recorder import Fault, FaultyDisk, Recorder
 
 RECORD = (1, 0.1, 0.1, 0.2, 0.2, 0)
 DESCRIPTORS = EntityDescriptorCodec()
@@ -133,17 +129,8 @@ class TestCodecs:
             ]
 
 
-STACKS = (
-    "memory",
-    "durable",
-    "memory+faults",
-    "durable+faults",
-    "memory+retry",
-    "durable+retry",
-)
-"""Every backend stack a :class:`StorageManager` builds: each physical
-store bare, under a fault plan that injects nothing, and under a retry
-policy."""
+STACKS = ("memory", "durable")
+"""Every page store a :class:`StorageManager` builds."""
 
 
 IN_FLIGHT = b"in flight" * 60  # spans a sector boundary of the log
@@ -156,14 +143,7 @@ class TestBackends:
 
     @pytest.fixture(params=STACKS)
     def manager(self, request):
-        kind, _, wrapper = request.param.partition("+")
-        manager = StorageManager(
-            StorageConfig(
-                backend=kind,
-                fault_plan=FaultPlan() if wrapper == "faults" else None,
-                retry=RetryPolicy() if wrapper == "retry" else None,
-            )
-        )
+        manager = StorageManager(StorageConfig(backend=request.param))
         yield manager
         manager.close()
 
@@ -277,24 +257,54 @@ class TestBackends:
         with pytest.raises(BackendClosedError):
             backend.rename_file("f", "g")
 
-    def test_a_torn_write_is_loud_on_read(self, manager):
-        """Under the fault layer a torn page never reads back as data:
-        the shadow holds the intended page's bytes."""
-        torn = FaultPlan(schedule=(ScheduledFault(op="write", kind="torn", last=1),))
-        backend = FaultInjectingBackend(manager.physical_backend(), torn)
+    def slot_store(self):
+        """A durable store on a faulty disk, two identical committed
+        pages in ``f`` and one in ``g``."""
         codec = CandidatePairCodec()
-        backend.create_file("f", codec, 4096)
-        backend.write_page("f", 0, codec.page([(1, 2), (3, 4)]))
-        with pytest.raises(TornWriteError, match="intended 2"):
-            backend.read_page("f", 0)
-        backend.write_page("f", 0, codec.page([(5, 6)]))  # a full write heals it
-        assert backend.read_page("f", 0).tolist() == [(5, 6)]
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            store = DurableBackend("/store", page_size=4096)
+        for name, pages in (("f", 2), ("g", 1)):
+            store.create_file(name, codec, 4096)
+            for page_no in range(pages):
+                store.write_page(name, page_no, codec.page([(1, 2), (3, 4)]))
+        store.sync()
+        return store, disk
+
+    def test_a_corrupt_slot_is_loud_on_read(self):
+        """A read that returns with any one byte flipped — slot header,
+        record count or record — fails the slot checksum: a page never
+        reads back as other data."""
+        store, disk = self.slot_store()
+        covered = SLOT_COVERED + 2 * PAIR.itemsize  # header, count, two records
+        for byte in range(covered):
+            disk.arm(Fault("corrupt", DATA_FILE, landed=byte))
+            with pytest.raises(DurableStoreError, match="checksum mismatch"):
+                store.read_page("f", 0)
+            assert disk.fired == 1
+        disk.arm(None)
+        assert store.read_page("f", 0).tolist() == [(1, 2), (3, 4)]
+
+    @pytest.mark.parametrize("source", [("f", 1), ("g", 0)], ids=["same-file", "other-file"])
+    def test_a_slot_holding_another_page_is_loud(self, source):
+        """A misdirected write: page 0 of ``f``'s slot holds the block of
+        another page of the same bytes (same file, or another file's page
+        0), checksummed as that page.  The identity test catches it."""
+        store, disk = self.slot_store()
+        name, page_no = source
+        block = store._block_size
+        moved = store._slot_offset(store._entry(name).pages[page_no])
+        target = store._slot_offset(store._entry("f").pages[0])
+        live = disk.files[f"/store/{DATA_FILE}"].live
+        live[target : target + block] = live[moved : moved + block]
+        with pytest.raises(DurableStoreError, match="checksum mismatch"):
+            store.read_page("f", 0)
+        assert store.read_page(name, page_no).tolist() == [(1, 2), (3, 4)]
 
     def test_journal_order_and_reset(self, manager, backend):
         """Only a medium that outlives the process keeps notes: memory
-        accepts them as no-ops and hands back nothing, and a wrapper
-        hands them to the store beneath it."""
-        keeps = isinstance(manager.physical_backend(), DurableBackend)
+        accepts them as no-ops and hands back nothing."""
+        keeps = isinstance(backend, DurableBackend)
         assert backend.journal() == []
         backend.journal_append(b"a")
         backend.journal_append(b"b")

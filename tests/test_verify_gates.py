@@ -13,8 +13,7 @@ import json
 
 import pytest
 
-from repro.faults.errors import ShardFailure
-from repro.service.api import BreakerState, QueryOutcome
+from repro.service.api import BreakerState, QueryOutcome, ShardFailure
 from repro.service.index import PersistentIndex, _sort_key
 from repro.storage import wal
 from repro.storage.durable import DurableBackend
@@ -133,7 +132,7 @@ class TestTrichotomy:
         assert classify(outcome("ok"), BreakerState.CLOSED, False) == []
 
     def test_loud_needs_a_typed_error(self):
-        loud = outcome("failed", error="TransientFault: injected")
+        loud = outcome("failed", error="OSError: [Errno 5] Input/output error")
         assert classify(loud, BreakerState.CLOSED, True) == []
         assert classify(outcome("failed"), BreakerState.OPEN, True) == [
             "failed without a typed error (silent failure)"
@@ -151,12 +150,12 @@ class TestTrichotomy:
         ]
 
     def test_quiet_profile_admits_only_ok(self):
-        loud = outcome("failed", error="TransientFault: injected")
+        loud = outcome("failed", error="OSError: [Errno 5] Input/output error")
         assert classify(loud, BreakerState.CLOSED, False) == [
-            "failed outcome with no fault plan"
+            "failed outcome with no fault armed"
         ]
         declared = outcome("partial", failures=(OPEN_BREAKER,))
-        assert "partial outcome with no fault plan" in classify(
+        assert "partial outcome with no fault armed" in classify(
             declared, BreakerState.OPEN, False
         )
 
