@@ -4,7 +4,9 @@
   subdivides the space will work");
 - precomputed vs on-the-fly Hilbert values (section 3.1);
 - PBSM tile count (section 2.1: too few vs too many);
-- memory budget sweep (equations 5/6: best vs worst case).
+- memory budget sweep (equations 5/6: best vs worst case);
+- the join phase's share of a one-shot S3J run (what prebuilt
+  Filter-Tree indexes could amortize at best).
 """
 
 import pytest
@@ -138,44 +140,27 @@ class TestMemoryAblation:
         assert ios[0] >= ios[1] >= ios[2]
 
 
-class TestIndexedJoinAblation:
-    def test_filter_tree_index_amortizes_partition_and_sort(
-        self, benchmark, inputs, repro_scale
-    ):
+class TestJoinPhaseShare:
+    def test_join_phase_share_of_one_shot_s3j(self, benchmark, inputs, repro_scale):
         """S3J = Filter Tree join with the index built on the fly
-        (section 3); with prebuilt indexes only the synchronized scan
-        remains, so repeated joins pay a fraction of the one-shot cost.
-        """
+        (section 3): over prebuilt sorted level files only the
+        synchronized scan — S3J's join phase — would remain, so that
+        phase's share of a one-shot run is what prebuilt indexes could
+        amortize at best."""
         from repro.experiments.runner import make_storage_config
-        from repro.filtertree.index import FilterTreeIndex
         from repro.join.api import spatial_join
-        from repro.storage.manager import StorageManager
 
         a, b = inputs
         config = make_storage_config(a, b, scale=repro_scale)
-
-        def run():
-            one_shot = spatial_join(a, b, algorithm="s3j", storage=config)
-            with StorageManager(config) as storage:
-                index_a = FilterTreeIndex(storage, "ia").build(a)
-                index_b = FilterTreeIndex(storage, "ib").build(b)
-                storage.phase_boundary()
-                storage.stats.reset()
-                pairs = index_a.join(index_b, stats_phase="join")
-                scan_only = storage.cost_model.response_time(
-                    storage.stats.phases["join"]
-                )
-            return one_shot, pairs, scan_only
-
-        one_shot, pairs, scan_only = benchmark.pedantic(
-            run, rounds=1, iterations=1
+        one_shot = benchmark.pedantic(
+            lambda: spatial_join(a, b, algorithm="s3j", storage=config),
+            rounds=1,
+            iterations=1,
         )
-        assert pairs == one_shot.pairs
-        print(
-            f"\none-shot S3J: {one_shot.metrics.response_time:.2f}s; "
-            f"indexed join (scan only): {scan_only:.2f}s"
-        )
-        # The scan is roughly S3J's join phase: far below the full run.
-        assert scan_only < one_shot.metrics.response_time * 0.6
-        benchmark.extra_info["one_shot_s"] = one_shot.metrics.response_time
-        benchmark.extra_info["indexed_s"] = scan_only
+        total = one_shot.metrics.response_time
+        scan = one_shot.metrics.breakdown()["join"]
+        print(f"\none-shot S3J: {total:.2f}s; join phase (scan only): {scan:.2f}s")
+        # The scan is far below the full run: partition and sort dominate.
+        assert scan < total * 0.6
+        benchmark.extra_info["one_shot_s"] = total
+        benchmark.extra_info["join_phase_s"] = scan

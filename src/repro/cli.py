@@ -41,7 +41,8 @@ JSON-lines TCP front-end over a resident :class:`PersistentIndex`
 circuit breaker), and ``verify --service`` replays interleaved
 queries/mutations against an independent model of the live set at every
 index epoch.  The ``verify`` mode flags (``--chaos``, ``--cross-mode``,
-``--service``, ``--crash``) are mutually exclusive.
+``--service``, ``--crash``, ``--fsync-mutations``, ``--serve-roundtrip``)
+are mutually exclusive.
 """
 
 from __future__ import annotations
@@ -211,6 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
         "disk, reopen the durable store from every state a power cut "
         "could leave at every fsync, and require oracle-exact recovered "
         "answers (default 3 schedules)",
+    )
+    mode.add_argument(
+        "--fsync-mutations",
+        action="store_true",
+        help="fsync mutation check: one crash schedule per fsync call "
+        "site with that site a no-op; each must find a violation",
+    )
+    mode.add_argument(
+        "--serve-roundtrip",
+        action="store_true",
+        help="kill a real `repro serve` on a durable data dir with SIGKILL "
+        "and require the restarted one to answer the same window query",
     )
     verify.add_argument(
         "--cases",
@@ -499,6 +512,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             gate = partial(verify.run_cross_mode, cases=cases)
         elif args.crash:
             gate = partial(verify.run_crash_verify, **counted)
+        elif args.fsync_mutations:
+            gate = verify.run_fsync_mutations
+        elif args.serve_roundtrip:
+            gate = verify.run_serve_roundtrip
         elif args.service:
             gate = partial(verify.run_service_verify, ops=args.ops)
         elif args.chaos:

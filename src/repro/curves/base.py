@@ -74,20 +74,6 @@ class SpaceFillingCurve(ABC):
         """
         return self.cell_key(self.quantize(x), self.quantize(y), self.order)
 
-    def cell_key_range(self, x: int, y: int, level: int) -> tuple[int, int]:
-        """Half-open key range ``[lo, hi)`` of the level-``level`` cell
-        containing grid point ``(x, y)``.
-
-        A level-``l`` cell is one of the ``4^l`` cells of the ``2^l``
-        grid.  By the prefix property its keys are exactly those sharing
-        the top ``2*l`` bits with any interior point's key.
-        """
-        if not 0 <= level <= self.order:
-            raise ValueError(f"level {level} outside [0, {self.order}]")
-        shift = 2 * (self.order - level)
-        prefix = self.key(x, y) >> shift
-        return (prefix << shift, (prefix + 1) << shift)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order})"
 

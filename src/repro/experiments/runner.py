@@ -17,41 +17,41 @@ experiments:
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.join.api import spatial_join
+from repro.join.api import DEFAULT_MEMORY_FRACTION, default_storage_config, spatial_join
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import Intersects, JoinPredicate
 from repro.join.result import JoinResult
 from repro.obs import Observability
 from repro.obs.report import RunReport, build_run_report
-from repro.storage.manager import StorageConfig
+from repro.storage.manager import DEFAULT_PAGE_SIZE, StorageConfig
 from repro.storage.records import EntityDescriptorCodec
 
-FULL_SCALE_ENTRIES_PER_PAGE = 85
-"""``E`` at scale 1.0: 4 KB pages of 48-byte descriptors."""
-
-MEMORY_FRACTION = 0.10
-"""Buffer pool = 10% of combined input size (section 5)."""
+FULL_SCALE_ENTRIES_PER_PAGE = DEFAULT_PAGE_SIZE // EntityDescriptorCodec().record_size
+"""``E`` at scale 1.0: 4 KB pages of 48-byte descriptors (85)."""
 
 
 def make_storage_config(
     dataset_a: SpatialDataset,
     dataset_b: SpatialDataset,
     scale: float = 1.0,
-    memory_fraction: float = MEMORY_FRACTION,
+    memory_fraction: float = DEFAULT_MEMORY_FRACTION,
 ) -> StorageConfig:
-    """Paper-faithful storage configuration for one experiment."""
+    """Paper-faithful storage configuration for one experiment: the
+    paper's memory sizing (:func:`~repro.join.api.default_storage_config`)
+    on pages of ``E * scale`` descriptors."""
     if scale <= 0:
         raise ValueError("scale must be positive")
     entries = max(1, round(FULL_SCALE_ENTRIES_PER_PAGE * scale))
-    page_size = EntityDescriptorCodec().record_size * entries
-    pages = math.ceil(len(dataset_a) / entries) + math.ceil(len(dataset_b) / entries)
-    buffer_pages = max(16, math.ceil(memory_fraction * pages))
-    return StorageConfig(page_size=page_size, buffer_pages=buffer_pages)
+    return default_storage_config(
+        dataset_a,
+        dataset_b,
+        memory_fraction,
+        page_size=EntityDescriptorCodec().record_size * entries,
+    )
 
 
 @dataclass

@@ -12,17 +12,16 @@ subpackage provides:
   used by the analytic cost model.
 - :mod:`~repro.filtertree.grid` — hierarchical-grid helpers (which
   level-``l`` cells a rectangle overlaps), used by DSB and PBSM.
-- :class:`~repro.filtertree.index.FilterTreeIndex` — the complete
-  Filter Tree access method: window queries and the indexed join.
+- :mod:`~repro.filtertree.ranges` — the window access path of the one
+  complete Filter-Tree index,
+  :class:`~repro.service.index.PersistentIndex`.
 """
 
 from repro.filtertree.grid import cell_of_point, cells_overlapping
-from repro.filtertree.index import FilterTreeIndex
 from repro.filtertree.levels import LevelAssigner, common_prefix_bits
 from repro.filtertree.occupancy import level_fractions, lowest_level
 
 __all__ = [
-    "FilterTreeIndex",
     "LevelAssigner",
     "cell_of_point",
     "cells_overlapping",

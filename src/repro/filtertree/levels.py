@@ -64,27 +64,14 @@ class LevelAssigner:
             raise ValueError(f"coordinate {coord} outside the unit square")
         return min(int(coord * self.side), self.side - 1)
 
-    def quantize_hi(self, coord: float) -> int:
-        """Inclusive grid index of a *high* MBR corner.
-
-        Grid cells are closed intervals (boundary contact counts as
-        intersection — see ``sweep_intersections``), so a high corner
-        lying exactly on a grid line belongs to the cell *below* the
-        line, not the one above it.
-        """
-        if not 0.0 <= coord <= 1.0:
-            raise ValueError(f"coordinate {coord} outside the unit square")
-        scaled = coord * self.side
-        index = int(scaled)
-        if index == scaled and index > 0:
-            index -= 1
-        return min(index, self.side - 1)
-
     def level(self, mbr: Rect) -> int:
         """The paper's ``Level(xl, yl, xh, yh)``.
 
         Returns the largest ``l`` (capped at ``max_level``) such that
-        the MBR lies inside one cell of the ``2^l`` grid.
+        both quantized corners shift to one cell of the ``2^l`` grid.
+        Quantization is exclusive — a high corner on a grid line lands
+        in the cell above it — and is the one cell rule the partition,
+        the probe and the synchronized scan share.
         """
         px = common_prefix_bits(
             self.quantize(mbr.xlo), self.quantize(mbr.xhi), self.order
@@ -109,35 +96,6 @@ class LevelAssigner:
         px = self.order - _bit_lengths(qxlo ^ qxhi)
         py = self.order - _bit_lengths(qylo ^ qyhi)
         return np.minimum(np.minimum(px, py), self.max_level)
-
-    def cell_side(self, level: int) -> float:
-        """Side length of a level-``level`` grid cell."""
-        return 1.0 / (1 << level)
-
-    def cell_of(self, mbr: Rect, level: int | None = None) -> tuple[int, int]:
-        """Grid coordinates of the level-``level`` cell containing the
-        MBR (defaults to the MBR's own level).
-
-        Raises :class:`ValueError` if the MBR does not fit in a single
-        cell at that level.
-        """
-        if level is None:
-            level = self.level(mbr)
-        shift = self.order - level
-        cx_lo = self.quantize(mbr.xlo) >> shift
-        cy_lo = self.quantize(mbr.ylo) >> shift
-        if level <= min(
-            self.level(mbr), self.max_level
-        ):  # fits by definition of level()
-            return (cx_lo, cy_lo)
-        # High corners quantize *inclusively*: cells are closed
-        # intervals, so an MBR whose xhi/yhi lies exactly on a grid
-        # line still fits in the cell below that line.
-        cx_hi = self.quantize_hi(mbr.xhi) >> shift
-        cy_hi = self.quantize_hi(mbr.yhi) >> shift
-        if (cx_lo, cy_lo) != (max(cx_lo, cx_hi), max(cy_lo, cy_hi)):
-            raise ValueError(f"MBR spans multiple level-{level} cells")
-        return (cx_lo, cy_lo)
 
 
 def quantize_array(coords: np.ndarray, side: int, field: str) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Window -> centre boxes -> key ranges -> records: the Filter Tree
-access path, shared by both indexes.
+access path of :class:`~repro.service.index.PersistentIndex`.
 
 An entity is filed under the curve key of its MBR centre, in the level
 file of its size class.  Two facts bound where the centre of a level-
@@ -18,7 +18,7 @@ ranges, each keyed at the cover's own depth.  :meth:`KeyDirectory.probe`
 turns the ranges of every level into record positions with one binary
 search over one sorted array, fetches only the pages that hold a
 candidate and tests the records there, and bisects a level's delta on
-the same ranges — the one query loop of both indexes.
+the same ranges — the index's one query loop.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   answer in the package comes from here.
 - **batch harness** (:func:`run_verify`) — workloads × metamorphic
   variants × executors against the oracle, with pluggable ledger
-  invariants, partition conformance, obs-on/off parity, and ddmin
-  counterexamples.  :func:`run_cross_mode` is the same sweep with the
+  invariants, obs-on/off parity, and ddmin counterexamples.
+  :func:`run_cross_mode` is the same sweep with the
   ledger/memory roster plus refined-set parity; :func:`run_chaos`
   runs sampled joins on the durable store, one fault injected at the
   file-I/O seam each, and asserts that every fired fault ends loud and
@@ -21,7 +21,9 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   :class:`~repro.service.api.JoinService` under fault profiles;
   :func:`run_crash_verify` runs the same ops on a recording disk and
   reopens the store from every state a power cut could leave at every
-  fsync.
+  fsync; :func:`run_fsync_mutations` makes each fsync site a no-op in
+  turn and requires that gate to notice, and :func:`run_serve_roundtrip`
+  kills and restarts a real ``repro serve``.
 
 Every gate returns the same :class:`Report`::
 
@@ -33,7 +35,7 @@ Every gate returns the same :class:`Report`::
 
 from repro.verify.cases import VerifyCase
 from repro.verify.chaos import run_chaos
-from repro.verify.crash import run_crash_verify, run_serve_roundtrip
+from repro.verify.crash import run_crash_verify, run_fsync_mutations, run_serve_roundtrip
 from repro.verify.differential import Counterexample, Divergence, diff_pairs
 from repro.verify.executors import ExecutorSpec, default_executors, run_executor
 from repro.verify.harness import run_cross_mode, run_verify
@@ -72,6 +74,7 @@ __all__ = [
     "run_crash_verify",
     "run_cross_mode",
     "run_executor",
+    "run_fsync_mutations",
     "run_serve_roundtrip",
     "run_service_chaos",
     "run_service_verify",

@@ -15,10 +15,11 @@ schedule itself loses power at a torn log tail and runs on from the
 recovered store, whose recovery boundaries are enumerated too.
 
 A ledger-parity check rides along (memory and durable backends must
-price a join byte-identically).  ``--fsync-mutations`` runs a schedule
-once per fsync call site with that site a no-op and fails unless each
-run finds a violation; ``--serve-roundtrip`` kills and restarts a real
-``repro serve`` process, the one check that needs one.
+price a join byte-identically).  ``repro verify --fsync-mutations``
+runs a schedule once per fsync call site with that site a no-op and
+fails unless each run finds a violation; ``repro verify
+--serve-roundtrip`` kills and restarts a real ``repro serve`` process,
+the one check that needs one.
 """
 
 from __future__ import annotations
@@ -259,10 +260,11 @@ def _request(port: int, payload: dict[str, Any]) -> dict[str, Any]:
 
 def run_serve_roundtrip(
     seed: int = 0, entities: int = 80, progress: Progress | None = None
-) -> bool:
+) -> Report:
     """Kill ``repro serve`` with SIGKILL and require the restarted
     process to answer from the recovered on-disk index."""
     say = progress or (lambda message: None)
+    report = Report(gate="serve round-trip", counts={"entities": entities})
     window = {"op": "window", "xlo": 0, "ylo": 0, "xhi": 1, "yhi": 1}
     with tempfile.TemporaryDirectory(prefix="repro-serve-crash-") as data_dir:
         command = [sys.executable, "-u", "-m", "repro.cli", "serve", "--data-dir", data_dir]
@@ -284,7 +286,9 @@ def run_serve_roundtrip(
         try:
             after = _request(_read_port(second), window)
             say(f"killed and restarted: {len(after.get('eids', []))} live")
-            return after.get("eids") == before.get("eids")
+            report.counts["live"] = len(after.get("eids", []))
+            if after.get("eids") != before.get("eids"):
+                report.fail("reopen", "window 0 0 1 1", "the restarted serve answers other eids")
         finally:
             second.terminate()
             try:
@@ -292,33 +296,4 @@ def run_serve_roundtrip(
             except subprocess.TimeoutExpired:
                 second.kill()
                 second.wait(timeout=30)
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.verify.crash", description=__doc__.splitlines()[0])
-    parser.add_argument("--cases", type=int, default=DEFAULT_SCHEDULES)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ops", type=int, default=DEFAULT_OPS)
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--serve-roundtrip", action="store_true", help="kill and restart a real `repro serve`")
-    mode.add_argument(
-        "--fsync-mutations", action="store_true",
-        help="one schedule per fsync call site, that site a no-op: each must find a violation",
-    )
-    args = parser.parse_args(argv)
-    if args.serve_roundtrip:
-        ok = run_serve_roundtrip(seed=args.seed, progress=print)
-        print("serve round-trip: " + ("OK" if ok else "FAILED"))
-        return 0 if ok else 1
-    if args.fsync_mutations:
-        report = run_fsync_mutations(seed=args.seed, ops=args.ops, progress=print)
-    else:
-        report = run_crash_verify(cases=args.cases, seed=args.seed, ops=args.ops, progress=print)
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return report

@@ -6,10 +6,9 @@ One :func:`run_verify` call sweeps the cross product of
 
 and checks, for every run: the pair set against the brute-force oracle
 (with metamorphic expectation mapping), the pluggable ledger
-invariants, and — once per workload — partition-semantics conformance
-(``Level()``/``cell_of`` closed-interval behavior over the workload's
-own boxes) and obs-on/obs-off ledger parity.  Any pair-set divergence
-is shrunk to a minimized counterexample before it is reported.
+invariants, and — once per workload — obs-on/obs-off ledger parity.
+Any pair-set divergence is shrunk to a minimized counterexample before
+it is reported.
 
 Cross-mode parity (``repro verify --cross-mode``) is this same sweep
 with the roster of :func:`~repro.verify.executors.cross_mode_executors`
@@ -22,7 +21,6 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.filtertree.levels import LevelAssigner
 from repro.verify.cases import VerifyCase
 from repro.verify.differential import (
     Divergence,
@@ -46,106 +44,11 @@ from repro.verify.metamorphic import (
     Transform,
     transforms_by_name,
 )
-from repro.verify.oracle import descriptor_boxes, oracle_for_case
-from repro.verify.report import Report, Violation
+from repro.verify.oracle import oracle_for_case
+from repro.verify.report import Report
 from repro.verify.workloads import default_cases
 
 Progress = Callable[[str], None]
-
-CONFORMANCE_ORDER = 16
-CONFORMANCE_DEPTH = 6
-"""How many levels past an MBR's own level the cell_of conformance
-check probes."""
-
-
-def check_partition_conformance(
-    case: VerifyCase,
-    order: int = CONFORMANCE_ORDER,
-    depth: int = CONFORMANCE_DEPTH,
-) -> tuple[int, list[Violation]]:
-    """Closed-interval conformance of ``Level()`` and ``cell_of``.
-
-    For every filter-step box of the workload: the vectorized level
-    computation must match the scalar one, the box must fit the cell
-    ``cell_of`` returns at its own level, and for each deeper level at
-    which the box *geometrically* fits inside one closed grid cell,
-    ``cell_of`` must locate that cell instead of raising — the paper's
-    cells are closed intervals, so a high corner exactly on a grid line
-    stays inside the cell below it.
-    """
-    import numpy as np
-
-    assigner = LevelAssigner(order=order, max_level=order)
-    problems: list[str] = []
-    checked = 0
-    datasets = {
-        id(case.dataset_a): case.dataset_a,
-        id(case.dataset_b): case.dataset_b,
-    }
-    for dataset in datasets.values():
-        _, boxes = descriptor_boxes(dataset, case.margin)
-        if not len(boxes):
-            continue
-        scalar_levels = []
-        for xlo, ylo, xhi, yhi in boxes.tolist():
-            from repro.geometry.rect import Rect
-
-            box = Rect(xlo, ylo, xhi, yhi)
-            level = assigner.level(box)
-            scalar_levels.append(level)
-            checked += 1
-            # Its own level: never raises, returns the lo-corner cell.
-            cx, cy = assigner.cell_of(box, level)
-            side = assigner.cell_side(level)
-            if not (cx * side <= xlo and cy * side <= ylo):
-                problems.append(
-                    f"cell_of{box.as_tuple()} at own level {level} returned "
-                    f"({cx}, {cy}), which excludes the low corner"
-                )
-            # Deeper levels: cell_of must succeed exactly when the box
-            # geometrically fits one closed cell.
-            for deeper in range(level + 1, min(level + depth, order) + 1):
-                cells = 1 << deeper
-                cell_w = 1.0 / cells
-                fx = min(int(xlo * cells), cells - 1)
-                fy = min(int(ylo * cells), cells - 1)
-                fits = xhi <= (fx + 1) * cell_w and yhi <= (fy + 1) * cell_w
-                try:
-                    got = assigner.cell_of(box, deeper)
-                except ValueError:
-                    got = None
-                if fits and got is None:
-                    problems.append(
-                        f"cell_of{box.as_tuple()} raised at level {deeper} "
-                        f"although the box fits closed cell ({fx}, {fy})"
-                    )
-                elif not fits and got is not None:
-                    gx, gy = got
-                    if not (
-                        gx * cell_w <= xlo
-                        and xhi <= (gx + 1) * cell_w
-                        and gy * cell_w <= ylo
-                        and yhi <= (gy + 1) * cell_w
-                    ):
-                        problems.append(
-                            f"cell_of{box.as_tuple()} returned non-containing "
-                            f"cell ({gx}, {gy}) at level {deeper}"
-                        )
-        vector_levels = assigner.levels(
-            boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-        )
-        if not np.array_equal(vector_levels, np.asarray(scalar_levels)):
-            mismatches = int(
-                (vector_levels != np.asarray(scalar_levels)).sum()
-            )
-            problems.append(
-                f"vectorized levels() disagrees with scalar level() on "
-                f"{mismatches} of {len(boxes)} boxes in {dataset.name}"
-            )
-    where = f"LevelAssigner on {case.name}"
-    return checked, [
-        Violation("partition-conformance", where, message) for message in problems[:10]
-    ]
 
 
 def run_verify(
@@ -189,17 +92,12 @@ def run_verify(
             "transforms": [transform.name for transform in transforms],
             "runs": 0,
             "pairs_checked": 0,
-            "conformance_boxes": 0,
         },
     )
     counts = report.counts
 
     for case in cases:
         say(f"case {case.describe()}")
-        checked, conformance = check_partition_conformance(case)
-        counts["conformance_boxes"] += checked
-        report.violations.extend(conformance)
-
         base_oracle = oracle_for_case(case)
         for transform in transforms:
             variant = transform.apply(case)

@@ -23,7 +23,8 @@ crash gate after each reopen of a crash state.  :func:`classify` is the
 service trichotomy: a query outcome is **ok** (and then compared with
 the model), **loud** (``failed`` with a typed error), or **declared
 partial** (``CircuitOpen`` named, breaker not closed) — and anything
-but ok needs an armed fault to excuse it.  A storage error is loud when
+but ok needs an armed fault to excuse it, and an armed fault that never
+fires fails the scenario (**unfired**).  A storage error is loud when
 it is an ``OSError`` or a
 :class:`~repro.storage.durable.DurableStoreError`.
 
@@ -418,6 +419,8 @@ async def _replay(scenario: Scenario) -> Report:
             tally["epochs"] += 1
     finally:
         index.close()
+    if faults and not disk.fired:
+        judge(scenario.ops, "faults", "unfired", ["the armed fault never fired"])
     report.counts.update(
         ops=scenario.ops,
         faults=faults,

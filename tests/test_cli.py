@@ -91,6 +91,8 @@ class TestParser:
             ["--chaos", "--crash"],
             ["--service", "--cross-mode"],
             ["--crash", "--service", "--chaos"],
+            ["--crash", "--fsync-mutations"],
+            ["--fsync-mutations", "--serve-roundtrip"],
         ],
     )
     def test_verify_mode_flags_are_mutually_exclusive(self, flags, capsys):
@@ -100,6 +102,28 @@ class TestParser:
             build_parser().parse_args(["verify", *flags])
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, gate",
+        [("--fsync-mutations", "run_fsync_mutations"), ("--serve-roundtrip", "run_serve_roundtrip")],
+    )
+    def test_verify_runs_the_crash_module_gates(self, flag, gate, monkeypatch, capsys):
+        """The crash module's two extra gates are ``repro verify`` modes
+        and print the one report like every other gate."""
+        from repro import verify
+
+        seeds = []
+
+        def stub(seed, progress):
+            seeds.append(seed)
+            report = verify.Report(gate=gate)
+            report.fail("stub", flag, "seeded")
+            return report
+
+        monkeypatch.setattr(verify, gate, stub)
+        assert main(["verify", flag, "--seed", "3"]) == 1
+        assert seeds == [3]
+        assert capsys.readouterr().out.startswith(f"{gate}: FAIL")
 
     def test_verify_rejects_bad_workers(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

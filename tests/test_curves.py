@@ -87,16 +87,6 @@ class TestPrefixProperty:
                 assert keys[0] % cell_size == 0
                 assert curve.cell_key(cx, cy, level) == keys[0] >> 2 * shift
 
-    def test_cell_key_range(self, curve):
-        lo, hi = curve.cell_key_range(3, 4, 2)
-        assert hi - lo == 1 << (2 * (curve.order - 2))
-        key = curve.key(3, 4)
-        assert lo <= key < hi
-
-    def test_cell_key_range_level_bounds(self, curve):
-        with pytest.raises(ValueError):
-            curve.cell_key_range(0, 0, curve.order + 1)
-
 
 class TestHilbertSpecifics:
     def test_order1_canonical_shape(self):

@@ -9,6 +9,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.table4 import format_table4, run_workload, table4_rows
 from repro.experiments.workloads import WORKLOADS, workload_by_name
+from repro.storage.manager import StorageConfig
 
 from tests.conftest import make_squares
 
@@ -36,6 +37,26 @@ class TestStorageConfig:
         a = make_squares(8500, 0.01, seed=2)
         config = make_storage_config(a, a, scale=1.0)
         assert config.buffer_pages == 20  # 10% of 200 pages
+
+    @pytest.mark.parametrize("scale", [0.005, 0.01, 0.05, 0.2, 0.5, 1.0])
+    def test_one_memory_sizing(self, scale):
+        """The experiments' sizing is the library's default sizing on
+        ``E * scale``-record pages, and equals the derivation it
+        replaced: 10 % of the input pages, at least 16."""
+        import math
+
+        from repro.join.api import default_storage_config
+
+        a = make_squares(int(20_000 * scale) + 7, 0.01, seed=4)
+        b = make_squares(int(9_000 * scale) + 3, 0.01, seed=5)
+        config = make_storage_config(a, b, scale=scale)
+        entries = max(1, round(85 * scale))
+        pages = math.ceil(len(a) / entries) + math.ceil(len(b) / entries)
+        assert FULL_SCALE_ENTRIES_PER_PAGE == 85
+        assert config == StorageConfig(
+            page_size=48 * entries, buffer_pages=max(16, math.ceil(0.10 * pages))
+        )
+        assert config == default_storage_config(a, b, page_size=48 * entries)
 
     def test_invalid_scale(self):
         a = make_squares(10, 0.1, seed=3)

@@ -97,16 +97,22 @@ class TestLevelAssigner:
 
     @given(coords, coords, coords, coords)
     def test_entity_fits_its_level_cell(self, x1, y1, x2, y2):
+        """Both corners, quantized as ``level()`` does, shift to one
+        level-``l`` cell: the Filter-Tree invariant the probe and the
+        synchronized scan rely on.  Below the cap the next level splits
+        them."""
         assigner = LevelAssigner(order=12, max_level=12)
         rect = Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
         level = assigner.level(rect)
-        cx, cy = assigner.cell_of(rect, level)
-        side = assigner.cell_side(level)
-        cell = Rect(cx * side, cy * side, (cx + 1) * side, (cy + 1) * side)
-        # Quantized containment: corners land in the same cell indices.
-        assert assigner.quantize(rect.xlo) >> (assigner.order - level) == cx
-        assert assigner.quantize(rect.xhi) >> (assigner.order - level) == cx
-        assert cell.width == pytest.approx(side)
+        shift = assigner.order - level
+        q = assigner.quantize
+        assert q(rect.xlo) >> shift == q(rect.xhi) >> shift
+        assert q(rect.ylo) >> shift == q(rect.yhi) >> shift
+        if level < assigner.max_level:
+            assert (q(rect.xlo) >> shift - 1, q(rect.ylo) >> shift - 1) != (
+                q(rect.xhi) >> shift - 1,
+                q(rect.yhi) >> shift - 1,
+            )
 
     def test_vectorized_matches_scalar(self):
         assigner = LevelAssigner(order=16, max_level=16)

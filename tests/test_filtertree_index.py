@@ -1,162 +1,82 @@
-"""Tests for the Filter Tree access method (the indexed counterpart of
-S3J, [SK96])."""
+"""The complete Filter Tree [SK96]: :class:`PersistentIndex`'s level
+files and its window queries."""
 
+import itertools
 import random
 
-import pytest
-
-from repro.filtertree.index import FilterTreeIndex
+from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
-from repro.storage.manager import StorageConfig, StorageManager
+from repro.join.dataset import SpatialDataset
+from repro.service import PersistentIndex
+from repro.storage.manager import StorageConfig
+from repro.storage.records import HKEY
 
-from tests.conftest import brute_force_pairs, make_squares
+from tests.conftest import make_squares
+
+POOL = StorageConfig(buffer_pages=32)
 
 
-@pytest.fixture
-def built_index(storage):
-    dataset = make_squares(400, 0.03, seed=1, name="D")
-    index = FilterTreeIndex(storage, "ft").build(dataset)
-    return dataset, index
+def index_of(entities) -> PersistentIndex:
+    return PersistentIndex(entities, storage=POOL)
 
 
 class TestBuild:
-    def test_size(self, built_index):
-        dataset, index = built_index
-        assert len(index) == len(dataset)
+    def test_size(self):
+        dataset = make_squares(400, 0.03, seed=1, name="D")
+        with index_of(dataset.entities) as index:
+            assert len(index) == len(dataset)
 
-    def test_level_files_sorted_by_hilbert(self, built_index):
-        from repro.storage.records import HKEY
+    def test_level_files_sorted_by_hilbert(self):
+        dataset = make_squares(400, 0.03, seed=1, name="D")
+        with index_of(dataset.entities) as index:
+            for handle in index._base.values():
+                keys = [r[HKEY] for r in handle.scan()]
+                assert keys == sorted(keys)
 
-        _, index = built_index
-        for handle in index.level_files.values():
-            keys = [r[HKEY] for r in handle.scan()]
-            assert keys == sorted(keys)
-
-    def test_double_build_raises(self, storage):
-        dataset = make_squares(50, 0.05, seed=2)
-        index = FilterTreeIndex(storage, "ft2").build(dataset)
-        with pytest.raises(RuntimeError):
-            index.build(dataset)
-
-    def test_drop_releases_files(self, storage):
-        dataset = make_squares(50, 0.05, seed=3)
-        index = FilterTreeIndex(storage, "ft3").build(dataset)
-        index.drop()
-        assert len(index) == 0
-        assert not any(name.startswith("ft3-") for name in storage.list_files())
-
-    def test_mixed_sizes_spread_over_levels(self, storage):
-        import itertools
-
+    def test_mixed_sizes_spread_over_levels(self):
         big = make_squares(30, 0.3, seed=4)
         small = make_squares(300, 0.005, seed=5)
-        from repro.join.dataset import SpatialDataset
-
         entities = [
-            type(e)(i, e.mbr, e.geometry)
-            for i, e in enumerate(itertools.chain(big, small))
+            Entity(i, e.mbr, e.geometry) for i, e in enumerate(itertools.chain(big, small))
         ]
-        dataset = SpatialDataset("mixed", entities)
-        index = FilterTreeIndex(storage, "ft4").build(dataset)
-        assert len(index.level_files) >= 3
+        with index_of(entities) as index:
+            assert len(index._base) >= 3
 
 
 class TestWindowQuery:
-    def test_matches_linear_scan(self, built_index):
-        dataset, index = built_index
+    def test_matches_linear_scan(self):
+        dataset = make_squares(400, 0.03, seed=1, name="D")
         rng = random.Random(6)
-        for _ in range(25):
-            x, y = rng.uniform(0, 0.7), rng.uniform(0, 0.7)
-            window = Rect(x, y, x + rng.uniform(0.05, 0.3), y + rng.uniform(0.05, 0.3))
-            expected = sorted(
-                e.eid for e in dataset if e.mbr.intersects(window)
-            )
-            assert sorted(index.window_query(window)) == expected
+        with index_of(dataset.entities) as index:
+            for _ in range(25):
+                x, y = rng.uniform(0, 0.7), rng.uniform(0, 0.7)
+                window = Rect(x, y, x + rng.uniform(0.05, 0.3), y + rng.uniform(0.05, 0.3))
+                expected = tuple(sorted(e.eid for e in dataset if e.mbr.intersects(window)))
+                assert index.window_query(window) == expected
 
-    def test_empty_window(self, storage):
+    def test_empty_window(self):
         # A dataset confined to the left half; query the right half.
-        import random as _random
-
-        from repro.geometry.entity import Entity
-        from repro.join.dataset import SpatialDataset
-
-        rng = _random.Random(7)
+        rng = random.Random(7)
         entities = []
         for i in range(200):
             x = rng.uniform(0.0, 0.35)
             y = rng.uniform(0.0, 0.9)
             entities.append(Entity.from_geometry(i, Rect(x, y, x + 0.02, y + 0.02)))
-        index = FilterTreeIndex(storage, "ft5").build(
-            SpatialDataset("left", entities)
-        )
-        assert index.window_query(Rect(0.6, 0.0, 0.9, 0.9)) == []
+        with index_of(entities) as index:
+            assert index.window_query(Rect(0.6, 0.0, 0.9, 0.9)) == ()
 
-    def test_window_query_reads_fewer_pages_than_scan(self, storage):
+    def test_window_query_reads_fewer_pages_than_scan(self):
         dataset = make_squares(3000, 0.01, seed=8)
-        index = FilterTreeIndex(storage, "ft6").build(dataset)
-        total_pages = sum(f.num_pages for f in index.level_files.values())
-        storage.phase_boundary()
-        storage.stats.reset()
-        index.window_query(Rect(0.4, 0.4, 0.45, 0.45))
-        assert storage.stats.total.page_reads < total_pages / 2
+        with index_of(dataset.entities) as index:
+            total_pages = sum(f.num_pages for f in index._base.values())
+            index.storage.phase_boundary()  # a cold pool
+            index.window_query(Rect(0.4, 0.4, 0.45, 0.45))
+            assert index.query_page_reads < total_pages / 2
 
-    def test_big_entities_found_from_high_levels(self, storage):
-        from repro.geometry.entity import Entity
-        from repro.join.dataset import SpatialDataset
-
+    def test_big_entities_found_from_high_levels(self):
         dataset = SpatialDataset(
             "one-big",
             [Entity.from_geometry(0, Rect(0.05, 0.05, 0.95, 0.95))],
         )
-        index = FilterTreeIndex(storage, "ft7").build(dataset)
-        assert index.window_query(Rect(0.9, 0.9, 0.92, 0.92)) == [0]
-
-
-class TestIndexJoin:
-    def test_matches_brute_force(self):
-        with StorageManager(StorageConfig(buffer_pages=64)) as storage:
-            a = make_squares(300, 0.04, seed=9, name="A")
-            b = make_squares(300, 0.04, seed=10, name="B")
-            index_a = FilterTreeIndex(storage, "ja").build(a)
-            index_b = FilterTreeIndex(storage, "jb").build(b)
-            storage.phase_boundary()
-            pairs = index_a.join(index_b)
-            assert pairs == brute_force_pairs(a, b)
-
-    def test_matches_s3j(self):
-        """The indexed join equals S3J's output — it *is* S3J's join
-        phase over prebuilt level files."""
-        from repro.join.api import spatial_join
-
-        a = make_squares(250, 0.05, seed=11, name="A")
-        b = make_squares(250, 0.05, seed=12, name="B")
-        expected = spatial_join(a, b, algorithm="s3j").pairs
-        with StorageManager(StorageConfig(buffer_pages=64)) as storage:
-            index_a = FilterTreeIndex(storage, "ja").build(a)
-            index_b = FilterTreeIndex(storage, "jb").build(b)
-            assert index_a.join(index_b) == expected
-
-    def test_join_reads_each_page_once(self):
-        with StorageManager(StorageConfig(buffer_pages=64)) as storage:
-            a = make_squares(800, 0.02, seed=13, name="A")
-            b = make_squares(800, 0.02, seed=14, name="B")
-            index_a = FilterTreeIndex(storage, "ja").build(a)
-            index_b = FilterTreeIndex(storage, "jb").build(b)
-            storage.phase_boundary()
-            storage.stats.reset()
-            index_a.join(index_b, stats_phase="join")
-            pages = sum(
-                f.num_pages
-                for f in list(index_a.level_files.values())
-                + list(index_b.level_files.values())
-            )
-            assert storage.stats.phases["join"].page_reads == pages
-
-    def test_mismatched_order_raises(self, storage):
-        from repro.curves.hilbert import HilbertCurve
-
-        a = make_squares(20, 0.1, seed=15)
-        index_a = FilterTreeIndex(storage, "oa", curve=HilbertCurve(order=16)).build(a)
-        index_b = FilterTreeIndex(storage, "ob", curve=HilbertCurve(order=8)).build(a)
-        with pytest.raises(ValueError):
-            index_a.join(index_b)
+        with index_of(dataset.entities) as index:
+            assert index.window_query(Rect(0.9, 0.9, 0.92, 0.92)) == (0,)

@@ -8,6 +8,8 @@ class the epoch key exists to kill).
 """
 
 import asyncio
+import dataclasses
+import errno
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.service import (
 )
 from repro.storage.durable import DATA_FILE, DurableStoreError
 from repro.verify.recorder import Fault, FaultyDisk
-from repro.verify.scenario import run_service_chaos, sample_service_scenario
+from repro.verify.scenario import run_scenario, run_service_chaos, sample_service_scenario
 
 from tests.conftest import make_squares
 
@@ -68,6 +70,17 @@ class TestServiceChaosSweep:
             quiet["failed_queries"] or quiet["partial_queries"] or quiet["loud_errors"]
         )
         assert any(o["failed_queries"] or o["loud_errors"] for o in outcomes[:3])
+
+    def test_an_armed_fault_that_never_fires_fails(self):
+        """A scenario whose fault cannot be reached proved nothing about
+        it: the replay reports it ``unfired`` rather than passing."""
+        scenario = dataclasses.replace(
+            sample_service_scenario(1, seed=0, ops=12, entities=40),
+            fault=Fault("write", "wal-", errno.EIO, nth=10**6),
+        )
+        report = run_scenario(scenario)
+        assert [v.check for v in report.violations] == ["unfired"]
+        assert "never fired" in report.violations[0].message
 
 
 class TestFaultBurstTrichotomy:

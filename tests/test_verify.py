@@ -25,7 +25,6 @@ from repro.verify import (
     transforms_by_name,
 )
 from repro.verify.differential import minimize_counterexample
-from repro.verify.harness import check_partition_conformance
 from repro.verify.invariants import (
     JoinReadsOnceInvariant,
     PhaseBucketsSumInvariant,
@@ -33,7 +32,7 @@ from repro.verify.invariants import (
     check_obs_parity,
 )
 from repro.verify.metamorphic import TRANSFORMS, CurveSwapTransform
-from repro.verify.workloads import degenerate_dataset, grid_aligned_dataset
+from repro.verify.workloads import grid_aligned_dataset
 from tests.conftest import brute_force_pairs, brute_force_self_pairs
 
 # Dyadic coordinates: exactly representable, and they land on the grid
@@ -267,36 +266,6 @@ class TestInvariants:
         assert check_obs_parity(small_case(), ExecutorSpec("s3j")) == []
 
 
-class TestConformance:
-    def test_grid_aligned_workload_conforms(self):
-        case = cases_by_name(("grid-aligned",))[0]
-        checked, violations = check_partition_conformance(case)
-        assert checked == len(case.dataset_a) + len(case.dataset_b)
-        assert violations == []
-
-    def test_degenerate_workload_conforms(self):
-        dataset = degenerate_dataset(8, 60, seed=3, name="D")
-        checked, violations = check_partition_conformance(
-            VerifyCase("deg", dataset, dataset)
-        )
-        assert checked == len(dataset)
-        assert violations == []
-
-    def test_catches_exclusive_hi_quantization(self, monkeypatch):
-        """Reverting the cell_of fix (high corners quantized exclusively,
-        the pre-fix behavior) must be caught by the conformance check."""
-        from repro.filtertree.levels import LevelAssigner
-
-        monkeypatch.setattr(
-            LevelAssigner, "quantize_hi", LevelAssigner.quantize
-        )
-        case = cases_by_name(("grid-aligned",))[0]
-        _, violations = check_partition_conformance(case)
-        assert violations
-        assert all(v.check == "partition-conformance" for v in violations)
-        assert any("raised at level" in v.message for v in violations)
-
-
 class TestHarness:
     def test_small_sweep_passes(self):
         report = run_verify(
@@ -309,7 +278,6 @@ class TestHarness:
         # 3 variants x 2 executors + 1 obs-parity pair (s3j only in quick).
         assert report.counts["runs"] == 3 * 2 + 2
         assert report.counts["pairs_checked"] > 0
-        assert report.counts["conformance_boxes"] == 60
         assert "PASS" in report.summary()
 
     def test_catches_boundary_dropping_join(self, monkeypatch):

@@ -29,7 +29,7 @@ from repro.verify import (
     run_verify,
     transforms_by_name,
 )
-from repro.verify.crash import run_crash_schedule
+from repro.verify.crash import run_crash_schedule, run_serve_roundtrip
 from repro.verify.executors import ExecutorSpec
 from repro.verify.scenario import classify
 
@@ -176,6 +176,7 @@ GATES = {
     "service": lambda: run_service_verify(seed=1, ops=30, entities=60),
     "service-chaos": lambda: run_service_chaos(cases=2, seed=5, ops=15, entities=40),
     "crash": lambda: run_crash_verify(cases=2, seed=1, ops=32),
+    "serve-roundtrip": lambda: run_serve_roundtrip(seed=1, entities=40),
 }
 """Every gate, small.  What each must still carry in its JSON is what
 tests, CI and the README read."""
@@ -190,6 +191,7 @@ KEYS = {
     },
     "service-chaos": {"scenarios", "outcomes"},
     "crash": {"crash_states", "ledger_parity_ok", "cases"},
+    "serve-roundtrip": {"entities", "live"},
 }
 
 
