@@ -1,7 +1,10 @@
 """Synthetic and real-data-like workload generators (Table 3).
 
-Every generator is deterministic given its seed, and produces entities
-normalized to the unit square:
+Every generator is deterministic given its seed and emits a
+:class:`~repro.join.dataset.SpatialDataset` straight from its random
+draws as columns (ids, MBR corners, and a road's endpoints or a point's
+coordinates), inside the unit square; no ``Entity`` is built unless a
+caller iterates the data set:
 
 - :func:`~repro.datagen.uniform.uniform_squares` — the UN1/UN2/UN3
   uniformly distributed square data sets, parameterized by coverage.
@@ -15,7 +18,7 @@ normalized to the unit square:
   far field.
 - :func:`~repro.datagen.shift.shifted_copy` — the LB'/MG' transform:
   each entity's center becomes the lower-left corner of an equal-size
-  entity.
+  entity (column arithmetic).
 - :mod:`~repro.datagen.paper` — the full Table 3 catalog at a chosen
   scale factor.
 """

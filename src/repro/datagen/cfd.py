@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.entity import Entity
 from repro.geometry.shapes import Point
 from repro.join.dataset import SpatialDataset
 
@@ -66,13 +65,8 @@ def cfd_points(
     xs = np.clip(xs, 0.0, 1.0)
     ys = np.clip(ys, 0.0, 1.0)
 
-    entities = [
-        Entity.from_geometry(eid, Point(float(x), float(y)))
-        for eid, (x, y) in enumerate(zip(xs, ys))
-    ]
-    return SpatialDataset(
-        name,
-        entities,
+    return SpatialDataset.from_columns(
+        name, np.arange(count), xs, ys, xs, ys, geometry=(Point, (xs, ys)),
         description=(
             f"{count} mesh-node-like points around an airfoil-with-flap "
             "cross section"

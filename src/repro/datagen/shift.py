@@ -8,47 +8,25 @@ by half its MBR extent in +x and +y.
 
 from __future__ import annotations
 
-from repro.geometry.entity import Entity
-from repro.geometry.rect import Rect
-from repro.geometry.shapes import Point, Polygon, Segment
+import numpy as np
+
 from repro.join.dataset import SpatialDataset
 
 
 def shifted_copy(dataset: SpatialDataset, name: str | None = None) -> SpatialDataset:
-    """The paper's primed data sets (LB -> LB', MG -> MG')."""
-    entities = [_shift_entity(entity) for entity in dataset.entities]
-    return SpatialDataset(
-        name or f"{dataset.name}'",
-        entities,
-        description=f"shifted copy of {dataset.name}",
-    )
-
-
-def _shift_entity(entity: Entity) -> Entity:
-    mbr = entity.mbr
-    dx = mbr.width / 2
-    dy = mbr.height / 2
+    """The paper's primed data sets (LB -> LB', MG -> MG'), column by column.
+    A data set built from entities has no per-row geometry: the entities
+    of its copy are their shifted MBRs."""
+    eid, xlo, ylo, xhi, yhi = dataset.columns()
     # Keep the shifted entity inside the unit square.
-    dx = min(dx, 1.0 - mbr.xhi)
-    dy = min(dy, 1.0 - mbr.yhi)
-    new_mbr = Rect(mbr.xlo + dx, mbr.ylo + dy, mbr.xhi + dx, mbr.yhi + dy)
-    geometry = _shift_geometry(entity.geometry, dx, dy)
-    return Entity(entity.eid, new_mbr, geometry)
-
-
-def _shift_geometry(geometry, dx: float, dy: float):
-    if geometry is None:
-        return None
-    if isinstance(geometry, Point):
-        return Point(geometry.x + dx, geometry.y + dy)
-    if isinstance(geometry, Segment):
-        return Segment(
-            geometry.x1 + dx, geometry.y1 + dy, geometry.x2 + dx, geometry.y2 + dy
-        )
-    if isinstance(geometry, Polygon):
-        return Polygon(tuple((x + dx, y + dy) for x, y in geometry.vertices))
-    if isinstance(geometry, Rect):
-        return Rect(
-            geometry.xlo + dx, geometry.ylo + dy, geometry.xhi + dx, geometry.yhi + dy
-        )
-    raise TypeError(f"unsupported geometry type: {type(geometry).__name__}")
+    dx = np.minimum((xhi - xlo) / 2, 1.0 - xhi)
+    dy = np.minimum((yhi - ylo) / 2, 1.0 - yhi)
+    geometry = dataset.geometry
+    if geometry is not None:
+        shape, columns = geometry
+        # A point's and a segment's columns alternate x and y.
+        geometry = (shape, tuple(c + (dx, dy)[i % 2] for i, c in enumerate(columns)))
+    return SpatialDataset.from_columns(
+        name or f"{dataset.name}'", eid, xlo + dx, ylo + dy, xhi + dx, yhi + dy,
+        geometry=geometry, description=f"shifted copy of {dataset.name}",
+    )

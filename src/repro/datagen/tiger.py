@@ -6,7 +6,8 @@ We do not ship the Census Bureau TIGER/Line extracts the paper used
 the same join-relevant properties — entity count, tiny skinny MBRs,
 strong spatial clustering along connected road structures — by growing
 random-walk road polylines out of a handful of town centers; each walk
-step emits one segment entity.  See DESIGN.md's substitution table.
+step emits one segment, a row of the data set's columns.  See DESIGN.md's
+substitution table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 
 import numpy as np
 
-from repro.geometry.entity import Entity
 from repro.geometry.shapes import Segment
 from repro.join.dataset import SpatialDataset
 
@@ -49,19 +49,19 @@ def road_segments(
     weights = 1.0 / np.arange(1, towns + 1)
     weights /= weights.sum()
 
-    entities: list[Entity] = []
+    ends: list[float] = []  # x1, y1, x2, y2 of each segment in turn
+    made = 0
     walk_length = max(8, int(math.sqrt(count)))
-    eid = 0
-    while eid < count:
+    while made < count:
         town = rng.choice(towns, p=weights)
         cx, cy = centers[town]
         x = float(np.clip(cx + rng.normal(0.0, town_spread), 0.0, 1.0))
         y = float(np.clip(cy + rng.normal(0.0, town_spread), 0.0, 1.0))
         heading = rng.uniform(0.0, 2.0 * math.pi)
-        for _ in range(walk_length):
-            if eid >= count:
-                break
-            heading += rng.normal(0.0, turn_sigma)
+        # One call draws the walk's turns one by one, as one call per
+        # step did: only the last walk draws turns it does not take.
+        for turn in rng.normal(0.0, turn_sigma, size=walk_length).tolist():
+            heading += turn
             nx = x + segment_length * math.cos(heading)
             ny = y + segment_length * math.sin(heading)
             # Reflect at the boundary to keep roads inside the space.
@@ -72,12 +72,15 @@ def road_segments(
                 heading = -heading
                 ny = min(max(ny, 0.0), 1.0)
             if nx != x or ny != y:
-                entities.append(Entity.from_geometry(eid, Segment(x, y, nx, ny)))
-                eid += 1
+                ends += (x, y, nx, ny)
+                made += 1
+                if made == count:
+                    break
             x, y = nx, ny
-    return SpatialDataset(
-        name,
-        entities,
+    x1, y1, x2, y2 = np.array(ends, dtype=np.float64).reshape(-1, 4).T
+    corners = np.minimum(x1, x2), np.minimum(y1, y2), np.maximum(x1, x2), np.maximum(y1, y2)
+    return SpatialDataset.from_columns(
+        name, np.arange(count), *corners, geometry=(Segment, (x1, y1, x2, y2)),
         description=(
             f"{count} road-like segments ({towns} towns, "
             f"step {segment_length:g})"

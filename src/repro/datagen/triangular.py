@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.entity import Entity
-from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 
 
@@ -56,13 +54,8 @@ def triangular_squares(
         sides = _rescale_to_coverage(sides, target_coverage)
     xlo = rng.uniform(0.0, 1.0, size=count) * (1.0 - sides)
     ylo = rng.uniform(0.0, 1.0, size=count) * (1.0 - sides)
-    entities = [
-        Entity.from_geometry(eid, Rect(x, y, x + d, y + d))
-        for eid, (x, y, d) in enumerate(zip(xlo, ylo, sides))
-    ]
-    return SpatialDataset(
-        name,
-        entities,
+    return SpatialDataset.from_columns(
+        name, np.arange(count), xlo, ylo, xlo + sides, ylo + sides,
         description=(
             f"{count} squares, side 2^-l, l ~ Triangular"
             f"({l_min:g}, {l_mode:g}, {l_max:g})"

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 
-from repro.geometry.entity import Entity
-from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 
 
@@ -23,13 +21,8 @@ def uniform_squares(
     rng = np.random.default_rng(seed)
     xlo = rng.uniform(0.0, 1.0 - side, size=count)
     ylo = rng.uniform(0.0, 1.0 - side, size=count)
-    entities = [
-        Entity.from_geometry(eid, Rect(x, y, x + side, y + side))
-        for eid, (x, y) in enumerate(zip(xlo, ylo))
-    ]
-    return SpatialDataset(
-        name,
-        entities,
+    return SpatialDataset.from_columns(
+        name, np.arange(count), xlo, ylo, xlo + side, ylo + side,
         description=f"{count} uniformly distributed {side:.4g}-side squares",
     )
 

@@ -75,8 +75,6 @@ class ColumnarDataset:
         depth = assigner.max_level if depth is None else depth
         eid = dataset.columns()[0]
         xlo, ylo, xhi, yhi = dataset.boxes(margin)
-        # levels() refuses NaN and out-of-square corners by field name
-        # before anything here is cast to a grid index.
         level = assigner.levels(xlo, ylo, xhi, yhi)
         qx = quantize_array((xlo + xhi) / 2, curve.side, "center x")
         qy = quantize_array((ylo + yhi) / 2, curve.side, "center y")

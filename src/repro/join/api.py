@@ -21,7 +21,7 @@ import importlib
 from repro.join.base import SpatialJoinAlgorithm
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import Intersects, JoinPredicate
-from repro.join.result import JoinResult, canonical_pairs
+from repro.join.result import JoinResult
 from repro.obs import Observability
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.records import EntityDescriptorCodec
@@ -205,11 +205,6 @@ def spatial_join(
 
             algo = make_algorithm(algorithm, manager, **params)
             result = algo.join(input_a, input_b, self_join=self_join)
-            ids_a, ids_b = dataset_a.descriptor_ids(), dataset_b.descriptor_ids()
-            if ids_a or ids_b:  # some ids were staged as positions
-                pairs = result.pairs
-                pairs = ((ids_a[a] if ids_a else a, ids_b[b] if ids_b else b) for a, b in pairs)
-                result.pairs = canonical_pairs(pairs, self_join)
             if refine:
                 with tracer.span("refine", kind="refine"):
                     entities_a = dataset_a.entity_by_id()

@@ -191,7 +191,7 @@ class TestColumnarDataset:
         assert len(dataset) == 10 and dataset.columns() is columns and dataset.mbr() == box
         with pytest.raises(AttributeError):
             dataset.entities.append(entities[-1])
-        with pytest.raises(AttributeError):  # FrozenInstanceError
+        with pytest.raises(AttributeError):  # the instance is immutable
             dataset.entities = entities
         grown = SpatialDataset("grown", entities)
         assert grown.mbr() == Rect(0.0, 0.0, 1.0, 1.0) and len(grown.columns()[0]) == 11
@@ -206,23 +206,17 @@ class TestColumnarDataset:
         ],
     )
     def test_ids_outside_int64_are_refused_by_name(self, ids, offender):
+        # One id rule for every engine: the constructor refuses, from
+        # entities or from columns, so no join can be reached with them.
         box = Rect(0.25, 0.25, 0.75, 0.75)
-        dataset = SpatialDataset("odd-ids", [Entity.from_geometry(eid, box) for eid in ids])
-        # Ledger mode carries ids as they are ...
-        assert spatial_join(dataset, dataset, algorithm="s3j").pairs == {tuple(sorted(ids))}
-        # ... memory mode keeps them in an int64 column, so it says no
-        # instead of answering (1, 2) or dying inside NumPy.
-        for join in (
-            lambda: memory_spatial_join(dataset, dataset),
-            lambda: spatial_join(dataset, dataset, algorithm="s3j", mode="memory"),
-            dataset.columns,
+        corners = [[0.25] * len(ids), [0.25] * len(ids), [0.75] * len(ids), [0.75] * len(ids)]
+        for build in (
+            lambda: SpatialDataset("odd-ids", [Entity.from_geometry(eid, box) for eid in ids]),
+            lambda: SpatialDataset.from_columns("odd-ids", ids, *corners),
         ):
             with pytest.raises(ValueError) as raised:
-                join()
+                build()
             assert "'odd-ids'" in str(raised.value) and offender in str(raised.value)
-        # The refusal is memory mode's alone: the Table-3 figures read
-        # the corner columns, which take any id.
-        assert dataset.mbr() == box and dataset.coverage() == 2.0
 
     def test_int64_extremes_are_ids(self):
         box = Rect(0.25, 0.25, 0.75, 0.75)

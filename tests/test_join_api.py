@@ -309,6 +309,87 @@ class TestCoordinateValidation:
             self.joined_with(field, value, mode)
 
 
+def unchecked_rect(xlo, ylo, xhi, yhi):
+    """A ``Rect`` that skipped its own check (it refuses inverted
+    corners, but not NaN or corners outside the unit square)."""
+    rect = object.__new__(Rect)
+    for field, value in zip(("xlo", "ylo", "xhi", "yhi"), (xlo, ylo, xhi, yhi)):
+        object.__setattr__(rect, field, value)
+    return rect
+
+
+class TestInputRule:
+    """One input rule, checked when a data set is built, so no engine
+    sees bad input.  Before it, PBSM, SHJ, sweep and rtree answered it
+    silently (dropping a NaN box, pairing one at x = -0.5 or 1.5), and a
+    duplicate id passed S3J and PBSM alike."""
+
+    GOOD = [(0.1 * i, 0.1 * i, 0.1 * i + 0.05, 0.1 * i + 0.05) for i in range(9)]
+    BAD = {
+        "nan": ((0.2, float("nan"), 0.3, 0.3), "ylo coordinate outside the unit square"),
+        "inf": ((0.1, 0.2, float("inf"), 0.3), "xhi coordinate outside the unit square"),
+        "negative": ((-0.5, 0.2, 0.3, 0.3), "xlo coordinate outside the unit square"),
+        "beyond": ((0.2, 0.2, 0.3, 1.5), "yhi coordinate outside the unit square"),
+        "inverted": ((0.3, 0.2, 0.2, 0.3), "xlo > xhi"),
+        "duplicate": ((0.2, 0.2, 0.3, 0.3), "duplicate id"),
+    }
+
+    def build(self, case, source):
+        box, _ = self.BAD[case]
+        last = 0 if case == "duplicate" else len(self.GOOD)
+        rows = [(eid, *good) for eid, good in enumerate(self.GOOD)] + [(last, *box)]
+        if source == "columns":
+            return SpatialDataset.from_columns("bad", *map(list, zip(*rows)))
+        return SpatialDataset("bad", [Entity(eid, unchecked_rect(*box)) for eid, *box in rows])
+
+    @pytest.mark.parametrize("source", ["entities", "columns"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_refused_before_any_engine(self, case, source, monkeypatch):
+        import repro.fastpath
+
+        reached = []
+        monkeypatch.setattr("repro.join.api.make_algorithm", lambda *a, **k: reached.append(a))
+        monkeypatch.setattr(repro.fastpath, "memory_spatial_join", lambda *a, **k: reached.append(a))
+        good = make_squares(20, 0.05, seed=1, name="V")
+        refusal = f"data set 'bad', row {len(self.GOOD)} .*{self.BAD[case][1]}"
+        runs = [(name, "ledger") for name in available_algorithms()] + [("s3j", "memory")]
+        for algorithm, mode in runs:
+            with pytest.raises(ValueError, match=refusal):
+                spatial_join(self.build(case, source), good, algorithm=algorithm, mode=mode)
+            with pytest.raises(ValueError, match=refusal):
+                spatial_join(good, self.build(case, source), algorithm=algorithm, mode=mode)
+        assert not reached
+
+
+class TestBatchPathMintsNoEntity:
+    """A batch join reads a data set's columns only: a generated data
+    set keeps no ``Entity`` unless something asks for one."""
+
+    def test_engines_leave_generated_data_sets_unminted(self):
+        from repro.datagen import road_segments, uniform_squares
+        from repro.experiments.runner import run_algorithm
+
+        a = road_segments(400, seed=1, name="A")
+        b = uniform_squares(300, 0.02, seed=2, name="B")
+        runs = [("s3j", "memory"), ("s3j", "ledger"), ("pbsm", "ledger")]
+        digests = {run_algorithm(a, b, name, mode=mode).result.pairs for name, mode in runs}
+        assert len(digests) == 1
+        assert "entities" not in vars(a) and "entities" not in vars(b)
+
+    def test_the_edge_still_mints_on_demand(self):
+        from repro.datagen import road_segments
+        from repro.service import PersistentIndex
+
+        a = road_segments(300, seed=3, name="A")
+        b = road_segments(300, seed=4, name="B")
+        refined = spatial_join(a, b, refine=True).refined
+        assert "entities" in vars(a) and isinstance(a.entities[0].geometry, Segment)
+        assert refined == spatial_join(a, b, mode="memory", refine=True).refined
+        assert a.entity_by_id()[7] is a.entities[7]
+        with PersistentIndex(b.entities) as index:
+            assert index.snapshot_dataset().columns()[0].tolist() == list(range(300))
+
+
 class TestWarmProcessDeterminism:
     """Back-to-back joins in one process must be byte-identical.
 
