@@ -29,12 +29,15 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from repro.join.metrics import JoinMetrics
-from repro.join.result import JoinResult
+from repro.join.result import JoinResult, canonical_pairs
 from repro.obs import Observability
 from repro.obs.events import EventLog
 from repro.obs.report import build_run_report
 from repro.service import JoinService, PersistentIndex, ServiceServer
+from repro.storage.records import PAIR
 
 from benchmarks.artifacts import bench_artifact_dir, write_bench_artifact
 from tests.conftest import make_squares
@@ -152,7 +155,8 @@ async def drive(entities: int, clients: int, ops: int) -> tuple[dict, list[str]]
         phases=index.storage.stats.phase_snapshot(),
         cost_model=index.storage.cost_model,
     )
-    result = JoinResult(pairs=pairs, metrics=metrics, self_join=True)
+    pair_array = canonical_pairs(np.array(list(pairs), dtype=PAIR), self_join=True)
+    result = JoinResult(pair_array=pair_array, metrics=metrics, self_join=True)
     report = build_run_report(
         result,
         obs,

@@ -31,6 +31,7 @@ from repro.geometry.rect import Rect
 from repro.join.base import SpatialJoinAlgorithm
 from repro.join.metrics import JoinMetrics
 from repro.rtree.rtree import RTree
+from repro.storage.backend import Page
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
 from repro.storage.records import EID, XHI, XLO, YHI, YLO, CandidatePairCodec
@@ -103,7 +104,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[list[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[Page, JoinMetrics]:
         target = self.num_partitions or suggested_partitions(
             input_a.num_pages, self.storage.memory_pages, self.partition_multiplier
         )
@@ -149,7 +150,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
         metrics.replication_a = 1.0  # SHJ never replicates the first input
         if input_b.num_records:
             metrics.replication_b = written_b / input_b.num_records
-        return pairs, metrics
+        return result.codec.page(pairs), metrics
 
     # -- sampling -------------------------------------------------------------
 

@@ -437,7 +437,7 @@ def cmd_join(args: argparse.Namespace) -> int:
             print(f"mode      : {args.mode}")
         if args.backend != "memory":
             print(f"backend   : {args.backend}")
-        print(f"pairs     : {len(run.result.pairs):,}")
+        print(f"pairs     : {len(run.result):,}")
         print(f"page I/Os : {metrics.total_ios:,}")
         print(f"r_A / r_B : {metrics.replication_a:.2f} / {metrics.replication_b:.2f}")
         print("phases    :")

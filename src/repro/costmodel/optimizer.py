@@ -18,11 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.costmodel.pbsm import (
-    expected_replication_factor,
-    pbsm_io,
-    pbsm_partitions,
-)
+from repro.costmodel.pbsm import expected_replication_factor, pbsm_io
 from repro.costmodel.s3j import s3j_io, s3j_worst_case_io
 from repro.costmodel.shj import shj_io
 from repro.filtertree.occupancy import level_fractions

@@ -80,7 +80,7 @@ class ExperimentResult:
             "total_ios": metrics.total_ios,
             "r_A": round(metrics.replication_a, 2),
             "r_B": round(metrics.replication_b, 2),
-            "pairs": len(self.result.pairs),
+            "pairs": len(self.result),
         }
         if baseline_time:
             row["normalized"] = round(self.response_time / baseline_time, 2)
@@ -154,7 +154,7 @@ def run_algorithm(
         events.emit(
             "run_completed",
             algorithm=algorithm,
-            pairs=len(result.pairs),
+            pairs=len(result),
             wall_s=time.perf_counter() - t0,
         )
     report = None

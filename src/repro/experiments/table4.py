@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.datagen.paper import default_scale
 from repro.experiments.runner import run_algorithm
 from repro.experiments.workloads import WORKLOADS, Workload
@@ -45,7 +47,7 @@ def run_workload(
     )
 
     for run in (pbsm_small, pbsm_large, shj):
-        if run.result.pairs != s3j.result.pairs:
+        if not np.array_equal(run.result.pair_array, s3j.result.pair_array):
             raise AssertionError(
                 f"{run.label} disagrees with s3j on workload {workload.name}"
             )
@@ -54,7 +56,7 @@ def run_workload(
     rows = {
         "workload": workload.name,
         "figure": workload.figure,
-        "pairs": len(s3j.result.pairs),
+        "pairs": len(s3j.result),
         "s3j": s3j.row(),
         "pbsm_small": pbsm_small.row(base),
         "pbsm_large": pbsm_large.row(base),

@@ -32,7 +32,7 @@ the other's at ``lc`` or finer, matched on the level-``lc`` ancestor
 cell: the top ``2*lc`` bits of the depth-``K`` cell key.  Role 1 (A
 fine, B at ``lc``) takes equal levels too, role 2 (B fine, A at ``lc``)
 strictly finer ones only — each nested pair exactly once; a self join
-keeps role 1 (canonicalization folds the mirror images).
+keeps role 1 (its ``PAIR`` array's canonicalization folds the mirror images).
 
 The returned :class:`~repro.join.result.JoinResult` carries Table-2
 compatible metrics: the three phases of ledger S3J with counted CPU
@@ -53,11 +53,12 @@ from repro.filtertree.levels import LevelAssigner
 from repro.join.dataset import SpatialDataset
 from repro.join.metrics import JoinMetrics
 from repro.join.predicates import Intersects, JoinPredicate
-from repro.join.result import JoinResult, Pair, canonical_pairs
+from repro.join.result import JoinResult, canonical_pairs
 from repro.obs import NULL_OBS, Observability
 from repro.obs.events import progress_emitter
 from repro.storage.costs import CostModel, sort_comparison_count
 from repro.storage.iostats import PhaseStats
+from repro.storage.records import PAIR
 
 import numpy as np
 
@@ -154,13 +155,13 @@ def _sweep_level(
 
 def join_columns(
     columns: list[ColumnarDataset], cell_level: int, obs: Observability = NULL_OBS
-) -> tuple[frozenset[Pair], int, list[int]]:
+) -> tuple[np.ndarray, int, list[int]]:
     """The sort and join phases of :func:`memory_spatial_join` and of the
     service's live self-join (:mod:`repro.service.scan`), over one input
-    (a self join, role 1 only) or two.  Returns the canonical pairs, the
-    candidates the y-mask tested (the ``mbr_test`` charge) and, per
-    role, how many cells its coarse rows occupy.  ``columns`` is emptied
-    once ranked, freeing each input's level and cell columns."""
+    (a self join, role 1 only) or two.  Returns the canonical ``PAIR``
+    array, the candidates the y-mask tested (the ``mbr_test`` charge)
+    and, per role, how many cells its coarse rows occupy.  ``columns``
+    is emptied once ranked, freeing each input's level and cell columns."""
     self_join = len(columns) == 1
     with obs.tracer.span("sort", kind="phase"):
         rows, sides = _rank_x(columns, cell_level)
@@ -188,7 +189,7 @@ def join_columns(
                 groups[role] += cells
                 if on_progress is not None:
                     on_progress(level * len(sides) + role + 1, f"level:{level}")
-        raw = zip(np.concatenate(eids_a).tolist(), np.concatenate(eids_b).tolist())
+        raw = np.rec.fromarrays([np.concatenate(eids_a), np.concatenate(eids_b)], dtype=PAIR)
         pairs = canonical_pairs(raw, self_join)
         span.set(candidates=candidates, pairs=len(pairs))
     return pairs, candidates, groups
@@ -261,13 +262,11 @@ def memory_spatial_join(
                 "levels_b": levels[-1],
             },
         )
-        result = JoinResult(pairs=pairs, metrics=metrics, self_join=self_join)
+        result = JoinResult(pair_array=pairs, metrics=metrics, self_join=self_join)
         if refine:
             with tracer.span("refine", kind="refine"):
-                entities_a = dataset_a.entity_by_id()
-                entities_b = entities_a if self_join else dataset_b.entity_by_id()
-                result.refine(predicate, entities_a, entities_b)
-        root.set(candidate_pairs=len(result.pairs))
+                result.refine(predicate, dataset_a, dataset_b)
+        root.set(candidate_pairs=len(result))
     return result
 
 

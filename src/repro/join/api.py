@@ -207,12 +207,8 @@ def spatial_join(
             result = algo.join(input_a, input_b, self_join=self_join)
             if refine:
                 with tracer.span("refine", kind="refine"):
-                    entities_a = dataset_a.entity_by_id()
-                    entities_b = entities_a if self_join else dataset_b.entity_by_id()
-                    result.refine(
-                        predicate, entities_a, entities_b, stats=manager.stats
-                    )
-            root.set(candidate_pairs=len(result.pairs))
+                    result.refine(predicate, dataset_a, dataset_b, stats=manager.stats)
+            root.set(candidate_pairs=len(result))
         return result
     finally:
         if owns_storage:

@@ -15,6 +15,7 @@ from typing import Iterator
 
 from repro.join.metrics import JoinMetrics
 from repro.join.result import JoinResult, canonical_pairs
+from repro.storage.backend import Page
 from repro.storage.iostats import PhaseStats
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
@@ -62,21 +63,17 @@ class SpatialJoinAlgorithm(ABC):
     @abstractmethod
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[set[tuple[int, int]], JoinMetrics]:
-        """Execute the filter step and return raw candidate pairs plus
-        metrics.  Raw pairs may contain mirrored duplicates for self
-        joins; they are canonicalized by :meth:`join`."""
+    ) -> tuple[Page, JoinMetrics]:
+        """Execute the filter step and return the raw candidate pairs
+        (a ``PAIR`` array, duplicates and mirrored self-join pairs left
+        in: :meth:`join` canonicalizes them) plus metrics."""
 
     def join(
         self, input_a: PagedFile, input_b: PagedFile, self_join: bool = False
     ) -> JoinResult:
         """Run the filter step and package the result."""
         raw_pairs, metrics = self.run_filter_step(input_a, input_b)
-        return JoinResult(
-            pairs=canonical_pairs(raw_pairs, self_join),
-            metrics=metrics,
-            self_join=self_join,
-        )
+        return JoinResult(canonical_pairs(raw_pairs, self_join), metrics, self_join)
 
     def _build_metrics(self, **extra: object) -> JoinMetrics:
         """Collect this run's phase stats from the storage ledger.

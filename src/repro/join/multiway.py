@@ -67,7 +67,7 @@ def spatial_multiway_join(
     tuples: dict[int, tuple[tuple[int, ...], Rect]] = {}
     lookup_a = {e.eid: e for e in datasets[0]}
     lookup_b = {e.eid: e for e in datasets[1]}
-    for eid_a, eid_b in sorted(first.pairs):
+    for eid_a, eid_b in first.pair_array.tolist():
         region = lookup_a[eid_a].mbr.intersection(lookup_b[eid_b].mbr)
         if region is not None:
             tuples[len(tuples)] = ((eid_a, eid_b), region)
@@ -87,7 +87,7 @@ def spatial_multiway_join(
         metrics.append(stage.metrics)
         lookup = {e.eid: e for e in dataset}
         next_tuples: dict[int, tuple[tuple[int, ...], Rect]] = {}
-        for iid, eid in sorted(stage.pairs):
+        for iid, eid in stage.pair_array.tolist():
             members, region = tuples[iid]
             shared = region.intersection(lookup[eid].mbr)
             if shared is not None:

@@ -194,7 +194,7 @@ def build_run_report(
     return RunReport(
         algorithm=result.metrics.algorithm,
         metrics=result.metrics,
-        pairs=len(result.pairs),
+        pairs=len(result),
         wall_seconds=wall_seconds,
         phase_wall=phase_wall_times(tracer.roots),
         registry=obs.metrics.as_dict(),

@@ -33,6 +33,7 @@ from repro.geometry.rect import Rect
 from repro.join.base import SpatialJoinAlgorithm
 from repro.join.metrics import JoinMetrics
 from repro.rtree.rtree import RTree, _Node
+from repro.storage.backend import Page
 from repro.storage.iostats import IOStats
 from repro.storage.manager import StorageManager
 from repro.storage.pagedfile import PagedFile
@@ -138,7 +139,7 @@ class RTreeSpatialJoin(SpatialJoinAlgorithm):
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
-    ) -> tuple[list[tuple[int, int]], JoinMetrics]:
+    ) -> tuple[Page, JoinMetrics]:
         stats = self.storage.stats
         tracer = self.obs.tracer
 
@@ -154,7 +155,7 @@ class RTreeSpatialJoin(SpatialJoinAlgorithm):
         )
         with self._phase("join"):
             with tracer.span("traverse") as span:
-                pairs = list(rtree_join(tree_a, tree_b, stats=stats))
+                pairs = result.codec.page(rtree_join(tree_a, tree_b, stats=stats))
                 result.extend(pairs)
                 span.set(pairs=len(pairs))
             self.storage.phase_boundary()

@@ -49,4 +49,4 @@ def live_self_scan(
     pairs, candidates, _ = join_columns(columns, depth)
     stats.charge_cpu("compare", sort_comparison_count(len(table)))
     stats.charge_cpu("mbr_test", candidates)
-    return pairs
+    return frozenset(pairs.tolist())

@@ -1,19 +1,15 @@
 """Multi-pass external merge sort over paged files, a page at a time.
 
 Nothing here touches one record at a time through Python: run formation
-reads its input page by page and orders a run with one stable
-``argsort`` of its key field, and a merge moves from one page boundary
-to the next.  A loaded run page is used up when the merge passes its
-last key, so each merge step cuts every loaded page at the next such
-boundary (one ``searchsorted`` per run), sorts the cut pieces together
-(a stable sort of k sorted pieces) and reads the one page that ran dry.
-The reads, page writes and buffer-pool events occur in exactly the
-order a record-at-a-time heap merge produces them, so the I/O and CPU
-ledger is identical to one (DESIGN.md section 7).
+orders a run with one stable sort of its key columns, and a merge moves
+from one page boundary to the next (:meth:`ExternalSorter._merge_runs`),
+yet reads, writes and prices exactly what a record-at-a-time heap merge
+does, in the same order (DESIGN.md section 7).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -52,9 +48,7 @@ class ExternalSorter:
     ``B`` pages.  Ties keep their input order.  With ``unique=True``
     adjacent duplicate records are dropped in every pass — duplicate
     elimination "can take place in any phase of the sort" (section
-    4.1.2).  Both phases move a page at a time, yet read and write the
-    pages a record-at-a-time heap merge does, in the same order (see
-    the module docstring).
+    4.1.2).
     """
 
     def __init__(
@@ -173,7 +167,7 @@ class ExternalSorter:
         capacity = self.memory_pages * source.records_per_page
 
         def spill(batch: Page) -> None:
-            batch = take(batch, np.argsort(_keys(batch, key), kind="stable"))
+            batch = take(batch, np.lexsort(_key_columns(batch, key)[::-1]))
             self.storage.stats.charge_cpu(
                 "compare", sort_comparison_count(len(batch))
             )
@@ -231,6 +225,7 @@ class ExternalSorter:
         emitting the page's last record.  Whole output pages are handed
         on before each read, partial ones held back, so the pool sees
         the heap merge's sequence of reads, creates and write-behinds.
+        A step touches only the runs it cuts.
 
         Priced like the heap merge, at ``ceil(log2(k + 1))`` comparisons
         per record merged, charged once in a ``finally`` (a merge a read
@@ -239,33 +234,35 @@ class ExternalSorter:
         levels = max(1, math.ceil(math.log2(len(runs) + 1)))
         per_page = out.records_per_page
         pages = [run.read_page(0) for run in runs]
-        keys = [_keys(page, key) for page in pages]
-        lasts = [column[-1].item() for column in keys]  # each loaded page's last key
+        columns = [_key_columns(page, key) for page in pages]
         cuts = [0] * len(runs)  # first unmerged record of each loaded page
         next_page = [1] * len(runs)
-        live = list(range(len(runs)))  # kept in run order: ties go to the lower run
+        # Heaps (a sorted list is one): pages by (last key, run), runs by (first unmerged key, run).
+        lasts = sorted((tuple([c[-1].item() for c in cols]), i) for i, cols in enumerate(columns))
+        firsts = sorted((tuple([c[0].item() for c in cols]), i) for i, cols in enumerate(columns))
         pending: list[Page] = []  # merged, not yet whole output pages
         held = 0  # records in ``pending``
         previous: Page | None = None  # last record kept, for ``unique``
         merged = 0
         try:
-            while live:
-                _, dry = min((lasts[i], i) for i in live)
-                bound = keys[dry][-1:]
+            while lasts:
+                bound, dry = limit = heapq.heappop(lasts)
+                cut = []
+                while firsts and firsts[0] <= limit:
+                    cut.append(heapq.heappop(firsts)[1])
                 pieces: list[Page] = []
-                for i in live:
+                for i in sorted(cut):  # ties go to the lower run
                     page, lo = pages[i], cuts[i]
                     if i == dry:
                         hi = len(page)
                     else:  # ties with the bound: lower runs first
-                        side = "right" if i < dry else "left"
-                        hi = lo + int(keys[i][lo:].searchsorted(bound, side)[0])
-                    if hi > lo or i == dry:
-                        pieces.append(page[lo:hi])
-                        cuts[i] = hi
+                        hi = _search(columns[i], lo, bound, "right" if i < dry else "left")
+                        heapq.heappush(firsts, (tuple([c[hi].item() for c in columns[i]]), i))
+                    pieces.append(page[lo:hi])
+                    cuts[i] = hi
                 step = pieces[0] if len(pieces) == 1 else concat_pages(pieces)
                 if len(pieces) > 1:  # stable: run order breaks key ties
-                    step = take(step, np.argsort(_keys(step, key), kind="stable"))
+                    step = take(step, np.lexsort(_key_columns(step, key)[::-1]))
                 merged += len(step)
                 if unique:
                     step = _drop_adjacent_duplicates(step, previous)
@@ -273,18 +270,17 @@ class ExternalSorter:
                         previous = step[-1:]
                 pending.append(step)
                 held += len(step)
-                run = runs[dry]
-                if next_page[dry] == run.num_pages:
-                    live.remove(dry)
+                if next_page[dry] == runs[dry].num_pages:
                     continue
                 whole = held - held % per_page
                 if whole:
                     rest = concat_pages(pending)
                     out.extend(rest[:whole])
                     pending, held = [rest[whole:]], held - whole
-                pages[dry] = run.read_page(next_page[dry])
-                keys[dry] = _keys(pages[dry], key)
-                lasts[dry] = keys[dry][-1].item()
+                pages[dry] = runs[dry].read_page(next_page[dry])
+                columns[dry] = _key_columns(pages[dry], key)
+                heapq.heappush(lasts, (tuple([c[-1].item() for c in columns[dry]]), dry))
+                heapq.heappush(firsts, (tuple([c[0].item() for c in columns[dry]]), dry))
                 cuts[dry] = 0
                 next_page[dry] += 1
             if held:
@@ -303,18 +299,31 @@ class ExternalSorter:
         return handle
 
 
-def _keys(rows: Page, key: SortKey) -> np.ndarray:
-    """What ``rows`` are ordered by: a field, or a structured view of
-    the key fields (NumPy compares those field by field)."""
-    return rows if key is None else rows[key if isinstance(key, str) else list(key)]
+def _key_columns(rows: Page, key: SortKey) -> tuple[np.ndarray, ...]:
+    """What ``rows`` are ordered by as plain columns, most significant first
+    (NumPy sorts and searches a structured array several times slower)."""
+    names = rows.dtype.names if key is None else (key,) if isinstance(key, str) else key
+    return tuple(rows[name] for name in names)
+
+
+def _search(columns: tuple[np.ndarray, ...], lo: int, bound: tuple, side: str) -> int:
+    """``searchsorted(bound, side)`` on the sorted rows from ``lo`` on,
+    each column searched within the rows that tie on the ones before."""
+    hi = len(columns[0])
+    for column, value in zip(columns[:-1], bound):
+        segment = column[lo:hi]
+        lo, hi = lo + segment.searchsorted(value), lo + segment.searchsorted(value, "right")
+    return int(lo + columns[-1][lo:hi].searchsorted(bound[-1], side))
 
 
 def _drop_adjacent_duplicates(rows: Page, previous: Page | None = None) -> Page:
     """``rows`` without those equal to their predecessor (the one row
-    of ``previous`` precedes the first)."""
-    if not len(rows):
-        return rows
-    fresh = np.empty(len(rows), dtype=bool)
-    fresh[0] = previous is None or bool(rows[0] != previous[0])
-    fresh[1:] = rows[1:] != rows[:-1]
+    of ``previous`` precedes the first), compared a plain column at a
+    time."""
+    fresh = np.zeros(len(rows), dtype=bool)
+    fresh[:1] = previous is None
+    for name in rows.dtype.names:
+        column = rows[name]
+        fresh[:1] |= previous is not None and column[:1] != previous[name]
+        fresh[1:] |= column[1:] != column[:-1]
     return take(rows, fresh)

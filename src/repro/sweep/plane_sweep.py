@@ -12,9 +12,8 @@ over two x-sorted descriptor arrays (:func:`x_sorted`) through the
 vectorised kernel (:mod:`repro.fastpath.sweep`), whose two classes are
 exactly the candidates of a left pivot and of a right pivot here, ties
 included — so the ledger is priced with one ``charge_cpu("mbr_test",
-n)`` per call.  Ids stay ``int64``: the pairs are a ``PAIR`` array, a
-result file's rows, and become tuples once, when the join's result is
-built (:func:`repro.join.result.canonical_pairs`).
+n)`` per call.  Ids stay ``int64``: the pairs are a ``PAIR`` array, as
+are a result file's rows and the join's result.
 :func:`scalar_sweep_intersections` is the same sweep record at a time,
 and :func:`sweep_self_intersections` its self-join form: the references
 the kernel is tested against.  Nothing under ``src/`` calls them.

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
-from repro.join.result import Pair, canonical_pairs
+from repro.join.result import Pair
 from repro.verify.cases import VerifyCase
 
 
@@ -51,12 +51,7 @@ def oracle_pairs(
     the same object)."""
     self_join = dataset_a is dataset_b
     eids_a, boxes_a = descriptor_boxes(dataset_a, margin)
-    if self_join:
-        eids_b, boxes_b = eids_a, boxes_a
-    else:
-        eids_b, boxes_b = descriptor_boxes(dataset_b, margin)
-    if not len(eids_a) or not len(eids_b):
-        return frozenset()
+    eids_b, boxes_b = (eids_a, boxes_a) if self_join else descriptor_boxes(dataset_b, margin)
 
     # Closed-interval intersection, broadcast to an |A| x |B| mask.
     a = boxes_a[:, None, :]
@@ -68,10 +63,10 @@ def oracle_pairs(
         & (b[..., 1] <= a[..., 3])
     )
     rows, cols = np.nonzero(mask)
-    raw = {
-        (int(eids_a[i]), int(eids_b[j])) for i, j in zip(rows, cols)
-    }
-    return canonical_pairs(raw, self_join)
+    pairs = zip(eids_a[rows].tolist(), eids_b[cols].tolist())
+    if self_join:  # mirrored pairs fold to (min, max); (e, e) is no pair
+        return frozenset((min(p), max(p)) for p in pairs if p[0] != p[1])
+    return frozenset(pairs)
 
 
 def oracle_window(dataset: SpatialDataset, window: Rect) -> tuple[int, ...]:

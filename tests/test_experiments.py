@@ -143,6 +143,23 @@ class TestTable4:
         assert s3j.result.metrics.replication_a == 1.0
         assert shj.result.metrics.replication_b > 1.0
 
+    def test_disagreeing_configuration_raises(self, monkeypatch):
+        """The row's cross-algorithm check compares pair arrays: one
+        pair changed in one configuration, same length, must raise."""
+        import repro.experiments.table4 as table4
+
+        def perturbed(a, b, algorithm, **kwargs):
+            outcome = run_algorithm(a, b, algorithm, **kwargs)
+            if algorithm == "shj":
+                changed = outcome.result.pair_array.copy()
+                changed["b"][0] += 1
+                outcome.result.pair_array = changed
+            return outcome
+
+        monkeypatch.setattr(table4, "run_algorithm", perturbed)
+        with pytest.raises(AssertionError, match="disagrees with s3j"):
+            run_workload(workload_by_name("UN1-UN2"), scale=TINY)
+
     def test_only_filter(self):
         rows = table4_rows(scale=TINY, only=("UN1-UN2",))
         assert len(rows) == 1

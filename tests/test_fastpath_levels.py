@@ -41,6 +41,7 @@ from repro.geometry.rect import Rect
 from repro.join.dataset import SpatialDataset
 from repro.join.predicates import Intersects, WithinDistance
 from repro.join.result import canonical_pairs
+from repro.storage.records import PAIR
 
 # ---------------------------------------------------------------------------
 # The reference: PR 18's per-group-pair loop.
@@ -92,7 +93,8 @@ def reference_join(dataset_a, dataset_b, cell_level, predicate):
     )
     buckets_a = _buckets(col_a, cell_level)
     buckets_b = buckets_a if self_join else _buckets(col_b, cell_level)
-    raw: list[tuple[int, int]] = []
+    raw_a: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    raw_b: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     candidates = 0
     for key_a, key_b in _nested_bucket_pairs(buckets_a, buckets_b, self_join):
         ra, rb = buckets_a[key_a][:, None], buckets_b[key_b][None, :]
@@ -100,9 +102,10 @@ def reference_join(dataset_a, dataset_b, cell_level, predicate):
         candidates += int(x_overlap.sum())
         hit = x_overlap & (col_a.ylo[ra] <= col_b.yhi[rb]) & (col_b.ylo[rb] <= col_a.yhi[ra])
         ia, ib = np.nonzero(hit)
-        raw.extend(
-            zip(col_a.eid[ra[ia, 0]].tolist(), col_b.eid[rb[0, ib]].tolist())
-        )
+        raw_a.append(col_a.eid[ra[ia, 0]])
+        raw_b.append(col_b.eid[rb[0, ib]])
+    raw = np.empty(sum(map(len, raw_a)), dtype=PAIR)
+    raw["a"], raw["b"] = np.concatenate(raw_a), np.concatenate(raw_b)
     return canonical_pairs(raw, self_join), candidates, len(buckets_a), len(buckets_b)
 
 
@@ -150,7 +153,7 @@ def _assert_matches_reference(dataset_a, dataset_b, cell_level, predicate):
     pairs, candidates, groups_a, groups_b = reference_join(
         dataset_a, dataset_b, details["cell_level"], predicate
     )
-    assert result.pairs == pairs
+    assert np.array_equal(result.pair_array, pairs)
     assert details["candidates"] == candidates
     assert result.metrics.phases["join"].cpu_ops.get("mbr_test", 0) == candidates
     assert (details["groups_a"], details["groups_b"]) == (groups_a, groups_b)

@@ -3,7 +3,10 @@ and results."""
 
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
@@ -21,6 +24,7 @@ from repro.join.result import canonical_pairs
 from repro.storage.costs import CostModel
 from repro.storage.iostats import PhaseStats
 from repro.storage.manager import StorageConfig, StorageManager
+from repro.storage.records import PAIR
 
 from tests.conftest import brute_force_pairs, make_squares
 
@@ -91,14 +95,76 @@ class TestDataset:
         assert record[1] == 0.0 and record[2] == 0.0
 
 
+def _pair_array(pairs):
+    return np.array(list(pairs), dtype=PAIR)
+
+
+def _reference_pairs(pairs, self_join):
+    """What a join's pairs meant as a frozenset of tuples: a self join
+    folds mirrored pairs to ``(min, max)`` and drops ``(e, e)``."""
+    if not self_join:
+        return frozenset(pairs)
+    return frozenset((min(a, b), max(a, b)) for a, b in pairs if a != b)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_IDS = {
+    # Few distinct ids, so mirrors, (e, e) pairs and duplicates are common.
+    "small": st.integers(-6, 6),
+    "offset": st.integers(2**40 - 6, 2**40 + 6) | st.integers(-(2**40) - 6, -(2**40) + 6),
+    # A span of 2**32 or more: the lexsort fallback.
+    "wide": st.integers(-6, 6) | st.sampled_from([-(2**63), 2**63 - 1, 2**32, -(2**32)]) | _INT64,
+}
+
+
 class TestCanonicalPairs:
     def test_plain_join_passthrough(self):
-        pairs = {(1, 2), (2, 1)}
-        assert canonical_pairs(pairs, self_join=False) == frozenset(pairs)
+        out = canonical_pairs(_pair_array([(2, 1), (1, 2), (2, 1)]), self_join=False)
+        assert out.dtype == PAIR
+        assert out.tolist() == [(1, 2), (2, 1)]
 
     def test_self_join_normalizes(self):
-        pairs = {(1, 2), (2, 1), (3, 3)}
-        assert canonical_pairs(pairs, self_join=True) == frozenset({(1, 2)})
+        out = canonical_pairs(_pair_array([(1, 2), (2, 1), (3, 3)]), self_join=True)
+        assert out.tolist() == [(1, 2)]
+
+    @pytest.mark.parametrize("self_join", [False, True])
+    def test_empty_input(self, self_join):
+        for raw in ([], [(4, 4)]):
+            out = canonical_pairs(_pair_array(raw), self_join)
+            assert out.dtype == PAIR
+            assert out.tolist() == sorted(_reference_pairs(raw, self_join))
+
+    def test_result_is_read_only(self):
+        out = canonical_pairs(_pair_array([(1, 2)]), self_join=False)
+        with pytest.raises(ValueError):
+            out["a"][0] = 7
+
+    @pytest.mark.parametrize("ids, fallback", [("small", False), ("offset", False), ("wide", True)])
+    def test_wide_ids_take_the_lexsort_fallback(self, monkeypatch, ids, fallback):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        low, high = {
+            "small": (-6, 6), "offset": (2**40 - 6, 2**40 + 6), "wide": (-(2**63), 2**63 - 1)
+        }[ids]
+        raw = [(low, high), (high, low), (high, high), (low, high), (high, low + 1)]
+        for self_join in (False, True):
+            out = canonical_pairs(_pair_array(raw), self_join)
+            assert out.tolist() == sorted(_reference_pairs(raw, self_join))
+        assert bool(calls) == fallback
+
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.parametrize("ids", sorted(_IDS))
+    @given(data=st.data(), self_join=st.booleans())
+    def test_matches_the_frozenset_reference(self, ids, data, self_join):
+        raw = data.draw(st.lists(st.tuples(_IDS[ids], _IDS[ids]), max_size=40))
+        if raw and data.draw(st.booleans()):  # mirrored copies of drawn pairs
+            raw += [(b, a) for a, b in raw[: data.draw(st.integers(1, len(raw)))]]
+        out = canonical_pairs(_pair_array(raw), self_join)
+        rows = out.tolist()
+        assert out.dtype == PAIR
+        assert rows == sorted(set(rows))  # sorted by (a, b), unique
+        assert frozenset(rows) == _reference_pairs(raw, self_join)
 
 
 class TestSpatialJoinAPI:
@@ -359,6 +425,26 @@ class TestInputRule:
             with pytest.raises(ValueError, match=refusal):
                 spatial_join(good, self.build(case, source), algorithm=algorithm, mode=mode)
         assert not reached
+
+
+class TestTimedPathBuildsNoTuple:
+    """A join's result is its ``PAIR`` array: the set of tuples
+    ``result.pairs`` is built only when a caller asks for it."""
+
+    @pytest.mark.parametrize(
+        "algorithm, mode",
+        [("s3j", "memory"), ("s3j", "ledger"), ("pbsm", "ledger"), ("shj", "ledger"),
+         ("rtree", "ledger"), ("sweep", "ledger")],
+    )
+    def test_run_algorithm_leaves_pairs_unbuilt(self, algorithm, mode):
+        from repro.experiments.runner import run_algorithm
+
+        a = make_squares(120, 0.06, seed=11, name="A")
+        b = make_squares(100, 0.05, seed=12, name="B")
+        result = run_algorithm(a, b, algorithm, mode=mode).result
+        assert "pairs" not in result.__dict__
+        assert len(result) == len(result.pairs) > 0
+        assert result.pairs == brute_force_pairs(a, b)
 
 
 class TestBatchPathMintsNoEntity:
