@@ -26,8 +26,9 @@ event counts) and, with ``--html``, a self-contained HTML report.
 emits the rows as JSON.  `verify` runs the differential correctness
 harness (:mod:`repro.verify`) — every registered algorithm and the
 memory-mode engine, cross-checked against the brute-force oracle under
-metamorphic transforms and ledger invariants — and exits non-zero on
-any divergence.
+metamorphic transforms and ledger invariants, and S3J's refined sets
+held equal across the two modes — and exits non-zero on any
+divergence.
 
 Storage faults (DESIGN.md section 11): ``verify --chaos --cases N``
 runs N sampled joins on the durable store with one errno fault or
@@ -40,9 +41,9 @@ JSON-lines TCP front-end over a resident :class:`PersistentIndex`
 (incremental inserts/deletes, background compaction, rate limiting,
 circuit breaker), and ``verify --service`` replays interleaved
 queries/mutations against an independent model of the live set at every
-index epoch.  The ``verify`` mode flags (``--chaos``, ``--cross-mode``,
-``--service``, ``--crash``, ``--fsync-mutations``, ``--serve-roundtrip``)
-are mutually exclusive.
+index epoch.  The ``verify`` mode flags (``--chaos``, ``--service``,
+``--crash``, ``--fsync-mutations``, ``--serve-roundtrip``) are mutually
+exclusive.
 """
 
 from __future__ import annotations
@@ -189,13 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seam fault each (EIO/ENOSPC on a read, write or fsync, or a "
         "corrupt read) and assert every fired fault ends loud and every "
         "other run correct",
-    )
-    mode.add_argument(
-        "--cross-mode",
-        action="store_true",
-        help="cross-mode parity: run every workload through ledger mode "
-        "and memory mode and require identical pair sets, all equal to "
-        "the brute-force oracle",
     )
     mode.add_argument(
         "--service",
@@ -508,9 +502,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else None
         )
         counted = {} if args.cases is None else {"cases": args.cases}
-        if args.cross_mode:
-            gate = partial(verify.run_cross_mode, cases=cases)
-        elif args.crash:
+        if args.crash:
             gate = partial(verify.run_crash_verify, **counted)
         elif args.fsync_mutations:
             gate = verify.run_fsync_mutations

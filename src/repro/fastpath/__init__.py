@@ -10,7 +10,8 @@ rank-composite keys, and zero PagedFile/BufferPool simulation.
 
 Selected with ``spatial_join(..., mode="memory")`` or
 ``repro join --mode memory``; differentially verified against the
-ledger mode by :func:`repro.verify.run_cross_mode`.
+oracle and, refined, against the ledger mode by every
+:func:`repro.verify.run_verify` sweep.
 """
 
 from repro.fastpath.columnar import ColumnarDataset

@@ -207,10 +207,10 @@ def memory_spatial_join(
 ) -> JoinResult:
     """Run S3J entirely in memory and return a standard ``JoinResult``.
 
-    Produces the exact candidate pair set of the ledger mode (the
-    cross-mode parity gate :func:`repro.verify.run_cross_mode` holds this
-    to the oracle suite): both modes expand MBRs by the predicate's
-    margin with the same expressions before filtering.
+    Produces the exact candidate pair set of the ledger mode (every
+    :func:`repro.verify.run_verify` sweep holds this to the oracle, and
+    the refined set to the ledger mode's): both modes expand MBRs by the
+    predicate's margin with the same expressions before filtering.
 
     ``cell_level`` caps how deep cells go (default: auto from input
     size); ``curve``/``max_level`` mirror the ledger algorithm's

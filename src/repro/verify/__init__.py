@@ -7,18 +7,20 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   window scans that share no code with any engine; every expected
   answer in the package comes from here.
 - **batch harness** (:func:`run_verify`) — workloads × metamorphic
-  variants × executors against the oracle, with pluggable ledger
-  invariants, obs-on/off parity, and ddmin counterexamples.
-  :func:`run_cross_mode` is the same sweep with the
-  ledger/memory roster plus refined-set parity; :func:`run_chaos`
-  runs sampled joins on the durable store, one fault injected at the
-  file-I/O seam each, and asserts that every fired fault ends loud and
-  every other run correct.
+  variants × executors against the oracle, with the ledger invariants,
+  obs-on/off parity, refined-set parity between S3J's ledger and memory
+  modes, and ddmin counterexamples.  :func:`run_chaos` samples joins on
+  the durable store, one fault injected at the file-I/O seam each, and
+  runs them through the same :func:`run_executor` and
+  :func:`diff_pairs`.
 - **scenario harness** (:mod:`~repro.verify.scenario`) — one seeded op
   generator, one :class:`LiveModel` advanced by the acknowledged ops
   alone, one :func:`check_index` verdict.  :func:`run_service_verify`
   and :func:`run_service_chaos` replay it through a live
-  :class:`~repro.service.api.JoinService` under fault profiles;
+  :class:`~repro.service.api.JoinService` under fault profiles, and
+  :func:`~repro.verify.scenario.ending` — correct, loud, or the
+  violation spurious, swallowed or unfired — judges every faulted run,
+  batch chaos included;
   :func:`run_crash_verify` runs the same ops on a recording disk and
   reopens the store from every state a power cut could leave at every
   fsync; :func:`run_fsync_mutations` makes each fsync site a no-op in
@@ -38,8 +40,8 @@ from repro.verify.chaos import run_chaos
 from repro.verify.crash import run_crash_verify, run_fsync_mutations, run_serve_roundtrip
 from repro.verify.differential import Counterexample, Divergence, diff_pairs
 from repro.verify.executors import ExecutorSpec, default_executors, run_executor
-from repro.verify.harness import run_cross_mode, run_verify
-from repro.verify.invariants import DEFAULT_INVARIANTS, Invariant
+from repro.verify.harness import run_verify
+from repro.verify.invariants import DEFAULT_INVARIANTS
 from repro.verify.metamorphic import TRANSFORMS, Transform, transforms_by_name
 from repro.verify.oracle import oracle_pairs, oracle_window
 from repro.verify.report import Report, Violation
@@ -56,7 +58,6 @@ __all__ = [
     "Counterexample",
     "Divergence",
     "ExecutorSpec",
-    "Invariant",
     "LiveModel",
     "Report",
     "TRANSFORMS",
@@ -72,7 +73,6 @@ __all__ = [
     "oracle_window",
     "run_chaos",
     "run_crash_verify",
-    "run_cross_mode",
     "run_executor",
     "run_fsync_mutations",
     "run_serve_roundtrip",

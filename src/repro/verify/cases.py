@@ -23,7 +23,6 @@ class VerifyCase:
     dataset_a: SpatialDataset
     dataset_b: SpatialDataset
     predicate: JoinPredicate = field(default_factory=Intersects)
-    source: str = "generated"  # "generated" | "paper"
 
     @property
     def self_join(self) -> bool:

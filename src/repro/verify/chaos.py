@@ -7,19 +7,18 @@ file-I/O seam, with one sampled :class:`~repro.verify.recorder.Fault`
 armed — EIO or ENOSPC on a read, write or fsync, or a corrupt read — or
 none (the quiet case).  The fault hits the ``nth`` such call on one of
 the store's files, ``nth`` drawn from the calls the same case makes
-fault-free, so an armed fault always fires.  A case ends (DESIGN.md
-section 11)
+fault-free, so an armed fault always fires.
 
-- **correct** — no fault fired and the pair set equals the brute-force
-  oracle's; or
-- **loud** — a fault fired and the join raised ``OSError`` or
-  :class:`~repro.storage.durable.DurableStoreError` (a corrupt read
-  fails the slot checksum).
-
-Every other ending is a violation: **swallowed** (a fault fired and the
-join still returned the right pairs), **spurious** (loud with nothing
-fired), **unfired** (an armed fault never went off: the case proved
-nothing), **wrong** pairs, or an **untyped** exception.
+This module is the sampler only.  The join runs through the batch
+harness's :func:`~repro.verify.executors.run_executor` on the durable
+store's configuration, its pairs are diffed against the brute-force
+oracle with :func:`~repro.verify.differential.diff_pairs`, and its
+ending is :func:`~repro.verify.scenario.ending`, the one the service
+replay uses (DESIGN.md section 11): **correct** or **loud** (an
+``OSError`` or a :class:`~repro.storage.durable.DurableStoreError`; a
+corrupt read fails the slot checksum), never **spurious**,
+**swallowed** or **unfired** — nor **wrong** pairs or an **untyped**
+exception.
 """
 
 from __future__ import annotations
@@ -30,15 +29,16 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from repro.join.api import spatial_join
-from repro.join.result import JoinResult
 from repro.obs import fileio
 from repro.storage.durable import CHECKPOINT_FILE, DATA_FILE, SLOT_COVERED, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.verify.cases import VerifyCase
+from repro.verify.differential import diff_pairs
+from repro.verify.executors import ExecutorSpec, run_executor
 from repro.verify.oracle import oracle_for_case
 from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.report import Report
+from repro.verify.scenario import BAD_ENDINGS, GOOD_ENDINGS, STORE, ending
 from repro.verify.workloads import generated_cases
 
 CHAOS_ALGORITHMS = ("s3j", "pbsm", "shj")
@@ -52,9 +52,6 @@ hundreds of fault scenarios stays fast."""
 KINDS = ("read", "corrupt", "write", "fsync", "quiet")
 FILES = (DATA_FILE, "wal-", CHECKPOINT_FILE)
 """Name prefixes of the store's files: pages, log segments, checkpoint."""
-
-STORE = "/chaos"  # the store's directory on the recording disk
-GOOD_OUTCOMES = ("correct", "loud")
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,15 @@ class ChaosScenario:
             f"(M={self.buffer_pages}) {fault.describe() if fault else self.kind}"
         )
 
+    @property
+    def spec(self) -> ExecutorSpec:
+        return ExecutorSpec(self.algorithm)
+
+    @property
+    def storage(self) -> StorageConfig:
+        """The durable store on the recording disk, with this case's buffer."""
+        return StorageConfig(buffer_pages=self.buffer_pages, backend="durable", directory=STORE)
+
     def fault(self, calls: Counter[tuple[str, str]]) -> Fault | None:
         """The fault to arm, given the fault-free run's ``calls``."""
         if self.kind == "quiet":
@@ -102,12 +108,12 @@ class ChaosOutcome:
     """What one chaos case ended as."""
 
     scenario: str
-    outcome: str  # one of GOOD_OUTCOMES, or the violation's name
+    outcome: str  # one of GOOD_ENDINGS, or the violation's name
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.outcome in GOOD_OUTCOMES
+        return self.outcome in GOOD_ENDINGS
 
 
 def _shrunk_cases(seed: int, limit: int = CHAOS_ENTITY_LIMIT) -> list[VerifyCase]:
@@ -152,25 +158,11 @@ def sample_scenario(
     )
 
 
-def _join(scenario: ChaosScenario, disk: FaultyDisk) -> JoinResult:
-    config = StorageConfig(
-        buffer_pages=scenario.buffer_pages, backend="durable", directory=STORE
-    )
-    case = scenario.case
-    with fileio.using(disk):
-        return spatial_join(
-            case.dataset_a,
-            case.dataset_b,
-            algorithm=scenario.algorithm,
-            predicate=case.predicate,
-            storage=config,
-        )
-
-
 def fault_free_calls(scenario: ChaosScenario) -> Counter[tuple[str, str]]:
     """The reads, writes and fsyncs ``scenario``'s join makes, by file."""
     disk = FaultyDisk()
-    _join(scenario, disk)
+    with fileio.using(disk):
+        run_executor(scenario.case, scenario.spec, instrument=False, storage=scenario.storage)
     return disk.calls
 
 
@@ -185,23 +177,19 @@ def run_chaos_case(
     disk = FaultyDisk(fault=fault)
     label = scenario.describe(fault)
     try:
-        result = _join(scenario, disk)
+        with fileio.using(disk):
+            record = run_executor(
+                scenario.case, scenario.spec, instrument=False, storage=scenario.storage
+            )
     except (OSError, DurableStoreError) as error:
-        outcome = "loud" if disk.fired else "spurious"
-        return ChaosOutcome(label, outcome, f"{type(error).__name__}: {error}")
+        return ChaosOutcome(label, ending(disk, loud=True), f"{type(error).__name__}: {error}")
     except Exception as error:  # noqa: BLE001 - the bug class under test
         return ChaosOutcome(label, "untyped-error", f"{type(error).__name__}: {error}")
-    oracle = oracle_for_case(scenario.case)
-    if result.pairs != oracle:
-        extra, missing = result.pairs - oracle, oracle - result.pairs
-        return ChaosOutcome(
-            label, "wrong", f"{len(extra)} bogus pair(s), {len(missing)} missing"
-        )
-    if disk.fired:
-        return ChaosOutcome(label, "swallowed", "the fault fired, the join returned")
-    if fault is not None:
-        return ChaosOutcome(label, "unfired", "the armed fault never fired")
-    return ChaosOutcome(label, "correct")
+    diff = diff_pairs(oracle_for_case(scenario.case), record.pairs)
+    if not diff.empty:
+        return ChaosOutcome(label, "wrong", diff.describe())
+    verdict = ending(disk, loud=False)
+    return ChaosOutcome(label, verdict, BAD_ENDINGS.get(verdict, ""))
 
 
 def run_chaos(

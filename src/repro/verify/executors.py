@@ -19,7 +19,7 @@ from repro.join.metrics import JoinMetrics
 from repro.join.result import Pair
 from repro.obs import Observability
 from repro.storage.iostats import PhaseStats
-from repro.storage.manager import StorageManager
+from repro.storage.manager import StorageConfig, StorageManager
 from repro.verify.cases import VerifyCase
 
 SORTED_FILE_SUFFIX = "-sorted"
@@ -37,17 +37,11 @@ class ExecutorSpec:
 
     algorithm: str
     params: tuple[tuple[str, Any], ...] = ()
-    label: str | None = None
     mode: str = "ledger"
 
     @property
     def name(self) -> str:
-        if self.label:
-            return self.label
-        name = self.algorithm
-        if self.mode != "ledger":
-            name = f"{name}:{self.mode}"
-        return name
+        return self.algorithm if self.mode == "ledger" else f"{self.algorithm}:{self.mode}"
 
 
 @dataclass
@@ -69,10 +63,14 @@ class RunRecord:
 
 
 def default_executors(
-    algorithms: tuple[str, ...] | None = None, memory_mode: bool = True
+    algorithms: tuple[str, ...] | None = None
 ) -> list[ExecutorSpec]:
-    """The default roster: every registered algorithm, plus (when
-    ``memory_mode`` and s3j is in the roster) the in-memory fast path."""
+    """The default roster: every registered algorithm, plus (when s3j
+    is in the roster) the in-memory fast path.  S3J refines in both
+    modes — the ledger mode scans simulated pages, the memory mode
+    sweeps columnar arrays, and they share nothing below
+    ``spatial_join`` — so the harness can hold the refined sets to each
+    other."""
     names = algorithms or available_algorithms()
     unknown = set(names) - set(available_algorithms())
     if unknown:
@@ -80,23 +78,11 @@ def default_executors(
             f"unknown algorithms {sorted(unknown)}; "
             f"choose from {available_algorithms()}"
         )
-    specs = [ExecutorSpec(algorithm=name) for name in names]
-    if memory_mode and "s3j" in names:
-        specs.append(ExecutorSpec(algorithm="s3j", mode="memory"))
+    refine = (("refine", True),)
+    specs = [ExecutorSpec(name, refine if name == "s3j" else ()) for name in names]
+    if "s3j" in names:
+        specs.append(ExecutorSpec("s3j", refine, mode="memory"))
     return specs
-
-
-def cross_mode_executors(refine: bool = True) -> list[ExecutorSpec]:
-    """The cross-mode roster: S3J through both engines — the ledger
-    mode scans simulated pages, the memory mode sweeps columnar arrays,
-    and they share nothing below ``spatial_join`` — each also running
-    the exact-predicate refinement step so the harness can hold the
-    refined sets to each other."""
-    params = (("refine", True),) if refine else ()
-    return [
-        ExecutorSpec("s3j", mode=mode, params=params)
-        for mode in ("ledger", "memory")
-    ]
 
 
 def run_executor(
@@ -104,14 +90,16 @@ def run_executor(
     spec: ExecutorSpec,
     overrides: dict[str, Any] | None = None,
     instrument: bool = True,
+    storage: StorageConfig | None = None,
 ) -> RunRecord:
     """Run one executor on one case and capture its evidence.
 
-    Ledger runs build their own :class:`StorageManager` so the live
-    ledger totals and the sorted level files can be inspected before the
-    storage is torn down; memory-mode runs (no storage at all) capture
-    the pair sets and metrics only, and the storage invariants skip
-    them.
+    Ledger runs build their own :class:`StorageManager` — on
+    ``storage``, or by default on the paper's memory sizing — so the
+    live ledger totals and the sorted level files can be inspected
+    before the storage is torn down; memory-mode runs (no storage at
+    all) capture the pair sets and metrics only, and the storage
+    invariants skip them.
     """
     params = dict(spec.params)
     if overrides:
@@ -122,7 +110,7 @@ def run_executor(
         params.update(obs=obs, mode=spec.mode)
     else:
         manager = StorageManager(
-            default_storage_config(case.dataset_a, case.dataset_b), obs=obs
+            storage or default_storage_config(case.dataset_a, case.dataset_b), obs=obs
         )
         params.update(storage=manager)
     total, level_file_pages = None, {}

@@ -5,15 +5,12 @@ One :func:`run_verify` call sweeps the cross product of
     workloads x metamorphic variants x executors
 
 and checks, for every run: the pair set against the brute-force oracle
-(with metamorphic expectation mapping), the pluggable ledger
-invariants, and — once per workload — obs-on/obs-off ledger parity.
-Any pair-set divergence is shrunk to a minimized counterexample before
-it is reported.
-
-Cross-mode parity (``repro verify --cross-mode``) is this same sweep
-with the roster of :func:`~repro.verify.executors.cross_mode_executors`
-and the identity transform: both engines against the oracle, plus — for executors that refine — refined sets equal to each
-other (the oracle covers the filter step only).
+(with metamorphic expectation mapping), the ledger invariants, and —
+once per workload — obs-on/obs-off ledger parity.  Any pair-set
+divergence is shrunk to a minimized counterexample before it is
+reported.  The oracle covers the filter step only, so the refined sets
+of the executors that refine (S3J in ledger and memory mode, in the
+default roster) are held to each other: **refined parity**.
 """
 
 from __future__ import annotations
@@ -27,17 +24,8 @@ from repro.verify.differential import (
     diff_pairs,
     minimize_counterexample,
 )
-from repro.verify.executors import (
-    ExecutorSpec,
-    cross_mode_executors,
-    default_executors,
-    run_executor,
-)
-from repro.verify.invariants import (
-    DEFAULT_INVARIANTS,
-    Invariant,
-    check_obs_parity,
-)
+from repro.verify.executors import ExecutorSpec, default_executors, run_executor
+from repro.verify.invariants import DEFAULT_INVARIANTS, check_obs_parity
 from repro.verify.metamorphic import (
     FULL_TRANSFORMS,
     QUICK_TRANSFORMS,
@@ -56,10 +44,7 @@ def run_verify(
     cases: list[VerifyCase] | None = None,
     transforms: list[Transform] | None = None,
     executors: list[ExecutorSpec] | None = None,
-    invariants: tuple[Invariant, ...] = DEFAULT_INVARIANTS,
     minimize: bool = True,
-    minimize_budget: int = 80,
-    obs_parity: bool = True,
     seed: int = 0,
     progress: Progress | None = None,
 ) -> Report:
@@ -67,9 +52,9 @@ def run_verify(
 
     Quick mode (the CI smoke configuration) covers three generated
     workloads, four metamorphic variants plus identity, every
-    registered algorithm, and memory-mode S3J; full mode adds
-    the degenerate and paper workloads, the reflection transform, and
-    obs-parity checks for every serial executor.
+    registered algorithm, and memory-mode S3J, with obs parity for S3J;
+    full mode adds the degenerate and paper workloads, the reflection
+    transform, and obs-parity checks for every executor.
     """
     say = progress or (lambda message: None)
     started = time.monotonic()
@@ -132,7 +117,6 @@ def run_verify(
                             lambda sub: run_executor(
                                 sub, spec, overrides=overrides, instrument=False
                             ).pairs,
-                            max_runs=minimize_budget,
                         )
                     divergence = Divergence(
                         case=case.name,
@@ -146,8 +130,8 @@ def run_verify(
                     report.fail("pair-set", where, divergence.describe(), divergence)
                 report.violations.extend(
                     violation
-                    for invariant in invariants
-                    for violation in invariant.violations(record)
+                    for invariant in DEFAULT_INVARIANTS
+                    for violation in invariant(record)
                 )
                 if record.refined is not None and reference is None:
                     reference = (spec.name, record.refined)
@@ -159,34 +143,12 @@ def run_verify(
                         + diff_pairs(reference[1], record.refined).describe(),
                     )
 
-        if obs_parity:
-            for spec in executors:
-                if quick and spec.algorithm != "s3j":
-                    continue
-                report.violations.extend(check_obs_parity(case, spec))
-                counts["runs"] += 2
+        for spec in executors:
+            if quick and spec.algorithm != "s3j":
+                continue
+            report.violations.extend(check_obs_parity(case, spec))
+            counts["runs"] += 2
 
     counts["elapsed_s"] = round(time.monotonic() - started, 3)
     return report
 
-
-def run_cross_mode(
-    cases: list[VerifyCase] | None = None,
-    refine: bool = True,
-    seed: int = 0,
-    progress: Progress | None = None,
-) -> Report:
-    """Cross-mode parity: every workload through ledger mode and memory
-    mode — all pair sets equal to the brute-force oracle, refined sets
-    equal across modes."""
-    report = run_verify(
-        quick=False,
-        cases=cases,
-        transforms=transforms_by_name(()),
-        executors=cross_mode_executors(refine),
-        obs_parity=False,
-        seed=seed,
-        progress=progress,
-    )
-    report.gate = "cross-mode"
-    return report

@@ -1,8 +1,10 @@
-"""Pluggable ledger-invariant checkers.
+"""Ledger-invariant checkers.
 
-Each checker inspects one :class:`~repro.verify.executors.RunRecord`
-and returns human-readable violation messages (empty list = holds).
-These are the paper's structural claims, enforced mechanically:
+Each checker is a function of one
+:class:`~repro.verify.executors.RunRecord` returning its
+:class:`~repro.verify.report.Violation` list (empty = holds, or does not
+apply).  These are the paper's structural claims, enforced
+mechanically:
 
 - **phase-buckets-sum-to-total** — the per-phase ledger buckets add up
   to the grand totals exactly: no I/O or counted CPU op ever escapes
@@ -16,13 +18,12 @@ These are the paper's structural claims, enforced mechanically:
   replicate either; SHJ never replicates data set A.
 
 Obs-on/obs-off ledger parity is a *differential* check (it needs two
-runs), so it lives in the harness (:func:`check_obs_parity`) rather
-than in the per-record protocol.
+runs), so :func:`check_obs_parity` takes a case and a spec instead.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from typing import Callable
 
 from repro.storage.iostats import PhaseStats
 from repro.verify.cases import VerifyCase
@@ -35,131 +36,108 @@ from repro.verify.executors import (
 from repro.verify.report import Violation
 
 NO_REPLICATION = {"s3j", "rtree", "sweep"}
+LEDGER_COUNTERS = (
+    "page_reads",
+    "page_writes",
+    "random_reads",
+    "random_writes",
+    "buffer_hits",
+)
 
 
-class Invariant(ABC):
-    """One per-record invariant checker."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def check(self, record: RunRecord) -> list[str]:
-        """Violation messages for one run (empty when the invariant
-        holds or does not apply)."""
-
-    def violations(self, record: RunRecord) -> list[Violation]:
-        where = f"{record.name} on {record.case.name}"
-        return [Violation(self.name, where, message) for message in self.check(record)]
+def _found(check: str, record: RunRecord, problems: list[str]) -> list[Violation]:
+    where = f"{record.name} on {record.case.name}"
+    return [Violation(check, where, message) for message in problems]
 
 
-class PhaseBucketsSumInvariant(Invariant):
+def phase_buckets_sum_to_total(record: RunRecord) -> list[Violation]:
     """Per-phase buckets sum exactly to the ledger totals."""
-
-    name = "phase-buckets-sum-to-total"
-
-    _COUNTERS = (
-        "page_reads",
-        "page_writes",
-        "random_reads",
-        "random_writes",
-        "buffer_hits",
-    )
-
-    def check(self, record: RunRecord) -> list[str]:
-        if record.ledger_total is None:  # only memory-mode runs: no live ledger
-            return []
-        summed = PhaseStats()
-        for bucket in record.metrics.phases.values():
-            bucket.merged_into(summed)
-        problems = []
-        for counter in self._COUNTERS:
-            total = getattr(record.ledger_total, counter)
-            phased = getattr(summed, counter)
-            if total != phased:
-                problems.append(
-                    f"{counter}: phases sum to {phased}, total is {total}"
-                )
-        # The exact-predicate refinement step runs after the algorithm's
-        # last phase closes: it is charged to the ledger but is not one
-        # of Table 2's phases.
-        total_cpu = {
-            op: count
-            for op, count in record.ledger_total.cpu_ops.items()
-            if op != "refine"
-        }
-        if summed.cpu_ops != total_cpu:
+    if record.ledger_total is None:  # only memory-mode runs: no live ledger
+        return []
+    summed = PhaseStats()
+    for bucket in record.metrics.phases.values():
+        bucket.merged_into(summed)
+    problems = []
+    for counter in LEDGER_COUNTERS:
+        total = getattr(record.ledger_total, counter)
+        phased = getattr(summed, counter)
+        if total != phased:
             problems.append(
-                f"cpu_ops: phases sum to {summed.cpu_ops}, total is {total_cpu}"
+                f"{counter}: phases sum to {phased}, total is {total}"
             )
-        return problems
+    # The exact-predicate refinement step runs after the algorithm's
+    # last phase closes: it is charged to the ledger but is not one
+    # of Table 2's phases.
+    total_cpu = {
+        op: count
+        for op, count in record.ledger_total.cpu_ops.items()
+        if op != "refine"
+    }
+    if summed.cpu_ops != total_cpu:
+        problems.append(
+            f"cpu_ops: phases sum to {summed.cpu_ops}, total is {total_cpu}"
+        )
+    return _found("phase-buckets-sum-to-total", record, problems)
 
 
-class JoinReadsOnceInvariant(Invariant):
+def join_reads_once(record: RunRecord) -> list[Violation]:
     """S3J's join phase touches each sorted level-file page once."""
-
-    name = "join-reads-once"
-
-    def check(self, record: RunRecord) -> list[str]:
-        if record.spec.algorithm != "s3j":
-            return []
-        if record.registry is None or not record.level_file_pages:
-            return []
-        problems = []
-        total_pages = 0
-        for file_name, pages in sorted(record.level_file_pages.items()):
-            if not file_name.endswith(SORTED_FILE_SUFFIX):
-                continue
-            total_pages += pages
-            reads = record.registry.counter_value(
-                "io.reads", file=file_name, kind="sequential"
-            ) + record.registry.counter_value(
-                "io.reads", file=file_name, kind="random"
-            )
-            if reads > pages:
-                problems.append(
-                    f"{file_name}: {reads} physical reads for {pages} pages "
-                    "(some page was read more than once)"
-                )
-        processed = record.registry.counter_total("scan.pages")
-        if processed != total_pages:
+    if record.spec.algorithm != "s3j":
+        return []
+    if record.registry is None or not record.level_file_pages:
+        return []
+    problems = []
+    total_pages = 0
+    for file_name, pages in sorted(record.level_file_pages.items()):
+        if not file_name.endswith(SORTED_FILE_SUFFIX):
+            continue
+        total_pages += pages
+        reads = record.registry.counter_value(
+            "io.reads", file=file_name, kind="sequential"
+        ) + record.registry.counter_value(
+            "io.reads", file=file_name, kind="random"
+        )
+        if reads > pages:
             problems.append(
-                f"synchronized scan processed {processed} pages, sorted "
-                f"level files hold {total_pages}"
+                f"{file_name}: {reads} physical reads for {pages} pages "
+                "(some page was read more than once)"
             )
-        return problems
+    processed = record.registry.counter_total("scan.pages")
+    if processed != total_pages:
+        problems.append(
+            f"synchronized scan processed {processed} pages, sorted "
+            f"level files hold {total_pages}"
+        )
+    return _found("join-reads-once", record, problems)
 
 
-class ReplicationInvariant(Invariant):
+def replication(record: RunRecord) -> list[Violation]:
     """Replication factors match each algorithm's paper claim."""
-
-    name = "replication"
-
-    def check(self, record: RunRecord) -> list[str]:
-        metrics = record.metrics
-        problems = []
-        algorithm = record.spec.algorithm
-        if algorithm in NO_REPLICATION:
-            for side, factor in (
-                ("r_A", metrics.replication_a),
-                ("r_B", metrics.replication_b),
-            ):
-                if factor != 1.0:
-                    problems.append(
-                        f"{side} = {factor!r}, expected exactly 1.0 "
-                        f"({algorithm} never replicates)"
-                    )
-        elif algorithm == "shj" and metrics.replication_a != 1.0:
-            problems.append(
-                f"r_A = {metrics.replication_a!r}, expected exactly 1.0 "
-                "(SHJ never replicates data set A)"
-            )
-        return problems
+    metrics = record.metrics
+    problems = []
+    algorithm = record.spec.algorithm
+    if algorithm in NO_REPLICATION:
+        for side, factor in (
+            ("r_A", metrics.replication_a),
+            ("r_B", metrics.replication_b),
+        ):
+            if factor != 1.0:
+                problems.append(
+                    f"{side} = {factor!r}, expected exactly 1.0 "
+                    f"({algorithm} never replicates)"
+                )
+    elif algorithm == "shj" and metrics.replication_a != 1.0:
+        problems.append(
+            f"r_A = {metrics.replication_a!r}, expected exactly 1.0 "
+            "(SHJ never replicates data set A)"
+        )
+    return _found("replication", record, problems)
 
 
-DEFAULT_INVARIANTS: tuple[Invariant, ...] = (
-    PhaseBucketsSumInvariant(),
-    JoinReadsOnceInvariant(),
-    ReplicationInvariant(),
+DEFAULT_INVARIANTS: tuple[Callable[[RunRecord], list[Violation]], ...] = (
+    phase_buckets_sum_to_total,
+    join_reads_once,
+    replication,
 )
 
 

@@ -22,11 +22,17 @@ window queries); the in-process replay calls it at every epoch, the
 crash gate after each reopen of a crash state.  :func:`classify` is the
 service trichotomy: a query outcome is **ok** (and then compared with
 the model), **loud** (``failed`` with a typed error), or **declared
-partial** (``CircuitOpen`` named, breaker not closed) — and anything
-but ok needs an armed fault to excuse it, and an armed fault that never
-fires fails the scenario (**unfired**).  A storage error is loud when
-it is an ``OSError`` or a
+partial** (``CircuitOpen`` named, breaker not closed).  A storage error
+is loud when it is an ``OSError`` or a
 :class:`~repro.storage.durable.DurableStoreError`.
+
+**Ending.**  :func:`ending` is the one fault verdict, shared with batch
+chaos (:mod:`repro.verify.chaos`): a run under one armed fault ends
+**correct** or **loud**, never **spurious** (loud before the fault
+fired), **swallowed** (the fault fired and nothing failed loud) or
+**unfired** (the armed fault never went off).  The replay asks it at
+every typed storage error and once at the end; :func:`classify` holds a
+non-ok outcome to the same rule (spurious until the fault has fired).
 
 The replay drives the service's breaker from a manual clock it
 advances itself, so a verdict is a pure function of ``(seed, index)``:
@@ -72,8 +78,14 @@ also draws them, so the same query recurs across epochs and a result
 cached under a stale epoch would be served and caught."""
 
 PROFILES = ("scheduled-burst", "corrupt-read", "write-failure", "quiet")
+GOOD_ENDINGS = ("correct", "loud")
+BAD_ENDINGS = {
+    "spurious": "loud before any fault fired",
+    "swallowed": "the fault fired and nothing failed loud",
+    "unfired": "the armed fault never fired",
+}
 
-STORE = "/service"  # the index's data directory on the recording disk
+STORE = "/service"  # the store's directory on the recording disk (replay and batch chaos)
 
 BREAKER_RESET_S = 1.0  # manual-clock seconds
 STEPS_PER_RESET = 4
@@ -229,16 +241,27 @@ def check_index(index: PersistentIndex, model: LiveModel) -> list[str]:
     return problems
 
 
+def ending(disk: FaultyDisk, loud: bool) -> str:
+    """How a run on ``disk`` ended, given whether it failed ``loud`` (a
+    typed storage error or a non-ok outcome): one of
+    :data:`GOOD_ENDINGS`, or a violation named in :data:`BAD_ENDINGS`."""
+    if loud:
+        return "loud" if disk.fired else "spurious"
+    if disk.fired:
+        return "swallowed"
+    return "unfired" if disk.fault is not None else "correct"
+
+
 def classify(
-    outcome: QueryOutcome, breaker_state: BreakerState, faults_armed: bool
+    outcome: QueryOutcome, breaker_state: BreakerState, fault_fired: bool
 ) -> list[str]:
     """The service trichotomy: what is wrong with one query outcome
     *besides* its answer (which the caller compares when ``ok``)."""
     if outcome.status == "ok":
         return []
     problems = []
-    if not faults_armed:
-        problems.append(f"{outcome.status} outcome with no fault armed")
+    if not fault_fired:
+        problems.append(f"spurious {outcome.status} outcome: no fault has fired")
     if outcome.status == "failed":
         if not outcome.error:
             problems.append("failed without a typed error (silent failure)")
@@ -336,7 +359,6 @@ async def _replay(scenario: Scenario) -> Report:
         ),
         clock=lambda: now[0],
     )
-    faults = scenario.fault is not None
     report = Report(gate=scenario.describe())
     tally: Counter[str] = Counter()
 
@@ -345,16 +367,17 @@ async def _replay(scenario: Scenario) -> Report:
             report.fail(check, f"#{scenario.index} step {step} [{op}]", problem)
 
     def loud(step: int, op: str, error: Exception) -> None:
-        """A storage error outside a service query: fine under an armed
-        fault, a violation without one."""
+        """A storage error outside a service query: fine once the fault
+        has fired, spurious before."""
         tally["loud"] += 1
-        if not faults:
-            judge(step, op, "trichotomy", [f"{type(error).__name__} with no fault armed"])
+        verdict = ending(disk, loud=True)
+        if verdict not in GOOD_ENDINGS:
+            judge(step, op, verdict, [f"{type(error).__name__}: {BAD_ENDINGS[verdict]}"])
 
     async def ask(step: int, op: str, payload: Any) -> QueryOutcome:
         outcome = await _serve(service, op, payload)
         tally[outcome.status] += 1
-        problems = classify(outcome, service.breaker.state, faults)
+        problems = classify(outcome, service.breaker.state, disk.fired > 0)
         if outcome.status == "ok":
             answer = outcome.pairs if op == "join" else outcome.eids
             expected = model.expected(op, payload)
@@ -419,11 +442,12 @@ async def _replay(scenario: Scenario) -> Report:
             tally["epochs"] += 1
     finally:
         index.close()
-    if faults and not disk.fired:
-        judge(scenario.ops, "faults", "unfired", ["the armed fault never fired"])
+    verdict = ending(disk, loud=tally["loud"] + tally["failed"] + tally["partial"] > 0)
+    if report.ok and verdict not in GOOD_ENDINGS:
+        judge(scenario.ops, "faults", verdict, [BAD_ENDINGS[verdict]])
     report.counts.update(
         ops=scenario.ops,
-        faults=faults,
+        faults=scenario.fault is not None,
         epochs_checked=tally["epochs"],
         ok_queries=tally["ok"],
         failed_queries=tally["failed"],

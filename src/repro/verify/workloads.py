@@ -110,7 +110,6 @@ def paper_cases(scale: float = PAPER_SCALE) -> list[VerifyCase]:
                 dataset_a,
                 dataset_b,
                 predicate=workload.predicate(),
-                source="paper",
             )
         )
     return cases

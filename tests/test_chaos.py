@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 from repro.storage import durable
 from repro.storage.durable import DurableBackend
 from repro.verify.chaos import (
-    GOOD_OUTCOMES,
     KINDS,
     run_chaos,
     run_chaos_case,
     sample_scenario,
     _shrunk_cases,
 )
+from repro.verify.scenario import GOOD_ENDINGS
 
 _ROSTERS = {}
 
@@ -73,9 +73,9 @@ class TestTrichotomy:
         report = run_chaos(cases=200, seed=0)
         assert report.ok, report.summary()
         tally, kinds = report.counts["tally"], report.counts["kinds"]
-        assert set(tally) == set(GOOD_OUTCOMES)
-        assert tally["correct"] == kinds["quiet"]
-        assert set(kinds) == set(KINDS)
+        assert set(tally) == set(GOOD_ENDINGS)
+        assert tally == {"correct": 43, "loud": 157}
+        assert kinds == {"corrupt": 42, "fsync": 41, "quiet": 43, "read": 41, "write": 33}
         assert all(
             ("Error" in outcome["detail"]) == (outcome["outcome"] == "loud")
             for outcome in report.counts["outcomes"]

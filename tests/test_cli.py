@@ -89,7 +89,7 @@ class TestParser:
         "flags",
         [
             ["--chaos", "--crash"],
-            ["--service", "--cross-mode"],
+            ["--service", "--serve-roundtrip"],
             ["--crash", "--service", "--chaos"],
             ["--crash", "--fsync-mutations"],
             ["--fsync-mutations", "--serve-roundtrip"],
@@ -303,24 +303,19 @@ class TestExecutionModes:
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 class TestCrossModeCommand:
-    def test_cross_mode_passes(self, capsys):
+    def test_default_sweep_holds_both_modes(self, capsys):
+        """Ledger-vs-memory parity is part of every sweep: both S3J
+        engines run (refining) beside the other algorithms."""
         assert main(
-            ["verify", "--cross-mode", "--workloads", "uniform,mixed-self"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cross-mode" in out and "PASS" in out
-
-    def test_cross_mode_json(self, capsys):
-        assert main(
-            ["verify", "--cross-mode", "--workloads", "uniform", "--json"]
+            ["verify", "--workloads", "uniform,mixed-self", "--algorithms", "s3j",
+             "--transforms", "identity", "--json"]
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
-        # 1 workload x 2 modes
-        assert report["runs"] == 2
+        assert report["executors"] == ["s3j", "s3j:memory"]
 
-    def test_cross_mode_unknown_workload_exits_2(self, capsys):
-        assert main(
-            ["verify", "--cross-mode", "--workloads", "nope"]
-        ) == 2
-        assert "unknown" in capsys.readouterr().err
+    def test_cross_mode_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--cross-mode"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cross-mode" in capsys.readouterr().err

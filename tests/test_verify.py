@@ -19,17 +19,16 @@ from repro.verify import (
     default_executors,
     diff_pairs,
     oracle_pairs,
-    run_cross_mode,
     run_executor,
     run_verify,
     transforms_by_name,
 )
 from repro.verify.differential import minimize_counterexample
 from repro.verify.invariants import (
-    JoinReadsOnceInvariant,
-    PhaseBucketsSumInvariant,
-    ReplicationInvariant,
     check_obs_parity,
+    join_reads_once,
+    phase_buckets_sum_to_total,
+    replication,
 )
 from repro.verify.metamorphic import TRANSFORMS, CurveSwapTransform
 from repro.verify.workloads import grid_aligned_dataset
@@ -189,8 +188,12 @@ class TestDiffAndMinimize:
 
 class TestExecutors:
     def test_default_roster(self):
-        names = [spec.name for spec in default_executors()]
+        roster = default_executors()
+        names = [spec.name for spec in roster]
         assert names == ["pbsm", "rtree", "s3j", "shj", "sweep", "s3j:memory"]
+        # S3J refines in both modes, so every sweep holds the two to each other.
+        refining = [spec.name for spec in roster if dict(spec.params).get("refine")]
+        assert refining == ["s3j", "s3j:memory"]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithms"):
@@ -229,13 +232,13 @@ class TestInvariants:
     def test_healthy_s3j_run_passes_all(self):
         record = run_executor(small_case(), ExecutorSpec("s3j"))
         for invariant in DEFAULT_INVARIANTS:
-            assert invariant.violations(record) == []
+            assert invariant(record) == []
 
     def test_phase_buckets_detects_leak(self):
         record = run_executor(small_case(), ExecutorSpec("s3j"))
         bucket = next(iter(record.metrics.phases.values()))
         bucket.page_reads += 1  # doctor: a read escapes attribution
-        violations = PhaseBucketsSumInvariant().violations(record)
+        violations = phase_buckets_sum_to_total(record)
         assert len(violations) == 1
         assert "page_reads" in violations[0].message
 
@@ -247,18 +250,18 @@ class TestInvariants:
             name: max(pages - 1, 0)
             for name, pages in record.level_file_pages.items()
         }
-        violations = JoinReadsOnceInvariant().violations(record)
+        violations = join_reads_once(record)
         assert violations
         assert any("pages" in v.message for v in violations)
 
     def test_join_reads_once_ignores_other_algorithms(self):
         record = run_executor(small_case(), ExecutorSpec("sweep"))
-        assert JoinReadsOnceInvariant().violations(record) == []
+        assert join_reads_once(record) == []
 
     def test_replication_detects_fudged_factor(self):
         record = run_executor(small_case(), ExecutorSpec("s3j"))
         record.metrics.replication_a = 1.25
-        violations = ReplicationInvariant().violations(record)
+        violations = replication(record)
         assert len(violations) == 1
         assert "r_A" in violations[0].message
 
@@ -308,7 +311,6 @@ class TestHarness:
                 cases=[small_case()],
                 transforms=transforms_by_name(()),
                 executors=[ExecutorSpec(executor)],
-                obs_parity=False,
             )
             assert not report.ok
             (violation,) = report.violations
@@ -324,11 +326,18 @@ class TestHarness:
             assert "FAIL" in report.summary()
 
     def test_cross_mode_is_a_roster_of_the_same_sweep(self):
-        report = run_cross_mode(cases=[small_case()])
+        """Ledger-vs-memory parity needs no gate of its own: the
+        default S3J roster refines in both modes."""
+        report = run_verify(
+            cases=[small_case()],
+            transforms=transforms_by_name(()),
+            executors=default_executors(("s3j",)),
+        )
         assert report.ok, report.summary()
         assert report.counts["executors"] == ["s3j", "s3j:memory"]
         assert report.counts["transforms"] == ["identity"]
-        assert report.counts["runs"] == 2
+        # 2 executors + 1 obs-parity pair each (both are s3j).
+        assert report.counts["runs"] == 2 + 2 * 2
 
     def test_cross_mode_catches_refined_set_drift(self, monkeypatch):
         """The oracle covers the filter step only; a refinement step
@@ -343,7 +352,7 @@ class TestHarness:
             return result
 
         monkeypatch.setattr(fastpath, "memory_spatial_join", drops_a_refined_pair)
-        report = run_cross_mode(cases=[small_case()])
+        report = run_verify(cases=[small_case()], transforms=transforms_by_name(()))
         (violation,) = report.violations
         assert violation.check == "refined-parity"
         assert "s3j:memory" in violation.where and "1 missing" in violation.message

@@ -4,8 +4,10 @@ A gate that never fails proves nothing, so each check of the scenario
 harness is shown a bug it exists to catch — the index's ack-and-forget
 insert (which both service gates *passed* before the model was made
 independent of the index), the PR-9 tombstone filter, a compaction
-commit that forgets to reset the journal, an untyped compaction failure
-— and every ``repro verify`` mode is held to one report contract.
+commit that forgets to reset the journal, an untyped compaction failure,
+a WAL that retries a failed append (a swallowed fault), a storage error
+before the fault fired — and every ``repro verify`` mode is held to one
+report contract.
 """
 
 import heapq
@@ -23,7 +25,6 @@ from repro.verify import (
     cases_by_name,
     run_chaos,
     run_crash_verify,
-    run_cross_mode,
     run_service_chaos,
     run_service_verify,
     run_verify,
@@ -31,7 +32,8 @@ from repro.verify import (
 )
 from repro.verify.crash import run_crash_schedule, run_serve_roundtrip
 from repro.verify.executors import ExecutorSpec
-from repro.verify.scenario import classify
+from repro.verify.recorder import Fault
+from repro.verify.scenario import Scenario, classify, run_scenario
 
 DESCRIPTORS = EntityDescriptorCodec()
 
@@ -79,6 +81,20 @@ def commit_without_reset(monkeypatch):
     monkeypatch.setattr(DurableBackend, "_apply_note", apply_note)
 
 
+def retry_failed_wal_appends(monkeypatch):
+    """The retry layer's bug class: an append that fails once is tried
+    again, so the caller never hears of the fault."""
+    real = wal.WriteAheadLog.append
+
+    def retrying(self, record):
+        try:
+            real(self, record)
+        except OSError:
+            real(self, record)
+
+    monkeypatch.setattr(wal.WriteAheadLog, "append", retrying)
+
+
 class TestSeededBugs:
     def test_acked_but_lost_insert_fails_both_service_gates(self, monkeypatch):
         lose_every_third_insert(monkeypatch)
@@ -116,6 +132,32 @@ class TestSeededBugs:
         assert violation.check == "trichotomy" and "[compact]" in violation.where
         assert "untyped RuntimeError" in violation.message
 
+    def test_retrying_wal_fails_both_chaos_sweeps(self, monkeypatch):
+        """A fired fault that nothing reports is swallowed, in the
+        service replay as in batch chaos."""
+        assert run_service_chaos(cases=16, seed=0).ok
+        retry_failed_wal_appends(monkeypatch)
+        report = run_service_chaos(cases=16, seed=0)
+        assert "swallowed" in {violation.check for violation in report.violations}
+        assert run_chaos(cases=200, seed=0).counts["tally"].get("swallowed")
+
+    def test_storage_error_before_the_fault_fires_is_spurious(self, monkeypatch):
+        """An armed fault excuses a loud error only once it has fired."""
+        real, calls = PersistentIndex.insert, []
+
+        def fails_first(self, entity):
+            calls.append(entity.eid)
+            if len(calls) == 1:
+                raise OSError(5, "injected before the fault")
+            return real(self, entity)
+
+        monkeypatch.setattr(PersistentIndex, "insert", fails_first)
+        late = Fault("write", "wal-", nth=12)
+        report = run_scenario(Scenario(0, 0, "write-failure", late, ops=30, entities=80))
+        violation = report.violations[0]
+        assert violation.check == "spurious" and "[insert]" in violation.where
+        assert "OSError" in violation.message
+
 
 def outcome(status, **fields):
     return QueryOutcome(op="join", status=status, epoch=3, **fields)
@@ -150,12 +192,14 @@ class TestTrichotomy:
         ]
 
     def test_quiet_profile_admits_only_ok(self):
+        """Until the fault fires — and in a quiet profile it never
+        does — a non-ok outcome is spurious."""
         loud = outcome("failed", error="OSError: [Errno 5] Input/output error")
         assert classify(loud, BreakerState.CLOSED, False) == [
-            "failed outcome with no fault armed"
+            "spurious failed outcome: no fault has fired"
         ]
         declared = outcome("partial", failures=(OPEN_BREAKER,))
-        assert "partial outcome with no fault armed" in classify(
+        assert "spurious partial outcome: no fault has fired" in classify(
             declared, BreakerState.OPEN, False
         )
 
@@ -171,7 +215,6 @@ GATES = {
         transforms=transforms_by_name(("swap-ab",)),
         executors=[ExecutorSpec("sweep")],
     ),
-    "cross-mode": lambda: run_cross_mode(cases=cases_by_name(("uniform",))),
     "chaos": lambda: run_chaos(cases=3, seed=1),
     "service": lambda: run_service_verify(seed=1, ops=30, entities=60),
     "service-chaos": lambda: run_service_chaos(cases=2, seed=5, ops=15, entities=40),
@@ -183,7 +226,6 @@ tests, CI and the README read."""
 
 KEYS = {
     "default": {"cases", "executors", "transforms", "runs", "pairs_checked"},
-    "cross-mode": {"cases", "executors", "runs", "pairs_checked"},
     "chaos": {"seed", "cases", "tally", "outcomes"},
     "service": {
         "ops", "epochs_checked", "ok_queries", "failed_queries",
