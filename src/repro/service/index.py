@@ -32,8 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from bisect import bisect_left, bisect_right, insort
-from itertools import chain
+from bisect import bisect_left, insort
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -82,7 +81,10 @@ class PersistentIndex:
     compaction around queries.  All query I/O against the base level
     files is charged to the manager's simulated ledger under the
     ``query`` / ``compaction`` phases, so ``repro report`` renders a
-    service run with the same machinery as a batch join.
+    service run with the same machinery as a batch join.  A fold and
+    the self-join take each level's live view as one array
+    (:meth:`level_rows`); point and window queries probe only the
+    slices they need.
     """
 
     def __init__(
@@ -275,34 +277,29 @@ class PersistentIndex:
         return sorted(set(self._base) | set(self._delta))
 
     def level_records(self, level: int) -> Iterator[Record]:
-        """The live records of one level in Hilbert order, as tuples: the
-        base level file merged with the delta buffer, minus tombstones."""
-        return chain.from_iterable(page.tolist() for page in self.level_pages(level))
+        """:meth:`level_rows` as tuples."""
+        return iter(self.level_rows(level).tolist())
 
-    def level_pages(self, level: int) -> Iterator[Page]:
-        """:meth:`level_records` a base page at a time, each merged with
-        the delta records up to its last key (the rest of the delta
-        comes last, maybe empty).  Base pages are read through the
+    def level_rows(self, level: int) -> Page:
+        """The live records of one level in Hilbert order, as one
+        read-only array: the base level file minus its tombstones, with
+        the delta buffer spliced in.  The base is read through the
         buffer pool, so the simulated ledger prices every scan's base
         I/O."""
+        delta = _DESCRIPTOR.page(self._delta.get(level, []))
         handle = self._base.get(level)
-        delta = self._delta.get(level, [])
+        if handle is None:
+            return delta  # kept sorted as it grew: nothing to merge
+        rows = handle.read_all()
         dead = self._tombstones.get(level)
-        merged = 0  # delta records already sent out
-        # A base page at a time: one nothing touches passes through as
-        # read, and a touched one is re-sorted by one stable lexsort.
-        for page in handle.scan_pages() if handle is not None else ():
-            upto = bisect_right(delta, _sort_key(page[-1].item()), merged, key=_sort_key)
-            if dead:
-                # Tombstones name *base* records only: a delta record of
-                # the same eid (a re-insert) is live and passes through.
-                page = take(page, ~np.isin(page["eid"], list(dead)))
-            if upto > merged:
-                page = concat_pages([page, _DESCRIPTOR.page(delta[merged:upto])])
-                page = take(page, np.lexsort((page["eid"], page["hkey"])))
-                merged = upto
-            yield page
-        yield _DESCRIPTOR.page(delta[merged:])
+        if dead:
+            # Tombstones name *base* records only: a delta record of
+            # the same eid (a re-insert) is live and passes through.
+            rows = take(rows, ~np.isin(rows["eid"], np.fromiter(dead, np.int64, len(dead))))
+        if len(delta):
+            rows = concat_pages([rows, delta])
+            rows = take(rows, np.lexsort((rows["eid"], rows["hkey"])))
+        return rows
 
     def live_entities(self) -> list[Entity]:
         """The live entity set (insertion-independent order: by eid)."""
@@ -399,7 +396,7 @@ class PersistentIndex:
             self.storage.phase_boundary()
             try:
                 for level in sorted(affected):
-                    rows = concat_pages(list(self.level_pages(level)))
+                    rows = self.level_rows(level)
                     self._directory.grow(level, rows)  # widens only for a bulk load
                     if len(rows):
                         base[level] = handle = self.storage.create_file(
@@ -478,13 +475,13 @@ class PersistentIndex:
         return tuple(sorted(hits))
 
     def self_join(self) -> frozenset[Pair]:
-        """All intersecting live pairs (:func:`live_self_scan` over the
-        live per-level page streams), canonicalized like a batch self
+        """All intersecting live pairs (:func:`live_self_scan` over each
+        level's :meth:`level_rows`), canonicalized like a batch self
         join (``(min, max)``, no ``(e, e)``)."""
         with self.storage.stats.phase("query"):
             self.storage.phase_boundary()
             return live_self_scan(
-                {level: self.level_pages(level) for level in self.levels()},
+                {level: self.level_rows(level) for level in self.levels()},
                 self.curve.order,
                 self.assigner.max_level,
                 self.storage.stats,

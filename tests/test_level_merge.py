@@ -1,16 +1,22 @@
-"""``PersistentIndex.level_pages`` / ``level_records`` against the merge
+"""``PersistentIndex.level_rows`` / ``level_records`` against the merge
 they replaced.
 
 The per-record ``heapq.merge`` over a tombstone-filtering generator —
-what compaction and the resident self-join ran until the page-at-a-time
-merge took over — lives on here as the reference: the same live view
-must stream the same records in the same order, and a fold through
-either must write level files that are byte-identical, payload for
-payload.  (The integration test is ``test_service_statemachine.py``.)
+what compaction and the resident self-join ran until the array merges
+took over (a base page at a time, then a level at a time) — lives on
+here as the reference: a level's live rows must be one read-only
+``DESCRIPTOR`` array holding the same records in the same order, and a
+fold through either must write level files that are byte-identical,
+payload for payload.  The fold's cost and its pool ledger are pinned
+on a fixed stream.  (The integration test is
+``test_service_statemachine.py``.)
 """
 
 import heapq
+import random
+from hashlib import sha1
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +24,7 @@ from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.service.index import PersistentIndex, _sort_key
 from repro.storage.manager import StorageConfig
-from repro.storage.records import EID, EntityDescriptorCodec
+from repro.storage.records import DESCRIPTOR, EID, EntityDescriptorCodec
 
 CONFIG = StorageConfig(page_size=256)  # 5 descriptors per page
 
@@ -81,7 +87,7 @@ def build(base, script):
     return index
 
 
-def level_pages(index):
+def file_payloads(index):
     """level -> the encoded payload of every page of its file."""
     return {
         level: [handle.codec.encode_page(page) for page in handle.scan_pages()]
@@ -91,7 +97,7 @@ def level_pages(index):
 
 @settings(max_examples=150, deadline=None)
 @given(base=st.lists(boxes, max_size=40), script=ops)
-@example(base=[], script=[("insert", 0, FIRST_CELL), ("insert", 0, LAST_CELL)])  # empty base
+@example(base=[], script=[("insert", 0, FIRST_CELL), ("insert", 0, LAST_CELL)])  # no base file
 @example(  # delta records before the first base page and after the last
     base=[box(3, 3, 1 / 64)] * 7,
     script=[("insert", 0, FIRST_CELL), ("insert", 0, LAST_CELL), ("insert", 0, FIRST_CELL)],
@@ -105,17 +111,87 @@ def level_pages(index):
 @example(  # every base record tombstoned: the level file goes away
     base=ONE_CELL[:5], script=[("delete", 0, ONE_CELL[0])] * 5
 )
+@example(  # every base record tombstoned, fresh inserts on the same level
+    base=ONE_CELL[:5], script=[("delete", 0, ONE_CELL[0])] * 5 + [("insert", 0, ONE_CELL[0])] * 2
+)
 def test_level_records_matches_the_heapq_merge(base, script):
     with build(base, script) as index, build(base, script) as twin:
         for level in index.levels():
-            assert list(index.level_records(level)) == list(
-                reference_level_records(index, level)
-            )
+            rows = index.level_rows(level)
+            assert rows.dtype == DESCRIPTOR and not rows.flags.writeable
+            keys = list(zip(rows["hkey"].tolist(), rows["eid"].tolist()))
+            assert keys == sorted(keys)
+            assert rows.tolist() == list(reference_level_records(index, level))
+            assert list(index.level_records(level)) == rows.tolist()
         # The same mutation prefix folded under both implementations
-        # (a fold takes its records from ``level_pages``).
-        twin.level_pages = lambda level: [
-            EntityDescriptorCodec().page(list(reference_level_records(twin, level)))
-        ]
+        # (a fold takes its records from ``level_rows``).
+        twin.level_rows = lambda level: EntityDescriptorCodec().page(
+            list(reference_level_records(twin, level))
+        )
         assert index.compact() == twin.compact()
-        assert level_pages(index) == level_pages(twin)
+        assert file_payloads(index) == file_payloads(twin)
         assert index.live_entities() == twin.live_entities()
+
+
+def mutation_stream():
+    """1,500 boxes of three sizes, then 400 mutations: every third a
+    delete of a base id (dead ones skipped), the rest fresh inserts."""
+    rng = random.Random(39)
+
+    def rect():
+        x, y = rng.random() * 0.95, rng.random() * 0.95
+        return Rect(x, y, x + rng.choice([0.002, 0.01, 0.04]), y + rng.choice([0.002, 0.01, 0.04]))
+
+    base = [Entity(eid, rect()) for eid in range(1500)]
+    ops = [rng.randrange(1500) if n % 3 == 0 else Entity(1500 + n, rect()) for n in range(400)]
+    return base, ops
+
+
+def ledger_of(index, call):
+    """``call()``'s result and the pool's page reads and hits during it."""
+    total = index.storage.stats.total
+    reads, hits = total.page_reads, total.buffer_hits
+    result = call()
+    return result, total.page_reads - reads, total.buffer_hits - hits
+
+
+LOAD_FOLD = {"levels": 9, "records": 1500, "pages": 154}
+COMPACT_FOLD = {"levels": 9, "records": 1638, "pages": 169}
+PHYSICAL = {  # backend -> (bytes, fsyncs) of the load, then of the compaction
+    "memory": ((0, 0), (0, 0)),
+    "durable": ((86523, 11), (95126, 20)),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(PHYSICAL))
+def test_fold_cost_and_ledger_are_pinned(backend, tmp_path):
+    """A fixed stream's folds keep the cost recorded before the level
+    merge became one array: the same ``last_fold``, the same pool reads
+    and hits in ``compact()`` and ``self_join()``, the same level file
+    bytes and the same pairs."""
+    base, ops = mutation_stream()
+    index = PersistentIndex(
+        base,
+        storage=StorageConfig(page_size=512, buffer_pages=16),
+        compaction_threshold=10**9,
+        data_dir=str(tmp_path) if backend == "durable" else None,
+    )
+    with index:
+        load, compaction = PHYSICAL[backend]
+        assert index.last_fold == {**LOAD_FOLD, "bytes": load[0], "fsyncs": load[1]}
+        for op in ops:
+            if isinstance(op, Entity):
+                index.insert(op)
+            elif op in index:
+                index.delete(op)
+        before, reads, hits = ledger_of(index, index.self_join)
+        assert (len(before), reads, hits) == (1696, 154, 0)
+        assert ledger_of(index, index.compact)[1:] == (154, 1469)
+        assert index.last_fold == {**COMPACT_FOLD, "bytes": compaction[0], "fsyncs": compaction[1]}
+        after, reads, hits = ledger_of(index, index.self_join)
+        assert (after, reads, hits) == (before, 169, 0)
+        assert sha1(repr(sorted(after)).encode()).hexdigest() == (
+            "328f073430ba8063206eadf836b8f33e950e6075"
+        )
+        files = b"".join(b"".join(pages) for pages in file_payloads(index).values())
+        assert sha1(files).hexdigest() == "9534b9a29bfdffcd2c6bf6f83e3a2aa9b2f2960f"

@@ -57,14 +57,14 @@ def filter_tombstones_after_the_merge(monkeypatch):
     over the merged base + delta stream, so re-inserting a deleted base
     id vanished from every self-join (and from the next compaction)."""
 
-    def level_pages(self, level):
+    def level_rows(self, level):
         handle = self._base.get(level)
         base = handle.scan() if handle is not None else ()
         merged = heapq.merge(base, self._delta.get(level, ()), key=_sort_key)
         dead = self._tombstones.get(level, ())
-        yield DESCRIPTORS.page([record for record in merged if record[EID] not in dead])
+        return DESCRIPTORS.page([record for record in merged if record[EID] not in dead])
 
-    monkeypatch.setattr(PersistentIndex, "level_pages", level_pages)
+    monkeypatch.setattr(PersistentIndex, "level_rows", level_rows)
 
 
 def commit_without_reset(monkeypatch):
