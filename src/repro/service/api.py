@@ -294,7 +294,7 @@ class JoinService:
     No request waits: its one ``await`` is the ``_mutate`` lock, which
     no holder awaits under, so :class:`ServiceServer` runs each request
     to completion in the callback that read it.  Group commit (ROADMAP
-    item 5(b)) must revisit this before it adds an await that can wait.
+    item 9) must revisit this before it adds an await that can wait.
     """
 
     def __init__(

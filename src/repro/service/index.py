@@ -295,7 +295,10 @@ class PersistentIndex:
         if dead:
             # Tombstones name *base* records only: a delta record of
             # the same eid (a re-insert) is live and passes through.
-            rows = take(rows, ~np.isin(rows["eid"], np.fromiter(dead, np.int64, len(dead))))
+            # Both sides are unique (a level file holds an eid once),
+            # which also keeps NumPy off its lazy ``numpy.ma`` import.
+            dead = np.fromiter(dead, np.int64, len(dead))
+            rows = take(rows, ~np.isin(rows["eid"], dead, assume_unique=True))
         if len(delta):
             rows = concat_pages([rows, delta])
             rows = take(rows, np.lexsort((rows["eid"], rows["hkey"])))

@@ -69,8 +69,8 @@ class ExternalSorter:
         # run names, and names never depend on process-wide history.
         self._uid = storage.next_sequence("sorter")
         self._seq = 0
-        # Temp run files created by the in-flight sort; emptied on
-        # success, dropped best-effort if a pass raises mid-sort.
+        # Files the in-flight sort created, its output included; emptied
+        # on success, dropped best-effort if a pass raises mid-sort.
         self._live_runs: set[str] = set()
 
     @property
@@ -93,23 +93,25 @@ class ExternalSorter:
         key: SortKey,
         unique: bool = False,
     ) -> SortResult:
-        """Sort ``source`` into a new file named ``output_name``."""
+        """Sort ``source`` into a new file named ``output_name``, which
+        the pass that writes it creates: run formation if the input is
+        one run, else the last merge pass.  ``FileExistsError`` if the
+        name is taken, before any page is read."""
+        if output_name in self.storage.list_files():
+            raise FileExistsError(f"storage file {output_name!r} already exists")
         obs = self.storage.obs
         try:
             with obs.tracer.span(f"sort:{output_name}", kind="sort") as span:
                 codec = source.codec
-                run_names = self._form_runs(source, key, codec, unique)
+                if not source.num_records:  # empty input: an empty output
+                    self._create_run(output_name, codec)
+                run_names = self._form_runs(source, key, codec, unique, output_name)
                 initial_runs = len(run_names)
                 merge_passes = 0
                 while len(run_names) > 1:
-                    run_names = self._merge_pass(run_names, key, codec, unique)
+                    run_names = self._merge_pass(run_names, key, codec, unique, output_name)
                     merge_passes += 1
-                if run_names:
-                    final_name = run_names[0]
-                else:  # empty input: produce an empty output file
-                    final_name = self._new_run_name()
-                    self._create_run(final_name, codec)
-                output = self._rename(final_name, output_name)
+                output = self.storage.open_file(output_name)
                 span.set(
                     input_pages=source.num_pages,
                     initial_runs=initial_runs,
@@ -118,9 +120,10 @@ class ExternalSorter:
                 )
         except BaseException:
             # A pass raised mid-sort (I/O fault, bad key, ...): drop the
-            # temp runs so a failed sort does not leak storage files.
+            # runs and any output so a failed sort leaks no storage file.
             self._discard_live_runs()
             raise
+        self._live_runs.clear()
         metrics = obs.active_metrics
         if metrics is not None:
             metrics.count("sort.sorts")
@@ -146,8 +149,8 @@ class ExternalSorter:
         self._live_runs.discard(name)
 
     def _discard_live_runs(self) -> None:
-        """Best-effort drop of every temp run the failed sort left
-        behind.  Dropping discards buffered pages without flushing, so
+        """Best-effort drop of every run (and the output) the failed sort
+        left behind.  Dropping discards buffered pages without flushing, so
         this issues no page I/O; a backend so broken that even
         ``delete_file`` raises still must not mask the original error."""
         for name in sorted(self._live_runs):
@@ -158,20 +161,21 @@ class ExternalSorter:
         self._live_runs.clear()
 
     def _form_runs(
-        self, source: PagedFile, key: SortKey, codec: RecordCodec, unique: bool
+        self, source: PagedFile, key: SortKey, codec: RecordCodec, unique: bool, output_name: str
     ) -> list[str]:
         """Pass 0: read the input a page at a time, spill sorted runs of
-        ``memory_pages`` pages each.  A run spills once its last record
-        is read, before the next page is."""
+        ``memory_pages`` pages each (a lone run is the output).  A run
+        spills once its last record is read, before the next page is."""
         run_names: list[str] = []
         capacity = self.memory_pages * source.records_per_page
+        only_run = source.num_records <= capacity
 
         def spill(batch: Page) -> None:
             batch = take(batch, np.lexsort(_key_columns(batch, key)[::-1]))
             self.storage.stats.charge_cpu(
                 "compare", sort_comparison_count(len(batch))
             )
-            name = self._new_run_name()
+            name = output_name if only_run else self._new_run_name()
             run = self._create_run(name, codec)
             run.extend(_drop_adjacent_duplicates(batch) if unique else batch)
             self.storage.pool.invalidate(name)  # spill the run to disk
@@ -189,10 +193,12 @@ class ExternalSorter:
         return run_names
 
     def _merge_pass(
-        self, run_names: list[str], key: SortKey, codec: RecordCodec, unique: bool
+        self, run_names: list[str], key: SortKey, codec: RecordCodec, unique: bool, output_name: str
     ) -> list[str]:
-        """Merge groups of ``fan_in`` runs into longer runs."""
+        """Merge groups of ``fan_in`` runs into longer runs (the last
+        pass's one group into the output)."""
         fan_in = self.fan_in
+        last_pass = len(run_names) <= fan_in
         merged_names: list[str] = []
         for start in range(0, len(run_names), fan_in):
             group = run_names[start : start + fan_in]
@@ -200,7 +206,7 @@ class ExternalSorter:
                 # A lone leftover run passes through without being copied.
                 merged_names.append(group[0])
                 continue
-            name = self._new_run_name()
+            name = output_name if last_pass else self._new_run_name()
             out = self._create_run(name, codec)
             self._merge_runs(
                 [self.storage.open_file(run) for run in group], out, key, unique
@@ -287,16 +293,6 @@ class ExternalSorter:
                 out.extend(concat_pages(pending))
         finally:
             self.storage.stats.charge_cpu("compare", merged * levels)
-
-    def _rename(self, current: str, target: str) -> PagedFile:
-        """Move the final run under its public name — a true metadata
-        rename (:meth:`StorageManager.rename_file`): no page is copied
-        and no I/O is charged.  Sorting into an existing output name
-        deterministically replaces it, so re-sorting into the same name
-        is well-defined (the prior output's handle goes stale)."""
-        handle = self.storage.rename_file(current, target, replace=True)
-        self._live_runs.discard(current)
-        return handle
 
 
 def _key_columns(rows: Page, key: SortKey) -> tuple[np.ndarray, ...]:

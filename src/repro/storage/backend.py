@@ -36,7 +36,8 @@ class BackendClosedError(RuntimeError):
 
 
 class StorageBackend(ABC):
-    """Physical page store keyed by (file name, page number).
+    """Physical page store keyed by (file name, page number).  A file is
+    created under its final name and keeps it: there is no rename.
 
     Lifecycle contract: ``close()`` flushes/releases resources and may
     be called any number of times; every other operation on a closed
@@ -52,11 +53,6 @@ class StorageBackend(ABC):
     @abstractmethod
     def delete_file(self, name: str) -> None:
         """Remove a file and its pages."""
-
-    @abstractmethod
-    def rename_file(self, old: str, new: str) -> None:
-        """Move a file's pages under a new name (metadata only; the new
-        name must not already exist at the backend)."""
 
     @abstractmethod
     def read_page(self, name: str, page_no: int) -> Page:
@@ -97,7 +93,7 @@ class MemoryBackend(StorageBackend):
     """Pages held in process memory (I/O is counted, not performed)."""
 
     def __init__(self) -> None:
-        # name -> (codec, page number -> page): deleting or renaming a
+        # name -> (codec, capacity, page number -> page): deleting a
         # file touches that file's pages only.
         self._files: dict[str, tuple[RecordCodec, int, dict[int, Page]]] = {}
         self._closed = False
@@ -115,14 +111,6 @@ class MemoryBackend(StorageBackend):
     def delete_file(self, name: str) -> None:
         self._check_open()
         self._files.pop(name, None)
-
-    def rename_file(self, old: str, new: str) -> None:
-        self._check_open()
-        if old not in self._files:
-            raise FileNotFoundError(f"no storage file named {old!r}")
-        if new in self._files:
-            raise FileExistsError(f"storage file {new!r} already exists")
-        self._files[new] = self._files.pop(old)
 
     def read_page(self, name: str, page_no: int) -> Page:
         self._check_open()

@@ -199,14 +199,3 @@ class BufferPool:
         cannot accumulate frames across open-query-close cycles.
         """
         self._frames.clear()
-
-    def rename_file(self, old: str, new: str) -> None:
-        """Re-key buffered frames of ``old`` under ``new``, preserving
-        LRU order, pin counts, and dirty bits (no I/O, no ledger
-        events — a rename is pure metadata)."""
-        if any(key[0] == new for key in self._frames):
-            raise ValueError(f"file {new!r} still has buffered frames")
-        renamed = OrderedDict()
-        for (name, page_no), frame in self._frames.items():
-            renamed[(new if name == old else name, page_no)] = frame
-        self._frames = renamed

@@ -19,7 +19,7 @@ Every page is written once:
   ahead of its own record under one log fsync; one that finds none
   costs its one log fsync;
 - **write-ahead log** (:mod:`repro.storage.wal`) — mappings, file
-  creates/deletes/renames and client notes, never page images.
+  creates, file deletes and client notes, never page images.
   Recovery replays committed records onto the catalog — it never writes
   a data slot, so a torn or lost page write can only sit in a slot
   nothing names — truncates the torn tail, bumps the epoch, checkpoints;
@@ -281,12 +281,6 @@ class DurableBackend(StorageBackend):
             self._pending.pop(entry.file_id, None)
             for slot in entry.pages.values():  # durable: nothing committed names them
                 heapq.heappush(self._free, slot)
-        elif op == wal.OP_RENAME:
-            file_id, new_name = wal.unpack_rename(body)
-            entry = self._entries[file_id]
-            del self._names[entry.name]
-            entry.name = new_name
-            self._names[new_name] = file_id
         else:
             raise DurableStoreError(f"unknown WAL op {op}")
 
@@ -480,13 +474,6 @@ class DurableBackend(StorageBackend):
             return
         self._log(wal.OP_DELETE, wal.pack_delete(file_id))
         self._codecs.pop(file_id, None)
-
-    def rename_file(self, old: str, new: str) -> None:
-        self._check_open()
-        entry = self._entry(old)
-        if new in self._names:
-            raise FileExistsError(f"storage file {new!r} already exists")
-        self._log(wal.OP_RENAME, wal.pack_rename(entry.file_id, new))
 
     def read_page(self, name: str, page_no: int) -> Page:
         self._check_open()

@@ -151,34 +151,6 @@ class StorageManager:
         self.pool.drop_file(name)
         self.backend.delete_file(name)
 
-    def rename_file(
-        self, current: str, target: str, replace: bool = False
-    ) -> PagedFile:
-        """Rename a file — pure metadata, like a filesystem rename: no
-        page is copied, no I/O is charged, and buffered frames move to
-        the new name with LRU order, pins, and dirty bits intact.
-
-        When ``target`` already exists the behavior is deterministic:
-        ``FileExistsError`` by default, or (with ``replace=True``) the
-        existing file is dropped first — its buffered pages are
-        discarded, not flushed, and any outstanding handle to it goes
-        stale.  Returns the (same) handle, now under its new name.
-        """
-        if current == target:
-            raise ValueError(f"cannot rename {current!r} onto itself")
-        handle = self._files.get(current)
-        if handle is None:
-            raise FileNotFoundError(f"no storage file named {current!r}")
-        if target in self._files:
-            if not replace:
-                raise FileExistsError(f"storage file {target!r} already exists")
-            self.drop_file(target)
-        self.pool.rename_file(current, target)
-        self.backend.rename_file(current, target)
-        handle.adopt_name(target)
-        self._files[target] = self._files.pop(current)
-        return handle
-
     def list_files(self) -> list[str]:
         """Names of all live files, sorted."""
         return sorted(self._files)
@@ -237,13 +209,15 @@ class StorageManager:
         if self.closed:
             return
         self.closed = True
-        self.pool.flush()
-        self.pool.clear()
-        self._files.clear()
-        self.backend.close()
-        if self._tempdir is not None:
-            self._tempdir.cleanup()
-            self._tempdir = None
+        try:
+            self.pool.flush()
+        finally:  # a failed flush still releases everything, then raises
+            self.pool.clear()
+            self._files.clear()
+            self.backend.close()
+            if self._tempdir is not None:
+                self._tempdir.cleanup()
+                self._tempdir = None
 
     def __enter__(self) -> StorageManager:
         return self

@@ -18,7 +18,9 @@ class PagedFile:
 
     The level files, partition files, run files, and result files of all
     three join algorithms are ``PagedFile`` instances; every access goes
-    through the shared buffer pool so the I/O ledger sees it.
+    through the shared buffer pool so the I/O ledger sees it.  A file
+    keeps the name it was created under (a sort names its output when
+    it creates it; nothing is renamed).
     """
 
     def __init__(
@@ -112,16 +114,3 @@ class PagedFile:
     def flush(self) -> None:
         """Force dirty pages of this file to the backend."""
         self.pool.flush(self.name)
-
-    # -- metadata adoption ------------------------------------------------
-
-    def adopt_name(self, new_name: str) -> None:
-        """Take on a new file name (metric label included).
-
-        This updates only this handle's identity; moving the backend
-        pages and buffered frames is the storage manager's job — use
-        :meth:`~repro.storage.manager.StorageManager.rename_file`
-        rather than calling this directly.
-        """
-        self.name = new_name
-        self._metric_label = file_label(new_name)

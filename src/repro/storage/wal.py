@@ -1,7 +1,7 @@
 """The write-ahead log of the durable page store.
 
 The log carries **metadata, never page images** (DESIGN.md section 16):
-a file create/delete/rename, a client journal note, and — at every
+a file create or delete, a client journal note, and — at every
 barrier of the store — one ``map`` record per file naming the slots its
 freshly written pages went to.  Pages are fsynced in the data file
 *before* their ``map`` record is appended, so recovery replays mappings
@@ -22,7 +22,7 @@ Record layout (little-endian)::
 
     magic   u32   0x57414C31 ("1LAW" on disk)
     lsn     u64   monotonically increasing, 1-based
-    op      u8    1=map  2=create  3=delete  4=rename  5=note
+    op      u8    1=map  2=create  3=delete  5=note  (4 reserved)
     crc     u32   crc32 over (lsn, op, body)
     length  u32   body length in bytes
     body    ...   op-specific (see the pack_* helpers)
@@ -58,10 +58,9 @@ WAL_HEADER = struct.Struct("<IQBII")  # magic, lsn, op, crc, body length
 OP_MAP = 1
 OP_CREATE = 2
 OP_DELETE = 3
-OP_RENAME = 4
-OP_NOTE = 5
+OP_NOTE = 5  # 4 was a rename; a log holding one is refused on reopen
 
-_FILE_ID = struct.Struct("<Q")  # the whole delete body; rename and map lead with it
+_FILE_ID = struct.Struct("<Q")  # the whole delete body; a map leads with it
 _MAP_PAIR = struct.Struct("<QQ")  # page no, slot
 _CREATE_BODY = struct.Struct("<QII")  # file id, record size, capacity
 
@@ -121,15 +120,6 @@ def pack_delete(file_id: int) -> bytes:
 
 def unpack_delete(body: bytes) -> int:
     return _FILE_ID.unpack(body)[0]
-
-
-def pack_rename(file_id: int, new_name: str) -> bytes:
-    return _FILE_ID.pack(file_id) + new_name.encode()
-
-
-def unpack_rename(body: bytes) -> tuple[int, str]:
-    (file_id,) = _FILE_ID.unpack_from(body, 0)
-    return file_id, body[_FILE_ID.size :].decode()
 
 
 def pack_note(note: bytes, reset: bool) -> bytes:

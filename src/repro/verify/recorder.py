@@ -140,7 +140,7 @@ class Recorder(OsFiles):
         if self._boundary():
             directory = os.fspath(directory)
             mine = [change for change in self.changes if change[0] == directory]
-            self.durable_names = _renamed(self.durable_names, mine)
+            self.durable_names = _applied(self.durable_names, mine)
             self.changes = [change for change in self.changes if change[0] != directory]
 
     def replace(self, src: str | os.PathLike[str], dst: str | os.PathLike[str]) -> None:
@@ -204,7 +204,7 @@ class Recorder(OsFiles):
             if len(mine) > 1:
                 subsets += [(f"ns-{i + 1}", mine[:i] + mine[i + 1 :]) for i in range(len(mine))]
             for label, chosen in subsets:
-                names = _renamed(self.durable_names, chosen)
+                names = _applied(self.durable_names, chosen)
                 states.append((f"{Path(directory).name}:{label}", {p: f.durable for p, f in names.items()}))
         states.append(("live", {path: bytes(node.live) for path, node in self.files.items()}))
         return states
@@ -288,7 +288,7 @@ class FaultyDisk(Recorder):
         super().fsync(handle)
 
 
-def _renamed(names: dict[str, _File], changes: list[Change]) -> dict[str, _File]:
+def _applied(names: dict[str, _File], changes: list[Change]) -> dict[str, _File]:
     """``names`` after ``changes`` reached the disk."""
     names = dict(names)
     for _, path, node in changes:

@@ -130,20 +130,40 @@ class TestRoundTrip:
             assert store.epoch == expected
             store.close()
 
-    def test_rename_and_delete_survive_reopen(self, tmp_path):
+    def test_delete_survives_reopen(self, tmp_path):
         codec = EntityDescriptorCodec()
         store = make_store(tmp_path)
         store.create_file("a", codec, PAGE_SIZE)
         store.create_file("b", codec, PAGE_SIZE)
         store.write_page("a", 0, page(0))
         store.delete_file("b")
-        store.rename_file("a", "c")
         store.close()
         reopened = make_store(tmp_path)
-        assert reopened.stored_files() == ["c"]
-        reopened.attach_file("c", codec, PAGE_SIZE)
-        assert reopened.read_page("c", 0).tolist() == page(0)
+        assert reopened.stored_files() == ["a"]
+        reopened.attach_file("a", codec, PAGE_SIZE)
+        assert reopened.read_page("a", 0).tolist() == page(0)
         reopened.close()
+
+    def test_a_log_holding_op_4_is_refused(self):
+        """Op 4 was a file rename, which stores no longer log.  A log
+        that still holds one (a store that died before its checkpoint)
+        must fail its reopen loudly, never replay past the record."""
+        disk, _ = recording()
+        with fileio.using(disk):
+            store = make_store(STORE)
+        store.create_file("a", EntityDescriptorCodec(), PAGE_SIZE)
+        # The store dies here; its log holds the committed create.
+        image = disk.durable_state()
+        disk, _ = recording(image)
+        with fileio.using(disk):
+            (segment,) = wal.list_segments(STORE)
+            records = []
+            wal.scan_segments(STORE, records.append)
+            log = wal.WriteAheadLog(STORE, start_sequence=wal.segment_sequence(segment) + 1)
+            log.append(wal.WalRecord(records[-1].lsn + 1, 4, wal.pack_delete(1) + b"b"))
+            log.close()
+            with pytest.raises(DurableStoreError, match="unknown WAL op 4"):
+                make_store(STORE)
 
     def test_free_slots_reused_lowest_first(self, tmp_path):
         codec = EntityDescriptorCodec()

@@ -13,8 +13,12 @@ on a fixed stream.  (The integration test is
 """
 
 import heapq
+import os
 import random
+import subprocess
+import sys
 from hashlib import sha1
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -195,3 +199,42 @@ def test_fold_cost_and_ledger_are_pinned(backend, tmp_path):
         )
         files = b"".join(b"".join(pages) for pages in file_payloads(index).values())
         assert sha1(files).hexdigest() == "9534b9a29bfdffcd2c6bf6f83e3a2aa9b2f2960f"
+
+
+FOLD_WITH_WIDE_IDS = """
+import sys
+from repro.geometry.entity import Entity
+from repro.geometry.rect import Rect
+from repro.service.index import PersistentIndex
+
+def square(i):
+    x, y = i % 60 / 64, i // 60 / 64
+    return Rect(x, y, x + 1 / 128, y + 1 / 128)
+
+entities = [Entity.from_geometry(i * 10**9 + 7, square(i)) for i in range(3300)]
+index = PersistentIndex(entities)
+for entity in entities[::50]:
+    index.delete(entity.eid)
+loaded = "numpy.ma" in sys.modules
+index.compact()
+print(loaded, "numpy.ma" in sys.modules, len(index.live_entities()))
+"""
+
+
+def test_a_fold_over_wide_ids_imports_no_masked_arrays():
+    """Tombstones are dropped with ``np.isin(..., assume_unique=True)``
+    (a level file holds an eid once).  Without it, ids spread up to
+    10**12 send ``isin`` down its sort path through ``np.unique``, whose
+    first call in a process imports ``numpy.ma`` — a one-off cost
+    charged to the first fold or self-join after a start."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOLD_WITH_WIDE_IDS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "3234"]

@@ -70,30 +70,22 @@ class TestBasics:
         with pytest.raises(ValueError):
             ExternalSorter(storage, bulk_pages=0)
 
-    def test_sort_twice_into_same_output_name(self, storage):
-        """Re-sorting into an existing output name deterministically
-        replaces the previous output (regression for the old backend
-        copy + ``_tail_count`` poke, which raised FileExistsError after
-        doing all the sort work)."""
-        first = fill_descriptors(storage, "in1", [5, 3, 9])
-        second = fill_descriptors(storage, "in2", [8, 2, 6, 4])
-        sorter = ExternalSorter(storage)
-        sorter.sort(first, "out", key="hkey")
-        result = sorter.sort(second, "out", key="hkey")
-        assert [r[HKEY] for r in result.output.scan()] == [2, 4, 6, 8]
-        assert [r[HKEY] for r in storage.open_file("out").scan()] == [2, 4, 6, 8]
-        leftovers = [f for f in storage.list_files() if f.startswith("__sort-run")]
-        assert leftovers == []
-
-    def test_sort_multipass_twice_into_same_output_name(self):
-        """Same regression under multi-pass merging (several runs)."""
+    @pytest.mark.parametrize("keys", [[8, 2, 6, 4], list(range(400, 0, -1))])
+    def test_sort_into_existing_name_is_refused(self, keys):
+        """The output is written under its own name, never renamed over
+        an old file: a taken name fails before any page is read, and the
+        old file, the store and the ledger stay as they were."""
         with StorageManager(StorageConfig(buffer_pages=8)) as storage:
-            first = fill_descriptors(storage, "in1", list(range(400, 0, -1)))
-            second = fill_descriptors(storage, "in2", list(range(0, 900, 2)))
+            first = fill_descriptors(storage, "in1", [5, 3, 9])
+            second = fill_descriptors(storage, "in2", keys)
             sorter = ExternalSorter(storage, memory_pages=2)
             sorter.sort(first, "out", key="hkey")
-            result = sorter.sort(second, "out", key="hkey")
-            assert [r[HKEY] for r in result.output.scan()] == list(range(0, 900, 2))
+            files, ledger = storage.list_files(), storage.stats.snapshot()
+            with pytest.raises(FileExistsError, match="'out' already exists"):
+                sorter.sort(second, "out", key="hkey")
+            assert storage.list_files() == files
+            assert storage.stats.snapshot() == ledger
+            assert [r[HKEY] for r in storage.open_file("out").scan()] == [3, 5, 9]
 
 
 class TestMultiPass:
@@ -217,6 +209,21 @@ class TestSorterCleanup:
             assert list(result.output.scan()) == sorted(handle.scan())
             assert self.run_names(manager) == []
 
+    def test_failed_final_pass_drops_the_output(self):
+        class FailingFinalPass(ExternalSorter):
+            def _merge_runs(self, runs, out, key, unique):
+                if out.name == "sorted":
+                    raise OSError("the final pass failed")
+                super()._merge_runs(runs, out, key, unique)
+
+        with StorageManager(StorageConfig(buffer_pages=16)) as manager:
+            handle = self.fill(manager)
+            with pytest.raises(OSError, match="final pass"):
+                FailingFinalPass(manager, memory_pages=2).sort(handle, "sorted", key="eid")
+            assert manager.list_files() == ["input"]
+            result = ExternalSorter(manager, memory_pages=2).sort(handle, "sorted", key="eid")
+            assert list(result.output.scan()) == sorted(handle.scan())
+
     def test_successful_sort_leaves_no_runs(self):
         with StorageManager(StorageConfig(buffer_pages=16)) as manager:
             handle = self.fill(manager, records=400)
@@ -232,7 +239,7 @@ class HeapMergeSorter(ExternalSorter):
     one record at a time off a heap of run heads.  Kept as the reference
     whose ledger the real sorter must equal."""
 
-    def _form_runs(self, source, key, codec, unique):
+    def _form_runs(self, source, key, codec, unique, output_name):
         key = record_key(codec, key)
         run_names, batch = [], []
         capacity = self.memory_pages * source.records_per_page
@@ -240,7 +247,8 @@ class HeapMergeSorter(ExternalSorter):
         def spill():
             batch.sort(key=key)
             self.storage.stats.charge_cpu("compare", sort_comparison_count(len(batch)))
-            run_names.append(self._new_run_name())
+            only_run = source.num_records <= capacity
+            run_names.append(output_name if only_run else self._new_run_name())
             run = self._create_run(run_names[-1], codec)
             run.extend(drop_duplicates(iter(batch)) if unique else batch)
             self.storage.pool.invalidate(run.name)
@@ -351,6 +359,27 @@ class TestHeapMergeParity:
                 "a", unique)
         expected = traced_sort(HeapMergeSorter, *args)
         assert traced_sort(ExternalSorter, *args) == expected
+
+    @pytest.mark.parametrize(
+        "records, unique, merge_passes",
+        [
+            ([], False, 0),  # the output is created empty
+            ([(k % 7, k % 3) for k in range(12)], False, 0),  # exactly M * E records: one run
+            ([(k % 7, k % 3) for k in range(25)], False, 2),  # F + 1 runs: a lone leftover
+            ([(k % 5, k % 2) for k in range(25)], True, 2),  # PBSM's unique whole-record sort
+        ],
+    )
+    def test_output_named_by_the_pass_that_writes_it(self, records, unique, merge_passes):
+        """With ``M = 3`` pages of ``E = 4`` records (``F = 2``), the
+        output's writes all come after every run's, under its own name."""
+        codec = CandidatePairCodec()
+        args = (records, codec, 4 * codec.record_size, 4, 3, None, unique)
+        expected = traced_sort(HeapMergeSorter, *args)
+        assert expected[3] == merge_passes
+        assert traced_sort(ExternalSorter, *args) == expected
+        written = [name for op, name, _ in expected[0] if op == "write"]
+        first = written.index("out") if records else len(written)
+        assert written[first:] == ["out"] * (len(written) - first)
 
     def test_descriptors_through_several_merge_passes(self):
         keys = [random.Random(3).randrange(500) for _ in range(3000)]

@@ -211,22 +211,6 @@ class TestBackends:
         with pytest.raises(ValueError):
             backend.read_page("f", 0)
 
-    def test_rename_moves_pages(self, backend):
-        codec = CandidatePairCodec()
-        backend.create_file("old", codec, 4096)
-        backend.write_page("old", 0, codec.page([(1, 2)]))
-        backend.rename_file("old", "new")
-        assert backend.read_page("new", 0).tolist() == [(1, 2)]
-        with pytest.raises(FileNotFoundError):
-            backend.rename_file("old", "elsewhere")
-
-    def test_rename_onto_existing_raises(self, backend):
-        codec = CandidatePairCodec()
-        backend.create_file("a", codec, 4096)
-        backend.create_file("b", codec, 4096)
-        with pytest.raises(FileExistsError):
-            backend.rename_file("a", "b")
-
     def test_page_overflow_raises(self, backend):
         codec = CandidatePairCodec()
         backend.create_file("f", codec, 4096)
@@ -254,8 +238,6 @@ class TestBackends:
             backend.create_file("g", EntityDescriptorCodec(), 4096)
         with pytest.raises(BackendClosedError):
             backend.delete_file("f")
-        with pytest.raises(BackendClosedError):
-            backend.rename_file("f", "g")
 
     def slot_store(self):
         """A durable store on a faulty disk, two identical committed
@@ -523,56 +505,6 @@ class TestStorageManager:
     def test_descriptors_per_page(self, storage):
         assert storage.descriptors_per_page() == 85
 
-    def test_rename_is_metadata_only(self, storage):
-        handle = storage.create_file("old")
-        handle.extend((i, 0.1, 0.1, 0.2, 0.2, i) for i in range(200))
-        handle.flush()
-        before = storage.stats.snapshot()
-        renamed = storage.rename_file("old", "new")
-        after = storage.stats.snapshot()
-        # No page transfers, no hits: a rename never touches the ledger.
-        assert after.total_ios == before.total_ios
-        assert after.buffer_hits == before.buffer_hits
-        assert renamed is handle and handle.name == "new"
-        assert storage.open_file("new") is handle
-        with pytest.raises(FileNotFoundError):
-            storage.open_file("old")
-        assert [r[0] for r in handle.scan()] == list(range(200))
-
-    def test_rename_preserves_buffered_dirty_pages(self, storage):
-        handle = storage.create_file("old")
-        handle.append((7, 0.1, 0.1, 0.2, 0.2, 7))  # dirty tail page buffered
-        storage.rename_file("old", "new")
-        handle.append((8, 0.1, 0.1, 0.2, 0.2, 8))  # keeps appending
-        storage.pool.invalidate()
-        assert [r[0] for r in handle.scan()] == [7, 8]
-
-    def test_rename_onto_existing_fails_without_replace(self, storage):
-        storage.create_file("a")
-        storage.create_file("b")
-        with pytest.raises(FileExistsError):
-            storage.rename_file("a", "b")
-
-    def test_rename_onto_existing_replaces_when_asked(self, storage):
-        a = storage.create_file("a")
-        a.append((1, 0.1, 0.1, 0.2, 0.2, 1))
-        b = storage.create_file("b")
-        b.append((2, 0.1, 0.1, 0.2, 0.2, 2))
-        storage.rename_file("a", "b", replace=True)
-        survivor = storage.open_file("b")
-        assert survivor is a
-        assert [r[0] for r in survivor.scan()] == [1]
-
-    def test_rename_onto_itself_raises(self, storage):
-        storage.create_file("a")
-        with pytest.raises(ValueError):
-            storage.rename_file("a", "a")
-
-    def test_rename_missing_raises(self, storage):
-        with pytest.raises(FileNotFoundError):
-            storage.rename_file("ghost", "anything")
-
-
 
 class TestIOStats:
     def test_sequential_vs_random_reads(self):
@@ -751,6 +683,20 @@ class TestManagerLifecycle:
                 manager.phase_boundary()
                 assert len(manager.pool) == baseline
             assert len(manager.pool) <= 16  # never exceeds capacity
+
+    def test_close_releases_everything_when_the_flush_fails(self):
+        """A failed store refuses the closing flush of a dirty page; the
+        error surfaces, but the pool, the backend and the temporary
+        directory are released first, not left to garbage collection."""
+        manager = StorageManager(StorageConfig(backend="durable", buffer_pages=8))
+        manager.create_file("f").append((1, 0.0, 0.0, 1.0, 1.0, 0))
+        directory = manager.backend.directory
+        manager.backend._failed = OSError(5, "Input/output error")
+        with pytest.raises(DurableStoreError, match="Input/output error"):
+            manager.close()
+        assert manager.backend._closed
+        assert len(manager.pool) == 0 and manager.list_files() == []
+        assert not directory.exists()
 
     def test_close_empties_pool(self):
         manager = StorageManager(StorageConfig(buffer_pages=8))
