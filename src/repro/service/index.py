@@ -52,7 +52,7 @@ from repro.storage.backend import Page, Record, StorageBackend
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.pagedfile import PagedFile
 from repro.storage.records import DESCRIPTOR, EID, HKEY, XLO, YHI, EntityDescriptorCodec
-from repro.storage.records import concat_pages, take
+from repro.storage.records import concat_pages, splice, take
 
 DEFAULT_COMPACTION_THRESHOLD = 256
 """The fewest mutations since the last fold that make a fold due."""
@@ -295,13 +295,18 @@ class PersistentIndex:
         if dead:
             # Tombstones name *base* records only: a delta record of
             # the same eid (a re-insert) is live and passes through.
-            # Both sides are unique (a level file holds an eid once),
-            # which also keeps NumPy off its lazy ``numpy.ma`` import.
-            dead = np.fromiter(dead, np.int64, len(dead))
-            rows = take(rows, ~np.isin(rows["eid"], dead, assume_unique=True))
+            dead = np.sort(np.fromiter(dead, np.int64, len(dead)))
+            eids = rows["eid"]
+            rows = take(rows, dead.take(dead.searchsorted(eids), mode="clip") != eids)
         if len(delta):
-            rows = concat_pages([rows, delta])
-            rows = take(rows, np.lexsort((rows["eid"], rows["hkey"])))
+            # Both sides are sorted by (hkey, eid): a delta record goes before
+            # the first base record of a larger hkey, or equal hkey and larger eid.
+            hkeys, eids = rows["hkey"], rows["eid"]
+            at = hkeys.searchsorted(delta["hkey"])
+            ends = hkeys.searchsorted(delta["hkey"], "right")
+            for i in np.flatnonzero(ends > at):
+                at[i] += eids[at[i] : ends[i]].searchsorted(delta["eid"][i])
+            rows = splice(rows, at, delta)
         return rows
 
     def live_entities(self) -> list[Entity]:

@@ -61,7 +61,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
@@ -357,7 +357,7 @@ class DurableBackend(StorageBackend):
         pages and logs where they went, under the same log fsync; only
         then are the slots they superseded free."""
         self._refuse_if_failed()
-        pending = self._pending if barrier else None
+        pending = barrier and self._pending
         if op is None and not pending:
             return
         try:
@@ -374,11 +374,12 @@ class DurableBackend(StorageBackend):
         except OSError as error:
             self._failed = error  # on the medium or not: only a reopen can tell
             raise
-        if barrier:
+        if pending:
+            pending.clear()
+        if barrier and self._superseded:  # even if a DELETE popped their pending pages
             for slot in self._superseded:
                 heapq.heappush(self._free, slot)
             self._superseded.clear()
-            self._pending.clear()
         if op is not None:
             self._apply(op, body)
             if self._wal.bytes_appended >= self.checkpoint_bytes:
@@ -397,7 +398,7 @@ class DurableBackend(StorageBackend):
             "lsn": self._next_lsn - 1,
             "next_file_id": self._next_file_id,
             "journal": [note.hex() for note in self._journal],
-            "files": [asdict(self._entries[file_id]) for file_id in sorted(self._entries)],
+            "files": [vars(self._entries[file_id]) for file_id in sorted(self._entries)],
         }
         text = json.dumps(payload, sort_keys=True).encode()
         self._files.atomic_replace(self.directory / CHECKPOINT_FILE, text)

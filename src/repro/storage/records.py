@@ -117,6 +117,13 @@ def take(rows: np.ndarray, index: np.ndarray | list[int]) -> np.ndarray:
     return _read_only(rows.view(_raw(rows))[index].view(rows.dtype))
 
 
+def splice(rows: np.ndarray, at: np.ndarray, inserted: np.ndarray) -> np.ndarray:
+    """``rows`` with each ``inserted[i]`` put before ``rows[at[i]]`` (``at``
+    sorted), as one new read-only array, moved as raw rows like :func:`take`."""
+    raw = _raw(rows)
+    return _read_only(np.insert(rows.view(raw), at, inserted.view(raw)).view(rows.dtype))
+
+
 def copy_rows(rows: np.ndarray) -> np.ndarray:
     """A writeable copy of ``rows``, copied as raw ``void`` rows too."""
     return rows.view(_raw(rows)).copy().view(rows.dtype)

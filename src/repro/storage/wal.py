@@ -48,12 +48,13 @@ import zlib
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.obs import fileio
 
 WAL_MAGIC = 0x57414C31
 WAL_HEADER = struct.Struct("<IQBII")  # magic, lsn, op, crc, body length
+_CRC_PREFIX = struct.Struct("<QB")  # lsn, op: what the crc covers ahead of the body
 
 OP_MAP = 1
 OP_CREATE = 2
@@ -73,24 +74,20 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 not make the scanner allocate gigabytes before the checksum rejects it."""
 
 
-@dataclass(frozen=True)
-class WalRecord:
-    """One committed log record."""
+class WalRecord(NamedTuple):
+    """One log record: what ``append`` takes and the scanner yields."""
 
     lsn: int
     op: int
     body: bytes
 
     def encode(self) -> bytes:
-        crc = record_crc(self.lsn, self.op, self.body)
-        return (
-            WAL_HEADER.pack(WAL_MAGIC, self.lsn, self.op, crc, len(self.body))
-            + self.body
-        )
+        lsn, op, body = self
+        return WAL_HEADER.pack(WAL_MAGIC, lsn, op, record_crc(lsn, op, body), len(body)) + body
 
 
 def record_crc(lsn: int, op: int, body: bytes) -> int:
-    return zlib.crc32(body, zlib.crc32(struct.pack("<QB", lsn, op)))
+    return zlib.crc32(body, zlib.crc32(_CRC_PREFIX.pack(lsn, op)))
 
 
 # -- op bodies ---------------------------------------------------------
@@ -152,7 +149,8 @@ class WriteAheadLog:
     """The append side of the segmented log.
 
     ``append`` buffers into the current segment and flushes to the OS;
-    ``sync`` fsyncs, which is the commit point.
+    ``sync`` fsyncs, which is the commit point.  Every segment is a file
+    the log has just created, so it counts the segment's bytes from 0.
     """
 
     def __init__(
@@ -177,16 +175,18 @@ class WriteAheadLog:
         """Create segment ``sequence`` and make its directory entry durable."""
         self.sequence = sequence
         self._handle = self._files.open(self.segment_path, "ab")
+        self._offset = 0  # bytes in this segment
         self._files.fsync_dir(self.directory)
         self.syncs += 1
 
     def append(self, record: WalRecord) -> None:
         """Append one record (rotating first if the segment is full)."""
         data = record.encode()
-        if self._handle.tell() and self._handle.tell() + len(data) > self.segment_bytes:
+        if self._offset and self._offset + len(data) > self.segment_bytes:
             self._rotate()
         self._handle.write(data)
         self._handle.flush()
+        self._offset += len(data)
         self.bytes_appended += len(data)
 
     def sync(self) -> None:

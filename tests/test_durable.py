@@ -11,9 +11,12 @@ as a machine restarted after a power cut would.  ``repro verify
 """
 
 import asyncio
+import dataclasses
 import errno
+import json
 import os
 import shutil
+from hashlib import sha1
 
 import pytest
 
@@ -198,6 +201,26 @@ class TestRoundTrip:
         reopened.attach_file("kept", codec, PAGE_SIZE)
         assert reopened.read_page("kept", 0).tolist() == page(1)
         reopened.close()
+
+
+    def test_a_barrier_after_a_delete_frees_the_slots_it_superseded(self, tmp_path):
+        """A delete drops its file's pending pages, but the committed
+        slots they superseded stay owed to the free list: the next
+        barrier frees them though nothing is pending any more."""
+        codec = EntityDescriptorCodec()
+        store = make_store(tmp_path)
+        store.create_file("a", codec, PAGE_SIZE)
+        store.write_page("a", 0, page(0))  # slot 0
+        store.sync()
+        store.write_page("a", 0, page(1))  # slot 1; slot 0 is superseded
+        store.delete_file("a")  # frees slot 1, pops a's pending page
+        store.journal_append(b"barrier")  # nothing pending: frees slot 0
+        size = os.path.getsize(tmp_path / DATA_FILE)
+        store.create_file("b", codec, PAGE_SIZE)
+        store.write_page("b", 0, page(2))
+        store.write_page("b", 1, page(3))
+        assert os.path.getsize(tmp_path / DATA_FILE) == size  # slots 0 and 1 again
+        store.close()
 
 
 class TestRecovery:
@@ -987,6 +1010,13 @@ class TestFailedStore:
             assert check_index(reopened, model_of(entities)) == []
 
 
+# Written by the WAL and the checkpoint before the record became a named
+# tuple and the catalog was serialised in place: format 3, schema 3.
+SEGMENT_SHA1 = "61a47378393abe6731e867f25d28ae67554ff990"
+STORE_SEGMENT_SIZES = [282, 276, 234, 132, 282, 210]  # the kill closes the fourth
+CHECKPOINT_SHA1 = "3e1fa9f6333847fab6357b2092c97a59dce86be5"
+
+
 class TestWalUnit:
     def test_record_round_trip(self, tmp_path):
         log = wal.WriteAheadLog(tmp_path, segment_bytes=1024, start_sequence=1)
@@ -1016,3 +1046,99 @@ class TestWalUnit:
         assert scan.truncated_bytes > 0
         # The torn bytes are gone from the medium too.
         assert len(path.read_bytes()) < len(blob) - 10
+
+    def test_record_bytes_and_scan_are_pinned(self, tmp_path):
+        """``WalRecord`` is a named tuple now; its bytes, a segment's
+        bytes and what the scanner yields are those of the dataclass it
+        replaced (format 3)."""
+        record = wal.WalRecord(7, wal.OP_NOTE, wal.pack_note(b"abc", True))
+        assert record.encode().hex() == "314c41570700000000000000051f303ec80400000001616263"
+        log = wal.WriteAheadLog(tmp_path, start_sequence=1)
+        written = [
+            wal.WalRecord(1, wal.OP_CREATE, wal.pack_create(1, 48, 10, "f")),
+            wal.WalRecord(2, wal.OP_MAP, wal.pack_map(1, [(0, 3), (1, 0)])),
+            wal.WalRecord(3, wal.OP_NOTE, wal.pack_note(b"I" * 49, False)),
+            wal.WalRecord(4, wal.OP_DELETE, wal.pack_delete(1)),
+        ]
+        for entry in written:
+            log.append(entry)
+        log.close()
+        (segment,) = wal.list_segments(tmp_path)
+        assert sha1(segment.read_bytes()).hexdigest() == SEGMENT_SHA1
+        seen = []
+        wal.scan_segments(tmp_path, seen.append)
+        assert seen == written
+        assert all(type(entry) is wal.WalRecord for entry in seen)
+
+    def test_segments_rotate_at_the_same_records(self, tmp_path):
+        """The log counts a segment's bytes itself instead of asking
+        ``tell()``: a record still goes to a fresh segment exactly when
+        the current one holds some and would exceed ``segment_bytes``
+        with it — the first record of a segment whatever its size — and
+        a log reopened on the directory starts its own segment at 0."""
+        bodies = [10, 60, 40, 150, 300, 5, 5, 90, 100, 79]  # a record is 21 bytes more
+        log = wal.WriteAheadLog(tmp_path, segment_bytes=200, start_sequence=1)
+        for lsn, size in enumerate(bodies, start=1):
+            log.append(wal.WalRecord(lsn, wal.OP_NOTE, bytes(size)))
+        log.close()
+        sizes = [path.stat().st_size for path in wal.list_segments(tmp_path)]
+        assert sizes == [173, 171, 321, 163, 121, 100]
+        reopened = wal.WriteAheadLog(tmp_path, segment_bytes=200, start_sequence=log.sequence + 1)
+        for lsn, size in enumerate(bodies[:4], start=len(bodies) + 1):
+            reopened.append(wal.WalRecord(lsn, wal.OP_NOTE, bytes(size)))
+        reopened.close()
+        sizes = [path.stat().st_size for path in wal.list_segments(tmp_path)]
+        assert sizes == [173, 171, 321, 163, 121, 100, 173, 171]
+        seen = []
+        wal.scan_segments(tmp_path, seen.append)
+        assert [len(entry.body) for entry in seen] == bodies + bodies[:4]
+
+    def test_a_reopened_store_rotates_at_the_same_records(self, tmp_path):
+        """The same rule through the store, across a kill and a reopen."""
+        store = make_store(tmp_path, segment_bytes=300, checkpoint_bytes=1 << 20)
+        for n in range(12):
+            store.journal_append(bytes(10 * n))
+        store._data.close()  # abandoned, not closed: what a kill leaves
+        reopened = make_store(tmp_path, segment_bytes=300, checkpoint_bytes=1 << 20)
+        for n in range(12):
+            reopened.journal_append(bytes(30 - 2 * n))
+        sizes = [path.stat().st_size for path in wal.list_segments(tmp_path)]
+        assert sizes == STORE_SEGMENT_SIZES
+        assert len(reopened.journal()) == 24
+        reopened.close()
+
+
+class TestCheckpointBytes:
+    def test_checkpoint_is_the_asdict_form(self, tmp_path):
+        """The checkpoint serialises the catalog rows in place, no
+        ``dataclasses.asdict`` deep copy; the bytes are the same."""
+        codec = EntityDescriptorCodec()
+        store = make_store(tmp_path)
+        for n, name in enumerate(["runs", "alpha", "zeta", "gone"]):
+            store.create_file(name, codec, PAGE_SIZE)
+            for page_no in (3, 0, 11, 1)[: n + 1]:
+                store.write_page(name, page_no, page(page_no + n))
+        store.sync()
+        store.write_page("alpha", 0, page(9))  # a remap of a committed page
+        store.delete_file("gone")
+        store.journal_append(b"first")
+        store.journal_append(b"\x00second", reset=True)
+        store.checkpoint()
+        text = (tmp_path / durable.CHECKPOINT_FILE).read_bytes()
+        entries = [dataclasses.asdict(store._entries[i]) for i in sorted(store._entries)]
+        assert [entry["name"] for entry in entries] == ["runs", "alpha", "zeta"]
+        payload = {
+            "schema": durable.CHECKPOINT_SCHEMA,
+            "lsn": store._next_lsn - 1,
+            "next_file_id": store._next_file_id,
+            "journal": [note.hex() for note in store.journal()],
+            "files": entries,
+        }
+        assert text == json.dumps(payload, sort_keys=True).encode()
+        assert sha1(text).hexdigest() == CHECKPOINT_SHA1
+        store.close()
+        reopened = make_store(tmp_path)
+        assert reopened.journal() == [b"\x00second"]
+        reopened.attach_file("alpha", codec, PAGE_SIZE)
+        assert reopened.read_page("alpha", 0).tolist() == page(9)
+        reopened.close()

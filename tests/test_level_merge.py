@@ -20,6 +20,7 @@ import sys
 from hashlib import sha1
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,73 @@ def test_level_records_matches_the_heapq_merge(base, script):
         assert index.live_entities() == twin.live_entities()
 
 
+def lexsort_level_rows(index, level):
+    """An independent reference for ``level_rows``: the base file's
+    tuples minus its tombstones, then the delta, ordered by one
+    ``(hkey, eid)`` ``np.lexsort`` (the merge before the splice)."""
+    handle = index._base.get(level)
+    dead = index._tombstones.get(level, set())
+    base = [record for record in (handle.scan() if handle else ()) if record[EID] not in dead]
+    rows = np.array(base + list(index._delta.get(level, ())), dtype=DESCRIPTOR)
+    return rows[np.lexsort((rows["eid"], rows["hkey"]))]
+
+
+def mutated(base, dead, back, fresh):
+    """An index bulk-loaded with ``base`` (eid -> rect), then every eid of
+    ``dead`` deleted (a tombstone), every eid of ``back`` (some of
+    ``dead``) inserted again at the n-th box of ``base``, and
+    ``fresh`` (eid -> rect, no eid of ``base``) inserted (the delta)."""
+    index = PersistentIndex(
+        [Entity(eid, rect) for eid, rect in base.items()],
+        storage=CONFIG,
+        compaction_threshold=10**9,
+    )
+    rects = list(base.values())
+    for eid in dead:
+        index.delete(eid)
+    for n, eid in enumerate(back):
+        index.insert(Entity(eid, rects[n % len(rects)]))
+    for eid, rect in fresh.items():
+        index.insert(Entity(eid, rect))
+    return index
+
+
+ids = st.one_of(st.integers(0, 60), st.integers(0, 2**62))
+
+
+@st.composite
+def level_scripts(draw):
+    base = draw(st.dictionaries(ids, boxes, max_size=60))
+    dead = draw(st.sets(st.sampled_from(sorted(base)))) if base else set()
+    back = draw(st.sets(st.sampled_from(sorted(dead)))) if dead else set()
+    fresh = draw(st.dictionaries(ids.filter(lambda eid: eid not in base), boxes, max_size=30))
+    return base, sorted(dead), sorted(back), fresh
+
+
+SMALL = box(3, 3, 1 / 64)
+LARGE = box(3, 3, 1 / 8)  # another level
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_scripts())
+@example(  # equal Hilbert keys across base and delta, eids interleaved
+    ({10: SMALL, 30: SMALL, 50: SMALL}, [], [], {5: SMALL, 20: SMALL, 40: SMALL, 60: SMALL})
+)
+@example(({1: SMALL, 2: SMALL, 3: SMALL}, [2], [2], {}))  # a tombstoned eid re-inserted
+@example(({1: SMALL, 2: SMALL, 3: SMALL}, [1, 2, 3], [], {}))  # a level emptied by tombstones
+@example(({1: SMALL, 2: SMALL}, [], [], {3: LARGE, 4: LARGE}))  # a delta-only level
+@example(({2**62: SMALL, 0: SMALL}, [0], [], {2**61: SMALL, 7: SMALL}))  # ids far apart
+def test_level_rows_match_a_lexsort_reference(script):
+    """The searchsorted splice against an ``np.lexsort`` of the same
+    rows: random bases, tombstones, re-inserts and deltas on the 8 x 8
+    grid, where equal Hilbert keys are the common case."""
+    with mutated(*script) as index:
+        for level in index.levels():
+            rows = index.level_rows(level)
+            assert rows.dtype == DESCRIPTOR and not rows.flags.writeable
+            assert rows.tolist() == lexsort_level_rows(index, level).tolist()
+
+
 def mutation_stream():
     """1,500 boxes of three sizes, then 400 mutations: every third a
     delete of a base id (dead ones skipped), the rest fresh inserts."""
@@ -222,11 +290,11 @@ print(loaded, "numpy.ma" in sys.modules, len(index.live_entities()))
 
 
 def test_a_fold_over_wide_ids_imports_no_masked_arrays():
-    """Tombstones are dropped with ``np.isin(..., assume_unique=True)``
-    (a level file holds an eid once).  Without it, ids spread up to
-    10**12 send ``isin`` down its sort path through ``np.unique``, whose
-    first call in a process imports ``numpy.ma`` — a one-off cost
-    charged to the first fold or self-join after a start."""
+    """Tombstones are dropped with one ``searchsorted`` against their
+    sorted eids.  ``np.isin`` without ``assume_unique`` sent ids spread
+    up to 10**12 down its sort path through ``np.unique``, whose first
+    call in a process imports ``numpy.ma`` — a one-off cost charged to
+    the first fold or self-join after a start."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
