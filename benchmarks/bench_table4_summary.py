@@ -10,12 +10,16 @@ Shape assertions encode the paper's qualitative claims:
 - S3J itself never replicates.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.workloads import WORKLOADS
+from repro.obs.fileio import atomic_write_json
 
-from benchmarks.artifacts import write_bench_artifact
 from benchmarks.conftest import cached_workload_row
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
@@ -57,7 +61,7 @@ def test_table4_row(benchmark, workload, repro_scale):
     benchmark.extra_info["row"] = {
         k: v for k, v in row.items() if k not in ("paper_replication",)
     }
-    write_bench_artifact(
-        f"table4_{workload.name}",
-        {k: v for k, v in row.items() if k not in ("paper_replication",)},
+    # Temp sibling + os.replace: an interrupted run leaves no truncated file.
+    atomic_write_json(
+        REPO_ROOT / f"BENCH_table4_{workload.name}.json", benchmark.extra_info["row"]
     )

@@ -45,7 +45,7 @@ TABLE2_PHASES: dict[str, tuple[str, ...]] = {
     "shj": ("partition", "join"),
 }
 """The per-algorithm phases of the paper's Table 2; a report for an
-algorithm must contain every one of them (CI's smoke job enforces it).
+algorithm must contain every one of them (``tests/test_cli.py`` enforces it).
 """
 
 

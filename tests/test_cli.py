@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.report import RunReport
+from repro.obs.report import TABLE2_PHASES, RunReport
 
 
 class TestParser:
@@ -232,14 +232,17 @@ class TestObservabilityFlags:
             assert phase in report.metrics.phases
             assert report.phase_wall.get(phase, 0.0) > 0.0
 
-    def test_report_and_trace_files(self, capsys, tmp_path):
+    @pytest.mark.parametrize("algorithm", sorted(TABLE2_PHASES))
+    def test_report_and_trace_files(self, algorithm, capsys, tmp_path):
+        """Every algorithm's report carries each of its Table-2 phases,
+        with simulated and wall time, and its trace has events."""
         report_path = tmp_path / "run.report.json"
         trace_path = tmp_path / "run.trace.json"
         assert main(
             [
                 "join",
                 "--algorithm",
-                "pbsm",
+                algorithm,
                 "--workload",
                 "UN1-UN2",
                 "--scale",
@@ -252,7 +255,12 @@ class TestObservabilityFlags:
         ) == 0
         assert "pairs" in capsys.readouterr().out  # summary still printed
         report = RunReport.load(str(report_path))
-        assert report.algorithm == "pbsm"
+        assert report.algorithm == algorithm
+        assert report.pairs > 0
+        for phase in TABLE2_PHASES[algorithm]:
+            assert phase in report.metrics.phases, phase
+            assert report.metrics.phase_time(phase) > 0.0, phase
+            assert report.phase_wall.get(phase, 0.0) > 0.0, phase
         trace = json.loads(trace_path.read_text())
         events = trace["traceEvents"]
         assert events and all(event["ph"] == "X" for event in events)

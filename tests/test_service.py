@@ -768,6 +768,62 @@ class TestServiceServer:
 
         asyncio.run(scenario())
 
+    def test_concurrent_clients_get_only_ok_replies_while_folds_run(self):
+        """Four clients on their own connections, each inserting and
+        deleting in its own eid range and asking points and windows,
+        while the background compactor folds the delta between their
+        requests: every reply is ok, and the join after them is exact."""
+        dataset = make_squares(300, side=0.02, seed=59)
+
+        async def client(host, port, number):
+            rng = random.Random(number)
+            reader, writer = await asyncio.open_connection(host, port)
+            owned, next_eid, replies = [], 10_000 * (number + 1), []
+
+            async def ask(request):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+
+            for _ in range(100):
+                roll = rng.random()
+                x, y = rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9)
+                if roll < 0.25:
+                    box = {"xlo": x, "ylo": y, "xhi": x + 0.03, "yhi": y + 0.03}
+                    await ask({"op": "insert", "eid": next_eid, **box})
+                    owned.append(next_eid)
+                    next_eid += 1
+                elif roll < 0.4 and owned:
+                    await ask({"op": "delete", "eid": owned.pop(rng.randrange(len(owned)))})
+                elif roll < 0.7:
+                    await ask({"op": "point", "x": x, "y": y})
+                else:
+                    await ask({"op": "window", "xlo": x, "ylo": y, "xhi": x + 0.1, "yhi": y + 0.1})
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        async def scenario():
+            with PersistentIndex(dataset.entities, compaction_threshold=8) as index:
+                server = ServiceServer(JoinService(index))
+                host, port = await server.start()
+                fleet = await asyncio.gather(*(client(host, port, n) for n in range(4)))
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b'{"op": "join"}\n')
+                join = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                await server.stop()
+                for replies in fleet:
+                    for reply in replies:
+                        assert reply.get("ok") is True or reply.get("status") == "ok", reply
+                assert sum(map(len, fleet)) == 400
+                assert index.compactions >= 2  # folds ran among the requests
+                assert join["status"] == "ok"
+                assert join["pairs"] == sorted(list(pair) for pair in oracle_pairs(index))
+
+        asyncio.run(scenario())
+
 
 @contextlib.asynccontextmanager
 async def connected(index, service=None):

@@ -3,16 +3,26 @@
 Hypothesis picks the interleaving — insert, delete, re-insert of a
 deleted id (same box or a new one), a fresh insert deleted again
 (churn), compact, point / window / join
-queries, and, for the durable variant (on the recording disk),
-close-and-reopen and power-loss-at-a-drawn-crash-state-and-reopen —
-and after every step the index
-must equal the model: the same
+queries, and, for the durable variant (a bulk-loaded store on the
+faulty recording disk), close-and-reopen,
+power-loss-at-a-drawn-crash-state-and-reopen, one drawn seam fault at
+a time, and a fold whose page write fails — and after every step the
+index must equal the model: the same
 :class:`~repro.verify.scenario.LiveModel` and
 :func:`~repro.verify.scenario.check_index` the ``repro verify`` gates
 use, driven here by shrinking search instead of a seeded generator.
+Queries go through a :class:`~repro.service.api.JoinService`, so each
+outcome is judged by the gates' :func:`~repro.verify.scenario.classify`
+and every op under an armed fault by their
+:func:`~repro.verify.scenario.ending`.
 Coordinates are dyadic, so boxes land on the grid lines where
 closed-interval and level-assignment bugs live.
 """
+
+import asyncio
+import dataclasses
+import errno
+import random
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -26,42 +36,175 @@ from hypothesis.stateful import (
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.obs import fileio
+from repro.service.api import JoinService, ServiceConfig
 from repro.service.index import PersistentIndex
-from repro.verify.recorder import Recorder
-from repro.verify.scenario import LiveModel, apply_op, check_index
+from repro.storage.durable import CHECKPOINT_FILE, DATA_FILE, SLOT_COVERED, DurableStoreError
+from repro.storage.manager import StorageConfig
+from repro.verify.recorder import Fault, FaultyDisk
+from repro.verify.scenario import (
+    BAD_ENDINGS,
+    BREAKER_RESET_S,
+    LiveModel,
+    _serve,
+    apply_op,
+    check_index,
+    classify,
+    ending,
+)
 
 dyadic = st.integers(0, 64).map(lambda k: k / 64)
 rects = st.tuples(dyadic, dyadic, dyadic, dyadic).map(
     lambda c: Rect(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
 )
+codes = st.sampled_from([errno.EIO, errno.ENOSPC])
+nths = st.integers(1, 4)
+
+
+def writes(files):
+    """EIO or ENOSPC on the ``nth`` write or fsync of one of ``files``
+    (a name prefix), or a short write of one."""
+    return st.one_of(
+        st.builds(Fault, st.sampled_from(["write", "fsync"]), files, codes, nths),
+        st.builds(Fault, st.just("write"), files, codes, nths, landed=st.integers(1, 64)),
+    )
+
+
+faults = writes(st.sampled_from(["wal-", CHECKPOINT_FILE])) | st.one_of(
+    # A log or the checkpoint is read only by a reopen, which runs on a
+    # healthy disk, so reads fail on the data file, and a flip lands
+    # where its slot checksum covers it.
+    st.builds(Fault, st.just("read"), st.just(DATA_FILE), codes, nths),
+    st.builds(Fault, st.just("corrupt"), st.just(DATA_FILE), nth=nths,
+              landed=st.integers(0, SLOT_COVERED - 1)),
+)
+"""One seam fault: a failed write or fsync of a log segment or the
+checkpoint, or a failed or corrupt read of the data file (whose writes
+``failed_fold`` fails, a fold being the one op that writes it)."""
+
+LOUD = object()
+"""What an op that ended in a typed storage error returns."""
+
+
+def applied(model, op, payload):
+    after = LiveModel(list(model.live.values()))
+    after.apply(op, payload)
+    return after
+
+
+def seed_entities(count):
+    """``count`` entities of seven sizes at dyadic corners, so a bulk
+    load fills several levels."""
+    rng = random.Random(0)
+    entities = []
+    for eid in range(1, count + 1):
+        side = rng.choice([0, 1, 2, 4, 8, 16, 32]) / 64
+        x, y = rng.randrange(64) / 64, rng.randrange(64) / 64
+        entities.append(Entity(eid, Rect(x, y, min(1.0, x + side), min(1.0, y + side))))
+    return entities
 
 
 class IndexMachine(RuleBasedStateMachine):
     durable = False
+    seeded = 0  # entities bulk-loaded before the first rule
 
     def __init__(self):
         super().__init__()
-        self.disk = Recorder() if self.durable else None
-        self.index = self.open()
-        self.model = LiveModel()
+        self.disk = FaultyDisk() if self.durable else None
+        self.now = 0.0  # the breaker's clock
+        self.loop = asyncio.new_event_loop()
+        self.model = LiveModel(seed_entities(self.seeded))
+        self.open(self.model.live.values())
+        self.in_flight = self.model  # the model if a failed mutation took effect
         self.deleted = {}
-        self.next_eid = 1
+        self.next_eid = self.seeded + 1
 
-    def open(self):
+    def open(self, entities=()):
         if self.disk is None:
-            return PersistentIndex(compaction_threshold=6)
-        with fileio.using(self.disk):
-            return PersistentIndex(compaction_threshold=6, data_dir="/store")
+            self.index = PersistentIndex(entities, compaction_threshold=6)
+        else:  # a small pool, so queries read the disk and folds evict
+            with fileio.using(self.disk):
+                self.index = PersistentIndex(
+                    entities, storage=StorageConfig(buffer_pages=2),
+                    compaction_threshold=6, data_dir="/store",
+                )
+        config = ServiceConfig(breaker_threshold=2, breaker_reset_s=BREAKER_RESET_S)
+        self.service = JoinService(self.index, config, clock=lambda: self.now)
 
     def teardown(self):
+        if self.disk is not None:
+            self.disk.arm(None)
         self.index.close()
+        self.loop.close()
+
+    def attempt(self, op, payload):
+        """Run one op on the index.  Under an armed fault, a typed storage
+        error is the op's loud ending — after the fault fired, never
+        before (spurious) — and an op that ends quietly must not have
+        absorbed a fault that fired inside it (swallowed)."""
+        if self.disk is None:
+            return apply_op(self.index, op, payload)
+        fired = self.disk.fired
+        try:
+            answer = apply_op(self.index, op, payload)
+        except (OSError, DurableStoreError) as error:
+            verdict = ending(self.disk, loud=True)
+            assert verdict == "loud", f"{type(error).__name__}: {BAD_ENDINGS[verdict]}"
+            return LOUD
+        if self.disk.fired > fired:
+            raise AssertionError(BAD_ENDINGS[ending(self.disk, loud=False)])
+        return answer
 
     def mutate(self, op, payload):
-        apply_op(self.index, op, payload)
-        self.model.apply(op, payload)
+        """A mutation the model admits is applied or fails loud; one it
+        does not admit (a failed delete left its id live) is refused.
+        The first failure may have logged its record, so until a reopen
+        tells, ``in_flight`` is the model with that op applied too; later
+        failures find the store failed."""
+        if not self.model.admits(op, payload):
+            try:
+                if self.attempt(op, payload) is LOUD:
+                    return
+            except (ValueError, KeyError):
+                return
+            raise AssertionError(f"acknowledged {op} the live set does not admit")
+        if self.attempt(op, payload) is LOUD:
+            if self.in_flight is self.model:
+                self.in_flight = applied(self.model, op, payload)
+            return
+        if op != "compact":  # one with nothing pending writes nothing
+            assert not self.store_failed(), f"{op} acknowledged after a failed write"
+        if self.in_flight is not self.model and self.in_flight.admits(op, payload):
+            self.in_flight = applied(self.in_flight, op, payload)
+            self.model = applied(self.model, op, payload)
+        else:
+            self.model = self.in_flight = applied(self.model, op, payload)
+
+    def store_failed(self):
+        """Whether a write or fsync of the data file or the log has
+        failed: the store then refuses every write until the reopen (a
+        failed checkpoint leaves the last one, and fails nothing)."""
+        fault = self.disk.fault if self.disk is not None and self.disk.fired else None
+        return fault is not None and fault.op != "read" and fault.prefix != CHECKPOINT_FILE
 
     def ask(self, op, payload):
-        assert apply_op(self.index, op, payload) == self.model.expected(op, payload)
+        self.now += BREAKER_RESET_S  # an open breaker half-opens and probes
+        fired = self.disk.fired if self.disk is not None else 0
+        outcome = self.loop.run_until_complete(_serve(self.service, op, payload))
+        now_fired = self.disk.fired if self.disk is not None else 0
+        problems = classify(outcome, self.service.breaker.state, now_fired > 0)
+        if outcome.status == "ok":
+            if now_fired > fired:
+                problems.append(BAD_ENDINGS[ending(self.disk, loud=False)])
+            answer = outcome.pairs if op == "join" else outcome.eids
+            if answer != self.model.expected(op, payload):
+                problems.append("silent wrong answer")
+        assert problems == [], problems
+
+    def recover(self, *models):
+        """The reopened index holds one of ``models``: an op in flight
+        when the store failed or lost power happened or did not."""
+        live = {entity.eid: entity for entity in self.index.live_entities()}
+        self.model = self.in_flight = next((m for m in models if m.live == live), self.model)
 
     @rule(box=rects)
     def insert(self, box):
@@ -91,7 +234,7 @@ class IndexMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        self.mutate("compact", None)
+        self.attempt("compact", None)
 
     @rule(x=dyadic, y=dyadic)
     def point(self, x, y):
@@ -105,12 +248,41 @@ class IndexMachine(RuleBasedStateMachine):
     def join(self):
         self.ask("join", None)
 
+    @precondition(lambda self: self.durable and self.disk.fault is None)
+    @rule(fault=faults)
+    def fault(self, fault):
+        """Arm one seam fault; it hits the ``nth`` matching call from
+        now, and the store lives with it until the reopen."""
+        self.disk.arm(fault)
+
+    def pending_levels(self):
+        return len(set(self.index._delta) | set(self.index._tombstones))
+
+    @precondition(lambda self: self.durable and not self.disk.fired and self.pending_levels())
+    @rule(fault=writes(st.just(DATA_FILE)))
+    def failed_fold(self, fault):
+        """A fold — the one op that writes the data file, a file per
+        level it rewrites — whose ``nth`` page write (``nth`` at most
+        the levels) or data fsync fails.  Its fault replaces one armed
+        but not yet fired."""
+        self.disk.arm(dataclasses.replace(fault, nth=min(fault.nth, self.pending_levels())))
+        self.attempt("compact", None)
+
     @precondition(lambda self: self.durable)
     @rule()
     def reopen(self):
-        self.index.close()
-        self.index = self.open()
+        """Close — under the armed fault, which may fail it loud, but
+        only by firing inside it — and reopen on a healthy disk: the
+        acked ops are all there."""
+        fired = self.disk.fired
+        try:
+            self.index.close()
+        except (OSError, DurableStoreError) as error:
+            assert self.disk.fired > fired, f"close failed with no fault in it: {error!r}"
+        self.disk.arm(None)
+        self.open()
         assert self.index.recovered
+        self.recover(self.model, self.in_flight)
 
     @precondition(lambda self: self.durable)
     @rule(data=st.data())
@@ -125,7 +297,7 @@ class IndexMachine(RuleBasedStateMachine):
         ops += [("delete", eid) for eid in sorted(self.model.live)[:2]]
         op, payload = data.draw(st.sampled_from(ops))
         self.next_eid += 1
-        before = LiveModel(list(self.model.live.values()))
+        before = self.model  # k
         boundaries = []
         self.disk.on_boundary = lambda disk, site: boundaries.append(disk.crash_states())
         try:
@@ -135,15 +307,21 @@ class IndexMachine(RuleBasedStateMachine):
         if not boundaries:
             return
         _, state = data.draw(st.sampled_from(data.draw(st.sampled_from(boundaries))))
-        self.disk = Recorder(state)
-        self.index = self.open()
+        self.disk = FaultyDisk(state)
+        self.open()
         assert self.index.recovered
-        if before.live == {e.eid: e for e in self.index.live_entities()}:
-            self.model = before  # k; the invariant holds k + 1 otherwise
+        self.recover(before, self.in_flight)
 
     @invariant()
     def index_equals_model(self):
-        assert check_index(self.index, self.model) == []
+        held = self.disk.fault if self.disk is not None else None
+        if held is not None:  # the check observes: it reads with the fault held off
+            self.disk.fault = None
+        try:
+            assert check_index(self.index, self.model) == []
+        finally:
+            if held is not None:
+                self.disk.fault = held
         index = self.index  # every mutation counts, even one another undid
         assert index.delta_records >= sum(
             map(len, [*index._delta.values(), *index._tombstones.values()])
@@ -153,17 +331,22 @@ class IndexMachine(RuleBasedStateMachine):
 
 
 class DurableIndexMachine(IndexMachine):
+    """On a bulk-loaded store, so queries and folds read its pages."""
+
     durable = True
+    seeded = 24
 
 
-# Budgets set against a seeded bug: with the PR-9 tombstone filter put
-# back (tests/test_verify_gates.py has the patch), 60 x 30 finds it in
-# every trial, 20-30 examples in about half.
+# Budgets set against seeded bugs: with the tombstone filter run after
+# the merge (tests/test_verify_gates.py has the patch), 60 x 30 finds it in
+# every trial, 20-30 examples in about half; the durable variant's
+# 50 x 30 is what tests/test_machine_mutations.py gives each storage
+# guard it removes.
 TestIndexStateMachine = IndexMachine.TestCase
 TestIndexStateMachine.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 TestDurableIndexStateMachine = DurableIndexMachine.TestCase
 TestDurableIndexStateMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
+    max_examples=50, stateful_step_count=30, deadline=None
 )
