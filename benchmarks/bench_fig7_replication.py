@@ -8,7 +8,7 @@ fine tile grid and counts entities recorded in more than one tile.
 
 import pytest
 
-from repro.costmodel.replication import replicated_fraction
+from benchmarks.costmodel import replicated_fraction
 from repro.datagen.uniform import uniform_squares
 from repro.filtertree.grid import cells_overlapping
 

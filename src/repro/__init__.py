@@ -9,8 +9,9 @@ The package implements the paper's contribution (S3J with Dynamic
 Spatial Bitmaps), both evaluated baselines (PBSM and SHJ), and every
 substrate they run on: a paged storage manager with an LRU buffer pool
 and I/O accounting, external merge sort, plane sweep, an R-tree,
-space-filling curves, the Filter-Tree level decomposition, the
-analytic cost models of section 4, and the data generators of Table 3.
+space-filling curves, the Filter-Tree level decomposition, and the data
+generators of Table 3.  The analytic cost models of section 4 live
+outside the package, beside the benchmark that checks them.
 
 Quick start::
 

@@ -78,14 +78,6 @@ class ExternalSorter:
         """Merge fan-in ``F`` (at least two-way)."""
         return max(2, self.memory_pages // self.bulk_pages - 1)
 
-    def predicted_passes(self, file_pages: int) -> int:
-        """The paper's ``l_i = ceil(log_F(S_i / M)) + 1`` pass count
-        (1 when the file fits in memory)."""
-        if file_pages <= self.memory_pages:
-            return 1
-        runs = math.ceil(file_pages / self.memory_pages)
-        return 1 + math.ceil(math.log(runs, self.fan_in))
-
     def sort(
         self,
         source: PagedFile,

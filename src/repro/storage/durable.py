@@ -27,20 +27,21 @@ Every page is written once:
   lowest-first, and freed only once the record that frees it is
   durable: a file's delete record, or the barrier that logged a remap;
 - **checkpoint** (``checkpoint.json``, written atomically) — the
-  catalog (name -> file id -> page -> slot) and the journal; the log is
-  reset after every checkpoint;
+  catalog (name -> file id -> page -> slot) and the journal as JSON
+  behind a line holding its crc32; the log is reset after every
+  checkpoint;
 - **journal** — ``journal_append`` logs an opaque client note
   (``reset`` discards all earlier ones in the same atomic step) and
   ``journal()`` hands the survivors back after a reopen.  The resident
   index keeps its mutable state here; its manifest note is the barrier
   that commits a compaction's level files.
 
-An ``OSError`` from a slot write, a data fsync or a log write marks the
-store **failed**: the bytes may or may not be on the medium, so no later
-barrier may commit a mapping to them, nor an ack be reordered under
-them.  Every later write or barrier raises :class:`DurableStoreError`
-naming the original error until the directory is reopened; reads work
-and ``close()`` skips its checkpoint.  The simulated I/O ledger sees
+An ``OSError`` from a slot write, a data fsync, a log write or a
+checkpoint marks the store **failed**: the bytes may or may not be on
+the medium, so no later barrier may commit a mapping to them, nor an
+ack be reordered under them.  Every later write or barrier raises
+:class:`DurableStoreError` naming the original error until the
+directory is reopened; reads work and ``close()`` skips its checkpoint.  The simulated I/O ledger sees
 none of this: it is byte-identical across ``memory`` and ``durable``.
 
 Every file operation goes through the seam of :mod:`repro.obs.fileio`,
@@ -82,7 +83,7 @@ or the identity test covers whatever the page holds."""
 
 DATA_FILE = "pages.data"
 CHECKPOINT_FILE = "checkpoint.json"
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4  # 4: a crc32 line ahead of the JSON
 
 DEFAULT_CHECKPOINT_BYTES = 64 * 1024
 """WAL bytes that trigger an automatic checkpoint (and log reset): about
@@ -159,7 +160,11 @@ class DurableBackend(StorageBackend):
                     f"store at {self.directory} uses page size "
                     f"{self.page_size}, configuration asked for {page_size}"
                 )
-            self._recover()
+            try:
+                self._recover()
+            except BaseException:
+                self._data.close()
+                raise
             # Opening is itself a recovery point: bump the epoch, persist
             # the catalog, start a fresh log segment, so a second open
             # replays nothing.  The header is one write in one sector that
@@ -232,7 +237,10 @@ class DurableBackend(StorageBackend):
                 report.mapped_pages += len(wal.unpack_map(record.body)[1])
             self._next_lsn = record.lsn + 1
 
-        scan = wal.scan_segments(self.directory, apply, self._files)
+        try:
+            scan = wal.scan_segments(self.directory, apply, self._files, self._next_lsn)
+        except wal.CorruptLog as error:
+            raise DurableStoreError(f"corrupt log in {self.directory}: {error}") from None
         report.truncated_bytes = scan.truncated_bytes
         report.dropped_segments = scan.dropped_segments
         report.journal_notes = len(self._journal)
@@ -249,7 +257,13 @@ class DurableBackend(StorageBackend):
             # A store that died before its very first checkpoint: the
             # WAL (possibly empty) is the entire history.
             return
-        data = json.loads(self._files.read_bytes(path))
+        crc, _, text = self._files.read_bytes(path).partition(b"\n")
+        try:
+            if int(crc, 16) != zlib.crc32(text):
+                raise ValueError("checksum mismatch")
+            data = json.loads(text)
+        except ValueError as error:  # a bad crc line, utf-8 or JSON too
+            raise DurableStoreError(f"unreadable checkpoint {path}: {error}") from None
         if data.get("schema") != CHECKPOINT_SCHEMA:
             raise DurableStoreError(
                 f"unsupported checkpoint schema {data.get('schema')!r}"
@@ -387,10 +401,17 @@ class DurableBackend(StorageBackend):
 
     def checkpoint(self) -> None:
         """Make the log redundant: a barrier, then persist the catalog
-        atomically, then reset the log to a fresh segment."""
+        atomically, then reset the log to a fresh segment.  One that
+        fails fails the store: the log may be half reset, and a caller
+        that triggered it by logging a record holds an error for a
+        record already committed."""
         self._log(None, barrier=True)
-        self._write_checkpoint()
-        self._wal.reset(self._wal.sequence + 1)
+        try:
+            self._write_checkpoint()
+            self._wal.reset(self._wal.sequence + 1)
+        except OSError as error:
+            self._failed = error
+            raise
 
     def _write_checkpoint(self) -> None:
         payload = {
@@ -401,9 +422,10 @@ class DurableBackend(StorageBackend):
             "files": [vars(self._entries[file_id]) for file_id in sorted(self._entries)],
         }
         text = json.dumps(payload, sort_keys=True).encode()
-        self._files.atomic_replace(self.directory / CHECKPOINT_FILE, text)
+        blob = b"%08x\n" % zlib.crc32(text) + text
+        self._files.atomic_replace(self.directory / CHECKPOINT_FILE, blob)
         self._fsyncs += 2  # the temp file, then the directory after the rename
-        self.bytes_written += len(text)
+        self.bytes_written += len(blob)
 
     # -- StorageBackend ---------------------------------------------------
 

@@ -7,7 +7,8 @@ freshly written pages went to.  Pages are fsynced in the data file
 *before* their ``map`` record is appended, so recovery replays mappings
 onto the catalog and never writes a data slot.  A torn log tail (the one
 record a power cut interrupted) is identified by its checksum and
-truncated away.
+truncated away; a bad record with a valid later one behind it is
+corruption, refused loudly.
 
 The log is **segmented**: records append to ``wal-<seq>.log`` until the
 segment exceeds ``segment_bytes``, then a fresh segment (with the next
@@ -35,9 +36,12 @@ opaque client bytes (``DurableBackend.journal_append``).
 A record is **committed** once an ``fsync`` covering it returned; map
 records ride under the fsync of the barrier that logged them, every
 other record is fsynced on its own.  The scanner accepts a record only
-if the magic matches, the LSN is the expected successor, the declared
-body is fully present, and the checksum agrees — anything else is the
-torn tail and scanning stops there.
+if the magic matches, the declared body is fully present, the checksum
+agrees and, past the checkpoint, the LSN is the expected successor;
+scanning stops at the first record that fails.  That is the torn tail
+only if no valid record the replay still needs comes after it: a
+segment is fsynced before the next one starts, so a valid record behind
+a bad one means the bad one was corrupted after its commit.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from repro.obs import fileio
 
 WAL_MAGIC = 0x57414C31
 WAL_HEADER = struct.Struct("<IQBII")  # magic, lsn, op, crc, body length
+_MAGIC_BYTES = struct.pack("<I", WAL_MAGIC)
 _CRC_PREFIX = struct.Struct("<QB")  # lsn, op: what the crc covers ahead of the body
 
 OP_MAP = 1
@@ -223,61 +228,93 @@ class WalScan:
     dropped_segments: int = 0
 
 
+class CorruptLog(Exception):
+    """A record the scan cannot read has a valid record it needs behind it."""
+
+
 def scan_segments(
     directory: Path,
     apply: Callable[[WalRecord], None],
     files: fileio.OsFiles | None = None,
+    first_lsn: int = 1,
 ) -> WalScan:
     """Read every committed record in LSN order and feed it to ``apply``.
 
-    The first structurally invalid record — bad magic, non-successor
-    LSN, short body, checksum mismatch — is the torn tail: scanning
-    stops, the segment is truncated at that offset,
-    and any *later* segment is deleted outright (it can only exist if
-    the tail segment tore mid-rotation; its records were never
-    acknowledged).
+    ``first_lsn`` is the first LSN the checkpoint does not cover: the
+    records the replay needs run on from it, one LSN after another.
+    Ahead of them, a covered record is read whatever its LSN (segments a
+    checkpoint made redundant linger until the next one resets the log).
+    The first record that is structurally invalid — bad magic, short
+    body, checksum mismatch — or out of that order ends the scan.  If a
+    valid record with the LSN due or a later one lies behind it, in
+    its segment or a later one, the log is corrupt: :class:`CorruptLog`
+    names the segment and offset, and nothing is truncated.  Otherwise
+    it is the torn tail: the segment is truncated at that offset, and
+    any *later* segment is deleted outright (it can only exist if the
+    tail segment tore mid-rotation, or hold records the checkpoint
+    covers).
     """
     files = files or fileio.current()
     scan = WalScan()
-    expected_lsn: int | None = None
-    torn = False
-    for path in list_segments(directory, files):
-        if torn:
-            files.unlink(path)
-            scan.dropped_segments += 1
-            continue
+    due = first_lsn
+    segments = list_segments(directory, files)
+    for index, path in enumerate(segments):
         data = files.read_bytes(path)
         offset = 0
         while offset < len(data):
-            good, record = _decode_at(data, offset, expected_lsn)
-            if not good:
-                torn = True
+            record = _decode_at(data, offset)
+            in_order = record is not None and (
+                record.lsn == due or due == first_lsn > record.lsn  # covered, ahead of the needed
+            )
+            if not in_order:
+                later = segments[index + 1 :]
+                behind = _record_behind(path, data, offset + 1, later, due, files)
+                if behind is not None:
+                    raise CorruptLog(
+                        f"unreadable record at offset {offset} of {path.name}, "
+                        f"but a valid record (LSN >= {due}) follows at {behind}"
+                    )
                 scan.truncated_bytes = len(data) - offset
                 with files.open(path, "r+b") as handle:
                     handle.truncate(offset)
                     files.fsync(handle)
-                break
-            assert record is not None
+                for stale in later:
+                    files.unlink(stale)
+                    scan.dropped_segments += 1
+                return scan
             apply(record)
-            expected_lsn = record.lsn + 1
+            if record.lsn == due:
+                due += 1
             offset += WAL_HEADER.size + len(record.body)
     return scan
 
 
-def _decode_at(
-    data: bytes, offset: int, expected_lsn: int | None
-) -> tuple[bool, WalRecord | None]:
+def _record_behind(
+    path: Path, data: bytes, start: int, later: list[Path], floor: int, files: fileio.OsFiles
+) -> str | None:
+    """Where the first valid record with an LSN of at least ``floor``
+    lies from ``start`` of ``path`` on, or in a ``later`` segment."""
+    for where in (path, *later):
+        blob, start = (data, start) if where is path else (files.read_bytes(where), 0)
+        offset = blob.find(_MAGIC_BYTES, start)
+        while offset >= 0:
+            record = _decode_at(blob, offset)
+            if record is not None and record.lsn >= floor:
+                return f"offset {offset} of {where.name}"
+            offset = blob.find(_MAGIC_BYTES, offset + 1)
+    return None
+
+
+def _decode_at(data: bytes, offset: int) -> WalRecord | None:
     if offset + WAL_HEADER.size > len(data):
-        return False, None
+        return None
     magic, lsn, op, crc, length = WAL_HEADER.unpack_from(data, offset)
     if magic != WAL_MAGIC or length > MAX_BODY_BYTES:
-        return False, None
-    if expected_lsn is not None and lsn != expected_lsn:
-        return False, None
+        return None
     body_start = offset + WAL_HEADER.size
     if body_start + length > len(data):
-        return False, None
+        return None
     body = data[body_start : body_start + length]
     if record_crc(lsn, op, body) != crc:
-        return False, None
-    return True, WalRecord(lsn, op, body)
+        return None
+    return WalRecord(lsn, op, body)

@@ -2,21 +2,20 @@
 
 import pytest
 
-from repro.costmodel.pbsm import (
+from benchmarks.costmodel import (
     expected_replication_factor,
+    inside_fraction,
+    level_fractions,
     pbsm_io,
     pbsm_partitions,
-)
-from repro.costmodel.replication import inside_fraction, replicated_fraction
-from repro.costmodel.s3j import (
+    replicated_fraction,
     s3j_best_case_io,
     s3j_hilbert_cpu,
     s3j_io,
     s3j_worst_case_io,
+    shj_io,
     sort_passes,
 )
-from repro.costmodel.shj import shj_io
-from repro.filtertree.occupancy import level_fractions
 
 
 class TestReplicationFraction:

@@ -15,7 +15,9 @@ import dataclasses
 import errno
 import json
 import os
+import random
 import shutil
+import zlib
 from hashlib import sha1
 
 import pytest
@@ -1010,11 +1012,74 @@ class TestFailedStore:
             assert check_index(reopened, model_of(entities)) == []
 
 
-# Written by the WAL and the checkpoint before the record became a named
-# tuple and the catalog was serialised in place: format 3, schema 3.
+# Written by the WAL before the record became a named tuple: format 3.
 SEGMENT_SHA1 = "61a47378393abe6731e867f25d28ae67554ff990"
 STORE_SEGMENT_SIZES = [282, 276, 234, 132, 282, 210]  # the kill closes the fourth
-CHECKPOINT_SHA1 = "3e1fa9f6333847fab6357b2092c97a59dce86be5"
+# Schema 4: the crc32 line, then the JSON that schema 3 wrote alone.
+CHECKPOINT_SHA1 = "7be9cd3a5ac8c35d871c3195eb2adf1268d59450"
+
+
+class TestCorruptionAtReopen:
+    """A reopen that reads a flipped byte of the log or the checkpoint
+    ends loud — a typed :class:`DurableStoreError` that changes nothing
+    on the disk — never with acked ops silently gone."""
+
+    def open_index(self, disk):
+        with fileio.using(disk):
+            return PersistentIndex.open(STORE)
+
+    def image(self, close=False):
+        """The disk after 8 acked inserts: what a kill leaves, or a close
+        (whose checkpoint holds the journal)."""
+        disk = FaultyDisk()
+        index = self.open_index(disk)
+        for eid in range(1, 9):
+            index.insert(entity(eid, eid / 16, 0.5))
+        if close:
+            index.close()
+        return {path: bytes(node.live) for path, node in disk.files.items()}
+
+    @pytest.mark.parametrize("landed", [200, 400])
+    def test_a_flip_mid_log_is_loud_and_truncates_nothing(self, landed):
+        state = self.image()
+        disk = FaultyDisk(state, Fault("corrupt", "wal-", landed=landed))
+        with pytest.raises(DurableStoreError, match=r"corrupt log.*offset \d+ of wal-"):
+            self.open_index(disk)
+        assert disk.fired == 1
+        assert {path: bytes(node.live) for path, node in disk.files.items()} == state
+        with self.open_index(FaultyDisk(state)) as reopened:
+            assert [e.eid for e in reopened.live_entities()] == list(range(1, 9))
+
+    def test_a_flipped_checkpoint_byte_is_loud(self):
+        state = self.image(close=True)
+        size = len(state[f"{STORE}/{durable.CHECKPOINT_FILE}"])
+        offsets = random.Random(0).sample(range(size), 120)
+        for landed in offsets:
+            disk = FaultyDisk(state, Fault("corrupt", durable.CHECKPOINT_FILE, landed=landed))
+            with pytest.raises(DurableStoreError, match="checkpoint"):
+                self.open_index(disk)
+            assert disk.fired == 1
+
+    def test_failed_checkpoint_after_a_commit_fails_the_store(self):
+        """The checkpoint the log's size triggers after a note commits
+        fails: the insert raises for a note already durable, so no later
+        op may be acked, and the reopen restores every acked insert and
+        that one too."""
+        disk = FaultyDisk()
+        index = self.open_index(disk)
+        index._backend().checkpoint_bytes = 1024
+        disk.arm(Fault("write", durable.CHECKPOINT_FILE, errno.ENOSPC))
+        acked = []
+        with pytest.raises(OSError, match="No space left"):
+            for eid in range(1, 100):
+                index.insert(entity(eid, eid % 32 / 32, eid // 32 / 32))
+                acked.append(eid)
+        assert disk.fired == 1 and acked
+        with pytest.raises(DurableStoreError, match="No space left.*reopened"):
+            index.insert(entity(500, 0.5, 0.5))
+        index.close()
+        with self.open_index(disk) as reopened:
+            assert [e.eid for e in reopened.live_entities()] == acked + [len(acked) + 1]
 
 
 class TestWalUnit:
@@ -1107,11 +1172,30 @@ class TestWalUnit:
         assert len(reopened.journal()) == 24
         reopened.close()
 
+    def test_a_bad_record_with_valid_ones_behind_it_is_refused(self, tmp_path):
+        log = wal.WriteAheadLog(tmp_path, segment_bytes=200, start_sequence=1)
+        for lsn in range(1, 11):
+            log.append(wal.WalRecord(lsn, wal.OP_NOTE, bytes([lsn]) * 40))
+        log.close()
+        first, *later = wal.list_segments(tmp_path)
+        blob = bytearray(first.read_bytes())
+        blob[30] ^= 0xFF  # in the first record's body
+        first.write_bytes(bytes(blob))
+        images = [path.read_bytes() for path in wal.list_segments(tmp_path)]
+        with pytest.raises(wal.CorruptLog, match=f"offset 0 of {first.name}.*offset 61 of"):
+            wal.scan_segments(tmp_path, lambda record: None)
+        assert [path.read_bytes() for path in wal.list_segments(tmp_path)] == images
+        # Records a checkpoint covers are not needed: with none past
+        # LSN 10 behind it, the bad record is the torn tail.
+        scan = wal.scan_segments(tmp_path, lambda record: None, first_lsn=11)
+        assert (scan.truncated_bytes, scan.dropped_segments) == (len(images[0]), len(later))
+
 
 class TestCheckpointBytes:
     def test_checkpoint_is_the_asdict_form(self, tmp_path):
         """The checkpoint serialises the catalog rows in place, no
-        ``dataclasses.asdict`` deep copy; the bytes are the same."""
+        ``dataclasses.asdict`` deep copy; the JSON bytes are the same,
+        behind the line holding their crc32."""
         codec = EntityDescriptorCodec()
         store = make_store(tmp_path)
         for n, name in enumerate(["runs", "alpha", "zeta", "gone"]):
@@ -1134,7 +1218,8 @@ class TestCheckpointBytes:
             "journal": [note.hex() for note in store.journal()],
             "files": entries,
         }
-        assert text == json.dumps(payload, sort_keys=True).encode()
+        body = json.dumps(payload, sort_keys=True).encode()
+        assert text == b"%08x\n" % zlib.crc32(body) + body
         assert sha1(text).hexdigest() == CHECKPOINT_SHA1
         store.close()
         reopened = make_store(tmp_path)

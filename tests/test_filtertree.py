@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.filtertree.grid import cell_of_point, cell_rect, cells_overlapping
-from repro.filtertree.levels import LevelAssigner, common_prefix_bits
-from repro.filtertree.occupancy import (
+from benchmarks.costmodel import (
     level_fraction,
     level_fractions,
     lowest_level,
     probability_level_at_least,
 )
+from repro.filtertree.grid import cell_of_point, cell_rect, cells_overlapping
+from repro.filtertree.levels import LevelAssigner, common_prefix_bits
 from repro.geometry.rect import Rect
 
 coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)

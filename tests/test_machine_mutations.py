@@ -14,7 +14,7 @@ import pytest
 from hypothesis import Phase, settings
 from hypothesis.stateful import run_state_machine_as_test
 
-from repro.storage import durable
+from repro.storage import durable, wal
 from repro.storage.buffer import BufferPool
 from repro.storage.durable import DurableBackend
 from tests import test_buffer_statemachine as pools
@@ -64,11 +64,28 @@ def evict_pinned_frames(monkeypatch):
     monkeypatch.setattr(BufferPool, "_make_room", make_room)
 
 
+def skip_the_record_checksum(monkeypatch):
+    """A log replay that trusts a record's header: a flipped body byte
+    is replayed as data instead of ending the scan."""
+
+    def unchecked(data, offset):
+        if offset + wal.WAL_HEADER.size > len(data):
+            return None
+        magic, lsn, op, _, length = wal.WAL_HEADER.unpack_from(data, offset)
+        start = offset + wal.WAL_HEADER.size
+        if magic != wal.WAL_MAGIC or start + length > len(data):
+            return None
+        return wal.WalRecord(lsn, op, data[start : start + length])
+
+    monkeypatch.setattr(wal, "_decode_at", unchecked)
+
+
 MUTATIONS = {
     "a-fold-keeps-frames": (keep_a_failed_folds_frames, indexes.DurableIndexMachine),
     "b-no-slot-checksum": (skip_the_slot_checksum, pools.DurablePoolMachine),
     "c-no-failed-latch": (forget_a_failed_write, indexes.DurableIndexMachine),
     "d-evict-pinned": (evict_pinned_frames, pools.PoolMachine),
+    "e-no-record-checksum": (skip_the_record_checksum, indexes.DurableIndexMachine),
 }
 """Each mutation and the machine that must find it."""
 

@@ -126,7 +126,7 @@ class TestIOBehavior:
 
     def test_total_io_within_best_and_worst_case(self):
         """Equations 5 and 6 bound the total page I/O."""
-        from repro.costmodel.s3j import s3j_best_case_io, s3j_worst_case_io
+        from benchmarks.costmodel import s3j_best_case_io, s3j_worst_case_io
 
         a = make_squares(1700, 0.03, seed=19, name="A")
         b = make_squares(1700, 0.03, seed=20, name="B")

@@ -6,7 +6,8 @@ deleted id (same box or a new one), a fresh insert deleted again
 queries, and, for the durable variant (a bulk-loaded store on the
 faulty recording disk), close-and-reopen,
 power-loss-at-a-drawn-crash-state-and-reopen, one drawn seam fault at
-a time, and a fold whose page write fails — and after every step the
+a time, a fold whose page write fails, and a reopen that reads a
+flipped byte of the log — and after every step the
 index must equal the model: the same
 :class:`~repro.verify.scenario.LiveModel` and
 :func:`~repro.verify.scenario.check_index` the ``repro verify`` gates
@@ -22,6 +23,7 @@ closed-interval and level-assignment bugs live.
 import asyncio
 import dataclasses
 import errno
+import os
 import random
 
 from hypothesis import settings
@@ -38,6 +40,7 @@ from repro.geometry.rect import Rect
 from repro.obs import fileio
 from repro.service.api import JoinService, ServiceConfig
 from repro.service.index import PersistentIndex
+from repro.storage import wal
 from repro.storage.durable import CHECKPOINT_FILE, DATA_FILE, SLOT_COVERED, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.verify.recorder import Fault, FaultyDisk
@@ -70,9 +73,9 @@ def writes(files):
 
 
 faults = writes(st.sampled_from(["wal-", CHECKPOINT_FILE])) | st.one_of(
-    # A log or the checkpoint is read only by a reopen, which runs on a
-    # healthy disk, so reads fail on the data file, and a flip lands
-    # where its slot checksum covers it.
+    # A log or the checkpoint is read only by a reopen, so reads fail on
+    # the data file here (``flipped_log_reopen`` flips a log byte), and
+    # a flip lands where its slot checksum covers it.
     st.builds(Fault, st.just("read"), st.just(DATA_FILE), codes, nths),
     st.builds(Fault, st.just("corrupt"), st.just(DATA_FILE), nth=nths,
               landed=st.integers(0, SLOT_COVERED - 1)),
@@ -89,6 +92,18 @@ def applied(model, op, payload):
     after = LiveModel(list(model.live.values()))
     after.apply(op, payload)
     return after
+
+
+def last_record(state):
+    """``(segment, offset)`` of the log's last readable record — the one
+    a torn write could have cut — or None if the log holds none."""
+    last = None
+    for path in sorted(p for p in state if os.path.basename(p).startswith("wal-")):
+        data, offset = state[path], 0
+        while (record := wal._decode_at(data, offset)) is not None:
+            last = (path, offset)
+            offset += wal.WAL_HEADER.size + len(record.body)
+    return last
 
 
 def seed_entities(count):
@@ -180,11 +195,11 @@ class IndexMachine(RuleBasedStateMachine):
             self.model = self.in_flight = applied(self.model, op, payload)
 
     def store_failed(self):
-        """Whether a write or fsync of the data file or the log has
-        failed: the store then refuses every write until the reopen (a
-        failed checkpoint leaves the last one, and fails nothing)."""
+        """Whether a write or fsync of the data file, the log or the
+        checkpoint has failed: the store then refuses every write until
+        the reopen."""
         fault = self.disk.fault if self.disk is not None and self.disk.fired else None
-        return fault is not None and fault.op != "read" and fault.prefix != CHECKPOINT_FILE
+        return fault is not None and fault.op != "read"
 
     def ask(self, op, payload):
         self.now += BREAKER_RESET_S  # an open breaker half-opens and probes
@@ -311,6 +326,41 @@ class IndexMachine(RuleBasedStateMachine):
         self.open()
         assert self.index.recovered
         self.recover(before, self.in_flight)
+
+    @precondition(lambda self: self.durable)
+    @rule(landed=st.integers(0, 1 << 12))
+    def flipped_log_reopen(self, landed):
+        """Abandon the index — what a kill leaves — and reopen on a disk
+        whose first read of a log segment returns byte ``landed`` (of
+        that segment) flipped.  A loud reopen changes nothing on the
+        disk, and one on the healthy disk then restores the acked ops; a
+        quiet one restores them too, unless the flip fell in the log's
+        last record, which the scan cannot tell from a torn tail: the
+        reopen then equals one of the image with that record torn off."""
+        state = {path: bytes(node.live) for path, node in self.disk.files.items()}
+        self.disk = FaultyDisk(state, Fault("corrupt", "wal-", landed=landed))
+        try:
+            self.open()
+        except DurableStoreError:
+            assert self.disk.fired, "reopen failed with no flip in it"
+            assert {path: bytes(node.live) for path, node in self.disk.files.items()} == state
+            self.disk = FaultyDisk(state)
+            self.open()
+        self.disk.arm(None)
+        first = min(p for p in state if os.path.basename(p).startswith("wal-"))
+        last = last_record(state)
+        if last is None or last[0] != first or landed % len(state[first]) < last[1]:
+            assert self.index.recovered
+            self.recover(self.model, self.in_flight)
+            return
+        live = {entity.eid: entity for entity in self.index.live_entities()}
+        torn = FaultyDisk({**state, first: state[first][: last[1]]})
+        with fileio.using(torn):  # a first boot's manifest torn off boots again
+            reference = PersistentIndex((), storage=StorageConfig(buffer_pages=2), data_dir="/store")
+        assert self.index.recovered == reference.recovered
+        assert live == {entity.eid: entity for entity in reference.live_entities()}
+        reference.close()
+        self.model = self.in_flight = LiveModel(list(live.values()))
 
     @invariant()
     def index_equals_model(self):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.costmodel import sort_passes
 from repro.obs import fileio
 from repro.sorting.external_sort import ExternalSorter, SortResult
 from repro.storage.costs import sort_comparison_count
@@ -106,7 +107,7 @@ class TestMultiPass:
             random.Random(6).shuffle(keys)
             source = fill_descriptors(storage, "in", keys)
             sorter = ExternalSorter(storage, memory_pages=3)
-            predicted = sorter.predicted_passes(source.num_pages)
+            predicted = sort_passes(source.num_pages, sorter.memory_pages, sorter.fan_in)
             result = sorter.sort(source, "out", key="hkey")
             assert result.total_passes == predicted
 
@@ -115,7 +116,7 @@ class TestMultiPass:
         sorter = ExternalSorter(storage)
         result = sorter.sort(source, "out", key="hkey")
         assert result.total_passes == 1
-        assert sorter.predicted_passes(source.num_pages) == 1
+        assert sort_passes(source.num_pages, sorter.memory_pages, sorter.fan_in) == 1
 
     def test_sort_io_matches_equation3(self):
         """Sort page I/O = 2 * passes * S (equation 3)."""
