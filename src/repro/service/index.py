@@ -133,20 +133,23 @@ class PersistentIndex:
         self._pending = 0  # mutations applied since the last fold
         self._live: dict[int, tuple[int, Entity]] = {}  # eid -> (level, entity)
         seed = list(entities)
-        notes = self._backend().journal()
-        if not notes:
-            # No committed manifest: nothing here was ever acknowledged,
-            # so whatever the store holds is a first boot that died.
-            self._drop_unnamed(set())
-            self._bulk_load(seed)
-        elif seed:
+        try:
+            notes = self._backend().journal()
+            if not notes:
+                # No committed manifest: nothing here was ever acknowledged,
+                # so whatever the store holds is a first boot that died.
+                self._drop_unnamed(set())
+                self._bulk_load(seed)
+            elif seed:
+                raise IndexExistsError(
+                    f"{config.directory} already holds an index; reopening "
+                    "cannot also bulk-load entities"
+                )
+            else:
+                self._reopen(notes)
+        except BaseException:
             self.storage.close()
-            raise IndexExistsError(
-                f"{config.directory} already holds an index; reopening "
-                "cannot also bulk-load entities"
-            )
-        else:
-            self._reopen(notes)
+            raise
 
     # -- construction ----------------------------------------------------
 

@@ -18,18 +18,19 @@ Every page is written once:
   then logs one ``map`` record per file (page -> slot, no payload)
   ahead of its own record under one log fsync; one that finds none
   costs its one log fsync;
-- **write-ahead log** (:mod:`repro.storage.wal`) — mappings, file
-  creates, file deletes and client notes, never page images.
-  Recovery replays committed records onto the catalog — it never writes
-  a data slot, so a torn or lost page write can only sit in a slot
-  nothing names — truncates the torn tail, bumps the epoch, checkpoints;
+- **write-ahead log** (``wal.log``, :mod:`repro.storage.wal`) —
+  mappings, file creates, file deletes and client notes, never page
+  images.  Recovery only reads it: it replays committed records onto
+  the catalog — never writing a data slot, so a torn or lost page write
+  can only sit in a slot nothing names — and stops at a torn tail; the
+  open then bumps the epoch and checkpoints like a running store;
 - **free list** — every slot no committed mapping names, reused
   lowest-first, and freed only once the record that frees it is
   durable: a file's delete record, or the barrier that logged a remap;
 - **checkpoint** (``checkpoint.json``, written atomically) — the
   catalog (name -> file id -> page -> slot) and the journal as JSON
-  behind a line holding its crc32; the log is reset after every
-  checkpoint;
+  behind a line holding its crc32; every checkpoint, the one that ends
+  every open included, then truncates the log to zero;
 - **journal** — ``journal_append`` logs an opaque client note
   (``reset`` discards all earlier ones in the same atomic step) and
   ``journal()`` hands the survivors back after a reopen.  The resident
@@ -48,8 +49,10 @@ Every file operation goes through the seam of :mod:`repro.obs.fileio`,
 bound at construction.  Durability order: a barrier fsyncs the data
 file before it logs the ``map`` records naming its slots; a checkpoint
 fsyncs its temp file, renames it over ``checkpoint.json``, fsyncs the
-directory, and only then unlinks the old log segments and creates the
-new one, whose directory fsync makes both durable.  ``repro verify
+directory, and only then truncates the log, which the next commit's
+fsync makes durable with the records behind it.  The log is opened —
+for a new store, created — ahead of the open's checkpoint, whose
+directory fsync makes its name durable too.  ``repro verify
 --crash`` replays the store on a recording file system and reopens it
 from every disk image a power cut could leave at every fsync boundary
 (DESIGN.md section 16); each must recover to the last returned barrier.
@@ -72,7 +75,7 @@ from repro.storage.backend import BackendClosedError, Page, Record, StorageBacke
 from repro.storage.records import RecordCodec
 
 MAGIC = b"S3JPAGES"
-FORMAT_VERSION = 3  # 3: the log carries page mappings (OP_MAP), not page images
+FORMAT_VERSION = 4  # 3: the log carries page mappings (OP_MAP); 4: one log file
 HEADER_SIZE = 64
 _HEADER = struct.Struct("<8sIIQI")  # magic, version, page size, epoch, crc
 _SLOT_HEADER = struct.Struct("<IIQQ")  # crc, payload length, file id, page no
@@ -82,11 +85,12 @@ SLOT_COVERED = _SLOT_HEADER.size + _COUNT.size
 or the identity test covers whatever the page holds."""
 
 DATA_FILE = "pages.data"
+LOG_FILE = "wal.log"
 CHECKPOINT_FILE = "checkpoint.json"
 CHECKPOINT_SCHEMA = 4  # 4: a crc32 line ahead of the JSON
 
 DEFAULT_CHECKPOINT_BYTES = 64 * 1024
-"""WAL bytes that trigger an automatic checkpoint (and log reset): about
+"""WAL bytes that trigger an automatic checkpoint (which empties the log): about
 a thousand records, now that none holds a page, so that is all a reopen
 replays."""
 
@@ -102,8 +106,7 @@ class RecoveryReport:
 
     replayed_records: int = 0
     mapped_pages: int = 0  # page -> slot mappings the log added to the checkpoint's
-    truncated_bytes: int = 0
-    dropped_segments: int = 0
+    truncated_bytes: int = 0  # the torn tail the scan stopped at
     journal_notes: int = 0  # client notes handed back by journal()
     epoch: int = 0
 
@@ -126,7 +129,6 @@ class DurableBackend(StorageBackend):
         self,
         directory: str | os.PathLike[str],
         page_size: int | None = None,
-        segment_bytes: int = wal.DEFAULT_SEGMENT_BYTES,
         checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
     ) -> None:
         self.directory = Path(directory)
@@ -151,40 +153,27 @@ class DurableBackend(StorageBackend):
         self._closed = False
 
         data_path = self.directory / DATA_FILE
-        if self._files.exists(data_path):
-            self._data: BinaryIO = self._files.open(data_path, "r+b")
-            self.page_size = self._read_header()
-            if page_size is not None and page_size != self.page_size:
-                self._data.close()
-                raise DurableStoreError(
-                    f"store at {self.directory} uses page size "
-                    f"{self.page_size}, configuration asked for {page_size}"
-                )
-            try:
-                self._recover()
-            except BaseException:
-                self._data.close()
-                raise
-            # Opening is itself a recovery point: bump the epoch, persist
-            # the catalog, start a fresh log segment, so a second open
-            # replays nothing.  The header is one write in one sector that
-            # recovery never needs, so the next data fsync carries it.
-            self.epoch += 1
-            self._data.seek(0)
-            self._data.write(self._header())
-        elif page_size is None:
-            raise DurableStoreError("creating a durable store needs an explicit page size")
-        else:
+        fresh = not self._files.exists(data_path)
+        if fresh:
+            if page_size is None:
+                raise DurableStoreError("creating a durable store needs an explicit page size")
             # Created whole or not at all, so no power cut leaves a data
             # file without its header behind.
             self.page_size, self.epoch = page_size, 1
             self._files.atomic_replace(data_path, self._header())
             self._fsyncs += 2
-            self._data = self._files.open(data_path, "r+b")
-        segments = wal.list_segments(self.directory, self._files)
-        start = max(map(wal.segment_sequence, segments), default=0) + 1
-        self._wal = wal.WriteAheadLog(self.directory, segment_bytes, start, self._files)
-        self._write_checkpoint()
+        self._data: BinaryIO = self._files.open(data_path, "r+b")
+        self._wal: wal.WriteAheadLog | None = None
+        try:
+            if not fresh:
+                self._recover(page_size)
+            # Opened ahead of the checkpoint, whose directory fsync makes
+            # a new log's name durable too.
+            self._wal = wal.WriteAheadLog(self.directory / LOG_FILE, self._files)
+            self.checkpoint()
+        except BaseException:
+            self._release()
+            raise
 
     # -- layout ----------------------------------------------------------
 
@@ -219,7 +208,16 @@ class DurableBackend(StorageBackend):
 
     # -- recovery ---------------------------------------------------------
 
-    def _recover(self) -> None:
+    def _recover(self, page_size: int | None) -> None:
+        """Rebuild the catalog from the checkpoint and the log, reading
+        both and writing neither; the checkpoint that ends ``__init__``
+        then empties the log."""
+        self.page_size = self._read_header()
+        if page_size is not None and page_size != self.page_size:
+            raise DurableStoreError(
+                f"store at {self.directory} uses page size "
+                f"{self.page_size}, configuration asked for {page_size}"
+            )
         report = RecoveryReport()
         self._load_checkpoint()
 
@@ -237,18 +235,28 @@ class DurableBackend(StorageBackend):
                 report.mapped_pages += len(wal.unpack_map(record.body)[1])
             self._next_lsn = record.lsn + 1
 
+        log = self.directory / LOG_FILE
         try:
-            scan = wal.scan_segments(self.directory, apply, self._files, self._next_lsn)
+            report.truncated_bytes = wal.scan_log(log, apply, self._files, self._next_lsn)
         except wal.CorruptLog as error:
             raise DurableStoreError(f"corrupt log in {self.directory}: {error}") from None
-        report.truncated_bytes = scan.truncated_bytes
-        report.dropped_segments = scan.dropped_segments
+        if report.truncated_bytes:
+            # The record the scan stopped at may be whole on the medium
+            # (a misread); its LSN is never handed out again, so a power
+            # cut that keeps it past the log's emptying leaves it covered.
+            self._next_lsn += 1
         report.journal_notes = len(self._journal)
         # Free: whatever no committed mapping names (uncommitted writes too).
         used = {slot for entry in self._entries.values() for slot in entry.pages.values()}
         self._next_slot = max(used, default=-1) + 1
         self._free = sorted(set(range(self._next_slot)) - used)
-        report.epoch = self.epoch + 1  # __init__ bumps it next
+        # Opening is itself a recovery point: bump the epoch.  The header
+        # is one write in one sector that recovery never needs, so the
+        # next data fsync carries it.
+        self.epoch += 1
+        self._data.seek(0)
+        self._data.write(self._header())
+        report.epoch = self.epoch
         self.last_recovery = report
 
     def _load_checkpoint(self) -> None:
@@ -401,14 +409,14 @@ class DurableBackend(StorageBackend):
 
     def checkpoint(self) -> None:
         """Make the log redundant: a barrier, then persist the catalog
-        atomically, then reset the log to a fresh segment.  One that
-        fails fails the store: the log may be half reset, and a caller
-        that triggered it by logging a record holds an error for a
-        record already committed."""
+        atomically, then empty the log.  Every open ends with one.  One
+        that fails fails the store: a caller that triggered it by
+        logging a record holds an error for a record already
+        committed."""
         self._log(None, barrier=True)
         try:
             self._write_checkpoint()
-            self._wal.reset(self._wal.sequence + 1)
+            self._wal.reset()
         except OSError as error:
             self._failed = error
             raise
@@ -551,10 +559,21 @@ class DurableBackend(StorageBackend):
         self._log(None, barrier=True)
 
     def close(self) -> None:
+        """Checkpoint — unless the store has failed — and fsync the
+        emptied log; both file handles are released whatever fails."""
         if self._closed:
             return
         self._closed = True
-        if self._failed is None:
-            self.checkpoint()
-        self._wal.close()
-        self._data.close()
+        try:
+            if self._failed is None:
+                self.checkpoint()
+                self._wal.sync()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        try:
+            if self._wal is not None:
+                self._wal.close()
+        finally:
+            self._data.close()

@@ -7,17 +7,18 @@ freshly written pages went to.  Pages are fsynced in the data file
 *before* their ``map`` record is appended, so recovery replays mappings
 onto the catalog and never writes a data slot.  A torn log tail (the one
 record a power cut interrupted) is identified by its checksum and
-truncated away; a bad record with a valid later one behind it is
+skipped; a bad record with a valid later one behind it is
 corruption, refused loudly.
 
-The log is **segmented**: records append to ``wal-<seq>.log`` until the
-segment exceeds ``segment_bytes``, then a fresh segment (with the next
-sequence number, never reused) is started.  A checkpoint makes every
-record redundant — the full catalog is persisted — after which all
-segments are deleted and a new one begins.  Starting a segment fsyncs
-the directory, so the segment a record is committed into — and the
-unlinks of a reset before it — are durable before any record in it is.
-All file I/O goes through the seam of :mod:`repro.obs.fileio`.
+The log is **one file**, ``wal.log``.  Records append to it until a
+checkpoint makes every one of them redundant — the full catalog is
+persisted — and then empties it in place, truncating it to zero.  No
+fsync of its own follows the truncation: the next commit's fsync makes
+it durable with the records appended behind it, and until then a power
+cut may leave the covered records, which a reopen reads and skips.
+Recovery only reads the log; the open's own checkpoint empties it, torn
+tail and all.  All file I/O goes through the seam of
+:mod:`repro.obs.fileio`.
 
 Record layout (little-endian)::
 
@@ -37,11 +38,11 @@ A record is **committed** once an ``fsync`` covering it returned; map
 records ride under the fsync of the barrier that logged them, every
 other record is fsynced on its own.  The scanner accepts a record only
 if the magic matches, the declared body is fully present, the checksum
-agrees and, past the checkpoint, the LSN is the expected successor;
-scanning stops at the first record that fails.  That is the torn tail
-only if no valid record the replay still needs comes after it: a
-segment is fsynced before the next one starts, so a valid record behind
-a bad one means the bad one was corrupted after its commit.
+agrees and its LSN follows the one before it (the first may be any one
+the checkpoint covers); scanning stops at the first record that fails.  That is the torn tail
+only if no valid record the replay still needs comes after it: records
+reach the file in order and every commit fsyncs it, so a valid record
+behind a bad one means the bad one was corrupted after its commit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,10 +69,6 @@ OP_NOTE = 5  # 4 was a rename; a log holding one is refused on reopen
 _FILE_ID = struct.Struct("<Q")  # the whole delete body; a map leads with it
 _MAP_PAIR = struct.Struct("<QQ")  # page no, slot
 _CREATE_BODY = struct.Struct("<QII")  # file id, record size, capacity
-
-DEFAULT_SEGMENT_BYTES = 256 * 1024
-"""Segment rotation threshold: a segment exceeding this is closed and
-the next record starts ``wal-<seq+1>.log``."""
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
 """Sanity bound on a declared body length; a corrupt length field must
@@ -132,66 +128,27 @@ def unpack_note(body: bytes) -> tuple[bytes, bool]:
     return body[1:], bool(body[0])
 
 
-# -- the segmented log -------------------------------------------------
-
-
-def segment_name(sequence: int) -> str:
-    return f"wal-{sequence:08d}.log"
-
-
-def segment_sequence(path: Path) -> int:
-    return int(path.name[len("wal-") : -len(".log")])
-
-
-def list_segments(directory: Path, files: fileio.OsFiles | None = None) -> list[Path]:
-    """Existing segment files in sequence order."""
-    names = (files or fileio.current()).listdir(directory)
-    segments = [Path(directory) / n for n in names if n.startswith("wal-") and n.endswith(".log")]
-    return sorted(segments, key=segment_sequence)
+# -- the log ----------------------------------------------------------
 
 
 class WriteAheadLog:
-    """The append side of the segmented log.
+    """The append side of the log.
 
-    ``append`` buffers into the current segment and flushes to the OS;
-    ``sync`` fsyncs, which is the commit point.  Every segment is a file
-    the log has just created, so it counts the segment's bytes from 0.
+    ``append`` writes one record and flushes it to the OS; ``sync``
+    fsyncs, which is the commit point; ``reset`` empties the file.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike[str],
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        start_sequence: int = 1,
-        files: fileio.OsFiles | None = None,
-    ) -> None:
-        self.directory = Path(directory)
-        self.segment_bytes = segment_bytes
+    def __init__(self, path: str | os.PathLike[str], files: fileio.OsFiles | None = None) -> None:
+        self.path = Path(path)
         self._files = files or fileio.current()
-        self.bytes_appended = 0  # across segments since construction/reset
-        self.syncs = 0  # fsyncs issued, of segments and of the directory
-        self._start(start_sequence)
-
-    @property
-    def segment_path(self) -> Path:
-        return self.directory / segment_name(self.sequence)
-
-    def _start(self, sequence: int) -> None:
-        """Create segment ``sequence`` and make its directory entry durable."""
-        self.sequence = sequence
-        self._handle = self._files.open(self.segment_path, "ab")
-        self._offset = 0  # bytes in this segment
-        self._files.fsync_dir(self.directory)
-        self.syncs += 1
+        self._handle = self._files.open(self.path, "ab")
+        self.bytes_appended = 0  # since construction or the last reset
+        self.syncs = 0  # fsyncs of the log issued
 
     def append(self, record: WalRecord) -> None:
-        """Append one record (rotating first if the segment is full)."""
         data = record.encode()
-        if self._offset and self._offset + len(data) > self.segment_bytes:
-            self._rotate()
         self._handle.write(data)
         self._handle.flush()
-        self._offset += len(data)
         self.bytes_appended += len(data)
 
     def sync(self) -> None:
@@ -199,110 +156,68 @@ class WriteAheadLog:
         self._files.fsync(self._handle)
         self.syncs += 1
 
-    def _rotate(self) -> None:
-        self.sync()
-        self._handle.close()
-        self._start(self.sequence + 1)
-
-    def reset(self, next_sequence: int) -> None:
-        """Checkpoint aftermath: delete every segment, start a fresh one
-        with a sequence number that has never been used (the one
-        directory fsync covers the unlinks and the create)."""
-        self._handle.close()
-        for path in list_segments(self.directory, self._files):
-            self._files.unlink(path)
-        self._start(next_sequence)
+    def reset(self) -> None:
+        """Checkpoint aftermath: truncate the log to zero in place.  The
+        next commit's fsync makes the truncation durable with the records
+        behind it; until then a power cut may leave the records the
+        checkpoint covers, which a reopen reads and skips."""
+        self._handle.truncate(0)
         self.bytes_appended = 0
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self.sync()
-            self._handle.close()
-
-
-@dataclass
-class WalScan:
-    """What recovery learned from reading the log."""
-
-    truncated_bytes: int = 0
-    dropped_segments: int = 0
+        self._handle.close()
 
 
 class CorruptLog(Exception):
     """A record the scan cannot read has a valid record it needs behind it."""
 
 
-def scan_segments(
-    directory: Path,
+def scan_log(
+    path: Path,
     apply: Callable[[WalRecord], None],
     files: fileio.OsFiles | None = None,
     first_lsn: int = 1,
-) -> WalScan:
-    """Read every committed record in LSN order and feed it to ``apply``.
+) -> int:
+    """Feed every committed record of the log at ``path`` to ``apply``,
+    in order; returns the byte count of the torn tail it stopped at.
 
-    ``first_lsn`` is the first LSN the checkpoint does not cover: the
-    records the replay needs run on from it, one LSN after another.
-    Ahead of them, a covered record is read whatever its LSN (segments a
-    checkpoint made redundant linger until the next one resets the log).
-    The first record that is structurally invalid — bad magic, short
-    body, checksum mismatch — or out of that order ends the scan.  If a
-    valid record with the LSN due or a later one lies behind it, in
-    its segment or a later one, the log is corrupt: :class:`CorruptLog`
-    names the segment and offset, and nothing is truncated.  Otherwise
-    it is the torn tail: the segment is truncated at that offset, and
-    any *later* segment is deleted outright (it can only exist if the
-    tail segment tore mid-rotation, or hold records the checkpoint
-    covers).
+    ``first_lsn`` is the first LSN the checkpoint does not cover.  The
+    records run on one LSN after another from the first, which may be
+    one the checkpoint covers (a checkpoint's truncation that never
+    became durable leaves its records ahead of the needed ones).  The
+    first record that is structurally invalid — bad magic, short body,
+    checksum mismatch — or out of that order ends the scan.  If a valid
+    record with the LSN due or a later one lies behind it, the log is
+    corrupt: :class:`CorruptLog` names the offsets.  Otherwise it is
+    the torn tail.  The file is only read: the open's checkpoint empties
+    it.
     """
     files = files or fileio.current()
-    scan = WalScan()
-    due = first_lsn
-    segments = list_segments(directory, files)
-    for index, path in enumerate(segments):
-        data = files.read_bytes(path)
-        offset = 0
-        while offset < len(data):
-            record = _decode_at(data, offset)
-            in_order = record is not None and (
-                record.lsn == due or due == first_lsn > record.lsn  # covered, ahead of the needed
-            )
-            if not in_order:
-                later = segments[index + 1 :]
-                behind = _record_behind(path, data, offset + 1, later, due, files)
-                if behind is not None:
+    if not files.exists(path):
+        return 0  # lost before the store's first checkpoint made its name durable
+    data = files.read_bytes(path)
+    offset, due = 0, None
+    while offset < len(data):
+        record = _decode_at(data, offset)
+        in_order = record is not None and (
+            record.lsn == due if due else record.lsn <= first_lsn  # the first: any covered one
+        )
+        if not in_order:
+            floor = max(due or 0, first_lsn)
+            behind = data.find(_MAGIC_BYTES, offset + 1)
+            while behind >= 0:
+                later = _decode_at(data, behind)
+                if later is not None and later.lsn >= floor:
                     raise CorruptLog(
-                        f"unreadable record at offset {offset} of {path.name}, "
-                        f"but a valid record (LSN >= {due}) follows at {behind}"
+                        f"unreadable record at offset {offset} of {path.name}, but a "
+                        f"valid record (LSN >= {floor}) follows at offset {behind}"
                     )
-                scan.truncated_bytes = len(data) - offset
-                with files.open(path, "r+b") as handle:
-                    handle.truncate(offset)
-                    files.fsync(handle)
-                for stale in later:
-                    files.unlink(stale)
-                    scan.dropped_segments += 1
-                return scan
-            apply(record)
-            if record.lsn == due:
-                due += 1
-            offset += WAL_HEADER.size + len(record.body)
-    return scan
-
-
-def _record_behind(
-    path: Path, data: bytes, start: int, later: list[Path], floor: int, files: fileio.OsFiles
-) -> str | None:
-    """Where the first valid record with an LSN of at least ``floor``
-    lies from ``start`` of ``path`` on, or in a ``later`` segment."""
-    for where in (path, *later):
-        blob, start = (data, start) if where is path else (files.read_bytes(where), 0)
-        offset = blob.find(_MAGIC_BYTES, start)
-        while offset >= 0:
-            record = _decode_at(blob, offset)
-            if record is not None and record.lsn >= floor:
-                return f"offset {offset} of {where.name}"
-            offset = blob.find(_MAGIC_BYTES, offset + 1)
-    return None
+                behind = data.find(_MAGIC_BYTES, behind + 1)
+            return len(data) - offset
+        apply(record)
+        due = record.lsn + 1
+        offset += WAL_HEADER.size + len(record.body)
+    return 0
 
 
 def _decode_at(data: bytes, offset: int) -> WalRecord | None:

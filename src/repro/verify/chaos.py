@@ -30,7 +30,13 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from repro.obs import fileio
-from repro.storage.durable import CHECKPOINT_FILE, DATA_FILE, SLOT_COVERED, DurableStoreError
+from repro.storage.durable import (
+    CHECKPOINT_FILE,
+    DATA_FILE,
+    LOG_FILE,
+    SLOT_COVERED,
+    DurableStoreError,
+)
 from repro.storage.manager import StorageConfig
 from repro.verify.cases import VerifyCase
 from repro.verify.differential import diff_pairs
@@ -50,8 +56,8 @@ CHAOS_ENTITY_LIMIT = 70
 hundreds of fault scenarios stays fast."""
 
 KINDS = ("read", "corrupt", "write", "fsync", "quiet")
-FILES = (DATA_FILE, "wal-", CHECKPOINT_FILE)
-"""Name prefixes of the store's files: pages, log segments, checkpoint."""
+FILES = (DATA_FILE, LOG_FILE, CHECKPOINT_FILE)
+"""The store's files: pages, log, checkpoint."""
 
 
 @dataclass(frozen=True)

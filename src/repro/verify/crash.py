@@ -9,8 +9,8 @@ the :class:`~repro.verify.scenario.LiveModel` after the ``k`` acked ops
 or ``k + 1`` (the op in flight fully survived or never happened) by
 :func:`~repro.verify.scenario.check_index` — and so is a second reopen,
 of what a power cut right after the first leaves.  The store runs on a
-small checkpoint and segment budget, so a schedule crosses automatic
-checkpoints, rotations and compaction commits; half-way through, the
+small checkpoint budget, so a schedule crosses automatic checkpoints
+and compaction commits; half-way through, the
 schedule itself loses power at a torn log tail and runs on from the
 recovered store, whose recovery boundaries are enumerated too.
 
@@ -37,6 +37,7 @@ from typing import Any
 from repro.datagen.uniform import uniform_squares
 from repro.obs import fileio
 from repro.service.index import PersistentIndex
+from repro.storage.durable import LOG_FILE
 from repro.verify.recorder import Recorder, State
 from repro.verify.report import Report
 from repro.verify.scenario import LiveModel, Op, Progress, apply_op, check_index, op_schedule
@@ -45,10 +46,8 @@ COMPACTION_THRESHOLD = 12
 """Small on purpose: the schedule must cross several compaction commits."""
 
 CHECKPOINT_BYTES = 2048
-SEGMENT_BYTES = 1024
-"""The store's log budgets during a schedule: an automatic checkpoint
-every ~28 notes and a segment rotation every ~14, where the defaults
-would take a thousand."""
+"""The store's log budget during a schedule: an automatic checkpoint
+every ~28 notes, where the default would take a thousand."""
 
 STORE = "/repro-crash-store"
 """The data directory's name on the recorder; nothing touches the disk."""
@@ -108,13 +107,12 @@ def run_crash_schedule(
                 seen.add(key)
                 where = f"seed {seed}, {run['acked']} acked, {site} {label}"
                 check_crash_state(state, schedule, run["acked"], report, where)
-            if run["armed"] and label.startswith("wal-") and label.endswith("/torn"):
+            if run["armed"] and label.startswith(LOG_FILE) and label.endswith("/torn"):
                 run.update(armed=False, captured=(state, run["acked"]))
 
     def reopen(disk: Recorder) -> PersistentIndex:
         index = open_index(disk)
-        store = index._backend()
-        store.checkpoint_bytes, store._wal.segment_bytes = CHECKPOINT_BYTES, SEGMENT_BYTES
+        index._backend().checkpoint_bytes = CHECKPOINT_BYTES
         return index
 
     try:

@@ -55,7 +55,7 @@ from repro.join.dataset import SpatialDataset
 from repro.obs import fileio
 from repro.service.api import BreakerState, JoinService, QueryOutcome, ServiceConfig
 from repro.service.index import PersistentIndex
-from repro.storage.durable import DATA_FILE, SLOT_COVERED, DurableStoreError
+from repro.storage.durable import DATA_FILE, LOG_FILE, SLOT_COVERED, DurableStoreError
 from repro.verify.oracle import oracle_pairs, oracle_window
 from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.report import Report
@@ -320,7 +320,7 @@ def sample_service_scenario(
         fault = Fault("corrupt", DATA_FILE, nth=rng.randrange(5, 40), landed=rng.randrange(SLOT_COVERED))
     elif profile == "write-failure":
         code = rng.choice((errno.EIO, errno.ENOSPC))
-        fault = Fault("write", "wal-", code, nth=rng.randrange(2, ops // 2))
+        fault = Fault("write", LOG_FILE, code, nth=rng.randrange(2, ops // 2))
     return Scenario(index, seed, profile, fault, ops, entities)
 
 

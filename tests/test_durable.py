@@ -19,6 +19,7 @@ import random
 import shutil
 import zlib
 from hashlib import sha1
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.service.api import JoinService
 from repro.service.index import PersistentIndex
 from repro.storage import durable, wal
 from repro.storage.backend import BackendClosedError, MemoryBackend
-from repro.storage.durable import DATA_FILE, DurableBackend, DurableStoreError
+from repro.storage.durable import DATA_FILE, LOG_FILE, DurableBackend, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.storage.records import EntityDescriptorCodec
 from repro.verify.recorder import Fault, FaultyDisk, Recorder
@@ -39,6 +40,7 @@ from repro.verify.scenario import LiveModel, check_index
 PAGE_SIZE = 512  # 10 descriptor records per page
 STORE = "/store"  # a data directory on the recording disk
 DATA = f"{STORE}/{DATA_FILE}"
+LOG = f"{STORE}/{LOG_FILE}"
 
 
 def record(i):
@@ -161,10 +163,9 @@ class TestRoundTrip:
         image = disk.durable_state()
         disk, _ = recording(image)
         with fileio.using(disk):
-            (segment,) = wal.list_segments(STORE)
             records = []
-            wal.scan_segments(STORE, records.append)
-            log = wal.WriteAheadLog(STORE, start_sequence=wal.segment_sequence(segment) + 1)
+            wal.scan_log(Path(LOG), records.append)
+            log = wal.WriteAheadLog(LOG)
             log.append(wal.WalRecord(records[-1].lsn + 1, 4, wal.pack_delete(1) + b"b"))
             log.close()
             with pytest.raises(DurableStoreError, match="unknown WAL op 4"):
@@ -258,16 +259,18 @@ class TestRecovery:
 
     def test_torn_wal_tail_truncated(self):
         """Power lost mid-way through a record that spans sectors: the
-        first sectors persist, the record is torn, and recovery
-        truncates it — nothing before it is lost."""
+        first sectors persist, the record is torn, and recovery stops
+        at it — nothing before it is lost — and the open's checkpoint
+        truncates the log, torn tail and all."""
         store, _, seen = self.crashed_store()
         store.journal_append(b"n" * 1000)
         (torn,) = [
             state for label, state in at(seen, "sync").items()
-            if label.startswith("wal-") and label.endswith("/torn")
+            if label.startswith(LOG_FILE) and label.endswith("/torn")
         ]
-        store, _ = self.reopened(torn)
+        store, disk = self.reopened(torn)
         assert store.last_recovery.truncated_bytes > 0
+        assert disk.files[LOG].live == b""
         assert store.journal() == []
         assert store.read_page("f", 2).tolist() == page(2)  # its barrier returned
 
@@ -311,6 +314,34 @@ class TestRecovery:
         second.attach_file("f", EntityDescriptorCodec(), PAGE_SIZE)
         assert second.read_page("f", 2).tolist() == page(2)
 
+    def test_every_open_empties_the_one_log(self, monkeypatch):
+        """An open ends with the checkpoint a running store takes, so it
+        empties the log: across a kill, a reopen, a second kill and a
+        second reopen the directory holds one log file, empty right
+        after each open, and the second reopen reads no record at all —
+        none to replay, and none the checkpoint covers."""
+        read = []
+        scan_log = wal.scan_log
+
+        def counting(path, apply, *args):
+            return scan_log(path, lambda record: (read.append(record.lsn), apply(record)), *args)
+
+        monkeypatch.setattr(wal, "scan_log", counting)
+        disk = Recorder()
+        with fileio.using(disk):
+            store = make_store(STORE)
+        store.create_file("f", EntityDescriptorCodec(), PAGE_SIZE)
+        store.write_page("f", 0, page(0))
+        store.journal_append(b"acked")
+        for _ in range(2):
+            killed = {path: bytes(node.live) for path, node in disk.files.items()}
+            read.clear()
+            store, disk, _ = reopen(killed)
+            assert sorted(disk.listdir(STORE)) == [durable.CHECKPOINT_FILE, DATA_FILE, LOG_FILE]
+            assert disk.files[LOG].live == b""
+            assert store.journal() == [b"acked"]
+        assert store.last_recovery.replayed_records == 0 and read == []
+
     def test_empty_wal_reopen(self, tmp_path):
         make_store(tmp_path).close()
         store = make_store(tmp_path)
@@ -320,8 +351,9 @@ class TestRecovery:
 
     def test_crash_during_checkpoint(self):
         """Every crash state inside the checkpoint after its barrier —
-        the temp file's fsync, the directory fsync after the rename, the
-        new log segment's directory fsync — reopens with the page."""
+        the temp file's fsync, the directory fsync after the rename —
+        and after it, the log's truncation on the medium or not,
+        reopens with the page."""
         codec = EntityDescriptorCodec()
         disk, seen = recording()
         with fileio.using(disk):
@@ -331,10 +363,9 @@ class TestRecovery:
         store.checkpoint()
         last_commit = max(n for n, (site, _) in enumerate(seen) if site.endswith("(sync)"))
         inside = seen[last_commit + 1 :]
-        assert [site.split(" ")[1] for site, _ in inside] == [
-            "(atomic_replace)", "(atomic_replace)", "(_start)",
-        ]
-        for _, states in inside:
+        assert [site.split(" ")[1] for site, _ in inside] == ["(atomic_replace)"] * 2
+        assert "wal.log+1" in (after := dict(disk.crash_states()))  # the truncation
+        for _, states in [*inside, ("returned", after)]:
             for state in states.values():
                 reopened, _, _ = reopen(state)
                 reopened.attach_file("f", codec, PAGE_SIZE)
@@ -342,20 +373,18 @@ class TestRecovery:
 
     def test_wal_rotation_and_checkpoint_trigger(self, tmp_path):
         """Page writes put nothing in the log any more; the notes (and
-        the map record each one's barrier logs) are what rotate the
-        segments and trigger the checkpoints here."""
+        the map record each one's barrier logs) are what trigger the
+        checkpoints here, and each one empties the one log file."""
         codec = EntityDescriptorCodec()
-        store = make_store(
-            tmp_path, segment_bytes=2048, checkpoint_bytes=8192
-        )
+        store = make_store(tmp_path, checkpoint_bytes=8192)
         store.create_file("f", codec, PAGE_SIZE)
         for page_no in range(64):
             store.write_page("f", page_no, page(page_no % 50))
             store.journal_append(b"n" * 100)
-        segments = wal.list_segments(tmp_path)
-        assert len(segments) > 1  # rotated since the last reset,
-        # and that reset — a checkpoint — dropped most of what was logged
-        assert sum(path.stat().st_size for path in segments) < 64 * 100
+        assert sorted(os.listdir(tmp_path)) == [durable.CHECKPOINT_FILE, DATA_FILE, LOG_FILE]
+        # A checkpoint emptied the log on the way: it holds far fewer
+        # bytes than the notes alone came to.
+        assert (tmp_path / LOG_FILE).stat().st_size == store._wal.bytes_appended < 64 * 100
         store.close()
         reopened = make_store(tmp_path)
         reopened.attach_file("f", codec, PAGE_SIZE)
@@ -701,7 +730,7 @@ class TestPersistentIndexReopen:
 
     def test_a_fold_logs_mappings_never_page_images(self, tmp_path):
         """Grep-level: after a bulk load and a compaction no stored
-        page's payload occurs anywhere in the log's segments, which the
+        page's payload occurs anywhere in the log, which the
         fold grew by a few bytes per page — and the fold says what it
         cost, on the event and in ``stats``."""
         config = StorageConfig(page_size=PAGE_SIZE)
@@ -716,10 +745,10 @@ class TestPersistentIndexReopen:
             index.insert(item)
         for eid in range(0, 300, 7):
             index.delete(eid)
-        def segments():
-            return b"".join(p.read_bytes() for p in wal.list_segments(tmp_path))
+        def logged_bytes():
+            return (tmp_path / LOG_FILE).read_bytes()
 
-        logged = len(segments())
+        logged = len(logged_bytes())
         asyncio.run(service.compact())
         cost = index.last_fold
         assert cost["levels"] >= 1 and cost["records"] == len(index)
@@ -738,10 +767,10 @@ class TestPersistentIndexReopen:
         pages = 0
         for handle in index._base.values():
             for records in handle.scan_pages():
-                assert codec.encode_page(records[:2]) not in segments()
+                assert codec.encode_page(records[:2]) not in logged_bytes()
                 pages += 1
         assert pages == cost["pages"]
-        assert len(segments()) - logged < pages * 64
+        assert len(logged_bytes()) - logged < pages * 64
         # What a kill right now leaves: the reopen maps every page of
         # both folds from the log, and says so.
         shutil.copytree(tmp_path, tmp_path.with_name("killed"))
@@ -751,19 +780,23 @@ class TestPersistentIndexReopen:
         index.close()
 
     def test_old_format_directory_is_refused_not_swept(self, tmp_path, monkeypatch):
-        """A directory written before the journal existed has no
-        manifest; treating that as "never booted" would delete its level
-        files.  The format bump makes the store refuse it first."""
-        monkeypatch.setattr(durable, "FORMAT_VERSION", 1)
-        old = make_store(tmp_path)
-        old.create_file("idx-L3", EntityDescriptorCodec(), PAGE_SIZE)
-        old.write_page("idx-L3", 0, page(0))
-        old.close()
-        monkeypatch.undo()
-        before = (tmp_path / DATA_FILE).read_bytes()
-        with pytest.raises(DurableStoreError, match="unsupported store format 1"):
-            PersistentIndex.open(str(tmp_path))
-        assert (tmp_path / DATA_FILE).read_bytes() == before
+        """A directory written before the journal existed (format 1) has
+        no manifest; treating that as "never booted" would delete its
+        level files.  One of format 3 keeps its log in segments this
+        store would never read.  The format bumps make the store refuse
+        both first."""
+        for version in (1, 3):
+            directory = tmp_path / f"format-{version}"
+            monkeypatch.setattr(durable, "FORMAT_VERSION", version)
+            old = make_store(directory)
+            old.create_file("idx-L3", EntityDescriptorCodec(), PAGE_SIZE)
+            old.write_page("idx-L3", 0, page(0))
+            old.close()
+            monkeypatch.undo()
+            before = (directory / DATA_FILE).read_bytes()
+            with pytest.raises(DurableStoreError, match=f"^unsupported store format {version}$"):
+                PersistentIndex.open(str(directory))
+            assert (directory / DATA_FILE).read_bytes() == before
 
 
 def model_of(entities):
@@ -874,7 +907,7 @@ class TestFailedStore:
         index = self.open_index(disk)
         index.insert(entity(1, 0.1, 0.1))
         epoch = index.epoch
-        disk.arm(Fault("write", "wal-", errno.ENOSPC))  # the note's WAL append
+        disk.arm(Fault("write", LOG_FILE, errno.ENOSPC))  # the note's WAL append
         with pytest.raises(OSError, match="No space left"):
             index.insert(entity(2, 0.11, 0.11))
         # The parent applied before it persisted: 2 stayed live in memory.
@@ -894,7 +927,7 @@ class TestFailedStore:
         disk = FaultyDisk()
         index = self.open_index(disk)
         index.insert(entity(1, 0.1, 0.1))
-        disk.arm(Fault("fsync", "wal-"))  # the note's log commit
+        disk.arm(Fault("fsync", LOG_FILE))  # the note's log commit
         with pytest.raises(OSError):
             index.insert(entity(2, 0.11, 0.11))
         for mutate in (
@@ -1013,10 +1046,71 @@ class TestFailedStore:
 
 
 # Written by the WAL before the record became a named tuple: format 3.
-SEGMENT_SHA1 = "61a47378393abe6731e867f25d28ae67554ff990"
-STORE_SEGMENT_SIZES = [282, 276, 234, 132, 282, 210]  # the kill closes the fourth
+LOG_SHA1 = "61a47378393abe6731e867f25d28ae67554ff990"
 # Schema 4: the crc32 line, then the JSON that schema 3 wrote alone.
 CHECKPOINT_SHA1 = "7be9cd3a5ac8c35d871c3195eb2adf1268d59450"
+
+
+class HandleTrackingDisk(FaultyDisk):
+    """The faulty disk, remembering every handle it opened."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.handles = []
+
+    def open(self, path, mode):
+        handle = super().open(path, mode)
+        self.handles.append(handle)
+        return handle
+
+    def open_files(self):
+        return sorted(os.path.basename(h.path) for h in self.handles if not h.closed)
+
+
+def open_fails_in_its_checkpoint(disk):
+    disk.arm(Fault("write", durable.CHECKPOINT_FILE, errno.ENOSPC))
+    with pytest.raises(OSError, match="No space left"):
+        make_store(STORE)
+    assert disk.fired == 1
+
+
+def close_fails_in_its_checkpoint(disk):
+    store = make_store(STORE)
+    disk.arm(Fault("write", durable.CHECKPOINT_FILE, errno.ENOSPC))
+    with pytest.raises(OSError, match="No space left"):
+        store.close()
+    assert disk.fired == 1
+
+
+def index_opened_under_another_name(disk):
+    PersistentIndex.open(STORE, name="a").close()
+    with pytest.raises(ValueError, match="holds index 'a', asked to open 'b'"):
+        PersistentIndex.open(STORE, name="b")
+
+
+def bulk_load_with_a_duplicate_id(disk):
+    twice = [entity(1, 0.1, 0.1), entity(1, 0.5, 0.5)]
+    with pytest.raises(ValueError, match="duplicate entity id 1"):
+        PersistentIndex(twice, data_dir=STORE)
+
+
+@pytest.mark.parametrize(
+    "fails",
+    [
+        open_fails_in_its_checkpoint,
+        close_fails_in_its_checkpoint,
+        index_opened_under_another_name,
+        bulk_load_with_a_duplicate_id,
+    ],
+    ids=lambda fails: fails.__name__,
+)
+def test_a_failed_open_or_close_releases_both_handles(fails):
+    """The data file and the log are closed on every exit path of an
+    open or a close, whatever raised inside it."""
+    disk = HandleTrackingDisk()
+    with fileio.using(disk):
+        fails(disk)
+    assert disk.handles and disk.open_files() == []
 
 
 class TestCorruptionAtReopen:
@@ -1042,8 +1136,8 @@ class TestCorruptionAtReopen:
     @pytest.mark.parametrize("landed", [200, 400])
     def test_a_flip_mid_log_is_loud_and_truncates_nothing(self, landed):
         state = self.image()
-        disk = FaultyDisk(state, Fault("corrupt", "wal-", landed=landed))
-        with pytest.raises(DurableStoreError, match=r"corrupt log.*offset \d+ of wal-"):
+        disk = FaultyDisk(state, Fault("corrupt", LOG_FILE, landed=landed))
+        with pytest.raises(DurableStoreError, match=r"corrupt log.*offset \d+ of wal\.log"):
             self.open_index(disk)
         assert disk.fired == 1
         assert {path: bytes(node.live) for path, node in disk.files.items()} == state
@@ -1084,41 +1178,44 @@ class TestCorruptionAtReopen:
 
 class TestWalUnit:
     def test_record_round_trip(self, tmp_path):
-        log = wal.WriteAheadLog(tmp_path, segment_bytes=1024, start_sequence=1)
+        log = wal.WriteAheadLog(tmp_path / LOG_FILE)
         bodies = [os.urandom(40) for _ in range(20)]
         for lsn, body in enumerate(bodies, start=1):
             log.append(wal.WalRecord(lsn, wal.OP_NOTE, body))
         log.sync()
         log.close()
         seen = []
-        scan = wal.scan_segments(tmp_path, lambda r: seen.append(r))
-        assert scan.truncated_bytes == 0
+        assert wal.scan_log(tmp_path / LOG_FILE, seen.append) == 0
         assert [r.body for r in seen] == bodies
         assert [r.lsn for r in seen] == list(range(1, 21))
 
     def test_torn_tail_detected_and_truncated(self, tmp_path):
-        log = wal.WriteAheadLog(tmp_path, segment_bytes=1 << 20, start_sequence=1)
+        """The scan stops at the torn tail and only reads the file; the
+        reset that ends every open's checkpoint truncates it."""
+        path = tmp_path / LOG_FILE
+        log = wal.WriteAheadLog(path)
         log.append(wal.WalRecord(1, wal.OP_NOTE, b"x" * 32))
         log.append(wal.WalRecord(2, wal.OP_NOTE, b"y" * 32))
         log.sync()
-        path = log.segment_path
         log.close()
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])  # tear the last record
         seen = []
-        scan = wal.scan_segments(tmp_path, lambda r: seen.append(r))
+        assert wal.scan_log(path, seen.append) == len(blob) // 2 - 10
         assert [r.lsn for r in seen] == [1]
-        assert scan.truncated_bytes > 0
-        # The torn bytes are gone from the medium too.
-        assert len(path.read_bytes()) < len(blob) - 10
+        assert path.read_bytes() == blob[:-10]
+        log = wal.WriteAheadLog(path)
+        log.reset()
+        log.close()
+        assert path.read_bytes() == b""
 
     def test_record_bytes_and_scan_are_pinned(self, tmp_path):
-        """``WalRecord`` is a named tuple now; its bytes, a segment's
+        """``WalRecord`` is a named tuple now; its bytes, the log's
         bytes and what the scanner yields are those of the dataclass it
-        replaced (format 3)."""
+        replaced (format 3, whose first segment held the same bytes)."""
         record = wal.WalRecord(7, wal.OP_NOTE, wal.pack_note(b"abc", True))
         assert record.encode().hex() == "314c41570700000000000000051f303ec80400000001616263"
-        log = wal.WriteAheadLog(tmp_path, start_sequence=1)
+        log = wal.WriteAheadLog(tmp_path / LOG_FILE)
         written = [
             wal.WalRecord(1, wal.OP_CREATE, wal.pack_create(1, 48, 10, "f")),
             wal.WalRecord(2, wal.OP_MAP, wal.pack_map(1, [(0, 3), (1, 0)])),
@@ -1128,67 +1225,28 @@ class TestWalUnit:
         for entry in written:
             log.append(entry)
         log.close()
-        (segment,) = wal.list_segments(tmp_path)
-        assert sha1(segment.read_bytes()).hexdigest() == SEGMENT_SHA1
+        assert sha1((tmp_path / LOG_FILE).read_bytes()).hexdigest() == LOG_SHA1
         seen = []
-        wal.scan_segments(tmp_path, seen.append)
+        wal.scan_log(tmp_path / LOG_FILE, seen.append)
         assert seen == written
         assert all(type(entry) is wal.WalRecord for entry in seen)
 
-    def test_segments_rotate_at_the_same_records(self, tmp_path):
-        """The log counts a segment's bytes itself instead of asking
-        ``tell()``: a record still goes to a fresh segment exactly when
-        the current one holds some and would exceed ``segment_bytes``
-        with it — the first record of a segment whatever its size — and
-        a log reopened on the directory starts its own segment at 0."""
-        bodies = [10, 60, 40, 150, 300, 5, 5, 90, 100, 79]  # a record is 21 bytes more
-        log = wal.WriteAheadLog(tmp_path, segment_bytes=200, start_sequence=1)
-        for lsn, size in enumerate(bodies, start=1):
-            log.append(wal.WalRecord(lsn, wal.OP_NOTE, bytes(size)))
-        log.close()
-        sizes = [path.stat().st_size for path in wal.list_segments(tmp_path)]
-        assert sizes == [173, 171, 321, 163, 121, 100]
-        reopened = wal.WriteAheadLog(tmp_path, segment_bytes=200, start_sequence=log.sequence + 1)
-        for lsn, size in enumerate(bodies[:4], start=len(bodies) + 1):
-            reopened.append(wal.WalRecord(lsn, wal.OP_NOTE, bytes(size)))
-        reopened.close()
-        sizes = [path.stat().st_size for path in wal.list_segments(tmp_path)]
-        assert sizes == [173, 171, 321, 163, 121, 100, 173, 171]
-        seen = []
-        wal.scan_segments(tmp_path, seen.append)
-        assert [len(entry.body) for entry in seen] == bodies + bodies[:4]
-
-    def test_a_reopened_store_rotates_at_the_same_records(self, tmp_path):
-        """The same rule through the store, across a kill and a reopen."""
-        store = make_store(tmp_path, segment_bytes=300, checkpoint_bytes=1 << 20)
-        for n in range(12):
-            store.journal_append(bytes(10 * n))
-        store._data.close()  # abandoned, not closed: what a kill leaves
-        reopened = make_store(tmp_path, segment_bytes=300, checkpoint_bytes=1 << 20)
-        for n in range(12):
-            reopened.journal_append(bytes(30 - 2 * n))
-        sizes = [path.stat().st_size for path in wal.list_segments(tmp_path)]
-        assert sizes == STORE_SEGMENT_SIZES
-        assert len(reopened.journal()) == 24
-        reopened.close()
-
     def test_a_bad_record_with_valid_ones_behind_it_is_refused(self, tmp_path):
-        log = wal.WriteAheadLog(tmp_path, segment_bytes=200, start_sequence=1)
+        path = tmp_path / LOG_FILE
+        log = wal.WriteAheadLog(path)
         for lsn in range(1, 11):
             log.append(wal.WalRecord(lsn, wal.OP_NOTE, bytes([lsn]) * 40))
         log.close()
-        first, *later = wal.list_segments(tmp_path)
-        blob = bytearray(first.read_bytes())
+        blob = bytearray(path.read_bytes())
         blob[30] ^= 0xFF  # in the first record's body
-        first.write_bytes(bytes(blob))
-        images = [path.read_bytes() for path in wal.list_segments(tmp_path)]
-        with pytest.raises(wal.CorruptLog, match=f"offset 0 of {first.name}.*offset 61 of"):
-            wal.scan_segments(tmp_path, lambda record: None)
-        assert [path.read_bytes() for path in wal.list_segments(tmp_path)] == images
+        path.write_bytes(bytes(blob))
+        with pytest.raises(wal.CorruptLog, match=f"offset 0 of {LOG_FILE}.*offset 61$"):
+            wal.scan_log(path, lambda record: None)
+        assert path.read_bytes() == blob
         # Records a checkpoint covers are not needed: with none past
         # LSN 10 behind it, the bad record is the torn tail.
-        scan = wal.scan_segments(tmp_path, lambda record: None, first_lsn=11)
-        assert (scan.truncated_bytes, scan.dropped_segments) == (len(images[0]), len(later))
+        assert wal.scan_log(path, lambda record: None, first_lsn=11) == len(blob)
+        assert path.read_bytes() == blob
 
 
 class TestCheckpointBytes:

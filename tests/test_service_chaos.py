@@ -20,7 +20,7 @@ from repro.service import (
     PersistentIndex,
     ServiceConfig,
 )
-from repro.storage.durable import DATA_FILE, DurableStoreError
+from repro.storage.durable import DATA_FILE, LOG_FILE, DurableStoreError
 from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.scenario import run_scenario, run_service_chaos, sample_service_scenario
 
@@ -76,7 +76,7 @@ class TestServiceChaosSweep:
         it: the replay reports it ``unfired`` rather than passing."""
         scenario = dataclasses.replace(
             sample_service_scenario(1, seed=0, ops=12, entities=40),
-            fault=Fault("write", "wal-", errno.EIO, nth=10**6),
+            fault=Fault("write", LOG_FILE, errno.EIO, nth=10**6),
         )
         report = run_scenario(scenario)
         assert [v.check for v in report.violations] == ["unfired"]

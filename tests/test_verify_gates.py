@@ -18,7 +18,7 @@ import pytest
 from repro.service.api import BreakerState, QueryOutcome, ShardFailure
 from repro.service.index import PersistentIndex, _sort_key
 from repro.storage import wal
-from repro.storage.durable import DurableBackend
+from repro.storage.durable import LOG_FILE, DurableBackend
 from repro.storage.records import EID, EntityDescriptorCodec
 from repro.verify import (
     Report,
@@ -152,7 +152,7 @@ class TestSeededBugs:
             return real(self, entity)
 
         monkeypatch.setattr(PersistentIndex, "insert", fails_first)
-        late = Fault("write", "wal-", nth=12)
+        late = Fault("write", LOG_FILE, nth=12)
         report = run_scenario(Scenario(0, 0, "write-failure", late, ops=30, entities=80))
         violation = report.violations[0]
         assert violation.check == "spurious" and "[insert]" in violation.where
