@@ -29,6 +29,7 @@ files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import struct
@@ -427,13 +428,13 @@ class PersistentIndex:
                     b"M" + json.dumps(manifest, sort_keys=True).encode(), reset=True
                 )
             except Exception:
-                # Discard every fresh frame first: a failed store refuses
-                # the deletes (the reopen drops the files as debris), and
-                # a dirty frame left behind would fail a later query.
+                # Release every fresh file and its frames (a dirty frame
+                # left behind would fail a later query) whatever the store
+                # says: a failed one refuses the deletes, and the reopen
+                # drops the files as debris.  The caller sees the fault.
                 for handle in fresh:
-                    self.storage.pool.drop_file(handle.name)
-                for handle in fresh:
-                    self.storage.drop_file(handle.name)
+                    with contextlib.suppress(Exception):
+                        self.storage.drop_file(handle.name)
                 raise
             replaced = [self._base[level] for level in sorted(affected & set(self._base))]
             self._base = base

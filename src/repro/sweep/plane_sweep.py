@@ -14,9 +14,10 @@ exactly the candidates of a left pivot and of a right pivot here, ties
 included — so the ledger is priced with one ``charge_cpu("mbr_test",
 n)`` per call.  Ids stay ``int64``: the pairs are a ``PAIR`` array, as
 are a result file's rows and the join's result.
-:func:`scalar_sweep_intersections` is the same sweep record at a time,
-and :func:`sweep_self_intersections` its self-join form: the references
-the kernel is tested against.  Nothing under ``src/`` calls them.
+:func:`sweep_self_intersections` is the same sweep record at a time, in
+its self-join form; ``tests/test_sweep.py`` holds the two-input one.
+Both are references the kernel is tested against: nothing under
+``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def sweep_intersections(
 
     Closed-interval semantics: boundary contact counts as intersection.
     One ``mbr_test`` per x-overlapping candidate is charged to ``stats``
-    when given — the count :func:`scalar_sweep_intersections` charges
-    one at a time.  Sorting, and its price, is the caller's.
+    when given — the count the record-at-a-time sweep charges one at a
+    time.  Sorting, and its price, is the caller's.
     """
     ia, ib, candidates = sweep_intersecting_pairs(corners(left), corners(right))
     if stats is not None and candidates:  # like the scalar loop: no candidate, no entry
@@ -60,23 +61,6 @@ def sweep_intersections(
     pairs["b"] = right["eid"][ib]
     pairs.setflags(write=False)  # a page-to-be: files take it without a copy
     return pairs
-
-
-def scalar_sweep_intersections(
-    a: list[Record], b: list[Record], stats: IOStats | None = None
-) -> Iterator[tuple[Record, Record]]:
-    """Yield every pair of records with intersecting MBRs, one from
-    each ``xlo``-ordered list — the record-at-a-time reference of
-    :func:`sweep_intersections`, with the same charges."""
-    ai = bi = 0
-    len_a, len_b = len(a), len(b)
-    while ai < len_a and bi < len_b:
-        if a[ai][XLO] <= b[bi][XLO]:
-            yield from _scan(a[ai], b, bi, stats, flip=False)
-            ai += 1
-        else:
-            yield from _scan(b[bi], a, ai, stats, flip=True)
-            bi += 1
 
 
 def sweep_self_intersections(

@@ -716,7 +716,7 @@ class TestPersistentIndexReopen:
         stored, journal = index.storage.stored_files(), index._backend().journal()
         epoch = index.epoch
         disk.arm(Fault("write", DATA_FILE, errno.EIO, nth=3))
-        with pytest.raises((OSError, DurableStoreError)):
+        with pytest.raises(OSError, match="Input/output"):
             index.compact()
         assert disk.fired == 1
         assert (index.epoch, index.compactions) == (epoch, 0)
@@ -726,6 +726,45 @@ class TestPersistentIndexReopen:
         with fileio.using(disk), PersistentIndex.open(STORE, storage=config) as reopened:
             assert reopened.debris_dropped >= 1
             assert reopened.storage.stored_files() == stored
+            assert check_index(reopened, model_of(entities)) == []
+
+    @pytest.mark.parametrize("nth", [5, 6])
+    def test_failed_fold_releases_every_fresh_file(self, nth):
+        """A fold that fails in its second or third level file: the
+        failed store refuses to delete the first, and the cleanup still
+        releases them all and re-raises the fault itself, not that
+        refusal."""
+
+        def deep(eid, level, k):  # inside one level-`level` cell, across the next level's lines
+            if level == 0:
+                return Entity(eid, Rect(0.45 + k / 1000, 0.45, 0.55, 0.55))
+            cell = 1 / (1 << level)
+            x, y = (k % 50) * cell + 0.3 * cell, (k // 50 + 1) * cell + 0.3 * cell
+            return Entity(eid, Rect(x, y, x + 0.4 * cell, y + 0.4 * cell))
+
+        config = StorageConfig(page_size=PAGE_SIZE)
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            index = PersistentIndex.open(STORE, storage=config, compaction_threshold=10**9)
+        entities = [deep(i, 0, i) for i in range(30)] + [deep(100 + i, 8, i) for i in range(30)]
+        for item in entities:
+            index.insert(item)
+        index.compact()
+        for n, level in enumerate((0, 6, 8)):
+            entities += [deep(1000 + 100 * n + k, level, 40 + k) for k in range(10)]
+            for item in entities[-10:]:
+                index.insert(item)
+        assert sorted(index._delta) == [0, 6, 8]
+        files = index.storage.list_files()
+        disk.arm(Fault("write", DATA_FILE, errno.EIO, nth=nth))
+        with pytest.raises(OSError, match="Input/output") as raised:
+            index.compact()
+        assert raised.value.errno == errno.EIO and disk.fired == 1
+        assert index.storage.list_files() == files
+        assert check_index(index, model_of(entities)) == []
+        index.close()
+        with fileio.using(disk), PersistentIndex.open(STORE, storage=config) as reopened:
+            assert reopened.debris_dropped >= 2
             assert check_index(reopened, model_of(entities)) == []
 
     def test_a_fold_logs_mappings_never_page_images(self, tmp_path):
@@ -1031,9 +1070,9 @@ class TestFailedStore:
         stored, journal = index.storage.stored_files(), index._backend().journal()
         epoch = index.epoch
         disk.arm(Fault("fsync", DATA_FILE))
-        # The fold's own clean-up (dropping its fresh files) is refused
-        # too, so the error that surfaces is the refusal naming the EIO.
-        with pytest.raises(DurableStoreError, match="Input/output error"):
+        # The failed store refuses the fold's own clean-up (dropping its
+        # fresh files) too, but the error that surfaces is the EIO itself.
+        with pytest.raises(OSError, match="Input/output error"):
             index.compact()
         assert (index.epoch, index.compactions) == (epoch, 1)
         assert index._backend().journal() == journal

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fastpath import (
@@ -30,6 +30,7 @@ from repro.fastpath import (
     memory_spatial_join,
     sweep_intersecting_pairs,
 )
+from repro.fastpath import sweep as sweep_module
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.api import available_algorithms, spatial_join
@@ -75,6 +76,37 @@ def _oracle_x_pairs(axlo, axhi, bxlo, bxhi) -> set[tuple[int, int]]:
     }
 
 
+_EMPTY_SIDE = (np.empty(0, dtype=np.int64),) * 2
+_FULL_SIDE = (np.arange(5, dtype=np.int64),) * 2
+
+
+@st.composite
+def level_keys(draw):
+    """Two sides keyed like memory mode's: int64 ``cell * R + rank``
+    composites, each sorted by its low key — a fine side of many rows and
+    a coarse side of a few (so most class-1 ranges are empty), ranks
+    drawn with repeats (duplicate keys), either side possibly empty, and
+    either side first."""
+    ranks = draw(st.integers(1, 16))
+    cells = draw(st.integers(1, 4))
+
+    def side(max_size):
+        rows = draw(
+            st.lists(
+                st.tuples(st.integers(0, cells - 1), st.integers(0, ranks - 1), st.integers(0, 5)),
+                max_size=max_size,
+            )
+        )
+        base = np.array([cell * ranks for cell, _, _ in rows], dtype=np.int64)
+        klo = base + np.array([rank for _, rank, _ in rows], dtype=np.int64)
+        khi = base + np.array([min(rank + width, ranks - 1) for _, rank, width in rows], dtype=np.int64)
+        order = np.argsort(klo, kind="stable")
+        return klo[order], khi[order]
+
+    fine, coarse = side(40), side(4)
+    return (coarse, fine) if draw(st.booleans()) else (fine, coarse)
+
+
 def _oracle_box_pairs(a, b) -> set[tuple[int, int]]:
     axlo, aylo, axhi, ayhi = a
     bxlo, bylo, bxhi, byhi = b
@@ -106,6 +138,29 @@ class TestForwardSweepKernel:
         }
         assert emitted == len(got), "kernel produced a duplicate pair"
         assert got == _oracle_x_pairs(axlo, axhi, bxlo, bxhi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=level_keys())
+    @example(keys=(_EMPTY_SIDE, _FULL_SIDE))
+    @example(keys=(_FULL_SIDE, _EMPTY_SIDE))
+    def test_sparse_ranges_on_memory_mode_keys(self, keys):
+        """Only rows with a candidate get a range, and the chunks still
+        hold every pair once, as many as the dense ranges count, within
+        the budget unless a chunk is one row."""
+        (axlo, axhi), (bxlo, bxhi) = keys
+        budget = 4
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep_module, "CHUNK_CANDIDATES", budget)
+            chunks = list(forward_sweep_pairs(axlo, axhi, bxlo, bxhi))
+        pairs = [pair for ia, ib in chunks for pair in zip(ia.tolist(), ib.tolist())]
+        assert len(pairs) == len(set(pairs)), "kernel produced a duplicate pair"
+        assert set(pairs) == _oracle_x_pairs(axlo, axhi, bxlo, bxhi)
+        lo1, hi1, lo2, hi2 = sweep_module._overlap_ranges(axlo, axhi, bxlo, bxhi)
+        assert len(pairs) == int((hi1 - lo1).sum() + (hi2 - lo2).sum())
+        for ia, ib in chunks:
+            class_1 = bxlo[ib[0]] >= axlo[ia[0]]  # b starts inside a
+            rows = ia if class_1 else ib
+            assert len(ia) <= budget or len(np.unique(rows)) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(a=box_arrays(), b=box_arrays())

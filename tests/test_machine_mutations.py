@@ -24,11 +24,13 @@ from tests import test_service_statemachine as indexes
 def keep_a_failed_folds_frames(monkeypatch):
     """A fold whose write fails leaves its fresh files' dirty frames in
     the pool, so a later flush or eviction writes a page of a file the
-    fold gave up, on a store that refuses writes."""
+    fold gave up, on a store that refuses writes.  The fold's clean-up
+    drops them through ``StorageManager.drop_file``; only that call,
+    made while the fold handles its failure, keeps them."""
     drop_file = BufferPool.drop_file
 
     def kept_by_the_fold(self, file_name):
-        if sys._getframe(1).f_code.co_name != "_fold":
+        if sys._getframe(2).f_code.co_name != "_fold" or sys.exc_info()[0] is None:
             drop_file(self, file_name)
 
     monkeypatch.setattr(BufferPool, "drop_file", kept_by_the_fold)

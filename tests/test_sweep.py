@@ -15,13 +15,28 @@ from hypothesis import strategies as st
 
 from repro.storage.iostats import IOStats
 from repro.storage.costs import sort_comparison_count
-from repro.storage.records import EntityDescriptorCodec, concat_pages
+from repro.storage.records import XLO, EntityDescriptorCodec, concat_pages
 from repro.sweep.plane_sweep import (
-    scalar_sweep_intersections,
+    _scan,
     sweep_intersections,
     sweep_self_intersections,
     x_sorted,
 )
+
+
+def scalar_sweep_intersections(a, b, stats=None):
+    """Yield every pair of records with intersecting MBRs, one from
+    each ``xlo``-ordered list — the record-at-a-time reference of
+    :func:`sweep_intersections`, with the same charges."""
+    ai = bi = 0
+    len_a, len_b = len(a), len(b)
+    while ai < len_a and bi < len_b:
+        if a[ai][XLO] <= b[bi][XLO]:
+            yield from _scan(a[ai], b, bi, stats, flip=False)
+            ai += 1
+        else:
+            yield from _scan(b[bi], a, ai, stats, flip=True)
+            bi += 1
 
 
 def rec(eid, xlo, ylo, xhi, yhi):
