@@ -37,20 +37,24 @@ from repro.storage.pagedfile import PagedFile
 from repro.storage.records import EID, XHI, XLO, YHI, YLO, CandidatePairCodec
 
 
-def suggested_partitions(
-    pages_a: int, memory_pages: int, multiplier: float = 10.0
-) -> int:
+# Slots per memory-load of A: DESIGN.md's stand-in for the [LR95] formula.
+PARTITION_MULTIPLIER = 10.0
+# Candidate objects sampled per slot: equation 16's integer ``c``.
+SAMPLE_FACTOR = 3
+
+
+def suggested_partitions(pages_a: int, memory_pages: int) -> int:
     """The slot-count heuristic standing in for the [LR95] formula.
 
     Lo & Ravishankar size slots so each partition pair fits comfortably
     in memory; the paper notes their count is "much larger than the
     number used for PBSM" (section 4.1.3).  We model it as
-    ``multiplier * S_A / M``, with a multiplier of 10 by default (see
-    DESIGN.md substitutions), capped at ``M - 4`` because a one-pass
-    partitioning step needs an input buffer (plus slack) besides one
-    output buffer per partition, or the buffer pool thrashes.
+    ``PARTITION_MULTIPLIER * S_A / M`` (see DESIGN.md substitutions),
+    capped at ``M - 4`` because a one-pass partitioning step needs an
+    input buffer (plus slack) besides one output buffer per partition,
+    or the buffer pool thrashes.
     """
-    target = math.ceil(multiplier * pages_a / memory_pages)
+    target = math.ceil(PARTITION_MULTIPLIER * pages_a / memory_pages)
     return max(2, min(target, memory_pages - 4))
 
 
@@ -72,13 +76,10 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
     storage:
         The storage manager to run against.
     num_partitions:
-        Override for the slot count (heuristic formula by default).
-    partition_multiplier:
-        Multiplier of the slot-count heuristic.
+        Override for the slot count (:func:`suggested_partitions` by
+        default).
     seed:
         RNG seed for the sampling step (deterministic experiments).
-    rtree_fanout:
-        Node capacity of the per-partition R-trees.
     """
 
     name = "shj"
@@ -88,25 +89,17 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
         self,
         storage: StorageManager,
         num_partitions: int | None = None,
-        partition_multiplier: float = 10.0,
         seed: int = 0,
-        rtree_fanout: int = 32,
-        sample_factor: int = 3,
     ) -> None:
         super().__init__(storage)
-        if sample_factor < 1:
-            raise ValueError("sample_factor must be at least 1")
         self.num_partitions = num_partitions
-        self.partition_multiplier = partition_multiplier
         self.seed = seed
-        self.rtree_fanout = rtree_fanout
-        self.sample_factor = sample_factor
 
     def run_filter_step(
         self, input_a: PagedFile, input_b: PagedFile
     ) -> tuple[Page, JoinMetrics]:
         target = self.num_partitions or suggested_partitions(
-            input_a.num_pages, self.storage.memory_pages, self.partition_multiplier
+            input_a.num_pages, self.storage.memory_pages
         )
 
         with self._phase("partition"):
@@ -159,14 +152,14 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
         partitions (the ``cD`` random I/O term of equation 16).
 
         Following [LR95], several candidate objects are sampled per
-        slot (``sample_factor``, the equation's integer ``c``); the
+        slot (:data:`SAMPLE_FACTOR`, the equation's integer ``c``); the
         seeds are then drawn from the candidate pool, which spreads
         them better than one draw per slot.
         """
         if source.num_pages == 0:
             return []
         rng = random.Random(self.seed)
-        count = min(self.sample_factor * target, source.num_pages)
+        count = min(SAMPLE_FACTOR * target, source.num_pages)
         page_numbers = rng.sample(range(source.num_pages), count)
         candidates = []
         for page_no in page_numbers:
@@ -235,7 +228,7 @@ class SpatialHashJoin(SpatialJoinAlgorithm):
         overflowed = int(file_a.num_pages > block_pages)
 
         for block_start in range(0, file_a.num_pages, block_pages):
-            tree = RTree(max_entries=self.rtree_fanout, stats=stats)
+            tree = RTree(stats=stats)
             block_end = min(block_start + block_pages, file_a.num_pages)
             for page_no in range(block_start, block_end):
                 for record in file_a.read_page(page_no).tolist():

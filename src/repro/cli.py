@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -78,17 +79,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (argparse reports a non-number)."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0 (got {value})")
+    return value
+
+
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=None,
         help="entity-count scale factor (default: REPRO_SCALE env or 0.2)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for the three subcommands."""
+    """The argument parser for the six subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Size Separation Spatial Join (SIGMOD 1997) reproduction",
@@ -107,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="UN1-UN2",
     )
     join.add_argument(
-        "--tiles", type=int, default=None, help="PBSM tiles per dimension"
+        "--tiles", type=_positive_int, default=None, help="PBSM tiles per dimension"
     )
     join.add_argument(
         "--mode",

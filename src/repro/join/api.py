@@ -32,7 +32,6 @@ _ALGORITHMS: dict[str, tuple[str, str]] = {
     "s3j": ("repro.core.s3j", "SizeSeparationSpatialJoin"),
     "pbsm": ("repro.baselines.pbsm", "PartitionBasedSpatialMergeJoin"),
     "shj": ("repro.baselines.shj", "SpatialHashJoin"),
-    "rtree": ("repro.rtree.join", "RTreeSpatialJoin"),
     "sweep": ("repro.baselines.sweep_join", "PlaneSweepJoin"),
 }
 

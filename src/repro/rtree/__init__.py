@@ -1,14 +1,10 @@
-"""In-memory R-tree (Guttman 1984).
+"""In-memory R-tree (Guttman 1984), built by quadratic-split insertion.
 
 SHJ's join phase "reads one partition into main memory, builds an
 R-tree index on it, and processes the second partition by probing the
-index with each entity" (section 2.2).  This subpackage provides that
-R-tree (quadratic-split insertion, window search, an STR bulk-load
-variant) plus the synchronized R-tree spatial join of Brinkhoff et
-al. [BKS93] surveyed in section 2.
+index with each entity" (section 2.2).  This is that R-tree.
 """
 
-from repro.rtree.join import rtree_join
 from repro.rtree.rtree import RTree
 
-__all__ = ["RTree", "rtree_join"]
+__all__ = ["RTree"]

@@ -1,4 +1,5 @@
-"""Guttman R-tree with quadratic split, plus STR bulk loading."""
+"""Guttman R-tree with quadratic split, built by insertion: SHJ's
+per-partition in-memory index (section 2.2)."""
 
 from __future__ import annotations
 
@@ -77,36 +78,6 @@ class RTree:
                 (split.mbr(), split),
             ]
         self._size += 1
-
-    @classmethod
-    def bulk_load(
-        cls,
-        items: list[tuple[Rect, Any]],
-        max_entries: int = 32,
-        stats: IOStats | None = None,
-    ) -> RTree:
-        """Sort-Tile-Recursive bulk loading: packs leaves by x-then-y
-        tile order, then builds upper levels bottom-up."""
-        tree = cls(max_entries=max_entries, stats=stats)
-        if not items:
-            return tree
-        leaves: list[_Node] = []
-        for group in _str_tiles(items, max_entries):
-            leaf = _Node(leaf=True)
-            leaf.entries = group
-            leaves.append(leaf)
-        level: list[_Node] = leaves
-        while len(level) > 1:
-            parents: list[_Node] = []
-            packed = _str_tiles([(n.mbr(), n) for n in level], max_entries)
-            for group in packed:
-                parent = _Node(leaf=False)
-                parent.entries = group
-                parents.append(parent)
-            level = parents
-        tree._root = level[0]
-        tree._size = len(items)
-        return tree
 
     # -- queries ----------------------------------------------------------
 
@@ -260,19 +231,3 @@ def _extend(box: Rect, entries: list[tuple[Rect, Any]]) -> Rect:
         box = box.union(rect)
     return box
 
-
-def _str_tiles(
-    items: list[tuple[Rect, Any]], capacity: int
-) -> Iterator[list[tuple[Rect, Any]]]:
-    """Group items into STR tiles of at most ``capacity`` entries."""
-    count = len(items)
-    leaf_count = math.ceil(count / capacity)
-    slice_count = math.ceil(math.sqrt(leaf_count))
-    by_x = sorted(items, key=lambda item: item[0].center[0])
-    slice_size = math.ceil(count / slice_count)
-    for start in range(0, count, slice_size):
-        vertical = sorted(
-            by_x[start : start + slice_size], key=lambda item: item[0].center[1]
-        )
-        for leaf_start in range(0, len(vertical), capacity):
-            yield vertical[leaf_start : leaf_start + capacity]

@@ -73,16 +73,19 @@ class ServiceConfig:
     compaction_interval_s: float = 0.01  # background compactor poll
 
     def __post_init__(self) -> None:
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive (or None for unlimited)")
+        # Written so NaN fails them: a NaN rate would admit every query,
+        # and a NaN reset delay would hold a tripped breaker open for good.
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite (or None for unlimited)")
         if self.burst < 1:
             raise ValueError("burst must be >= 1")
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_reset_s < 0 or self.compaction_interval_s < 0:
-            raise ValueError("intervals must be non-negative")
+        for interval in (self.breaker_reset_s, self.compaction_interval_s):
+            if not 0 <= interval < math.inf:
+                raise ValueError("intervals must be finite and non-negative")
 
 
 class TokenBucket:
@@ -294,7 +297,7 @@ class JoinService:
     No request waits: its one ``await`` is the ``_mutate`` lock, which
     no holder awaits under, so :class:`ServiceServer` runs each request
     to completion in the callback that read it.  Group commit (ROADMAP
-    item 9) must revisit this before it adds an await that can wait.
+    item 8) must revisit this before it adds an await that can wait.
     """
 
     def __init__(

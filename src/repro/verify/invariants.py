@@ -14,8 +14,8 @@ mechanically:
   (the "strongly resembles an L-way merge sort" single-pass claim of
   section 3.1).
 - **replication** — S3J never replicates (``r = 1.0`` exactly without
-  DSB filtering, equation 9); the R-tree and sweep references never
-  replicate either; SHJ never replicates data set A.
+  DSB filtering, equation 9); the sweep reference never replicates
+  either; SHJ never replicates data set A.
 
 Obs-on/obs-off ledger parity is a *differential* check (it needs two
 runs), so :func:`check_obs_parity` takes a case and a spec instead.
@@ -35,7 +35,7 @@ from repro.verify.executors import (
 )
 from repro.verify.report import Violation
 
-NO_REPLICATION = {"s3j", "rtree", "sweep"}
+NO_REPLICATION = {"s3j", "sweep"}
 LEDGER_COUNTERS = (
     "page_reads",
     "page_writes",

@@ -80,6 +80,37 @@ class TestParser:
         assert exit_info.value.code == 2
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["join", "--algorithm", "pbsm", "--tiles", "0"],
+            ["join", "--algorithm", "pbsm", "--tiles", "-3"],
+            ["join", "--scale", "nan"],
+            ["join", "--scale", "-1"],
+            ["join", "--scale", "0"],
+            ["join", "--scale", "inf"],
+            ["join", "--scale", "abc"],
+            ["table3", "--scale", "nan"],
+            ["table4", "--scale", "-1"],
+            ["join", "--algorithm", "rtree"],  # the retired R-tree join
+        ],
+    )
+    def test_bad_arguments_exit_2_before_running(self, argv, capsys, monkeypatch):
+        """argparse refuses each before any data set is generated."""
+        monkeypatch.setattr("repro.cli.run_algorithm", pytest.fail)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    def test_serve_rejects_nan_rate_before_binding(self, capsys, monkeypatch):
+        """A NaN rate would admit every query: refused before the index
+        is built or a socket bound."""
+        monkeypatch.setattr("repro.service.ServiceServer", pytest.fail)
+        monkeypatch.setattr("repro.service.PersistentIndex", pytest.fail)
+        assert main(["serve", "--rate", "nan"]) == 2
+        assert "rate must be positive and finite" in capsys.readouterr().err
+
     def test_verify_defaults(self):
         args = build_parser().parse_args(["verify", "--quick"])
         assert args.quick
@@ -208,6 +239,10 @@ class TestVerifyCommand:
 
     def test_unknown_algorithm_exits_2(self, capsys):
         assert main(["verify", "--algorithms", "nested"]) == 2
+        assert "unknown algorithms" in capsys.readouterr().err
+
+    def test_retired_rtree_join_exits_2(self, capsys):
+        assert main(["verify", "--algorithms", "rtree"]) == 2
         assert "unknown algorithms" in capsys.readouterr().err
 
     def test_unknown_workload_exits_2(self, capsys):

@@ -169,7 +169,7 @@ class TestCanonicalPairs:
 
 class TestSpatialJoinAPI:
     def test_algorithms_listed(self):
-        assert available_algorithms() == ("pbsm", "rtree", "s3j", "shj", "sweep")
+        assert available_algorithms() == ("pbsm", "s3j", "shj", "sweep")
 
     def test_unknown_algorithm_raises(self):
         a = make_squares(10, 0.1, seed=4)
@@ -179,6 +179,12 @@ class TestSpatialJoinAPI:
     def test_make_algorithm_unknown_raises(self, storage):
         with pytest.raises(ValueError):
             make_algorithm("quadtree", storage)
+
+    def test_retired_rtree_join_is_unknown(self):
+        a = make_squares(10, 0.1, seed=4)
+        choices = r"\('pbsm', 's3j', 'shj', 'sweep'\)"
+        with pytest.raises(ValueError, match=f"unknown algorithm 'rtree'; choose from {choices}"):
+            spatial_join(a, a, algorithm="rtree")
 
     @pytest.mark.parametrize("algorithm", ["s3j", "pbsm", "shj"])
     def test_all_algorithms_agree(self, algorithm):
@@ -386,7 +392,7 @@ def unchecked_rect(xlo, ylo, xhi, yhi):
 
 class TestInputRule:
     """One input rule, checked when a data set is built, so no engine
-    sees bad input.  Before it, PBSM, SHJ, sweep and rtree answered it
+    sees bad input.  Before it, PBSM, SHJ and sweep answered it
     silently (dropping a NaN box, pairing one at x = -0.5 or 1.5), and a
     duplicate id passed S3J and PBSM alike."""
 
@@ -434,7 +440,7 @@ class TestTimedPathBuildsNoTuple:
     @pytest.mark.parametrize(
         "algorithm, mode",
         [("s3j", "memory"), ("s3j", "ledger"), ("pbsm", "ledger"), ("shj", "ledger"),
-         ("rtree", "ledger"), ("sweep", "ledger")],
+         ("sweep", "ledger")],
     )
     def test_run_algorithm_leaves_pairs_unbuilt(self, algorithm, mode):
         from repro.experiments.runner import run_algorithm

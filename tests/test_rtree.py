@@ -109,26 +109,3 @@ class TestInvariants:
         expected = {i for i, r in enumerate(rects) if r.intersects(window)}
         assert set(tree.search(window)) == expected
 
-
-class TestBulkLoad:
-    def test_bulk_load_search_correct(self):
-        rng = random.Random(6)
-        rects = random_rects(rng, 500)
-        tree = RTree.bulk_load([(r, i) for i, r in enumerate(rects)], max_entries=16)
-        assert len(tree) == 500
-        for window in random_rects(rng, 20, max_side=0.3):
-            expected = {i for i, r in enumerate(rects) if r.intersects(window)}
-            assert set(tree.search(window)) == expected
-
-    def test_bulk_load_empty(self):
-        tree = RTree.bulk_load([])
-        assert len(tree) == 0
-
-    def test_bulk_load_is_shallower_than_insertion(self):
-        rng = random.Random(7)
-        rects = random_rects(rng, 600)
-        bulk = RTree.bulk_load([(r, i) for i, r in enumerate(rects)], max_entries=8)
-        incremental = RTree(max_entries=8)
-        for i, rect in enumerate(rects):
-            incremental.insert(rect, i)
-        assert bulk.height <= incremental.height

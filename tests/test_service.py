@@ -362,6 +362,13 @@ class TestServiceConfig:
             {"breaker_threshold": 0},
             {"breaker_reset_s": -0.1},
             {"compaction_interval_s": -0.1},
+            # NaN passes a bare `< 0` check; inf is no usable rate or delay.
+            {"rate": float("nan")},
+            {"rate": float("inf")},
+            {"breaker_reset_s": float("nan")},
+            {"breaker_reset_s": float("inf")},
+            {"compaction_interval_s": float("nan")},
+            {"compaction_interval_s": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -150,3 +150,13 @@ class TestSuggestedPartitions:
 
     def test_minimum_two(self):
         assert suggested_partitions(1, 1000) == 2
+
+
+class TestConstants:
+    @pytest.mark.parametrize(
+        "knob", ["partition_multiplier", "rtree_fanout", "sample_factor"]
+    )
+    def test_retired_knobs_are_refused(self, knob):
+        a = make_squares(20, 0.05, seed=1)
+        with pytest.raises(TypeError, match=knob):
+            run_shj(a, a, **{knob: 3})

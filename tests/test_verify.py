@@ -190,7 +190,7 @@ class TestExecutors:
     def test_default_roster(self):
         roster = default_executors()
         names = [spec.name for spec in roster]
-        assert names == ["pbsm", "rtree", "s3j", "shj", "sweep", "s3j:memory"]
+        assert names == ["pbsm", "s3j", "shj", "sweep", "s3j:memory"]
         # S3J refines in both modes, so every sweep holds the two to each other.
         refining = [spec.name for spec in roster if dict(spec.params).get("refine")]
         assert refining == ["s3j", "s3j:memory"]
