@@ -87,6 +87,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0 (pick one) through 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535 (got {value})")
+    return value
+
+
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="bind port (default 0: pick an ephemeral port and print it)",
     )
@@ -381,7 +389,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    scale = args.scale if args.scale is not None else default_scale()
+    scale = args.scale
     workload = workload_by_name(args.workload)
     dataset_a, dataset_b = workload.datasets(scale)
     params = {}
@@ -642,7 +650,13 @@ def cmd_table4(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("join", "table3", "table4") and args.scale is None:
+        try:
+            args.scale = default_scale()
+        except ValueError as error:
+            parser.error(str(error))
     handlers = {
         "join": cmd_join,
         "report": cmd_report,

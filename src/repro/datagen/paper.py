@@ -42,8 +42,16 @@ PAPER_COVERAGE = {
 
 
 def default_scale() -> float:
-    """Scale factor from ``REPRO_SCALE`` (default 0.2)."""
-    return float(os.environ.get("REPRO_SCALE", "0.2"))
+    """Scale factor from ``REPRO_SCALE`` (default 0.2); a value that is
+    not a finite number above 0 raises ``ValueError``."""
+    text = os.environ.get("REPRO_SCALE", "0.2")
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise ValueError(f"REPRO_SCALE must be a finite number above 0 (got {text!r})")
+    return scale
 
 
 def scaled_count(name: str, scale: float) -> int:

@@ -32,7 +32,6 @@ _ALGORITHMS: dict[str, tuple[str, str]] = {
     "s3j": ("repro.core.s3j", "SizeSeparationSpatialJoin"),
     "pbsm": ("repro.baselines.pbsm", "PartitionBasedSpatialMergeJoin"),
     "shj": ("repro.baselines.shj", "SpatialHashJoin"),
-    "sweep": ("repro.baselines.sweep_join", "PlaneSweepJoin"),
 }
 
 DEFAULT_MEMORY_FRACTION = 0.10

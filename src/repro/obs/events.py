@@ -50,6 +50,7 @@ EVENT_TYPES = frozenset(
         "index_updated",
         "compaction_started",
         "compaction_completed",
+        "compaction_failed",
         "breaker_opened",
         "breaker_closed",
     }

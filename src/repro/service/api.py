@@ -63,14 +63,15 @@ class ShardFailure:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning of one :class:`JoinService` instance."""
+    """Tuning of one :class:`JoinService` instance.  The background
+    compactor has no knob: it wakes when a mutation leaves the index
+    due for a fold (:attr:`PersistentIndex.needs_compaction`)."""
 
     rate: float | None = None  # queries/second; None = unlimited
     burst: int = 16
     cache_size: int = 128
     breaker_threshold: int = 3  # consecutive failures that trip it
     breaker_reset_s: float = 0.05  # open -> half-open probe delay
-    compaction_interval_s: float = 0.01  # background compactor poll
 
     def __post_init__(self) -> None:
         # Written so NaN fails them: a NaN rate would admit every query,
@@ -83,9 +84,8 @@ class ServiceConfig:
             raise ValueError("cache_size must be >= 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
-        for interval in (self.breaker_reset_s, self.compaction_interval_s):
-            if not 0 <= interval < math.inf:
-                raise ValueError("intervals must be finite and non-negative")
+        if not 0 <= self.breaker_reset_s < math.inf:
+            raise ValueError("breaker_reset_s must be finite and non-negative")
 
 
 class TokenBucket:
@@ -414,18 +414,27 @@ class JoinService:
             return compacted
 
     async def _compaction_loop(self) -> None:
-        """Background compactor: wake on delta growth (or the poll
-        interval) and fold the delta once it crosses the threshold."""
+        """Background compactor: fold the delta whenever the index is
+        due, then sleep until a mutation leaves it due again.
+
+        A failed fold is loud in the event log (``compaction_failed``)
+        and does not end the loop, so :meth:`stop` still returns.  It
+        cannot spin: only a mutation wakes the loop, and a store whose
+        write failed refuses every mutation until it is reopened."""
         while True:
-            try:
-                await asyncio.wait_for(
-                    self._delta_grew.wait(), self.config.compaction_interval_s
-                )
-            except asyncio.TimeoutError:
-                pass
             self._delta_grew.clear()
             if self.index.needs_compaction:
-                await self.compact()
+                try:
+                    await self.compact()
+                except (OSError, DurableStoreError) as error:
+                    events = self.obs.events
+                    if events.enabled:
+                        events.emit(
+                            "compaction_failed",
+                            error=f"{type(error).__name__}: {error}",
+                            epoch=self.index.epoch,
+                        )
+            await self._delta_grew.wait()
 
     # -- queries ---------------------------------------------------------
 

@@ -16,8 +16,9 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
 - **scenario harness** (:mod:`~repro.verify.scenario`) — one seeded op
   generator, one :class:`LiveModel` advanced by the acknowledged ops
   alone, one :func:`check_index` verdict.  :func:`run_service_verify`
-  and :func:`run_service_chaos` replay it through a live
-  :class:`~repro.service.api.JoinService` under fault profiles, and
+  replays it through a live :class:`~repro.service.api.JoinService`
+  under a burst of read errors (tests replay other faults as explicit
+  :class:`~repro.verify.scenario.Scenario` objects), and
   :func:`~repro.verify.scenario.ending` — correct, loud, or the
   violation spurious, swallowed or unfired — judges every faulted run,
   batch chaos included;
@@ -48,7 +49,6 @@ from repro.verify.report import Report, Violation
 from repro.verify.scenario import (
     LiveModel,
     check_index,
-    run_service_chaos,
     run_service_verify,
 )
 from repro.verify.workloads import cases_by_name, default_cases
@@ -76,7 +76,6 @@ __all__ = [
     "run_executor",
     "run_fsync_mutations",
     "run_serve_roundtrip",
-    "run_service_chaos",
     "run_service_verify",
     "run_verify",
     "transforms_by_name",

@@ -14,8 +14,7 @@ mechanically:
   (the "strongly resembles an L-way merge sort" single-pass claim of
   section 3.1).
 - **replication** — S3J never replicates (``r = 1.0`` exactly without
-  DSB filtering, equation 9); the sweep reference never replicates
-  either; SHJ never replicates data set A.
+  DSB filtering, equation 9); SHJ never replicates data set A.
 
 Obs-on/obs-off ledger parity is a *differential* check (it needs two
 runs), so :func:`check_obs_parity` takes a case and a spec instead.
@@ -35,7 +34,6 @@ from repro.verify.executors import (
 )
 from repro.verify.report import Violation
 
-NO_REPLICATION = {"s3j", "sweep"}
 LEDGER_COUNTERS = (
     "page_reads",
     "page_writes",
@@ -116,7 +114,7 @@ def replication(record: RunRecord) -> list[Violation]:
     metrics = record.metrics
     problems = []
     algorithm = record.spec.algorithm
-    if algorithm in NO_REPLICATION:
+    if algorithm == "s3j":
         for side, factor in (
             ("r_A", metrics.replication_a),
             ("r_B", metrics.replication_b),

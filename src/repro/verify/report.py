@@ -3,7 +3,7 @@
 A gate counts what it checked and lists what it found: a
 :class:`Report` is a name, a JSON-ready dict of tallies, and a list of
 :class:`Violation` — it is ``ok`` exactly when that list is empty.  The
-sweep gates (chaos, service chaos, crash) fold one sub-report per
+sweep gates (chaos, crash) fold one sub-report per
 sampled case into theirs with :meth:`Report.absorb`, so a single
 renderer and a single serializer cover every mode.
 """

@@ -3,13 +3,15 @@
 **Scenario.**  :func:`op_schedule` is the one seeded op generator: a
 pure function of its seed yielding inserts, deletes, re-inserts of a
 deleted id, compactions, and point / window / join queries.  A
-:class:`Scenario` adds a fault profile, armed on the
+:class:`Scenario` adds one fault, armed on the
 :class:`~repro.verify.recorder.FaultyDisk` its durable index runs on (a
 burst of EIO reads, one corrupt read, one failed WAL write, or none) —
 ``repro verify --service`` is the read burst plus its recovery
-assertions, the service chaos sweep is N sampled profiles, and the
+assertions, tests replay the others as explicit scenarios, and the
 crash gate (:mod:`repro.verify.crash`) runs the same ops on a recording
-disk that loses power at every fsync boundary.
+disk that loses power at every fsync boundary.  A sampled fault search
+over the same store is the durable state machine's
+(``tests/test_service_statemachine.py``), which also shrinks.
 
 **Model.**  :class:`LiveModel` is an ``eid -> Entity`` dict advanced by
 the *acknowledged ops* alone — never read back from the index, so an
@@ -55,7 +57,7 @@ from repro.join.dataset import SpatialDataset
 from repro.obs import fileio
 from repro.service.api import BreakerState, JoinService, QueryOutcome, ServiceConfig
 from repro.service.index import PersistentIndex
-from repro.storage.durable import DATA_FILE, LOG_FILE, SLOT_COVERED, DurableStoreError
+from repro.storage.durable import DATA_FILE, DurableStoreError
 from repro.verify.oracle import oracle_pairs, oracle_window
 from repro.verify.recorder import Fault, FaultyDisk
 from repro.verify.report import Report
@@ -77,7 +79,6 @@ CHECK_WINDOWS = (
 also draws them, so the same query recurs across epochs and a result
 cached under a stale epoch would be served and caught."""
 
-PROFILES = ("scheduled-burst", "corrupt-read", "write-failure", "quiet")
 GOOD_ENDINGS = ("correct", "loud")
 BAD_ENDINGS = {
     "spurious": "loud before any fault fired",
@@ -277,7 +278,7 @@ def classify(
 
 @dataclass(frozen=True)
 class Scenario:
-    """One replay configuration, a pure function of ``(seed, index)``."""
+    """One replay configuration; the replay's verdict is a pure function of it."""
 
     index: int
     seed: int
@@ -300,28 +301,6 @@ class Scenario:
 def _burst(first: int, length: int) -> Fault:
     """EIO on page reads ``first`` through ``first + length``."""
     return Fault("read", DATA_FILE, errno.EIO, first, first + length)
-
-
-def sample_service_scenario(
-    index: int, seed: int, ops: int = 30, entities: int = 80
-) -> Scenario:
-    """Deterministically sample service scenario number ``index``; the
-    profiles cycle, so every fourth one is the quiet control.  The fault
-    is armed once the index is up, and counts the reads or WAL writes of
-    the schedule alone: a read burst, one corrupt read (the slot
-    checksum must catch it), or one failed WAL write (the store refuses
-    every later write until reopened; queries must still be exact)."""
-    rng = random.Random((seed << 20) ^ index)
-    profile = PROFILES[index % len(PROFILES)]
-    fault: Fault | None = None
-    if profile == "scheduled-burst":
-        fault = _burst(rng.randrange(10, 40), rng.randrange(10, 30))
-    elif profile == "corrupt-read":
-        fault = Fault("corrupt", DATA_FILE, nth=rng.randrange(5, 40), landed=rng.randrange(SLOT_COVERED))
-    elif profile == "write-failure":
-        code = rng.choice((errno.EIO, errno.ENOSPC))
-        fault = Fault("write", LOG_FILE, code, nth=rng.randrange(2, ops // 2))
-    return Scenario(index, seed, profile, fault, ops, entities)
 
 
 async def _serve(service: JoinService, op: str, payload: Any) -> Any:
@@ -355,7 +334,6 @@ async def _replay(scenario: Scenario) -> Report:
             breaker_threshold=2,
             breaker_reset_s=BREAKER_RESET_S,
             cache_size=64,
-            compaction_interval_s=60.0,
         ),
         clock=lambda: now[0],
     )
@@ -487,20 +465,3 @@ def run_service_verify(
         )
     return report
 
-
-def run_service_chaos(
-    cases: int = 8,
-    seed: int = 0,
-    ops: int = 30,
-    entities: int = 80,
-    progress: Progress | None = None,
-) -> Report:
-    """Replay ``cases`` sampled scenarios; any violation fails the sweep."""
-    report = Report(gate="service chaos sweep", counts={"scenarios": cases})
-    for number in range(cases):
-        scenario = sample_service_scenario(number, seed, ops, entities)
-        outcome = run_scenario(scenario)
-        report.absorb("outcomes", outcome)
-        if progress:
-            progress(f"{scenario.describe()} -> " + ("ok" if outcome.ok else "VIOLATED"))
-    return report

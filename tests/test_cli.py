@@ -93,15 +93,38 @@ class TestParser:
             ["table3", "--scale", "nan"],
             ["table4", "--scale", "-1"],
             ["join", "--algorithm", "rtree"],  # the retired R-tree join
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-5"],
+            ["join", "--algorithm", "sweep"],  # the retired sweep engine
         ],
     )
     def test_bad_arguments_exit_2_before_running(self, argv, capsys, monkeypatch):
-        """argparse refuses each before any data set is generated."""
+        """argparse refuses each before any data set is generated (or,
+        for ``serve``, any index built)."""
         monkeypatch.setattr("repro.cli.run_algorithm", pytest.fail)
+        monkeypatch.setattr("repro.service.PersistentIndex", pytest.fail)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "abc"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["join", "--algorithm", "pbsm"], ["table3"], ["table4", "--only", "TR"]],
+        ids=["join", "table3", "table4"],
+    )
+    def test_bad_repro_scale_exits_2_before_running(self, argv, value, capsys, monkeypatch):
+        """``REPRO_SCALE`` stands in for ``--scale`` and is refused the
+        same way, before any data set is generated."""
+        monkeypatch.setenv("REPRO_SCALE", value)
+        monkeypatch.setattr("repro.cli.run_algorithm", pytest.fail)
+        monkeypatch.setattr("repro.cli.table3_rows", pytest.fail)
+        monkeypatch.setattr("repro.cli.table4_rows", pytest.fail)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "REPRO_SCALE must be a finite number above 0" in capsys.readouterr().err
 
     def test_serve_rejects_nan_rate_before_binding(self, capsys, monkeypatch):
         """A NaN rate would admit every query: refused before the index
@@ -209,7 +232,7 @@ class TestVerifyCommand:
                 "--workloads",
                 "grid-aligned",
                 "--algorithms",
-                "s3j,sweep",
+                "s3j,pbsm",
                 "--transforms",
                 "axis-swap",
             ]
@@ -226,7 +249,7 @@ class TestVerifyCommand:
                 "--workloads",
                 "uniform",
                 "--algorithms",
-                "sweep",
+                "pbsm",
                 "--transforms",
                 "swap-ab",
                 "--json",
@@ -243,6 +266,10 @@ class TestVerifyCommand:
 
     def test_retired_rtree_join_exits_2(self, capsys):
         assert main(["verify", "--algorithms", "rtree"]) == 2
+        assert "unknown algorithms" in capsys.readouterr().err
+
+    def test_retired_sweep_engine_exits_2(self, capsys):
+        assert main(["verify", "--algorithms", "sweep"]) == 2
         assert "unknown algorithms" in capsys.readouterr().err
 
     def test_unknown_workload_exits_2(self, capsys):

@@ -31,7 +31,7 @@ from repro.experiments.runner import run_algorithm
 from repro.experiments.workloads import WORKLOADS, workload_by_name
 
 GOLDEN = Path(__file__).with_name("golden_ledgers.json")
-ALGORITHMS = ("s3j", "pbsm", "shj", "sweep")
+ALGORITHMS = ("s3j", "pbsm", "shj")
 SCALE = 0.05
 SCALES = {("TR", "pbsm"): 0.02}
 """TR is the dense self-join (coverage 14).  Its PBSM ledger was pinned

@@ -169,7 +169,7 @@ class TestCanonicalPairs:
 
 class TestSpatialJoinAPI:
     def test_algorithms_listed(self):
-        assert available_algorithms() == ("pbsm", "s3j", "shj", "sweep")
+        assert available_algorithms() == ("pbsm", "s3j", "shj")
 
     def test_unknown_algorithm_raises(self):
         a = make_squares(10, 0.1, seed=4)
@@ -182,9 +182,15 @@ class TestSpatialJoinAPI:
 
     def test_retired_rtree_join_is_unknown(self):
         a = make_squares(10, 0.1, seed=4)
-        choices = r"\('pbsm', 's3j', 'shj', 'sweep'\)"
+        choices = r"\('pbsm', 's3j', 'shj'\)"
         with pytest.raises(ValueError, match=f"unknown algorithm 'rtree'; choose from {choices}"):
             spatial_join(a, a, algorithm="rtree")
+
+    def test_retired_sweep_join_is_unknown(self):
+        a = make_squares(10, 0.1, seed=4)
+        choices = r"\('pbsm', 's3j', 'shj'\)"
+        with pytest.raises(ValueError, match=f"unknown algorithm 'sweep'; choose from {choices}"):
+            spatial_join(a, a, algorithm="sweep")
 
     @pytest.mark.parametrize("algorithm", ["s3j", "pbsm", "shj"])
     def test_all_algorithms_agree(self, algorithm):
@@ -439,8 +445,7 @@ class TestTimedPathBuildsNoTuple:
 
     @pytest.mark.parametrize(
         "algorithm, mode",
-        [("s3j", "memory"), ("s3j", "ledger"), ("pbsm", "ledger"), ("shj", "ledger"),
-         ("sweep", "ledger")],
+        [("s3j", "memory"), ("s3j", "ledger"), ("pbsm", "ledger"), ("shj", "ledger")],
     )
     def test_run_algorithm_leaves_pairs_unbuilt(self, algorithm, mode):
         from repro.experiments.runner import run_algorithm

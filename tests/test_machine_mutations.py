@@ -19,6 +19,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.durable import DurableBackend
 from tests import test_buffer_statemachine as pools
 from tests import test_service_statemachine as indexes
+from tests.test_verify_gates import retry_failed_wal_appends
 
 
 def keep_a_failed_folds_frames(monkeypatch):
@@ -88,6 +89,7 @@ MUTATIONS = {
     "c-no-failed-latch": (forget_a_failed_write, indexes.DurableIndexMachine),
     "d-evict-pinned": (evict_pinned_frames, pools.PoolMachine),
     "e-no-record-checksum": (skip_the_record_checksum, indexes.DurableIndexMachine),
+    "f-retrying-wal-append": (retry_failed_wal_appends, indexes.DurableIndexMachine),
 }
 """Each mutation and the machine that must find it."""
 

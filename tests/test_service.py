@@ -19,6 +19,8 @@ from repro.fastpath import default_cell_level
 from repro.geometry.entity import Entity
 from repro.geometry.rect import Rect
 from repro.join.api import spatial_join
+from repro.obs import Observability, fileio
+from repro.obs.events import EventLog
 from repro.service import (
     BreakerState,
     CircuitBreaker,
@@ -32,8 +34,10 @@ from repro.service import (
 )
 from repro.service.api import ShardFailure
 from repro.storage.buffer import BufferPoolExhausted
+from repro.storage.durable import DATA_FILE, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.verify import run_service_verify
+from repro.verify.recorder import Fault, FaultyDisk
 
 from tests.conftest import brute_force_self_pairs, make_squares
 
@@ -361,14 +365,11 @@ class TestServiceConfig:
             {"cache_size": -1},
             {"breaker_threshold": 0},
             {"breaker_reset_s": -0.1},
-            {"compaction_interval_s": -0.1},
             # NaN passes a bare `< 0` check; inf is no usable rate or delay.
             {"rate": float("nan")},
             {"rate": float("inf")},
             {"breaker_reset_s": float("nan")},
             {"breaker_reset_s": float("inf")},
-            {"compaction_interval_s": float("nan")},
-            {"compaction_interval_s": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -450,8 +451,7 @@ class TestJoinService:
     def test_background_compactor_folds_delta(self):
         async def scenario():
             with PersistentIndex(compaction_threshold=5) as index:
-                config = ServiceConfig(compaction_interval_s=0.005)
-                async with JoinService(index, config) as service:
+                async with JoinService(index) as service:
                     for i in range(8):
                         await service.insert(
                             square(i, 0.1 + 0.08 * i, 0.2, side=0.06)
@@ -467,6 +467,48 @@ class TestJoinService:
                     assert outcome.pairs == oracle_pairs(index)
 
         self.run(scenario())
+
+    def test_a_failed_background_fold_is_logged_and_stop_returns(self):
+        """The compactor outlives a fold that dies on a write: the
+        failure is a ``compaction_failed`` event, queries stay exact,
+        and ``stop()`` returns instead of raising the fold's error."""
+        log = EventLog()
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            index = PersistentIndex(
+                [square(i, 0.05 * i, 0.5) for i in range(1, 11)],
+                data_dir="/store", compaction_threshold=4,
+                obs=Observability(events=log),
+            )
+        disk.arm(Fault("write", DATA_FILE, last=10**9))
+
+        async def scenario():
+            service = JoinService(index)
+            await service.start()
+            for i in range(11, 15):
+                await service.insert(square(i, 0.05 * (i - 10), 0.6))
+            for _ in range(200):
+                if disk.fired:
+                    break
+                await asyncio.sleep(0.005)
+            outcome = await service.join()
+            assert outcome.status == "ok"
+            assert outcome.pairs == oracle_pairs(index)
+            # The store's failed-write latch refuses the next mutation,
+            # so the loop is not woken to fold again.
+            with pytest.raises(DurableStoreError):
+                await service.insert(square(99, 0.3, 0.3))
+            await asyncio.sleep(0.01)
+            await service.stop()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            index.close()
+        assert disk.fired and index.compactions == 0
+        (failed,) = [e for e in log.events if e["type"] == "compaction_failed"]
+        assert failed["error"] == "OSError: [Errno 5] Input/output error"
+        assert log.events[-1]["type"] == "service_stopped"
 
     def test_stats_snapshot_keys(self):
         async def scenario():

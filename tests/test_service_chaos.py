@@ -1,14 +1,14 @@
 """Chaos tests for the long-lived join service.
 
-The sampled-scenario sweep (repro.verify.scenario) plus targeted
-cases: the breaker trichotomy under a burst of read errors at the
-file-I/O seam, loud compaction failures leaving the base files intact,
-and cache invalidation across a compaction epoch (the stale-cache bug
-class the epoch key exists to kill).
+Explicit replays of the scenario harness (repro.verify.scenario), one
+per fault profile, plus targeted cases: the breaker trichotomy under a
+burst of read errors at the file-I/O seam, loud compaction failures
+leaving the base files intact, and cache invalidation across a
+compaction epoch (the stale-cache bug class the epoch key exists to
+kill).
 """
 
 import asyncio
-import dataclasses
 import errno
 
 import pytest
@@ -22,7 +22,7 @@ from repro.service import (
 )
 from repro.storage.durable import DATA_FILE, LOG_FILE, DurableStoreError
 from repro.verify.recorder import Fault, FaultyDisk
-from repro.verify.scenario import run_scenario, run_service_chaos, sample_service_scenario
+from repro.verify.scenario import Scenario, run_scenario
 
 from tests.conftest import make_squares
 
@@ -43,42 +43,36 @@ def square_entity(eid, x, y, side=0.1):
     return Entity.from_geometry(eid, Rect(x, y, x + side, y + side))
 
 
-class TestScenarioSampling:
-    def test_deterministic_in_seed_and_index(self):
-        a = sample_service_scenario(3, seed=9)
-        b = sample_service_scenario(3, seed=9)
-        assert a == b
-        assert sample_service_scenario(4, seed=9) != a
-
-    def test_profiles_cycle(self):
-        profiles = [sample_service_scenario(i, seed=0).profile for i in range(4)]
-        assert len(set(profiles)) == 4
-        assert sample_service_scenario(3, seed=0).fault is None  # quiet
-
-
 class TestServiceChaosSweep:
     def test_sweep_passes(self):
-        report = run_service_chaos(cases=4, seed=1, ops=25, entities=60)
-        assert report.ok, report.summary()
-        outcomes = report.counts["outcomes"]
-        assert len(outcomes) == 4
-        # Three fault profiles, then the quiet control: all-ok, no noise.
-        assert [o["faults"] for o in outcomes] == [True, True, True, False]
-        quiet = outcomes[3]
+        """One replay per fault profile the read-burst gate
+        (``verify --service``) does not cover: a corrupt page read (the
+        slot checksum makes it loud), a failed WAL write (the store
+        refuses later writes; queries stay exact), and the quiet
+        control, where every outcome must be ok."""
+        profiles = [
+            ("corrupt-read", Fault("corrupt", DATA_FILE, nth=20, landed=3)),
+            ("write-failure", Fault("write", LOG_FILE, errno.ENOSPC, nth=8)),
+            ("quiet", None),
+        ]
+        outcomes = []
+        for index, (profile, fault) in enumerate(profiles):
+            report = run_scenario(Scenario(index, 1, profile, fault, ops=25, entities=60))
+            assert report.ok, report.summary()
+            outcomes.append(report.counts)
+        assert [o["faults"] for o in outcomes] == [True, True, False]
+        assert all(o["failed_queries"] or o["loud_errors"] for o in outcomes[:2])
+        quiet = outcomes[2]
         assert quiet["ok_queries"] > 0 and quiet["epochs_checked"] == 26
         assert not (
             quiet["failed_queries"] or quiet["partial_queries"] or quiet["loud_errors"]
         )
-        assert any(o["failed_queries"] or o["loud_errors"] for o in outcomes[:3])
 
     def test_an_armed_fault_that_never_fires_fails(self):
         """A scenario whose fault cannot be reached proved nothing about
         it: the replay reports it ``unfired`` rather than passing."""
-        scenario = dataclasses.replace(
-            sample_service_scenario(1, seed=0, ops=12, entities=40),
-            fault=Fault("write", LOG_FILE, errno.EIO, nth=10**6),
-        )
-        report = run_scenario(scenario)
+        never = Fault("write", LOG_FILE, errno.EIO, nth=10**6)
+        report = run_scenario(Scenario(1, 0, "write-failure", never, ops=12, entities=40))
         assert [v.check for v in report.violations] == ["unfired"]
         assert "never fired" in report.violations[0].message
 

@@ -190,7 +190,7 @@ class TestExecutors:
     def test_default_roster(self):
         roster = default_executors()
         names = [spec.name for spec in roster]
-        assert names == ["pbsm", "s3j", "shj", "sweep", "s3j:memory"]
+        assert names == ["pbsm", "s3j", "shj", "s3j:memory"]
         # S3J refines in both modes, so every sweep holds the two to each other.
         refining = [spec.name for spec in roster if dict(spec.params).get("refine")]
         assert refining == ["s3j", "s3j:memory"]
@@ -216,7 +216,7 @@ class TestExecutors:
         assert record.refined is not None
 
     def test_uninstrumented_run_has_no_registry(self):
-        record = run_executor(small_case(), ExecutorSpec("sweep"), instrument=False)
+        record = run_executor(small_case(), ExecutorSpec("pbsm"), instrument=False)
         assert record.registry is None
 
 
@@ -255,7 +255,7 @@ class TestInvariants:
         assert any("pages" in v.message for v in violations)
 
     def test_join_reads_once_ignores_other_algorithms(self):
-        record = run_executor(small_case(), ExecutorSpec("sweep"))
+        record = run_executor(small_case(), ExecutorSpec("pbsm"))
         assert join_reads_once(record) == []
 
     def test_replication_detects_fudged_factor(self):
@@ -275,7 +275,7 @@ class TestHarness:
             quick=True,
             cases=[small_case()],
             transforms=transforms_by_name(("axis-swap", "swap-ab")),
-            executors=[ExecutorSpec("s3j"), ExecutorSpec("sweep")],
+            executors=[ExecutorSpec("s3j"), ExecutorSpec("pbsm")],
         )
         assert report.ok
         # 3 variants x 2 executors + 1 obs-parity pair (s3j only in quick).
@@ -305,7 +305,7 @@ class TestHarness:
         monkeypatch.setattr(
             sweep_module, "sweep_intersecting_pairs", open_interval_kernel
         )
-        for executor in ("sweep", "s3j"):
+        for executor in ("pbsm", "s3j"):
             report = run_verify(
                 quick=True,
                 cases=[small_case()],

@@ -10,6 +10,7 @@ before the fault fired — and every ``repro verify`` mode is held to one
 report contract.
 """
 
+import errno
 import heapq
 import json
 
@@ -25,7 +26,6 @@ from repro.verify import (
     cases_by_name,
     run_chaos,
     run_crash_verify,
-    run_service_chaos,
     run_service_verify,
     run_verify,
     transforms_by_name,
@@ -101,7 +101,6 @@ class TestSeededBugs:
         for report in (
             run_service_verify(seed=0),
             run_service_verify(seed=0, faults=False),
-            run_service_chaos(cases=4, seed=0),
         ):
             assert not report.ok
             assert report.violations[0].check == "model"
@@ -112,7 +111,6 @@ class TestSeededBugs:
         report = run_service_verify(seed=0, faults=False)
         assert not report.ok
         assert any("self_join diverged" in v.message for v in report.violations)
-        assert not run_service_chaos(cases=4, seed=0).ok
 
     def test_commit_without_reset_fails_the_crash_check(self, monkeypatch):
         healthy = run_crash_schedule(17, ops=40)
@@ -134,11 +132,17 @@ class TestSeededBugs:
 
     def test_retrying_wal_fails_both_chaos_sweeps(self, monkeypatch):
         """A fired fault that nothing reports is swallowed, in the
-        service replay as in batch chaos."""
-        assert run_service_chaos(cases=16, seed=0).ok
+        service replay as in batch chaos.  (The durable state machine
+        must find it too: tests/test_machine_mutations.py.)"""
+
+        def failed_wal_write(nth):
+            fault = Fault("write", LOG_FILE, errno.EIO, nth)
+            return run_scenario(Scenario(0, 0, "write-failure", fault, ops=30, entities=80))
+
+        assert all(failed_wal_write(nth).ok for nth in (3, 8, 12))
         retry_failed_wal_appends(monkeypatch)
-        report = run_service_chaos(cases=16, seed=0)
-        assert "swallowed" in {violation.check for violation in report.violations}
+        for nth in (3, 8, 12):
+            assert "swallowed" in {v.check for v in failed_wal_write(nth).violations}
         assert run_chaos(cases=200, seed=0).counts["tally"].get("swallowed")
 
     def test_storage_error_before_the_fault_fires_is_spurious(self, monkeypatch):
@@ -213,11 +217,10 @@ GATES = {
     "default": lambda: run_verify(
         cases=cases_by_name(("uniform",)),
         transforms=transforms_by_name(("swap-ab",)),
-        executors=[ExecutorSpec("sweep")],
+        executors=[ExecutorSpec("s3j")],
     ),
     "chaos": lambda: run_chaos(cases=3, seed=1),
     "service": lambda: run_service_verify(seed=1, ops=30, entities=60),
-    "service-chaos": lambda: run_service_chaos(cases=2, seed=5, ops=15, entities=40),
     "crash": lambda: run_crash_verify(cases=2, seed=1, ops=32),
     "serve-roundtrip": lambda: run_serve_roundtrip(seed=1, entities=40),
 }
@@ -231,7 +234,6 @@ KEYS = {
         "ops", "epochs_checked", "ok_queries", "failed_queries",
         "partial_queries", "compactions", "breaker_opened", "faults",
     },
-    "service-chaos": {"scenarios", "outcomes"},
     "crash": {"crash_states", "ledger_parity_ok", "cases"},
     "serve-roundtrip": {"entities", "live"},
 }
@@ -263,9 +265,9 @@ def test_every_gate_returns_the_one_report(mode, capsys):
 
 
 def test_sweeps_fold_one_sub_report_per_case():
-    chaos = GATES["service-chaos"]()
-    assert chaos.counts["scenarios"] == len(chaos.counts["outcomes"]) == 2
+    crash = run_crash_verify(cases=2, seed=1, ops=8)
+    assert crash.ok and len(crash.counts["cases"]) == 2
     assert all(
-        {"gate", "ok", "ok_queries", "breaker_opened", "violations"} <= set(o)
-        for o in chaos.counts["outcomes"]
+        {"gate", "ok", "boundaries", "crash_states", "violations"} <= set(case)
+        for case in crash.counts["cases"]
     )
