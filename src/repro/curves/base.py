@@ -70,9 +70,13 @@ class SpaceFillingCurve(ABC):
     def key_of_normalized(self, x: float, y: float) -> int:
         """Curve key of a point given in unit-square coordinates.
 
-        This is the paper's ``Hilbert(xc, yc)`` computed on MBR centers.
+        This is the paper's ``Hilbert(xc, yc)`` computed on MBR centers
+        (:meth:`quantize`'s rule, inline: one check, one cast per axis).
         """
-        return self.cell_key(self.quantize(x), self.quantize(y), self.order)
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ValueError(f"point ({x}, {y}) outside the unit square")
+        side, top = self.side, self.side - 1
+        return self.cell_key(min(int(x * side), top), min(int(y * side), top), self.order)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order})"

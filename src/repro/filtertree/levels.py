@@ -71,15 +71,17 @@ class LevelAssigner:
         both quantized corners shift to one cell of the ``2^l`` grid.
         Quantization is exclusive — a high corner on a grid line lands
         in the cell above it — and is the one cell rule the partition,
-        the probe and the synchronized scan share.
+        the probe and the synchronized scan share (:meth:`quantize`'s
+        rule, inline: one check, one cast per corner).
         """
-        px = common_prefix_bits(
-            self.quantize(mbr.xlo), self.quantize(mbr.xhi), self.order
+        xlo, ylo, xhi, yhi = mbr.xlo, mbr.ylo, mbr.xhi, mbr.yhi
+        if not (0.0 <= xlo <= xhi <= 1.0 and 0.0 <= ylo <= yhi <= 1.0):
+            raise ValueError(f"{mbr} outside the unit square")
+        side, top = self.side, self.side - 1
+        differ = (min(int(xlo * side), top) ^ min(int(xhi * side), top)) | (
+            min(int(ylo * side), top) ^ min(int(yhi * side), top)
         )
-        py = common_prefix_bits(
-            self.quantize(mbr.ylo), self.quantize(mbr.yhi), self.order
-        )
-        return min(px, py, self.max_level)
+        return min(self.order - differ.bit_length(), self.max_level)
 
     def levels(
         self,

@@ -52,7 +52,7 @@ from repro.service.scan import live_self_scan
 from repro.storage.backend import Page, Record, StorageBackend
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.pagedfile import PagedFile
-from repro.storage.records import DESCRIPTOR, EID, HKEY, XLO, YHI, EntityDescriptorCodec
+from repro.storage.records import DESCRIPTOR, EID, HKEY, XHI, XLO, YHI, YLO, EntityDescriptorCodec
 from repro.storage.records import concat_pages, splice, take
 
 DEFAULT_COMPACTION_THRESHOLD = 256
@@ -156,10 +156,10 @@ class PersistentIndex:
 
     def _describe(self, entity: Entity) -> tuple[int, Record]:
         box = entity.mbr
+        xlo, ylo, xhi, yhi = box.xlo, box.ylo, box.xhi, box.yhi
         level = self.assigner.level(box)
-        hilbert = self.curve.key_of_normalized(*box.center)
-        record = (entity.eid, box.xlo, box.ylo, box.xhi, box.yhi, hilbert)
-        return level, record
+        hilbert = self.curve.key_of_normalized((xlo + xhi) / 2, (ylo + yhi) / 2)  # box.center
+        return level, (entity.eid, xlo, ylo, xhi, yhi, hilbert)
 
     def _bulk_load(self, entities: list[Entity]) -> None:
         """The first compaction: everything starts in the delta and is
@@ -290,7 +290,8 @@ class PersistentIndex:
         the delta buffer spliced in.  The base is read through the
         buffer pool, so the simulated ledger prices every scan's base
         I/O."""
-        delta = _DESCRIPTOR.page(self._delta.get(level, []))
+        buffer = self._delta.get(level, ())
+        delta = _DESCRIPTOR.decode_page(_DESCRIPTOR.encode_page(buffer), len(buffer))
         handle = self._base.get(level)
         if handle is None:
             return delta  # kept sorted as it grew: nothing to merge
@@ -339,7 +340,7 @@ class PersistentIndex:
     def _apply_insert(self, level: int, record: Record, entity: Entity) -> None:
         insort(self._delta.setdefault(level, []), record, key=_sort_key)
         self._delta_keys[entity.eid] = record[HKEY]
-        self._directory.widen(level, entity.mbr.width, entity.mbr.height)
+        self._directory.widen(level, record[XHI] - record[XLO], record[YHI] - record[YLO])
         self._pending += 1
         self._live[entity.eid] = (level, entity)
         self.epoch += 1

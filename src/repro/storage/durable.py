@@ -146,7 +146,7 @@ class DurableBackend(StorageBackend):
         self._next_lsn = 1
         self._journal: list[bytes] = []
         self._failed: OSError | None = None
-        self.bytes_written = 0  # slot, log and checkpoint bytes handed to the OS
+        self._bytes_written = 0  # slot and checkpoint bytes; the log counts its own
         self._fsyncs = 0  # data-file, checkpoint and its directory's; the log counts its own
         self.epoch = 0
         self.last_recovery: RecoveryReport | None = None
@@ -287,7 +287,7 @@ class DurableBackend(StorageBackend):
 
     def _apply(self, op: int, body: bytes) -> None:
         """A committed record takes effect on the catalog, live or replayed."""
-        if op == wal.OP_NOTE:  # first: every insert/delete ack is one
+        if op == wal.OP_NOTE:
             self._apply_note(body)
         elif op == wal.OP_MAP:
             file_id, pages = wal.unpack_map(body)
@@ -328,7 +328,7 @@ class DurableBackend(StorageBackend):
         except OSError as error:
             self._failed = error  # on the medium or not: no barrier may name it
             raise
-        self.bytes_written += len(block)
+        self._bytes_written += len(block)
 
     def _read_slot(self, slot: int, file_id: int, page_no: int) -> bytes:
         self._data.seek(self._slot_offset(slot))
@@ -367,17 +367,20 @@ class DurableBackend(StorageBackend):
         """``fsync`` calls issued so far, on any of the store's files."""
         return self._fsyncs + self._wal.syncs
 
+    @property
+    def bytes_written(self) -> int:
+        """Slot, log and checkpoint bytes handed to the OS so far."""
+        return self._bytes_written + self._wal.bytes_appended
+
     def _append(self, op: int, body: bytes) -> None:
-        record = wal.WalRecord(self._next_lsn, op, body)
+        self._wal.append(wal.WalRecord(self._next_lsn, op, body))
         self._next_lsn += 1
-        self._wal.append(record)
-        self.bytes_written += wal.WAL_HEADER.size + len(body)
 
     def _log(self, op: int | None, body: bytes = b"", barrier: bool = False) -> None:
         """Append one record (``None``: none), fsync the log — the
-        commit point — and apply it.  A *barrier* first fsyncs pending
-        pages and logs where they went, under the same log fsync; only
-        then are the slots they superseded free."""
+        commit point — and apply it.  A *barrier* that finds pages
+        pending first fsyncs them and logs where they went, under the
+        same log fsync; only then are the slots they superseded free."""
         self._refuse_if_failed()
         pending = barrier and self._pending
         if op is None and not pending:
@@ -402,10 +405,12 @@ class DurableBackend(StorageBackend):
             for slot in self._superseded:
                 heapq.heappush(self._free, slot)
             self._superseded.clear()
-        if op is not None:
+        if op == wal.OP_NOTE:  # every insert/delete ack is one
+            self._apply_note(body)
+        elif op is not None:
             self._apply(op, body)
-            if self._wal.bytes_appended >= self.checkpoint_bytes:
-                self.checkpoint()
+        if op is not None and self._wal.bytes_appended >= self.checkpoint_bytes:
+            self.checkpoint()
 
     def checkpoint(self) -> None:
         """Make the log redundant: a barrier, then persist the catalog
@@ -416,6 +421,7 @@ class DurableBackend(StorageBackend):
         self._log(None, barrier=True)
         try:
             self._write_checkpoint()
+            self._bytes_written += self._wal.bytes_appended
             self._wal.reset()
         except OSError as error:
             self._failed = error
@@ -426,14 +432,14 @@ class DurableBackend(StorageBackend):
             "schema": CHECKPOINT_SCHEMA,
             "lsn": self._next_lsn - 1,
             "next_file_id": self._next_file_id,
-            "journal": [note.hex() for note in self._journal],
+            "journal": list(map(bytes.hex, self._journal)),
             "files": [vars(self._entries[file_id]) for file_id in sorted(self._entries)],
         }
         text = json.dumps(payload, sort_keys=True).encode()
         blob = b"%08x\n" % zlib.crc32(text) + text
         self._files.atomic_replace(self.directory / CHECKPOINT_FILE, blob)
         self._fsyncs += 2  # the temp file, then the directory after the rename
-        self.bytes_written += len(blob)
+        self._bytes_written += len(blob)
 
     # -- StorageBackend ---------------------------------------------------
 
@@ -449,6 +455,7 @@ class DurableBackend(StorageBackend):
 
     def create_file(self, name: str, codec: RecordCodec, page_size: int) -> None:
         self._check_open()
+        self._refuse_if_failed()  # ahead of the name: a failed fold's file may linger
         if name in self._names:
             raise FileExistsError(f"storage file {name!r} already exists")
         if page_size != self.page_size:
@@ -543,11 +550,11 @@ class DurableBackend(StorageBackend):
         self._log(wal.OP_NOTE, wal.pack_note(note, reset), barrier=True)
 
     def _apply_note(self, body: bytes) -> None:
-        """One journal record takes effect — live and on replay alike."""
-        note, reset = wal.unpack_note(body)
-        if reset:
+        """One journal record (a reset byte, the note) takes effect — live
+        and on replay alike."""
+        if body[0]:
             self._journal.clear()
-        self._journal.append(note)
+        self._journal.append(body[1:])
 
     def journal(self) -> list[bytes]:
         self._check_open()

@@ -8,6 +8,7 @@ fixes ``E``, Table 1 of the paper).  Its bytes are ``tobytes()`` and
 from __future__ import annotations
 
 import struct
+from itertools import starmap
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -70,8 +71,10 @@ class RecordCodec:
         return self._struct.unpack(data)
 
     def encode_page(self, records: np.ndarray | Sequence[tuple[Any, ...]]) -> bytes:
-        """A page's records back to back."""
-        return self.page(records).tobytes()
+        """A page's records back to back (tuples packed in one C loop)."""
+        if isinstance(records, np.ndarray):
+            return self.page(records).tobytes()
+        return b"".join(starmap(self._struct.pack, records))
 
     def decode_page(self, data: bytes, count: int) -> np.ndarray:
         """The first ``count`` records of a page's bytes (the rest is

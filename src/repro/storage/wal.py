@@ -121,11 +121,7 @@ def unpack_delete(body: bytes) -> int:
 
 
 def pack_note(note: bytes, reset: bool) -> bytes:
-    return bytes([reset]) + note
-
-
-def unpack_note(body: bytes) -> tuple[bytes, bool]:
-    return body[1:], bool(body[0])
+    return (b"\x01" if reset else b"\x00") + note
 
 
 # -- the log ----------------------------------------------------------
@@ -134,8 +130,9 @@ def unpack_note(body: bytes) -> tuple[bytes, bool]:
 class WriteAheadLog:
     """The append side of the log.
 
-    ``append`` writes one record and flushes it to the OS; ``sync``
-    fsyncs, which is the commit point; ``reset`` empties the file.
+    ``append`` writes one record; ``sync`` flushes the records to the OS
+    (one write syscall) and fsyncs, the commit point; ``reset`` empties
+    the file.
     """
 
     def __init__(self, path: str | os.PathLike[str], files: fileio.OsFiles | None = None) -> None:
@@ -148,7 +145,6 @@ class WriteAheadLog:
     def append(self, record: WalRecord) -> None:
         data = record.encode()
         self._handle.write(data)
-        self._handle.flush()
         self.bytes_appended += len(data)
 
     def sync(self) -> None:

@@ -13,6 +13,7 @@ as a machine restarted after a power cut would.  ``repro verify
 import asyncio
 import dataclasses
 import errno
+import io
 import json
 import os
 import random
@@ -767,6 +768,31 @@ class TestPersistentIndexReopen:
             assert reopened.debris_dropped >= 2
             assert check_index(reopened, model_of(entities)) == []
 
+    @pytest.mark.parametrize("call", ["write", "fsync", "read"])
+    def test_a_second_fold_after_a_failed_one_names_the_failure(self, call):
+        """A fold that fails on a data write or fsync fails the store, so
+        the next fold is refused by the store's latch — not by the name
+        of the fresh file the failed fold left in the catalog.  A failed
+        read fails nothing: the next fold succeeds."""
+        entities = [Entity(eid, Rect(eid / 20, 0.1, eid / 20 + 0.01, 0.11)) for eid in range(10)]
+        disk = FaultyDisk()
+        with fileio.using(disk):
+            index = PersistentIndex(entities, compaction_threshold=10**9, data_dir=STORE)
+        fresh = [Entity(100 + k, Rect(0.5 + k / 20, 0.5, 0.51 + k / 20, 0.51)) for k in range(4)]
+        for item in fresh:
+            index.insert(item)
+        disk.arm(Fault(call, DATA_FILE, errno.EIO, nth=1))
+        with pytest.raises(OSError):
+            index.compact()
+        assert disk.fired == 1
+        if call == "read":
+            assert index.compact()
+        else:
+            with pytest.raises(DurableStoreError, match="store failed on"):
+                index.compact()
+        assert check_index(index, model_of(entities + fresh)) == []
+        index.close()
+
     def test_a_fold_logs_mappings_never_page_images(self, tmp_path):
         """Grep-level: after a bulk load and a compaction no stored
         page's payload occurs anywhere in the log, which the
@@ -1324,3 +1350,110 @@ class TestCheckpointBytes:
         reopened.attach_file("alpha", codec, PAGE_SIZE)
         assert reopened.read_page("alpha", 0).tolist() == page(9)
         reopened.close()
+
+
+STREAM_SHA1 = {
+    DATA_FILE: "27352e735a27d91cd7a1ca93938dea930e631b95",
+    LOG_FILE: "efb459f21b37aa78b58a10f1b983b116d733d3b8",
+    durable.CHECKPOINT_FILE: "f9495d1dafaab1ad9ac3008b53e894a176a785bc",
+}
+"""The store's three files after :func:`ack_stream`, recorded from the
+code before the ack path was made lean: that change moved no byte."""
+
+
+def ack_stream(index, steps=300, seed=0):
+    """A fixed mutation stream: a third inserts, a third deletes of an
+    entity still in the delta, a third deletes of a bulk-loaded one (a
+    tombstone); a fold whenever one is due and a checkpoint half-way.
+    Yields around every ack: once before it, once after."""
+    rng = random.Random(seed)
+    fresh, base = [], sorted(e.eid for e in index.live_entities())
+    for step in range(steps):
+        if step == steps // 2:
+            index._backend().checkpoint()
+        kind = step % 3
+        yield
+        if kind == 0 or (kind == 1 and not fresh):
+            eid = 1000 + step
+            index.insert(entity(eid, rng.random() * 0.9, rng.random() * 0.9, rng.random() / 20))
+            fresh.append(eid)
+        else:
+            index.delete(fresh.pop(0) if kind == 1 else base.pop(rng.randrange(len(base))))
+        yield
+        if index.needs_compaction:
+            index.compact()
+
+
+class TestLeanAck:
+    """An ack is one log record and one fsync, and the files it leaves
+    are byte for byte what they were before the ack path was slimmed."""
+
+    def open_index(self, disk):
+        rng = random.Random(1)
+        seed = [entity(eid, rng.random() * 0.9, rng.random() * 0.9, rng.random() / 20) for eid in range(1, 121)]
+        with fileio.using(disk):
+            return PersistentIndex(seed, compaction_threshold=64, data_dir=STORE)
+
+    def test_a_stream_moves_no_byte_and_each_ack_is_one_record_and_one_fsync(self):
+        disk = FaultyDisk()
+        index = self.open_index(disk)
+        folds = index.compactions
+
+        def counts():
+            fsyncs = sum(n for (call, _), n in disk.calls.items() if call == "fsync")
+            return disk.calls["write", LOG_FILE], fsyncs
+
+        stream = ack_stream(index)
+        for _ in stream:
+            before = counts()
+            next(stream)
+            after = counts()
+            assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+        assert index.compactions - folds >= 3
+        digests = {name: sha1(bytes(disk.files[f"{STORE}/{name}"].live)).hexdigest() for name in STREAM_SHA1}
+        assert digests == STREAM_SHA1
+        index.close()
+
+    def test_a_log_write_that_fails_in_append_fails_the_ack_and_latches(self):
+        disk = FaultyDisk()
+        index = self.open_index(disk)
+        disk.arm(Fault("write", LOG_FILE, errno.ENOSPC))
+        with pytest.raises(OSError, match="No space left"):
+            index.insert(entity(500, 0.5, 0.5))
+        assert 500 not in index and disk.fired == 1
+        with pytest.raises(DurableStoreError, match="No space left"):
+            index.delete(1)
+        index.close()
+
+    def test_a_log_write_that_fails_in_the_commits_flush_fails_the_ack_and_latches(self, tmp_path):
+        """On a real file the record waits in the handle's buffer until
+        ``sync`` flushes it ahead of the fsync: a write error raised
+        there fails the ack and the store just the same."""
+
+        class Raw(io.FileIO):
+            armed = False
+
+            def write(self, data):
+                if Raw.armed:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        class BufferedLog(fileio.OsFiles):
+            def open(self, path, mode):
+                if os.path.basename(path) != LOG_FILE:
+                    return super().open(path, mode)
+                return io.BufferedWriter(Raw(path, mode.replace("b", "")))
+
+        with fileio.using(BufferedLog()):
+            index = PersistentIndex([entity(1, 0.1, 0.1)], data_dir=str(tmp_path))
+        index.insert(entity(2, 0.2, 0.2))
+        Raw.armed = True
+        with pytest.raises(OSError, match="No space left"):
+            index.insert(entity(3, 0.3, 0.3))
+        assert 3 not in index and len(index) == 2
+        with pytest.raises(DurableStoreError, match="No space left"):
+            index.insert(entity(4, 0.4, 0.4))
+        Raw.armed = False
+        index.close()
+        with PersistentIndex.open(str(tmp_path)) as reopened:
+            assert {e.eid for e in reopened.live_entities()} in ({1, 2}, {1, 2, 3})
