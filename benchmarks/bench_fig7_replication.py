@@ -2,15 +2,16 @@
 ``d * 2^j`` (object side times tiles per dimension).
 
 The analytic curve is ``2x - x^2`` (equation 11); the measured series
-partitions real uniform-square data sets with PBSM over an increasingly
-fine tile grid and counts entities recorded in more than one tile.
+lays an increasingly fine regular tile grid over a real uniform-square
+data set and counts the squares that fall in more than one tile: those
+whose corners, quantized to the grid, differ on either axis.
 """
 
 import pytest
 
 from benchmarks.costmodel import replicated_fraction
 from repro.datagen.uniform import uniform_squares
-from repro.filtertree.grid import cells_overlapping
+from repro.filtertree.levels import quantize_array
 
 SIDE = 0.01
 COUNT = 5_000
@@ -18,14 +19,12 @@ TILE_COUNTS = (8, 16, 32, 64)  # d * 2^j = 0.08 .. 0.64
 
 
 def measure_replicated_fraction(tiles_per_dim: int) -> float:
-    dataset = uniform_squares(COUNT, SIDE, seed=7)
-    replicated = 0
-    for entity in dataset:
-        level = tiles_per_dim.bit_length() - 1
-        tiles = list(cells_overlapping(entity.mbr, level))
-        if len(tiles) > 1:
-            replicated += 1
-    return replicated / COUNT
+    _, xlo, ylo, xhi, yhi = uniform_squares(COUNT, SIDE, seed=7).columns()
+    spans = [
+        quantize_array(low, tiles_per_dim, "low") != quantize_array(high, tiles_per_dim, "high")
+        for low, high in ((xlo, xhi), (ylo, yhi))
+    ]
+    return int((spans[0] | spans[1]).sum()) / COUNT
 
 
 def test_fig7_replication_curve(benchmark):

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from repro.curves.base import SpaceFillingCurve
-from repro.filtertree.grid import cells_overlapping
-from repro.geometry.rect import Rect
+from repro.filtertree.levels import quantize_array
 from repro.storage.iostats import IOStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,11 +63,6 @@ class DynamicSpatialBitmap:
         self.metrics = metrics
         self.num_bits = 1 << (2 * level)
         self._bits = bytearray((self.num_bits + 7) // 8)
-        # A curve instance at the bitmap's own resolution, for cell keys
-        # in precise mode.  Space-filling curves are self-similar, so
-        # the level-l key of a cell equals the full-precision key of any
-        # interior point truncated to 2*l bits.
-        self._cell_curve = type(curve)(order=level) if level >= 1 else None
         self.set_operations = 0
         self.probe_operations = 0
         self.filtered_count = 0
@@ -79,131 +75,103 @@ class DynamicSpatialBitmap:
 
     # -- population (first data set) -----------------------------------
 
-    def set_entity(self, mbr: Rect | None, hilbert: int, entity_level: int) -> None:
-        """Project one entity of the first data set onto the bitmap.
-
-        ``mbr`` may be None when the projection provably will not read
-        it (see :meth:`_lazy_mbr`); the scalar partition paths always
-        pass the real rectangle.
-        """
-        self.set_operations += 1
-        if self.metrics is not None:
-            self.metrics.count("dsb.set_ops")
-        for lo, hi in self._bit_ranges(mbr, hilbert, entity_level):
-            self._set_range(lo, hi)
-
     def set_batch(
         self,
-        xlo: Sequence[float],
-        ylo: Sequence[float],
-        xhi: Sequence[float],
-        yhi: Sequence[float],
+        xlo: np.ndarray,
+        ylo: np.ndarray,
+        xhi: np.ndarray,
+        yhi: np.ndarray,
         hilberts: Sequence[int],
         levels: Sequence[int],
     ) -> None:
-        """Project a block of first-data-set entities onto the bitmap.
-
-        Counter-for-counter identical to calling :meth:`set_entity`
-        per row; the MBR is only materialized for entities whose
-        projection actually inspects it (precise mode, entity coarser
-        than the bitmap level).
-        """
-        for i in range(len(hilberts)):
-            self.set_entity(
-                self._lazy_mbr(xlo, ylo, xhi, yhi, i, levels[i]),
-                hilberts[i],
-                levels[i],
-            )
+        """Project a block of first-data-set entities onto the bitmap."""
+        self.set_operations += len(hilberts)
+        if self.metrics is not None:
+            self.metrics.count("dsb.set_ops", len(hilberts))
+        for ranges in self._bit_ranges(xlo, ylo, xhi, yhi, hilberts, levels):
+            for lo, hi in ranges:
+                self._set_range(lo, hi)
 
     # -- probing (second data set) ---------------------------------------
 
-    def admits(self, mbr: Rect | None, hilbert: int, entity_level: int) -> bool:
-        """True when an entity of the second data set may have a joining
-        partner (some corresponding bit is set); false means the entity
-        can be safely filtered out."""
-        self.probe_operations += 1
-        if self.metrics is not None:
-            self.metrics.count("dsb.probes")
-        for lo, hi in self._bit_ranges(mbr, hilbert, entity_level):
-            if self._any_in_range(lo, hi):
-                if self.metrics is not None:
-                    self.metrics.count("dsb.admits")
-                return True
-        self.filtered_count += 1
-        if self.metrics is not None:
-            self.metrics.count("dsb.rejects")
-        return False
-
     def admits_batch(
         self,
-        xlo: Sequence[float],
-        ylo: Sequence[float],
-        xhi: Sequence[float],
-        yhi: Sequence[float],
+        xlo: np.ndarray,
+        ylo: np.ndarray,
+        xhi: np.ndarray,
+        yhi: np.ndarray,
         hilberts: Sequence[int],
         levels: Sequence[int],
     ) -> list[bool]:
-        """Per-row :meth:`admits` over a block of second-data-set
-        entities (same counters, lazy MBR construction)."""
-        return [
-            self.admits(
-                self._lazy_mbr(xlo, ylo, xhi, yhi, i, levels[i]),
-                hilberts[i],
-                levels[i],
-            )
-            for i in range(len(hilberts))
+        """Per row of a block of second-data-set entities: True when it
+        may have a joining partner (some corresponding bit is set);
+        false means the entity can be safely filtered out."""
+        answers = [
+            any(self._any_in_range(lo, hi) for lo, hi in ranges)
+            for ranges in self._bit_ranges(xlo, ylo, xhi, yhi, hilberts, levels)
         ]
-
-    def _lazy_mbr(
-        self,
-        xlo: Sequence[float],
-        ylo: Sequence[float],
-        xhi: Sequence[float],
-        yhi: Sequence[float],
-        index: int,
-        entity_level: int,
-    ) -> Rect | None:
-        """The entity MBR when the projection will read it, else None.
-
-        :meth:`_bit_ranges` touches the MBR only in precise mode for
-        entities coarser than the bitmap level (``entity_level <
-        level``); every other projection works off the Hilbert value
-        alone, so the batch paths skip the Rect construction there.
-        """
-        if (
-            self.mode == "precise"
-            and self.level > 0
-            and entity_level < self.level
-        ):
-            return Rect(xlo[index], ylo[index], xhi[index], yhi[index])
-        return None
+        admitted = sum(answers)
+        rejected = len(answers) - admitted
+        self.probe_operations += len(answers)
+        self.filtered_count += rejected
+        if self.metrics is not None:
+            self.metrics.count("dsb.probes", len(answers))
+            self.metrics.count("dsb.admits", admitted)
+            self.metrics.count("dsb.rejects", rejected)
+        return answers
 
     # -- internals ---------------------------------------------------------
 
     def _bit_ranges(
-        self, mbr: Rect | None, hilbert: int, entity_level: int
-    ) -> list[tuple[int, int]]:
-        """Half-open bit-index ranges covering the entity's projection."""
-        self._charge()
-        if self.level == 0:
-            return [(0, 1)]
-        if entity_level >= self.level:
-            # At or below the bitmap level: one bit — the Hilbert value
-            # truncated to the bitmap resolution.
-            bit = hilbert >> (2 * (self.curve.order - self.level))
-            return [(bit, bit + 1)]
-        if self.mode == "fast":
-            # The whole key range of the entity's own (coarser) cell.
-            span = 2 * (self.level - entity_level)
-            prefix = hilbert >> (2 * (self.curve.order - entity_level))
-            return [(prefix << span, (prefix + 1) << span)]
-        # Precise: only the bitmap cells the MBR actually overlaps.
-        ranges = []
-        for cx, cy in cells_overlapping(mbr, self.level):
-            self._charge()
-            bit = self._cell_curve.key(cx, cy)
-            ranges.append((bit, bit + 1))
-        return ranges
+        self,
+        xlo: np.ndarray,
+        ylo: np.ndarray,
+        xhi: np.ndarray,
+        yhi: np.ndarray,
+        hilberts: Sequence[int],
+        levels: Sequence[int],
+    ) -> list[list[tuple[int, int]]]:
+        """Half-open bit-index ranges covering each row's projection.
+
+        Charges one ``bitmap`` op per row, plus one per cell a precise
+        projection enumerates.
+        """
+        if self.mode == "precise":
+            # A box's level-l cells lie between the cells of its
+            # corners, quantized by the rule the level function uses.
+            side = 1 << self.level
+            cx_lo, cy_lo, cx_hi, cy_hi = (
+                quantize_array(column, side, name).tolist()
+                for column, name in ((xlo, "xlo"), (ylo, "ylo"), (xhi, "xhi"), (yhi, "yhi"))
+            )
+        order = self.curve.order
+        charges = len(hilberts)
+        projections = []
+        for i, (key, entity_level) in enumerate(zip(hilberts, levels)):
+            if entity_level >= self.level:
+                # At or below the bitmap level: one bit — the curve key
+                # truncated to the bitmap resolution.
+                bit = key >> (2 * (order - self.level))
+                projections.append([(bit, bit + 1)])
+            elif self.mode == "fast":
+                # The whole key range of the entity's own (coarser) cell.
+                span = 2 * (self.level - entity_level)
+                prefix = key >> (2 * (order - entity_level))
+                projections.append([(prefix << span, (prefix + 1) << span)])
+            else:
+                # Precise: only the bitmap cells the MBR actually overlaps,
+                # keyed at the bitmap's depth (by the prefix property, the
+                # key of any interior point truncated to 2*l bits).
+                bits = [
+                    self.curve.cell_key(cx, cy, self.level)
+                    for cx in range(cx_lo[i], cx_hi[i] + 1)
+                    for cy in range(cy_lo[i], cy_hi[i] + 1)
+                ]
+                charges += len(bits)
+                projections.append([(bit, bit + 1) for bit in bits])
+        if self.stats is not None:
+            self.stats.charge_cpu("bitmap", charges)
+        return projections
 
     def _set_range(self, lo: int, hi: int) -> None:
         """Set bits ``[lo, hi)``, filling whole middle bytes at once.
@@ -243,16 +211,7 @@ class DynamicSpatialBitmap:
         # Whole middle bytes: strip() runs at C speed over the slice.
         return bool(self._bits[first + 1 : last].strip(b"\x00"))
 
-    def is_set(self, bit: int) -> bool:
-        """Direct single-bit read (used by tests)."""
-        if not 0 <= bit < self.num_bits:
-            raise IndexError(f"bit {bit} outside [0, {self.num_bits})")
-        return bool(self._bits[bit >> 3] & (1 << (bit & 7)))
-
     def population(self) -> int:
         """Number of set bits."""
         return sum(byte.bit_count() for byte in self._bits)
 
-    def _charge(self) -> None:
-        if self.stats is not None:
-            self.stats.charge_cpu("bitmap")

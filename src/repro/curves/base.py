@@ -48,8 +48,9 @@ class SpaceFillingCurve(ABC):
     def point(self, key: int) -> tuple[int, int]:
         """Inverse mapping: the grid cell visited at position ``key``."""
 
+    @abstractmethod
     def keys(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`key` (default: scalar loop; curves override).
+        """Vectorized :meth:`key`.
 
         Always returns ``int64`` — the signed dtype matches the scalar
         :meth:`key` Python ints and keeps downstream mixing with other
@@ -57,9 +58,6 @@ class SpaceFillingCurve(ABC):
         a ``uint64`` result would).  Keys fit: ``order <= 31`` bounds
         them below ``2^62``.
         """
-        return np.array(
-            [self.key(int(x), int(y)) for x, y in zip(xs, ys)], dtype=np.int64
-        )
 
     def quantize(self, coord: float) -> int:
         """Map a normalized coordinate in ``[0, 1]`` to a grid index."""

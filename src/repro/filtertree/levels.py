@@ -26,17 +26,6 @@ DEFAULT_MAX_LEVEL = 16
 file; the paper reports "typically, 10 to 20" level files."""
 
 
-def common_prefix_bits(a: int, b: int, width: int) -> int:
-    """Number of initial (most significant) bits, out of ``width``, in
-    which the two non-negative integers agree."""
-    if a < 0 or b < 0:
-        raise ValueError("inputs must be non-negative")
-    diff = a ^ b
-    if diff >> width:
-        raise ValueError(f"inputs wider than {width} bits")
-    return width - diff.bit_length()
-
-
 class LevelAssigner:
     """Quantizes MBR corners and computes Filter-Tree levels.
 
@@ -53,17 +42,6 @@ class LevelAssigner:
         self.max_level = max_level
         self.side = 1 << order
 
-    @property
-    def num_levels(self) -> int:
-        """Number of level files: levels 0..max_level inclusive."""
-        return self.max_level + 1
-
-    def quantize(self, coord: float) -> int:
-        """Grid index of a normalized coordinate (clamped to the grid)."""
-        if not 0.0 <= coord <= 1.0:
-            raise ValueError(f"coordinate {coord} outside the unit square")
-        return min(int(coord * self.side), self.side - 1)
-
     def level(self, mbr: Rect) -> int:
         """The paper's ``Level(xl, yl, xh, yh)``.
 
@@ -71,7 +49,7 @@ class LevelAssigner:
         both quantized corners shift to one cell of the ``2^l`` grid.
         Quantization is exclusive — a high corner on a grid line lands
         in the cell above it — and is the one cell rule the partition,
-        the probe and the synchronized scan share (:meth:`quantize`'s
+        the probe and the synchronized scan share (:func:`quantize_array`'s
         rule, inline: one check, one cast per corner).
         """
         xlo, ylo, xhi, yhi = mbr.xlo, mbr.ylo, mbr.xhi, mbr.yhi
@@ -101,8 +79,8 @@ class LevelAssigner:
 
 
 def quantize_array(coords: np.ndarray, side: int, field: str) -> np.ndarray:
-    """Vectorized :meth:`LevelAssigner.quantize`: truncate-to-grid with
-    the top edge clamped.  ``field`` names the column in the error a
+    """Grid indices of normalized coordinates on a ``side``-cell axis:
+    truncate-to-grid with the top edge clamped.  ``field`` names the column in the error a
     value outside the unit square gets — NaN included: the test is
     written so that NaN, which fails every comparison, fails it."""
     values = np.asarray(coords, dtype=np.float64)

@@ -43,9 +43,9 @@ class ExternalSorter:
 
     Run formation fills ``memory_pages`` worth of records, sorts them in
     memory, and spills a run; merging proceeds with fan-in
-    ``F = max(2, memory_pages // bulk_pages - 1)`` (one buffer is
-    reserved for output), the paper's ``F = M / B`` with bulk reads of
-    ``B`` pages.  Ties keep their input order.  With ``unique=True``
+    ``F = max(2, memory_pages - 1)`` (one buffer is reserved for
+    output), the paper's ``F = M / B`` with ``B = 1``: every run is
+    read a page at a time.  Ties keep their input order.  With ``unique=True``
     adjacent duplicate records are dropped in every pass — duplicate
     elimination "can take place in any phase of the sort" (section
     4.1.2).
@@ -55,15 +55,11 @@ class ExternalSorter:
         self,
         storage: StorageManager,
         memory_pages: int | None = None,
-        bulk_pages: int = 1,
     ) -> None:
-        if bulk_pages < 1:
-            raise ValueError("bulk_pages must be positive")
         self.storage = storage
         self.memory_pages = memory_pages or storage.memory_pages
         if self.memory_pages < 2:
             raise ValueError("external sort needs at least two memory pages")
-        self.bulk_pages = bulk_pages
         # Numbered per storage manager (monotonic, never reused — unlike
         # ``id(self)``), so two sorters on one manager cannot collide on
         # run names, and names never depend on process-wide history.
@@ -76,7 +72,7 @@ class ExternalSorter:
     @property
     def fan_in(self) -> int:
         """Merge fan-in ``F`` (at least two-way)."""
-        return max(2, self.memory_pages // self.bulk_pages - 1)
+        return max(2, self.memory_pages - 1)
 
     def sort(
         self,

@@ -106,7 +106,7 @@ class LiveModel:
         elif op == "delete":
             del self.live[payload]
 
-    def admits(self, op: str, payload: Any) -> bool:
+    def accepts(self, op: str, payload: Any) -> bool:
         """Whether a mutation is valid on the live set: a schedule's
         re-insert or delete names an id its own model has live or
         deleted, which a refused mutation before it may have changed."""
@@ -368,7 +368,7 @@ async def _replay(scenario: Scenario) -> Report:
         """A mutation that dies must die loud, and the next epoch check
         proves it left the live set alone.  One the model says is
         invalid — a refused mutation came before it — must be refused."""
-        valid = model.admits(op, payload)
+        valid = model.accepts(op, payload)
         try:
             acked = await _serve(service, op, payload)
         except (OSError, DurableStoreError) as error:

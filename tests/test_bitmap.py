@@ -1,25 +1,39 @@
 """Tests for Dynamic Spatial Bitmaps (section 3.2)."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitmap import DynamicSpatialBitmap
 from repro.curves.hilbert import HilbertCurve
 from repro.filtertree.levels import LevelAssigner
 from repro.geometry.rect import Rect
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.iostats import IOStats
 
 CURVE = HilbertCurve(order=10)
 ASSIGNER = LevelAssigner(order=10, max_level=10)
 
 
-def project(bitmap, rect):
-    level = ASSIGNER.level(rect)
-    key = CURVE.key_of_normalized(*rect.center)
-    return rect, key, level
+def project(*rects):
+    """One partition block's DSB arguments for ``rects``: the corner
+    columns, the curve keys and the Filter-Tree levels."""
+    return (
+        np.array([r.xlo for r in rects]),
+        np.array([r.ylo for r in rects]),
+        np.array([r.xhi for r in rects]),
+        np.array([r.yhi for r in rects]),
+        [CURVE.key_of_normalized(*r.center) for r in rects],
+        [ASSIGNER.level(r) for r in rects],
+    )
+
+
+def set_bits(bitmap):
+    return {bit for bit in range(bitmap.num_bits) if bitmap._bits[bit >> 3] >> (bit & 7) & 1}
 
 
 def random_rects(rng, count, max_side=0.3):
@@ -62,56 +76,134 @@ class TestSetAndProbe:
     @pytest.mark.parametrize("mode", ["precise", "fast"])
     def test_set_then_probe_same_entity(self, mode):
         bitmap = DynamicSpatialBitmap(5, CURVE, mode=mode)
-        rect, key, level = project(bitmap, Rect(0.3, 0.3, 0.32, 0.32))
-        bitmap.set_entity(rect, key, level)
-        assert bitmap.admits(rect, key, level)
+        block = project(Rect(0.3, 0.3, 0.32, 0.32))
+        bitmap.set_batch(*block)
+        assert bitmap.admits_batch(*block) == [True]
 
     @pytest.mark.parametrize("mode", ["precise", "fast"])
     def test_far_entity_filtered(self, mode):
         bitmap = DynamicSpatialBitmap(5, CURVE, mode=mode)
-        rect, key, level = project(bitmap, Rect(0.1, 0.1, 0.12, 0.12))
-        bitmap.set_entity(rect, key, level)
-        far, far_key, far_level = project(bitmap, Rect(0.8, 0.8, 0.82, 0.82))
-        assert not bitmap.admits(far, far_key, far_level)
+        bitmap.set_batch(*project(Rect(0.1, 0.1, 0.12, 0.12)))
+        assert bitmap.admits_batch(*project(Rect(0.8, 0.8, 0.82, 0.82))) == [False]
         assert bitmap.filtered_count == 1
 
     def test_entity_above_bitmap_level_sets_region(self):
         """A level-1 entity on a level-4 bitmap covers many cells."""
         bitmap = DynamicSpatialBitmap(4, CURVE, mode="fast")
-        rect = Rect(0.6, 0.6, 0.9, 0.9)  # inside quadrant (1,1), level 1
-        _, key, level = project(bitmap, rect)
-        assert level == 1
-        bitmap.set_entity(rect, key, level)
+        block = project(Rect(0.6, 0.6, 0.9, 0.9))  # inside quadrant (1,1)
+        assert block[-1] == [1]
+        bitmap.set_batch(*block)
         assert bitmap.population() == 4 ** (4 - 1)
 
     def test_precise_mode_sets_fewer_bits_than_fast(self):
-        rect = Rect(0.6, 0.6, 0.65, 0.65)  # small but above level 4 cells?
-        _, key, level = project(None, rect)
+        block = project(Rect(0.6, 0.6, 0.65, 0.65))
         fast = DynamicSpatialBitmap(6, CURVE, mode="fast")
         precise = DynamicSpatialBitmap(6, CURVE, mode="precise")
-        fast.set_entity(rect, key, level)
-        precise.set_entity(rect, key, level)
+        fast.set_batch(*block)
+        precise.set_batch(*block)
         assert precise.population() <= fast.population()
 
     def test_counters(self):
         bitmap = DynamicSpatialBitmap(5, CURVE)
-        rect, key, level = project(bitmap, Rect(0.2, 0.2, 0.25, 0.25))
-        bitmap.set_entity(rect, key, level)
-        bitmap.admits(rect, key, level)
+        block = project(Rect(0.2, 0.2, 0.25, 0.25))
+        bitmap.set_batch(*block)
+        bitmap.admits_batch(*block)
         assert bitmap.set_operations == 1
         assert bitmap.probe_operations == 1
 
     def test_charges_cpu(self):
         stats = IOStats()
         bitmap = DynamicSpatialBitmap(5, CURVE, stats=stats)
-        rect, key, level = project(bitmap, Rect(0.2, 0.2, 0.25, 0.25))
-        bitmap.set_entity(rect, key, level)
+        bitmap.set_batch(*project(Rect(0.2, 0.2, 0.25, 0.25)))
         assert stats.total.cpu_ops.get("bitmap", 0) > 0
 
-    def test_is_set_bounds(self):
-        bitmap = DynamicSpatialBitmap(3, CURVE)
-        with pytest.raises(IndexError):
-            bitmap.is_set(4**3)
+
+class TestPreciseCells:
+    """Precise mode projects a coarse row (bigger than a bitmap cell)
+    onto exactly the level-``l`` cells whose closed extent meets its
+    MBR, each set by the cell's key on a level-``l`` curve."""
+
+    @staticmethod
+    def expected_bits(rect, level):
+        side = 1 << level
+        cell_curve = HilbertCurve(order=level)
+        return {
+            cell_curve.key(cx, cy)
+            for cx in range(side)
+            for cy in range(side)
+            if Rect(cx / side, cy / side, (cx + 1) / side, (cy + 1) / side).intersects(rect)
+        }
+
+    def test_overlap_consistency(self):
+        rect = Rect(0.15, 0.35, 0.45, 0.6)
+        bitmap = DynamicSpatialBitmap(3, CURVE, mode="precise")
+        bitmap.set_batch(*project(rect))
+        assert set_bits(bitmap) == self.expected_bits(rect, 3)
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_set_bits_are_the_cells_meeting_the_mbr(self, x0, y0, x1, y1, level):
+        rect = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        side = 1 << level
+        # A low corner exactly on a grid line lands in the cell above
+        # it, so the cell below, which only touches the MBR, is not set.
+        assume(all((v * side) % 1 for v in (rect.xlo, rect.ylo, rect.xhi, rect.yhi)))
+        assume(ASSIGNER.level(rect) < level)
+        bitmap = DynamicSpatialBitmap(level, CURVE, mode="precise")
+        bitmap.set_batch(*project(rect))
+        assert set_bits(bitmap) == self.expected_bits(rect, level)
+
+
+class TestBlockLedger:
+    """One block of 120 rows populated and one probed: the set bits,
+    the ``bitmap`` CPU ops and the ``dsb.*`` counters, recorded before
+    the per-row projection was replaced by a per-block one."""
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            (
+                "precise",
+                ("9a335fe8b19a", 408, 19, 101, 2442,
+                 {"set_ops": 120, "probes": 120, "admits": 19, "rejects": 101}),
+            ),
+            (
+                "fast",
+                ("21aa4780d6b7", 1024, 35, 85, 240,
+                 {"set_ops": 120, "probes": 120, "admits": 35, "rejects": 85}),
+            ),
+        ],
+    )
+    def test_block_ledger_pinned(self, mode, expected):
+        rects = random_rects(random.Random(42), 240, max_side=0.08)
+        # The populated rows stay in the upper-left quadrant: none is
+        # level 0, whose fast projection is the whole bitmap.
+        quadrant = [
+            Rect(r.xlo * 0.45, 0.52 + r.ylo * 0.45, r.xhi * 0.45, 0.52 + r.yhi * 0.45)
+            for r in rects[:120]
+        ]
+        stats, registry = IOStats(), MetricsRegistry()
+        bitmap = DynamicSpatialBitmap(6, CURVE, mode=mode, stats=stats, metrics=registry)
+        bitmap.set_batch(*project(*quadrant))
+        answers = bitmap.admits_batch(*project(*rects[120:]))
+        observed = (
+            hashlib.sha1(bytes(bitmap._bits)).hexdigest()[:12],
+            bitmap.population(),
+            sum(answers),
+            bitmap.filtered_count,
+            stats.total.cpu_ops["bitmap"],
+            {
+                name: registry.counter_value(f"dsb.{name}")
+                for name in ("set_ops", "probes", "admits", "rejects")
+            },
+        )
+        assert observed == expected
 
 
 class TestNoFalseNegatives:
@@ -125,13 +217,11 @@ class TestNoFalseNegatives:
         rng = random.Random(bitmap_level * 7 + len(mode))
         bitmap = DynamicSpatialBitmap(bitmap_level, CURVE, mode=mode)
         set_a = random_rects(rng, 120)
-        for rect in set_a:
-            _, key, level = project(bitmap, rect)
-            bitmap.set_entity(rect, key, level)
-        for rect in random_rects(rng, 200):
+        bitmap.set_batch(*project(*set_a))
+        probe = random_rects(rng, 200)
+        for rect, admitted in zip(probe, bitmap.admits_batch(*project(*probe))):
             if any(rect.intersects(other) for other in set_a):
-                _, key, level = project(bitmap, rect)
-                assert bitmap.admits(rect, key, level), rect
+                assert admitted, rect
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -140,14 +230,11 @@ class TestNoFalseNegatives:
         mode = rng.choice(["precise", "fast"])
         bitmap = DynamicSpatialBitmap(rng.choice([3, 5]), CURVE, mode=mode)
         set_a = random_rects(rng, 40)
-        for rect in set_a:
-            _, key, level = project(bitmap, rect)
-            bitmap.set_entity(rect, key, level)
+        bitmap.set_batch(*project(*set_a))
         probe = random_rects(rng, 40)
-        for rect in probe:
+        for rect, admitted in zip(probe, bitmap.admits_batch(*project(*probe))):
             if any(rect.intersects(other) for other in set_a):
-                _, key, level = project(bitmap, rect)
-                assert bitmap.admits(rect, key, level)
+                assert admitted
 
 
 class TestFilteringEffectiveness:
@@ -156,21 +243,18 @@ class TestFilteringEffectiveness:
         probes (the selective-join scenario of section 5.2.2)."""
         rng = random.Random(42)
         bitmap = DynamicSpatialBitmap(6, CURVE, mode="precise")
+        left = []
         for _ in range(200):
             x = rng.uniform(0.0, 0.4)
             y = rng.uniform(0.0, 1.0)
-            rect = Rect(x, y, min(1, x + 0.02), min(1, y + 0.02))
-            _, key, level = project(bitmap, rect)
-            bitmap.set_entity(rect, key, level)
-        filtered = 0
+            left.append(Rect(x, y, min(1, x + 0.02), min(1, y + 0.02)))
+        bitmap.set_batch(*project(*left))
+        right = []
         for _ in range(200):
             x = rng.uniform(0.6, 0.95)
             y = rng.uniform(0.0, 0.95)
-            rect = Rect(x, y, x + 0.02, y + 0.02)
-            _, key, level = project(bitmap, rect)
-            if not bitmap.admits(rect, key, level):
-                filtered += 1
-        assert filtered > 150
+            right.append(Rect(x, y, x + 0.02, y + 0.02))
+        assert bitmap.admits_batch(*project(*right)).count(False) > 150
 
 
 def _naive_set(bits, lo, hi):
@@ -215,8 +299,8 @@ class TestByteWiseRanges:
         curve = HilbertCurve(order=16)
         bitmap = DynamicSpatialBitmap(13, curve, mode="fast")
         start = time.perf_counter()
-        bitmap.set_entity(Rect(0.0, 0.0, 1.0, 1.0), 0, 0)
-        assert bitmap.admits(Rect(0.3, 0.3, 0.9, 0.9), 0, 0)
+        bitmap.set_batch([0.0], [0.0], [1.0], [1.0], [0], [0])
+        assert bitmap.admits_batch([0.3], [0.3], [0.9], [0.9], [0], [0]) == [True]
         elapsed = time.perf_counter() - start
         assert bitmap.population() == bitmap.num_bits
         # The bit-at-a-time version needs tens of seconds here; the
@@ -233,48 +317,3 @@ class TestByteWiseRanges:
         assert bitmap._any_in_range(0, bitmap.num_bits)
         assert not bitmap._any_in_range(0, bitmap.num_bits - 1)
         assert time.perf_counter() - start < 2.0
-
-
-class TestBatchProjection:
-    """`set_batch` / `admits_batch` must be call-for-call equivalent to
-    the scalar projections, counters included."""
-
-    def test_batch_equals_scalar(self):
-        rng = random.Random(42)
-        rects = random_rects(rng, 120)
-        projections = [project(None, rect)[1:] for rect in rects]
-        keys = [key for key, _ in projections]
-        levels = [level for _, level in projections]
-        for mode in ("precise", "fast"):
-            scalar_stats, batch_stats = IOStats(), IOStats()
-            scalar = DynamicSpatialBitmap(6, CURVE, mode=mode, stats=scalar_stats)
-            batch = DynamicSpatialBitmap(6, CURVE, mode=mode, stats=batch_stats)
-            half = len(rects) // 2
-            for rect, key, level in zip(rects[:half], keys, levels):
-                scalar.set_entity(rect, key, level)
-            batch.set_batch(
-                [r.xlo for r in rects[:half]],
-                [r.ylo for r in rects[:half]],
-                [r.xhi for r in rects[:half]],
-                [r.yhi for r in rects[:half]],
-                keys[:half],
-                levels[:half],
-            )
-            assert batch._bits == scalar._bits
-            scalar_answers = [
-                scalar.admits(rect, key, level)
-                for rect, key, level in zip(rects[half:], keys[half:], levels[half:])
-            ]
-            batch_answers = batch.admits_batch(
-                [r.xlo for r in rects[half:]],
-                [r.ylo for r in rects[half:]],
-                [r.xhi for r in rects[half:]],
-                [r.yhi for r in rects[half:]],
-                keys[half:],
-                levels[half:],
-            )
-            assert batch_answers == scalar_answers
-            assert batch.set_operations == scalar.set_operations
-            assert batch.probe_operations == scalar.probe_operations
-            assert batch.filtered_count == scalar.filtered_count
-            assert batch_stats.total == scalar_stats.total

@@ -11,41 +11,10 @@ from benchmarks.costmodel import (
     lowest_level,
     probability_level_at_least,
 )
-from repro.filtertree.grid import cell_of_point, cell_rect, cells_overlapping
-from repro.filtertree.levels import LevelAssigner, common_prefix_bits
+from repro.filtertree.levels import LevelAssigner, quantize_array
 from repro.geometry.rect import Rect
 
 coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
-
-
-class TestCommonPrefixBits:
-    def test_equal_values(self):
-        assert common_prefix_bits(5, 5, 8) == 8
-
-    def test_differ_in_top_bit(self):
-        assert common_prefix_bits(0, 128, 8) == 0
-
-    def test_differ_in_bottom_bit(self):
-        assert common_prefix_bits(6, 7, 8) == 7
-
-    def test_width_overflow_raises(self):
-        with pytest.raises(ValueError):
-            common_prefix_bits(0, 256, 8)
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            common_prefix_bits(-1, 1, 8)
-
-    @given(st.integers(0, 255), st.integers(0, 255))
-    def test_matches_string_prefix(self, a, b):
-        bits_a = format(a, "08b")
-        bits_b = format(b, "08b")
-        expected = 0
-        for ca, cb in zip(bits_a, bits_b):
-            if ca != cb:
-                break
-            expected += 1
-        assert common_prefix_bits(a, b, 8) == expected
 
 
 class TestLevelAssigner:
@@ -105,7 +74,9 @@ class TestLevelAssigner:
         rect = Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
         level = assigner.level(rect)
         shift = assigner.order - level
-        q = assigner.quantize
+        def q(coord):
+            return int(quantize_array([coord], assigner.side, "coord")[0])
+
         assert q(rect.xlo) >> shift == q(rect.xhi) >> shift
         assert q(rect.ylo) >> shift == q(rect.yhi) >> shift
         if level < assigner.max_level:
@@ -131,9 +102,6 @@ class TestLevelAssigner:
             LevelAssigner(order=0)
         with pytest.raises(ValueError):
             LevelAssigner(order=8, max_level=9)
-
-    def test_num_levels(self):
-        assert LevelAssigner(order=16, max_level=10).num_levels == 11
 
 
 class TestOccupancy:
@@ -198,39 +166,28 @@ class TestOccupancy:
 
 
 class TestGrid:
+    """The one cell rule, :func:`quantize_array`: a point's cell is its
+    coordinates truncated to the grid, the top edge clamped, and the
+    cells a box overlaps lie between the cells of its corners."""
+
+    @staticmethod
+    def cells_overlapping(rect, level):
+        side = 1 << level
+        cx_lo, cx_hi = quantize_array([rect.xlo, rect.xhi], side, "x").tolist()
+        cy_lo, cy_hi = quantize_array([rect.ylo, rect.yhi], side, "y").tolist()
+        return {
+            (cx, cy) for cx in range(cx_lo, cx_hi + 1) for cy in range(cy_lo, cy_hi + 1)
+        }
+
     def test_cell_of_point(self):
-        assert cell_of_point(0.0, 0.0, 2) == (0, 0)
-        assert cell_of_point(0.99, 0.99, 2) == (3, 3)
-        assert cell_of_point(1.0, 1.0, 2) == (3, 3)  # clamped
+        assert quantize_array([0.0, 0.99, 1.0], 4, "x").tolist() == [0, 3, 3]  # clamped
 
     def test_cells_overlapping_single(self):
-        cells = list(cells_overlapping(Rect(0.1, 0.1, 0.2, 0.2), 2))
-        assert cells == [(0, 0)]
+        assert self.cells_overlapping(Rect(0.1, 0.1, 0.2, 0.2), 2) == {(0, 0)}
 
     def test_cells_overlapping_straddle(self):
-        cells = set(cells_overlapping(Rect(0.2, 0.2, 0.3, 0.3), 2))
+        cells = self.cells_overlapping(Rect(0.2, 0.2, 0.3, 0.3), 2)
         assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_cells_overlapping_whole_space(self):
-        cells = list(cells_overlapping(Rect(0, 0, 1, 1), 1))
-        assert len(cells) == 4
-
-    def test_cell_rect_roundtrip(self):
-        rect = cell_rect(2, 3, 2)
-        assert rect == Rect(0.5, 0.75, 0.75, 1.0)
-
-    def test_cell_rect_bounds(self):
-        with pytest.raises(ValueError):
-            cell_rect(4, 0, 2)
-
-    def test_overlap_consistency(self):
-        """cells_overlapping agrees with geometric intersection."""
-        rect = Rect(0.15, 0.35, 0.45, 0.6)
-        level = 3
-        expected = {
-            (cx, cy)
-            for cx in range(8)
-            for cy in range(8)
-            if cell_rect(cx, cy, level).intersects(rect)
-        }
-        assert set(cells_overlapping(rect, level)) == expected
+        assert len(self.cells_overlapping(Rect(0, 0, 1, 1), 1)) == 4

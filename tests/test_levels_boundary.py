@@ -12,6 +12,8 @@ under test, and the vectorized ``levels()`` against the scalar
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -43,12 +45,23 @@ def rects(coords):
     )
 
 
+# The interior lines of the finest grid, k / 2^ORDER for 0 < k < 2^ORDER.
+GRID_LINES = [k / (1 << ORDER) for k in range(1, 1 << ORDER)]
+
+
+def cell(coord: float) -> int:
+    """The finest-grid cell of a coordinate, counted rather than cast:
+    the number of interior grid lines at or below it (so a coordinate
+    on a line lands in the cell above it, and 1.0 in the last cell)."""
+    return bisect.bisect_right(GRID_LINES, coord)
+
+
 def brute_level(rect: Rect) -> int:
     """The paper's ``Level()`` restated as a search: the largest level
     whose (exclusively quantized) grid leaves both corners of each
     dimension in the same cell."""
-    qx_lo, qx_hi = assigner.quantize(rect.xlo), assigner.quantize(rect.xhi)
-    qy_lo, qy_hi = assigner.quantize(rect.ylo), assigner.quantize(rect.yhi)
+    qx_lo, qx_hi = cell(rect.xlo), cell(rect.xhi)
+    qy_lo, qy_hi = cell(rect.ylo), cell(rect.yhi)
     for level in range(assigner.max_level, -1, -1):
         shift = ORDER - level
         if qx_lo >> shift == qx_hi >> shift and qy_lo >> shift == qy_hi >> shift:

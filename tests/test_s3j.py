@@ -199,3 +199,58 @@ class TestDSBIntegration:
         assert result.pairs == frozenset()
         assert result.metrics.details["dsb_filtered"] > 250
         assert result.metrics.replication_b < 0.2
+
+
+def _strip(name, x_lo, x_hi, seed):
+    """Boxes of three sizes in a vertical strip of the upper half: on a
+    level-6 bitmap the 0.07 boxes are coarse rows (many precise-mode
+    cells each), the 0.004 boxes finer than a bitmap cell.  Clear of
+    y = 0.5, no box is level 0, whose fast projection is the whole
+    bitmap."""
+    import random
+
+    from repro.geometry.entity import Entity
+    from repro.geometry.rect import Rect
+    from repro.join.dataset import SpatialDataset
+
+    rng = random.Random(seed)
+    entities = []
+    for eid in range(400):
+        side = rng.choice((0.004, 0.02, 0.07))
+        x = rng.uniform(x_lo, x_hi - side)
+        y = rng.uniform(0.51, 1.0 - side)
+        entities.append(Entity.from_geometry(eid, Rect(x, y, x + side, y + side)))
+    return SpatialDataset(name, entities)
+
+
+class TestDSBPin:
+    """The DSB's ledger on one selective join, recorded before the
+    bitmap's projection was rewritten: pairs, rows filtered, bitmap
+    pages, the partition phase's ``bitmap`` CPU ops and the total page
+    I/O must not move.  Two partition blocks per input, so block-wise
+    counting is exercised."""
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("precise", (336, 333, 1, 10810, 76)),
+            ("fast", (336, 332, 1, 800, 76)),
+        ],
+    )
+    def test_selective_join_ledger(self, monkeypatch, mode, expected):
+        from repro.core import partition
+
+        monkeypatch.setattr(partition, "DEFAULT_BATCH_SIZE", 256)
+        left = _strip("left", 0.0, 0.5, seed=49)
+        right = _strip("right", 0.4, 1.0, seed=50)
+        result = run_s3j(left, right, dsb_level=6, dsb_mode=mode)
+        assert result.pairs == brute_force_pairs(left, right)
+        metrics = result.metrics
+        observed = (
+            len(result),
+            metrics.details["dsb_filtered"],
+            metrics.details["dsb_pages"],
+            metrics.phases["partition"].cpu_ops["bitmap"],
+            metrics.total_ios,
+        )
+        assert observed == expected

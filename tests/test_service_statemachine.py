@@ -181,7 +181,7 @@ class IndexMachine(RuleBasedStateMachine):
         The first failure may have logged its record, so until a reopen
         tells, ``in_flight`` is the model with that op applied too; later
         failures find the store failed."""
-        if not self.model.admits(op, payload):
+        if not self.model.accepts(op, payload):
             try:
                 if self.attempt(op, payload) is LOUD:
                     return
@@ -194,7 +194,7 @@ class IndexMachine(RuleBasedStateMachine):
             return
         if op != "compact":  # one with nothing pending writes nothing
             assert not self.store_failed(), f"{op} acknowledged after a failed write"
-        if self.in_flight is not self.model and self.in_flight.admits(op, payload):
+        if self.in_flight is not self.model and self.in_flight.accepts(op, payload):
             self.in_flight = applied(self.in_flight, op, payload)
             self.model = applied(self.model, op, payload)
         else:

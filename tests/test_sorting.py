@@ -68,8 +68,6 @@ class TestBasics:
     def test_invalid_memory(self, storage):
         with pytest.raises(ValueError):
             ExternalSorter(storage, memory_pages=1)
-        with pytest.raises(ValueError):
-            ExternalSorter(storage, bulk_pages=0)
 
     @pytest.mark.parametrize("keys", [[8, 2, 6, 4], list(range(400, 0, -1))])
     def test_sort_into_existing_name_is_refused(self, keys):
