@@ -22,8 +22,8 @@ standard serving-system idiom in pure python:
   computed against, and none outlives them.
 
 Queries execute inline on the event loop (the index is single-writer
-and the scans are simulated-I/O bound); queries, mutations and
-compaction serialize behind one lock.  Everything observable flows
+and the scans are simulated-I/O bound); no request suspends, so each
+runs to completion before the next begins.  Everything observable flows
 through the session's :mod:`repro.obs` registry and event log, so
 ``repro report`` renders a service run exactly like a batch join run.
 """
@@ -294,10 +294,11 @@ def _require_finite(**coordinates: float) -> None:
 class JoinService:
     """The long-lived query front-end over one :class:`PersistentIndex`.
 
-    No request waits: its one ``await`` is the ``_mutate`` lock, which
-    no holder awaits under, so :class:`ServiceServer` runs each request
-    to completion in the callback that read it.  Group commit (ROADMAP
-    item 8) must revisit this before it adds an await that can wait.
+    No request suspends: each method runs straight through, so
+    :class:`ServiceServer` completes a request in the callback that read
+    it and no other request sees the index half-way.  That invariant, not
+    a lock, serializes requests; group commit (ROADMAP item 8) must bring
+    explicit serialization back with its first await that can wait.
     """
 
     def __init__(
@@ -314,7 +315,6 @@ class JoinService:
             self.config.breaker_threshold, self.config.breaker_reset_s, clock
         )
         self.cache = ResultCache(self.config.cache_size)
-        self._mutate = asyncio.Lock()
         self._compactor: asyncio.Task[None] | None = None
         self._delta_grew = asyncio.Event()
         self.queries = 0
@@ -365,15 +365,13 @@ class JoinService:
 
     async def insert(self, entity: Entity) -> int:
         """Insert one entity; returns the new epoch."""
-        async with self._mutate:
-            epoch = self.index.insert(entity)
+        epoch = self.index.insert(entity)
         self._note_mutation("insert", entity.eid, epoch)
         return epoch
 
     async def delete(self, eid: int) -> int:
         """Delete one live entity; returns the new epoch."""
-        async with self._mutate:
-            epoch = self.index.delete(eid)
+        epoch = self.index.delete(eid)
         self._note_mutation("delete", eid, epoch)
         return epoch
 
@@ -381,37 +379,36 @@ class JoinService:
         events = self.obs.events
         if events.enabled:
             events.emit("index_updated", op=op, eid=eid, epoch=epoch)
-        metrics = self.obs.active_metrics
-        if metrics is not None:
+        metrics = self.obs.metrics
+        if metrics.enabled:
             metrics.count("service.mutations", op=op)
         if self.index.needs_compaction:
             self._delta_grew.set()
 
     async def compact(self) -> bool:
         """Run one compaction now (also what the background loop calls)."""
-        async with self._mutate:
-            events = self.obs.events
-            pending = self.index.delta_records
-            if pending == 0:
-                return False
-            if events.enabled:
-                events.emit(
-                    "compaction_started",
-                    delta_records=pending,
-                    epoch=self.index.epoch,
-                )
-            compacted = self.index.compact()
-            if events.enabled:
-                events.emit(
-                    "compaction_completed",
-                    epoch=self.index.epoch,
-                    compactions=self.index.compactions,
-                    **self.index.last_fold,
-                )
-            metrics = self.obs.active_metrics
-            if metrics is not None:
-                metrics.count("service.compactions")
-            return compacted
+        events = self.obs.events
+        pending = self.index.delta_records
+        if pending == 0:
+            return False
+        if events.enabled:
+            events.emit(
+                "compaction_started",
+                delta_records=pending,
+                epoch=self.index.epoch,
+            )
+        compacted = self.index.compact()
+        if events.enabled:
+            events.emit(
+                "compaction_completed",
+                epoch=self.index.epoch,
+                compactions=self.index.compactions,
+                **self.index.last_fold,
+            )
+        metrics = self.obs.active_metrics
+        if metrics is not None:
+            metrics.count("service.compactions")
+        return compacted
 
     async def _compaction_loop(self) -> None:
         """Background compactor: fold the delta whenever the index is
@@ -471,10 +468,7 @@ class JoinService:
             )
         if events.enabled:
             events.emit("query_started", op=op, epoch=self.index.epoch)
-        # Mutations serialize with queries so every query sees one
-        # consistent (live set, epoch) snapshot.
-        async with self._mutate:
-            outcome = self._execute(op, key)
+        outcome = self._execute(op, key)
         if events.enabled:
             if outcome.status == "failed":
                 events.emit("query_failed", op=op, error=outcome.error)

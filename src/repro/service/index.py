@@ -78,14 +78,14 @@ class PersistentIndex:
     """One resident spatial-join index over a long-lived storage manager.
 
     Synchronous and single-writer by design: the service front-end
-    (:class:`repro.service.api.JoinService`) serializes mutations and
-    compaction around queries.  All query I/O against the base level
-    files is charged to the manager's simulated ledger under the
-    ``query`` / ``compaction`` phases, so ``repro report`` renders a
-    service run with the same machinery as a batch join.  A fold and
-    the self-join take each level's live view as one array
-    (:meth:`level_rows`); point and window queries probe only the
-    slices they need.
+    (:class:`repro.service.api.JoinService`) runs each request straight
+    through, so mutations, compaction and queries never interleave.
+    All query I/O against the base level files is charged to the
+    manager's simulated ledger under the ``query`` / ``compaction``
+    phases, so ``repro report`` renders a service run with the same
+    machinery as a batch join.  A fold and the self-join take each
+    level's live view as one array (:meth:`level_rows`); point and
+    window queries probe only the slices they need.
     """
 
     def __init__(
@@ -274,7 +274,11 @@ class PersistentIndex:
 
     @property
     def needs_compaction(self) -> bool:
-        return self._pending >= self.compaction_due_at
+        """``delta_records >= compaction_due_at``, inlined: every ack reads it."""
+        return (
+            self._pending >= self.compaction_threshold
+            and self._pending >= len(self._live) // COMPACTION_SIZE_RATIO
+        )
 
     def levels(self) -> list[int]:
         """Levels with any live or pending data, sorted."""

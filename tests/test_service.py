@@ -34,7 +34,7 @@ from repro.service import (
 )
 from repro.service.api import ShardFailure
 from repro.storage.buffer import BufferPoolExhausted
-from repro.storage.durable import DATA_FILE, DurableStoreError
+from repro.storage.durable import DATA_FILE, LOG_FILE, DurableStoreError
 from repro.storage.manager import StorageConfig
 from repro.verify import run_service_verify
 from repro.verify.recorder import Fault, FaultyDisk
@@ -232,6 +232,39 @@ class TestCompactionTrigger:
             assert index.needs_compaction
             stats = JoinService(index).stats()
             assert (stats["delta_records"], stats["compaction_due_at"]) == (inserts, inserts)
+
+    @pytest.mark.parametrize(
+        "floor, due_at_before, due_at",
+        [
+            # 400 live, then 399: the eighth governs, and the last delete
+            # lowers it from 50 to 49 as it brings the delta to 49.
+            (2, 50, 49),
+            (100, 100, 100),  # the floor governs: 400 // 8 is only 50
+        ],
+    )
+    def test_needs_compaction_is_delta_records_reaching_due_at(
+        self, floor, due_at_before, due_at
+    ):
+        """Checked after every mutation: 24 inserts, then deletes of
+        bulk-loaded records (tombstones) until a fold is due."""
+        dataset = make_squares(400, 0.01, seed=3)
+        with PersistentIndex(dataset.entities, compaction_threshold=floor) as index:
+            def agrees() -> bool:
+                return index.needs_compaction == (
+                    index.delta_records >= index.compaction_due_at
+                )
+
+            for i in range(24):
+                index.insert(square(1000 + i, 0.5, 0.5, side=0.01))
+                assert agrees() and not index.needs_compaction
+            base = iter(entity.eid for entity in dataset.entities)
+            while not index.needs_compaction:
+                assert agrees()
+                before = index.compaction_due_at
+                index.delete(next(base))
+            assert agrees()
+            assert (before, index.compaction_due_at) == (due_at_before, due_at)
+            assert index.delta_records == due_at
 
     @staticmethod
     def fold_writes_per_mutation(count, mutations=5000, seed=5):
@@ -523,6 +556,69 @@ class TestJoinService:
                 json.dumps(stats)  # must be JSON-serializable as-is
 
         self.run(scenario())
+
+
+def straight_through(request):
+    """Drive a request coroutine with one ``send(None)``, as
+    :class:`ServiceServer` does: it must end there, without suspending."""
+    with pytest.raises(StopIteration) as done:
+        request.send(None)
+    return done.value.value
+
+
+class TestNoRequestSuspends:
+    """No lock serializes ``JoinService`` requests; the invariant that
+    none suspends does.  Every coroutine here, on a durable index, must
+    finish (or raise) within its first ``send(None)``."""
+
+    @pytest.fixture
+    def disk(self):
+        return FaultyDisk()
+
+    @pytest.fixture
+    def index(self, disk):
+        with fileio.using(disk):
+            index = PersistentIndex(
+                [square(i, 0.04 * i, 0.5) for i in range(20)],
+                data_dir="/store", compaction_threshold=4,
+            )
+        yield index
+        index.close()
+
+    def test_mutations_and_folds(self, index):
+        service = JoinService(index)
+        assert straight_through(service.insert(square(100, 0.3, 0.3))) == 1
+        assert straight_through(service.delete(100)) == 2  # a delta record
+        assert not any(index._tombstones.values())
+        assert straight_through(service.delete(3)) == 3  # a base record
+        assert {3} in index._tombstones.values()
+        assert not index.needs_compaction and not service._delta_grew.is_set()
+        straight_through(service.insert(square(101, 0.6, 0.6)))  # makes a fold due
+        assert index.needs_compaction and service._delta_grew.is_set()
+        assert straight_through(service.compact()) is True
+        assert index.compactions == 1 and index.delta_records == 0
+        assert straight_through(service.compact()) is False  # none due
+
+    @pytest.mark.parametrize(
+        "op, args", [("point", (0.3, 0.51)), ("window", (0.1, 0.4, 0.5, 0.6)), ("join", ())]
+    )
+    def test_queries_cold_cached_and_rate_limited(self, index, op, args):
+        service = JoinService(index, ServiceConfig(rate=1.0, burst=2), clock=FakeClock())
+        query = getattr(service, op)
+        cold = straight_through(query(*args))
+        assert (cold.status, cold.cached) == ("ok", False)
+        cached = straight_through(query(*args))
+        assert (cached.status, cached.cached) == ("ok", True)
+        assert straight_through(query(*args)).status == "rejected"
+
+    def test_a_mutation_on_a_failed_store_raises_without_suspending(self, index, disk):
+        service = JoinService(index)
+        disk.arm(Fault("fsync", LOG_FILE))  # the note's log commit
+        with pytest.raises(OSError):
+            service.insert(square(100, 0.3, 0.3)).send(None)
+        for request in (service.insert(square(101, 0.6, 0.6)), service.delete(3)):
+            with pytest.raises(DurableStoreError, match="reopened"):
+                request.send(None)
 
 
 def pin_every_frame(index):
