@@ -42,8 +42,7 @@ JSON-lines TCP front-end over a resident :class:`PersistentIndex`
 circuit breaker), and ``verify --service`` replays interleaved
 queries/mutations against an independent model of the live set at every
 index epoch.  The ``verify`` mode flags (``--chaos``, ``--service``,
-``--crash``, ``--fsync-mutations``, ``--serve-roundtrip``) are mutually
-exclusive.
+``--crash``, ``--serve-roundtrip``) are mutually exclusive.
 """
 
 from __future__ import annotations
@@ -223,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "disk, reopen the durable store from every state a power cut "
         "could leave at every fsync, and require oracle-exact recovered "
         "answers (default 3 schedules)",
-    )
-    mode.add_argument(
-        "--fsync-mutations",
-        action="store_true",
-        help="fsync mutation check: one crash schedule per fsync call "
-        "site with that site a no-op; each must find a violation",
     )
     mode.add_argument(
         "--serve-roundtrip",
@@ -521,8 +514,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         counted = {} if args.cases is None else {"cases": args.cases}
         if args.crash:
             gate = partial(verify.run_crash_verify, **counted)
-        elif args.fsync_mutations:
-            gate = verify.run_fsync_mutations
         elif args.serve_roundtrip:
             gate = verify.run_serve_roundtrip
         elif args.service:

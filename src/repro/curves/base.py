@@ -59,17 +59,12 @@ class SpaceFillingCurve(ABC):
         them below ``2^62``.
         """
 
-    def quantize(self, coord: float) -> int:
-        """Map a normalized coordinate in ``[0, 1]`` to a grid index."""
-        if not 0.0 <= coord <= 1.0:
-            raise ValueError(f"coordinate {coord} outside the unit square")
-        return min(int(coord * self.side), self.side - 1)
-
     def key_of_normalized(self, x: float, y: float) -> int:
         """Curve key of a point given in unit-square coordinates.
 
-        This is the paper's ``Hilbert(xc, yc)`` computed on MBR centers
-        (:meth:`quantize`'s rule, inline: one check, one cast per axis).
+        This is the paper's ``Hilbert(xc, yc)`` computed on MBR centers.
+        A coordinate's grid index is ``min(int(v * side), side - 1)``:
+        one cast per axis, with 1.0 clamped into the last cell.
         """
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ValueError(f"point ({x}, {y}) outside the unit square")

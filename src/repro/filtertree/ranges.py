@@ -4,7 +4,7 @@ access path of :class:`~repro.service.index.PersistentIndex`.
 An entity is filed under the curve key of its MBR centre, in the level
 file of its size class.  Two facts bound where the centre of a level-
 ``l`` entity that meets a window can lie, both in grid units (``q`` is
-``curve.quantize``, monotone):
+the cell rule ``min(int(v * side), side - 1)``, monotone):
 
 - the entity lies inside one level-``l`` cell, so the centre is in one
   of the level-``l`` cells between the quantized window corners;
@@ -135,8 +135,10 @@ class KeyDirectory:
         if wxhi < 0.0 or wyhi < 0.0 or wxlo > 1.0 or wylo > 1.0:
             return []
         curve = self.curve
-        xlo, ylo = curve.quantize(max(wxlo, 0.0)), curve.quantize(max(wylo, 0.0))
-        xhi, yhi = curve.quantize(min(wxhi, 1.0)), curve.quantize(min(wyhi, 1.0))
+        side, top = curve.side, curve.side - 1
+        # A NaN corner passes the test above and fails int() here.
+        xlo, ylo = min(int(max(wxlo, 0.0) * side), top), min(int(max(wylo, 0.0) * side), top)
+        xhi, yhi = min(int(min(wxhi, 1.0) * side), top), min(int(min(wyhi, 1.0) * side), top)
         covers: dict[tuple[int, int, int, int], list[KeyRange]] = {}
         plan: Plan = []
         for level in levels:

@@ -24,9 +24,10 @@ One oracle, one report, and two harnesses (DESIGN.md section 10):
   batch chaos included;
   :func:`run_crash_verify` runs the same ops on a recording disk and
   reopens the store from every state a power cut could leave at every
-  fsync; :func:`run_fsync_mutations` makes each fsync site a no-op in
-  turn and requires that gate to notice, and :func:`run_serve_roundtrip`
-  kills and restarts a real ``repro serve``.
+  fsync, and :func:`run_serve_roundtrip` kills and restarts a real
+  ``repro serve``.  The durable state machine finds a missing fsync:
+  each fsync site, made a no-op, is a row of
+  ``tests/test_machine_mutations.py``.
 
 Every gate returns the same :class:`Report`::
 
@@ -38,7 +39,7 @@ Every gate returns the same :class:`Report`::
 
 from repro.verify.cases import VerifyCase
 from repro.verify.chaos import run_chaos
-from repro.verify.crash import run_crash_verify, run_fsync_mutations, run_serve_roundtrip
+from repro.verify.crash import run_crash_verify, run_serve_roundtrip
 from repro.verify.differential import Counterexample, Divergence, diff_pairs
 from repro.verify.executors import ExecutorSpec, default_executors, run_executor
 from repro.verify.harness import run_verify
@@ -74,7 +75,6 @@ __all__ = [
     "run_chaos",
     "run_crash_verify",
     "run_executor",
-    "run_fsync_mutations",
     "run_serve_roundtrip",
     "run_service_verify",
     "run_verify",

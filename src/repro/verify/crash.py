@@ -15,9 +15,9 @@ schedule itself loses power at a torn log tail and runs on from the
 recovered store, whose recovery boundaries are enumerated too.
 
 A ledger-parity check rides along (memory and durable backends must
-price a join byte-identically).  ``repro verify --fsync-mutations``
-runs a schedule once per fsync call site with that site a no-op and
-fails unless each run finds a violation; ``repro verify
+price a join byte-identically).  :func:`run_crash_schedule` takes
+``noop_sites``, fsync call sites that make nothing durable, so a test
+can show the gate notices a missing fsync.  ``repro verify
 --serve-roundtrip`` kills and restarts a real ``repro serve`` process,
 the one check that needs one.
 """
@@ -200,25 +200,6 @@ def run_crash_verify(
         say(f"{result.gate}: {counts['boundaries']} fsync boundaries, {counts['crash_states']} "
             f"crash states, power lost mid-run at {counts.get('recovered_at')} acked: "
             + ("ok" if result.ok else "FAIL"))
-    return report
-
-
-def run_fsync_mutations(
-    seed: int = 0, ops: int = DEFAULT_OPS, progress: Progress | None = None
-) -> Report:
-    """The mutation check: one schedule per fsync call site, with that
-    site a no-op; each run must find a violation."""
-    say = progress or (lambda message: None)
-    clean = run_crash_schedule(seed, ops)
-    report = Report(gate="fsync mutation check", counts={"sites": list(clean.counts["sites"])})
-    if not clean.ok:
-        report.violations.extend(clean.violations)
-    for site in clean.counts["sites"]:
-        mutant = run_crash_schedule(seed, ops, noop_sites=frozenset({site}))
-        caught = mutant.violations[0].describe() if mutant.violations else None
-        say(f"{site} as a no-op: " + (f"caught — {caught}" if caught else "NOT CAUGHT"))
-        if caught is None:
-            report.fail("mutation", site, "no crash state tells this fsync is missing")
     return report
 
 

@@ -17,7 +17,7 @@ the ``i``-th: they reach the disk in any order); and ``live`` (what a
 A *boundary* is the instant before an ``fsync`` takes effect:
 ``on_boundary(recorder, site)`` is called there, ``site`` being the
 caller's code location (``storage/wal.py:208 (sync)``).  A site in
-``noop_sites`` makes nothing durable — the mutation check removes one
+``noop_sites`` makes nothing durable — a mutation test removes one
 fsync that way, with no source edit.
 
 :class:`FaultyDisk` is the recording disk with one armed :class:`Fault`:

@@ -145,8 +145,8 @@ class TestParser:
             ["--chaos", "--crash"],
             ["--service", "--serve-roundtrip"],
             ["--crash", "--service", "--chaos"],
-            ["--crash", "--fsync-mutations"],
-            ["--fsync-mutations", "--serve-roundtrip"],
+            ["--crash", "--serve-roundtrip"],
+            ["--chaos", "--service"],
         ],
     )
     def test_verify_mode_flags_are_mutually_exclusive(self, flags, capsys):
@@ -157,13 +157,10 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag, gate",
-        [("--fsync-mutations", "run_fsync_mutations"), ("--serve-roundtrip", "run_serve_roundtrip")],
-    )
+    @pytest.mark.parametrize("flag, gate", [("--serve-roundtrip", "run_serve_roundtrip")])
     def test_verify_runs_the_crash_module_gates(self, flag, gate, monkeypatch, capsys):
-        """The crash module's two extra gates are ``repro verify`` modes
-        and print the one report like every other gate."""
+        """The crash module's extra gate is a ``repro verify`` mode and
+        prints the one report like every other gate."""
         from repro import verify
 
         seeds = []
@@ -383,6 +380,14 @@ class TestCrossModeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
         assert report["executors"] == ["s3j", "s3j:memory"]
+
+    def test_fsync_mutations_flag_exits_2(self, capsys):
+        """The fsync mutation check is rows (g)-(j) of
+        ``tests/test_machine_mutations.py`` now, not a verify mode."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--fsync-mutations"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --fsync-mutations" in capsys.readouterr().err
 
     def test_cross_mode_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,10 +1,10 @@
 """The power-loss crash gate (``repro verify --crash``) and its recording disk.
 
-CI's crash-smoke job runs the full gate and the mutation check over
-every fsync call site; here: the deterministic schedules, the model's
-acked prefixes, the recorder's crash-state model, two schedules end to
-end, the mutation check on the log commit and a directory fsync, and
-the one real-process case left (``repro serve``'s killed first boot).
+CI's crash-smoke job runs the full gate; here: the deterministic
+schedules, the model's acked prefixes, the recorder's crash-state model,
+two schedules end to end, the gate's verdict on a missing log-commit
+fsync (every fsync site is a row of ``tests/test_machine_mutations.py``),
+and the one real-process case left (``repro serve``'s killed first boot).
 """
 
 import subprocess
@@ -161,8 +161,9 @@ class TestCrashCases:
 
 class TestFsyncMutations:
     """The gate fails when an fsync goes missing: the site is made a
-    no-op on the recorder by its code location, with no source edit
-    (CI runs this for every site)."""
+    no-op on the recorder by its code location, with no source edit.
+    This pins the gate's own verdict on the log commit; that every fsync
+    site is missed is rows (g)-(j) of ``tests/test_machine_mutations.py``."""
 
     def mutant(self, schedule_zero, function):
         (site,) = [site for site in schedule_zero.counts["sites"] if site.endswith(function)]

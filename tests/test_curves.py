@@ -45,14 +45,6 @@ class TestInterface:
         with pytest.raises(ValueError):
             curve.point(curve.max_key + 1)
 
-    def test_quantize(self):
-        c = HilbertCurve(order=4)
-        assert c.quantize(0.0) == 0
-        assert c.quantize(1.0) == 15  # clamped to the grid
-        assert c.quantize(0.5) == 8
-        with pytest.raises(ValueError):
-            c.quantize(1.5)
-
 
 class TestBijection:
     def test_full_bijection_small_order(self, curve):
@@ -222,9 +214,11 @@ class TestBitHelpers:
 
 class TestKeyOfNormalized:
     def test_center_key_matches_quantized(self, curve):
-        x, y = 0.3, 0.7
-        expected = curve.key(curve.quantize(x), curve.quantize(y))
-        assert curve.key_of_normalized(x, y) == expected
+        def cell(v):
+            return min(int(v * curve.side), curve.side - 1)
+
+        for x, y in ((0.3, 0.7), (0.0, 1.0), (1.0, 0.5)):
+            assert curve.key_of_normalized(x, y) == curve.key(cell(x), cell(y))
 
     def test_subclass_contract(self):
         assert issubclass(HilbertCurve, SpaceFillingCurve)

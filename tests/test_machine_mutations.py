@@ -6,9 +6,14 @@ monkeypatching, with no source edit — and a machine must fail within
 the examples and steps tier-1 gives it (searched deterministically, and
 not shrunk: only the finding counts here).  The unmutated machines are
 the tier-1 tests themselves.
+
+Rows (g)–(j) remove one fsync each: every fsync call site a clean crash
+schedule reaches does nothing on the disks the durable machine builds,
+and the machine must notice what a power cut then loses.
 """
 
 import sys
+from functools import cache, partialmethod
 
 import pytest
 from hypothesis import Phase, settings
@@ -17,6 +22,8 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.storage import durable, wal
 from repro.storage.buffer import BufferPool
 from repro.storage.durable import DurableBackend
+from repro.verify.crash import run_crash_schedule
+from repro.verify.recorder import FaultyDisk
 from tests import test_buffer_statemachine as pools
 from tests import test_service_statemachine as indexes
 from tests.test_verify_gates import retry_failed_wal_appends
@@ -83,6 +90,39 @@ def skip_the_record_checksum(monkeypatch):
     monkeypatch.setattr(wal, "_decode_at", unchecked)
 
 
+@cache
+def fsync_sites() -> dict[str, list[str]]:
+    """The fsync call sites of a clean crash schedule, by calling
+    function, in line order.  A site names its line
+    (``storage/wal.py:152 (sync)``), so rows name a site by function and
+    place and take the string from this run, never from a literal."""
+    sites: dict[str, list[str]] = {}
+    found = run_crash_schedule(0, ops=16).counts["sites"]
+    for site in sorted(found, key=lambda site: int(site.split(":")[1].split()[0])):
+        sites.setdefault(site.split()[1], []).append(site)
+    return sites
+
+
+def noop_fsync(function: str, place: int):
+    """The ``place``-th fsync site of ``function`` makes nothing durable
+    on every disk the machine builds."""
+
+    def mutate(monkeypatch):
+        site = fsync_sites()[function][place]
+        without = partialmethod(FaultyDisk.__init__, noop_sites=frozenset({site}))
+        monkeypatch.setattr(FaultyDisk, "__init__", without)
+
+    return mutate
+
+
+FSYNC_ROWS = {
+    "g-noop-fsync-replace-file": ("(atomic_replace)", 0),
+    "h-noop-fsync-replace-dir": ("(atomic_replace)", 1),
+    "i-noop-fsync-barrier-data": ("(_log)", 0),
+    "j-noop-fsync-log-commit": ("(sync)", 0),
+}
+"""Each fsync row: the calling function and place of its site."""
+
 MUTATIONS = {
     "a-fold-keeps-frames": (keep_a_failed_folds_frames, indexes.DurableIndexMachine),
     "b-no-slot-checksum": (skip_the_slot_checksum, pools.DurablePoolMachine),
@@ -90,8 +130,18 @@ MUTATIONS = {
     "d-evict-pinned": (evict_pinned_frames, pools.PoolMachine),
     "e-no-record-checksum": (skip_the_record_checksum, indexes.DurableIndexMachine),
     "f-retrying-wal-append": (retry_failed_wal_appends, indexes.DurableIndexMachine),
+    **{
+        name: (noop_fsync(*site), indexes.DurableIndexMachine)
+        for name, site in FSYNC_ROWS.items()
+    },
 }
 """Each mutation and the machine that must find it."""
+
+
+def test_every_fsync_site_of_a_clean_run_has_a_row():
+    sites = {(function, place) for function, found in fsync_sites().items()
+             for place in range(len(found))}
+    assert sorted(FSYNC_ROWS.values()) == sorted(sites)
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))

@@ -86,7 +86,11 @@ def assert_reach_covers_every_record(index: PersistentIndex, proven: set | None 
     record); ``proven`` holds the (level, reach, record) triples a
     caller has already checked under this index's curve, and skips them.
     """
-    q = index.curve.quantize
+    side = index.curve.side
+
+    def q(v: float) -> int:  # the cell rule of key_of_normalized
+        return min(int(v * side), side - 1)
+
     for level in index.levels():
         reach = rx, ry = index._directory.reach[level]
         handle = index._base.get(level)
@@ -602,6 +606,18 @@ class TestQueryValidation:
                 assert service.breaker.consecutive_failures == 0
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("corner", range(4))
+    def test_a_nan_window_raises_below_the_service_edge(self, corner):
+        """A NaN corner passes every clipping test of the access path;
+        the cell rule's int() refuses it, so the index answers nothing
+        (the service edge rejects it before this point)."""
+        with PersistentIndex([Entity(1, Rect(0.1, 0.1, 0.2, 0.2))]) as index:
+            box = [0.1, 0.1, 0.5, 0.5]
+            box[corner] = float("nan")
+            with pytest.raises(ValueError):
+                index.window_query(Rect(*box))
+            assert index.queries == 0 and index.query_hits == 0
 
     def test_windows_outside_the_square_are_legal_and_clipped(self):
         async def scenario():
